@@ -162,14 +162,42 @@ def _real_quadratic_display(e: CyclotomicElem) -> str:
     return f"degree-{mp.degree} element"
 
 
+_GROUND_TRUTH_KEYS = ("alpha", "beta", "trace", "norm")
+
+
 def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
-    """The shipped (or an explicit) ground-truth list of non-unit quadratic ratios."""
+    """The shipped (or an explicit) ground-truth list of non-unit quadratic ratios.
+
+    Raises ValueError, with a one-line message, when the file cannot be
+    read, is not JSON, or is not an object whose ``records`` list holds
+    rows with ``alpha``, ``beta``, ``trace`` and ``norm``.
+    """
     if path is None:
+        source = "builtin ground truth"
         data = resources.files("torsion_packet").joinpath("data/table1.json").read_text()
     else:
-        data = Path(path).read_text()
-    payload = json.loads(data)
-    return payload["records"]
+        source = f"ground truth {path}"
+        try:
+            data = Path(path).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
+    try:
+        payload = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not valid JSON: {exc}") from exc
+    records = payload.get("records") if isinstance(payload, dict) else None
+    if not isinstance(records, list):
+        raise ValueError(f"{source} must be a JSON object with a 'records' list")
+    for i, row in enumerate(records):
+        if not isinstance(row, dict):
+            raise ValueError(f"{source}: record {i} is not a JSON object")
+        missing = [k for k in _GROUND_TRUTH_KEYS if k not in row]
+        if missing:
+            raise ValueError(f"{source}: record {i} has no {', '.join(missing)}")
+        for k in _GROUND_TRUTH_KEYS:
+            if isinstance(row[k], bool) or not isinstance(row[k], (str, int)):
+                raise ValueError(f"{source}: record {i} field {k} must be a string or an integer")
+    return records
 
 
 # --------------------------------------------------------------------------

@@ -6,13 +6,19 @@ found by evaluating the defining embedding zeta_m -> exp(2*pi*i/m) in
 interval arithmetic, doubling the working precision until the enclosing
 interval excludes zero.  Termination is guaranteed because zero has
 already been excluded symbolically.
+
+Each thread evaluates in its own mpmath interval context, so concurrent
+calls never share (or change) a working precision.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from contextlib import contextmanager
+from typing import Iterator
 
-from mpmath import iv
+from mpmath.ctx_iv import MPIntervalContext
 
 from ..errors import ArithmeticInconsistencyError
 from .cyclotomic import CyclotomicElem
@@ -40,12 +46,33 @@ def default_precision_bits() -> int:
     return bits
 
 
+_local = threading.local()
+
+
+@contextmanager
+def interval_context(bits: int) -> Iterator[MPIntervalContext]:
+    """This thread's private mpmath interval context, working at ``bits``.
+
+    The context is created on the thread's first call and reused after
+    (creating one costs about as much as a whole sign evaluation).  No
+    other thread and not the global ``mpmath.iv`` ever sees its precision,
+    which is restored on exit, so nested use within one thread is safe.
+    """
+    ctx = getattr(_local, "ctx", None)
+    if ctx is None:
+        ctx = _local.ctx = MPIntervalContext()
+    old = ctx.prec
+    ctx.prec = bits
+    try:
+        yield ctx
+    finally:
+        ctx.prec = old
+
+
 def _interval_sign(e: CyclotomicElem, bits: int) -> int | None:
     # Real part of the embedding: sum of c_j * cos(2*pi*j/m).  For an
     # element fixed by conjugation this equals the element itself.
-    old = iv.prec
-    iv.prec = bits
-    try:
+    with interval_context(bits) as iv:
         total = iv.mpf(0)
         m = e.m
         for j, c in enumerate(e.coeffs):
@@ -57,8 +84,6 @@ def _interval_sign(e: CyclotomicElem, bits: int) -> int | None:
         if total.b < 0:
             return -1
         return None
-    finally:
-        iv.prec = old
 
 
 def sign_of_real(e: CyclotomicElem, initial_bits: int | None = None) -> int:

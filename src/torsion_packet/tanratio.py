@@ -11,6 +11,16 @@ so the natural home of tan(pi*p/q) is Q(zeta_m) with m = lcm(4, 2q)
 enumeration over a denominator bound keeps a pair exactly when its orbit
 size equals the requested degree.
 
+The enumeration has one degree filter for every pair.  The conjugates
+tan(pi*k*beta)/tan(pi*k*alpha) of a pair are evaluated as one float
+division of two entries of a tan table whose every entry carries a proven
+relative error bound; from that bound follows a relative separation that
+certifies two computed conjugates as truly distinct (see
+``_REL_SEPARATION``).  A pair is dropped only when more conjugates than
+the requested degree are certified pairwise distinct, and every other
+pair is confirmed by exact orbit counting, so no verdict rests on
+floating point.
+
 Only finitely many pairs produce a ratio of any fixed degree, but that
 finiteness is ineffective; the enumeration here is a bounded search, and
 the shipped reference list is supported by a stability sweep (raising the
@@ -20,10 +30,13 @@ bound adds nothing new), not by an unconditional completeness proof.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
+
+from mpmath.libmp import to_rational
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import (
@@ -38,15 +51,31 @@ from .exactnum import (
     quadratic_from_minpoly,
     sign_of_real,
 )
+from .exactnum.signs import interval_context
 
-# Relative separation below which two floating-point conjugate values are
-# treated as potentially equal by the numeric pre-filter.  All folded
-# angles have denominator <= the enumeration bound, so tangent values stay
-# in a well-conditioned range and true equality shows up as agreement to
-# ~1e-12 relative; 1e-9 leaves three orders of margin.  The filter only
-# ever *discards* pairs whose conjugates are separated beyond this
-# threshold, and every kept pair is confirmed exactly.
-_FLOAT_TOLERANCE = 1e-9
+# Working precision of the tan-table enclosures, and the largest relative
+# width an enclosure may have.  At 96 bits the widest enclosure for any
+# denominator up to 200 is about 2^-86 relative; the builder checks every
+# enclosure against the limit all the same.
+_TABLE_BITS = 96
+_TABLE_MAX_REL_WIDTH = Fraction(1, 2**60)
+
+# Relative gap that certifies two computed conjugates v, r as distinct.
+# With u = 2^-53, the unit roundoff of a double:
+# * a table entry is the float nearest the midpoint of an enclosure of
+#   relative width <= 2^-60, so its relative error is at most u + 2^-60
+#   (one rounding to nearest, plus half the width);
+# * a conjugate is one float division of two entries, so its relative
+#   error is at most (1 + u + 2^-60)(1 + u)/(1 - u - 2^-60) - 1 < 3.1u;
+# * two conjugates with the same true value w therefore compute to values
+#   within 2 * 3.1u|w| of each other, which is below 6.3u max(|v|, |r|)
+#   even after the one rounding of the float subtraction.
+# A computed gap |v - r| above 2^-48 = 32u times max(|v|, |r|) is more
+# than five times what equal conjugates can show, so v and r are distinct.
+# Scaling by a power of two is exact.  Tangents of these angles are
+# nonzero and, for any bound in reach, far from float underflow and
+# overflow, so the relative bounds above hold.
+_REL_SEPARATION = 2.0**-48
 
 # Largest field degree for which an exact orbit confirmation is attempted.
 _EXACT_DEGREE_GUARD = 600
@@ -209,10 +238,13 @@ def ratio(alpha: RationalAngle, beta: RationalAngle) -> TangentRatio:
 # Degree filtering
 
 
-def _units_half(m: int) -> list[int]:
+def _units_half(m: int) -> array:
     # mu and all its conjugates are real, so sigma_k and sigma_(m-k) agree
-    # on them; one representative per pair {k, m-k} suffices.
-    return [k for k in conductor_units(m) if 2 * k <= m or m <= 2]
+    # on them; one representative per pair {k, m-k} suffices.  Every
+    # conductor here is a multiple of 4, so the units are odd.  A C array,
+    # not a list: at bound 60 the enumeration caches 330k units, which as
+    # int objects would add about 10 MB to peak memory.
+    return array("I", [k for k in range(1, m // 2 + 1, 2) if math.gcd(k, m) == 1])
 
 
 def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> Optional[int]:
@@ -241,23 +273,60 @@ def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> O
     return len(reps)
 
 
-def _pair_degree_float_exceeds(alpha: RationalAngle, beta: RationalAngle, cap: int) -> bool:
+def _tan_table(max_denominator: int) -> dict[int, list[float]]:
+    """Floats of tan(pi*r/q) for every reduced r/q in (0, 1), q <= max_denominator.
+
+    ``table[q][r]`` is the float nearest the midpoint of an interval
+    enclosure of tan(pi*r/q) of relative width <= 2^-60, evaluated in this
+    thread's private interval context; its relative error is therefore at
+    most 2^-53 + 2^-60.  Entries with gcd(r, q) > 1 are never read and
+    hold 0.0.
+    """
+    table = {}
+    with interval_context(_TABLE_BITS) as ctx:
+        for q in range(3, max_denominator + 1):
+            row = [0.0] * q
+            for r in range(1, (q + 1) // 2):
+                if math.gcd(r, q) == 1:
+                    row[r] = _nearest_float_of_enclosure(ctx.tan(ctx.pi * r / q), r, q)
+                    # tan(pi*(q-r)/q) = -tan(pi*r/q), and negation is exact.
+                    row[q - r] = -row[r]
+            table[q] = row
+    return table
+
+
+def _nearest_float_of_enclosure(x, r: int, q: int) -> float:
+    # The enclosure's endpoints, exactly, as binary fractions.
+    lo, hi = (Fraction(*to_rational(end)) for end in x._mpi_)
+    if not 0 < lo <= hi or hi - lo > _TABLE_MAX_REL_WIDTH * lo:
+        raise ArithmeticInconsistencyError(
+            f"enclosure [{float(lo)}, {float(hi)}] of tan(pi*{r}/{q}) is not "
+            f"positive with relative width at most 2^-60"
+        )
+    # Fraction -> float is correctly rounded to nearest.
+    return float((lo + hi) / 2)
+
+
+def _float_degree_exceeds(
+    ta: list[float], pa: int, tb: list[float], pb: int, units: array, cap: int
+) -> bool:
     """True only when mu provably has more than ``cap`` distinct conjugates.
 
-    The conjugates of mu are exactly tan(pi*k*beta)/tan(pi*k*alpha) over k
-    coprime to the conductor; values separated by more than the relative
-    tolerance are genuinely distinct (see _FLOAT_TOLERANCE).  A False
-    answer is never trusted: callers confirm survivors exactly.
+    The conjugates of mu = tan(pi*pb/qb)/tan(pi*pa/qa) are
+    tan(pi*k*pb/qb)/tan(pi*k*pa/qa) over the units k <= m/2, with the
+    tangents read from tan-table rows ``ta`` and ``tb`` (row q has length
+    q).  Two values are counted apart only when their gap certifies them
+    distinct (see _REL_SEPARATION).  A False answer is never trusted:
+    callers confirm survivors exactly.
     """
-    m = _common_conductor(alpha, beta)
-    pa, qa = alpha.numerator, alpha.denominator
-    pb, qb = beta.numerator, beta.denominator
+    qa, qb = len(ta), len(tb)
     reps: list[float] = []
-    for k in range(1, m // 2 + 1):
-        if math.gcd(k, m) != 1:
-            continue
-        v = math.tan(math.pi * ((k * pb) % qb) / qb) / math.tan(math.pi * ((k * pa) % qa) / qa)
-        if all(abs(v - r) > _FLOAT_TOLERANCE * max(1.0, abs(v), abs(r)) for r in reps):
+    for k in units:
+        v = tb[k * pb % qb] / ta[k * pa % qa]
+        for r in reps:
+            if abs(v - r) <= _REL_SEPARATION * max(abs(v), abs(r)):
+                break
+        else:
             reps.append(v)
             if len(reps) > cap:
                 return True
@@ -288,34 +357,38 @@ def angles_up_to(max_denominator: int) -> list[RationalAngle]:
     return out
 
 
-def enumerate_ratios(
-    degree_target: int,
-    max_denominator: int,
-    *,
-    exact_threshold: int = 16,
-) -> list[TangentRatio]:
+def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRatio]:
     """All ratios of the requested degree with both denominators bounded.
 
-    Pairs with denominators up to ``exact_threshold`` are filtered purely
-    by exact orbit counting; beyond that a rigorous numeric pre-filter
-    discards pairs whose orbit is provably too large, and every surviving
-    pair is still confirmed exactly.  Output is sorted by (alpha, beta).
+    Every pair goes through the same filter.  Its Galois conjugates are
+    evaluated in floating point from a tan table built once per call,
+    whose entries have relative error at most 2^-53 + 2^-60; the pair is
+    dropped as soon as ``degree_target + 1`` conjugates are pairwise
+    separated by more than 2^-48 relative, a gap that two equal
+    conjugates provably cannot show, so its degree is provably larger.
+    Every pair that is not dropped is confirmed by exact orbit counting.
+    Output is sorted by (alpha, beta).
     """
     if degree_target < 1:
         raise ValueError(f"degree target must be positive, got {degree_target}")
     if max_denominator < 3:
         raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
     angles = angles_up_to(max_denominator)
+    table = _tan_table(max_denominator)
+    units_by_conductor: dict[int, array] = {}
     out = []
     for i, alpha in enumerate(angles):
+        pa, qa = alpha.numerator, alpha.denominator
+        ta = table[qa]
         for beta in angles[i + 1 :]:
-            if max(alpha.denominator, beta.denominator) <= exact_threshold:
-                deg = _pair_degree_exact(alpha, beta, degree_target)
-            else:
-                if _pair_degree_float_exceeds(alpha, beta, degree_target):
-                    continue
-                deg = _confirm_degree(alpha, beta, degree_target)
-            if deg == degree_target:
+            pb, qb = beta.numerator, beta.denominator
+            m = math.lcm(4, 2 * qa, 2 * qb)  # _common_conductor, inlined
+            units = units_by_conductor.get(m)
+            if units is None:
+                units = units_by_conductor[m] = _units_half(m)
+            if _float_degree_exceeds(ta, pa, table[qb], pb, units, degree_target):
+                continue
+            if _confirm_degree(alpha, beta, degree_target) == degree_target:
                 out.append(ratio(alpha, beta))
     return out
 
@@ -357,13 +430,11 @@ def normalize_by_galois(t: TangentRatio) -> TangentRatio:
     )
 
 
-def normalized_nonunit_rows(
-    max_denominator: int = 12, *, exact_threshold: int = 16
-) -> list[TangentRatio]:
+def normalized_nonunit_rows(max_denominator: int = 12) -> list[TangentRatio]:
     """Degree-2 non-unit ratios up to the bound, Galois-normalized and deduplicated."""
     seen: set[tuple[Fraction, Fraction]] = set()
     rows = []
-    for t in enumerate_ratios(2, max_denominator, exact_threshold=exact_threshold):
+    for t in enumerate_ratios(2, max_denominator):
         if t.is_unit:
             continue
         n = normalize_by_galois(t)

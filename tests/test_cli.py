@@ -59,6 +59,42 @@ def test_verify_table1_exit_codes(capsys, tmp_path):
     assert code == EXIT_REFUTED
 
 
+def _ground_truth_without(key):
+    def write(path):
+        rows = load_reference_rows()
+        del rows[2][key]
+        path.write_text(json.dumps({"records": rows}))
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        pytest.param(None, id="missing-file"),
+        pytest.param(lambda p: p.mkdir(), id="directory"),
+        pytest.param(lambda p: p.write_text("{not json"), id="not-json"),
+        pytest.param(lambda p: p.write_text("[1, 2]"), id="no-records"),
+        pytest.param(lambda p: p.write_text('{"records": [7]}'), id="row-not-object"),
+        pytest.param(
+            lambda p: p.write_text('{"records": [{"alpha": "1/4", "beta": "1/3", "trace": [0], "norm": "-3"}]}'),
+            id="trace-not-scalar",
+        ),
+        *(pytest.param(_ground_truth_without(k), id=f"no-{k}") for k in ("alpha", "beta", "trace", "norm")),
+    ],
+)
+def test_verify_table1_bad_ground_truth_exits_2(write, tmp_path, capsys):
+    path = tmp_path / "truth.json"
+    if write is not None:
+        write(path)
+    code = main(["verify-table1", "--ground-truth", str(path)])
+    out = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+
+
 # --------------------------------------------------------------------------
 # tangent-ratios
 

@@ -1,10 +1,13 @@
 """Tests for the exact arithmetic foundation."""
 
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
 from torsion_packet.exactnum import (
     CyclotomicElem,
@@ -23,6 +26,7 @@ from torsion_packet.exactnum import (
     sign_of_real,
     squarefree_part,
 )
+from torsion_packet.exactnum.signs import interval_context
 
 
 def zeta(m, k=1):
@@ -294,6 +298,45 @@ def test_sign_with_tiny_initial_precision(monkeypatch):
     z = zeta(60)
     near_zero = z + z**59 - 2 + F(10946842, 10**9)
     assert sign_of_real(near_zero) == sign_of_real(near_zero, initial_bits=256)
+
+
+def test_sign_is_thread_safe():
+    # Two threads at different initial precisions: each evaluates in its own
+    # interval context, so both get correct signs and the global mpmath.iv
+    # precision is never touched.  2*cos(pi/30) - 2 = -0.01095620926...
+    z = zeta(60)
+    below = z + z**59 - 2 + F(109562, 10**7)  # about -9.3e-9
+    above = z + z**59 - 2 + F(109563, 10**7)  # about +9.1e-8
+    prec_before = iv.prec
+    results: dict[int, list[tuple[int, int]]] = {}
+    contexts: dict[int, list[object]] = {}
+
+    def work(bits: int) -> None:
+        with interval_context(bits) as outer:
+            with interval_context(2 * bits) as inner:
+                assert inner.prec == 2 * bits
+            assert outer.prec == bits
+        contexts[bits] = [outer, inner]
+        results[bits] = [
+            (sign_of_real(below, initial_bits=bits), sign_of_real(above, initial_bits=bits))
+            for _ in range(40)
+        ]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(bits,)) for bits in (8, 300)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {8: [(-1, 1)] * 40, 300: [(-1, 1)] * 40}
+    assert contexts[8][0] is contexts[8][1] and contexts[300][0] is contexts[300][1]
+    assert contexts[8][0] is not contexts[300][0]
+    assert iv.prec == prec_before
 
 
 def test_sign_env_validation(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for tangent-ratio embedding, classification and enumeration."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,8 @@ from torsion_packet.exactnum import (
 )
 from torsion_packet.tanratio import (
     RationalAngle,
+    _pair_degree_exact,
+    _tan_table,
     angles_up_to,
     check_addition_formula,
     enumerate_ratios,
@@ -157,13 +160,42 @@ def test_enumerate_parameter_validation():
 
 
 def test_numeric_prefilter_agrees_with_exact_path():
-    # Same pairs kept whether filtering is exact everywhere or numeric
-    # with exact confirmation.
-    exact = enumerate_ratios(2, 14, exact_threshold=14)
-    mixed = enumerate_ratios(2, 14, exact_threshold=3)
-    assert [(r.alpha.value, r.beta.value) for r in exact] == [
-        (r.alpha.value, r.beta.value) for r in mixed
-    ]
+    # Oracle: exact orbit counting on every pair up to bound 14.  The
+    # certified float filter with exact confirmation keeps exactly the
+    # pairs of each exact degree.
+    angles = angles_up_to(14)
+    exact_degree = {
+        (a.value, b.value): _pair_degree_exact(a, b, 4)
+        for i, a in enumerate(angles)
+        for b in angles[i + 1 :]
+    }
+    for d in range(1, 5):
+        kept = [(r.alpha.value, r.beta.value) for r in enumerate_ratios(d, 14)]
+        assert kept, d
+        assert kept == sorted(k for k, deg in exact_degree.items() if deg == d)
+
+
+def test_tan_table_entries_within_their_error_bound():
+    # Ties the float table to the exact core: every entry t with q <= 12
+    # has the exact tangent strictly between t*(1 - 2^-52) and t*(1 + 2^-52).
+    table = _tan_table(12)
+    assert sorted(table) == list(range(3, 13))
+    eps = F(1, 2**52)
+    checked = 0
+    for q, row in table.items():
+        assert len(row) == q
+        for r in range(1, q):
+            if math.gcd(r, q) != 1:
+                continue
+            if 2 * r < q:
+                exact = tan_of(ang(r, q))
+            else:
+                exact = -tan_of(ang(q - r, q))
+            t = F(row[r])
+            lo, hi = sorted((t * (1 - eps), t * (1 + eps)))
+            assert sign_of_real(exact - lo) == 1 and sign_of_real(hi - exact) == 1, (r, q)
+            checked += 1
+    assert checked == sum(1 for q in range(3, 13) for r in range(1, q) if math.gcd(r, q) == 1)
 
 
 # --------------------------------------------------------------------------
@@ -216,8 +248,6 @@ def test_stability_up_to_20():
 
 
 def test_float_agreement_denominators_up_to_16():
-    import math
-
     angles = angles_up_to(16)
     for i, alpha in enumerate(angles):
         for beta in angles[i + 1 :]:
