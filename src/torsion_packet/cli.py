@@ -6,7 +6,7 @@ text, JSON or CSV.  Reports are deterministic for fixed parameters up to
 the elapsed_ms field.
 
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
-1 refuted, 2 usage error, 3 internal arithmetic inconsistency.
+1 refuted, 2 usage or I/O error, 3 internal arithmetic inconsistency.
 """
 
 from __future__ import annotations
@@ -602,6 +602,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
+        if args.output:
+            _check_output_path(Path(args.output))
         report = args.run(args)
     except ArithmeticInconsistencyError as exc:
         print(f"internal arithmetic inconsistency: {exc}", file=sys.stderr)
@@ -612,8 +614,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     rendered = render(report, args.format)
     print(rendered)
     if args.output:
-        Path(args.output).write_text(rendered + "\n")
+        try:
+            Path(args.output).write_text(rendered + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED
+
+
+def _check_output_path(path: Path) -> None:
+    """Reject an --output path that cannot be written, before any computing."""
+    if path.is_dir():
+        raise ValueError(f"--output {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"--output directory {path.parent} does not exist")
 
 
 if __name__ == "__main__":

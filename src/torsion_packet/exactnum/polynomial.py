@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from ..errors import ArithmeticInconsistencyError
+
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
@@ -221,13 +223,13 @@ def _int_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
     for k in range(len(rem) - 1 - dd, -1, -1):
         q, r = divmod(rem[k + dd], dlead)
         if r:
-            raise ArithmeticError("inexact integer polynomial division")
+            raise ArithmeticInconsistencyError("inexact integer polynomial division")
         quo[k] = q
         if q:
             for i, c in enumerate(den):
                 rem[k + i] -= q * c
     if any(rem):
-        raise ArithmeticError("nonzero remainder in exact polynomial division")
+        raise ArithmeticInconsistencyError("nonzero remainder in exact polynomial division")
     return quo
 
 

@@ -1,10 +1,25 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(D)).
 
-An element is a + b*sqrt(D) with rational a, b and a squarefree radicand
-D >= 2.  Rational values are represented with b = 0; their radicand is a
-formality and equality ignores it, so the same rational compares equal
-across fields.  Signs and comparisons are decided exactly by rational
-arithmetic (compare a^2 against D*b^2), never by floating point.
+An element (an + bn*sqrt(d))/den is stored as four integers, the layout of
+FLINT/Antic ``nf_elem``: the numerators ``an`` and ``bn``, one common
+denominator ``den > 0`` with gcd(an, bn, den) = 1, and a squarefree
+radicand ``d >= 2``.  The form is canonical, so equality and hashing are
+tuple comparisons, and arithmetic runs in integers without building a
+``Fraction``.
+
+The radicand is validated once: the public constructor
+``QuadraticElem(a, b, d)`` takes int or ``Fraction`` coefficients and
+rejects a radicand that is below 2 or not squarefree.  Results of
+arithmetic inherit an already-validated radicand and go through the
+private ``_from_parts``, which only reduces by the gcd; callers that take
+the radicand straight from ``squarefree_part`` may use it too.  The
+rational coefficients ``a = an/den`` and ``b = bn/den`` are derived,
+read-only ``Fraction`` properties.
+
+Rational values have bn = 0; their radicand is a formality and equality
+ignores it, so the same rational compares equal across fields.  Signs and
+comparisons are decided exactly in integers (compare an^2 against
+d*bn^2), never by floating point.
 """
 
 from __future__ import annotations
@@ -13,6 +28,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from ..errors import ArithmeticInconsistencyError
 from .cyclotomic import MinPoly
 
 Scalar = Union[int, Fraction]
@@ -43,9 +59,9 @@ def squarefree_part(n: int) -> tuple[int, int]:
 
 
 class QuadraticElem:
-    """a + b*sqrt(d) with d squarefree, d >= 2."""
+    """(an + bn*sqrt(d))/den with den > 0, gcd(an, bn, den) = 1, d squarefree >= 2."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("an", "bn", "den", "d")
 
     def __init__(self, a: Scalar, b: Scalar, d: int):
         if d < 2:
@@ -53,9 +69,14 @@ class QuadraticElem:
         s, sf = squarefree_part(d)
         if s != 1:
             raise ValueError(f"radicand must be squarefree, got {d} = {s}^2 * {sf}")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", d)
+        a, b = Fraction(a), Fraction(b)
+        # With a and b in lowest terms, scaling both to the lcm of their
+        # denominators leaves gcd(an, bn, den) = 1.
+        den = math.lcm(a.denominator, b.denominator)
+        _set_an(self, a.numerator * (den // a.denominator))
+        _set_bn(self, b.numerator * (den // b.denominator))
+        _set_den(self, den)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticElem is immutable")
@@ -69,10 +90,20 @@ class QuadraticElem:
     def sqrt(cls, d: int) -> QuadraticElem:
         return cls(0, 1, d)
 
+    @property
+    def a(self) -> Fraction:
+        """The rational part an/den."""
+        return Fraction(self.an, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient bn/den of sqrt(d)."""
+        return Fraction(self.bn, self.den)
+
     # ----- structure ----------------------------------------------------
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.bn == 0
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
@@ -81,15 +112,15 @@ class QuadraticElem:
 
     def conjugate(self) -> QuadraticElem:
         """The Galois conjugate a - b*sqrt(d)."""
-        return QuadraticElem(self.a, -self.b, self.d)
+        return _from_parts(self.an, -self.bn, self.den, self.d)
 
     def trace(self) -> Fraction:
         """Sum with the Galois conjugate: 2a."""
-        return 2 * self.a
+        return Fraction(2 * self.an, self.den)
 
     def norm(self) -> Fraction:
         """Product with the Galois conjugate: a^2 - d*b^2."""
-        return self.a * self.a - self.d * self.b * self.b
+        return Fraction(self.an * self.an - self.d * self.bn * self.bn, self.den * self.den)
 
     def minpoly(self) -> MinPoly:
         """x^2 - trace*x + norm for irrational elements, x - a otherwise."""
@@ -99,165 +130,200 @@ class QuadraticElem:
 
     def sign(self) -> int:
         """Exact sign under the embedding sqrt(d) -> positive real root."""
-        a, b = self.a, self.b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
+        an, bn = self.an, self.bn  # den > 0 does not change the sign
+        if bn == 0:
+            return 0 if an == 0 else (1 if an > 0 else -1)
+        if an == 0:
+            return 1 if bn > 0 else -1
+        if an > 0 and bn > 0:
             return 1
-        if a < 0 and b < 0:
+        if an < 0 and bn < 0:
             return -1
-        # Opposite signs: compare a^2 with d*b^2 (equality would force
+        # Opposite signs: compare an^2 with d*bn^2 (equality would force
         # sqrt(d) rational, impossible for squarefree d >= 2).
-        lhs, rhs = a * a, self.d * b * b
+        lhs, rhs = an * an, self.d * bn * bn
         if lhs == rhs:
-            raise ArithmeticError(f"sqrt({self.d}) cannot be rational")
+            raise ArithmeticInconsistencyError(f"sqrt({self.d}) cannot be rational")
         bigger_is_a = lhs > rhs
-        return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
+        return (1 if an > 0 else -1) if bigger_is_a else (1 if bn > 0 else -1)
 
     # ----- arithmetic ---------------------------------------------------
 
-    def _aligned(self, other) -> tuple[QuadraticElem, QuadraticElem] | None:
-        """Both operands over a common radicand, or None if incompatible type."""
-        if isinstance(other, (int, Fraction)):
-            return self, QuadraticElem(other, 0, self.d)
+    def _aligned(self, other):
+        """(a1, b1, q1, a2, b2, q2, d): both operands' integer parts over one
+        radicand d, or None if ``other`` is not a number this type knows."""
+        if isinstance(other, int):
+            return self.an, self.bn, self.den, other, 0, 1, self.d
+        if isinstance(other, Fraction):
+            return self.an, self.bn, self.den, other.numerator, 0, other.denominator, self.d
         if not isinstance(other, QuadraticElem):
             return None
-        if other.d == self.d:
-            return self, other
-        if other.b == 0:
-            return self, QuadraticElem(other.a, 0, self.d)
-        if self.b == 0:
-            return QuadraticElem(self.a, 0, other.d), other
-        raise ValueError(f"radicand mismatch: sqrt({self.d}) vs sqrt({other.d})")
+        d = self.d
+        if other.d != d and other.bn != 0:
+            if self.bn != 0:
+                raise ValueError(f"radicand mismatch: sqrt({self.d}) vs sqrt({other.d})")
+            d = other.d
+        return self.an, self.bn, self.den, other.an, other.bn, other.den, d
 
     def __add__(self, other):
-        pair = self._aligned(other)
-        if pair is None:
+        ops = self._aligned(other)
+        if ops is None:
             return NotImplemented
-        lhs, rhs = pair
-        return QuadraticElem(lhs.a + rhs.a, lhs.b + rhs.b, lhs.d)
+        a1, b1, q1, a2, b2, q2, d = ops
+        if q1 == q2:
+            return _from_parts(a1 + a2, b1 + b2, q1, d)
+        return _from_parts(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, q1 * q2, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> QuadraticElem:
-        return QuadraticElem(-self.a, -self.b, self.d)
+        return _from_parts(-self.an, -self.bn, self.den, self.d)
 
     def __sub__(self, other):
-        pair = self._aligned(other)
-        if pair is None:
+        ops = self._aligned(other)
+        if ops is None:
             return NotImplemented
-        lhs, rhs = pair
-        return lhs + (-rhs)
+        a1, b1, q1, a2, b2, q2, d = ops
+        return _from_parts(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1, q1 * q2, d)
 
     def __rsub__(self, other):
-        return -(self - other)
+        ops = self._aligned(other)
+        if ops is None:
+            return NotImplemented
+        a1, b1, q1, a2, b2, q2, d = ops
+        return _from_parts(a2 * q1 - a1 * q2, b2 * q1 - b1 * q2, q1 * q2, d)
 
     def __mul__(self, other):
-        pair = self._aligned(other)
-        if pair is None:
+        ops = self._aligned(other)
+        if ops is None:
             return NotImplemented
-        lhs, rhs = pair
-        return QuadraticElem(
-            lhs.a * rhs.a + lhs.d * lhs.b * rhs.b,
-            lhs.a * rhs.b + lhs.b * rhs.a,
-            lhs.d,
-        )
+        a1, b1, q1, a2, b2, q2, d = ops
+        return _from_parts(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, q1 * q2, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadraticElem:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero quadratic element")
-        return QuadraticElem(self.a / n, -self.b / n, self.d)
+        return _quotient(1, 0, 1, self.an, self.bn, self.den, self.d)
 
     def __truediv__(self, other):
-        pair = self._aligned(other)
-        if pair is None:
+        ops = self._aligned(other)
+        if ops is None:
             return NotImplemented
-        lhs, rhs = pair
-        return lhs * rhs.inverse()
+        return _quotient(*ops)
 
     def __rtruediv__(self, other):
-        pair = self._aligned(other)
-        if pair is None:
+        ops = self._aligned(other)
+        if ops is None:
             return NotImplemented
-        lhs, rhs = pair
-        return rhs * lhs.inverse()
+        a1, b1, q1, a2, b2, q2, d = ops
+        return _quotient(a2, b2, q2, a1, b1, q1, d)
 
     def __pow__(self, n: int) -> QuadraticElem:
         if n < 0:
             return self.inverse() ** (-n)
-        result = QuadraticElem(1, 0, self.d)
-        base = self
+        d = self.d
+        ra, rb, rq = 1, 0, 1
+        a, b, q = self.an, self.bn, self.den
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                ra, rb, rq = ra * a + d * rb * b, ra * b + rb * a, rq * q
             n >>= 1
-        return result
+            if n:
+                a, b, q = a * a + d * b * b, 2 * a * b, q * q
+        return _from_parts(ra, rb, rq, d)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+        if isinstance(other, int):
+            return self.bn == 0 and self.den == 1 and self.an == other
         if isinstance(other, QuadraticElem):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            return (
+                self.an == other.an
+                and self.bn == other.bn
+                and self.den == other.den
+                and (self.bn == 0 or self.d == other.d)
+            )
+        if isinstance(other, Fraction):
+            return self.bn == 0 and self.an == other.numerator and self.den == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if self.bn == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.an, self.bn, self.den, self.d))
 
     def __lt__(self, other) -> bool:
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other) -> bool:
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other) -> bool:
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other) -> bool:
-        diff = self - other
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() >= 0
+        return (self - other).sign() >= 0
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        return self.an / self.den + self.bn / self.den * math.sqrt(self.d)
 
     def __repr__(self) -> str:
         return f"QuadraticElem({self})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
+        an, bn, den = self.an, self.bn, self.den
+        if bn == 0:
+            return _ratio_str(an, den)
         root = f"sqrt({self.d})"
-        if self.b == 1:
+        if bn == den:
             tail = root
-        elif self.b == -1:
+        elif bn == -den:
             tail = f"-{root}"
         else:
-            tail = f"{self.b}*{root}"
-        if self.a == 0:
+            tail = f"{_ratio_str(bn, den)}*{root}"
+        if an == 0:
             return tail
-        op = "-" if self.b < 0 else "+"
+        op = "-" if bn < 0 else "+"
         mag = tail.lstrip("-")
-        return f"{self.a} {op} {mag}"
+        return f"{_ratio_str(an, den)} {op} {mag}"
+
+
+_new = object.__new__
+_set_an = QuadraticElem.an.__set__
+_set_bn = QuadraticElem.bn.__set__
+_set_den = QuadraticElem.den.__set__
+_set_d = QuadraticElem.d.__set__
+
+
+def _from_parts(an: int, bn: int, den: int, d: int) -> QuadraticElem:
+    """(an + bn*sqrt(d))/den reduced by the gcd, for den > 0 and a radicand
+    already known to be squarefree and >= 2 (it is not checked again)."""
+    g = math.gcd(an, bn, den)
+    if g != 1:
+        an, bn, den = an // g, bn // g, den // g
+    elem = _new(QuadraticElem)
+    _set_an(elem, an)
+    _set_bn(elem, bn)
+    _set_den(elem, den)
+    _set_d(elem, d)
+    return elem
+
+
+def _quotient(a1: int, b1: int, q1: int, a2: int, b2: int, q2: int, d: int) -> QuadraticElem:
+    """((a1 + b1*sqrt(d))/q1) / ((a2 + b2*sqrt(d))/q2), multiplying through
+    by the conjugate a2 - b2*sqrt(d)."""
+    n = a2 * a2 - d * b2 * b2
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero quadratic element")
+    if n < 0:
+        n, q2 = -n, -q2
+    return _from_parts((a1 * a2 - d * b1 * b2) * q2, (b1 * a2 - a1 * b2) * q2, q1 * n, d)
+
+
+def _ratio_str(n: int, q: int) -> str:
+    """str(Fraction(n, q)) for q > 0, without building the Fraction."""
+    g = math.gcd(n, q)
+    n, q = n // g, q // g
+    return str(n) if q == 1 else f"{n}/{q}"
 
 
 def quadratic_from_minpoly(p: MinPoly, which_root: int = 1) -> QuadraticElem:
@@ -281,5 +347,5 @@ def quadratic_from_minpoly(p: MinPoly, which_root: int = 1) -> QuadraticElem:
     b = Fraction(s, 2 * disc.denominator) * which_root
     root = QuadraticElem(-c1 / 2, b, d)
     if root.trace() != -c1 or root.norm() != c0:
-        raise ArithmeticError("quadratic root failed the trace/norm round-trip")
+        raise ArithmeticInconsistencyError("quadratic root failed the trace/norm round-trip")
     return root

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import ArithmeticInconsistencyError
 from .exactnum import QuadraticElem, squarefree_part
+from .exactnum.quadratic import _from_parts
 from .tanratio import TangentRatio
 
 MuSource = Union[TangentRatio, QuadraticElem]
@@ -54,12 +56,14 @@ def make_triple(b: int, e: int) -> AdmissibleTriple:
     if not is_admissible(b, e):
         raise ValueError(f"(b={b}, e={e}) is not admissible")
     s, d = squarefree_part(e * e + 4 * b)
+    # The radicand is squarefree_part's d (or 2 for a rational lambda), so
+    # the constructor that skips the radicand check is safe here.
     if d == 1:
         # Perfect-square discriminant: lambda is rational (a square-tiled
         # case); the radicand of the stored element is then inert.
-        lam = QuadraticElem.rational(Fraction(e + s, 2))
+        lam = _from_parts(e + s, 0, 2, 2)
     else:
-        lam = QuadraticElem(Fraction(e, 2), Fraction(s, 2), d)
+        lam = _from_parts(e, s, 2, d)
     return AdmissibleTriple(b, e, lam)
 
 
@@ -87,7 +91,7 @@ def trace_norm_lambda_plus_one(t: AdmissibleTriple) -> tuple[int, int]:
     lam1 = t.lam + 1
     other1 = (t.e - t.lam) + 1
     if lam1 + other1 != trace or lam1 * other1 != norm:
-        raise ArithmeticError(
+        raise ArithmeticInconsistencyError(
             f"closed-form trace/norm ({trace}, {norm}) disagree with {lam1}"
         )
     return trace, norm

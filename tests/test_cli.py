@@ -1,12 +1,16 @@
 """Tests for the command-line front end and report formats."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from torsion_packet.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
@@ -280,6 +284,45 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["verdict"] == "verified"
 
 
+def _under_a_file(tmp):
+    (tmp / "file").write_text("")
+    return tmp / "file" / "report.txt"
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        pytest.param(lambda tmp: tmp / "missing" / "report.txt", id="missing-directory"),
+        pytest.param(lambda tmp: tmp, id="is-a-directory"),
+        pytest.param(_under_a_file, id="parent-is-a-file"),
+    ],
+)
+def test_output_path_checked_before_computing(target, tmp_path, capsys, monkeypatch):
+    import torsion_packet.lshape as lshape_mod
+
+    def never_called(b_max):
+        raise AssertionError("computed before the --output check")
+
+    monkeypatch.setattr(lshape_mod, "unit_case_triples", never_called)
+    code = main(["lshape", "unit-case", "--output", str(target(tmp_path))])
+    out = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out.out == ""
+    assert out.err.startswith("error: --output ") and out.err.count("\n") == 1
+
+
+def test_output_write_error_exits_2(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    code = main(["lshape", "unit-case", "--b-max", "50", "--output", str(tmp_path / "report.txt")])
+    out = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "verdict: verified" in out.out
+    assert out.err == f"error: cannot write --output {tmp_path / 'report.txt'}: Permission denied\n"
+
+
 def test_version_flag(capsys):
     code = main(["--version"])
     assert code == 0
@@ -294,6 +337,47 @@ def test_internal_inconsistency_maps_to_exit_3(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "cmd_decagon", broken)
     assert main(["decagon", "verify"]) == 3
+
+
+def test_failed_lambda_cross_check_exits_3(monkeypatch, capsys):
+    import torsion_packet.lshape as lshape_mod
+    from torsion_packet.exactnum import QuadraticElem
+
+    forged = lshape_mod.make_triple(3, 0)
+    object.__setattr__(forged, "lam", QuadraticElem(0, 1, 2))
+    monkeypatch.setattr(lshape_mod, "enumerate_triples", lambda b_max: [forged])
+    assert main(["lshape", "enumerate", "--b-max", "3"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal arithmetic inconsistency: ") and err.count("\n") == 1
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(lambda tmp: ["lshape", "unit-case", "--output", str(tmp / "missing" / "x.txt")], id="output-directory-missing"),
+        pytest.param(lambda tmp: ["lshape", "enumerate", "--b-max", "0"], id="b-max-zero"),
+        pytest.param(lambda tmp: ["verify-table1", "--ground-truth", str(tmp / "absent.json")], id="ground-truth-missing"),
+    ],
+)
+def test_cli_process_error_contract(args, tmp_path):
+    # The real process: exit code, stderr and the absence of a traceback as a
+    # user sees them, which in-process main() calls cannot show.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsion_packet.cli", *args(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("torsion-packet") is None, reason="entry point not installed")

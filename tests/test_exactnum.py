@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic foundation."""
 
+import math
 import sys
 import threading
 from fractions import Fraction as F
@@ -395,6 +396,128 @@ def test_quadratic_field_axioms(triple):
     if a != 0:
         assert a * a.inverse() == 1
     assert a.norm() == (a * a.conjugate()).to_rational()
+
+
+class RefQuadratic:
+    """Reference a + b*sqrt(d) over a pair of Fractions, for checking the
+    integer-numerator QuadraticElem against plain rational arithmetic."""
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = F(a), F(b), d
+
+    def __add__(self, o):
+        return RefQuadratic(self.a + o.a, self.b + o.b, self.d)
+
+    def __sub__(self, o):
+        return RefQuadratic(self.a - o.a, self.b - o.b, self.d)
+
+    def __mul__(self, o):
+        return RefQuadratic(self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a, self.d)
+
+    def norm(self):
+        return self.a * self.a - self.d * self.b * self.b
+
+    def trace(self):
+        return 2 * self.a
+
+    def inverse(self):
+        n = self.norm()
+        return RefQuadratic(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, n):
+        base = self.inverse() if n < 0 else self
+        result = RefQuadratic(1, 0, self.d)
+        for _ in range(abs(n)):
+            result = result * base
+        return result
+
+    def sign(self):
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sa == sb or sa == 0 or sb == 0:
+            return sa or sb
+        # Opposite signs: the term of larger absolute value wins.
+        return sa if self.a * self.a > self.d * self.b * self.b else sb
+
+    def __str__(self):
+        # The display format of the Fraction-based implementation.
+        if self.b == 0:
+            return str(self.a)
+        root = f"sqrt({self.d})"
+        if self.b == 1:
+            tail = root
+        elif self.b == -1:
+            tail = f"-{root}"
+        else:
+            tail = f"{self.b}*{root}"
+        if self.a == 0:
+            return tail
+        op = "-" if self.b < 0 else "+"
+        return f"{self.a} {op} {tail.lstrip('-')}"
+
+
+def assert_matches_reference(q, ref):
+    assert q.den > 0 and math.gcd(q.an, q.bn, q.den) == 1
+    assert (q.a, q.b, q.d) == (ref.a, ref.b, ref.d)
+    assert q.trace() == ref.trace() and q.norm() == ref.norm()
+    assert q.sign() == ref.sign()
+    assert str(q) == str(ref)
+    if q.is_rational():
+        assert q == ref.a and hash(q) == hash(ref.a)
+        if ref.a.denominator == 1:
+            assert q == int(ref.a) and hash(q) == hash(int(ref.a))
+        else:
+            assert q != ref.a.numerator
+        assert q == QuadraticElem.rational(ref.a, 7 if q.d != 7 else 2)
+    else:
+        assert q != ref.a and q != ref.a.numerator
+
+
+wide_rationals = st.one_of(
+    st.integers(-3, 3).map(F),
+    st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 6, 7, 10]),
+    wide_rationals,
+    wide_rationals,
+    wide_rationals,
+    wide_rationals,
+    st.integers(-4, 4),
+)
+def test_quadratic_matches_fraction_reference(d, a1, b1, a2, b2, n):
+    x, rx = QuadraticElem(a1, b1, d), RefQuadratic(a1, b1, d)
+    y, ry = QuadraticElem(a2, b2, d), RefQuadratic(a2, b2, d)
+    for q, ref in (
+        (x, rx),
+        (y, ry),
+        (x + y, rx + ry),
+        (x - y, rx - ry),
+        (x * y, rx * ry),
+        (-x, RefQuadratic(-a1, -b1, d)),
+        (x.conjugate(), RefQuadratic(a1, -b1, d)),
+    ):
+        assert_matches_reference(q, ref)
+    assert_matches_reference(x + a2, rx + RefQuadratic(a2, 0, d))
+    assert_matches_reference(a2 - x, RefQuadratic(a2, 0, d) - rx)
+    assert_matches_reference(x * a2, rx * RefQuadratic(a2, 0, d))
+    assert_matches_reference(x + int(a2), rx + RefQuadratic(int(a2), 0, d))
+    if ry.norm() != 0:
+        assert_matches_reference(x / y, rx / ry)
+        assert_matches_reference(y.inverse(), ry.inverse())
+        assert_matches_reference(a1 / y, RefQuadratic(a1, 0, d) / ry)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if n >= 0 or rx.norm() != 0:
+        assert_matches_reference(x**n, rx**n)
+    assert (x < y) == ((rx - ry).sign() < 0) and (x >= y) == ((rx - ry).sign() >= 0)
 
 
 @settings(max_examples=60, deadline=None)

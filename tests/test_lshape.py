@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from torsion_packet.errors import ArithmeticInconsistencyError
 from torsion_packet.exactnum import QuadraticElem
 from torsion_packet.lshape import (
     AdmissibleTriple,
@@ -55,6 +56,15 @@ def test_trace_norm_examples():
     assert trace_norm_lambda_plus_one(make_triple(4, 1)) == (3, -2)
     with pytest.raises(ValueError):
         make_triple(5, 1)
+
+
+def test_forged_lambda_fails_trace_norm_cross_check():
+    # sqrt(2) in place of sqrt(3) for (b=3, e=0): the trace of lambda + 1
+    # still matches, the norm does not.
+    t = make_triple(3, 0)
+    object.__setattr__(t, "lam", QuadraticElem(0, 1, 2))
+    with pytest.raises(ArithmeticInconsistencyError, match="disagree"):
+        trace_norm_lambda_plus_one(t)
 
 
 def test_trace_norm_closed_form_matches_field_arithmetic():
