@@ -6,7 +6,8 @@ text, JSON or CSV.  Reports are deterministic for fixed parameters up to
 the elapsed_ms field.
 
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
-1 refuted, 2 usage or I/O error, 3 internal arithmetic inconsistency.
+1 refuted, 2 usage or I/O error (a closed output pipe included),
+3 internal arithmetic inconsistency or any other internal error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -169,8 +171,9 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
     """The shipped (or an explicit) ground-truth list of non-unit quadratic ratios.
 
     Raises ValueError, with a one-line message, when the file cannot be
-    read, is not JSON, or is not an object whose ``records`` list holds
-    rows with ``alpha``, ``beta``, ``trace`` and ``norm``.
+    read, is not JSON, or is not an object with ``schema_version`` 1 whose
+    ``records`` list holds rows with ``alpha``, ``beta``, ``trace`` and
+    ``norm``.
     """
     if path is None:
         source = "builtin ground truth"
@@ -185,7 +188,12 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{source} is not valid JSON: {exc}") from exc
-    records = payload.get("records") if isinstance(payload, dict) else None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source} must be a JSON object with a 'records' list")
+    version = payload.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"{source} has schema_version {version!r}, expected {SCHEMA_VERSION}")
+    records = payload.get("records")
     if not isinstance(records, list):
         raise ValueError(f"{source} must be a JSON object with a 'records' list")
     for i, row in enumerate(records):
@@ -361,8 +369,9 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
 
 
 def cmd_stratum2(torsion_order: int) -> Report:
-    """The full minimal-stratum pipeline: symbolic differential, residue
-    constraints, height ratio, torsion solutions, and the handoff of the
+    """The full minimal-stratum pipeline: the differential over Q(x, y)
+    with its residue constraints and height ratio (certified on a grid of
+    rational specializations), torsion solutions, and the handoff of the
     resulting tangent ratios to the admissible-parameter matching."""
     if torsion_order < 2:
         raise ValueError(f"--torsion-order must be at least 2, got {torsion_order}")
@@ -370,33 +379,28 @@ def cmd_stratum2(torsion_order: int) -> Report:
     records: list[dict[str, Any]] = []
     oks: list[bool] = []
 
-    config = stablefiber.stratum2_config()
-    _, x, y = stablefiber.symbolic_xy()
-    dim, basis = stablefiber.differential_space(config)
-    ok_dim = dim == 1
+    cert = stablefiber.certify_stratum2()
+    ok_dim = all(d == 1 for d in cert.dimensions)
     records.append(
         {
             "stage": "differential_space",
-            "configuration": stablefiber.config_to_json_dict(config),
-            "dimension": dim,
+            "configuration": cert.configuration,
+            "dimension": cert.dimension,
             "ok": ok_dim,
-            "generator": stablefiber.differential_to_json_dict(basis[0]) if basis else None,
+            "generator": cert.generator_json() if cert.basis_is_closed_form else None,
+            "certified_on_grid": cert.grid_json(),
         }
     )
     oks.append(ok_dim)
 
-    reference = stablefiber.stratum2_limit_differential(x, y)
-    ok_res = bool(basis) and stablefiber.verify_residue_constraints(basis[0], config)
-    records.append({"stage": "residue_constraints", "ok": ok_res})
-    oks.append(ok_res)
+    records.append({"stage": "residue_constraints", "ok": cert.closed_form_in_kernel})
+    oks.append(cert.closed_form_in_kernel)
 
-    ok_closed = bool(basis) and stablefiber.differentials_proportional(basis[0], reference)
-    records.append({"stage": "matches_closed_form_generator", "ok": ok_closed})
-    oks.append(ok_closed)
+    records.append({"stage": "matches_closed_form_generator", "ok": cert.basis_is_closed_form})
+    oks.append(cert.basis_is_closed_form)
 
-    ok_ratio = bool(basis) and stablefiber.height_ratio(basis[0], config) == y / x
-    records.append({"stage": "height_ratio", "value": "y/x", "ok": ok_ratio})
-    oks.append(ok_ratio)
+    records.append({"stage": "height_ratio", "value": cert.height_ratio, "ok": cert.height_ratio_holds})
+    oks.append(cert.height_ratio_holds)
 
     torsion = stablefiber.solve_torsion_pairs(torsion_order)
     nonzero = [a for a in torsion.tangent_indices if a > 0]
@@ -605,20 +609,34 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.output:
             _check_output_path(Path(args.output))
         report = args.run(args)
+        rendered = render(report, args.format)
     except ArithmeticInconsistencyError as exc:
         print(f"internal arithmetic inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rendered = render(report, args.format)
-    print(rendered)
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
+    pipe_closed = False
+    try:
+        print(rendered)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter shutdown does not raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        pipe_closed = True
     if args.output:
         try:
             Path(args.output).write_text(rendered + "\n")
         except OSError as exc:
             print(f"error: cannot write --output {args.output}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
+    if pipe_closed:
+        return EXIT_USAGE
     return EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED
 
 

@@ -170,53 +170,6 @@ class CyclotomicElem:
                         acc[i] += c * row[i]
         return CyclotomicElem(m2, (Fraction(v, den) for v in acc))
 
-    def restrict(self, m2: int) -> CyclotomicElem:
-        """Express the element in Q(zeta_m2) for a divisor m2 of the conductor.
-
-        Raises ValueError if the element does not lie in the subfield.
-        """
-        if self.m % m2:
-            raise ValueError(f"{m2} does not divide the conductor {self.m}")
-        if m2 == self.m:
-            return self
-        ctx = _conductor(self.m)
-        d2 = euler_phi(m2)
-        step = self.m // m2
-        # Solve sum_j b_j * zeta_m^(j*step) = self by Gaussian elimination.
-        cols = [ctx.power_table[(j * step) % self.m] for j in range(d2)]
-        rows = [[Fraction(cols[j][i]) for j in range(d2)] + [self.coeffs[i]] for i in range(ctx.degree)]
-        sol: list[int | None] = [None] * d2
-        r = 0
-        for c in range(d2):
-            pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            pr = rows[r]
-            inv = 1 / pr[c]
-            rows[r] = pr = [v * inv for v in pr]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-            sol[c] = r
-            r += 1
-        values = [Fraction(0)] * d2
-        for c in range(d2):
-            if sol[c] is not None:
-                values[c] = rows[sol[c]][-1]
-        for i in range(r, len(rows)):
-            if rows[i][-1] != 0:
-                raise ValueError(f"element of Q(zeta_{self.m}) does not lie in Q(zeta_{m2})")
-        # Rank-deficient columns would leave free variables; the basis images
-        # are linearly independent, so every column has a pivot.
-        if any(s is None for s in sol):
-            raise ArithmeticInconsistencyError("subfield basis images were not independent")
-        candidate = CyclotomicElem(m2, values)
-        if candidate.to_conductor(self.m) != self:
-            raise ValueError(f"element of Q(zeta_{self.m}) does not lie in Q(zeta_{m2})")
-        return candidate
-
     # ----- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):

@@ -5,9 +5,10 @@ identified; the limit of the holomorphic 1-form is a rational differential
 sum(c_i/(z - p_i)) dz with simple poles at the node preimages.  This
 module sets up the linear conditions on the residue coefficients c_i --
 total residue zero, matching at nodes, prescribed vanishing orders at
-marked points -- and computes the kernel exactly, either over a cyclotomic
-field or over the fraction field Q(x, y) when the node positions are
-symbolic.
+marked points -- and computes the kernel exactly over a cyclotomic field
+or over Q.  Claims over the fraction field Q(x, y), where the node
+positions are symbolic, are certified by rational specialization on a
+grid (see ``certify_stratum2``).
 
 Residue convention at a node (p, q): Res(p) + Res(q) = 0.  The displayed
 limit differentials satisfy this anti-symmetric matching (their residues
@@ -25,13 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import CyclotomicElem, sign_of_real
-
-Point = Any  # CyclotomicElem, sympy FracElement, Fraction, or INFINITY
 
 
 class _AtInfinity:
@@ -50,14 +48,7 @@ class _AtInfinity:
 
 INFINITY = _AtInfinity()
 
-
-@lru_cache(maxsize=1)
-def symbolic_xy():
-    """The fraction field Q(x, y) and its two generators."""
-    from sympy.polys.domains import QQ
-    from sympy.polys.fields import field
-
-    return field("x,y", QQ)
+Point = Union[CyclotomicElem, Fraction, _AtInfinity]
 
 
 def _points_equal(p: Point, q: Point) -> bool:
@@ -135,6 +126,9 @@ class NodalConfig:
         if any(k < 1 for _, k in self.zero_orders):
             raise ValueError("vanishing orders must be positive")
         pts = self.all_points()
+        for p in pts:
+            if not (p is INFINITY or isinstance(p, (CyclotomicElem, Fraction))):
+                raise TypeError(f"configuration point {p!r} is not a CyclotomicElem, Fraction or INFINITY")
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if _points_equal(pts[i], pts[j]):
@@ -157,10 +151,9 @@ class NodalConfig:
     def _check_involution(self):
         finite = next(p for p in self.all_points() if p is not INFINITY)
         zero = finite - finite
-        node_sets = [frozenset_like(pair) for pair in self.nodes]
         for pair in self.nodes:
-            image = frozenset_like(tuple(self._image(p, zero) for p in pair))
-            if not any(_pairs_equal(image, s) for s in node_sets):
+            image = (self._image(pair[0], zero), self._image(pair[1], zero))
+            if not any(_pairs_equal(image, s) for s in self.nodes):
                 raise ValueError(f"involution does not preserve the node pair {pair!r}")
         marked_pts = [p for _, p in self.marked]
         for p in marked_pts:
@@ -172,24 +165,32 @@ class NodalConfig:
 def encode_point(p: Point) -> Any:
     """JSON-safe encoding of a configuration point.
 
-    Cyclotomic elements become {m, coeffs[]}, rationals "p/q" strings,
-    symbolic fraction-field elements their display string, and the point
-    at infinity the string "infinity".
+    Cyclotomic elements become {m, coeffs[]}, rationals "p/q" strings and
+    the point at infinity the string "infinity".
     """
     if p is INFINITY:
         return "infinity"
     if isinstance(p, CyclotomicElem):
         return {"m": p.m, "coeffs": [str(c) for c in p.coeffs]}
-    if isinstance(p, (int, Fraction)):
-        return str(p)
     return str(p)
 
 
-def config_to_json_dict(config: NodalConfig) -> dict[str, Any]:
-    """Serializable record naming node pairs, marked points and zero orders."""
+def config_to_json_dict(
+    config: NodalConfig, names: Optional[Mapping[Point, str]] = None
+) -> dict[str, Any]:
+    """Serializable record naming node pairs, marked points and zero orders.
+
+    ``names`` displays the points it maps by name instead of by value, as
+    for a configuration over Q(x, y) specialized at one point.
+    """
+    names = names or {}
+
+    def encode(p: Point) -> Any:
+        return names[p] if p in names else encode_point(p)
+
     return {
-        "nodes": [[encode_point(p), encode_point(q)] for p, q in config.nodes],
-        "marked": [{"label": l, "point": encode_point(p)} for l, p in config.marked],
+        "nodes": [[encode(p), encode(q)] for p, q in config.nodes],
+        "marked": [{"label": l, "point": encode(p)} for l, p in config.marked],
         "zero_orders": {l: k for l, k in config.zero_orders},
         "involution": config.involution,
     }
@@ -202,12 +203,6 @@ def differential_to_json_dict(omega: LimitDifferential) -> dict[str, Any]:
             {"residue": encode_point(c), "pole": encode_point(p)} for c, p in omega.terms
         ]
     }
-
-
-def frozenset_like(pair: Sequence[Point]) -> tuple[Point, Point]:
-    # Points are not reliably hashable across field implementations, so
-    # unordered pairs are compared structurally instead of via sets.
-    return (pair[0], pair[1])
 
 
 def _pairs_equal(a: tuple[Point, Point], b: tuple[Point, Point]) -> bool:
@@ -399,8 +394,8 @@ def height_ratio(
     """Ratio of two designated residues of the (unique) limit differential.
 
     Defaults to Res(first point of first node) / Res(second point of
-    second node); for the symbolic two-node configuration in the minimal
-    stratum this is exactly y/x.
+    second node); for ``stratum2_config(x, y)`` this is y/x over Q(x, y)
+    (see ``certify_stratum2``).
     """
     if numerator_pole is None:
         numerator_pole = config.nodes[0][0]
@@ -417,16 +412,9 @@ def height_ratio(
 # The two concrete configurations
 
 
-def stratum2_config(x: Point = None, y: Point = None) -> NodalConfig:
-    """Nodes (x, -x), (y, -y) and a double zero at infinity.
-
-    With no arguments, x and y are the generators of Q(x, y): the vertical
-    degeneration of an L-shaped surface, verified symbolically.
-    """
-    if x is None or y is None:
-        if x is not None or y is not None:
-            raise ValueError("pass both x and y or neither")
-        _, x, y = symbolic_xy()
+def stratum2_config(x: Point, y: Point) -> NodalConfig:
+    """Nodes (x, -x), (y, -y) and a double zero at infinity: the vertical
+    degeneration of an L-shaped surface at node coordinates x and y."""
     return NodalConfig(
         nodes=((x, -x), (y, -y)),
         marked=(("omega_zero", INFINITY),),
@@ -435,9 +423,142 @@ def stratum2_config(x: Point = None, y: Point = None) -> NodalConfig:
     )
 
 
-def stratum2_limit_differential(x: Point, y: Point) -> LimitDifferential:
-    """The closed-form generator: residues (y, -y, -x, x) at (x, -x, y, -y)."""
-    return LimitDifferential(((y, x), (-y, -x), (-x, y), (x, -y)))
+# The generator of the stratum-2 differential space over Q(x, y), RREF
+# normalised, as (residue, pole) entries, and its height ratio
+# Res(x)/Res(-y).  Reports display these strings and the certificate
+# evaluates the same strings, so a report cannot show a form other than the
+# one checked.
+STRATUM2_CLOSED_FORM = (("y/x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y"))
+STRATUM2_HEIGHT_RATIO = "y/x"
+
+
+def _evaluate_xy(entry: str, x: Point, y: Point) -> Point:
+    """Value at (x, y) of a closed-form entry ``[-]t`` or ``[-]t/u`` with
+    t in {1, x, y} and u in {x, y}."""
+    atoms = {"1": x - x + 1, "x": x, "y": y}
+    num, _, den = entry.removeprefix("-").partition("/")
+    if num not in atoms or den not in ("", "x", "y"):
+        raise ValueError(f"closed-form entry {entry!r} is not [-]t or [-]t/u, t in 1, x, y, u in x, y")
+    value = atoms[num] / atoms[den] if den else atoms[num]
+    return -value if entry.startswith("-") else value
+
+
+def stratum2_limit_differential(
+    x: Point, y: Point, closed_form: Sequence[tuple[str, str]] = STRATUM2_CLOSED_FORM
+) -> LimitDifferential:
+    """The closed-form generator at (x, y): residues (y/x, -y/x, -1, 1) at
+    (x, -x, y, -y)."""
+    return LimitDifferential((_evaluate_xy(c, x, y), _evaluate_xy(p, x, y)) for c, p in closed_form)
+
+
+def symbolic_xy() -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The grid S x T of rational specializations of (x, y) that certifies
+    the stratum-2 claims over Q(x, y) (see ``certify_stratum2``).
+
+    At every grid point x, -x, y and -y are pairwise distinct and nonzero.
+    """
+    return tuple(Fraction(a) for a in range(1, 6)), tuple(Fraction(b) for b in range(6, 11))
+
+
+# Cleared of denominators, every identity certify_stratum2 checks is a
+# polynomial of degree at most 4 in each variable: an entry c = t/u times
+# x*y has degree at most 2 in each variable, so the second moment
+# sum(c_i * p_i^2) at infinity times x*y, and Res(x) - ratio * Res(-y)
+# times x^2*y^2, reach degree 4.  The grid needs more points than that on
+# each axis.
+_CERTIFIED_DEGREE = 4
+
+
+@dataclass(frozen=True)
+class Stratum2Certificate:
+    """Outcome of checking the stratum-2 claims over Q(x, y) on a grid.
+
+    ``dimensions`` holds the kernel dimension at each grid point; each flag
+    holds when its check passed at every grid point.  ``configuration`` is
+    the configuration record with the node points named x, -x, y, -y.
+    """
+
+    grid: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    closed_form: tuple[tuple[str, str], ...]
+    height_ratio: str
+    configuration: dict[str, Any]
+    dimensions: tuple[int, ...]
+    basis_is_closed_form: bool
+    closed_form_in_kernel: bool
+    height_ratio_holds: bool
+
+    @property
+    def dimension(self) -> int:
+        """The smallest dimension on the grid: an upper bound over Q(x, y)."""
+        return min(self.dimensions)
+
+    def generator_json(self) -> dict[str, Any]:
+        return {"terms": [{"residue": c, "pole": p} for c, p in self.closed_form]}
+
+    def grid_json(self) -> dict[str, list[str]]:
+        xs, ys = self.grid
+        return {"x": [str(a) for a in xs], "y": [str(b) for b in ys]}
+
+
+def certify_stratum2(
+    closed_form: Sequence[tuple[str, str]] = STRATUM2_CLOSED_FORM,
+    ratio: str = STRATUM2_HEIGHT_RATIO,
+) -> Stratum2Certificate:
+    """Certify over Q(x, y) that the differential space of
+    ``stratum2_config(x, y)`` is the line spanned by ``closed_form``, whose
+    height ratio Res(x)/Res(-y) is ``ratio``.
+
+    At every point (a, b) of the grid S x T from ``symbolic_xy`` this checks
+    that the specialized kernel has dimension 1 and RREF basis equal to the
+    closed form at (a, b), that the closed form satisfies the residue and
+    vanishing-order conditions there, and that its height ratio equals
+    ``ratio`` at (a, b).  Passing every check proves the claims over Q(x, y):
+
+    * upper bound: the conditions are polynomials in x and y, so the rank
+      over Q(x, y) is at least the rank at any specialization, and
+      dimension 1 at one grid point gives dimension at most 1;
+    * lower bound: each condition on the closed form times x*y, and the
+      height-ratio identity Res(x) - ratio * Res(-y) = 0 times x^2*y^2, is a
+      polynomial of degree at most 4 in each variable.  A polynomial of
+      degree at most d in each variable that vanishes on S x T with
+      |S|, |T| > d is zero (product-grid Schwartz-Zippel), so the closed
+      form, which is nonzero, lies in the kernel identically, the
+      dimension is exactly 1, and the height ratio holds identically.
+    """
+    xs, ys = symbolic_xy()
+    if min(len(xs), len(ys)) <= _CERTIFIED_DEGREE:
+        raise ArithmeticInconsistencyError(
+            f"a {len(xs)}x{len(ys)} grid cannot certify polynomials of degree {_CERTIFIED_DEGREE}"
+        )
+    dimensions = []
+    basis_ok = kernel_ok = ratio_ok = True
+    for a in xs:
+        for b in ys:
+            config = stratum2_config(a, b)
+            form = stratum2_limit_differential(a, b, closed_form)
+            if form.poles != config.poles:
+                raise ValueError(f"closed-form poles {[p for _, p in closed_form]} are not x, -x, y, -y")
+            dim, basis = differential_space(config)
+            dimensions.append(dim)
+            basis_ok = basis_ok and dim == 1 and basis[0].terms == form.terms
+            kernel_ok = (
+                kernel_ok
+                and verify_residue_constraints(form, config)
+                and verify_zero_orders(form, config)
+            )
+            ratio_ok = ratio_ok and height_ratio(form, config) == _evaluate_xy(ratio, a, b)
+    a, b = xs[0], ys[0]
+    names = {_evaluate_xy(p, a, b): p for _, p in closed_form}
+    return Stratum2Certificate(
+        grid=(xs, ys),
+        closed_form=tuple(closed_form),
+        height_ratio=ratio,
+        configuration=config_to_json_dict(stratum2_config(a, b), names),
+        dimensions=tuple(dimensions),
+        basis_is_closed_form=basis_ok,
+        closed_form_in_kernel=kernel_ok,
+        height_ratio_holds=ratio_ok,
+    )
 
 
 def decagon_points(m: int = 10) -> tuple[CyclotomicElem, CyclotomicElem]:

@@ -45,7 +45,7 @@ def test_verify_table1_against_mutated_ground_truth(tmp_path):
     rows = load_reference_rows()
     rows[3]["norm"] = "-1"  # flip one norm
     path = tmp_path / "mutated.json"
-    path.write_text(json.dumps({"records": rows}))
+    path.write_text(json.dumps({"schema_version": 1, "records": rows}))
     report = cmd_verify_table1(ground_truth_path=str(path))
     assert report.verdict == "refuted"
     statuses = {rec["status"] for rec in report.records}
@@ -58,7 +58,7 @@ def test_verify_table1_exit_codes(capsys, tmp_path):
     rows = load_reference_rows()
     rows[0]["trace"] = "7"
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"records": rows}))
+    path.write_text(json.dumps({"schema_version": 1, "records": rows}))
     code, _ = run_cli(["verify-table1", "--ground-truth", str(path)], capsys)
     assert code == EXIT_REFUTED
 
@@ -67,7 +67,17 @@ def _ground_truth_without(key):
     def write(path):
         rows = load_reference_rows()
         del rows[2][key]
-        path.write_text(json.dumps({"records": rows}))
+        path.write_text(json.dumps({"schema_version": 1, "records": rows}))
+
+    return write
+
+
+def _ground_truth_with_version(*version):
+    def write(path):
+        payload = {"records": load_reference_rows()}
+        if version:
+            payload["schema_version"] = version[0]
+        path.write_text(json.dumps(payload))
 
     return write
 
@@ -79,12 +89,20 @@ def _ground_truth_without(key):
         pytest.param(lambda p: p.mkdir(), id="directory"),
         pytest.param(lambda p: p.write_text("{not json"), id="not-json"),
         pytest.param(lambda p: p.write_text("[1, 2]"), id="no-records"),
-        pytest.param(lambda p: p.write_text('{"records": [7]}'), id="row-not-object"),
+        pytest.param(lambda p: p.write_text('{"schema_version": 1, "records": {}}'), id="records-not-list"),
+        pytest.param(lambda p: p.write_text('{"schema_version": 1, "records": [7]}'), id="row-not-object"),
         pytest.param(
-            lambda p: p.write_text('{"records": [{"alpha": "1/4", "beta": "1/3", "trace": [0], "norm": "-3"}]}'),
+            lambda p: p.write_text(
+                '{"schema_version": 1, "records": [{"alpha": "1/4", "beta": "1/3", "trace": [0], "norm": "-3"}]}'
+            ),
             id="trace-not-scalar",
         ),
         *(pytest.param(_ground_truth_without(k), id=f"no-{k}") for k in ("alpha", "beta", "trace", "norm")),
+        pytest.param(_ground_truth_with_version(), id="no-schema-version"),
+        *(
+            pytest.param(_ground_truth_with_version(v), id=f"schema-version-{v!r}")
+            for v in (2, 0, "1", 1.0, True, None)
+        ),
     ],
 )
 def test_verify_table1_bad_ground_truth_exits_2(write, tmp_path, capsys):
@@ -339,6 +357,27 @@ def test_internal_inconsistency_maps_to_exit_3(monkeypatch, capsys):
     assert main(["decagon", "verify"]) == 3
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [
+        pytest.param(TypeError("synthetic"), id="TypeError"),
+        pytest.param(KeyError("k"), id="KeyError"),
+        pytest.param(RuntimeError("two\nlines"), id="multi-line-message"),
+    ],
+)
+def test_any_other_exception_exits_3_with_one_line(exc, monkeypatch, capsys):
+    import torsion_packet.cli as cli_mod
+
+    def broken(torsion_order):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "cmd_stratum2", broken)
+    assert main(["stratum2"]) == EXIT_INTERNAL
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"internal error: {type(exc).__name__}: ") and out.err.count("\n") == 1
+
+
 def test_failed_lambda_cross_check_exits_3(monkeypatch, capsys):
     import torsion_packet.lshape as lshape_mod
     from torsion_packet.exactnum import QuadraticElem
@@ -354,6 +393,12 @@ def test_failed_lambda_cross_check_exits_3(monkeypatch, capsys):
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _env_with_src():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -365,19 +410,59 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 def test_cli_process_error_contract(args, tmp_path):
     # The real process: exit code, stderr and the absence of a traceback as a
     # user sees them, which in-process main() calls cannot show.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "torsion_packet.cli", *args(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env_with_src(),
         timeout=120,
     )
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_stdout_pipe_exits_2_without_traceback(tmp_path):
+    # A reader that stops early (``| head -1``): the report is far larger
+    # than a pipe buffer, so the process is still writing when it closes.
+    copy = tmp_path / "report.json"
+    args = ["lshape", "enumerate", "--b-max", "2000", "--format", "json", "--output", str(copy)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torsion_packet.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_env_with_src(),
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    assert json.loads(copy.read_text())["verdict"] == "verified"  # the --output copy is still written
+
+
+def test_commands_run_without_sympy():
+    # The Q(x, y) claims are certified by rational specialization; no
+    # computer algebra system is loaded by any command that touches them.
+    script = (
+        "import contextlib, io, sys\n"
+        "from torsion_packet.cli import main\n"
+        "for args in (['stratum2', '--torsion-order', '5'], ['decagon', 'differential'], ['lshape', 'exclude']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(args) == 0, args\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_env_with_src(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.skipif(shutil.which("torsion-packet") is None, reason="entry point not installed")

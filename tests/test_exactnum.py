@@ -181,18 +181,6 @@ def test_embedding_preserves_minimal_polynomial():
     assert minimal_polynomial(e.to_conductor(60)) == minimal_polynomial(e)
 
 
-def test_embedding_then_restriction_is_identity():
-    z = zeta(12)
-    e = 3 * z**2 - F(5, 7) * z + 1
-    assert e.to_conductor(48).restrict(12) == e
-    assert e.to_conductor(36).restrict(12) == e
-
-
-def test_restriction_rejects_elements_outside_subfield():
-    with pytest.raises(ValueError):
-        zeta(20).restrict(4)
-
-
 def test_embedding_requires_divisibility():
     with pytest.raises(ValueError):
         zeta(5).to_conductor(12)

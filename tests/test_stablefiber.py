@@ -3,12 +3,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from torsion_packet.errors import ArithmeticInconsistencyError
 from torsion_packet.exactnum import CyclotomicElem, sign_of_real
 from torsion_packet.stablefiber import (
     INFINITY,
+    STRATUM2_CLOSED_FORM,
     LimitDifferential,
     NodalConfig,
+    certify_stratum2,
     decagon_admissible_assignments,
     decagon_config,
     decagon_exclude_r,
@@ -42,7 +47,7 @@ def test_config_rejects_coincident_points():
 def test_config_rejects_zero_order_at_pole():
     # A marked point colliding with a node point is caught at construction,
     # before differential_space could even see it.
-    _, x, y = symbolic_xy()
+    x, y = F(2), F(3)
     with pytest.raises(ValueError, match="pairwise distinct"):
         NodalConfig(
             nodes=((x, -x), (y, -y)),
@@ -53,18 +58,17 @@ def test_config_rejects_zero_order_at_pole():
 
 
 def test_config_involution_closure_enforced():
-    _, x, y = symbolic_xy()
-    one = (x - x) + 1
+    x, y = F(2), F(3)
     with pytest.raises(ValueError, match="involution"):
         NodalConfig(
             nodes=((x, -x), (y, -y)),
-            marked=(("p", one),),  # image -1 is not in the configuration
+            marked=(("p", F(1)),),  # image -1 is not in the configuration
             involution="negation",
         )
 
 
 def test_config_rejects_unknown_zero_labels():
-    _, x, y = symbolic_xy()
+    x, y = F(2), F(3)
     with pytest.raises(ValueError, match="unmarked"):
         NodalConfig(nodes=((x, -x), (y, -y)), zero_orders={"ghost": 1})
 
@@ -73,26 +77,91 @@ def test_config_rejects_unknown_zero_labels():
 # differential space
 
 
+def _grid_points():
+    xs, ys = symbolic_xy()
+    return [(x, y) for x in xs for y in ys]
+
+
+def test_certification_grid_is_large_enough_and_defined():
+    xs, ys = symbolic_xy()
+    assert min(len(xs), len(ys)) >= 5  # degree bound 4 in each variable
+    assert len(set(xs)) == len(xs) and len(set(ys)) == len(ys)
+    for x, y in _grid_points():
+        assert isinstance(x, F) and isinstance(y, F)
+        assert len({x, -x, y, -y, F(0)}) == 5
+
+
 def test_symbolic_stratum2_space_is_a_line():
-    cfg = stratum2_config()
-    dim, basis = differential_space(cfg)
-    assert dim == 1 and len(basis) == 1
+    # Dimension 1 at one specialization bounds the dimension over Q(x, y)
+    # by 1; the closed form lying in the kernel identically gives 1.
+    cert = certify_stratum2()
+    assert cert.dimension == 1 and set(cert.dimensions) == {1}
+    assert len(cert.dimensions) == len(_grid_points())
+    assert cert.closed_form_in_kernel
 
 
 def test_symbolic_generator_matches_closed_form_coefficientwise():
-    cfg = stratum2_config()
-    _, x, y = symbolic_xy()
-    _, basis = differential_space(cfg)
-    reference = stratum2_limit_differential(x, y)
-    assert differentials_proportional(basis[0], reference)
-    scaled = basis[0].scaled(y / basis[0].residue_at(x))
-    for (c1, p1), (c2, p2) in zip(scaled.terms, reference.terms):
-        assert c1 == c2 and p1 == p2
+    cert = certify_stratum2()
+    assert cert.basis_is_closed_form
+    assert cert.generator_json() == {
+        "terms": [{"residue": c, "pole": p} for c, p in (("y/x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y"))]
+    }
+    for x, y in _grid_points():
+        _, basis = differential_space(stratum2_config(x, y))
+        assert basis[0].terms == ((y / x, x), (-y / x, -x), (F(-1), y), (F(1), -y))
+
+
+def test_certificate_rejects_forged_closed_form():
+    forged = (("y/x", "x"), ("-y/x", "-x"), ("1", "y"), ("-1", "-y"))
+    cert = certify_stratum2(forged)
+    assert cert.dimension == 1
+    assert not cert.basis_is_closed_form
+    assert not cert.closed_form_in_kernel
+    assert not cert.height_ratio_holds
+    # A wrong height ratio fails on its own.
+    cert = certify_stratum2(STRATUM2_CLOSED_FORM, "x/y")
+    assert cert.basis_is_closed_form and cert.closed_form_in_kernel
+    assert not cert.height_ratio_holds
+
+
+def test_certificate_refuses_a_grid_below_the_degree_bound(monkeypatch):
+    import torsion_packet.stablefiber as stablefiber_mod
+
+    small = tuple(F(a) for a in range(1, 5)), tuple(F(b) for b in range(5, 9))
+    monkeypatch.setattr(stablefiber_mod, "symbolic_xy", lambda: small)
+    with pytest.raises(ArithmeticInconsistencyError, match="cannot certify"):
+        certify_stratum2()
+
+
+def test_certificate_rejects_malformed_closed_forms():
+    with pytest.raises(ValueError, match="not"):
+        certify_stratum2((("y*x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y")))
+    with pytest.raises(ValueError, match="poles"):
+        certify_stratum2((("y/x", "-x"), ("-y/x", "x"), ("-1", "y"), ("1", "-y")))
+
+
+_nonzero_rationals = st.fractions(max_denominator=50).filter(lambda q: q != 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nonzero_rationals, _nonzero_rationals)
+def test_random_specialization_has_the_closed_form_as_basis(a, b):
+    # Independent of the certification grid: any rational point where the
+    # configuration is defined gives a line spanned by the closed form.
+    assume(a not in (b, -b))
+    dim, basis = differential_space(stratum2_config(a, b))
+    assert dim == 1
+    assert basis[0].terms == ((b / a, a), (-b / a, -a), (F(-1), b), (F(1), -b))
+
+
+def test_config_rejects_points_outside_the_exact_fields():
+    with pytest.raises(TypeError, match="not a CyclotomicElem, Fraction or INFINITY"):
+        stratum2_config(2, 3)
 
 
 def test_residue_constraints_hold_and_detect_perturbation():
-    cfg = stratum2_config()
-    _, x, y = symbolic_xy()
+    x, y = F(2), F(3)
+    cfg = stratum2_config(x, y)
     omega = stratum2_limit_differential(x, y)
     assert verify_residue_constraints(omega, cfg)
     (c0, p0), *rest = omega.terms
@@ -101,14 +170,16 @@ def test_residue_constraints_hold_and_detect_perturbation():
 
 
 def test_residue_precondition_on_poles():
-    cfg = stratum2_config()
-    _, x, y = symbolic_xy()
+    x, y = F(2), F(3)
+    cfg = stratum2_config(x, y)
     with pytest.raises(ValueError, match="poles"):
         verify_residue_constraints(LimitDifferential(((y, x), (-y, -x))), cfg)
 
 
 def test_over_constrained_space_is_trivial():
-    _, x, y = symbolic_xy()
+    # Dimension 0 at one specialization bounds the dimension over Q(x, y)
+    # by 0.
+    x, y = _grid_points()[0]
     cfg = NodalConfig(
         nodes=((x, -x), (y, -y)),
         marked=(("z", INFINITY),),
@@ -130,7 +201,7 @@ def test_rational_point_configuration():
 
 
 def test_solver_output_satisfies_constraints_independently():
-    for cfg in (stratum2_config(), decagon_config(), stratum2_config(x=F(5), y=F(7))):
+    for cfg in (stratum2_config(F(1), F(6)), decagon_config(), stratum2_config(x=F(5), y=F(7))):
         _, basis = differential_space(cfg)
         for omega in basis:
             assert verify_residue_constraints(omega, cfg)
@@ -162,10 +233,12 @@ def test_decagon_vanishing_moments_explicitly():
 
 
 def test_symbolic_height_ratio_is_y_over_x():
-    cfg = stratum2_config()
-    _, x, y = symbolic_xy()
-    _, basis = differential_space(cfg)
-    assert height_ratio(basis[0], cfg) == y / x
+    cert = certify_stratum2()
+    assert cert.height_ratio == "y/x" and cert.height_ratio_holds
+    for x, y in _grid_points():
+        cfg = stratum2_config(x, y)
+        _, basis = differential_space(cfg)
+        assert height_ratio(basis[0], cfg) == y / x
 
 
 def test_height_ratio_with_tangent_coordinates():
