@@ -30,8 +30,7 @@ from .errors import ArithmeticInconsistencyError
 from .exactnum import (
     CyclotomicElem,
     QuadraticElem,
-    minimal_polynomial,
-    quadratic_from_minpoly,
+    real_display,
     sign_of_real,
 )
 from . import lshape, stablefiber, tanratio
@@ -151,17 +150,6 @@ def _render_text(report: Report) -> str:
             parts.append(f"{k}={json.dumps(v) if isinstance(v, (dict, list)) else v}")
         lines.append("  " + "  ".join(parts))
     return "\n".join(lines)
-
-
-def _real_quadratic_display(e: CyclotomicElem) -> str:
-    """Radical display of a conjugation-fixed element of degree at most 2."""
-    mp = minimal_polynomial(e)
-    if mp.degree == 1:
-        return str(mp.trace)
-    if mp.degree == 2:
-        which = sign_of_real(e - mp.trace / 2)
-        return str(quadratic_from_minpoly(mp, which))
-    return f"degree-{mp.degree} element"
 
 
 _GROUND_TRUTH_KEYS = ("alpha", "beta", "trace", "norm")
@@ -492,17 +480,17 @@ def cmd_decagon(subcommand: str) -> Report:
         records = [
             {
                 "check": "R_x",
-                "values": [_real_quadratic_display(r) for r in _sorted_reals(r_x)],
+                "values": [real_display(r) for r in _sorted_reals(r_x)],
                 "only_minus_one_or_nonnegative": ok_rx,
             },
             {
                 "check": "R_y",
-                "values": [_real_quadratic_display(r) for r in _sorted_reals(r_y)],
+                "values": [real_display(r) for r in _sorted_reals(r_y)],
                 "all_nonpositive": ok_ry,
             },
             {
                 "check": "intersection",
-                "values": [_real_quadratic_display(r) for r in _sorted_reals(inter)],
+                "values": [real_display(r) for r in _sorted_reals(inter)],
                 "contained_in_{-1,0}": ok_inter,
                 "interpretation": "0 is a zero of the limit form, -1 a Weierstrass limit; no new periodic point",
             },

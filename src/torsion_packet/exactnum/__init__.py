@@ -17,7 +17,13 @@ from .cyclotomic import (
     minimal_polynomial,
 )
 from .polynomial import RationalPoly, cyclotomic_polynomial, divisors, euler_phi
-from .quadratic import QuadraticElem, quadratic_from_minpoly, squarefree_part
+from .quadratic import (
+    QuadraticElem,
+    quadratic_from_minpoly,
+    real_display,
+    real_value,
+    squarefree_part,
+)
 from .signs import PRECISION_ENV, default_precision_bits, sign_of_real
 
 __all__ = [
@@ -38,6 +44,8 @@ __all__ = [
     "inv_one_minus_zeta",
     "minimal_polynomial",
     "quadratic_from_minpoly",
+    "real_display",
+    "real_value",
     "sign_of_real",
     "squarefree_part",
 ]

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from ..errors import ArithmeticInconsistencyError
-from .polynomial import Fraction as Rational  # noqa: F401  (re-export convenience)
 from .polynomial import RationalPoly, cyclotomic_int_coeffs, euler_phi
 
 Scalar = Union[int, Fraction]

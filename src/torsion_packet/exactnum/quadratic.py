@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from ..errors import ArithmeticInconsistencyError
-from .cyclotomic import MinPoly
+from .cyclotomic import CyclotomicElem, MinPoly, minimal_polynomial
+from .signs import sign_of_real
 
 Scalar = Union[int, Fraction]
 
@@ -349,3 +350,27 @@ def quadratic_from_minpoly(p: MinPoly, which_root: int = 1) -> QuadraticElem:
     if root.trace() != -c1 or root.norm() != c0:
         raise ArithmeticInconsistencyError("quadratic root failed the trace/norm round-trip")
     return root
+
+
+def real_value(e: CyclotomicElem, p: MinPoly) -> Union[Fraction, QuadraticElem]:
+    """The exact value of a real cyclotomic element of degree at most 2.
+
+    ``p`` is the minimal polynomial of ``e``.  A degree-2 element is the
+    root of ``p`` whose sqrt(D) coefficient has the exact sign of
+    e - trace/2.
+    """
+    if p.degree == 1:
+        return p.trace
+    if p.degree == 2:
+        return quadratic_from_minpoly(p, sign_of_real(e - p.trace / 2))
+    raise ValueError(f"expected degree at most 2, got degree {p.degree}")
+
+
+def real_display(e: CyclotomicElem, p: Optional[MinPoly] = None) -> str:
+    """A rational or a + b*sqrt(D) for a real element of degree at most 2;
+    above that, only the degree, as "degree-n element"."""
+    if p is None:
+        p = minimal_polynomial(e)
+    if p.degree > 2:
+        return f"degree-{p.degree} element"
+    return str(real_value(e, p))

@@ -11,14 +11,28 @@ so the natural home of tan(pi*p/q) is Q(zeta_m) with m = lcm(4, 2q)
 enumeration over a denominator bound keeps a pair exactly when its orbit
 size equals the requested degree.
 
-The enumeration has one degree filter for every pair.  The conjugates
-tan(pi*k*beta)/tan(pi*k*alpha) of a pair are evaluated as one float
-division of two entries of a tan table whose every entry carries a proven
-relative error bound; from that bound follows a relative separation that
-certifies two computed conjugates as truly distinct (see
-``_REL_SEPARATION``).  A pair is dropped only when more conjugates than
-the requested degree are certified pairwise distinct, and every other
-pair is confirmed by exact orbit counting, so no verdict rests on
+The enumeration classifies one pair per Galois orbit, not every pair.
+The automorphism zeta_m -> zeta_m^k sends mu to tan(pi*k*beta)/tan(pi*k*alpha)
+(the factors of i cancel in the ratio).  Folding an angle back into
+(0, 1/2) changes a tangent only by a sign, and swapping the two angles
+inverts mu; neither changes the degree.  So the degree is constant on the
+orbit of the unordered, folded pair {p1/q1, p2/q2} under the units k, and
+the orbit keeps both denominators.  Scaling by k = p1^-1 mod q1 gives
+p1 = 1; the units that then fix 1/q1 up to sign move p2 freely within
+its class +-p2*p1^-1 mod g, g = gcd(q1, q2).  The orbit's key is
+therefore (q1, q2, c) with q1 <= q2 and c the least of +-p2*p1^-1 mod g,
+where for q1 = q2 the swap also identifies c with c^-1 (see ``_orbit_key``).
+
+Each orbit goes through one degree filter, applied to its representative
+1/q1 and the least p2/q2 of its class.  The conjugates of the
+representative are evaluated as one float division of two entries of a
+tan table whose every entry carries a proven relative error bound; from
+that bound follows a relative separation that certifies two computed
+conjugates as truly distinct (see ``_REL_SEPARATION``).  An orbit is
+dropped only when more conjugates than the requested degree are
+certified pairwise distinct.  Every other representative is confirmed by
+exact orbit counting, and only an orbit whose exact degree equals the
+target is expanded into its member pairs, so no verdict rests on
 floating point.
 
 Only finitely many pairs produce a ratio of any fixed degree, but that
@@ -30,11 +44,10 @@ bound adds nothing new), not by an unconditional completeness proof.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from mpmath.libmp import to_rational
 
@@ -48,8 +61,8 @@ from .exactnum import (
     galois_apply,
     inv_one_minus_zeta,
     minimal_polynomial,
-    quadratic_from_minpoly,
-    sign_of_real,
+    real_display,
+    real_value,
 )
 from .exactnum.signs import interval_context
 
@@ -208,16 +221,12 @@ class TangentRatio:
         """The value of mu as a + b*sqrt(D); only for degree-2 ratios."""
         if self.degree != 2:
             raise ValueError(f"mu has degree {self.degree}, not 2")
-        # The sign of the sqrt coefficient is the exact sign of mu - trace/2.
-        which = sign_of_real(self.mu - self.trace / 2)
-        return quadratic_from_minpoly(self.minpoly, which)
+        return real_value(self.mu, self.minpoly)
 
     def mu_display(self) -> str:
-        if self.degree == 1:
-            return str(self.mu.to_rational())
-        if self.degree == 2:
-            return str(self.mu_as_quadratic())
-        return f"degree-{self.degree} element of Q(zeta_{self.mu.m})"
+        if self.degree > 2:
+            return f"degree-{self.degree} element of Q(zeta_{self.mu.m})"
+        return real_display(self.mu, self.minpoly)
 
     def __repr__(self) -> str:
         return f"TangentRatio(alpha={self.alpha}, beta={self.beta}, mu={self.mu_display()})"
@@ -238,13 +247,12 @@ def ratio(alpha: RationalAngle, beta: RationalAngle) -> TangentRatio:
 # Degree filtering
 
 
-def _units_half(m: int) -> array:
+def _units_half(m: int) -> Iterator[int]:
     # mu and all its conjugates are real, so sigma_k and sigma_(m-k) agree
     # on them; one representative per pair {k, m-k} suffices.  Every
-    # conductor here is a multiple of 4, so the units are odd.  A C array,
-    # not a list: at bound 60 the enumeration caches 330k units, which as
-    # int objects would add about 10 MB to peak memory.
-    return array("I", [k for k in range(1, m // 2 + 1, 2) if math.gcd(k, m) == 1])
+    # conductor here is a multiple of 4, so the units are odd.  Lazy: the
+    # float filter usually stops after a handful of units.
+    return (k for k in range(1, m // 2 + 1, 2) if math.gcd(k, m) == 1)
 
 
 def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> Optional[int]:
@@ -308,7 +316,7 @@ def _nearest_float_of_enclosure(x, r: int, q: int) -> float:
 
 
 def _float_degree_exceeds(
-    ta: list[float], pa: int, tb: list[float], pb: int, units: array, cap: int
+    ta: list[float], pa: int, tb: list[float], pb: int, units: Iterable[int], cap: int
 ) -> bool:
     """True only when mu provably has more than ``cap`` distinct conjugates.
 
@@ -346,51 +354,125 @@ def _confirm_degree(alpha: RationalAngle, beta: RationalAngle, cap: int) -> Opti
     return _pair_degree_exact(alpha, beta, cap)
 
 
+def _numerators(q: int) -> list[int]:
+    """Numerators p of the reduced angles p/q in (0, 1/2)."""
+    return [p for p in range(1, (q + 1) // 2) if math.gcd(p, q) == 1]
+
+
 def angles_up_to(max_denominator: int) -> list[RationalAngle]:
     """All reduced rational angles p/q in (0, 1/2) with q <= max_denominator."""
-    out = []
-    for q in range(3, max_denominator + 1):
-        for p in range(1, (q - 1) // 2 + 1):
-            if math.gcd(p, q) == 1:
-                out.append(RationalAngle.of(p, q))
-    out.sort()
-    return out
+    return sorted(
+        RationalAngle.of(p, q) for q in range(3, max_denominator + 1) for p in _numerators(q)
+    )
+
+
+# An angle p/q as the integer pair (p, q), and an orbit as its key (q1, q2, c).
+_Angle = tuple[int, int]
+_OrbitKey = tuple[int, int, int]
+
+
+def _fold_mod(r: int, g: int) -> int:
+    """The least of r and -r modulo g."""
+    r %= g
+    return min(r, g - r)
+
+
+def _orbit_key(a: _Angle, b: _Angle) -> _OrbitKey:
+    """Key of the Galois orbit of the unordered pair of reduced angles {a, b}.
+
+    With a = p1/q1, b = p2/q2 and q1 <= q2 (swapped if needed), the key is
+    (q1, q2, c), c the least of +-p2*p1^-1 mod g, g = gcd(q1, q2); when
+    q1 = q2 the swap of the two angles also sends c to +-c^-1, and the key
+    takes the least of the four.  For g <= 2 there is one orbit, c = 1.
+    """
+    (p1, q1), (p2, q2) = (a, b) if a[1] <= b[1] else (b, a)
+    g = math.gcd(q1, q2)
+    if g <= 2:
+        return q1, q2, 1
+    c = _fold_mod(p2 * pow(p1, -1, g), g)
+    if q1 == q2:
+        c = min(c, _fold_mod(pow(c, -1, g), g))
+    return q1, q2, c
+
+
+def _orbit_keys(max_denominator: int) -> Iterator[_OrbitKey]:
+    """One key per Galois orbit of the pairs of distinct angles up to the bound.
+
+    For q1 < q2 the classes c are the units of (Z/g)^* up to sign,
+    max(1, phi(g)/2) of them.  For q1 = q2 the class of +-1 would pair an
+    angle with itself and is left out, and c must be the least of
+    +-c, +-c^-1.
+    """
+    for q2 in range(3, max_denominator + 1):
+        for q1 in range(3, q2 + 1):
+            g = math.gcd(q1, q2)
+            for c in range(1, max(1, g // 2) + 1):
+                if math.gcd(c, g) != 1:
+                    continue
+                if q1 == q2 and (c == 1 or _fold_mod(pow(c, -1, g), g) < c):
+                    continue
+                yield q1, q2, c
+
+
+def _ordered(a: _Angle, b: _Angle) -> tuple[_Angle, _Angle]:
+    return (a, b) if a[0] * b[1] < b[0] * a[1] else (b, a)
+
+
+def _orbit_representative(key: _OrbitKey) -> tuple[_Angle, _Angle]:
+    """(alpha, beta) of the orbit's pair 1/q1 and the least p2/q2 of its class."""
+    q1, q2, c = key
+    g = math.gcd(q1, q2)
+    for p2 in _numerators(q2):
+        if (p2 - c) % g == 0 or (p2 + c) % g == 0:
+            return _ordered((1, q1), (p2, q2))
+    raise ArithmeticInconsistencyError(f"Galois orbit {key} has no representative")
+
+
+def _orbit_members(key: _OrbitKey) -> list[tuple[_Angle, _Angle]]:
+    """Every pair (alpha, beta), alpha < beta, of the orbit with this key."""
+    q1, q2, _ = key
+    return [
+        _ordered((p1, q1), (p2, q2))
+        for p1 in _numerators(q1)
+        for p2 in _numerators(q2)
+        if (q1 < q2 or p1 < p2) and _orbit_key((p1, q1), (p2, q2)) == key
+    ]
 
 
 def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRatio]:
     """All ratios of the requested degree with both denominators bounded.
 
-    Every pair goes through the same filter.  Its Galois conjugates are
-    evaluated in floating point from a tan table built once per call,
-    whose entries have relative error at most 2^-53 + 2^-60; the pair is
-    dropped as soon as ``degree_target + 1`` conjugates are pairwise
-    separated by more than 2^-48 relative, a gap that two equal
-    conjugates provably cannot show, so its degree is provably larger.
-    Every pair that is not dropped is confirmed by exact orbit counting.
-    Output is sorted by (alpha, beta).
+    The degree of mu is constant on the Galois orbit of its folded,
+    unordered angle pair (see the module docstring), so one representative
+    per orbit is classified; the orbits come from ``_orbit_keys`` in
+    integers.  The representative's conjugates are evaluated in floating
+    point from a tan table built once per call, whose entries have
+    relative error at most 2^-53 + 2^-60; the orbit is dropped as soon as
+    ``degree_target + 1`` conjugates are pairwise separated by more than
+    2^-48 relative, a gap that two equal conjugates provably cannot show,
+    so its degree is provably larger.  A representative that is not
+    dropped is confirmed by exact orbit counting, and an orbit of exactly
+    the target degree is expanded into its member pairs, each classified
+    by ``ratio``.  Output is sorted by (alpha, beta).
     """
     if degree_target < 1:
         raise ValueError(f"degree target must be positive, got {degree_target}")
     if max_denominator < 3:
         raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
-    angles = angles_up_to(max_denominator)
     table = _tan_table(max_denominator)
-    units_by_conductor: dict[int, array] = {}
-    out = []
-    for i, alpha in enumerate(angles):
-        pa, qa = alpha.numerator, alpha.denominator
-        ta = table[qa]
-        for beta in angles[i + 1 :]:
-            pb, qb = beta.numerator, beta.denominator
-            m = math.lcm(4, 2 * qa, 2 * qb)  # _common_conductor, inlined
-            units = units_by_conductor.get(m)
-            if units is None:
-                units = units_by_conductor[m] = _units_half(m)
-            if _float_degree_exceeds(ta, pa, table[qb], pb, units, degree_target):
-                continue
-            if _confirm_degree(alpha, beta, degree_target) == degree_target:
-                out.append(ratio(alpha, beta))
-    return out
+    kept: list[tuple[RationalAngle, RationalAngle]] = []
+    for key in _orbit_keys(max_denominator):
+        (pa, qa), (pb, qb) = _orbit_representative(key)
+        units = _units_half(math.lcm(4, 2 * qa, 2 * qb))  # _common_conductor, inlined
+        if _float_degree_exceeds(table[qa], pa, table[qb], pb, units, degree_target):
+            continue
+        alpha, beta = RationalAngle.of(pa, qa), RationalAngle.of(pb, qb)
+        if _confirm_degree(alpha, beta, degree_target) == degree_target:
+            kept.extend(
+                (RationalAngle.of(*a), RationalAngle.of(*b)) for a, b in _orbit_members(key)
+            )
+    kept.sort()
+    return [ratio(alpha, beta) for alpha, beta in kept]
 
 
 # --------------------------------------------------------------------------
@@ -431,7 +513,13 @@ def normalize_by_galois(t: TangentRatio) -> TangentRatio:
 
 
 def normalized_nonunit_rows(max_denominator: int = 12) -> list[TangentRatio]:
-    """Degree-2 non-unit ratios up to the bound, Galois-normalized and deduplicated."""
+    """Degree-2 non-unit ratios up to the bound, Galois-normalized and deduplicated.
+
+    Rows are deduplicated by their normalized (alpha, beta), not by Galois
+    orbit: one orbit of unordered pairs can hold mu and a conjugate of
+    -1/mu', two rows of different trace and norm, such as (1/12, 1/6) and
+    (1/6, 5/12).
+    """
     seen: set[tuple[Fraction, Fraction]] = set()
     rows = []
     for t in enumerate_ratios(2, max_denominator):

@@ -54,6 +54,13 @@ def test_criterion_1_table1_reproduction():
     ok = sweep.verdict == "verified" and len(sweep.records) == 9
     _report(1, "stability sweep to denominator 60 adds no rows", ok, elapsed, 600)
 
+    start = time.perf_counter()
+    sweep = cmd_verify_table1(120)
+    elapsed = time.perf_counter() - start
+    ok = sweep.verdict == "verified" and len(sweep.records) == 9
+    ok = ok and all(r["status"] == "match" for r in sweep.records)
+    _report(1, "stability sweep to denominator 120 adds no rows", ok, elapsed, 600)
+
 
 def test_criterion_2_unit_case_exclusivity():
     start = time.perf_counter()

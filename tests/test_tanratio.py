@@ -13,8 +13,14 @@ from torsion_packet.exactnum import (
 )
 from torsion_packet.tanratio import (
     RationalAngle,
+    _float_degree_exceeds,
+    _orbit_key,
+    _orbit_keys,
+    _orbit_members,
+    _orbit_representative,
     _pair_degree_exact,
     _tan_table,
+    _units_half,
     angles_up_to,
     check_addition_formula,
     enumerate_ratios,
@@ -175,6 +181,74 @@ def test_numeric_prefilter_agrees_with_exact_path():
         assert kept == sorted(k for k, deg in exact_degree.items() if deg == d)
 
 
+def _pair_scan(degree, max_denominator):
+    # The per-pair scan the orbit scan replaced: the certified float filter
+    # on every pair, then exact orbit counting on the survivors.
+    angles = angles_up_to(max_denominator)
+    table = _tan_table(max_denominator)
+    kept = []
+    for i, a in enumerate(angles):
+        for b in angles[i + 1 :]:
+            m = math.lcm(a.conductor, b.conductor)
+            ta, tb = table[a.denominator], table[b.denominator]
+            if _float_degree_exceeds(ta, a.numerator, tb, b.numerator, _units_half(m), degree):
+                continue
+            if _pair_degree_exact(a, b, degree) == degree:
+                kept.append((a.value, b.value))
+    return kept
+
+
+def _pair_count(max_denominator):
+    n = len(angles_up_to(max_denominator))
+    return n * (n - 1) // 2
+
+
+def test_orbit_scan_matches_pair_scan():
+    for d in range(1, 5):
+        got = [(r.alpha.value, r.beta.value) for r in enumerate_ratios(d, 20)]
+        assert got, d
+        assert got == _pair_scan(d, 20), d
+    for bound, pairs, orbits in ((20, 1953, 191), (60, 150_975, 2289)):
+        keys = list(_orbit_keys(bound))
+        assert len(keys) == len(set(keys)) == orbits
+        assert _pair_count(bound) == pairs
+        assert sum(len(_orbit_members(k)) for k in keys) == pairs
+
+
+def _brute_force_orbit(a, b):
+    # Apply every unit k of lcm(qa, qb) to the pair and fold both angles
+    # back into (0, 1/2).
+    (pa, qa), (pb, qb) = a, b
+    lcm = math.lcm(qa, qb)
+
+    def fold(p, q):
+        p %= q
+        return (min(p, q - p), q)
+
+    orbit = set()
+    for k in range(1, lcm):
+        if math.gcd(k, lcm) == 1:
+            x, y = fold(k * pa, qa), fold(k * pb, qb)
+            orbit.add(frozenset((x, y)))
+    return frozenset(orbit)
+
+
+def test_orbit_key_matches_brute_force_orbits():
+    angles = [(a.numerator, a.denominator) for a in angles_up_to(24)]
+    brute = {
+        _brute_force_orbit(a, b) for i, a in enumerate(angles) for b in angles[i + 1 :]
+    }
+    assert len(brute) == 293
+    keyed = set()
+    for key in _orbit_keys(24):
+        members = _orbit_members(key)
+        assert _orbit_representative(key) in members
+        assert all(a[0] * b[1] < b[0] * a[1] for a, b in members)
+        assert all(_orbit_key(a, b) == key for a, b in members)
+        keyed.add(frozenset(frozenset(pair) for pair in members))
+    assert keyed == brute
+
+
 def test_tan_table_entries_within_their_error_bound():
     # Ties the float table to the exact core: every entry t with q <= 12
     # has the exact tangent strictly between t*(1 - 2^-52) and t*(1 + 2^-52).
@@ -234,6 +308,23 @@ def test_normalized_nonunit_rows_at_12():
         ("1/3", "5/12", 2, F(-1, 3)),
     ]
     assert all(not r.is_unit for r in rows)
+
+
+def test_table1_rows_are_not_deduplicated_by_orbit():
+    # (1/12, 1/6) and (1/6, 5/12) lie in one Galois orbit of unordered
+    # pairs, but sigma_5 sends the first ratio mu to -1/mu' of the second,
+    # so the two rows have different trace and norm and both belong in
+    # the table.
+    assert _orbit_key((1, 12), (1, 6)) == _orbit_key((1, 6), (5, 12)) == (6, 12, 1)
+    table = normalized_nonunit_rows(12)
+    rows = {(str(r.alpha), str(r.beta)): (r.trace, r.norm) for r in table}
+    assert rows[("1/12", "1/6")] == (2, F(-1, 3))
+    assert rows[("1/6", "5/12")] == (6, -3)
+    keys = {
+        _orbit_key((r.alpha.numerator, r.alpha.denominator), (r.beta.numerator, r.beta.denominator))
+        for r in table
+    }
+    assert len(rows) == 9 and len(keys) == 6
 
 
 def test_stability_up_to_20():
