@@ -26,9 +26,11 @@ where for q1 = q2 the swap also identifies c with c^-1 (see ``_orbit_key``).
 Each orbit goes through one degree filter, applied to its representative
 1/q1 and the least p2/q2 of its class.  The conjugates of the
 representative are evaluated as one float division of two entries of a
-tan table whose every entry carries a proven relative error bound; from
-that bound follows a relative separation that certifies two computed
-conjugates as truly distinct (see ``_REL_SEPARATION``).  An orbit is
+tan table.  Each entry is s/c, correctly rounded, for integer balls
+(c, s) +- rad around cos and sin at 96 bits (``exactnum.signs.cos_sin_ball``,
+rad <= 2), so it carries a proven relative error bound; from that bound
+follows a relative separation that certifies two computed conjugates as
+truly distinct (see ``_REL_SEPARATION``).  An orbit is
 dropped only when more conjugates than the requested degree are
 certified pairwise distinct.  Every other representative is confirmed by
 exact orbit counting, and only an orbit whose exact degree equals the
@@ -49,8 +51,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from mpmath.libmp import to_rational
-
 from .errors import ArithmeticInconsistencyError
 from .exactnum import (
     CyclotomicElem,
@@ -64,22 +64,26 @@ from .exactnum import (
     real_display,
     real_value,
 )
-from .exactnum.signs import interval_context
+from .exactnum.signs import cos_sin_ball
 
-# Working precision of the tan-table enclosures, and the largest relative
-# width an enclosure may have.  At 96 bits the widest enclosure for any
-# denominator up to 200 is about 2^-86 relative; the builder checks every
-# enclosure against the limit all the same.
+# Working precision of the tan-table balls, and the largest relative width
+# an enclosure of a tangent may have.  At 96 bits the cosine and sine balls
+# have radius at most 2 (see ``cos_sin_ball``), so the widest enclosure for
+# any denominator up to 200 is about 2^-86 relative; the builder checks
+# every enclosure against the limit all the same.
 _TABLE_BITS = 96
-_TABLE_MAX_REL_WIDTH = Fraction(1, 2**60)
+_TABLE_MAX_REL_WIDTH_BITS = 60
 
 # Relative gap that certifies two computed conjugates v, r as distinct.
 # With u = 2^-53, the unit roundoff of a double:
-# * a table entry is the float nearest the midpoint of an enclosure of
-#   relative width <= 2^-60, so its relative error is at most u + 2^-60
-#   (one rounding to nearest, plus half the width);
+# * a table entry is s/c, rounded to nearest once (CPython divides ints
+#   with correct rounding), where c, s are the centres of balls of integer
+#   radius around cos and sin; the quotient and the true tangent both lie
+#   in the enclosure [(s - rad)/(c + rad), (s + rad)/(c - rad)] of relative
+#   width <= 2^-60, so an entry's relative error is at most
+#   e = (1 + u)(1 + 2^-60) - 1 < u + 2^-59;
 # * a conjugate is one float division of two entries, so its relative
-#   error is at most (1 + u + 2^-60)(1 + u)/(1 - u - 2^-60) - 1 < 3.1u;
+#   error is at most (1 + e)(1 + u)/(1 - e) - 1 < 3.1u;
 # * two conjugates with the same true value w therefore compute to values
 #   within 2 * 3.1u|w| of each other, which is below 6.3u max(|v|, |r|)
 #   even after the one rounding of the float subtraction.
@@ -284,35 +288,33 @@ def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> O
 def _tan_table(max_denominator: int) -> dict[int, list[float]]:
     """Floats of tan(pi*r/q) for every reduced r/q in (0, 1), q <= max_denominator.
 
-    ``table[q][r]`` is the float nearest the midpoint of an interval
-    enclosure of tan(pi*r/q) of relative width <= 2^-60, evaluated in this
-    thread's private interval context; its relative error is therefore at
-    most 2^-53 + 2^-60.  Entries with gcd(r, q) > 1 are never read and
-    hold 0.0.
+    ``table[q][r]`` is s/c correctly rounded, where (c, s, rad) is the
+    ``cos_sin_ball`` of the angle at 96 bits, so the tangent lies in
+    [(s - rad)/(c + rad), (s + rad)/(c - rad)]; that enclosure is checked to
+    be positive with relative width <= 2^-60, so an entry's relative error
+    is at most (1 + 2^-53)(1 + 2^-60) - 1.  Entries with gcd(r, q) > 1 are
+    never read and hold 0.0.
     """
     table = {}
-    with interval_context(_TABLE_BITS) as ctx:
-        for q in range(3, max_denominator + 1):
-            row = [0.0] * q
-            for r in range(1, (q + 1) // 2):
-                if math.gcd(r, q) == 1:
-                    row[r] = _nearest_float_of_enclosure(ctx.tan(ctx.pi * r / q), r, q)
-                    # tan(pi*(q-r)/q) = -tan(pi*r/q), and negation is exact.
-                    row[q - r] = -row[r]
-            table[q] = row
+    for q in range(3, max_denominator + 1):
+        row = [0.0] * q
+        for r in range(1, (q + 1) // 2):
+            if math.gcd(r, q) == 1:
+                c, s, rad = cos_sin_ball(r, q, _TABLE_BITS)
+                # Width of the enclosure, 2 rad (s + c) / (c^2 - rad^2), at
+                # most 2^-60 times its lower end (s - rad)/(c + rad).
+                if not (s > rad and c > rad) or (
+                    2 * rad * (s + c) << _TABLE_MAX_REL_WIDTH_BITS
+                ) > (s - rad) * (c - rad):
+                    raise ArithmeticInconsistencyError(
+                        f"enclosure of tan(pi*{r}/{q}) from the balls ({c}, {s}) +- {rad} "
+                        f"is not positive with relative width at most 2^-60"
+                    )
+                row[r] = s / c
+                # tan(pi*(q-r)/q) = -tan(pi*r/q), and negation is exact.
+                row[q - r] = -row[r]
+        table[q] = row
     return table
-
-
-def _nearest_float_of_enclosure(x, r: int, q: int) -> float:
-    # The enclosure's endpoints, exactly, as binary fractions.
-    lo, hi = (Fraction(*to_rational(end)) for end in x._mpi_)
-    if not 0 < lo <= hi or hi - lo > _TABLE_MAX_REL_WIDTH * lo:
-        raise ArithmeticInconsistencyError(
-            f"enclosure [{float(lo)}, {float(hi)}] of tan(pi*{r}/{q}) is not "
-            f"positive with relative width at most 2^-60"
-        )
-    # Fraction -> float is correctly rounded to nearest.
-    return float((lo + hi) / 2)
 
 
 def _float_degree_exceeds(
@@ -447,7 +449,7 @@ def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRa
     per orbit is classified; the orbits come from ``_orbit_keys`` in
     integers.  The representative's conjugates are evaluated in floating
     point from a tan table built once per call, whose entries have
-    relative error at most 2^-53 + 2^-60; the orbit is dropped as soon as
+    relative error below 2^-53 + 2^-59; the orbit is dropped as soon as
     ``degree_target + 1`` conjugates are pairwise separated by more than
     2^-48 relative, a gap that two equal conjugates provably cannot show,
     so its degree is provably larger.  A representative that is not

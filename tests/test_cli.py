@@ -399,22 +399,32 @@ def _env_with_src():
     return env
 
 
+_PRECISION = "TORSION_PACKET_PRECISION_BITS"
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, env",
     [
-        pytest.param(lambda tmp: ["lshape", "unit-case", "--output", str(tmp / "missing" / "x.txt")], id="output-directory-missing"),
-        pytest.param(lambda tmp: ["lshape", "enumerate", "--b-max", "0"], id="b-max-zero"),
-        pytest.param(lambda tmp: ["verify-table1", "--ground-truth", str(tmp / "absent.json")], id="ground-truth-missing"),
+        pytest.param(lambda tmp: ["lshape", "unit-case", "--output", str(tmp / "missing" / "x.txt")], {}, id="output-directory-missing"),
+        pytest.param(lambda tmp: ["lshape", "enumerate", "--b-max", "0"], {}, id="b-max-zero"),
+        pytest.param(lambda tmp: ["verify-table1", "--ground-truth", str(tmp / "absent.json")], {}, id="ground-truth-missing"),
+        pytest.param(lambda tmp: ["stratum2", "--torsion-order", "1"], {}, id="torsion-order-one"),
+        pytest.param(lambda tmp: ["tangent-ratios", "--degree", "0"], {}, id="degree-zero"),
+        pytest.param(lambda tmp: ["tangent-ratios", "--max-denominator", "2"], {}, id="max-denominator-two"),
+        pytest.param(lambda tmp: ["decagon", "exclude-r"], {_PRECISION: "4"}, id="precision-below-minimum"),
+        pytest.param(lambda tmp: ["decagon", "exclude-r"], {_PRECISION: "abc"}, id="precision-not-an-integer"),
+        # A sign at this precision would run for minutes; it is refused before any work.
+        pytest.param(lambda tmp: ["decagon", "exclude-r"], {_PRECISION: "1000000"}, id="precision-above-maximum"),
     ],
 )
-def test_cli_process_error_contract(args, tmp_path):
+def test_cli_process_error_contract(args, env, tmp_path):
     # The real process: exit code, stderr and the absence of a traceback as a
     # user sees them, which in-process main() calls cannot show.
     proc = subprocess.run(
         [sys.executable, "-m", "torsion_packet.cli", *args(tmp_path)],
         capture_output=True,
         text=True,
-        env=_env_with_src(),
+        env={**_env_with_src(), **env},
         timeout=120,
     )
     assert proc.returncode == EXIT_USAGE
@@ -448,21 +458,23 @@ def test_closed_stdout_pipe_exits_2_without_traceback(tmp_path):
 
 
 def test_commands_run_without_sympy():
-    # The Q(x, y) claims are certified by rational specialization; no
-    # computer algebra system is loaded by any command that touches them.
+    # The Q(x, y) claims are certified by rational specialization, and signs
+    # and the tan table by the integer ball kernel; neither a computer
+    # algebra system nor mpmath is loaded by any command that touches them.
     script = (
         "import contextlib, io, sys\n"
         "from torsion_packet.cli import main\n"
-        "for args in (['stratum2', '--torsion-order', '5'], ['decagon', 'differential'], ['lshape', 'exclude']):\n"
+        "for args in (['stratum2', '--torsion-order', '5'], ['decagon', 'differential'],\n"
+        "             ['decagon', 'exclude-r'], ['lshape', 'exclude'], ['verify-table1']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(args) == 0, args\n"
-        "print('sympy' in sys.modules)\n"
+        "print('sympy' in sys.modules, 'mpmath' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=_env_with_src(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 @pytest.mark.skipif(shutil.which("torsion-packet") is None, reason="entry point not installed")

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import iv
 
 from torsion_packet.exactnum import (
     CyclotomicElem,
@@ -27,7 +26,10 @@ from torsion_packet.exactnum import (
     sign_of_real,
     squarefree_part,
 )
-from torsion_packet.exactnum.signs import interval_context
+from torsion_packet.errors import ArithmeticInconsistencyError
+from torsion_packet.exactnum import signs
+from torsion_packet.exactnum.cyclotomic import _cleared
+from torsion_packet.exactnum.signs import _pi_ball, _precision_ceiling, _real_part_ball, cos_sin_ball
 
 
 def zeta(m, k=1):
@@ -290,22 +292,15 @@ def test_sign_with_tiny_initial_precision(monkeypatch):
 
 
 def test_sign_is_thread_safe():
-    # Two threads at different initial precisions: each evaluates in its own
-    # interval context, so both get correct signs and the global mpmath.iv
-    # precision is never touched.  2*cos(pi/30) - 2 = -0.01095620926...
+    # Two threads at different initial precisions, switching every
+    # microsecond, both get correct signs: the ball kernel keeps no state
+    # a thread could change under another.  2*cos(pi/30) - 2 = -0.01095620926...
     z = zeta(60)
     below = z + z**59 - 2 + F(109562, 10**7)  # about -9.3e-9
     above = z + z**59 - 2 + F(109563, 10**7)  # about +9.1e-8
-    prec_before = iv.prec
     results: dict[int, list[tuple[int, int]]] = {}
-    contexts: dict[int, list[object]] = {}
 
     def work(bits: int) -> None:
-        with interval_context(bits) as outer:
-            with interval_context(2 * bits) as inner:
-                assert inner.prec == 2 * bits
-            assert outer.prec == bits
-        contexts[bits] = [outer, inner]
         results[bits] = [
             (sign_of_real(below, initial_bits=bits), sign_of_real(above, initial_bits=bits))
             for _ in range(40)
@@ -323,15 +318,175 @@ def test_sign_is_thread_safe():
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {8: [(-1, 1)] * 40, 300: [(-1, 1)] * 40}
-    assert contexts[8][0] is contexts[8][1] and contexts[300][0] is contexts[300][1]
-    assert contexts[8][0] is not contexts[300][0]
-    assert iv.prec == prec_before
 
 
 def test_sign_env_validation(monkeypatch):
-    monkeypatch.setenv("TORSION_PACKET_PRECISION_BITS", "four")
+    for raw in ("four", "4", "1000000"):
+        monkeypatch.setenv("TORSION_PACKET_PRECISION_BITS", raw)
+        with pytest.raises(ValueError, match="TORSION_PACKET_PRECISION_BITS"):
+            sign_of_real(CyclotomicElem.from_rational(4, 1))
+
+
+# pi to 60 decimal places, truncated: the ball kernel's reference.
+_PI_60 = 3141592653589793238462643383279502884197169399375105820974944
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 150, 190])
+def test_pi_ball_matches_decimal_pi(bits):
+    # |pi - _PI_60 / 10^60| < 10^-60 and 2^190 < 10^60, so the decimal is
+    # finer than every ball here: |mid / 2^bits - pi| <= rad / 2^bits must
+    # hold up to one more unit of 10^-60.
+    mid, rad = _pi_ball(bits)
+    assert rad <= 2
+    assert abs(mid * 10**60 - _PI_60 * 2**bits) <= rad * 10**60 + 2**bits
+
+
+def test_cos_sin_ball_at_exact_angles():
+    # cos(pi/3) = sin(pi/6) = 1/2, cos(pi/2) = sin(0) = 0, cos 0 = sin(pi/2) = 1
+    # and cos(pi/4)^2 = sin(pi/4)^2 = 1/2, checked in integers at 300 bits.
+    b = 300
+    one, half = 1 << b, 1 << (b - 1)
+    for (p, q), (cos, sin) in {
+        (0, 1): (one, 0),
+        (1, 2): (0, one),
+        (1, 3): (half, None),
+        (1, 6): (None, half),
+        (2, 12): (None, half),
+        (3, 6): (0, one),
+    }.items():
+        c, s, rad = cos_sin_ball(p, q, b)
+        assert rad <= 2
+        if cos is not None:
+            assert abs(c - cos) <= rad, (p, q)
+        if sin is not None:
+            assert abs(s - sin) <= rad, (p, q)
+    c, s, rad = cos_sin_ball(1, 4, b)
+    root_half = math.isqrt(1 << (2 * b - 1))  # floor(2^b / sqrt 2)
+    assert abs(c - root_half) <= rad + 1 and abs(s - root_half) <= rad + 1
     with pytest.raises(ValueError):
-        sign_of_real(CyclotomicElem.from_rational(4, 1))
+        cos_sin_ball(2, 3, b)
+
+
+def test_cos_sin_ball_matches_math_within_its_radius():
+    # math.cos and math.sin of the rounded angle are within 2^-50.
+    b = 60
+    for q in range(1, 40):
+        for p in range(0, q // 2 + 1):
+            c, s, rad = cos_sin_ball(p, q, b)
+            assert rad <= 2
+            x = math.pi * p / q
+            assert abs(c / 2**b - math.cos(x)) <= rad / 2**b + 2**-50, (p, q)
+            assert abs(s / 2**b - math.sin(x)) <= rad / 2**b + 2**-50, (p, q)
+
+
+def _sqrt_convergents(d: int, count: int) -> list[tuple[int, int]]:
+    """The first ``count`` continued-fraction convergents h/k of sqrt(d)."""
+    a0 = math.isqrt(d)
+    m, q, a = 0, 1, a0
+    (h0, h), (k0, k) = (1, a0), (0, 1)
+    out = [(h, k)]
+    while len(out) < count:
+        m = q * a - m
+        q = (d - m * m) // q
+        a = (a0 + m) // q
+        h0, h = h, a * h + h0
+        k0, k = k, a * k + k0
+        out.append((h, k))
+    return out
+
+
+# sqrt(d) as a real sum of roots of unity, built without the sign kernel.
+_SQRT_AS_ZETA_SUM = {
+    5: 1 + 2 * (zeta(5) + zeta(5, 4)),
+    2: zeta(8) + zeta(8, 7),
+    3: zeta(12) + zeta(12, 11),
+}
+_CONVERGENTS = {d: _sqrt_convergents(d, 26) for d in _SQRT_AS_ZETA_SUM}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_SQRT_AS_ZETA_SUM)),
+    st.integers(0, 25),
+    st.integers(-8, 8),
+    st.sampled_from([1, -1]),
+)
+def test_sign_matches_exact_quadratic_sign(d, index, nudge, flip):
+    # a + b sqrt(d) with a/b next to a convergent h/k of sqrt(d): the value
+    # k sqrt(d) - h is below 1/k in size, and the nudge of j/(8k) moves it
+    # across zero or not, so from 8 bits the ball must refine several
+    # rounds.  QuadraticElem.sign decides in integers alone.
+    h, k = _CONVERGENTS[d][index]
+    a, b = flip * (F(nudge, 8 * k) - h), flip * k
+    e = _SQRT_AS_ZETA_SUM[d] * b + a
+    assert e.is_real()
+    assert sign_of_real(e, initial_bits=8) == QuadraticElem(a, b, d).sign()
+
+
+def _real_elems():
+    # x + conj(x) for random x, minus a dyadic approximation of its value,
+    # so the result is often within 2^-40 of zero (and sometimes zero).
+    def build(m, coeffs, k):
+        x = CyclotomicElem(m, coeffs)
+        e = x + x.conjugate()
+        return e - F(round(e.complex_embedding().real * 2**k), 2**k)
+
+    return st.sampled_from([5, 8, 12, 20, 60]).flatmap(
+        lambda m: st.builds(
+            build,
+            st.just(m),
+            st.lists(st.deferred(lambda: rationals), min_size=euler_phi(m), max_size=euler_phi(m)),
+            st.integers(0, 40),
+        )
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(_real_elems())
+def test_sign_precision_ceiling_is_never_exceeded(e):
+    # The a-priori ceiling is a real guarantee: at that many bits the ball
+    # of the scaled element excludes zero, and refinement from 8 bits asks
+    # for no more bits than the ceiling.
+    if e.is_zero():
+        assert sign_of_real(e) == 0
+        return
+    nums, _ = _cleared(e.coeffs)
+    ceiling = _precision_ceiling(nums)
+    mid, rad = _real_part_ball(nums, e.m, ceiling)
+    assert abs(mid) > rad
+    asked = []
+
+    def recording(nums, m, bits):
+        asked.append(bits)
+        return _real_part_ball(nums, m, bits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(signs, "_real_part_ball", recording)
+        assert sign_of_real(e, initial_bits=8) == (1 if mid > 0 else -1)
+    assert max(asked) <= max(8, ceiling)
+
+
+def test_straddling_kernel_raises_at_the_ceiling(monkeypatch):
+    # A kernel whose ball always contains zero must end in an error at the
+    # ceiling, not in a hang.
+    asked = []
+
+    def straddling(nums, m, bits):
+        asked.append(bits)
+        return 0, 1
+
+    monkeypatch.setattr(signs, "_real_part_ball", straddling)
+    z = zeta(20)
+    e = z + z**19 - 1
+    ceiling = _precision_ceiling(_cleared(e.coeffs)[0])
+    with pytest.raises(ArithmeticInconsistencyError, match="precision ceiling"):
+        sign_of_real(e, initial_bits=8)
+    assert asked[-1] == ceiling and max(asked) == ceiling
+    assert asked == sorted(asked) and len(asked) <= ceiling.bit_length()
+    asked.clear()
+    with pytest.raises(ArithmeticInconsistencyError):
+        sign_of_real(e, initial_bits=4 * ceiling)
+    assert asked == [4 * ceiling]
 
 
 # --------------------------------------------------------------------------

@@ -270,6 +270,20 @@ def test_tan_table_entries_within_their_error_bound():
             assert sign_of_real(exact - lo) == 1 and sign_of_real(hi - exact) == 1, (r, q)
             checked += 1
     assert checked == sum(1 for q in range(3, 13) for r in range(1, q) if math.gcd(r, q) == 1)
+    # A reference outside the ball kernel, which sign_of_real shares: every
+    # entry up to q = 60 is within 4 ulp of the libm tangent.  tan is
+    # ill-conditioned near pi/2, so angles above pi/4 use
+    # tan x = 1/tan(pi/2 - x), whose argument the reference rounds well.
+    for q, row in _tan_table(60).items():
+        for r in range(1, q):
+            if math.gcd(r, q) != 1:
+                continue
+            p, sign = (r, 1) if 2 * r < q else (q - r, -1)
+            if 4 * p <= q:
+                ref = math.tan(math.pi * p / q)
+            else:
+                ref = 1 / math.tan(math.pi * (q - 2 * p) / (2 * q))
+            assert abs(row[r] - sign * ref) <= 4 * math.ulp(ref), (r, q)
 
 
 # --------------------------------------------------------------------------
