@@ -5,9 +5,19 @@ Each subcommand produces a Report (schema version 1) with a verdict in
 text, JSON or CSV.  Reports are deterministic for fixed parameters up to
 the elapsed_ms field.
 
+Records hold plain JSON values and a few exact types.  One function,
+``_leaf``, gives each of those types its encoding (rationals, quadratic
+elements and angles as strings, cyclotomic elements as {m, coeffs},
+admissible triples as {b, e, lambda}); it is the ``default=`` hook of
+CPython's C JSON encoder, which encodes each record in one call, and the
+text and CSV renderers and ``Report.to_dict`` use it too.  The JSON
+layout puts one record per line.
+
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
 1 refuted, 2 usage or I/O error (a closed output pipe included),
-3 internal arithmetic inconsistency or any other internal error.
+3 internal arithmetic inconsistency or any other internal error.  Only
+UsageError, raised here after checking arguments, the environment and
+input files, exits 2; a ValueError from the library is a bug and exits 3.
 """
 
 from __future__ import annotations
@@ -26,10 +36,11 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import __version__
-from .errors import ArithmeticInconsistencyError
+from .errors import ArithmeticInconsistencyError, UsageError
 from .exactnum import (
     CyclotomicElem,
     QuadraticElem,
+    default_precision_bits,
     real_display,
     sign_of_real,
 )
@@ -69,47 +80,46 @@ class Report:
     elapsed_ms: int = 0
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self) -> dict[str, Any]:
+    def fields(self) -> dict[str, Any]:
+        """The top-level report fields in their output order, unencoded."""
         return {
             "schema_version": self.schema_version,
             "command": self.command,
-            "parameters": _encode(self.parameters),
+            "parameters": self.parameters,
             "verdict": self.verdict,
-            "records": _encode(self.records),
+            "records": self.records,
             "elapsed_ms": self.elapsed_ms,
         }
 
+    def to_dict(self) -> dict[str, Any]:
+        """The report as JSON data: what parsing its JSON rendering gives."""
+        return json.loads(_JSON.encode(self.fields()))
 
-def _encode(value: Any) -> Any:
-    """Recursively encode report values as JSON-safe data.
 
-    Rationals become "p/q" strings, cyclotomic elements {m, coeffs[]},
-    quadratic elements their radical display string.
+def _leaf(value: Any) -> Any:
+    """The one report encoding of each exact type JSON does not know.
+
+    Rationals, quadratic elements and angles become their display
+    strings, cyclotomic elements {m, coeffs[]}, admissible triples
+    {b, e, lambda}.
     """
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, Fraction):
+    if isinstance(value, (Fraction, QuadraticElem, tanratio.RationalAngle)):
         return str(value)
     if isinstance(value, CyclotomicElem):
         return {"m": value.m, "coeffs": [str(c) for c in value.coeffs]}
-    if isinstance(value, QuadraticElem):
-        return str(value)
-    if isinstance(value, tanratio.RationalAngle):
-        return str(value)
     if isinstance(value, lshape.AdmissibleTriple):
         return {"b": value.b, "e": value.e, "lambda": str(value.lam)}
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, float):
-        return value
     raise TypeError(f"cannot encode {value!r} into a report")
+
+
+# CPython encodes in C only when ``indent`` is None, so the JSON layout
+# below places its line breaks itself.
+_JSON = json.JSONEncoder(default=_leaf)
 
 
 def render(report: Report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2)
+        return _render_json(report)
     if fmt == "csv":
         return _render_csv(report)
     if fmt == "text":
@@ -117,8 +127,39 @@ def render(report: Report, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _render_json(report: Report) -> str:
+    """One top-level field per line, and one compact line per record.
+
+    The pieces are joined once, so the report text is built once.
+    """
+    encode = _JSON.encode
+    chunks = ["{\n"]
+    for key, value in report.fields().items():
+        chunks += ("  ", encode(key), ": ")
+        if key == "records" and value:
+            chunks.append("[")
+            for rec in value:
+                chunks += ("\n    ", encode(rec), ",")
+            chunks[-1] = "\n  ]"
+        else:
+            chunks.append(encode(value))
+        chunks.append(",\n")
+    chunks[-1] = "\n}"
+    return "".join(chunks)
+
+
+def _cell(value: Any) -> Any:
+    """A value as one text or CSV field: JSON scalars as they are, exact
+    types by ``_leaf``, containers as compact JSON."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if not isinstance(value, (dict, list, tuple)):
+        value = _leaf(value)
+    return value if isinstance(value, str) else _JSON.encode(value)
+
+
 def _render_csv(report: Report) -> str:
-    records = _encode(report.records)
+    records = report.records
     buf = io.StringIO()
     if records:
         keys: list[str] = []
@@ -129,26 +170,18 @@ def _render_csv(report: Report) -> str:
         writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
         for rec in records:
-            writer.writerow(
-                {
-                    k: json.dumps(v) if isinstance(v, (dict, list)) else v
-                    for k, v in rec.items()
-                }
-            )
+            writer.writerow({k: _cell(v) for k, v in rec.items()})
     return buf.getvalue().rstrip("\n")
 
 
 def _render_text(report: Report) -> str:
     lines = [f"command: {report.command}"]
-    for k, v in _encode(report.parameters).items():
-        lines.append(f"  {k}: {json.dumps(v) if isinstance(v, (dict, list)) else v}")
+    for k, v in report.parameters.items():
+        lines.append(f"  {k}: {_cell(v)}")
     lines.append(f"verdict: {report.verdict}")
     lines.append(f"elapsed_ms: {report.elapsed_ms}")
-    for rec in _encode(report.records):
-        parts = []
-        for k, v in rec.items():
-            parts.append(f"{k}={json.dumps(v) if isinstance(v, (dict, list)) else v}")
-        lines.append("  " + "  ".join(parts))
+    for rec in report.records:
+        lines.append("  " + "  ".join(f"{k}={_cell(v)}" for k, v in rec.items()))
     return "\n".join(lines)
 
 
@@ -207,9 +240,9 @@ def cmd_tangent_ratios(
 ) -> Report:
     """Enumerate tangent ratios of the requested degree up to the bound."""
     if degree < 1:
-        raise ValueError(f"--degree must be at least 1, got {degree}")
+        raise UsageError(f"--degree must be at least 1, got {degree}")
     if max_denominator < 3:
-        raise ValueError(f"--max-denominator must be at least 3, got {max_denominator}")
+        raise UsageError(f"--max-denominator must be at least 3, got {max_denominator}")
     start = time.perf_counter()
     rows = tanratio.enumerate_ratios(degree, max_denominator)
     if non_units_only:
@@ -247,13 +280,19 @@ def cmd_verify_table1(
     """Recompute the non-unit quadratic ratio list and diff it against the
     shipped ground truth."""
     if max_denominator < 12:
-        raise ValueError(
+        raise UsageError(
             f"--max-denominator must be at least 12 to cover the reference list, got {max_denominator}"
         )
     start = time.perf_counter()
+    try:
+        reference = load_reference_rows(ground_truth_path)
+    except ValueError as exc:
+        if ground_truth_path is None:  # the shipped file: a packaging bug
+            raise
+        raise UsageError(str(exc)) from exc
     expected = [
         (row["alpha"], row["beta"], str(Fraction(row["trace"])), str(Fraction(row["norm"])))
-        for row in load_reference_rows(ground_truth_path)
+        for row in reference
     ]
     computed_rows = tanratio.normalized_nonunit_rows(max_denominator)
     computed = [
@@ -288,9 +327,11 @@ def cmd_verify_table1(
 def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
     """enumerate | unit-case | exclude over admissible (b, e) parameters."""
     if b_max < 3:
-        raise ValueError(f"--b-max must be at least 3, got {b_max}")
+        raise UsageError(f"--b-max must be at least 3, got {b_max}")
     start = time.perf_counter()
     if subcommand == "enumerate":
+        # lambda is kept as its display string, so that no triple outlives
+        # the loop that checks it.
         records = []
         for t in lshape.enumerate_triples(b_max):
             trace, norm = lshape.trace_norm_lambda_plus_one(t)
@@ -298,7 +339,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
                 {
                     "b": t.b,
                     "e": t.e,
-                    "lambda": t.lam,
+                    "lambda": str(t.lam),
                     "trace_lambda_plus_one": trace,
                     "norm_lambda_plus_one": norm,
                 }
@@ -346,7 +387,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
             )
         verdict = VERIFIED if all_excluded and len(rows) == 9 else REFUTED
     else:
-        raise ValueError(f"unknown lshape subcommand {subcommand!r}")
+        raise UsageError(f"unknown lshape subcommand {subcommand!r}")
     return Report(
         command=f"lshape {subcommand}",
         parameters={"b_max": b_max},
@@ -362,7 +403,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
     rational specializations), torsion solutions, and the handoff of the
     resulting tangent ratios to the admissible-parameter matching."""
     if torsion_order < 2:
-        raise ValueError(f"--torsion-order must be at least 2, got {torsion_order}")
+        raise UsageError(f"--torsion-order must be at least 2, got {torsion_order}")
     start = time.perf_counter()
     records: list[dict[str, Any]] = []
     oks: list[bool] = []
@@ -520,7 +561,7 @@ def cmd_decagon(subcommand: str) -> Report:
         ]
         verdict = VERIFIED if ok_dim and ok_prop and ok_res and ok_zero else REFUTED
     else:
-        raise ValueError(f"unknown decagon subcommand {subcommand!r}")
+        raise UsageError(f"unknown decagon subcommand {subcommand!r}")
     return Report(
         command=f"decagon {subcommand}",
         parameters=params,
@@ -594,6 +635,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
+        _check_environment()
         if args.output:
             _check_output_path(Path(args.output))
         report = args.run(args)
@@ -601,7 +643,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ArithmeticInconsistencyError as exc:
         print(f"internal arithmetic inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
@@ -619,7 +661,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         pipe_closed = True
     if args.output:
         try:
-            Path(args.output).write_text(rendered + "\n")
+            with Path(args.output).open("w") as fh:
+                print(rendered, file=fh)
         except OSError as exc:
             print(f"error: cannot write --output {args.output}: {exc.strerror or exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -628,12 +671,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     return EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED
 
 
+def _check_environment() -> None:
+    """Reject a bad TORSION_PACKET_PRECISION_BITS before any computing."""
+    try:
+        default_precision_bits()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _check_output_path(path: Path) -> None:
     """Reject an --output path that cannot be written, before any computing."""
     if path.is_dir():
-        raise ValueError(f"--output {path} is a directory")
+        raise UsageError(f"--output {path} is a directory")
     if not path.parent.is_dir():
-        raise ValueError(f"--output directory {path.parent} does not exist")
+        raise UsageError(f"--output directory {path.parent} does not exist")
 
 
 if __name__ == "__main__":

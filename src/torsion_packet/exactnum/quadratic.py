@@ -152,7 +152,10 @@ class QuadraticElem:
 
     def _aligned(self, other):
         """(a1, b1, q1, a2, b2, q2, d): both operands' integer parts over one
-        radicand d, or None if ``other`` is not a number this type knows."""
+        radicand d, or None if ``other`` is not a number this type knows.
+
+        Addition, subtraction and multiplication by an ``int`` skip it and
+        build the result directly."""
         if isinstance(other, int):
             return self.an, self.bn, self.den, other, 0, 1, self.d
         if isinstance(other, Fraction):
@@ -167,6 +170,8 @@ class QuadraticElem:
         return self.an, self.bn, self.den, other.an, other.bn, other.den, d
 
     def __add__(self, other):
+        if isinstance(other, int):
+            return _from_parts(self.an + other * self.den, self.bn, self.den, self.d)
         ops = self._aligned(other)
         if ops is None:
             return NotImplemented
@@ -181,6 +186,8 @@ class QuadraticElem:
         return _from_parts(-self.an, -self.bn, self.den, self.d)
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return _from_parts(self.an - other * self.den, self.bn, self.den, self.d)
         ops = self._aligned(other)
         if ops is None:
             return NotImplemented
@@ -188,6 +195,8 @@ class QuadraticElem:
         return _from_parts(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1, q1 * q2, d)
 
     def __rsub__(self, other):
+        if isinstance(other, int):
+            return _from_parts(other * self.den - self.an, -self.bn, self.den, self.d)
         ops = self._aligned(other)
         if ops is None:
             return NotImplemented
@@ -195,6 +204,8 @@ class QuadraticElem:
         return _from_parts(a2 * q1 - a1 * q2, b2 * q1 - b1 * q2, q1 * q2, d)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return _from_parts(self.an * other, self.bn * other, self.den, self.d)
         ops = self._aligned(other)
         if ops is None:
             return NotImplemented

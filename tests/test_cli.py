@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from torsion_packet.cli import (
     cmd_decagon,
     cmd_lshape,
     cmd_stratum2,
+    cmd_tangent_ratios,
     cmd_verify_table1,
     load_reference_rows,
     main,
@@ -265,18 +267,156 @@ def test_reports_are_deterministic_modulo_elapsed():
         assert _strip_elapsed(a.to_dict()) == _strip_elapsed(b.to_dict())
 
 
+# One small parameter set per subcommand.
+_EVERY_SUBCOMMAND = (
+    lambda: cmd_tangent_ratios(2, 6),
+    lambda: cmd_tangent_ratios(1, 6),
+    lambda: cmd_verify_table1(),
+    lambda: cmd_lshape("enumerate", 5),
+    lambda: cmd_lshape("unit-case", 100),
+    lambda: cmd_lshape("exclude"),
+    lambda: cmd_stratum2(2),
+    lambda: cmd_stratum2(10),
+    lambda: cmd_decagon("verify"),
+    lambda: cmd_decagon("exclude-r"),
+    lambda: cmd_decagon("differential"),
+)
+
+
 def test_json_roundtrip():
-    report = cmd_lshape("unit-case", 100)
+    for make in _EVERY_SUBCOMMAND:
+        report = make()
+        payload = json.loads(render(report, "json"))
+        assert payload == report.to_dict(), report.command
+        assert list(payload) == [
+            "schema_version",
+            "command",
+            "parameters",
+            "verdict",
+            "records",
+            "elapsed_ms",
+        ]
+    # One record per line, each line the record's own JSON.
+    report = cmd_lshape("enumerate", 5)
+    lines = render(report, "json").splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    record_lines = [line for line in lines if line.startswith("    {")]
+    assert len(record_lines) == len(report.records) == 10
+    assert [json.loads(line.rstrip(",")) for line in record_lines] == report.to_dict()["records"]
+    assert len(lines) == len(report.records) + 9
+
+
+def _mask_elapsed(text):
+    return re.sub(r"^elapsed_ms: \d+$", "elapsed_ms: *", text, flags=re.M)
+
+
+# Text and CSV renderings of the previous, recursive encoder, pinned.
+_PINNED = {
+    ("lshape enumerate", "text"): (
+        "command: lshape enumerate\n  b_max: 5\nverdict: verified\nelapsed_ms: *\n"
+        "  b=1  e=-1  lambda=-1/2 + 1/2*sqrt(5)  trace_lambda_plus_one=1  norm_lambda_plus_one=-1\n"
+        "  b=2  e=-1  lambda=1  trace_lambda_plus_one=1  norm_lambda_plus_one=-2\n"
+        "  b=2  e=0  lambda=sqrt(2)  trace_lambda_plus_one=2  norm_lambda_plus_one=-1\n"
+        "  b=3  e=-1  lambda=-1/2 + 1/2*sqrt(13)  trace_lambda_plus_one=1  norm_lambda_plus_one=-3\n"
+        "  b=3  e=0  lambda=sqrt(3)  trace_lambda_plus_one=2  norm_lambda_plus_one=-2\n"
+        "  b=4  e=-1  lambda=-1/2 + 1/2*sqrt(17)  trace_lambda_plus_one=1  norm_lambda_plus_one=-4\n"
+        "  b=4  e=0  lambda=2  trace_lambda_plus_one=2  norm_lambda_plus_one=-3\n"
+        "  b=4  e=1  lambda=1/2 + 1/2*sqrt(17)  trace_lambda_plus_one=3  norm_lambda_plus_one=-2\n"
+        "  b=5  e=-1  lambda=-1/2 + 1/2*sqrt(21)  trace_lambda_plus_one=1  norm_lambda_plus_one=-5\n"
+        "  b=5  e=0  lambda=sqrt(5)  trace_lambda_plus_one=2  norm_lambda_plus_one=-4"
+    ),
+    ("lshape enumerate", "csv"): (
+        "b,e,lambda,trace_lambda_plus_one,norm_lambda_plus_one\n"
+        "1,-1,-1/2 + 1/2*sqrt(5),1,-1\n2,-1,1,1,-2\n2,0,sqrt(2),2,-1\n"
+        "3,-1,-1/2 + 1/2*sqrt(13),1,-3\n3,0,sqrt(3),2,-2\n4,-1,-1/2 + 1/2*sqrt(17),1,-4\n"
+        "4,0,2,2,-3\n4,1,1/2 + 1/2*sqrt(17),3,-2\n5,-1,-1/2 + 1/2*sqrt(21),1,-5\n5,0,sqrt(5),2,-4"
+    ),
+    ("decagon exclude-r", "text"): (
+        "command: decagon exclude-r\n"
+        '  geometry_constants: {"square_side_lengths": ["1", "-1/2 + 1/2*sqrt(5)"], '
+        '"crossing_parameter": "1/5*sqrt(5)"}\n'
+        "verdict: verified\nelapsed_ms: *\n"
+        '  check=R_x  values=["-1", "0", "-1/2 + 1/2*sqrt(5)", "1/2 + 1/2*sqrt(5)"]'
+        "  only_minus_one_or_nonnegative=True\n"
+        '  check=R_y  values=["-1/2 - 1/2*sqrt(5)", "-1", "1/2 - 1/2*sqrt(5)", "0"]  all_nonpositive=True\n'
+        '  check=intersection  values=["-1", "0"]  contained_in_{-1,0}=True'
+        "  interpretation=0 is a zero of the limit form, -1 a Weierstrass limit; no new periodic point"
+    ),
+    ("decagon exclude-r", "csv"): (
+        'check,values,only_minus_one_or_nonnegative,all_nonpositive,"contained_in_{-1,0}",interpretation\n'
+        'R_x,"[""-1"", ""0"", ""-1/2 + 1/2*sqrt(5)"", ""1/2 + 1/2*sqrt(5)""]",True,,,\n'
+        'R_y,"[""-1/2 - 1/2*sqrt(5)"", ""-1"", ""1/2 - 1/2*sqrt(5)"", ""0""]",,True,,\n'
+        'intersection,"[""-1"", ""0""]",,,True,'
+        '"0 is a zero of the limit form, -1 a Weierstrass limit; no new periodic point"'
+    ),
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(_PINNED))
+def test_text_and_csv_renderings_are_pinned(command, fmt):
+    report = cmd_lshape("enumerate", 5) if command == "lshape enumerate" else cmd_decagon("exclude-r")
+    assert _mask_elapsed(render(report, fmt)) == _PINNED[command, fmt]
+
+
+def test_every_exact_type_has_one_encoding():
+    from fractions import Fraction
+
+    from torsion_packet.cli import Report
+    from torsion_packet.exactnum import CyclotomicElem, QuadraticElem
+    from torsion_packet.lshape import make_triple
+    from torsion_packet.tanratio import RationalAngle
+
+    report = Report(
+        "synthetic",
+        {"bound": Fraction(3, 4), "angles": (RationalAngle(Fraction(1, 12)),)},
+        "verified",
+        [
+            {
+                "q": Fraction(-2, 3),
+                "mu": QuadraticElem(1, Fraction(1, 2), 3),
+                "angle": RationalAngle(Fraction(5, 12)),
+                "z": CyclotomicElem.zeta(5, 1),
+                "triple": make_triple(4, 1),
+                "none": None,
+                "flag": False,
+                "x": 0.5,
+                "nested": {"pair": (Fraction(1, 2), make_triple(2, 0)), "k": [None, True]},
+            },
+            {"q": 7, "extra": "a,b"},
+        ],
+    )
+    z = '{"m": 5, "coeffs": ["0", "1", "0", "0"]}'
+    triple = '{"b": 4, "e": 1, "lambda": "1/2 + 1/2*sqrt(17)"}'
+    nested = '{"pair": ["1/2", {"b": 2, "e": 0, "lambda": "sqrt(2)"}], "k": [null, true]}'
+    # The renderings of the previous, recursive encoder.
+    assert render(report, "text") == (
+        'command: synthetic\n  bound: 3/4\n  angles: ["1/12"]\nverdict: verified\nelapsed_ms: 0\n'
+        f"  q=-2/3  mu=1 + 1/2*sqrt(3)  angle=5/12  z={z}  triple={triple}"
+        f"  none=None  flag=False  x=0.5  nested={nested}\n"
+        "  q=7  extra=a,b"
+    )
+    quoted = {k: '"' + v.replace('"', '""') + '"' for k, v in (("z", z), ("t", triple), ("n", nested))}
+    assert render(report, "csv") == (
+        "q,mu,angle,z,triple,none,flag,x,nested,extra\n"
+        f"-2/3,1 + 1/2*sqrt(3),5/12,{quoted['z']},{quoted['t']},,False,0.5,{quoted['n']},\n"
+        '7,,,,,,,,,"a,b"'
+    )
     payload = json.loads(render(report, "json"))
     assert payload == report.to_dict()
-    assert list(payload) == [
-        "schema_version",
-        "command",
-        "parameters",
-        "verdict",
-        "records",
-        "elapsed_ms",
-    ]
+    assert payload["parameters"] == {"bound": "3/4", "angles": ["1/12"]}
+    assert payload["records"][0] == {
+        "q": "-2/3",
+        "mu": "1 + 1/2*sqrt(3)",
+        "angle": "5/12",
+        "z": json.loads(z),
+        "triple": json.loads(triple),
+        "none": None,
+        "flag": False,
+        "x": 0.5,
+        "nested": json.loads(nested),
+    }
+    with pytest.raises(TypeError, match="cannot encode"):
+        render(Report("bad", {}, "verified", [{"v": object()}]), "json")
 
 
 def test_csv_renders_records_only():
@@ -333,7 +473,7 @@ def test_output_write_error_exits_2(tmp_path, capsys, monkeypatch):
     def refuse(self, *args, **kwargs):
         raise PermissionError(13, "Permission denied", str(self))
 
-    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(Path, "open", refuse)
     code = main(["lshape", "unit-case", "--b-max", "50", "--output", str(tmp_path / "report.txt")])
     out = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -388,6 +528,20 @@ def test_failed_lambda_cross_check_exits_3(monkeypatch, capsys):
     assert main(["lshape", "enumerate", "--b-max", "3"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal arithmetic inconsistency: ") and err.count("\n") == 1
+
+
+def test_internal_value_error_exits_3_not_2(monkeypatch, capsys):
+    # A library ValueError is a bug, not a usage error: a lambda built with
+    # the wrong radicand fails AdmissibleTriple's own check.
+    import torsion_packet.lshape as lshape_mod
+
+    from_parts = lshape_mod._from_parts
+    monkeypatch.setattr(lshape_mod, "_from_parts", lambda an, bn, den, d: from_parts(an, bn, den, 2))
+    assert main(["lshape", "enumerate", "--b-max", "3"]) == EXIT_INTERNAL
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal error: ValueError: lambda = -1/2 + 1/2*sqrt(2) does not satisfy")
+    assert out.err.count("\n") == 1
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
