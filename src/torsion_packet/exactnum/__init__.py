@@ -1,10 +1,8 @@
-"""Exact arithmetic foundation: rationals, quadratic and cyclotomic fields.
+"""Exact arithmetic foundation: quadratic and cyclotomic fields.
 
-``Rational`` is the stdlib ``fractions.Fraction``; it already satisfies
-the canonical-form contract (lowest terms, positive denominator).
+Rationals are the stdlib ``fractions.Fraction``, which already keeps values
+in lowest terms with a positive denominator.
 """
-
-from fractions import Fraction as Rational
 
 from ..errors import ArithmeticInconsistencyError
 from .cyclotomic import (
@@ -16,7 +14,7 @@ from .cyclotomic import (
     inv_one_minus_zeta,
     minimal_polynomial,
 )
-from .polynomial import RationalPoly, cyclotomic_polynomial, divisors, euler_phi
+from .polynomial import cyclotomic_int_coeffs, divisors, euler_phi
 from .quadratic import (
     QuadraticElem,
     quadratic_from_minpoly,
@@ -32,10 +30,8 @@ __all__ = [
     "MinPoly",
     "PRECISION_ENV",
     "QuadraticElem",
-    "Rational",
-    "RationalPoly",
     "conductor_units",
-    "cyclotomic_polynomial",
+    "cyclotomic_int_coeffs",
     "default_precision_bits",
     "divisors",
     "euler_phi",

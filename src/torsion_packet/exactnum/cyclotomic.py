@@ -3,23 +3,26 @@
 Elements are stored in the power basis 1, zeta, ..., zeta^(phi(m)-1)
 reduced modulo the m-th cyclotomic polynomial.  The representation is
 canonical: two elements are equal iff their coordinate tuples match, and
-the zero element has the all-zero vector.  That makes the orbit
-deduplication in :func:`minimal_polynomial` a plain set lookup.
+the zero element has the all-zero vector.  That makes the image
+deduplication in :func:`galois_orbit` a plain set lookup.
 
 Galois automorphisms sigma_k : zeta -> zeta^k for gcd(k, m) = 1 act by
-permuting power-basis exponents and re-reducing; degrees of elements are
-computed as Galois orbit sizes rather than by factoring polynomials.
+permuting power-basis exponents and re-reducing.  The degree of an element
+is the size of its Galois orbit, and :func:`galois_orbit` is the one
+routine that counts it; :func:`minimal_polynomial` multiplies an orbit out
+only for callers that read its coefficients.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from ..errors import ArithmeticInconsistencyError
-from .polynomial import RationalPoly, cyclotomic_int_coeffs, euler_phi
+from .polynomial import cyclotomic_int_coeffs, euler_phi
 
 Scalar = Union[int, Fraction]
 
@@ -71,6 +74,19 @@ def _cleared(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     if den == 1:
         return [c.numerator for c in coeffs], 1
     return [int(c * den) for c in coeffs], den
+
+
+def _power_sum(ctx: _Conductor, weights: Iterable[int], k: int) -> list[int]:
+    """Integer coordinates of sum_j weights[j] * zeta_m^(j*k), m = ctx.m."""
+    m, d, table = ctx.m, ctx.degree, ctx.power_table
+    acc = [0] * d
+    for j, w in enumerate(weights):
+        if w:
+            row = table[(j * k) % m]
+            for i in range(d):
+                if row[i]:
+                    acc[i] += w * row[i]
+    return acc
 
 
 def _reduce_product(vec: list[int], ctx: _Conductor) -> list[int]:
@@ -157,16 +173,8 @@ class CyclotomicElem:
             raise ValueError(f"{m2} is not a multiple of the conductor {self.m}")
         if m2 == self.m:
             return self
-        ctx2 = _conductor(m2)
-        step = m2 // self.m
         nums, den = _cleared(self.coeffs)
-        acc = [0] * ctx2.degree
-        for j, c in enumerate(nums):
-            if c:
-                row = ctx2.power_table[(j * step) % m2]
-                for i in range(ctx2.degree):
-                    if row[i]:
-                        acc[i] += c * row[i]
+        acc = _power_sum(_conductor(m2), nums, m2 // self.m)
         return CyclotomicElem(m2, (Fraction(v, den) for v in acc))
 
     # ----- arithmetic ---------------------------------------------------
@@ -371,15 +379,8 @@ def galois_apply(e: CyclotomicElem, k: int) -> CyclotomicElem:
     kk = k % m
     if m == 1 or kk == 1:
         return e
-    ctx = _conductor(m)
     nums, den = _cleared(e.coeffs)
-    acc = [0] * ctx.degree
-    for j, c in enumerate(nums):
-        if c:
-            row = ctx.power_table[(j * kk) % m]
-            for i in range(ctx.degree):
-                if row[i]:
-                    acc[i] += c * row[i]
+    acc = _power_sum(_conductor(m), nums, kk)
     return CyclotomicElem(m, (Fraction(v, den) for v in acc))
 
 
@@ -398,19 +399,13 @@ def inv_one_minus_zeta(m: int, c: int) -> CyclotomicElem:
     cc = c % m
     if cc == 0:
         raise ZeroDivisionError("1 - zeta^c is zero when m divides c")
-    ctx = _conductor(m)
-    acc = [0] * ctx.degree
-    for j in range(m):
-        w = m - 1 - 2 * j
-        if w:
-            row = ctx.power_table[(cc * j) % m]
-            for i in range(ctx.degree):
-                if row[i]:
-                    acc[i] += w * row[i]
+    # The weights m - 1 - 2j for j = 0, ..., m - 1.
+    acc = _power_sum(_conductor(m), range(m - 1, -m, -2), cc)
     den = 2 * m
     return CyclotomicElem(m, (Fraction(v, den) for v in acc))
 
 
+@dataclass(frozen=True)
 class MinPoly:
     """A monic irreducible polynomial over Q, as produced by a Galois orbit.
 
@@ -419,19 +414,15 @@ class MinPoly:
     the roots.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(Fraction(c) for c in coeffs)
+    def __post_init__(self):
+        cs = tuple(Fraction(c) for c in self.coeffs)
         if not cs or cs[-1] != 1:
             raise ValueError("MinPoly requires monic coefficients, constant term first")
         if len(cs) < 2:
             raise ValueError("MinPoly must have positive degree")
-        self.coeffs: tuple[Fraction, ...]
         object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MinPoly is immutable")
 
     @property
     def degree(self) -> int:
@@ -453,31 +444,15 @@ class MinPoly:
         integers)."""
         return all(c.denominator == 1 for c in self.coeffs) and abs(self.coeffs[0]) == 1
 
-    def as_poly(self) -> RationalPoly:
-        return RationalPoly(self.coeffs)
 
-    def __call__(self, point):
-        return self.as_poly()(point)
+def galois_orbit(e: CyclotomicElem, cap: Optional[int] = None) -> list[CyclotomicElem]:
+    """The distinct images of ``e`` under the automorphisms of Q(zeta_m).
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MinPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, RationalPoly):
-            return self.as_poly() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"MinPoly({str(self.as_poly())!r})"
-
-    def __str__(self) -> str:
-        return str(self.as_poly())
-
-
-def galois_orbit(e: CyclotomicElem) -> list[CyclotomicElem]:
-    """The distinct images of ``e`` under all automorphisms of Q(zeta_m)."""
+    Images are listed in the order of first appearance over the ascending
+    units k.  The orbit size is the degree of ``e`` over Q.  With ``cap``,
+    the scan stops as soon as it holds more than ``cap`` images, so the
+    result is the first min(cap + 1, degree) images of the full orbit.
+    """
     seen: set[tuple] = set()
     orbit: list[CyclotomicElem] = []
     for k in conductor_units(e.m):
@@ -485,17 +460,23 @@ def galois_orbit(e: CyclotomicElem) -> list[CyclotomicElem]:
         if img.coeffs not in seen:
             seen.add(img.coeffs)
             orbit.append(img)
+            if cap is not None and len(orbit) > cap:
+                break
     return orbit
 
 
-def minimal_polynomial(e: CyclotomicElem) -> MinPoly:
+def minimal_polynomial(
+    e: CyclotomicElem, orbit: Optional[list[CyclotomicElem]] = None
+) -> MinPoly:
     """Minimal polynomial of ``e`` over Q, as the product over its Galois orbit.
 
-    The orbit product is automatically irreducible, so the degree of the
-    result equals the orbit size.  A non-rational coefficient in the
-    product indicates an arithmetic bug and aborts.
+    ``orbit`` is ``galois_orbit(e)`` when the caller already holds it.  The
+    orbit product is irreducible, so the degree of the result equals the
+    orbit size.  A non-rational coefficient in the product indicates an
+    arithmetic bug (or a partial orbit) and aborts.
     """
-    orbit = galois_orbit(e)
+    if orbit is None:
+        orbit = galois_orbit(e)
     one = CyclotomicElem.one(e.m)
     poly: list[CyclotomicElem] = [one]
     for root in orbit:

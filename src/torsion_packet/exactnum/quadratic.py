@@ -123,12 +123,6 @@ class QuadraticElem:
         """Product with the Galois conjugate: a^2 - d*b^2."""
         return Fraction(self.an * self.an - self.d * self.bn * self.bn, self.den * self.den)
 
-    def minpoly(self) -> MinPoly:
-        """x^2 - trace*x + norm for irrational elements, x - a otherwise."""
-        if self.is_rational():
-            return MinPoly([-self.a, 1])
-        return MinPoly([self.norm(), -self.trace(), 1])
-
     def sign(self) -> int:
         """Exact sign under the embedding sqrt(d) -> positive real root."""
         an, bn = self.an, self.bn  # den > 0 does not change the sign

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import QuadraticElem, squarefree_part
@@ -39,9 +39,6 @@ class AdmissibleTriple:
             raise ValueError(f"(b={self.b}, e={self.e}) is not admissible")
         if self.lam * self.lam != self.e * self.lam + self.b:
             raise ValueError(f"lambda = {self.lam} does not satisfy x^2 = {self.e}x + {self.b}")
-
-    def trace_norm_of_lambda_plus_one(self) -> tuple[int, int]:
-        return self.e + 2, self.e + 1 - self.b
 
     def __str__(self) -> str:
         return f"(b={self.b}, e={self.e}, lambda={self.lam})"
@@ -67,16 +64,16 @@ def make_triple(b: int, e: int) -> AdmissibleTriple:
     return AdmissibleTriple(b, e, lam)
 
 
-def enumerate_triples(b_max: int) -> list[AdmissibleTriple]:
-    """All admissible (b, e) with b <= b_max, sorted by (b, e)."""
+def enumerate_triples(b_max: int) -> Iterator[AdmissibleTriple]:
+    """All admissible (b, e) with b <= b_max, sorted by (b, e), one at a time."""
     if b_max < 1:
         raise ValueError(f"b_max must be positive, got {b_max}")
-    return [
+    return (
         make_triple(b, e)
         for b in range(1, b_max + 1)
         for e in (-1, 0, 1)
         if is_admissible(b, e)
-    ]
+    )
 
 
 def trace_norm_lambda_plus_one(t: AdmissibleTriple) -> tuple[int, int]:

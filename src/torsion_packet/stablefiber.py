@@ -707,13 +707,6 @@ def decagon_admissible_assignments() -> tuple[set[tuple[int, int]], set[tuple[in
     return accepted, expected
 
 
-def decagon_verify() -> bool:
-    """True iff the fifth-power conditions pin the nodes to the class of
-    x = zeta_5, y = zeta_5^2 (up to inversion and swap) exactly."""
-    accepted, expected = decagon_admissible_assignments()
-    return accepted == expected
-
-
 def _real_part(w: CyclotomicElem) -> CyclotomicElem:
     return (w + w.conjugate()) / 2
 
@@ -767,20 +760,3 @@ def decagon_r_sets() -> tuple[list[CyclotomicElem], list[CyclotomicElem], list[C
     r_y = _ray_hits(y, m)
     inter = [r for r in r_x if any(r == s for s in r_y)]
     return r_x, r_y, inter
-
-
-def decagon_exclude_r() -> list[CyclotomicElem]:
-    """The intersection R_x cap R_y, asserted to contain only -1 and 0.
-
-    Both survivors are already accounted for: 0 is a zero of the limit
-    differential and -1 a Weierstrass limit, so no new periodic point can
-    degenerate to a real position.
-    """
-    _, _, inter = decagon_r_sets()
-    allowed = (CyclotomicElem.from_rational(20, -1), CyclotomicElem.from_rational(20, 0))
-    for r in inter:
-        if not any(r == a for a in allowed):
-            raise ArithmeticInconsistencyError(
-                f"ray intersection produced an unexpected real position {r!r}"
-            )
-    return sorted(inter, key=lambda r: r.complex_embedding().real)

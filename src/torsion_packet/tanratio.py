@@ -7,9 +7,9 @@ field: with zeta = exp(i*pi*p/q) one has
     tan(pi*p/q) = -i (zeta - 1/zeta) / (zeta + 1/zeta),
 
 so the natural home of tan(pi*p/q) is Q(zeta_m) with m = lcm(4, 2q)
-(the 4 contributes i).  Degrees are computed as Galois orbit sizes; the
-enumeration over a denominator bound keeps a pair exactly when its orbit
-size equals the requested degree.
+(the 4 contributes i).  The degree of mu is the size of its Galois orbit
+(``exactnum.galois_orbit``); the enumeration over a denominator bound keeps
+a pair exactly when that size equals the requested degree.
 
 The enumeration classifies one pair per Galois orbit, not every pair.
 The automorphism zeta_m -> zeta_m^k sends mu to tan(pi*k*beta)/tan(pi*k*alpha)
@@ -33,9 +33,9 @@ follows a relative separation that certifies two computed conjugates as
 truly distinct (see ``_REL_SEPARATION``).  An orbit is
 dropped only when more conjugates than the requested degree are
 certified pairwise distinct.  Every other representative is confirmed by
-exact orbit counting, and only an orbit whose exact degree equals the
-target is expanded into its member pairs, so no verdict rests on
-floating point.
+an exact orbit count capped just above the target, and only an orbit whose
+exact degree equals the target is expanded into its member pairs, so no
+verdict rests on floating point.
 
 Only finitely many pairs produce a ratio of any fixed degree, but that
 finiteness is ineffective; the enumeration here is a bounded search, and
@@ -58,7 +58,7 @@ from .exactnum import (
     QuadraticElem,
     conductor_units,
     euler_phi,
-    galois_apply,
+    galois_orbit,
     inv_one_minus_zeta,
     minimal_polynomial,
     real_display,
@@ -192,8 +192,10 @@ def sin_of(angle: RationalAngle) -> CyclotomicElem:
 class TangentRatio:
     """A classified ratio mu = tan(pi*beta)/tan(pi*alpha).
 
-    ``minpoly``, ``degree``, ``trace``, ``norm`` and ``is_unit`` are
-    computed on first access from the Galois orbit of ``mu``.
+    ``degree`` is the size of the Galois orbit of ``mu``, computed on first
+    access.  ``minpoly``, and with it ``trace``, ``norm`` and ``is_unit``,
+    multiplies that orbit out on first access; callers read them only for
+    ratios of degree at most 2.
     """
 
     def __init__(self, alpha: RationalAngle, beta: RationalAngle, mu: CyclotomicElem):
@@ -202,12 +204,16 @@ class TangentRatio:
         self.mu = mu
 
     @cached_property
-    def minpoly(self) -> MinPoly:
-        return minimal_polynomial(self.mu)
+    def orbit(self) -> list[CyclotomicElem]:
+        return galois_orbit(self.mu)
 
     @property
     def degree(self) -> int:
-        return self.minpoly.degree
+        return len(self.orbit)
+
+    @cached_property
+    def minpoly(self) -> MinPoly:
+        return minimal_polynomial(self.mu, self.orbit)
 
     @property
     def is_unit(self) -> bool:
@@ -257,32 +263,6 @@ def _units_half(m: int) -> Iterator[int]:
     # conductor here is a multiple of 4, so the units are odd.  Lazy: the
     # float filter usually stops after a handful of units.
     return (k for k in range(1, m // 2 + 1, 2) if math.gcd(k, m) == 1)
-
-
-def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> Optional[int]:
-    """Number of distinct Galois conjugates of mu, or None once above ``cap``.
-
-    Works on the fraction representation (numerator, denominator) of mu,
-    comparing conjugates by cross-multiplication, so no field inversion
-    is ever needed.
-    """
-    m = _common_conductor(alpha, beta)
-    na, da = _tan_parts(alpha, m)
-    nb, db = _tan_parts(beta, m)
-    num = nb * da
-    den = db * na
-    reps: list[tuple[CyclotomicElem, CyclotomicElem]] = [(num, den)]
-    for k in _units_half(m):
-        if k == 1:
-            continue
-        nk = galois_apply(num, k)
-        dk = galois_apply(den, k)
-        if any(nk * d0 == n0 * dk for n0, d0 in reps):
-            continue
-        reps.append((nk, dk))
-        if len(reps) > cap:
-            return None
-    return len(reps)
 
 
 def _tan_table(max_denominator: int) -> dict[int, list[float]]:
@@ -343,7 +323,15 @@ def _float_degree_exceeds(
     return False
 
 
-def _confirm_degree(alpha: RationalAngle, beta: RationalAngle, cap: int) -> Optional[int]:
+def _confirm_degree(
+    alpha: RationalAngle, beta: RationalAngle, degree: int
+) -> Optional[TangentRatio]:
+    """``ratio(alpha, beta)`` if mu has exactly ``degree`` conjugates, else None.
+
+    The orbit count stops as soon as it exceeds ``degree``, so an orbit of
+    exactly ``degree`` images is complete; it becomes the ratio's cached
+    ``orbit``.
+    """
     m = _common_conductor(alpha, beta)
     if euler_phi(m) > _EXACT_DEGREE_GUARD:
         # No ratio of degree <= 2 is expected outside small conductors; a
@@ -353,7 +341,12 @@ def _confirm_degree(alpha: RationalAngle, beta: RationalAngle, cap: int) -> Opti
             f"pair ({alpha}, {beta}) passed the numeric degree filter but its "
             f"conductor {m} is too large for exact confirmation"
         )
-    return _pair_degree_exact(alpha, beta, cap)
+    t = ratio(alpha, beta)
+    orbit = galois_orbit(t.mu, degree)
+    if len(orbit) != degree:
+        return None
+    t.orbit = orbit
+    return t
 
 
 def _numerators(q: int) -> list[int]:
@@ -453,28 +446,30 @@ def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRa
     ``degree_target + 1`` conjugates are pairwise separated by more than
     2^-48 relative, a gap that two equal conjugates provably cannot show,
     so its degree is provably larger.  A representative that is not
-    dropped is confirmed by exact orbit counting, and an orbit of exactly
-    the target degree is expanded into its member pairs, each classified
-    by ``ratio``.  Output is sorted by (alpha, beta).
+    dropped is confirmed by a capped exact orbit count, and an orbit of
+    exactly the target degree is expanded into its member pairs; the
+    representative keeps its confirmed ratio and every other member is
+    classified by ``ratio``.  Output is sorted by (alpha, beta).
     """
     if degree_target < 1:
         raise ValueError(f"degree target must be positive, got {degree_target}")
     if max_denominator < 3:
         raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
     table = _tan_table(max_denominator)
-    kept: list[tuple[RationalAngle, RationalAngle]] = []
+    kept: dict[tuple[RationalAngle, RationalAngle], Optional[TangentRatio]] = {}
     for key in _orbit_keys(max_denominator):
         (pa, qa), (pb, qb) = _orbit_representative(key)
         units = _units_half(math.lcm(4, 2 * qa, 2 * qb))  # _common_conductor, inlined
         if _float_degree_exceeds(table[qa], pa, table[qb], pb, units, degree_target):
             continue
         alpha, beta = RationalAngle.of(pa, qa), RationalAngle.of(pb, qb)
-        if _confirm_degree(alpha, beta, degree_target) == degree_target:
-            kept.extend(
-                (RationalAngle.of(*a), RationalAngle.of(*b)) for a, b in _orbit_members(key)
+        confirmed = _confirm_degree(alpha, beta, degree_target)
+        if confirmed is not None:
+            kept.update(
+                ((RationalAngle.of(*a), RationalAngle.of(*b)), None) for a, b in _orbit_members(key)
             )
-    kept.sort()
-    return [ratio(alpha, beta) for alpha, beta in kept]
+            kept[alpha, beta] = confirmed
+    return [kept[pair] or ratio(*pair) for pair in sorted(kept)]
 
 
 # --------------------------------------------------------------------------

@@ -222,6 +222,26 @@ def test_stratum2_order_ten_reaches_exclusion():
     assert report.verdict == "verified"
 
 
+def test_stratum2_builds_minimal_polynomials_only_for_quadratic_ratios(monkeypatch):
+    import torsion_packet.tanratio as tanratio_mod
+
+    original = tanratio_mod.minimal_polynomial
+    built = []
+
+    def counted(e, orbit=None):
+        p = original(e, orbit)
+        built.append(p.degree)
+        return p
+
+    monkeypatch.setattr(tanratio_mod, "minimal_polynomial", counted)
+    for n in (13, 10):
+        built.clear()
+        degrees = [r["degree"] for r in cmd_stratum2(n).records if r["stage"] == "handoff"]
+        assert sorted(built) == sorted(d for d in degrees if d <= 2)
+        if n == 13:
+            assert built == [] and min(degrees) > 2
+
+
 def test_stratum2_usage(capsys):
     code, _ = run_cli(["stratum2", "--torsion-order", "1"], capsys)
     assert code == EXIT_USAGE

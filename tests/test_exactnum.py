@@ -13,9 +13,8 @@ from torsion_packet.exactnum import (
     CyclotomicElem,
     MinPoly,
     QuadraticElem,
-    RationalPoly,
     conductor_units,
-    cyclotomic_polynomial,
+    cyclotomic_int_coeffs,
     divisors,
     euler_phi,
     galois_apply,
@@ -37,37 +36,53 @@ def zeta(m, k=1):
 
 
 # --------------------------------------------------------------------------
-# cyclotomic polynomials
+# cyclotomic polynomials, as integer coefficient tuples (constant term first)
+
+
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _horner(coeffs, point):
+    acc = point - point
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
 
 
 def test_cyclotomic_polynomial_definition_cases():
-    assert cyclotomic_polynomial(1) == RationalPoly([-1, 1])
-    assert cyclotomic_polynomial(4) == RationalPoly([1, 0, 1])
+    assert cyclotomic_int_coeffs(1) == (-1, 1)
+    assert cyclotomic_int_coeffs(4) == (1, 0, 1)
 
 
 def test_cyclotomic_polynomial_12():
-    # Hand-derived: divide x^12 - 1 by Phi_1*Phi_2*Phi_3*Phi_4*Phi_6
-    # = (x-1)(x+1)(x^2+x+1)(x^2+1)(x^2-x+1) = x^8 + x^6 - x^2 - 1.
-    lower = RationalPoly([1])
+    # Hand-derived: Phi_1*Phi_2*Phi_3*Phi_4*Phi_6
+    # = (x-1)(x+1)(x^2+x+1)(x^2+1)(x^2-x+1) = x^8 + x^6 - x^2 - 1,
+    # and x^12 - 1 is that times x^4 - x^2 + 1.
+    lower = [1]
     for coeffs in ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1]):
-        lower = lower * RationalPoly(coeffs)
-    x12 = RationalPoly([-1] + [0] * 11 + [1])
-    assert x12 / lower == RationalPoly([1, 0, -1, 0, 1])
-    assert cyclotomic_polynomial(12) == RationalPoly([1, 0, -1, 0, 1])
+        lower = _int_poly_mul(lower, coeffs)
+    assert lower == [-1, 0, -1, 0, 0, 0, 1, 0, 1]
+    assert _int_poly_mul(lower, [1, 0, -1, 0, 1]) == [-1] + [0] * 11 + [1]
+    assert cyclotomic_int_coeffs(12) == (1, 0, -1, 0, 1)
 
 
 def test_cyclotomic_degree_and_product_identity_up_to_60():
     for m in range(1, 61):
-        assert cyclotomic_polynomial(m).degree == euler_phi(m)
-        product = RationalPoly([1])
+        assert len(cyclotomic_int_coeffs(m)) - 1 == euler_phi(m)
+        product = [1]
         for d in divisors(m):
-            product = product * cyclotomic_polynomial(d)
-        assert product == RationalPoly([-1] + [0] * (m - 1) + [1])
+            product = _int_poly_mul(product, cyclotomic_int_coeffs(d))
+        assert product == [-1] + [0] * (m - 1) + [1]
 
 
 def test_cyclotomic_polynomial_rejects_nonpositive():
     with pytest.raises(ValueError):
-        cyclotomic_polynomial(0)
+        cyclotomic_int_coeffs(0)
 
 
 # --------------------------------------------------------------------------
@@ -76,7 +91,7 @@ def test_cyclotomic_polynomial_rejects_nonpositive():
 
 def test_zeta_satisfies_its_cyclotomic_polynomial():
     for m in (1, 4, 5, 8, 12, 20):
-        assert cyclotomic_polynomial(m)(zeta(m)).is_zero()
+        assert _horner(cyclotomic_int_coeffs(m), zeta(m)).is_zero()
 
 
 def test_canonical_zero_and_rational_detection():
@@ -153,6 +168,16 @@ def test_minpoly_degree_equals_orbit_size():
     z = zeta(20)
     e = z + z**19  # 2*cos(pi/10), degree 4
     assert len(galois_orbit(e)) == minimal_polynomial(e).degree == 4
+
+
+def test_capped_orbit_is_a_prefix_of_the_full_orbit():
+    z = zeta(20)
+    for e in (CyclotomicElem.from_rational(20, 3), 2 * (z**4 + z**16) + 1, z + z**19, z + 2 * z**3):
+        full = galois_orbit(e)
+        for cap in range(0, len(full) + 2):
+            capped = galois_orbit(e, cap)
+            assert len(capped) == min(cap + 1, len(full))
+            assert capped == full[: len(capped)]
 
 
 def test_minpoly_invariant_under_galois():

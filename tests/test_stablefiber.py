@@ -16,12 +16,10 @@ from torsion_packet.stablefiber import (
     certify_stratum2,
     decagon_admissible_assignments,
     decagon_config,
-    decagon_exclude_r,
     decagon_limit_differential,
     decagon_node_condition,
     decagon_points,
     decagon_r_sets,
-    decagon_verify,
     differential_space,
     differentials_proportional,
     height_ratio,
@@ -322,7 +320,6 @@ def test_decagon_verify_pins_the_solution_class():
     assert (2, 4) in accepted  # x = zeta_5, y = zeta_5^2
     assert (8, 6) in accepted  # inverted pair, same class
     assert (4, 2) in accepted  # swapped, same class
-    assert decagon_verify()
 
 
 def test_decagon_g2_condition_fails_for_primitive_tenth_root():
@@ -347,8 +344,10 @@ def test_decagon_r_sets_exact_values():
 
 
 def test_decagon_exclude_r():
-    values = decagon_exclude_r()
-    assert [round(v.complex_embedding().real) for v in values] == [-1, 0]
+    # The intersection R_x cap R_y holds only -1 (a Weierstrass limit) and
+    # 0 (a zero of the limit differential).
+    _, _, inter = decagon_r_sets()
+    assert sorted(round(v.complex_embedding().real) for v in inter) == [-1, 0]
 
 
 def test_minus_one_lies_on_a_tenth_root_ray():

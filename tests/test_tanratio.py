@@ -2,23 +2,28 @@
 
 import math
 from fractions import Fraction as F
+from typing import Optional
 
 import pytest
 
 from torsion_packet.exactnum import (
+    CyclotomicElem,
     MinPoly,
     QuadraticElem,
+    galois_apply,
     minimal_polynomial,
     sign_of_real,
 )
+from torsion_packet.stablefiber import solve_torsion_pairs
 from torsion_packet.tanratio import (
     RationalAngle,
+    _common_conductor,
     _float_degree_exceeds,
     _orbit_key,
     _orbit_keys,
     _orbit_members,
     _orbit_representative,
-    _pair_degree_exact,
+    _tan_parts,
     _tan_table,
     _units_half,
     angles_up_to,
@@ -34,6 +39,33 @@ from torsion_packet.tanratio import (
 
 def ang(p, q):
     return RationalAngle.of(p, q)
+
+
+def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> Optional[int]:
+    """Number of distinct Galois conjugates of mu, or None once above ``cap``.
+
+    The exact per-pair reference for the orbit scan, independent of
+    ``ratio`` and ``inv_one_minus_zeta``: it works on the fraction
+    representation (numerator, denominator) of mu, comparing conjugates by
+    cross-multiplication, so no field inversion is ever needed.
+    """
+    m = _common_conductor(alpha, beta)
+    na, da = _tan_parts(alpha, m)
+    nb, db = _tan_parts(beta, m)
+    num = nb * da
+    den = db * na
+    reps: list[tuple[CyclotomicElem, CyclotomicElem]] = [(num, den)]
+    for k in _units_half(m):
+        if k == 1:
+            continue
+        nk = galois_apply(num, k)
+        dk = galois_apply(den, k)
+        if any(nk * d0 == n0 * dk for n0, d0 in reps):
+            continue
+        reps.append((nk, dk))
+        if len(reps) > cap:
+            return None
+    return len(reps)
 
 
 # --------------------------------------------------------------------------
@@ -103,6 +135,18 @@ def test_ratio_examples_from_reference_list():
     r = ratio(ang(1, 12), ang(1, 6))
     assert r.degree == 2 and r.trace == 2 and r.norm == F(-1, 3)
     assert r.mu_as_quadratic() == QuadraticElem(1, F(2, 3), 3)
+
+
+def test_degree_is_orbit_size_on_stratum2_handoff_pairs():
+    # Every handoff pair (A/N, B/N), 0 < A < B, of stratum2 at N = 12.
+    n = 12
+    positive = [a for a in solve_torsion_pairs(n).tangent_indices if a > 0]
+    assert positive == [1, 2, 3, 4, 5]
+    for a in positive:
+        for b in positive:
+            if a < b:
+                r = ratio(RationalAngle(F(a, n)), RationalAngle(F(b, n)))
+                assert r.degree == minimal_polynomial(r.mu).degree
 
 
 def test_ratio_degree_one():
