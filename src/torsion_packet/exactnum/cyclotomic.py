@@ -1,10 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 Elements are stored in the power basis 1, zeta, ..., zeta^(phi(m)-1)
-reduced modulo the m-th cyclotomic polynomial.  The representation is
-canonical: two elements are equal iff their coordinate tuples match, and
-the zero element has the all-zero vector.  That makes the image
-deduplication in :func:`galois_orbit` a plain set lookup.
+reduced modulo the m-th cyclotomic polynomial, as integers: a tuple
+``nums`` of numerators over one common denominator ``den > 0``, with
+gcd(den, *nums) = 1 and zero stored as all zeros over 1 (the layout
+``QuadraticElem`` uses).  The form is canonical, so two elements are
+equal iff their ``(nums, den)`` match, and arithmetic, Galois images and
+embeddings run in integers without building a ``Fraction``.  The
+rational coordinates ``coeffs`` are a derived, read-only property for
+display.
 
 Galois automorphisms sigma_k : zeta -> zeta^k for gcd(k, m) = 1 act by
 permuting power-basis exponents and re-reducing.  The degree of an element
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import ArithmeticInconsistencyError
 from .polynomial import cyclotomic_int_coeffs, euler_phi
@@ -37,22 +41,23 @@ class _Conductor:
         d = euler_phi(m)
         self.degree = d
         self.minpoly_ints = cyclotomic_int_coeffs(m)
-        # power_table[j] = coordinates of zeta^j; products of two reduced
-        # elements need exponents up to 2d-2, Galois images need up to m-1.
+        # power_table[j] = the nonzero coordinates of zeta^j as sparse
+        # (index, coefficient) pairs; products of two reduced elements need
+        # exponents up to 2d-2, Galois images need up to m-1.
         size = max(m, 2 * d - 1)
         table = []
         cur = [0] * d
         cur[0] = 1
-        table.append(tuple(cur))
         phi = self.minpoly_ints
-        for _ in range(1, size):
-            high = cur[d - 1]
-            cur = [0] + cur[: d - 1]
-            if high:
-                for i in range(d):
-                    if phi[i]:
-                        cur[i] -= high * phi[i]
-            table.append(tuple(cur))
+        for j in range(size):
+            if j:
+                high = cur[d - 1]
+                cur = [0] + cur[: d - 1]
+                if high:
+                    for i in range(d):
+                        if phi[i]:
+                            cur[i] -= high * phi[i]
+            table.append(tuple((i, c) for i, c in enumerate(cur) if c))
         self.power_table = tuple(table)
         self.units = tuple(k for k in range(1, m + 1) if math.gcd(k, m) == 1)
 
@@ -64,29 +69,49 @@ def _conductor(m: int) -> _Conductor:
     return _Conductor(m)
 
 
-def _cleared(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    # Common-denominator form (numerators, denominator) for integer-only loops.
-    den = 1
-    for c in coeffs:
-        q = c.denominator
-        if q != 1:
-            den = den * q // math.gcd(den, q)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [int(c * den) for c in coeffs], den
-
-
 def _power_sum(ctx: _Conductor, weights: Iterable[int], k: int) -> list[int]:
     """Integer coordinates of sum_j weights[j] * zeta_m^(j*k), m = ctx.m."""
-    m, d, table = ctx.m, ctx.degree, ctx.power_table
-    acc = [0] * d
+    m, table = ctx.m, ctx.power_table
+    acc = [0] * ctx.degree
     for j, w in enumerate(weights):
         if w:
-            row = table[(j * k) % m]
-            for i in range(d):
-                if row[i]:
-                    acc[i] += w * row[i]
+            for i, c in table[(j * k) % m]:
+                acc[i] += w * c
     return acc
+
+
+def _pack(poly: Sequence[int], bits: int) -> int:
+    """sum_j poly[j] * 2^(bits*j)."""
+    acc = 0
+    for n in reversed(poly):
+        acc = (acc << bits) + n
+    return acc
+
+
+def _poly_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials of length d,
+    by Kronecker substitution: one big-integer product at x = 2^bits.
+
+    Each product coefficient is a sum of at most d terms a_i*b_j, so its
+    absolute value is below 2^(bits - 1) and the signed base-2^bits digits
+    of the packed product are exactly the coefficients.
+    """
+    bits = (
+        max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + len(a).bit_length() + 1
+    )
+    c = _pack(a, bits) * _pack(b, bits)
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        low = c & mask
+        c >>= bits
+        if low >= half:
+            low -= mask + 1
+            c += 1
+        out.append(low)
+    if c:
+        raise ArithmeticInconsistencyError("Kronecker product overflowed its digit width")
+    return out
 
 
 def _reduce_product(vec: list[int], ctx: _Conductor) -> list[int]:
@@ -95,41 +120,50 @@ def _reduce_product(vec: list[int], ctx: _Conductor) -> list[int]:
     for j in range(len(vec) - 1, d - 1, -1):
         vj = vec[j]
         if vj:
-            row = table[j]
-            for i in range(d):
-                if row[i]:
-                    vec[i] += vj * row[i]
+            for i, c in table[j]:
+                vec[i] += vj * c
     return vec[:d]
 
 
 class CyclotomicElem:
-    """An element of Q(zeta_m) in the reduced power basis.
+    """sum_j nums[j] zeta_m^j / den in the reduced power basis, with
+    den > 0 and gcd(den, *nums) = 1.
 
     Instances are immutable; all operations return new elements.
     Arithmetic between elements requires matching conductors (use
     :meth:`to_conductor` to move into a larger field explicitly).
     """
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "nums", "den")
 
     def __init__(self, m: int, coeffs: Iterable[Scalar]):
         ctx = _conductor(m)
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(cs) != ctx.degree:
             raise ValueError(
                 f"conductor {m} needs {ctx.degree} coordinates, got {len(cs)}"
             )
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", cs)
+        # With every coordinate in lowest terms, scaling all of them to the
+        # lcm of their denominators leaves gcd(den, *nums) = 1.
+        den = math.lcm(*(c.denominator for c in cs))
+        _set_m(self, m)
+        _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in cs))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicElem is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coordinates nums[j]/den, for display."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # ----- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, m: int) -> CyclotomicElem:
-        return cls(m, [0] * euler_phi(m))
+        return _make(m, (0,) * euler_phi(m), 1)
 
     @classmethod
     def one(cls, m: int) -> CyclotomicElem:
@@ -137,27 +171,30 @@ class CyclotomicElem:
 
     @classmethod
     def from_rational(cls, m: int, value: Scalar) -> CyclotomicElem:
-        coeffs = [Fraction(value)] + [Fraction(0)] * (euler_phi(m) - 1)
-        return cls(m, coeffs)
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return _make(m, (q.numerator,) + (0,) * (euler_phi(m) - 1), q.denominator)
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> CyclotomicElem:
         """zeta_m^power as a reduced element."""
         ctx = _conductor(m)
-        return cls(m, ctx.power_table[power % m])
+        nums = [0] * ctx.degree
+        for i, c in ctx.power_table[power % m]:
+            nums[i] = c
+        return _make(m, nums, 1)
 
     # ----- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_real(self) -> bool:
         """Whether the element is fixed by complex conjugation."""
@@ -173,9 +210,7 @@ class CyclotomicElem:
             raise ValueError(f"{m2} is not a multiple of the conductor {self.m}")
         if m2 == self.m:
             return self
-        nums, den = _cleared(self.coeffs)
-        acc = _power_sum(_conductor(m2), nums, m2 // self.m)
-        return CyclotomicElem(m2, (Fraction(v, den) for v in acc))
+        return _make(m2, _power_sum(_conductor(m2), self.nums, m2 // self.m), self.den)
 
     # ----- arithmetic ---------------------------------------------------
 
@@ -194,7 +229,7 @@ class CyclotomicElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CyclotomicElem(self.m, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, 1, other)
 
     __radd__ = __add__
 
@@ -202,39 +237,29 @@ class CyclotomicElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CyclotomicElem(self.m, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _combine(self, -1, other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return _combine(other, -1, self)
 
     def __neg__(self) -> CyclotomicElem:
-        return CyclotomicElem(self.m, (-c for c in self.coeffs))
+        return _make(self.m, [-n for n in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CyclotomicElem(self.m, (c * other for c in self.coeffs))
+            return _scaled(self, other.numerator, other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if self.is_rational():
-            return CyclotomicElem(self.m, (self.coeffs[0] * c for c in other.coeffs))
+            return _scaled(other, self.nums[0], self.den)
         if other.is_rational():
-            return CyclotomicElem(self.m, (other.coeffs[0] * c for c in self.coeffs))
-        ctx = _conductor(self.m)
-        na, da = _cleared(self.coeffs)
-        nb, db = _cleared(other.coeffs)
-        out = [0] * (2 * ctx.degree - 1)
-        for i, a in enumerate(na):
-            if a:
-                for j, b in enumerate(nb):
-                    if b:
-                        out[i + j] += a * b
-        red = _reduce_product(out, ctx)
-        den = da * db
-        return CyclotomicElem(self.m, (Fraction(v, den) for v in red))
+            return _scaled(self, other.nums[0], other.den)
+        out = _poly_product(self.nums, other.nums)
+        return _make(self.m, _reduce_product(out, _conductor(self.m)), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -243,7 +268,7 @@ class CyclotomicElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
-            return CyclotomicElem.from_rational(self.m, 1 / self.coeffs[0])
+            return CyclotomicElem.from_rational(self.m, 1 / self.to_rational())
         ctx = _conductor(self.m)
         r0 = [Fraction(c) for c in ctx.minpoly_ints]
         s0 = [Fraction(0)]
@@ -294,16 +319,14 @@ class CyclotomicElem:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            q = Fraction(other)
-            return CyclotomicElem(self.m, (c / q for c in self.coeffs))
+            return _scaled(self, other.denominator, other.numerator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if other.is_rational():
-            q = other.to_rational()
-            if q == 0:
+            if other.is_zero():
                 raise ZeroDivisionError("division by zero")
-            return CyclotomicElem(self.m, (c / q for c in self.coeffs))
+            return _scaled(self, other.den, other.nums[0])
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -326,13 +349,21 @@ class CyclotomicElem:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CyclotomicElem):
-            return self.m == other.m and self.coeffs == other.coeffs
+            return self.m == other.m and self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (
+                self.is_rational()
+                and self.nums[0] == other.numerator
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.m, self.coeffs))
+        # A rational element equals the int or Fraction of its value, so it
+        # must hash like it.
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.m, self.nums, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -367,6 +398,44 @@ class CyclotomicElem:
         return " + ".join(parts)
 
 
+_new = object.__new__
+_set_m = CyclotomicElem.m.__set__
+_set_nums = CyclotomicElem.nums.__set__
+_set_den = CyclotomicElem.den.__set__
+
+
+def _make(m: int, nums: Sequence[int], den: int) -> CyclotomicElem:
+    """sum_j nums[j] zeta_m^j / den for den > 0, reduced by the gcd; the
+    length of ``nums`` is taken to be phi(m) (it is not checked again)."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    elem = _new(CyclotomicElem)
+    _set_m(elem, m)
+    _set_nums(elem, tuple(nums))
+    _set_den(elem, den)
+    return elem
+
+
+def _combine(x: CyclotomicElem, sign: int, y: CyclotomicElem) -> CyclotomicElem:
+    """x + sign*y for sign = +-1, over the lcm of the two denominators."""
+    dx, dy = x.den, y.den
+    if dx == dy:
+        return _make(x.m, [a + sign * b for a, b in zip(x.nums, y.nums)], dx)
+    g = math.gcd(dx, dy)
+    fx, fy = dy // g, sign * (dx // g)
+    return _make(x.m, [a * fx + b * fy for a, b in zip(x.nums, y.nums)], dx * fx)
+
+
+def _scaled(x: CyclotomicElem, p: int, q: int) -> CyclotomicElem:
+    """x * p/q for integers p and q != 0."""
+    if q < 0:
+        p, q = -p, -q
+    return _make(x.m, [n * p for n in x.nums], x.den * q)
+
+
 def galois_apply(e: CyclotomicElem, k: int) -> CyclotomicElem:
     """Apply the automorphism sigma_k : zeta -> zeta^k, for gcd(k, m) = 1.
 
@@ -379,9 +448,7 @@ def galois_apply(e: CyclotomicElem, k: int) -> CyclotomicElem:
     kk = k % m
     if m == 1 or kk == 1:
         return e
-    nums, den = _cleared(e.coeffs)
-    acc = _power_sum(_conductor(m), nums, kk)
-    return CyclotomicElem(m, (Fraction(v, den) for v in acc))
+    return _make(m, _power_sum(_conductor(m), e.nums, kk), e.den)
 
 
 def conductor_units(m: int) -> tuple[int, ...]:
@@ -400,9 +467,7 @@ def inv_one_minus_zeta(m: int, c: int) -> CyclotomicElem:
     if cc == 0:
         raise ZeroDivisionError("1 - zeta^c is zero when m divides c")
     # The weights m - 1 - 2j for j = 0, ..., m - 1.
-    acc = _power_sum(_conductor(m), range(m - 1, -m, -2), cc)
-    den = 2 * m
-    return CyclotomicElem(m, (Fraction(v, den) for v in acc))
+    return _make(m, _power_sum(_conductor(m), range(m - 1, -m, -2), cc), 2 * m)
 
 
 @dataclass(frozen=True)
@@ -452,13 +517,21 @@ def galois_orbit(e: CyclotomicElem, cap: Optional[int] = None) -> list[Cyclotomi
     units k.  The orbit size is the degree of ``e`` over Q.  With ``cap``,
     the scan stops as soon as it holds more than ``cap`` images, so the
     result is the first min(cap + 1, degree) images of the full orbit.
+
+    For a real ``e``, sigma_(m-k)(e) = conj(sigma_k(e)) = sigma_k(e), so every
+    image first appears in the lower half of the units, and only that half
+    is scanned.
     """
+    units = conductor_units(e.m)
+    if e.is_real():
+        units = units[: (len(units) + 1) // 2]
     seen: set[tuple] = set()
     orbit: list[CyclotomicElem] = []
-    for k in conductor_units(e.m):
+    for k in units:
         img = galois_apply(e, k)
-        if img.coeffs not in seen:
-            seen.add(img.coeffs)
+        key = (img.nums, img.den)
+        if key not in seen:
+            seen.add(key)
             orbit.append(img)
             if cap is not None and len(orbit) > cap:
                 break

@@ -23,7 +23,7 @@ import os
 from functools import lru_cache
 
 from ..errors import ArithmeticInconsistencyError
-from .cyclotomic import CyclotomicElem, _cleared
+from .cyclotomic import CyclotomicElem
 
 PRECISION_ENV = "TORSION_PACKET_PRECISION_BITS"
 _DEFAULT_BITS = 128
@@ -200,9 +200,9 @@ def sign_of_real(e: CyclotomicElem, initial_bits: int | None = None) -> int:
         return 0
     bits = initial_bits if initial_bits is not None else default_precision_bits()
     # For a real element the embedding equals its real part, the sum of
-    # c_j cos(2 pi j/m); scaling by the common denominator D > 0 keeps the
-    # sign and makes the coefficients integers.
-    nums, _ = _cleared(e.coeffs)
+    # c_j cos(2 pi j/m); scaling by the common denominator den > 0 keeps
+    # the sign and leaves the integer numerators.
+    nums = e.nums
     ceiling = _precision_ceiling(nums)
     while True:
         mid, rad = _real_part_ball(nums, e.m, bits)

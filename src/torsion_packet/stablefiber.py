@@ -648,15 +648,19 @@ def solve_torsion_pairs(order: int) -> TorsionSolution:
         if (x - 1) ** n != (-x - 1) ** n:
             raise ArithmeticInconsistencyError(f"solution {x!r} fails the defining equation")
         solutions.append(x)
-    if len({x.coeffs for x in solutions}) != len(solutions):
+    if len({(x.nums, x.den) for x in solutions}) != len(solutions):
         raise ArithmeticInconsistencyError("duplicate torsion solutions")
     # Exact tangent matching in the field containing zeta_2N.
     m = math.lcm(4, 2 * n)
-    lifted = {x.to_conductor(m).coeffs: i for i, x in enumerate(solutions)}
+    lifted = {}
+    for i, x in enumerate(solutions):
+        y = x.to_conductor(m)
+        lifted[y.nums, y.den] = i
     amax = (n - 1) // 2
     indices: list[Optional[int]] = [None] * len(solutions)
     for a in range(-amax, amax + 1):
-        key = _i_tan(m, n, a).coeffs
+        t = _i_tan(m, n, a)
+        key = (t.nums, t.den)
         if key not in lifted:
             raise ArithmeticInconsistencyError(f"i*tan({a}*pi/{n}) is not a solution")
         indices[lifted[key]] = a

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import ArithmeticInconsistencyError
@@ -349,9 +349,10 @@ def _confirm_degree(
     return t
 
 
-def _numerators(q: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _numerators(q: int) -> tuple[int, ...]:
     """Numerators p of the reduced angles p/q in (0, 1/2)."""
-    return [p for p in range(1, (q + 1) // 2) if math.gcd(p, q) == 1]
+    return tuple(p for p in range(1, (q + 1) // 2) if math.gcd(p, q) == 1)
 
 
 def angles_up_to(max_denominator: int) -> list[RationalAngle]:

@@ -26,8 +26,7 @@ from torsion_packet.exactnum import (
     squarefree_part,
 )
 from torsion_packet.errors import ArithmeticInconsistencyError
-from torsion_packet.exactnum import signs
-from torsion_packet.exactnum.cyclotomic import _cleared
+from torsion_packet.exactnum import cyclotomic, signs
 from torsion_packet.exactnum.signs import _pi_ball, _precision_ceiling, _real_part_ball, cos_sin_ball
 
 
@@ -98,6 +97,18 @@ def test_canonical_zero_and_rational_detection():
     e = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
     assert e == -1 and e.is_rational()
     assert (e + 1).is_zero()
+
+
+def test_rational_elements_hash_like_their_value():
+    # Equal values must hash equally, so a rational element and the int or
+    # Fraction it equals are one key of a set or dict.
+    one = CyclotomicElem.one(12)
+    assert one == 1 and hash(one) == hash(1) and len({one, 1}) == 1
+    half = CyclotomicElem.from_rational(12, F(1, 2))
+    assert half == F(1, 2) and hash(half) == hash(F(1, 2)) and len({half, F(1, 2)}) == 1
+    assert {CyclotomicElem.zero(5): "zero"}[0] == "zero"
+    e = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
+    assert hash(e) == hash(-1) and {e, -1} == {-1}
 
 
 def test_conductor_mismatch_raises():
@@ -178,6 +189,62 @@ def test_capped_orbit_is_a_prefix_of_the_full_orbit():
             capped = galois_orbit(e, cap)
             assert len(capped) == min(cap + 1, len(full))
             assert capped == full[: len(capped)]
+
+
+def _full_unit_orbit(e, cap=None):
+    # The orbit scan over every unit k, ascending: the reference for the
+    # half scan that galois_orbit makes on real elements.
+    seen, orbit = set(), []
+    for k in conductor_units(e.m):
+        img = galois_apply(e, k)
+        if img.coeffs not in seen:
+            seen.add(img.coeffs)
+            orbit.append(img)
+            if cap is not None and len(orbit) > cap:
+                break
+    return orbit
+
+
+def _sparse_elems(m):
+    # Mostly-zero coordinates, so that orbits of every size turn up.
+    d = euler_phi(m)
+    return st.lists(
+        st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 3)]), min_size=d, max_size=d
+    ).map(lambda cs: CyclotomicElem(m, cs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 3, 4, 5, 7, 8, 12, 15, 20, 24]).flatmap(
+        lambda m: st.tuples(
+            _sparse_elems(m),
+            st.booleans(),
+            st.one_of(st.none(), st.integers(0, euler_phi(m) + 1)),
+        )
+    )
+)
+def test_orbit_matches_full_unit_scan(case):
+    x, make_real, cap = case
+    e = x + x.conjugate() if make_real else x
+    assert galois_orbit(e, cap) == _full_unit_orbit(e, cap)
+
+
+def test_real_orbit_scans_half_the_units(monkeypatch):
+    calls = []
+
+    def counting(e, k):
+        calls.append(k)
+        return galois_apply(e, k)
+
+    monkeypatch.setattr(cyclotomic, "galois_apply", counting)
+    z = zeta(60)
+    real = z + z**59 + 3 * (z**7 + z**53)
+    assert len(galois_orbit(real)) == 8
+    # One conjugation for the reality test, then the units below 30.
+    assert calls == [-1] + [k for k in conductor_units(60) if k < 30]
+    calls.clear()
+    assert len(galois_orbit(z)) == 16
+    assert calls == [-1] + list(conductor_units(60))
 
 
 def test_minpoly_invariant_under_galois():
@@ -475,7 +542,7 @@ def test_sign_precision_ceiling_is_never_exceeded(e):
     if e.is_zero():
         assert sign_of_real(e) == 0
         return
-    nums, _ = _cleared(e.coeffs)
+    nums = e.nums
     ceiling = _precision_ceiling(nums)
     mid, rad = _real_part_ball(nums, e.m, ceiling)
     assert abs(mid) > rad
@@ -503,7 +570,7 @@ def test_straddling_kernel_raises_at_the_ceiling(monkeypatch):
     monkeypatch.setattr(signs, "_real_part_ball", straddling)
     z = zeta(20)
     e = z + z**19 - 1
-    ceiling = _precision_ceiling(_cleared(e.coeffs)[0])
+    ceiling = _precision_ceiling(e.nums)
     with pytest.raises(ArithmeticInconsistencyError, match="precision ceiling"):
         sign_of_real(e, initial_bits=8)
     assert asked[-1] == ceiling and max(asked) == ceiling
@@ -705,3 +772,153 @@ def test_rational_field_axioms(a, b, c):
 @given(cyclo_elems(12), st.sampled_from(conductor_units(12)))
 def test_minpoly_galois_invariance_random(e, k):
     assert minimal_polynomial(galois_apply(e, k)) == minimal_polynomial(e)
+
+
+# --------------------------------------------------------------------------
+# CyclotomicElem against a Fraction-coordinate reference
+
+
+def _ref_reduce(m, vec):
+    """Fraction coordinates of sum_j vec[j] zeta_m^j: long division by Phi_m."""
+    phi = cyclotomic_int_coeffs(m)
+    d = len(phi) - 1
+    vec = [F(c) for c in vec] + [F(0)] * d
+    for j in range(len(vec) - 1, d - 1, -1):
+        c = vec[j]
+        if c:
+            for i, p in enumerate(phi):
+                vec[j - d + i] -= c * p
+    return tuple(vec[:d])
+
+
+class RefCyclotomic:
+    """Reference element of Q(zeta_m) as one Fraction per power-basis
+    coordinate, for checking the integer-numerator CyclotomicElem against
+    plain rational arithmetic."""
+
+    def __init__(self, m, coeffs):
+        self.m, self.coeffs = m, _ref_reduce(m, coeffs)
+
+    def __add__(self, o):
+        return RefCyclotomic(self.m, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __sub__(self, o):
+        return RefCyclotomic(self.m, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __neg__(self):
+        return RefCyclotomic(self.m, [-a for a in self.coeffs])
+
+    def __mul__(self, o):
+        prod = [F(0)] * (2 * len(self.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(o.coeffs):
+                prod[i + j] += a * b
+        return RefCyclotomic(self.m, prod)
+
+    def scaled(self, q):
+        return RefCyclotomic(self.m, [a * q for a in self.coeffs])
+
+    def galois(self, k):
+        vec = [F(0)] * self.m
+        for j, a in enumerate(self.coeffs):
+            vec[(j * k) % self.m] += a
+        return RefCyclotomic(self.m, vec)
+
+    def embed(self, m2):
+        vec = [F(0)] * m2
+        for j, a in enumerate(self.coeffs):
+            vec[j * (m2 // self.m)] += a
+        return RefCyclotomic(m2, vec)
+
+    @classmethod
+    def rational(cls, m, q):
+        return cls(m, [q])
+
+    @classmethod
+    def inv_one_minus_zeta(cls, m, c):
+        vec = [F(0)] * m
+        for j in range(m):
+            vec[(j * c) % m] += F(m - 1 - 2 * j, 2 * m)
+        return cls(m, vec)
+
+
+def assert_cyclo_matches_reference(e, ref):
+    assert e.m == ref.m
+    # canonical form
+    assert e.den > 0 and math.gcd(e.den, *e.nums) == 1
+    assert len(e.nums) == euler_phi(e.m) and all(type(n) is int for n in e.nums)
+    if not any(ref.coeffs):
+        assert e.is_zero() and e.nums == (0,) * euler_phi(e.m) and e.den == 1
+    assert e.coeffs == ref.coeffs
+    # a rebuilt element is equal, hashes equally and stores the same integers
+    again = CyclotomicElem(ref.m, ref.coeffs)
+    assert e == again and hash(e) == hash(again) and (e.nums, e.den) == (again.nums, again.den)
+    if not any(ref.coeffs[1:]):
+        q = ref.coeffs[0]
+        assert e.is_rational() and e == q and hash(e) == hash(q)
+        if q.denominator == 1:
+            assert e == q.numerator and hash(e) == hash(q.numerator)
+        else:
+            assert e != q.numerator
+    else:
+        assert not e.is_rational() and e != ref.coeffs[0]
+
+
+def _cyclo_pair_case(m):
+    d = euler_phi(m)
+    # Sparse coordinates make zero, rational and equal operands likely.
+    coords = st.one_of(
+        st.lists(wide_rationals, min_size=d, max_size=d),
+        st.lists(st.integers(-1, 1).map(F), min_size=d, max_size=d),
+    )
+    return st.tuples(
+        st.just(m),
+        coords,
+        coords,
+        wide_rationals,
+        st.sampled_from(conductor_units(m)),
+        st.sampled_from([2, 3]),
+        st.integers(1, max(1, m - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 3, 4, 5, 12, 20, 24, 60]).flatmap(_cyclo_pair_case))
+def test_cyclotomic_matches_fraction_reference(case):
+    m, ca, cb, q, k, lift, c = case
+    x, rx = CyclotomicElem(m, ca), RefCyclotomic(m, ca)
+    y, ry = CyclotomicElem(m, cb), RefCyclotomic(m, cb)
+    rq = RefCyclotomic.rational(m, q)
+    for e, ref in (
+        (x, rx),
+        (y, ry),
+        (x + y, rx + ry),
+        (x - y, rx - ry),
+        (y - x, ry - rx),
+        (x * y, rx * ry),
+        (y * y, ry * ry),
+        (-x, -rx),
+        (x * q, rx.scaled(q)),
+        (q * y, ry.scaled(q)),
+        (x * q.numerator, rx.scaled(q.numerator)),
+        (x + q, rx + rq),
+        (q - y, rq - ry),
+        (x + q.numerator, rx + RefCyclotomic.rational(m, q.numerator)),
+        (galois_apply(x, k), rx.galois(k)),
+        (galois_apply(y, -k), ry.galois(-k)),
+        (x.to_conductor(lift * m), rx.embed(lift * m)),
+        (y.to_conductor(m), ry),
+    ):
+        assert_cyclo_matches_reference(e, ref)
+    if q != 0:
+        assert_cyclo_matches_reference(x / q, rx.scaled(1 / q))
+        assert_cyclo_matches_reference(y / q.numerator, ry.scaled(F(1, q.numerator)))
+        assert_cyclo_matches_reference(x / CyclotomicElem.from_rational(m, q), rx.scaled(1 / q))
+    if m > 1:
+        assert_cyclo_matches_reference(
+            inv_one_minus_zeta(m, c), RefCyclotomic.inv_one_minus_zeta(m, c)
+        )
+    # == and hash agree with the reference's coordinate comparison
+    assert (x == y) == (rx.coeffs == ry.coeffs)
+    if x == y:
+        assert hash(x) == hash(y)
