@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -572,7 +573,8 @@ def cmd_decagon(subcommand: str) -> Report:
 
 
 def _sorted_reals(elems: list[CyclotomicElem]) -> list[CyclotomicElem]:
-    return sorted(elems, key=lambda r: r.complex_embedding().real)
+    """Real elements in ascending order, compared by exact signs."""
+    return sorted(elems, key=functools.cmp_to_key(lambda a, b: sign_of_real(a - b)))
 
 
 def _ms_since(start: float) -> int:

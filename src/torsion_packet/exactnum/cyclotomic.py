@@ -34,13 +34,12 @@ Scalar = Union[int, Fraction]
 class _Conductor:
     """Cached per-conductor data: reduction table and unit group."""
 
-    __slots__ = ("m", "degree", "minpoly_ints", "power_table", "units")
+    __slots__ = ("m", "degree", "power_table", "units")
 
     def __init__(self, m: int):
         self.m = m
         d = euler_phi(m)
         self.degree = d
-        self.minpoly_ints = cyclotomic_int_coeffs(m)
         # power_table[j] = the nonzero coordinates of zeta^j as sparse
         # (index, coefficient) pairs; products of two reduced elements need
         # exponents up to 2d-2, Galois images need up to m-1.
@@ -48,7 +47,7 @@ class _Conductor:
         table = []
         cur = [0] * d
         cur[0] = 1
-        phi = self.minpoly_ints
+        phi = cyclotomic_int_coeffs(m)
         for j in range(size):
             if j:
                 high = cur[d - 1]
@@ -264,54 +263,20 @@ class CyclotomicElem:
     __rmul__ = __mul__
 
     def inverse(self) -> CyclotomicElem:
-        """Multiplicative inverse, by the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm, e^(-1) = prod_{k != 1} sigma_k(e) / N(e)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
             return CyclotomicElem.from_rational(self.m, 1 / self.to_rational())
-        ctx = _conductor(self.m)
-        r0 = [Fraction(c) for c in ctx.minpoly_ints]
-        s0 = [Fraction(0)]
-        r1 = list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s1 = [Fraction(1)]
-        while len(r1) > 1:
-            # one full division step: r0 = q*r1 + r
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = r0[:]
-            for k in range(len(rem) - len(r1), -1, -1):
-                c = rem[k + len(r1) - 1] / r1[-1]
-                if c:
-                    q[k] = c
-                    for i, rc in enumerate(r1):
-                        rem[k + i] -= c * rc
-            while rem and rem[-1] == 0:
-                rem.pop()
-            # s_next = s0 - q*s1
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        if b:
-                            prod[i + j] += a * b
-            s_next = [
-                (s0[i] if i < len(s0) else Fraction(0)) - (prod[i] if i < len(prod) else Fraction(0))
-                for i in range(max(len(s0), len(prod)))
-            ]
-            while s_next and s_next[-1] == 0:
-                s_next.pop()
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_next
-        if not r1:
-            raise ArithmeticInconsistencyError(
-                "nonzero element shared a factor with the cyclotomic modulus"
-            )
-        c = r1[0]
-        inv = [v / c for v in s1]
-        inv += [Fraction(0)] * (ctx.degree - len(inv))
-        result = CyclotomicElem(self.m, inv[: ctx.degree])
-        if not (result * self == CyclotomicElem.one(self.m)):
+        cofactor = CyclotomicElem.one(self.m)
+        for k in conductor_units(self.m)[1:]:
+            cofactor = cofactor * galois_apply(self, k)
+        norm = cofactor * self
+        if not norm.is_rational():
+            raise ArithmeticInconsistencyError(f"the Galois norm of {self!r} is not rational")
+        result = cofactor / norm.to_rational()
+        if not (result * self == 1):
             raise ArithmeticInconsistencyError("inverse verification failed")
         return result
 
@@ -349,7 +314,10 @@ class CyclotomicElem:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CyclotomicElem):
-            return self.m == other.m and self.den == other.den and self.nums == other.nums
+            if self.m != other.m:
+                # A rational equals its value in every conductor, as its hash says.
+                return self.is_rational() and other == self.to_rational()
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             return (
                 self.is_rational()
@@ -373,8 +341,8 @@ class CyclotomicElem:
     def complex_embedding(self) -> complex:
         """Floating-point value under zeta_m -> exp(2*pi*i/m).
 
-        A convenience for sanity cross-checks and presentation ordering;
-        never part of an exact decision.
+        A convenience for sanity cross-checks; never part of an exact
+        decision.
         """
         total = 0j
         for j, c in enumerate(self.coeffs):

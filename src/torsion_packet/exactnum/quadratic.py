@@ -12,9 +12,9 @@ The radicand is validated once: the public constructor
 rejects a radicand that is below 2 or not squarefree.  Results of
 arithmetic inherit an already-validated radicand and go through the
 private ``_from_parts``, which only reduces by the gcd; callers that take
-the radicand straight from ``squarefree_part`` may use it too.  The
-rational coefficients ``a = an/den`` and ``b = bn/den`` are derived,
-read-only ``Fraction`` properties.
+the radicand straight from ``squarefree_part`` or ``squarefree_cores`` may
+use it too.  The rational coefficients ``a = an/den`` and ``b = bn/den``
+are derived, read-only ``Fraction`` properties.
 
 Rational values have bn = 0; their radicand is a formality and equality
 ignores it, so the same rational compares equal across fields.  Signs and
@@ -25,6 +25,7 @@ d*bn^2), never by floating point.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -33,6 +34,22 @@ from .cyclotomic import CyclotomicElem, MinPoly, minimal_polynomial
 from .signs import sign_of_real
 
 Scalar = Union[int, Fraction]
+
+
+def squarefree_cores(limit: int) -> array:
+    """cores[n] = the squarefree D with n = s^2 * D, for 1 <= n <= limit
+    (cores[0] = 0), so that s = isqrt(n // D); one sieve over the squares k^2.
+
+    Counting k down, the first k^2 to reach n is the largest square dividing
+    n.  An ``array`` of machine integers, 8 bytes each.
+    """
+    cores = array("q", range(limit + 1))
+    for k in range(math.isqrt(limit), 1, -1):
+        kk = k * k
+        for n in range(kk, limit + 1, kk):
+            if cores[n] == n:
+                cores[n] = n // kk
+    return cores
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
@@ -150,11 +167,11 @@ class QuadraticElem:
 
         Addition, subtraction and multiplication by an ``int`` skip it and
         build the result directly."""
-        if isinstance(other, int):
-            return self.an, self.bn, self.den, other, 0, 1, self.d
-        if isinstance(other, Fraction):
-            return self.an, self.bn, self.den, other.numerator, 0, other.denominator, self.d
-        if not isinstance(other, QuadraticElem):
+        if type(other) is not QuadraticElem:  # before the slow ABC check for Fraction
+            if isinstance(other, int):
+                return self.an, self.bn, self.den, other, 0, 1, self.d
+            if isinstance(other, Fraction):
+                return self.an, self.bn, self.den, other.numerator, 0, other.denominator, self.d
             return None
         d = self.d
         if other.d != d and other.bn != 0:

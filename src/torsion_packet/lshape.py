@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import QuadraticElem, squarefree_part
-from .exactnum.quadratic import _from_parts
+from .exactnum.quadratic import _from_parts, squarefree_cores
 from .tanratio import TangentRatio
 
 MuSource = Union[TangentRatio, QuadraticElem]
@@ -37,7 +38,7 @@ class AdmissibleTriple:
     def __post_init__(self):
         if not is_admissible(self.b, self.e):
             raise ValueError(f"(b={self.b}, e={self.e}) is not admissible")
-        if self.lam * self.lam != self.e * self.lam + self.b:
+        if self.lam * (self.lam - self.e) != self.b:
             raise ValueError(f"lambda = {self.lam} does not satisfy x^2 = {self.e}x + {self.b}")
 
     def __str__(self) -> str:
@@ -52,9 +53,15 @@ def make_triple(b: int, e: int) -> AdmissibleTriple:
     """Construct the triple for admissible (b, e), deriving lambda exactly."""
     if not is_admissible(b, e):
         raise ValueError(f"(b={b}, e={e}) is not admissible")
-    s, d = squarefree_part(e * e + 4 * b)
-    # The radicand is squarefree_part's d (or 2 for a rational lambda), so
-    # the constructor that skips the radicand check is safe here.
+    return _triple(b, e, squarefree_part(e * e + 4 * b)[1])
+
+
+def _triple(b: int, e: int, d: int) -> AdmissibleTriple:
+    """The triple for admissible (b, e), given the squarefree d with
+    e^2 + 4b = s^2 * d."""
+    s = isqrt((e * e + 4 * b) // d)
+    # The radicand is the squarefree d (or 2 for a rational lambda), so the
+    # constructor that skips the radicand check is safe here.
     if d == 1:
         # Perfect-square discriminant: lambda is rational (a square-tiled
         # case); the radicand of the stored element is then inert.
@@ -65,11 +72,15 @@ def make_triple(b: int, e: int) -> AdmissibleTriple:
 
 
 def enumerate_triples(b_max: int) -> Iterator[AdmissibleTriple]:
-    """All admissible (b, e) with b <= b_max, sorted by (b, e), one at a time."""
+    """All admissible (b, e) with b <= b_max, sorted by (b, e), one at a time.
+
+    The squarefree parts of the discriminants e^2 + 4b come from one sieve.
+    """
     if b_max < 1:
         raise ValueError(f"b_max must be positive, got {b_max}")
+    cores = squarefree_cores(4 * b_max + 1)
     return (
-        make_triple(b, e)
+        _triple(b, e, cores[e * e + 4 * b])
         for b in range(1, b_max + 1)
         for e in (-1, 0, 1)
         if is_admissible(b, e)
@@ -79,14 +90,13 @@ def enumerate_triples(b_max: int) -> Iterator[AdmissibleTriple]:
 def trace_norm_lambda_plus_one(t: AdmissibleTriple) -> tuple[int, int]:
     """(trace, norm) of lambda + 1, cross-checked against field arithmetic.
 
-    The closed forms are trace = e + 2 and norm = e + 1 - b.  The
-    conjugate of lambda is the second root e - lambda of the defining
-    quadratic; for irrational lambda this is the quadratic-field
-    conjugate, and for square discriminants it keeps the same formulas.
+    The closed forms are trace = e + 2 and norm = e + 1 - b.  The other
+    root of the defining quadratic is e - lambda, so that of lambda + 1 is
+    (e + 1) - lambda: for irrational lambda the quadratic-field conjugate.
     """
     trace, norm = t.e + 2, t.e + 1 - t.b
     lam1 = t.lam + 1
-    other1 = (t.e - t.lam) + 1
+    other1 = (t.e + 1) - t.lam
     if lam1 + other1 != trace or lam1 * other1 != norm:
         raise ArithmeticInconsistencyError(
             f"closed-form trace/norm ({trace}, {norm}) disagree with {lam1}"

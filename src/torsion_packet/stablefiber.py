@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
-from .exactnum import CyclotomicElem, sign_of_real
+from .exactnum import CyclotomicElem, inv_one_minus_zeta, sign_of_real
 
 
 class _AtInfinity:
@@ -618,34 +618,29 @@ class TorsionSolution:
     tangent_indices: tuple[int, ...]
 
 
-def _i_tan(m: int, n: int, a: int) -> CyclotomicElem:
-    # i*tan(a*pi/n) = (w - 1)/(w + 1) for w = zeta_n^a; defined while w != -1.
-    w = CyclotomicElem.zeta(m, (m // n) * (a % n))
-    return (w - 1) / (w + 1)
-
-
 def solve_torsion_pairs(order: int) -> TorsionSolution:
-    """Solve (x-1)^N = (-x-1)^N exactly by brute force over roots of unity.
+    """Solve (x-1)^N = (-x-1)^N exactly over the roots of unity.
 
     Writing u = (x-1)/(x+1), the equation says u^N = (-1)^N, so u runs over
     N-th roots of unity (negated for odd N); u = 1 corresponds to the
-    excluded solution at infinity, every other u gives x = (1+u)/(1-u).
-    Each solution is verified against the defining equation and matched
-    exactly to its i*tan(A*pi/N) form.
+    excluded solution at infinity, every other u gives
+    x = (1+u)/(1-u) = 2/(1-u) - 1.  Each solution is certified by one
+    product, x - 1 = u*(x + 1), and by u^N = (-1)^N checked on the exponent
+    of u = zeta^c; together they give (x-1)^N = u^N (x+1)^N = (-x-1)^N.
+    Each is then matched exactly to its i*tan(A*pi/N) form.
     """
     n = order
     if n < 2:
         raise ValueError(f"torsion order must be at least 2, got {n}")
     ambient = math.lcm(4, n)
+    half = ambient // 2  # zeta^half = -1
     solutions = []
     for a in range(n):
-        u = CyclotomicElem.zeta(ambient, (ambient // n) * a)
-        if n % 2:
-            u = -u
-        if u == 1:
+        c = ((ambient // n) * a + (half if n % 2 else 0)) % ambient  # u = zeta^c
+        if c == 0:
             continue
-        x = (1 + u) / (1 - u)
-        if (x - 1) ** n != (-x - 1) ** n:
+        x = 2 * inv_one_minus_zeta(ambient, c) - 1
+        if x - 1 != CyclotomicElem.zeta(ambient, c) * (x + 1) or (c - half) * n % ambient:
             raise ArithmeticInconsistencyError(f"solution {x!r} fails the defining equation")
         solutions.append(x)
     if len({(x.nums, x.den) for x in solutions}) != len(solutions):
@@ -659,7 +654,9 @@ def solve_torsion_pairs(order: int) -> TorsionSolution:
     amax = (n - 1) // 2
     indices: list[Optional[int]] = [None] * len(solutions)
     for a in range(-amax, amax + 1):
-        t = _i_tan(m, n, a)
+        # i*tan(a*pi/n) = (w - 1)/(w + 1) = 1 - 2/(1 - zeta_m^c) for w = zeta_n^a,
+        # since w + 1 = 1 - zeta_m^c with c = (m/n)*a + m/2 (w != -1, as |a| < n/2).
+        t = 1 - 2 * inv_one_minus_zeta(m, (m // n) * a + m // 2)
         key = (t.nums, t.den)
         if key not in lifted:
             raise ArithmeticInconsistencyError(f"i*tan({a}*pi/{n}) is not a solution")

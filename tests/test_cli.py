@@ -266,6 +266,18 @@ def test_decagon_exclude_r_values():
     assert inter["values"] == ["-1", "0"]
 
 
+def test_decagon_values_are_ordered_by_exact_signs(monkeypatch):
+    from torsion_packet.exactnum import CyclotomicElem
+
+    def no_floats(self):
+        raise AssertionError("complex_embedding decided an order")
+
+    monkeypatch.setattr(CyclotomicElem, "complex_embedding", no_floats)
+    values = {r["check"]: r["values"] for r in cmd_decagon("exclude-r").records}
+    assert values["R_x"] == ["-1", "0", "-1/2 + 1/2*sqrt(5)", "1/2 + 1/2*sqrt(5)"]
+    assert values["R_y"] == ["-1/2 - 1/2*sqrt(5)", "-1", "1/2 - 1/2*sqrt(5)", "0"]
+
+
 # --------------------------------------------------------------------------
 # report formats and determinism
 

@@ -27,6 +27,7 @@ from torsion_packet.exactnum import (
 )
 from torsion_packet.errors import ArithmeticInconsistencyError
 from torsion_packet.exactnum import cyclotomic, signs
+from torsion_packet.exactnum.quadratic import squarefree_cores
 from torsion_packet.exactnum.signs import _pi_ball, _precision_ceiling, _real_part_ball, cos_sin_ball
 
 
@@ -109,6 +110,18 @@ def test_rational_elements_hash_like_their_value():
     assert {CyclotomicElem.zero(5): "zero"}[0] == "zero"
     e = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
     assert hash(e) == hash(-1) and {e, -1} == {-1}
+
+
+def test_rational_equality_is_transitive_across_conductors():
+    one4, one12 = CyclotomicElem.one(4), CyclotomicElem.one(12)
+    assert one4 == 1 == one12 and one4 == one12 and one12 == one4
+    half5 = CyclotomicElem.from_rational(5, F(1, 2))
+    assert half5 == CyclotomicElem.from_rational(8, F(1, 2)) != one12
+    # A set's size does not depend on the insertion order.
+    assert len({1, one4, one12}) == 1 and len({one4, one12, 1}) == 1
+    assert len({one12, one4}) == 1 and len({F(1, 2), half5, one4}) == 2
+    # Only rational elements compare equal across conductors.
+    assert zeta(4) != zeta(4).to_conductor(12)
 
 
 def test_conductor_mismatch_raises():
@@ -301,8 +314,25 @@ def test_zero_has_no_inverse():
         CyclotomicElem.zero(5).inverse()
 
 
+def test_inverse_rejects_a_wrong_conjugate(monkeypatch):
+    # With every "conjugate" equal to e itself, the would-be norm e^4 is not
+    # rational, and the inverse refuses to divide by it.
+    monkeypatch.setattr(cyclotomic, "galois_apply", lambda e, k: e)
+    with pytest.raises(ArithmeticInconsistencyError, match="not rational"):
+        (zeta(5) + 2).inverse()
+
+
 # --------------------------------------------------------------------------
 # quadratic field elements
+
+
+def test_squarefree_cores_match_trial_division():
+    limit = 40_001
+    cores = squarefree_cores(limit)
+    assert len(cores) == limit + 1 and cores[0] == 0
+    for n in range(1, limit + 1):
+        d = cores[n]
+        assert squarefree_part(n) == (math.isqrt(n // d), d)
 
 
 def test_squarefree_part():
@@ -922,3 +952,20 @@ def test_cyclotomic_matches_fraction_reference(case):
     assert (x == y) == (rx.coeffs == ry.coeffs)
     if x == y:
         assert hash(x) == hash(y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([5, 8, 12, 20, 24, 60]).flatmap(
+        lambda m: st.lists(wide_rationals, min_size=euler_phi(m), max_size=euler_phi(m)).map(
+            lambda cs: CyclotomicElem(m, cs)
+        )
+    )
+)
+def test_galois_norm_inverse(a):
+    # The inverse is the product of the other Galois conjugates over the norm.
+    if a.is_zero():
+        return
+    inv = a.inverse()
+    assert a * inv == 1 and inv * a == 1
+    assert inv.inverse() == a

@@ -38,6 +38,14 @@ def test_pentagon_and_octagon_lambdas():
     assert octagon.lam == QuadraticElem(0, 1, 2)
 
 
+def test_sieved_enumeration_matches_make_triple():
+    pairs = [(b, e) for b in range(1, 301) for e in (-1, 0, 1) if is_admissible(b, e)]
+    sieved, direct = list(enumerate_triples(300)), [make_triple(b, e) for b, e in pairs]
+    assert sieved == direct
+    # Equality ignores the inert radicand of a rational lambda; compare it too.
+    assert [t.lam.d for t in sieved] == [t.lam.d for t in direct]
+
+
 def test_lambda_satisfies_its_quadratic():
     for t in enumerate_triples(50):
         assert t.lam * t.lam == t.e * t.lam + t.b

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torsion_packet.errors import ArithmeticInconsistencyError
-from torsion_packet.exactnum import CyclotomicElem, sign_of_real
+from torsion_packet import stablefiber
+from torsion_packet.exactnum import CyclotomicElem, inv_one_minus_zeta, sign_of_real
 from torsion_packet.stablefiber import (
     INFINITY,
     STRATUM2_CLOSED_FORM,
@@ -298,6 +299,32 @@ def test_torsion_counts_and_imaginarity():
 def test_torsion_rejects_tiny_order():
     with pytest.raises(ValueError):
         solve_torsion_pairs(1)
+
+
+def test_torsion_solver_inverts_no_general_element(monkeypatch):
+    # Both denominators, 1 - u and w + 1, are binomials 1 - zeta^c with a
+    # closed-form inverse, so the general inverse is never needed.
+    calls = []
+    general_inverse = CyclotomicElem.inverse
+
+    def counted(self):
+        calls.append(self.m)
+        return general_inverse(self)
+
+    monkeypatch.setattr(CyclotomicElem, "inverse", counted)
+    for n in range(2, 61):
+        ts = solve_torsion_pairs(n)
+        assert len(ts.solutions) == (n if n % 2 else n - 1)
+    assert calls == []
+
+
+def test_torsion_certificate_rejects_a_wrong_binomial_inverse(monkeypatch):
+    def off_by_one(m, c):
+        return inv_one_minus_zeta(m, c) + 1
+
+    monkeypatch.setattr(stablefiber, "inv_one_minus_zeta", off_by_one)
+    with pytest.raises(ArithmeticInconsistencyError, match="defining equation"):
+        solve_torsion_pairs(7)
 
 
 # --------------------------------------------------------------------------
