@@ -365,7 +365,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
         records = []
         all_excluded = True
         for r in rows:
-            verdict_row = lshape.exclude_against_table1(r, b_max)
+            verdict_row = lshape.exclude_against_table1(r)
             all_excluded = all_excluded and verdict_row.excluded
             records.append(
                 {

@@ -12,9 +12,10 @@ display.
 
 Galois automorphisms sigma_k : zeta -> zeta^k for gcd(k, m) = 1 act by
 permuting power-basis exponents and re-reducing.  The degree of an element
-is the size of its Galois orbit, and :func:`galois_orbit` is the one
-routine that counts it; :func:`minimal_polynomial` multiplies an orbit out
-only for callers that read its coefficients.
+is the size of its Galois orbit, which :func:`galois_orbit` lists for any
+element; tangent ratios count theirs more cheaply, as the index of a
+stabilizer (see ``tanratio``).  :func:`minimal_polynomial` multiplies a
+list of conjugates out only for callers that read its coefficients.
 """
 
 from __future__ import annotations
@@ -478,13 +479,11 @@ class MinPoly:
         return all(c.denominator == 1 for c in self.coeffs) and abs(self.coeffs[0]) == 1
 
 
-def galois_orbit(e: CyclotomicElem, cap: Optional[int] = None) -> list[CyclotomicElem]:
+def galois_orbit(e: CyclotomicElem) -> list[CyclotomicElem]:
     """The distinct images of ``e`` under the automorphisms of Q(zeta_m).
 
     Images are listed in the order of first appearance over the ascending
-    units k.  The orbit size is the degree of ``e`` over Q.  With ``cap``,
-    the scan stops as soon as it holds more than ``cap`` images, so the
-    result is the first min(cap + 1, degree) images of the full orbit.
+    units k.  The orbit size is the degree of ``e`` over Q.
 
     For a real ``e``, sigma_(m-k)(e) = conj(sigma_k(e)) = sigma_k(e), so every
     image first appears in the lower half of the units, and only that half
@@ -501,8 +500,6 @@ def galois_orbit(e: CyclotomicElem, cap: Optional[int] = None) -> list[Cyclotomi
         if key not in seen:
             seen.add(key)
             orbit.append(img)
-            if cap is not None and len(orbit) > cap:
-                break
     return orbit
 
 
@@ -511,10 +508,11 @@ def minimal_polynomial(
 ) -> MinPoly:
     """Minimal polynomial of ``e`` over Q, as the product over its Galois orbit.
 
-    ``orbit`` is ``galois_orbit(e)`` when the caller already holds it.  The
-    orbit product is irreducible, so the degree of the result equals the
-    orbit size.  A non-rational coefficient in the product indicates an
-    arithmetic bug (or a partial orbit) and aborts.
+    ``orbit`` lists the distinct conjugates of ``e`` when the caller already
+    holds them, and defaults to ``galois_orbit(e)``.  The orbit product is
+    irreducible, so the degree of the result equals the orbit size.  A
+    non-rational coefficient in the product indicates an arithmetic bug (or
+    a partial orbit) and aborts.
     """
     if orbit is None:
         orbit = galois_orbit(e)

@@ -88,16 +88,17 @@ def enumerate_triples(b_max: int) -> Iterator[AdmissibleTriple]:
 
 
 def trace_norm_lambda_plus_one(t: AdmissibleTriple) -> tuple[int, int]:
-    """(trace, norm) of lambda + 1, cross-checked against field arithmetic.
+    """(trace, norm) of lambda + 1, the norm cross-checked in the field.
 
     The closed forms are trace = e + 2 and norm = e + 1 - b.  The other
     root of the defining quadratic is e - lambda, so that of lambda + 1 is
     (e + 1) - lambda: for irrational lambda the quadratic-field conjugate.
+    The two roots sum to e + 2 whatever lambda is, so only their product
+    tests lambda.
     """
     trace, norm = t.e + 2, t.e + 1 - t.b
     lam1 = t.lam + 1
-    other1 = (t.e + 1) - t.lam
-    if lam1 + other1 != trace or lam1 * other1 != norm:
+    if lam1 * ((t.e + 1) - t.lam) != norm:
         raise ArithmeticInconsistencyError(
             f"closed-form trace/norm ({trace}, {norm}) disagree with {lam1}"
         )
@@ -146,18 +147,18 @@ class ExclusionVerdict:
     excluded: bool
 
 
-def matching_triples_for(trace: Fraction, norm: Fraction, b_max: int) -> list[AdmissibleTriple]:
-    """Admissible triples whose lambda + 1 has the given trace and norm."""
+def matching_triples_for(trace: Fraction, norm: Fraction) -> list[AdmissibleTriple]:
+    """Admissible triples whose lambda + 1 has the given trace and norm.
+
+    The trace fixes e and the norm then fixes b, so the answer covers every
+    admissible (b, e), with no bound on b.
+    """
     trace, norm = Fraction(trace), Fraction(norm)
-    if trace.denominator != 1 or trace not in (1, 2, 3):
-        return []
-    if norm.denominator != 1:
+    if trace.denominator != 1 or trace not in (1, 2, 3) or norm.denominator != 1:
         return []
     e = int(trace) - 2
     b = e + 1 - int(norm)
-    if b < 1 or b > b_max or not is_admissible(b, e):
-        return []
-    return [make_triple(b, e)]
+    return [make_triple(b, e)] if is_admissible(b, e) else []
 
 
 def _match_reason(trace: Fraction, norm: Fraction, matches: list[AdmissibleTriple]) -> str:
@@ -185,11 +186,12 @@ def as_quadratic_ratio(mu_source: MuSource) -> QuadraticElem:
     raise TypeError(f"cannot read a quadratic ratio from {mu_source!r}")
 
 
-def exclude_against_table1(row: MuSource, b_max: int = 10_000) -> ExclusionVerdict:
-    """Test mu, -mu, 1/mu, -1/mu against all admissible (b, e) up to b_max.
+def exclude_against_table1(row: MuSource) -> ExclusionVerdict:
+    """Test mu, -mu, 1/mu, -1/mu against every admissible (b, e).
 
-    The bound is defensive: when a candidate's trace and norm are both
-    integers in range, the norm determines b directly.
+    No bound on b is needed: when a candidate's trace and norm are both
+    integers in range, they determine (b, e) (``matching_triples_for``), so
+    an exclusion holds for all admissible parameters.
     """
     mu = as_quadratic_ratio(row)
     candidates = []
@@ -201,7 +203,7 @@ def exclude_against_table1(row: MuSource, b_max: int = 10_000) -> ExclusionVerdi
         ("-1/mu", -mu.inverse()),
     ):
         trace, norm = value.trace(), value.norm()
-        matches = matching_triples_for(trace, norm, b_max)
+        matches = matching_triples_for(trace, norm)
         all_matches.extend(m for m in matches if m not in all_matches)
         candidates.append(
             CandidateCheck(

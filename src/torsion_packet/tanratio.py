@@ -7,35 +7,44 @@ field: with zeta = exp(i*pi*p/q) one has
     tan(pi*p/q) = -i (zeta - 1/zeta) / (zeta + 1/zeta),
 
 so the natural home of tan(pi*p/q) is Q(zeta_m) with m = lcm(4, 2q)
-(the 4 contributes i).  The degree of mu is the size of its Galois orbit
-(``exactnum.galois_orbit``); the enumeration over a denominator bound keeps
-a pair exactly when that size equals the requested degree.
+(the 4 contributes i).
+
+The degree of mu is an index.  The automorphism zeta_m -> zeta_m^k sends
+mu to tan(pi*k*beta)/tan(pi*k*alpha) (the factors of i cancel in the
+ratio).  For alpha = p1/q1, beta = p2/q2 this depends only on k mod
+L = lcm(q1, q2) (tan has period pi) and only on +-k (tan is odd), so
+Galois acts on mu through G = (Z/L)^*/{+-1}, and deg mu = |G|/|Stab(mu)|.
+``_stabilizer`` certifies Stab(mu) in two steps:
+
+* A float scan reads each conjugate as one division of two entries of a
+  tan table.  Each entry is s/c, correctly rounded, for integer balls
+  (c, s) +- rad around cos and sin at 96 bits
+  (``exactnum.signs.cos_sin_ball``), so it has a proven relative error
+  bound, and two computed conjugates of equal true value lie within 2^-48
+  relative of each other (see ``_REL_SEPARATION``).  A unit k whose
+  conjugate is farther than that from mu has sigma_k(mu) != mu; the
+  others form the candidate set C.  Every k in Stab(mu) computes to mu's
+  value within that bound, so Stab(mu) is contained in C.
+* Each candidate c != 1 is decided exactly: sigma_c'(mu) == mu, where
+  c' = c or c + L, whichever is odd, is a unit mod m congruent to c mod L.
+
+Both steps are exact, so no fallback exists, and when C = {1} no exact
+arithmetic runs.  The scan also stops, with no exact step, once more
+conjugates than a given cap are pairwise separated: the degree then
+provably exceeds the cap.  The minimal polynomial multiplies out one
+conjugate per coset of Stab(mu), and ``exactnum.minimal_polynomial``
+checks that its coefficients are rational.
 
 The enumeration classifies one pair per Galois orbit, not every pair.
-The automorphism zeta_m -> zeta_m^k sends mu to tan(pi*k*beta)/tan(pi*k*alpha)
-(the factors of i cancel in the ratio).  Folding an angle back into
-(0, 1/2) changes a tangent only by a sign, and swapping the two angles
-inverts mu; neither changes the degree.  So the degree is constant on the
-orbit of the unordered, folded pair {p1/q1, p2/q2} under the units k, and
-the orbit keeps both denominators.  Scaling by k = p1^-1 mod q1 gives
-p1 = 1; the units that then fix 1/q1 up to sign move p2 freely within
-its class +-p2*p1^-1 mod g, g = gcd(q1, q2).  The orbit's key is
-therefore (q1, q2, c) with q1 <= q2 and c the least of +-p2*p1^-1 mod g,
-where for q1 = q2 the swap also identifies c with c^-1 (see ``_orbit_key``).
-
-Each orbit goes through one degree filter, applied to its representative
-1/q1 and the least p2/q2 of its class.  The conjugates of the
-representative are evaluated as one float division of two entries of a
-tan table.  Each entry is s/c, correctly rounded, for integer balls
-(c, s) +- rad around cos and sin at 96 bits (``exactnum.signs.cos_sin_ball``,
-rad <= 2), so it carries a proven relative error bound; from that bound
-follows a relative separation that certifies two computed conjugates as
-truly distinct (see ``_REL_SEPARATION``).  An orbit is
-dropped only when more conjugates than the requested degree are
-certified pairwise distinct.  Every other representative is confirmed by
-an exact orbit count capped just above the target, and only an orbit whose
-exact degree equals the target is expanded into its member pairs, so no
-verdict rests on floating point.
+Folding an angle back into (0, 1/2) changes a tangent only by a sign, and
+swapping the two angles inverts mu; neither changes the stabilizer, and G
+is abelian, so the whole orbit of the unordered, folded pair
+{p1/q1, p2/q2} under the units k shares L and Stab(mu).  Scaling by
+k = p1^-1 mod q1 gives p1 = 1; the units that then fix 1/q1 up to sign
+move p2 freely within its class +-p2*p1^-1 mod g, g = gcd(q1, q2).  The
+orbit's key is therefore (q1, q2, c) with q1 <= q2 and c the least of
++-p2*p1^-1 mod g, where for q1 = q2 the swap also identifies c with c^-1
+(see ``_orbit_key``).
 
 Only finitely many pairs produce a ratio of any fixed degree, but that
 finiteness is ineffective; the enumeration here is a bounded search, and
@@ -49,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import (
@@ -57,8 +66,7 @@ from .exactnum import (
     MinPoly,
     QuadraticElem,
     conductor_units,
-    euler_phi,
-    galois_orbit,
+    galois_apply,
     inv_one_minus_zeta,
     minimal_polynomial,
     real_display,
@@ -69,7 +77,7 @@ from .exactnum.signs import cos_sin_ball
 # Working precision of the tan-table balls, and the largest relative width
 # an enclosure of a tangent may have.  At 96 bits the cosine and sine balls
 # have radius at most 2 (see ``cos_sin_ball``), so the widest enclosure for
-# any denominator up to 200 is about 2^-86 relative; the builder checks
+# any denominator up to 200 is about 2^-86 relative; ``_tan_row`` checks
 # every enclosure against the limit all the same.
 _TABLE_BITS = 96
 _TABLE_MAX_REL_WIDTH_BITS = 60
@@ -93,9 +101,6 @@ _TABLE_MAX_REL_WIDTH_BITS = 60
 # nonzero and, for any bound in reach, far from float underflow and
 # overflow, so the relative bounds above hold.
 _REL_SEPARATION = 2.0**-48
-
-# Largest field degree for which an exact orbit confirmation is attempted.
-_EXACT_DEGREE_GUARD = 600
 
 
 @dataclass(frozen=True, order=True)
@@ -190,30 +195,51 @@ def sin_of(angle: RationalAngle) -> CyclotomicElem:
 
 
 class TangentRatio:
-    """A classified ratio mu = tan(pi*beta)/tan(pi*alpha).
+    """A classified ratio mu = tan(pi*beta)/tan(pi*alpha), computed lazily.
 
-    ``degree`` is the size of the Galois orbit of ``mu``, computed on first
-    access.  ``minpoly``, and with it ``trace``, ``norm`` and ``is_unit``,
-    multiplies that orbit out on first access; callers read them only for
-    ratios of degree at most 2.
+    ``stabilizer`` is (degree, Stab(mu)) from ``_stabilizer``.  ``mu`` is
+    built only for an exact check or the minimal polynomial, so a ratio of
+    degree above 2 is displayed from its conductor alone.  ``minpoly`` (and
+    ``trace``, ``norm``, ``is_unit``) takes one conjugate per coset of Stab.
     """
 
-    def __init__(self, alpha: RationalAngle, beta: RationalAngle, mu: CyclotomicElem):
+    def __init__(self, alpha: RationalAngle, beta: RationalAngle):
         self.alpha = alpha
         self.beta = beta
-        self.mu = mu
 
     @cached_property
-    def orbit(self) -> list[CyclotomicElem]:
-        return galois_orbit(self.mu)
+    def mu(self) -> CyclotomicElem:
+        """mu in the common conductor of the two angles."""
+        alpha, beta = self.alpha, self.beta
+        m = _common_conductor(alpha, beta)
+        mu = _tan_value(beta, m) * _cot_value(alpha, m)
+        if not mu.is_real():
+            raise ArithmeticInconsistencyError(f"ratio of tangents {alpha}, {beta} is not real")
+        return mu
+
+    @cached_property
+    def stabilizer(self) -> tuple[int, tuple[int, ...]]:
+        a, b = self.alpha, self.beta
+        return _stabilizer(
+            a.numerator, a.denominator, b.numerator, b.denominator, None, lambda: self.mu
+        )
 
     @property
     def degree(self) -> int:
-        return len(self.orbit)
+        return self.stabilizer[0]
 
     @cached_property
     def minpoly(self) -> MinPoly:
-        return minimal_polynomial(self.mu, self.orbit)
+        _, stab = self.stabilizer
+        lcm = math.lcm(self.alpha.denominator, self.beta.denominator)
+        mu = self.mu
+        covered: set[int] = set()
+        images = []
+        for g in range(1, lcm // 2 + 1):
+            if g not in covered and math.gcd(g, lcm) == 1:
+                covered.update(_fold_mod(g * s, lcm) for s in stab)
+                images.append(galois_apply(mu, g if g % 2 else g + lcm))
+        return minimal_polynomial(mu, images)
 
     @property
     def is_unit(self) -> bool:
@@ -235,7 +261,8 @@ class TangentRatio:
 
     def mu_display(self) -> str:
         if self.degree > 2:
-            return f"degree-{self.degree} element of Q(zeta_{self.mu.m})"
+            m = _common_conductor(self.alpha, self.beta)
+            return f"degree-{self.degree} element of Q(zeta_{m})"
         return real_display(self.mu, self.minpoly)
 
     def __repr__(self) -> str:
@@ -243,110 +270,85 @@ class TangentRatio:
 
 
 def ratio(alpha: RationalAngle, beta: RationalAngle) -> TangentRatio:
-    """tan(pi*beta)/tan(pi*alpha) in the common conductor, classified."""
+    """tan(pi*beta)/tan(pi*alpha) in the common conductor, classified lazily."""
     if not alpha < beta:
         raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
-    m = _common_conductor(alpha, beta)
-    mu = _tan_value(beta, m) * _cot_value(alpha, m)
-    if not mu.is_real():
-        raise ArithmeticInconsistencyError(f"ratio of tangents {alpha}, {beta} is not real")
-    return TangentRatio(alpha, beta, mu)
+    return TangentRatio(alpha, beta)
 
 
 # --------------------------------------------------------------------------
-# Degree filtering
+# The degree as the index of a certified stabilizer
 
 
-def _units_half(m: int) -> Iterator[int]:
-    # mu and all its conjugates are real, so sigma_k and sigma_(m-k) agree
-    # on them; one representative per pair {k, m-k} suffices.  Every
-    # conductor here is a multiple of 4, so the units are odd.  Lazy: the
-    # float filter usually stops after a handful of units.
-    return (k for k in range(1, m // 2 + 1, 2) if math.gcd(k, m) == 1)
+@lru_cache(maxsize=None)
+def _tan_row(q: int) -> tuple[float, ...]:
+    """Floats of tan(pi*r/q), r = 0, ..., q - 1; 0.0 where gcd(r, q) > 1.
 
-
-def _tan_table(max_denominator: int) -> dict[int, list[float]]:
-    """Floats of tan(pi*r/q) for every reduced r/q in (0, 1), q <= max_denominator.
-
-    ``table[q][r]`` is s/c correctly rounded, where (c, s, rad) is the
-    ``cos_sin_ball`` of the angle at 96 bits, so the tangent lies in
-    [(s - rad)/(c + rad), (s + rad)/(c - rad)]; that enclosure is checked to
-    be positive with relative width <= 2^-60, so an entry's relative error
-    is at most (1 + 2^-53)(1 + 2^-60) - 1.  Entries with gcd(r, q) > 1 are
-    never read and hold 0.0.
+    Each entry is s/c correctly rounded, for the ``cos_sin_ball`` (c, s, rad)
+    at 96 bits; the enclosure [(s - rad)/(c + rad), (s + rad)/(c - rad)] of
+    the tangent is checked to be positive with relative width <= 2^-60.
     """
-    table = {}
-    for q in range(3, max_denominator + 1):
-        row = [0.0] * q
-        for r in range(1, (q + 1) // 2):
-            if math.gcd(r, q) == 1:
-                c, s, rad = cos_sin_ball(r, q, _TABLE_BITS)
-                # Width of the enclosure, 2 rad (s + c) / (c^2 - rad^2), at
-                # most 2^-60 times its lower end (s - rad)/(c + rad).
-                if not (s > rad and c > rad) or (
-                    2 * rad * (s + c) << _TABLE_MAX_REL_WIDTH_BITS
-                ) > (s - rad) * (c - rad):
-                    raise ArithmeticInconsistencyError(
-                        f"enclosure of tan(pi*{r}/{q}) from the balls ({c}, {s}) +- {rad} "
-                        f"is not positive with relative width at most 2^-60"
-                    )
-                row[r] = s / c
-                # tan(pi*(q-r)/q) = -tan(pi*r/q), and negation is exact.
-                row[q - r] = -row[r]
-        table[q] = row
-    return table
+    row = [0.0] * q
+    for r in _numerators(q):
+        c, s, rad = cos_sin_ball(r, q, _TABLE_BITS)
+        # Width of the enclosure, 2 rad (s + c) / (c^2 - rad^2), at most
+        # 2^-60 times its lower end (s - rad)/(c + rad).
+        if not (s > rad and c > rad) or (
+            2 * rad * (s + c) << _TABLE_MAX_REL_WIDTH_BITS
+        ) > (s - rad) * (c - rad):
+            raise ArithmeticInconsistencyError(
+                f"enclosure of tan(pi*{r}/{q}) from the balls ({c}, {s}) +- {rad} "
+                f"is not positive with relative width at most 2^-60"
+            )
+        row[r] = s / c
+        # tan(pi*(q-r)/q) = -tan(pi*r/q), and negation is exact.
+        row[q - r] = -row[r]
+    return tuple(row)
 
 
-def _float_degree_exceeds(
-    ta: list[float], pa: int, tb: list[float], pb: int, units: Iterable[int], cap: int
-) -> bool:
-    """True only when mu provably has more than ``cap`` distinct conjugates.
+def _stabilizer(
+    pa: int, qa: int, pb: int, qb: int, cap: Optional[int], mu: Callable[[], CyclotomicElem]
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(degree, Stab) of mu = tan(pi*pb/qb)/tan(pi*pa/qa), or None above ``cap``.
 
-    The conjugates of mu = tan(pi*pb/qb)/tan(pi*pa/qa) are
-    tan(pi*k*pb/qb)/tan(pi*k*pa/qa) over the units k <= m/2, with the
-    tangents read from tan-table rows ``ta`` and ``tb`` (row q has length
-    q).  Two values are counted apart only when their gap certifies them
-    distinct (see _REL_SEPARATION).  A False answer is never trusted:
-    callers confirm survivors exactly.
+    G = (Z/L)^*/{+-1}, L = lcm(qa, qb), is walked as the units k <= L/2
+    (see the module docstring).  None means that more than ``cap``
+    conjugates were certified pairwise distinct; with no cap, the pairwise
+    count is skipped.  ``mu()`` is called only if a candidate other than 1
+    needs its exact check.  An index that is not an integer, or is below
+    the count of certified distinct conjugates, raises.
     """
-    qa, qb = len(ta), len(tb)
-    reps: list[float] = []
-    for k in units:
+    lcm = math.lcm(qa, qb)
+    ta, tb = _tan_row(qa), _tan_row(qb)
+    value = tb[pb] / ta[pa]
+    reps = [value]  # pairwise certified distinct conjugates, mu first
+    candidates = []
+    order = 1
+    for k in range(2, lcm // 2 + 1):
+        if math.gcd(k, lcm) != 1:
+            continue
+        order += 1
         v = tb[k * pb % qb] / ta[k * pa % qa]
-        for r in reps:
-            if abs(v - r) <= _REL_SEPARATION * max(abs(v), abs(r)):
-                break
-        else:
-            reps.append(v)
-            if len(reps) > cap:
-                return True
-    return False
-
-
-def _confirm_degree(
-    alpha: RationalAngle, beta: RationalAngle, degree: int
-) -> Optional[TangentRatio]:
-    """``ratio(alpha, beta)`` if mu has exactly ``degree`` conjugates, else None.
-
-    The orbit count stops as soon as it exceeds ``degree``, so an orbit of
-    exactly ``degree`` images is complete; it becomes the ratio's cached
-    ``orbit``.
-    """
-    m = _common_conductor(alpha, beta)
-    if euler_phi(m) > _EXACT_DEGREE_GUARD:
-        # No ratio of degree <= 2 is expected outside small conductors; a
-        # survivor here means either a numeric artifact or a discovery,
-        # and both must be surfaced loudly rather than decided cheaply.
+        if abs(v - value) <= _REL_SEPARATION * max(abs(v), abs(value)):
+            candidates.append(k)
+        elif cap is not None:
+            for r in reps:
+                if abs(v - r) <= _REL_SEPARATION * max(abs(v), abs(r)):
+                    break
+            else:
+                reps.append(v)
+                if len(reps) > cap:
+                    return None
+    stab = [1]
+    if candidates:
+        exact = mu()
+        stab += [c for c in candidates if galois_apply(exact, c if c % 2 else c + lcm) == exact]
+    if order % len(stab) or order // len(stab) < len(reps):
         raise ArithmeticInconsistencyError(
-            f"pair ({alpha}, {beta}) passed the numeric degree filter but its "
-            f"conductor {m} is too large for exact confirmation"
+            f"stabilizer {stab} of tan(pi*{pb}/{qb})/tan(pi*{pa}/{qa}) in a group of order "
+            f"{order} does not have an integer index of at least {len(reps)}"
         )
-    t = ratio(alpha, beta)
-    orbit = galois_orbit(t.mu, degree)
-    if len(orbit) != degree:
-        return None
-    t.orbit = orbit
-    return t
+    return order // len(stab), tuple(stab)
 
 
 @lru_cache(maxsize=None)
@@ -438,39 +440,34 @@ def _orbit_members(key: _OrbitKey) -> list[tuple[_Angle, _Angle]]:
 def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRatio]:
     """All ratios of the requested degree with both denominators bounded.
 
-    The degree of mu is constant on the Galois orbit of its folded,
-    unordered angle pair (see the module docstring), so one representative
-    per orbit is classified; the orbits come from ``_orbit_keys`` in
-    integers.  The representative's conjugates are evaluated in floating
-    point from a tan table built once per call, whose entries have
-    relative error below 2^-53 + 2^-59; the orbit is dropped as soon as
-    ``degree_target + 1`` conjugates are pairwise separated by more than
-    2^-48 relative, a gap that two equal conjugates provably cannot show,
-    so its degree is provably larger.  A representative that is not
-    dropped is confirmed by a capped exact orbit count, and an orbit of
-    exactly the target degree is expanded into its member pairs; the
-    representative keeps its confirmed ratio and every other member is
-    classified by ``ratio``.  Output is sorted by (alpha, beta).
+    One representative per Galois orbit of angle pairs is classified (see
+    the module docstring); the orbits come from ``_orbit_keys`` in
+    integers.  ``_stabilizer`` drops the orbit as soon as
+    ``degree_target + 1`` conjugates are certified pairwise distinct, and
+    otherwise certifies the stabilizer, building mu only for an exact
+    check.  An orbit of exactly the target degree is expanded into its
+    member pairs, each handed the representative's stabilizer.  Output is
+    sorted by (alpha, beta).
     """
     if degree_target < 1:
         raise ValueError(f"degree target must be positive, got {degree_target}")
     if max_denominator < 3:
         raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
-    table = _tan_table(max_denominator)
-    kept: dict[tuple[RationalAngle, RationalAngle], Optional[TangentRatio]] = {}
+    kept: list[TangentRatio] = []
     for key in _orbit_keys(max_denominator):
         (pa, qa), (pb, qb) = _orbit_representative(key)
-        units = _units_half(math.lcm(4, 2 * qa, 2 * qb))  # _common_conductor, inlined
-        if _float_degree_exceeds(table[qa], pa, table[qb], pb, units, degree_target):
+        found = _stabilizer(
+            pa, qa, pb, qb, degree_target,
+            lambda: ratio(RationalAngle.of(pa, qa), RationalAngle.of(pb, qb)).mu,
+        )
+        if found is None or found[0] != degree_target:
             continue
-        alpha, beta = RationalAngle.of(pa, qa), RationalAngle.of(pb, qb)
-        confirmed = _confirm_degree(alpha, beta, degree_target)
-        if confirmed is not None:
-            kept.update(
-                ((RationalAngle.of(*a), RationalAngle.of(*b)), None) for a, b in _orbit_members(key)
-            )
-            kept[alpha, beta] = confirmed
-    return [kept[pair] or ratio(*pair) for pair in sorted(kept)]
+        for a, b in _orbit_members(key):
+            t = ratio(RationalAngle.of(*a), RationalAngle.of(*b))
+            t.stabilizer = found
+            kept.append(t)
+    kept.sort(key=lambda t: (t.alpha.value, t.beta.value))
+    return kept
 
 
 # --------------------------------------------------------------------------

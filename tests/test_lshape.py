@@ -82,7 +82,6 @@ def test_trace_norm_closed_form_matches_field_arithmetic():
         if not t.lam.is_rational():
             # quadratic-field trace/norm agree with the defining-quadratic frame
             assert lam1.trace() == trace and lam1.norm() == norm
-        assert lam1 + (t.e - t.lam + 1) == trace
         assert lam1 * (t.e - t.lam + 1) == norm
         assert trace in (1, 2, 3) and norm <= -1
 
@@ -145,8 +144,8 @@ def test_exclusion_rejects_wrong_degree_or_units():
 def test_engine_sensitivity_to_norm_mutation():
     # A trace-compatible synthetic mutation must produce a match: trace 2
     # with norm -1 corresponds to the octagon parameters.
-    assert [(t.b, t.e) for t in matching_triples_for(F(2), F(-1), 100)] == [(2, 0)]
-    assert [(t.b, t.e) for t in matching_triples_for(F(1), F(-1), 100)] == [(1, -1)]
+    assert [(t.b, t.e) for t in matching_triples_for(F(2), F(-1))] == [(2, 0)]
+    assert [(t.b, t.e) for t in matching_triples_for(F(1), F(-1))] == [(1, -1)]
     # 1 + sqrt(2) has trace 2, norm -1: the engine reports a match,
     # so the nine exclusions above are not vacuous.
     verdict = exclude_against_table1(QuadraticElem(1, 1, 2))
@@ -155,11 +154,19 @@ def test_engine_sensitivity_to_norm_mutation():
 
 
 def test_matching_requires_admissibility():
-    assert matching_triples_for(F(3), F(-2), 100) == [make_triple(4, 1)]
-    assert matching_triples_for(F(3), F(-1), 100) == []  # b = 3 odd with e = 1
-    assert matching_triples_for(F(2), F(1, 5), 100) == []  # non-integral norm
-    assert matching_triples_for(F(4), F(-1), 100) == []  # trace out of range
-    assert matching_triples_for(F(2), F(-70), 20) == []  # b exceeds the bound
+    assert matching_triples_for(F(3), F(-2)) == [make_triple(4, 1)]
+    assert matching_triples_for(F(3), F(-1)) == []  # b = 3 odd with e = 1
+    assert matching_triples_for(F(2), F(1, 5)) == []  # non-integral norm
+    assert matching_triples_for(F(4), F(-1)) == []  # trace out of range
+
+
+def test_exclusion_has_no_bound_on_b():
+    # 1 + sqrt(20001) has trace 2 and norm -20,000, the lambda + 1 of
+    # (b=20001, e=0): the norm fixes b, however large.
+    assert [(t.b, t.e) for t in matching_triples_for(F(2), F(-20_000))] == [(20_001, 0)]
+    verdict = exclude_against_table1(QuadraticElem(1, 1, 20_001))
+    assert not verdict.excluded
+    assert [(t.b, t.e) for t in verdict.matching_triples] == [(20_001, 0)]
 
 
 def test_candidate_set_closed_under_inversion():

@@ -6,26 +6,28 @@ from typing import Optional
 
 import pytest
 
+from torsion_packet import cli, tanratio
 from torsion_packet.exactnum import (
     CyclotomicElem,
     MinPoly,
     QuadraticElem,
+    cyclotomic,
     galois_apply,
+    galois_orbit,
     minimal_polynomial,
     sign_of_real,
 )
 from torsion_packet.stablefiber import solve_torsion_pairs
 from torsion_packet.tanratio import (
     RationalAngle,
+    _REL_SEPARATION,
     _common_conductor,
-    _float_degree_exceeds,
     _orbit_key,
     _orbit_keys,
     _orbit_members,
     _orbit_representative,
     _tan_parts,
-    _tan_table,
-    _units_half,
+    _tan_row,
     angles_up_to,
     check_addition_formula,
     enumerate_ratios,
@@ -55,8 +57,10 @@ def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> O
     num = nb * da
     den = db * na
     reps: list[tuple[CyclotomicElem, CyclotomicElem]] = [(num, den)]
-    for k in _units_half(m):
-        if k == 1:
+    # mu is real, so the units k < m/2 give every conjugate; m is a multiple
+    # of 4, so they are odd.
+    for k in range(3, m // 2, 2):
+        if math.gcd(k, m) != 1:
             continue
         nk = galois_apply(num, k)
         dk = galois_apply(den, k)
@@ -211,8 +215,8 @@ def test_enumerate_parameter_validation():
 
 def test_numeric_prefilter_agrees_with_exact_path():
     # Oracle: exact orbit counting on every pair up to bound 14.  The
-    # certified float filter with exact confirmation keeps exactly the
-    # pairs of each exact degree.
+    # certified stabilizer routine keeps exactly the pairs of each exact
+    # degree.
     angles = angles_up_to(14)
     exact_degree = {
         (a.value, b.value): _pair_degree_exact(a, b, 4)
@@ -226,18 +230,26 @@ def test_numeric_prefilter_agrees_with_exact_path():
 
 
 def _pair_scan(degree, max_denominator):
-    # The per-pair scan the orbit scan replaced: the certified float filter
-    # on every pair, then exact orbit counting on the survivors.
+    # The per-pair scan the orbit scan replaced: on every pair a float
+    # filter over the units k < m/2 of the conductor (the certified
+    # separation, counted greedily up to degree + 1), then exact orbit
+    # counting on the survivors.
     angles = angles_up_to(max_denominator)
-    table = _tan_table(max_denominator)
     kept = []
     for i, a in enumerate(angles):
         for b in angles[i + 1 :]:
             m = math.lcm(a.conductor, b.conductor)
-            ta, tb = table[a.denominator], table[b.denominator]
-            if _float_degree_exceeds(ta, a.numerator, tb, b.numerator, _units_half(m), degree):
-                continue
-            if _pair_degree_exact(a, b, degree) == degree:
+            ta, tb = _tan_row(a.denominator), _tan_row(b.denominator)
+            reps = []
+            for k in range(1, m // 2, 2):
+                if math.gcd(k, m) != 1:
+                    continue
+                v = tb[k * b.numerator % b.denominator] / ta[k * a.numerator % a.denominator]
+                if all(abs(v - r) > _REL_SEPARATION * max(abs(v), abs(r)) for r in reps):
+                    reps.append(v)
+                    if len(reps) > degree:
+                        break
+            if len(reps) <= degree and _pair_degree_exact(a, b, degree) == degree:
                 kept.append((a.value, b.value))
     return kept
 
@@ -257,6 +269,62 @@ def test_orbit_scan_matches_pair_scan():
         assert len(keys) == len(set(keys)) == orbits
         assert _pair_count(bound) == pairs
         assert sum(len(_orbit_members(k)) for k in keys) == pairs
+
+
+def test_degree_is_the_orbit_size_on_every_orbit_representative():
+    # The stabilizer index against the exact orbit, on all 191 orbits up to
+    # denominator 20.
+    reps = [_orbit_representative(key) for key in _orbit_keys(20)]
+    assert len(reps) == 191
+    for a, b in reps:
+        r = ratio(ang(*a), ang(*b))
+        assert r.degree == len(galois_orbit(r.mu)), (a, b)
+
+
+def _handoff_degrees(n):
+    positive = [a for a in solve_torsion_pairs(n).tangent_indices if a > 0]
+    return [
+        ratio(RationalAngle(F(a, n)), RationalAngle(F(b, n))).degree
+        for a in positive
+        for b in positive
+        if a < b
+    ]
+
+
+def test_degrees_hold_when_every_unit_is_a_candidate(monkeypatch):
+    # With a separation no gap can exceed, nothing is certified distinct:
+    # every unit is a stabilizer candidate and is decided exactly, and the
+    # float scan never drops an orbit.
+    def classified():
+        rows = [
+            [(r.alpha.value, r.beta.value, r.trace, r.norm) for r in enumerate_ratios(d, 14)]
+            for d in range(1, 5)
+        ]
+        return rows, _handoff_degrees(12)
+
+    certified = classified()
+    monkeypatch.setattr(tanratio, "_REL_SEPARATION", 2.0)
+    assert classified() == certified
+
+
+def test_stratum2_handoff_needs_no_exact_orbit(monkeypatch):
+    def no_orbit(*args, **kwargs):
+        raise AssertionError("galois_orbit called")
+
+    calls = []
+
+    def counting(e, k):
+        calls.append(k)
+        return galois_apply(e, k)
+
+    monkeypatch.setattr(cyclotomic, "galois_orbit", no_orbit)
+    monkeypatch.setattr(tanratio, "galois_apply", counting)
+    report = cli.cmd_stratum2(41)
+    assert report.verdict == "verified"
+    # Every handoff at N = 41 has no stabilizer candidate but 1, so the
+    # degrees need no exact arithmetic at all.
+    assert len([r for r in report.records if r["stage"] == "handoff"]) == 190
+    assert calls == []
 
 
 def _brute_force_orbit(a, b):
@@ -296,11 +364,10 @@ def test_orbit_key_matches_brute_force_orbits():
 def test_tan_table_entries_within_their_error_bound():
     # Ties the float table to the exact core: every entry t with q <= 12
     # has the exact tangent strictly between t*(1 - 2^-52) and t*(1 + 2^-52).
-    table = _tan_table(12)
-    assert sorted(table) == list(range(3, 13))
     eps = F(1, 2**52)
     checked = 0
-    for q, row in table.items():
+    for q in range(3, 13):
+        row = _tan_row(q)
         assert len(row) == q
         for r in range(1, q):
             if math.gcd(r, q) != 1:
@@ -318,7 +385,8 @@ def test_tan_table_entries_within_their_error_bound():
     # entry up to q = 60 is within 4 ulp of the libm tangent.  tan is
     # ill-conditioned near pi/2, so angles above pi/4 use
     # tan x = 1/tan(pi/2 - x), whose argument the reference rounds well.
-    for q, row in _tan_table(60).items():
+    for q in range(3, 61):
+        row = _tan_row(q)
         for r in range(1, q):
             if math.gcd(r, q) != 1:
                 continue
