@@ -330,6 +330,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
     if b_max < 3:
         raise UsageError(f"--b-max must be at least 3, got {b_max}")
     start = time.perf_counter()
+    parameters: dict[str, Any] = {"b_max": b_max}
     if subcommand == "enumerate":
         # lambda is kept as its display string, so that no triple outlives
         # the loop that checks it.
@@ -347,7 +348,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
             )
         verdict = VERIFIED
     elif subcommand == "unit-case":
-        triples = lshape.unit_case_triples(b_max)
+        triples = lshape.unit_case_triples()
         expected = [(1, -1), (2, 0)]
         records = [
             {
@@ -387,11 +388,12 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
                 }
             )
         verdict = VERIFIED if all_excluded and len(rows) == 9 else REFUTED
+        parameters["scope"] = "every admissible (b, e), since the norm of lambda + 1 fixes b"
     else:
         raise UsageError(f"unknown lshape subcommand {subcommand!r}")
     return Report(
         command=f"lshape {subcommand}",
-        parameters={"b_max": b_max},
+        parameters=parameters,
         verdict=verdict,
         records=records,
         elapsed_ms=_ms_since(start),

@@ -27,7 +27,7 @@ from .tanratio import TangentRatio
 MuSource = Union[TangentRatio, QuadraticElem]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AdmissibleTriple:
     """(b, e) with the derived lambda = (e + sqrt(e^2 + 4b))/2."""
 
@@ -35,14 +35,43 @@ class AdmissibleTriple:
     e: int
     lam: QuadraticElem
 
-    def __post_init__(self):
-        if not is_admissible(self.b, self.e):
-            raise ValueError(f"(b={self.b}, e={self.e}) is not admissible")
-        if self.lam * (self.lam - self.e) != self.b:
-            raise ValueError(f"lambda = {self.lam} does not satisfy x^2 = {self.e}x + {self.b}")
+    def __init__(self, b: int, e: int, lam: QuadraticElem):
+        """Certify that (b, e) is admissible and lam the positive root of
+        x^2 = e*x + b.
+
+        With lam = (an + bn*sqrt(d))/den, den^2 * (lam^2 - e*lam - b) is
+        (an^2 + d*bn^2 - e*an*den - b*den^2) + bn*(2*an - e*den)*sqrt(d).
+        For bn != 0 the radicand d >= 2 is squarefree, so sqrt(d) is
+        irrational and the quadratic holds exactly when both integers
+        vanish; for a rational lam, bn = 0 and only the first one is left.
+        The other root e - lam satisfies the same quadratic, and of the two
+        roots (product -b < 0) lam is the positive one exactly when
+        2*lam - e > 0; once the quadratic holds, one of bn and 2*an - e*den
+        is zero, so that sign is the sign of 2*an - e*den + bn.
+        """
+        if not is_admissible(b, e):
+            raise ValueError(f"(b={b}, e={e}) is not admissible")
+        an, bn, den = lam.an, lam.bn, lam.den
+        twice_shift = 2 * an - e * den
+        if (
+            an * an + lam.d * bn * bn - e * an * den - b * den * den
+            or bn * twice_shift
+            or twice_shift + bn <= 0
+        ):
+            raise ValueError(f"lambda = {lam} does not satisfy x^2 = {e}x + {b}")
+        # A frozen class refuses attribute assignment; the slot descriptors
+        # set the fields directly, as in QuadraticElem.
+        _set_b(self, b)
+        _set_e(self, e)
+        _set_lam(self, lam)
 
     def __str__(self) -> str:
         return f"(b={self.b}, e={self.e}, lambda={self.lam})"
+
+
+_set_b = AdmissibleTriple.b.__set__
+_set_e = AdmissibleTriple.e.__set__
+_set_lam = AdmissibleTriple.lam.__set__
 
 
 def is_admissible(b: int, e: int) -> bool:
@@ -88,40 +117,44 @@ def enumerate_triples(b_max: int) -> Iterator[AdmissibleTriple]:
 
 
 def trace_norm_lambda_plus_one(t: AdmissibleTriple) -> tuple[int, int]:
-    """(trace, norm) of lambda + 1, the norm cross-checked in the field.
+    """(trace, norm) of lambda + 1, the norm cross-checked on lambda's integers.
 
     The closed forms are trace = e + 2 and norm = e + 1 - b.  The other
     root of the defining quadratic is e - lambda, so that of lambda + 1 is
     (e + 1) - lambda: for irrational lambda the quadratic-field conjugate.
     The two roots sum to e + 2 whatever lambda is, so only their product
-    tests lambda.
+    tests lambda.  With lambda = (an + bn*sqrt(d))/den, den^2 times that
+    product is ((an + den)*((e + 1)*den - an) - d*bn^2)
+    + bn*(e*den - 2*an)*sqrt(d); sqrt(d) is irrational for bn != 0 (d >= 2
+    squarefree), so the product is the norm exactly when the first integer
+    is norm*den^2 and the second is 0.  The conjugate root gives the same
+    product, so lambda must also be the positive root: 2*lambda - e > 0,
+    whose sign is that of 2*an - e*den + bn once the product matches.
     """
-    trace, norm = t.e + 2, t.e + 1 - t.b
-    lam1 = t.lam + 1
-    if lam1 * ((t.e + 1) - t.lam) != norm:
+    b, e, lam = t.b, t.e, t.lam
+    trace, norm = e + 2, e + 1 - b
+    an, bn, den = lam.an, lam.bn, lam.den
+    twice_shift = 2 * an - e * den
+    if (
+        (an + den) * ((e + 1) * den - an) - lam.d * bn * bn != norm * den * den
+        or bn * twice_shift
+        or twice_shift + bn <= 0
+    ):
         raise ArithmeticInconsistencyError(
-            f"closed-form trace/norm ({trace}, {norm}) disagree with {lam1}"
+            f"closed-form trace/norm ({trace}, {norm}) disagree with {lam + 1}"
         )
     return trace, norm
 
 
-def unit_case_triples(b_max: int) -> list[AdmissibleTriple]:
+def unit_case_triples() -> list[AdmissibleTriple]:
     """Admissible (b, e) with |norm(lambda + 1)| = |e + 1 - b| = 1.
 
-    Since admissibility forces b > e + 1, the condition pins b = e + 2,
-    which survives only for (b=1, e=-1) and (b=2, e=0) (e = 1 would need
-    the odd b = 3).  The scan below checks the condition for every b up
-    to the bound rather than trusting that closed form.
+    Admissibility forces b > e + 1, so the norm is at most -1 and the
+    condition pins b = e + 2: (b=1, e=-1), (b=2, e=0), and (b=3, e=1),
+    which is not admissible because e = 1 needs an even b.  The answer
+    therefore covers every admissible (b, e), with no bound on b.
     """
-    if b_max < 3:
-        raise ValueError(f"b_max must be at least 3, got {b_max}")
-    hits = [
-        (b, e)
-        for b in range(1, b_max + 1)
-        for e in (-1, 0, 1)
-        if is_admissible(b, e) and abs(e + 1 - b) == 1
-    ]
-    return [make_triple(b, e) for b, e in hits]
+    return [make_triple(e + 2, e) for e in (-1, 0, 1) if is_admissible(e + 2, e)]
 
 
 @dataclass(frozen=True)

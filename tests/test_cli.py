@@ -183,6 +183,7 @@ def test_lshape_exclude_all_rows(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["verdict"] == "verified"
+    assert payload["parameters"]["scope"].startswith("every admissible (b, e)")
     assert len(payload["records"]) == 9
     assert all(r["excluded"] for r in payload["records"])
 
@@ -490,7 +491,7 @@ def _under_a_file(tmp):
 def test_output_path_checked_before_computing(target, tmp_path, capsys, monkeypatch):
     import torsion_packet.lshape as lshape_mod
 
-    def never_called(b_max):
+    def never_called():
         raise AssertionError("computed before the --output check")
 
     monkeypatch.setattr(lshape_mod, "unit_case_triples", never_called)

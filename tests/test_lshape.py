@@ -1,10 +1,14 @@
 """Tests for admissible L-shaped parameters and the exclusion engine."""
 
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torsion_packet.errors import ArithmeticInconsistencyError
+from torsion_packet.cli import cmd_lshape
+from torsion_packet.errors import ArithmeticInconsistencyError, UsageError
 from torsion_packet.exactnum import QuadraticElem
 from torsion_packet.lshape import (
     AdmissibleTriple,
@@ -86,21 +90,36 @@ def test_trace_norm_closed_form_matches_field_arithmetic():
         assert trace in (1, 2, 3) and norm <= -1
 
 
+def _unit_case_scan(b_max):
+    """The oracle of the closed form: every admissible (b, e) with
+    b <= b_max and |e + 1 - b| = 1, found by trying them all."""
+    return [
+        (b, e)
+        for b in range(1, b_max + 1)
+        for e in (-1, 0, 1)
+        if is_admissible(b, e) and abs(e + 1 - b) == 1
+    ]
+
+
 def test_unit_case_is_pentagon_and_octagon_only():
-    # exhaustively over small bounds, then spot checks at larger ones
+    # the closed form against the scan, exhaustively over small bounds,
+    # then spot checks at larger ones
+    closed_form = [(t.b, t.e) for t in unit_case_triples()]
+    assert closed_form == [(1, -1), (2, 0)]
     for b_max in range(3, 200):
-        assert [(t.b, t.e) for t in unit_case_triples(b_max)] == [(1, -1), (2, 0)]
+        assert _unit_case_scan(b_max) == closed_form
     for b_max in (1000, 10_000):
-        assert [(t.b, t.e) for t in unit_case_triples(b_max)] == [(1, -1), (2, 0)]
+        assert _unit_case_scan(b_max) == closed_form
 
 
 def test_unit_case_large_bound():
-    assert [(t.b, t.e) for t in unit_case_triples(10**6)] == [(1, -1), (2, 0)]
+    assert _unit_case_scan(10**6) == [(t.b, t.e) for t in unit_case_triples()]
 
 
 def test_unit_case_bound_validation():
-    with pytest.raises(ValueError):
-        unit_case_triples(2)
+    # The closed form takes no bound; the command still checks --b-max.
+    with pytest.raises(UsageError):
+        cmd_lshape("unit-case", 2)
 
 
 # --------------------------------------------------------------------------
@@ -186,3 +205,87 @@ def test_triple_construction_validation():
         make_triple(1, 0)
     with pytest.raises(ValueError):
         AdmissibleTriple(2, 0, QuadraticElem(0, 1, 3))  # wrong lambda
+
+
+# --------------------------------------------------------------------------
+# the integer certificates of lambda
+
+
+_PAIRS = st.tuples(st.integers(1, 120), st.sampled_from((-1, 0, 1))).filter(
+    lambda p: is_admissible(*p)
+)
+_FRESH_PARTS = {
+    "an": st.integers(-60, 60),
+    "bn": st.integers(-6, 6),
+    "den": st.integers(1, 4),
+    "d": st.sampled_from((2, 3, 5, 6, 7, 10, 13, 17, 21, 33)),
+}
+
+
+@st.composite
+def _pair_and_lambda(draw):
+    """An admissible (b, e) and a lambda built by the public constructor:
+    the true root, the true root with one of (an, bn, den, d) redrawn, or
+    all four drawn afresh."""
+    b, e = draw(_PAIRS)
+    root = make_triple(b, e).lam
+    parts = {"an": root.an, "bn": root.bn, "den": root.den, "d": root.d}
+    change = draw(st.sampled_from(("none", "an", "bn", "den", "d", "all")))
+    for name, fresh in _FRESH_PARTS.items():
+        if change in (name, "all"):
+            parts[name] = draw(fresh)
+    den = parts["den"]
+    return b, e, QuadraticElem(F(parts["an"], den), F(parts["bn"], den), parts["d"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair_and_lambda())
+def test_integer_certificates_agree_with_field_arithmetic(case):
+    b, e, lam = case
+    positive = lam.sign() > 0
+    try:
+        AdmissibleTriple(b, e, lam)
+        accepted = True
+    except ValueError as exc:
+        assert "does not satisfy" in str(exc)
+        accepted = False
+    assert accepted == (lam * (lam - e) == b and positive)
+
+    t = make_triple(b, e)
+    object.__setattr__(t, "lam", lam)
+    try:
+        assert trace_norm_lambda_plus_one(t) == (e + 2, e + 1 - b)
+        cross_checked = True
+    except ArithmeticInconsistencyError as exc:
+        assert "disagree" in str(exc)
+        cross_checked = False
+    assert cross_checked == ((lam + 1) * ((e + 1) - lam) == e + 1 - b and positive)
+
+
+def _forgeries(t):
+    """Wrong lambdas for the triple t, by name."""
+    disc = t.e * t.e + 4 * t.b
+    d = t.lam.d
+    s = isqrt(disc // d) if t.lam.bn else isqrt(disc)
+    forged = {"conjugate root": t.e - t.lam}
+    if t.lam.bn:
+        forged["wrong radicand"] = QuadraticElem(F(t.e, 2), F(s, 2), 3 if d == 2 else 2)
+        forged["rational lambda"] = QuadraticElem.rational(F(t.e + s, 2))
+        forged["den 1 for 2"] = QuadraticElem(t.e, s, d)
+    else:
+        forged["den 1 for 2"] = QuadraticElem.rational(t.e + s)
+    return forged
+
+
+def test_forged_lambdas_fail_both_checks():
+    seen = set()
+    for t in enumerate_triples(60):
+        for name, lam in _forgeries(t).items():
+            seen.add(name)
+            with pytest.raises(ValueError, match="does not satisfy"):
+                AdmissibleTriple(t.b, t.e, lam)
+            forged = make_triple(t.b, t.e)
+            object.__setattr__(forged, "lam", lam)
+            with pytest.raises(ArithmeticInconsistencyError, match="disagree"):
+                trace_norm_lambda_plus_one(forged)
+    assert seen == {"conjugate root", "wrong radicand", "rational lambda", "den 1 for 2"}
