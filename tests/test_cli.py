@@ -391,6 +391,100 @@ def test_text_and_csv_renderings_are_pinned(command, fmt):
     assert _mask_elapsed(render(report, fmt)) == _PINNED[command, fmt]
 
 
+def _z10(*coeffs):
+    return {"m": 10, "coeffs": list(coeffs)}
+
+
+# The JSON records that carry configurations, generators, the grid and the
+# point at infinity, pinned.
+_PINNED_RECORDS = {
+    "decagon differential": [
+        {
+            "check": "dimension",
+            "value": 1,
+            "ok": True,
+            "configuration": {
+                "nodes": [
+                    [_z10("0", "0", "1", "0"), _z10("0", "0", "0", "-1")],
+                    [_z10("-1", "1", "-1", "1"), _z10("0", "-1", "0", "0")],
+                ],
+                "marked": [
+                    {"label": "omega_zero_0", "point": _z10("0", "0", "0", "0")},
+                    {"label": "omega_zero_inf", "point": "infinity"},
+                    {"label": "weierstrass_-1", "point": _z10("-1", "0", "0", "0")},
+                    {"label": "weierstrass_+1", "point": _z10("1", "0", "0", "0")},
+                ],
+                "zero_orders": {"omega_zero_0": 1, "omega_zero_inf": 1},
+                "involution": "inversion",
+            },
+            "generator": {
+                "terms": [
+                    {"residue": _z10("0", "0", "1", "-1"), "pole": _z10("0", "0", "1", "0")},
+                    {"residue": _z10("0", "0", "-1", "1"), "pole": _z10("0", "0", "0", "-1")},
+                    {"residue": _z10("-1", "0", "0", "0"), "pole": _z10("-1", "1", "-1", "1")},
+                    {"residue": _z10("1", "0", "0", "0"), "pole": _z10("0", "-1", "0", "0")},
+                ]
+            },
+        },
+        {"check": "matches_closed_form_generator", "ok": True},
+        {"check": "residue_constraints", "ok": True},
+        {"check": "simple_zeros_at_0_and_infinity", "ok": True},
+    ],
+    "stratum2 --torsion-order 5": [
+        {
+            "stage": "differential_space",
+            "configuration": {
+                "nodes": [["x", "-x"], ["y", "-y"]],
+                "marked": [{"label": "omega_zero", "point": "infinity"}],
+                "zero_orders": {"omega_zero": 2},
+                "involution": "negation",
+            },
+            "dimension": 1,
+            "ok": True,
+            "generator": {
+                "terms": [
+                    {"residue": "y/x", "pole": "x"},
+                    {"residue": "-y/x", "pole": "-x"},
+                    {"residue": "-1", "pole": "y"},
+                    {"residue": "1", "pole": "-y"},
+                ]
+            },
+            "certified_on_grid": {"x": ["1", "2", "3", "4", "5"], "y": ["6", "7", "8", "9", "10"]},
+        },
+        {"stage": "residue_constraints", "ok": True},
+        {"stage": "matches_closed_form_generator", "ok": True},
+        {"stage": "height_ratio", "value": "y/x", "ok": True},
+        {
+            "stage": "torsion_solutions",
+            "count": 5,
+            "tangent_indices": [-2, -1, 0, 1, 2],
+            "nonzero_count": 4,
+            "zero_solution_degenerate": True,
+            "ok": True,
+        },
+        {
+            "stage": "handoff",
+            "A": 1,
+            "B": 2,
+            "alpha": "1/5",
+            "beta": "2/5",
+            "mu": "2 + sqrt(5)",
+            "degree": 2,
+            "status": "unit: pentagon/octagon regime, handled by known torsion",
+        },
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_RECORDS))
+def test_json_records_are_pinned(command):
+    report = cmd_decagon("differential") if command.startswith("decagon") else cmd_stratum2(5)
+    records = json.loads(render(report, "json"))["records"]
+    assert records == _PINNED_RECORDS[command]
+    # Key order is part of the rendering too.
+    assert [list(r) for r in records] == [list(r) for r in _PINNED_RECORDS[command]]
+
+
 def test_every_exact_type_has_one_encoding():
     from fractions import Fraction
 

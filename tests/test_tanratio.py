@@ -26,7 +26,6 @@ from torsion_packet.tanratio import (
     _orbit_keys,
     _orbit_members,
     _orbit_representative,
-    _tan_parts,
     _tan_row,
     angles_up_to,
     check_addition_formula,
@@ -41,6 +40,19 @@ from torsion_packet.tanratio import (
 
 def ang(p, q):
     return RationalAngle.of(p, q)
+
+
+def _tan_parts(angle: RationalAngle, m: int) -> tuple[CyclotomicElem, CyclotomicElem]:
+    """(numerator, denominator) of tan(pi*angle) in Q(zeta_m) as sums of roots.
+
+    With z = zeta_m^a = exp(i*pi*p/q), tan(pi*p/q) = -i(z - 1/z) / (z + 1/z).
+    A reference independent of the Cayley form that ``tanratio`` uses.
+    """
+    q = angle.denominator
+    assert m % (2 * q) == 0 and m % 4 == 0
+    a = angle.numerator * (m // (2 * q))
+    z, z_inv = CyclotomicElem.zeta(m, a), CyclotomicElem.zeta(m, -a)
+    return -CyclotomicElem.zeta(m, m // 4) * (z - z_inv), z + z_inv
 
 
 def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> Optional[int]:
@@ -114,6 +126,22 @@ def test_sin_embedding_satisfies_pythagoras():
         s = sin_of(ang(p, q))
         c = s / tan_of(ang(p, q))
         assert s * s + c * c == 1
+
+
+def test_tan_and_mu_against_sums_of_roots():
+    # tan_of and mu against the sum-of-roots fractions, cross-multiplied so
+    # that no inverse is taken on the reference side.
+    for alpha in angles_up_to(40):
+        num, den = _tan_parts(alpha, alpha.conductor)
+        assert tan_of(alpha) * den == num, alpha
+    angles = angles_up_to(16)
+    for i, alpha in enumerate(angles):
+        for beta in angles[i + 1 :]:
+            m = _common_conductor(alpha, beta)
+            na, da = _tan_parts(alpha, m)
+            nb, db = _tan_parts(beta, m)
+            mu = ratio(alpha, beta).mu
+            assert mu.m == m and mu * db * na == nb * da, (alpha, beta)
 
 
 def test_tan_against_generic_inverse():
