@@ -5,19 +5,20 @@ Each subcommand produces a Report (schema version 1) with a verdict in
 text, JSON or CSV.  Reports are deterministic for fixed parameters up to
 the elapsed_ms field.
 
-Records hold plain JSON values and a few exact types.  One function,
-``_leaf``, gives each of those types its encoding (rationals, quadratic
-elements and angles as strings, cyclotomic elements as {m, coeffs},
-admissible triples as {b, e, lambda}); it is the ``default=`` hook of
-CPython's C JSON encoder, which encodes each record in one call, and the
-text and CSV renderers and ``Report.to_dict`` use it too.  The JSON
-layout puts one record per line.
+Records hold plain JSON values and a few exact types, handed over raw.
+One function, ``_leaf``, is the only encoder of those types: rationals,
+quadratic elements and angles as strings, cyclotomic elements as
+{m, coeffs}, the point at infinity as "infinity", admissible triples as
+{b, e, lambda}.  It is the ``default=`` hook of CPython's C JSON encoder,
+which encodes each record in one call, and the text and CSV renderers
+and ``Report.to_dict`` use it too.  The JSON layout puts one record per
+line.
 
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
 1 refuted, 2 usage or I/O error (a closed output pipe included),
 3 internal arithmetic inconsistency or any other internal error.  Only
-UsageError, raised here after checking arguments, the environment and
-input files, exits 2; a ValueError from the library is a bug and exits 3.
+UsageError, raised here after checking arguments and input files,
+exits 2; a ValueError from the library is a bug and exits 3.
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ from typing import Any, Optional
 
 from . import __version__
 from .errors import ArithmeticInconsistencyError, UsageError
-from .exactnum import (
-    CyclotomicElem,
-    QuadraticElem,
-    default_precision_bits,
-    real_display,
-    sign_of_real,
-)
+from .exactnum import CyclotomicElem, QuadraticElem, real_display, sign_of_real
 from . import lshape, stablefiber, tanratio
 
 SCHEMA_VERSION = 1
@@ -101,13 +96,15 @@ def _leaf(value: Any) -> Any:
     """The one report encoding of each exact type JSON does not know.
 
     Rationals, quadratic elements and angles become their display
-    strings, cyclotomic elements {m, coeffs[]}, admissible triples
-    {b, e, lambda}.
+    strings, cyclotomic elements {m, coeffs[]}, the point at infinity
+    "infinity", admissible triples {b, e, lambda}.
     """
     if isinstance(value, (Fraction, QuadraticElem, tanratio.RationalAngle)):
         return str(value)
     if isinstance(value, CyclotomicElem):
         return {"m": value.m, "coeffs": [str(c) for c in value.coeffs]}
+    if value is stablefiber.INFINITY:
+        return "infinity"
     if isinstance(value, lshape.AdmissibleTriple):
         return {"b": value.b, "e": value.e, "lambda": str(value.lam)}
     raise TypeError(f"cannot encode {value!r} into a report")
@@ -326,12 +323,17 @@ def cmd_verify_table1(
 
 
 def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
-    """enumerate | unit-case | exclude over admissible (b, e) parameters."""
-    if b_max < 3:
-        raise UsageError(f"--b-max must be at least 3, got {b_max}")
+    """enumerate | unit-case | exclude over admissible (b, e) parameters.
+
+    Only ``enumerate`` reads the bound ``b_max``: the unit case is a
+    closed form, and the exclusion covers every admissible (b, e).
+    """
     start = time.perf_counter()
-    parameters: dict[str, Any] = {"b_max": b_max}
+    parameters: dict[str, Any] = {}
     if subcommand == "enumerate":
+        if b_max < 3:
+            raise UsageError(f"--b-max must be at least 3, got {b_max}")
+        parameters["b_max"] = b_max
         # lambda is kept as its display string, so that no triple outlives
         # the loop that checks it.
         records = []
@@ -372,11 +374,11 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
                 {
                     "alpha": r.alpha,
                     "beta": r.beta,
-                    "mu": str(verdict_row.mu_value),
+                    "mu": verdict_row.mu_value,
                     "candidates": [
                         {
                             "label": c.label,
-                            "value": str(c.value),
+                            "value": c.value,
                             "trace": c.trace,
                             "norm": c.norm,
                             "reason": c.reason,
@@ -419,8 +421,8 @@ def cmd_stratum2(torsion_order: int) -> Report:
             "configuration": cert.configuration,
             "dimension": cert.dimension,
             "ok": ok_dim,
-            "generator": cert.generator_json() if cert.basis_is_closed_form else None,
-            "certified_on_grid": cert.grid_json(),
+            "generator": _terms(cert.closed_form) if cert.basis_is_closed_form else None,
+            "certified_on_grid": {"x": cert.grid[0], "y": cert.grid[1]},
         }
     )
     oks.append(ok_dim)
@@ -556,7 +558,7 @@ def cmd_decagon(subcommand: str) -> Report:
                 "value": dim,
                 "ok": ok_dim,
                 "configuration": stablefiber.config_to_json_dict(config),
-                "generator": stablefiber.differential_to_json_dict(basis[0]) if basis else None,
+                "generator": _terms(basis[0].terms) if basis else None,
             },
             {"check": "matches_closed_form_generator", "ok": ok_prop},
             {"check": "residue_constraints", "ok": ok_res},
@@ -572,6 +574,11 @@ def cmd_decagon(subcommand: str) -> Report:
         records=records,
         elapsed_ms=_ms_since(start),
     )
+
+
+def _terms(pairs) -> dict[str, Any]:
+    """A limit differential's (residue, pole) pairs as a report record."""
+    return {"terms": [{"residue": c, "pole": p} for c, p in pairs]}
 
 
 def _sorted_reals(elems: list[CyclotomicElem]) -> list[CyclotomicElem]:
@@ -639,7 +646,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        _check_environment()
         if args.output:
             _check_output_path(Path(args.output))
         report = args.run(args)
@@ -673,14 +679,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     if pipe_closed:
         return EXIT_USAGE
     return EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED
-
-
-def _check_environment() -> None:
-    """Reject a bad TORSION_PACKET_PRECISION_BITS before any computing."""
-    try:
-        default_precision_bits()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _check_output_path(path: Path) -> None:

@@ -22,17 +22,15 @@ from .quadratic import (
     real_value,
     squarefree_part,
 )
-from .signs import PRECISION_ENV, default_precision_bits, sign_of_real
+from .signs import sign_of_real
 
 __all__ = [
     "ArithmeticInconsistencyError",
     "CyclotomicElem",
     "MinPoly",
-    "PRECISION_ENV",
     "QuadraticElem",
     "conductor_units",
     "cyclotomic_int_coeffs",
-    "default_precision_bits",
     "divisors",
     "euler_phi",
     "galois_apply",

@@ -337,21 +337,6 @@ class CyclotomicElem:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    # ----- embeddings ---------------------------------------------------
-
-    def complex_embedding(self) -> complex:
-        """Floating-point value under zeta_m -> exp(2*pi*i/m).
-
-        A convenience for sanity cross-checks; never part of an exact
-        decision.
-        """
-        total = 0j
-        for j, c in enumerate(self.coeffs):
-            if c:
-                angle = 2.0 * math.pi * j / self.m
-                total += float(c) * complex(math.cos(angle), math.sin(angle))
-        return total
-
     def __repr__(self) -> str:
         return f"CyclotomicElem(m={self.m}, {self._pretty()})"
 

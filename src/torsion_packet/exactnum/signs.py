@@ -19,40 +19,14 @@ calls share nothing they could change.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 from ..errors import ArithmeticInconsistencyError
 from .cyclotomic import CyclotomicElem
 
-PRECISION_ENV = "TORSION_PACKET_PRECISION_BITS"
+# Initial ball precision.  It only sets how many refinement rounds are
+# needed, never the result.
 _DEFAULT_BITS = 128
-_MIN_BITS = 8
-# Largest initial precision accepted.  One sign of a dense element at
-# this precision takes about 0.07 s at conductor 60 and 0.25 s at
-# conductor 120, and the cost grows more than fourfold per doubling;
-# refinement past it is left to the doubling loop and its ceiling.
-_MAX_BITS = 4096
-
-
-def default_precision_bits() -> int:
-    """Initial ball precision, from TORSION_PACKET_PRECISION_BITS.
-
-    The value only affects how many refinement rounds are needed, never
-    the result.  It must lie in [8, 4096].
-    """
-    raw = os.environ.get(PRECISION_ENV)
-    if not raw:
-        return _DEFAULT_BITS
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from exc
-    if not _MIN_BITS <= bits <= _MAX_BITS:
-        raise ValueError(
-            f"{PRECISION_ENV} must lie between {_MIN_BITS} and {_MAX_BITS}, got {bits}"
-        )
-    return bits
 
 
 def _guard_bits(bits: int) -> int:
@@ -186,7 +160,7 @@ def _precision_ceiling(nums: list[int]) -> int:
     return len(nums) * total.bit_length() + 2
 
 
-def sign_of_real(e: CyclotomicElem, initial_bits: int | None = None) -> int:
+def sign_of_real(e: CyclotomicElem, initial_bits: int = _DEFAULT_BITS) -> int:
     """Exact sign (-1, 0, +1) of a conjugation-fixed cyclotomic element.
 
     Raises ValueError if the element is not fixed by complex conjugation
@@ -198,7 +172,7 @@ def sign_of_real(e: CyclotomicElem, initial_bits: int | None = None) -> int:
         raise ValueError(f"{e!r} is not fixed by complex conjugation")
     if e.is_zero():
         return 0
-    bits = initial_bits if initial_bits is not None else default_precision_bits()
+    bits = initial_bits
     # For a real element the embedding equals its real part, the sum of
     # c_j cos(2 pi j/m); scaling by the common denominator den > 0 keeps
     # the sign and leaves the integer numerators.

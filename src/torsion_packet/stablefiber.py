@@ -30,6 +30,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import CyclotomicElem, inv_one_minus_zeta, sign_of_real
+from .tanratio import i_tan
 
 
 class _AtInfinity:
@@ -48,15 +49,9 @@ class _AtInfinity:
 
 INFINITY = _AtInfinity()
 
+# Points compare with ==: CyclotomicElem, Fraction and the INFINITY
+# singleton each answer correctly against the other two.
 Point = Union[CyclotomicElem, Fraction, _AtInfinity]
-
-
-def _points_equal(p: Point, q: Point) -> bool:
-    if (p is INFINITY) != (q is INFINITY):
-        return False
-    if p is INFINITY:
-        return True
-    return bool(p == q)
 
 
 @dataclass(frozen=True)
@@ -129,13 +124,11 @@ class NodalConfig:
         for p in pts:
             if not (p is INFINITY or isinstance(p, (CyclotomicElem, Fraction))):
                 raise TypeError(f"configuration point {p!r} is not a CyclotomicElem, Fraction or INFINITY")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if _points_equal(pts[i], pts[j]):
-                    raise ValueError(
-                        f"configuration points must be pairwise distinct; "
-                        f"{pts[i]!r} appears twice"
-                    )
+        for i, p in enumerate(pts):
+            if p in pts[i + 1 :]:
+                raise ValueError(
+                    f"configuration points must be pairwise distinct; {p!r} appears twice"
+                )
         if self.involution is not None:
             self._check_involution()
 
@@ -153,62 +146,31 @@ class NodalConfig:
         zero = finite - finite
         for pair in self.nodes:
             image = (self._image(pair[0], zero), self._image(pair[1], zero))
-            if not any(_pairs_equal(image, s) for s in self.nodes):
+            if image not in self.nodes and image[::-1] not in self.nodes:
                 raise ValueError(f"involution does not preserve the node pair {pair!r}")
         marked_pts = [p for _, p in self.marked]
         for p in marked_pts:
             img = self._image(p, zero)
-            if not any(_points_equal(img, q) for q in marked_pts):
+            if img not in marked_pts:
                 raise ValueError(f"involution does not preserve the marked point {p!r}")
-
-
-def encode_point(p: Point) -> Any:
-    """JSON-safe encoding of a configuration point.
-
-    Cyclotomic elements become {m, coeffs[]}, rationals "p/q" strings and
-    the point at infinity the string "infinity".
-    """
-    if p is INFINITY:
-        return "infinity"
-    if isinstance(p, CyclotomicElem):
-        return {"m": p.m, "coeffs": [str(c) for c in p.coeffs]}
-    return str(p)
 
 
 def config_to_json_dict(
     config: NodalConfig, names: Optional[Mapping[Point, str]] = None
 ) -> dict[str, Any]:
-    """Serializable record naming node pairs, marked points and zero orders.
+    """Report record of the node pairs, marked points and zero orders.
 
-    ``names`` displays the points it maps by name instead of by value, as
-    for a configuration over Q(x, y) specialized at one point.
+    Points are left as they are, for the report encoder.  ``names``
+    displays the points it maps by name instead of by value, as for a
+    configuration over Q(x, y) specialized at one point.
     """
-    names = names or {}
-
-    def encode(p: Point) -> Any:
-        return names[p] if p in names else encode_point(p)
-
+    name = (names or {}).get
     return {
-        "nodes": [[encode(p), encode(q)] for p, q in config.nodes],
-        "marked": [{"label": l, "point": encode(p)} for l, p in config.marked],
+        "nodes": [[name(p, p), name(q, q)] for p, q in config.nodes],
+        "marked": [{"label": l, "point": name(p, p)} for l, p in config.marked],
         "zero_orders": {l: k for l, k in config.zero_orders},
         "involution": config.involution,
     }
-
-
-def differential_to_json_dict(omega: LimitDifferential) -> dict[str, Any]:
-    """Serializable list of (residue, pole) pairs."""
-    return {
-        "terms": [
-            {"residue": encode_point(c), "pole": encode_point(p)} for c, p in omega.terms
-        ]
-    }
-
-
-def _pairs_equal(a: tuple[Point, Point], b: tuple[Point, Point]) -> bool:
-    return (_points_equal(a[0], b[0]) and _points_equal(a[1], b[1])) or (
-        _points_equal(a[0], b[1]) and _points_equal(a[1], b[0])
-    )
 
 
 @dataclass(frozen=True)
@@ -230,7 +192,7 @@ class LimitDifferential:
 
     def residue_at(self, point: Point) -> Point:
         for c, p in self.terms:
-            if _points_equal(p, point):
+            if p == point:
                 return c
         raise KeyError(f"no pole at {point!r}")
 
@@ -252,15 +214,11 @@ def differentials_proportional(a: LimitDifferential, b: LimitDifferential) -> bo
         pairs = [(ca, b.residue_at(p)) for ca, p in a.terms]
     except KeyError:
         return False
-    anchor = next(((ca, cb) for ca, cb in pairs if not _is_zero(ca)), None)
+    anchor = next(((ca, cb) for ca, cb in pairs if ca), None)
     if anchor is None:
-        return all(_is_zero(cb) for _, cb in pairs)
+        return not any(cb for _, cb in pairs)
     ca0, cb0 = anchor
     return all(ca * cb0 == cb * ca0 for ca, cb in pairs)
-
-
-def _is_zero(v) -> bool:
-    return bool(v == v - v)
 
 
 # --------------------------------------------------------------------------
@@ -315,9 +273,8 @@ def _condition_rows(config: NodalConfig, poles: Sequence[Point], zero, one) -> l
             for j in range(1, k + 1):
                 rows.append([p**j for p in poles])
         else:
-            for p in poles:
-                if _points_equal(pt, p):
-                    raise ValueError(f"prescribed zero at {pt!r} coincides with a pole")
+            if pt in poles:
+                raise ValueError(f"prescribed zero at {pt!r} coincides with a pole")
             for j in range(1, k + 1):
                 rows.append([one / ((pt - p) ** j) for p in poles])
     return rows
@@ -347,14 +304,12 @@ def verify_residue_constraints(omega: LimitDifferential, config: NodalConfig) ->
     poles = config.poles
     if len(omega.terms) != len(poles):
         raise ValueError("differential poles do not match the node points")
-    for p in poles:
-        hits = sum(1 for _, q in omega.terms if _points_equal(p, q))
-        if hits != 1:
-            raise ValueError("differential poles do not match the node points")
-    if not _is_zero(omega.total_residue()):
+    if any(omega.poles.count(p) != 1 for p in poles):
+        raise ValueError("differential poles do not match the node points")
+    if omega.total_residue():
         return False
     for p, q in config.nodes:
-        if not _is_zero(omega.residue_at(p) + omega.residue_at(q)):
+        if omega.residue_at(p) + omega.residue_at(q):
             return False
     return True
 
@@ -372,7 +327,7 @@ def verify_zero_orders(omega: LimitDifferential, config: NodalConfig) -> bool:
                 for c, p in omega.terms:
                     term = c * p**j
                     total = term if total is None else total + term
-                if not _is_zero(total):
+                if total:
                     return False
         else:
             for j in range(1, k + 1):
@@ -380,7 +335,7 @@ def verify_zero_orders(omega: LimitDifferential, config: NodalConfig) -> bool:
                 for c, p in omega.terms:
                     term = c / ((pt - p) ** j)
                     total = term if total is None else total + term
-                if not _is_zero(total):
+                if total:
                     return False
     return True
 
@@ -403,7 +358,7 @@ def height_ratio(
         denominator_pole = config.nodes[1][1]
     num = omega.residue_at(numerator_pole)
     den = omega.residue_at(denominator_pole)
-    if _is_zero(den):
+    if not den:
         raise ZeroDivisionError("designated denominator residue is zero")
     return num / den
 
@@ -491,13 +446,6 @@ class Stratum2Certificate:
     def dimension(self) -> int:
         """The smallest dimension on the grid: an upper bound over Q(x, y)."""
         return min(self.dimensions)
-
-    def generator_json(self) -> dict[str, Any]:
-        return {"terms": [{"residue": c, "pole": p} for c, p in self.closed_form]}
-
-    def grid_json(self) -> dict[str, list[str]]:
-        xs, ys = self.grid
-        return {"x": [str(a) for a in xs], "y": [str(b) for b in ys]}
 
 
 def certify_stratum2(
@@ -654,9 +602,7 @@ def solve_torsion_pairs(order: int) -> TorsionSolution:
     amax = (n - 1) // 2
     indices: list[Optional[int]] = [None] * len(solutions)
     for a in range(-amax, amax + 1):
-        # i*tan(a*pi/n) = (w - 1)/(w + 1) = 1 - 2/(1 - zeta_m^c) for w = zeta_n^a,
-        # since w + 1 = 1 - zeta_m^c with c = (m/n)*a + m/2 (w != -1, as |a| < n/2).
-        t = 1 - 2 * inv_one_minus_zeta(m, (m // n) * a + m // 2)
+        t = i_tan(m, (m // n) * a)  # |a| < n/2 keeps clear of the pole
         key = (t.nums, t.den)
         if key not in lifted:
             raise ArithmeticInconsistencyError(f"i*tan({a}*pi/{n}) is not a solution")

@@ -2,12 +2,21 @@
 
 For rational angles 0 < alpha < beta < 1/2 (in units of pi), the ratio
 mu = tan(pi*beta)/tan(pi*alpha) is embedded exactly in a cyclotomic
-field: with zeta = exp(i*pi*p/q) one has
+field in Cayley form: for m even, e = m*p/q an integer and
+w = zeta_m^e = exp(2*pi*i*p/q),
 
-    tan(pi*p/q) = -i (zeta - 1/zeta) / (zeta + 1/zeta),
+    i*tan(pi*p/q) = (w - 1)/(w + 1) = 1 - 2/(1 - zeta_m^(e + m/2)),
 
-so the natural home of tan(pi*p/q) is Q(zeta_m) with m = lcm(4, 2q)
-(the 4 contributes i).
+with the closed-form inverse of the binomial (``inv_one_minus_zeta``).
+Since tan(x + pi/2) = -1/tan(x), the same form shifted by m/2 is
+1/(i*tan(pi*p/q)) = (w + 1)/(w - 1) = 1 - 2/(1 - w).  So mu is one
+product, the factors of i cancelling:
+
+    mu = (1 - 2/(1 - zeta_m^(e_beta + m/2))) * (1 - 2/(1 - zeta_m^e_alpha)),
+
+in the lcm m of the two angles' conductors.  tan(pi*p/q) itself is
+-i = zeta_m^(3m/4) times i*tan(pi*p/q), at home in Q(zeta_m) with
+m = lcm(4, 2q) (the 4 contributes i).  ``i_tan`` is this one form.
 
 The degree of mu is an index.  The automorphism zeta_m -> zeta_m^k sends
 mu to tan(pi*k*beta)/tan(pi*k*alpha) (the factors of i cancel in the
@@ -145,36 +154,13 @@ def _common_conductor(alpha: RationalAngle, beta: RationalAngle) -> int:
     return math.lcm(alpha.conductor, beta.conductor)
 
 
-def _tan_parts(angle: RationalAngle, m: int) -> tuple[CyclotomicElem, CyclotomicElem]:
-    """(numerator, denominator) of tan(pi*angle) inside Q(zeta_m)."""
-    q = angle.denominator
-    if m % (2 * q) or m % 4:
-        raise ValueError(f"conductor {m} does not contain zeta_{2*q} and i")
-    a = angle.numerator * (m // (2 * q))
-    i = CyclotomicElem.zeta(m, m // 4)
-    num = -i * (CyclotomicElem.zeta(m, a) - CyclotomicElem.zeta(m, -a))
-    den = CyclotomicElem.zeta(m, a) + CyclotomicElem.zeta(m, -a)
-    return num, den
+def i_tan(m: int, e: int) -> CyclotomicElem:
+    """i*tan(pi*e/m) in Q(zeta_m), m even, in Cayley form 1 - 2/(1 - zeta_m^(e + m/2)).
 
-
-def _tan_value(angle: RationalAngle, m: int) -> CyclotomicElem:
-    # den = zeta^a + zeta^-a = zeta^-a (1 - zeta^(2a + m/2)), so its inverse
-    # is zeta^a times the closed-form inverse of the binomial.
-    q = angle.denominator
-    a = angle.numerator * (m // (2 * q))
-    num, _ = _tan_parts(angle, m)
-    den_inv = CyclotomicElem.zeta(m, a) * inv_one_minus_zeta(m, (2 * a + m // 2) % m)
-    return num * den_inv
-
-
-def _cot_value(angle: RationalAngle, m: int) -> CyclotomicElem:
-    # num = -i (zeta^a - zeta^-a) = i zeta^-a (1 - zeta^(2a)); invert both factors.
-    q = angle.denominator
-    a = angle.numerator * (m // (2 * q))
-    _, den = _tan_parts(angle, m)
-    i = CyclotomicElem.zeta(m, m // 4)
-    num_inv = -i * CyclotomicElem.zeta(m, a) * inv_one_minus_zeta(m, (2 * a) % m)
-    return den * num_inv
+    e = m/2 mod m, a pole, raises ZeroDivisionError.  At e + m/2 this is
+    1/(i*tan(pi*e/m)) (see the module docstring).
+    """
+    return 1 - 2 * inv_one_minus_zeta(m, e + m // 2)
 
 
 def tan_of(angle: RationalAngle) -> CyclotomicElem:
@@ -182,7 +168,8 @@ def tan_of(angle: RationalAngle) -> CyclotomicElem:
 
     The result is fixed by complex conjugation and positive.
     """
-    return _tan_value(angle, angle.conductor)
+    m = angle.conductor
+    return CyclotomicElem.zeta(m, 3 * m // 4) * i_tan(m, m * angle.numerator // angle.denominator)
 
 
 def sin_of(angle: RationalAngle) -> CyclotomicElem:
@@ -212,7 +199,9 @@ class TangentRatio:
         """mu in the common conductor of the two angles."""
         alpha, beta = self.alpha, self.beta
         m = _common_conductor(alpha, beta)
-        mu = _tan_value(beta, m) * _cot_value(alpha, m)
+        e_alpha = m * alpha.numerator // alpha.denominator
+        e_beta = m * beta.numerator // beta.denominator
+        mu = i_tan(m, e_beta) * i_tan(m, e_alpha + m // 2)
         if not mu.is_real():
             raise ArithmeticInconsistencyError(f"ratio of tangents {alpha}, {beta} is not real")
         return mu
@@ -538,20 +527,22 @@ def check_addition_formula(x: RationalAngle, y: RationalAngle) -> bool:
     """Exact check of tan(pi(x+y)/2)/tan(pi(x-y)/2) = (s+1)/(s-1), s = sin(pi x)/sin(pi y).
 
     Requires x > y so that the half-difference angle avoids the zero of
-    the tangent.  Everything is evaluated in one common cyclotomic field
-    and compared after clearing denominators, so the result is exact.
+    the tangent.  The left side is the one-product ratio of two Cayley
+    forms, as for mu; the sines are A/(2i), B/(2i) with A = z_x - 1/z_x,
+    B = z_y - 1/z_y for z = exp(i*pi*angle), so the right side is
+    (A + B)/(A - B).  Both live in one common cyclotomic field and are
+    compared after clearing A - B, so the result is exact.
     """
     if not y < x:
         raise ValueError(f"need x > y, got x = {x}, y = {y}")
     half_sum = RationalAngle((x.value + y.value) / 2)
     half_diff = RationalAngle((x.value - y.value) / 2)
     m = math.lcm(x.conductor, y.conductor, half_sum.conductor, half_diff.conductor)
-    np_, dp = _tan_parts(half_sum, m)
-    nm, dm = _tan_parts(half_diff, m)
-    # s = A/B with A = zeta^px - zeta^-px, B = zeta^py - zeta^-py (the 1/2i
-    # factors of the sines cancel), so (s+1)/(s-1) = (A+B)/(A-B).
+    e_sum = m * half_sum.numerator // half_sum.denominator
+    e_diff = m * half_diff.numerator // half_diff.denominator
+    lhs = i_tan(m, e_sum) * i_tan(m, e_diff + m // 2)
     ax = x.numerator * (m // (2 * x.denominator))
     ay = y.numerator * (m // (2 * y.denominator))
     big_a = CyclotomicElem.zeta(m, ax) - CyclotomicElem.zeta(m, -ax)
     big_b = CyclotomicElem.zeta(m, ay) - CyclotomicElem.zeta(m, -ay)
-    return np_ * dm * (big_a - big_b) == nm * dp * (big_a + big_b)
+    return lhs * (big_a - big_b) == big_a + big_b

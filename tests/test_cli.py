@@ -193,6 +193,18 @@ def test_lshape_bad_bound(capsys):
     assert code == EXIT_USAGE
 
 
+def test_lshape_bound_is_read_only_by_enumerate(capsys):
+    # unit-case is a closed form and exclude covers every admissible (b, e),
+    # so neither reads --b-max, validates it or reports it.
+    for mode, bound in (("unit-case", "2"), ("exclude", "0")):
+        code, out = run_cli(["lshape", mode, "--b-max", bound, "--format", "json"], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        _, default = run_cli(["lshape", mode, "--format", "json"], capsys)
+        assert payload["records"] == json.loads(default)["records"]
+        assert "b_max" not in payload["parameters"]
+
+
 # --------------------------------------------------------------------------
 # stratum2
 
@@ -267,13 +279,17 @@ def test_decagon_exclude_r_values():
     assert inter["values"] == ["-1", "0"]
 
 
-def test_decagon_values_are_ordered_by_exact_signs(monkeypatch):
+def test_decagon_values_are_ordered_by_exact_signs():
+    # The package has no floating-point embedding of a cyclotomic element
+    # (the tests' cross-check lives in tests/float_embedding.py), so exact
+    # signs are all that can order these values.
     from torsion_packet.exactnum import CyclotomicElem
 
-    def no_floats(self):
-        raise AssertionError("complex_embedding decided an order")
-
-    monkeypatch.setattr(CyclotomicElem, "complex_embedding", no_floats)
+    assert not hasattr(CyclotomicElem, "complex_embedding")
+    for path in (Path(__file__).resolve().parents[1] / "src").rglob("*.py"):
+        source = path.read_text()
+        for marker in ("complex_embedding", "complex(", "cmath", "math.cos", "math.sin"):
+            assert marker not in source, (path.name, marker)
     values = {r["check"]: r["values"] for r in cmd_decagon("exclude-r").records}
     assert values["R_x"] == ["-1", "0", "-1/2 + 1/2*sqrt(5)", "1/2 + 1/2*sqrt(5)"]
     assert values["R_y"] == ["-1/2 - 1/2*sqrt(5)", "-1", "1/2 - 1/2*sqrt(5)", "0"]
@@ -491,6 +507,7 @@ def test_every_exact_type_has_one_encoding():
     from torsion_packet.cli import Report
     from torsion_packet.exactnum import CyclotomicElem, QuadraticElem
     from torsion_packet.lshape import make_triple
+    from torsion_packet.stablefiber import INFINITY
     from torsion_packet.tanratio import RationalAngle
 
     report = Report(
@@ -508,6 +525,7 @@ def test_every_exact_type_has_one_encoding():
                 "flag": False,
                 "x": 0.5,
                 "nested": {"pair": (Fraction(1, 2), make_triple(2, 0)), "k": [None, True]},
+                "point": INFINITY,
             },
             {"q": 7, "extra": "a,b"},
         ],
@@ -519,14 +537,14 @@ def test_every_exact_type_has_one_encoding():
     assert render(report, "text") == (
         'command: synthetic\n  bound: 3/4\n  angles: ["1/12"]\nverdict: verified\nelapsed_ms: 0\n'
         f"  q=-2/3  mu=1 + 1/2*sqrt(3)  angle=5/12  z={z}  triple={triple}"
-        f"  none=None  flag=False  x=0.5  nested={nested}\n"
+        f"  none=None  flag=False  x=0.5  nested={nested}  point=infinity\n"
         "  q=7  extra=a,b"
     )
     quoted = {k: '"' + v.replace('"', '""') + '"' for k, v in (("z", z), ("t", triple), ("n", nested))}
     assert render(report, "csv") == (
-        "q,mu,angle,z,triple,none,flag,x,nested,extra\n"
-        f"-2/3,1 + 1/2*sqrt(3),5/12,{quoted['z']},{quoted['t']},,False,0.5,{quoted['n']},\n"
-        '7,,,,,,,,,"a,b"'
+        "q,mu,angle,z,triple,none,flag,x,nested,point,extra\n"
+        f"-2/3,1 + 1/2*sqrt(3),5/12,{quoted['z']},{quoted['t']},,False,0.5,{quoted['n']},infinity,\n"
+        '7,,,,,,,,,,"a,b"'
     )
     payload = json.loads(render(report, "json"))
     assert payload == report.to_dict()
@@ -541,6 +559,7 @@ def test_every_exact_type_has_one_encoding():
         "flag": False,
         "x": 0.5,
         "nested": json.loads(nested),
+        "point": "infinity",
     }
     with pytest.raises(TypeError, match="cannot encode"):
         render(Report("bad", {}, "verified", [{"v": object()}]), "json")
@@ -680,32 +699,25 @@ def _env_with_src():
     return env
 
 
-_PRECISION = "TORSION_PACKET_PRECISION_BITS"
-
-
 @pytest.mark.parametrize(
-    "args, env",
+    "args",
     [
-        pytest.param(lambda tmp: ["lshape", "unit-case", "--output", str(tmp / "missing" / "x.txt")], {}, id="output-directory-missing"),
-        pytest.param(lambda tmp: ["lshape", "enumerate", "--b-max", "0"], {}, id="b-max-zero"),
-        pytest.param(lambda tmp: ["verify-table1", "--ground-truth", str(tmp / "absent.json")], {}, id="ground-truth-missing"),
-        pytest.param(lambda tmp: ["stratum2", "--torsion-order", "1"], {}, id="torsion-order-one"),
-        pytest.param(lambda tmp: ["tangent-ratios", "--degree", "0"], {}, id="degree-zero"),
-        pytest.param(lambda tmp: ["tangent-ratios", "--max-denominator", "2"], {}, id="max-denominator-two"),
-        pytest.param(lambda tmp: ["decagon", "exclude-r"], {_PRECISION: "4"}, id="precision-below-minimum"),
-        pytest.param(lambda tmp: ["decagon", "exclude-r"], {_PRECISION: "abc"}, id="precision-not-an-integer"),
-        # A sign at this precision would run for minutes; it is refused before any work.
-        pytest.param(lambda tmp: ["decagon", "exclude-r"], {_PRECISION: "1000000"}, id="precision-above-maximum"),
+        pytest.param(lambda tmp: ["lshape", "unit-case", "--output", str(tmp / "missing" / "x.txt")], id="output-directory-missing"),
+        pytest.param(lambda tmp: ["lshape", "enumerate", "--b-max", "0"], id="b-max-zero"),
+        pytest.param(lambda tmp: ["verify-table1", "--ground-truth", str(tmp / "absent.json")], id="ground-truth-missing"),
+        pytest.param(lambda tmp: ["stratum2", "--torsion-order", "1"], id="torsion-order-one"),
+        pytest.param(lambda tmp: ["tangent-ratios", "--degree", "0"], id="degree-zero"),
+        pytest.param(lambda tmp: ["tangent-ratios", "--max-denominator", "2"], id="max-denominator-two"),
     ],
 )
-def test_cli_process_error_contract(args, env, tmp_path):
+def test_cli_process_error_contract(args, tmp_path):
     # The real process: exit code, stderr and the absence of a traceback as a
     # user sees them, which in-process main() calls cannot show.
     proc = subprocess.run(
         [sys.executable, "-m", "torsion_packet.cli", *args(tmp_path)],
         capture_output=True,
         text=True,
-        env={**_env_with_src(), **env},
+        env=_env_with_src(),
         timeout=120,
     )
     assert proc.returncode == EXIT_USAGE

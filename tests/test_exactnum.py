@@ -30,6 +30,8 @@ from torsion_packet.exactnum import cyclotomic, signs
 from torsion_packet.exactnum.quadratic import squarefree_cores
 from torsion_packet.exactnum.signs import _pi_ball, _precision_ceiling, _real_part_ball, cos_sin_ball
 
+from float_embedding import complex_embedding
+
 
 def zeta(m, k=1):
     return CyclotomicElem.zeta(m, k)
@@ -387,14 +389,13 @@ def test_sign_rejects_non_real():
         sign_of_real(zeta(5))
 
 
-def test_sign_with_tiny_initial_precision(monkeypatch):
+def test_sign_with_tiny_initial_precision():
     # The initial precision only affects the number of refinement rounds.
     # 2*cos(pi/30) - 2 is about -0.011; nudging it within 1e-9 of zero
     # forces several precision doublings starting from 8 bits.
-    monkeypatch.setenv("TORSION_PACKET_PRECISION_BITS", "8")
     z = zeta(60)
     near_zero = z + z**59 - 2 + F(10946842, 10**9)
-    assert sign_of_real(near_zero) == sign_of_real(near_zero, initial_bits=256)
+    assert sign_of_real(near_zero, initial_bits=8) == sign_of_real(near_zero, initial_bits=256)
 
 
 def test_sign_is_thread_safe():
@@ -424,13 +425,6 @@ def test_sign_is_thread_safe():
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {8: [(-1, 1)] * 40, 300: [(-1, 1)] * 40}
-
-
-def test_sign_env_validation(monkeypatch):
-    for raw in ("four", "4", "1000000"):
-        monkeypatch.setenv("TORSION_PACKET_PRECISION_BITS", raw)
-        with pytest.raises(ValueError, match="TORSION_PACKET_PRECISION_BITS"):
-            sign_of_real(CyclotomicElem.from_rational(4, 1))
 
 
 # pi to 60 decimal places, truncated: the ball kernel's reference.
@@ -535,7 +529,7 @@ def _real_elems():
     def build(m, coeffs, k):
         x = CyclotomicElem(m, coeffs)
         e = x + x.conjugate()
-        return e - F(round(e.complex_embedding().real * 2**k), 2**k)
+        return e - F(round(complex_embedding(e).real * 2**k), 2**k)
 
     return st.sampled_from([5, 8, 12, 20, 60]).flatmap(
         lambda m: st.builds(

@@ -117,9 +117,12 @@ def test_unit_case_large_bound():
 
 
 def test_unit_case_bound_validation():
-    # The closed form takes no bound; the command still checks --b-max.
+    # Only enumerate reads --b-max, so only enumerate validates it; the
+    # unit case is a closed form and takes no bound.
     with pytest.raises(UsageError):
-        cmd_lshape("unit-case", 2)
+        cmd_lshape("enumerate", 2)
+    report = cmd_lshape("unit-case", 2)
+    assert report.verdict == "verified" and "b_max" not in report.parameters
 
 
 # --------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from torsion_packet.stablefiber import (
 )
 from torsion_packet.tanratio import RationalAngle, ratio
 
+from float_embedding import complex_embedding
+
 
 # --------------------------------------------------------------------------
 # configurations
@@ -102,9 +104,7 @@ def test_symbolic_stratum2_space_is_a_line():
 def test_symbolic_generator_matches_closed_form_coefficientwise():
     cert = certify_stratum2()
     assert cert.basis_is_closed_form
-    assert cert.generator_json() == {
-        "terms": [{"residue": c, "pole": p} for c, p in (("y/x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y"))]
-    }
+    assert cert.closed_form == (("y/x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y"))
     for x, y in _grid_points():
         _, basis = differential_space(stratum2_config(x, y))
         assert basis[0].terms == ((y / x, x), (-y / x, -x), (F(-1), y), (F(1), -y))
@@ -374,7 +374,7 @@ def test_decagon_exclude_r():
     # The intersection R_x cap R_y holds only -1 (a Weierstrass limit) and
     # 0 (a zero of the limit differential).
     _, _, inter = decagon_r_sets()
-    assert sorted(round(v.complex_embedding().real) for v in inter) == [-1, 0]
+    assert sorted(round(complex_embedding(v).real) for v in inter) == [-1, 0]
 
 
 def test_minus_one_lies_on_a_tenth_root_ray():
