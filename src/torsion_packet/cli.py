@@ -438,6 +438,9 @@ def cmd_stratum2(torsion_order: int) -> Report:
 
     torsion = stablefiber.solve_torsion_pairs(torsion_order)
     nonzero = [a for a in torsion.tangent_indices if a > 0]
+    # The equation has degree N for odd N and N - 1 for even N: the count
+    # of its distinct solutions says that none is missing.
+    ok_count = len(torsion.solutions) == (torsion_order if torsion_order % 2 else torsion_order - 1)
     records.append(
         {
             "stage": "torsion_solutions",
@@ -445,10 +448,10 @@ def cmd_stratum2(torsion_order: int) -> Report:
             "tangent_indices": list(torsion.tangent_indices),
             "nonzero_count": sum(1 for a in torsion.tangent_indices if a != 0),
             "zero_solution_degenerate": 0 in torsion.tangent_indices,
-            "ok": True,
+            "ok": ok_count,
         }
     )
-    oks.append(True)
+    oks.append(ok_count)
 
     handoff_pairs = [(a, b) for a in nonzero for b in nonzero if a < b]
     for a, b in handoff_pairs:
@@ -470,6 +473,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
             rec["status"] = "unit: pentagon/octagon regime, handled by known torsion"
         else:
             verdict_row = lshape.exclude_against_table1(r)
+            oks.append(verdict_row.excluded)
             rec["status"] = (
                 "excluded by trace/norm matching"
                 if verdict_row.excluded

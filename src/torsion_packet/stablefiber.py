@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
-from .exactnum import CyclotomicElem, inv_one_minus_zeta, sign_of_real
+from .exactnum import CyclotomicElem, sign_of_real
 from .tanratio import i_tan
 
 
@@ -75,14 +75,12 @@ class NodalConfig:
         self,
         nodes: Iterable[tuple[Point, Point]],
         marked: Iterable[tuple[str, Point]] = (),
-        zero_orders: Union[Mapping[str, int], Iterable[tuple[str, int]]] = (),
+        zero_orders: Mapping[str, int] = {},
         involution: Optional[str] = None,
     ):
         object.__setattr__(self, "nodes", tuple((p, q) for p, q in nodes))
         object.__setattr__(self, "marked", tuple((str(l), p) for l, p in marked))
-        if isinstance(zero_orders, Mapping):
-            zero_orders = zero_orders.items()
-        object.__setattr__(self, "zero_orders", tuple(sorted((str(l), int(k)) for l, k in zero_orders)))
+        object.__setattr__(self, "zero_orders", tuple(sorted((str(l), int(k)) for l, k in zero_orders.items())))
         object.__setattr__(self, "involution", involution)
         self._validate()
 
@@ -91,16 +89,6 @@ class NodalConfig:
     @property
     def poles(self) -> tuple[Point, ...]:
         return tuple(p for node in self.nodes for p in node)
-
-    @property
-    def zero_order_map(self) -> dict[str, int]:
-        return dict(self.zero_orders)
-
-    def marked_point(self, label: str) -> Point:
-        for l, p in self.marked:
-            if l == label:
-                return p
-        raise KeyError(label)
 
     def all_points(self) -> list[Point]:
         return list(self.poles) + [p for _, p in self.marked]
@@ -186,24 +174,11 @@ class LimitDifferential:
     def poles(self) -> tuple[Point, ...]:
         return tuple(p for _, p in self.terms)
 
-    @property
-    def residues(self) -> tuple[Point, ...]:
-        return tuple(c for c, _ in self.terms)
-
     def residue_at(self, point: Point) -> Point:
         for c, p in self.terms:
             if p == point:
                 return c
         raise KeyError(f"no pole at {point!r}")
-
-    def total_residue(self) -> Point:
-        total = None
-        for c, _ in self.terms:
-            total = c if total is None else total + c
-        return total
-
-    def scaled(self, factor) -> LimitDifferential:
-        return LimitDifferential((c * factor, p) for c, p in self.terms)
 
 
 def differentials_proportional(a: LimitDifferential, b: LimitDifferential) -> bool:
@@ -255,112 +230,85 @@ def _kernel_basis(rows: list[list], ncols: int, zero, one) -> list[list]:
     return basis
 
 
-def _condition_rows(config: NodalConfig, poles: Sequence[Point], zero, one) -> list[list]:
-    n = len(poles)
+def _unknowns(config: NodalConfig) -> tuple[tuple[Point, ...], Point, Point]:
+    """The node points, in the order of the unknown residues, and the zero
+    and one of their field."""
+    poles = config.poles
+    if any(p is INFINITY for p in poles):
+        raise ValueError("nodes at infinity are not supported")
+    zero = poles[0] - poles[0]
+    return poles, zero, zero + 1
+
+
+def _residue_rows(config: NodalConfig, poles: Sequence[Point], zero, one) -> list[list]:
+    """Node matching Res(p) + Res(q) = 0 at each node, then total residue
+    zero (regularity at infinity)."""
     rows = []
-    for i, (_, _) in enumerate(config.nodes):
-        row = [zero] * n
-        row[2 * i] = one
-        row[2 * i + 1] = one
+    for i in range(len(config.nodes)):
+        row = [zero] * len(poles)
+        row[2 * i] = row[2 * i + 1] = one
         rows.append(row)
-    rows.append([one] * n)  # regularity at infinity: total residue zero
-    orders = config.zero_order_map
-    for label, pt in config.marked:
-        k = orders.get(label, 0)
-        if k < 1:
-            continue
-        if pt is INFINITY:
-            for j in range(1, k + 1):
-                rows.append([p**j for p in poles])
-        else:
-            if pt in poles:
-                raise ValueError(f"prescribed zero at {pt!r} coincides with a pole")
-            for j in range(1, k + 1):
-                rows.append([one / ((pt - p) ** j) for p in poles])
+    rows.append([one] * len(poles))
     return rows
+
+
+def _zero_order_rows(config: NodalConfig, poles: Sequence[Point], zero, one) -> list[list]:
+    """One moment condition per prescribed vanishing order j = 1, ..., k at
+    a marked point: sum(c_i * p_i^j) = 0 at infinity, sum(c_i/(pt - p_i)^j)
+    = 0 at a finite point pt."""
+    orders = dict(config.zero_orders)
+    return [
+        [p**j if pt is INFINITY else one / ((pt - p) ** j) for p in poles]
+        for label, pt in config.marked
+        for j in range(1, orders.get(label, 0) + 1)
+    ]
 
 
 def differential_space(config: NodalConfig) -> tuple[int, list[LimitDifferential]]:
     """Dimension and basis of differentials satisfying all exact conditions.
 
     Unknowns are the residue coefficients at the node preimages; the
-    conditions are node matching, total residue zero, and the prescribed
-    vanishing orders at marked points (one linear condition per order,
-    with infinity handled in the coordinate w = 1/z).
+    conditions are the residue rows (node matching, total residue zero) and
+    the zero-order rows (one linear condition per prescribed vanishing
+    order, with infinity handled in the coordinate w = 1/z).
     """
-    poles = config.poles
-    if any(p is INFINITY for p in poles):
-        raise ValueError("nodes at infinity are not supported")
-    zero = poles[0] - poles[0]
-    one = zero + 1
-    rows = _condition_rows(config, poles, zero, one)
+    poles, zero, one = _unknowns(config)
+    rows = _residue_rows(config, poles, zero, one) + _zero_order_rows(config, poles, zero, one)
     basis = _kernel_basis(rows, len(poles), zero, one)
     diffs = [LimitDifferential(zip(vec, poles)) for vec in basis]
     return len(diffs), diffs
 
 
+def _satisfies(rows_of, omega: LimitDifferential, config: NodalConfig) -> bool:
+    """Whether the residues of ``omega``, taken in node-point order, satisfy
+    the condition rows that ``rows_of`` builds for ``differential_space``."""
+    poles, zero, one = _unknowns(config)
+    if len(omega.terms) != len(poles) or any(omega.poles.count(p) != 1 for p in poles):
+        raise ValueError("differential poles do not match the node points")
+    residues = [omega.residue_at(p) for p in poles]
+    return not any(
+        sum(a * c for a, c in zip(row, residues)) for row in rows_of(config, poles, zero, one)
+    )
+
+
 def verify_residue_constraints(omega: LimitDifferential, config: NodalConfig) -> bool:
     """Exact check of total residue zero and node matching Res(p) + Res(q) = 0."""
-    poles = config.poles
-    if len(omega.terms) != len(poles):
-        raise ValueError("differential poles do not match the node points")
-    if any(omega.poles.count(p) != 1 for p in poles):
-        raise ValueError("differential poles do not match the node points")
-    if omega.total_residue():
-        return False
-    for p, q in config.nodes:
-        if omega.residue_at(p) + omega.residue_at(q):
-            return False
-    return True
+    return _satisfies(_residue_rows, omega, config)
 
 
 def verify_zero_orders(omega: LimitDifferential, config: NodalConfig) -> bool:
     """Exact check of the prescribed vanishing orders at the marked points."""
-    orders = config.zero_order_map
-    for label, pt in config.marked:
-        k = orders.get(label, 0)
-        if k < 1:
-            continue
-        if pt is INFINITY:
-            for j in range(1, k + 1):
-                total = None
-                for c, p in omega.terms:
-                    term = c * p**j
-                    total = term if total is None else total + term
-                if total:
-                    return False
-        else:
-            for j in range(1, k + 1):
-                total = None
-                for c, p in omega.terms:
-                    term = c / ((pt - p) ** j)
-                    total = term if total is None else total + term
-                if total:
-                    return False
-    return True
+    return _satisfies(_zero_order_rows, omega, config)
 
 
-def height_ratio(
-    omega: LimitDifferential,
-    config: NodalConfig,
-    numerator_pole: Optional[Point] = None,
-    denominator_pole: Optional[Point] = None,
-):
-    """Ratio of two designated residues of the (unique) limit differential.
-
-    Defaults to Res(first point of first node) / Res(second point of
-    second node); for ``stratum2_config(x, y)`` this is y/x over Q(x, y)
-    (see ``certify_stratum2``).
-    """
-    if numerator_pole is None:
-        numerator_pole = config.nodes[0][0]
-    if denominator_pole is None:
-        denominator_pole = config.nodes[1][1]
-    num = omega.residue_at(numerator_pole)
-    den = omega.residue_at(denominator_pole)
+def height_ratio(omega: LimitDifferential, config: NodalConfig):
+    """Res(first point of first node) / Res(second point of second node) of
+    the (unique) limit differential; for ``stratum2_config(x, y)`` this is
+    y/x over Q(x, y) (see ``certify_stratum2``)."""
+    den = omega.residue_at(config.nodes[1][1])
     if not den:
         raise ZeroDivisionError("designated denominator residue is zero")
-    return num / den
+    return omega.residue_at(config.nodes[0][0]) / den
 
 
 # --------------------------------------------------------------------------
@@ -516,25 +464,19 @@ def decagon_points(m: int = 10) -> tuple[CyclotomicElem, CyclotomicElem]:
     return CyclotomicElem.zeta(m, 2 * (m // 10)), CyclotomicElem.zeta(m, 4 * (m // 10))
 
 
-def decagon_config(x: Point = None, y: Point = None) -> NodalConfig:
-    """Nodes (x, 1/x), (y, 1/y), simple zeros at 0 and infinity, Weierstrass
-    limits at -1 and 1, hyperelliptic involution z -> 1/z.
-
-    Defaults to the decagon values x = zeta_5, y = zeta_5^2.
-    """
-    if x is None or y is None:
-        if x is not None or y is not None:
-            raise ValueError("pass both x and y or neither")
-        x, y = decagon_points()
+def decagon_config() -> NodalConfig:
+    """Nodes (x, 1/x), (y, 1/y) at x = zeta_5, y = zeta_5^2, simple zeros at
+    0 and infinity, Weierstrass limits at -1 and 1, hyperelliptic
+    involution z -> 1/z."""
+    x, y = decagon_points()
     zero = x - x
-    one = zero + 1
     return NodalConfig(
         nodes=((x, 1 / x), (y, 1 / y)),
         marked=(
             ("omega_zero_0", zero),
             ("omega_zero_inf", INFINITY),
             ("weierstrass_-1", zero - 1),
-            ("weierstrass_+1", one),
+            ("weierstrass_+1", zero + 1),
         ),
         zero_orders={"omega_zero_0": 1, "omega_zero_inf": 1},
         involution="inversion",
@@ -567,54 +509,36 @@ class TorsionSolution:
 
 
 def solve_torsion_pairs(order: int) -> TorsionSolution:
-    """Solve (x-1)^N = (-x-1)^N exactly over the roots of unity.
+    """Solve (x-1)^N = (-x-1)^N exactly: x_A = i*tan(A*pi/N), -N/2 < A < N/2.
 
-    Writing u = (x-1)/(x+1), the equation says u^N = (-1)^N, so u runs over
-    N-th roots of unity (negated for odd N); u = 1 corresponds to the
-    excluded solution at infinity, every other u gives
-    x = (1+u)/(1-u) = 2/(1-u) - 1.  Each solution is certified by one
-    product, x - 1 = u*(x + 1), and by u^N = (-1)^N checked on the exponent
-    of u = zeta^c; together they give (x-1)^N = u^N (x+1)^N = (-x-1)^N.
-    Each is then matched exactly to its i*tan(A*pi/N) form.
+    In Q(zeta_m), m = lcm(4, N), x_A is ``i_tan(m, e)`` for e = (m/N)*A, the
+    Cayley form (w - 1)/(w + 1) of w = zeta_m^e.  Each is certified by one
+    product, x - 1 = u*(x + 1) with u = -zeta_m^(-e) = zeta_m^(m/2 - e), and
+    by u^N = (-1)^N checked on the exponent of u; together they give
+    (x-1)^N = u^N (x+1)^N = (-x-1)^N.  The list is complete: the x^N terms
+    cancel for even N and add for odd N, so the equation has degree N for
+    odd N and N - 1 for even N (its x^(N-1) coefficient is then -2N), which
+    is exactly the number of indices A, and the solutions are checked
+    pairwise distinct.
     """
     n = order
     if n < 2:
         raise ValueError(f"torsion order must be at least 2, got {n}")
-    ambient = math.lcm(4, n)
-    half = ambient // 2  # zeta^half = -1
-    solutions = []
-    for a in range(n):
-        c = ((ambient // n) * a + (half if n % 2 else 0)) % ambient  # u = zeta^c
-        if c == 0:
-            continue
-        x = 2 * inv_one_minus_zeta(ambient, c) - 1
-        if x - 1 != CyclotomicElem.zeta(ambient, c) * (x + 1) or (c - half) * n % ambient:
-            raise ArithmeticInconsistencyError(f"solution {x!r} fails the defining equation")
-        solutions.append(x)
-    if len({(x.nums, x.den) for x in solutions}) != len(solutions):
-        raise ArithmeticInconsistencyError("duplicate torsion solutions")
-    # Exact tangent matching in the field containing zeta_2N.
-    m = math.lcm(4, 2 * n)
-    lifted = {}
-    for i, x in enumerate(solutions):
-        y = x.to_conductor(m)
-        lifted[y.nums, y.den] = i
+    m = math.lcm(4, n)
+    half = m // 2  # zeta^half = -1
     amax = (n - 1) // 2
-    indices: list[Optional[int]] = [None] * len(solutions)
-    for a in range(-amax, amax + 1):
-        t = i_tan(m, (m // n) * a)  # |a| < n/2 keeps clear of the pole
-        key = (t.nums, t.den)
-        if key not in lifted:
-            raise ArithmeticInconsistencyError(f"i*tan({a}*pi/{n}) is not a solution")
-        indices[lifted[key]] = a
-    if any(i is None for i in indices):
-        raise ArithmeticInconsistencyError("tangent parametrization misses a solution")
-    order_by_index = sorted(range(len(solutions)), key=lambda i: indices[i])
-    return TorsionSolution(
-        order=n,
-        solutions=tuple(solutions[i] for i in order_by_index),
-        tangent_indices=tuple(indices[i] for i in order_by_index),
-    )
+    indices = tuple(range(-amax, amax + 1))
+    solutions = []
+    for a in indices:
+        e = (m // n) * a
+        x = i_tan(m, e)  # |a| < n/2 keeps clear of the pole
+        c = (half - e) % m  # u = zeta^c
+        if x - 1 != CyclotomicElem.zeta(m, c) * (x + 1) or (c - half) * n % m:
+            raise ArithmeticInconsistencyError(f"i*tan({a}*pi/{n}) fails the defining equation")
+        solutions.append(x)
+    if len(set(solutions)) != len(solutions):
+        raise ArithmeticInconsistencyError("duplicate torsion solutions")
+    return TorsionSolution(order=n, solutions=tuple(solutions), tangent_indices=indices)
 
 
 # --------------------------------------------------------------------------

@@ -480,7 +480,9 @@ def normalize_by_galois(t: TangentRatio) -> TangentRatio:
     Applies the Galois substitution zeta -> zeta^k to both tangent factors
     for the smallest k that sends alpha's numerator class to +-1 mod its
     denominator, then re-reads the two angles (folded back into (0, 1/2)
-    and reordered).  The degree is invariant under this operation.
+    and reordered).  The degree is invariant under this operation.  No
+    command calls it: the tests keep it as the oracle of
+    ``normalized_nonunit_rows``.
     """
     if t.alpha.numerator == 1:
         return t
@@ -497,26 +499,21 @@ def normalize_by_galois(t: TangentRatio) -> TangentRatio:
 
 
 def normalized_nonunit_rows(max_denominator: int = 12) -> list[TangentRatio]:
-    """Degree-2 non-unit ratios up to the bound, Galois-normalized and deduplicated.
+    """Degree-2 non-unit ratios up to the bound whose alpha has numerator 1.
 
-    Rows are deduplicated by their normalized (alpha, beta), not by Galois
-    orbit: one orbit of unordered pairs can hold mu and a conjugate of
-    -1/mu', two rows of different trace and norm, such as (1/12, 1/6) and
-    (1/6, 5/12).
+    These are exactly the normal forms that ``normalize_by_galois`` gives
+    the non-units.  It fixes each member whose alpha has numerator 1, and
+    it sends any other member to a pair of the same Galois orbit, which
+    ``enumerate_ratios`` also yields (it yields whole orbits) and which is a
+    non-unit too (a Galois conjugate, a sign and an inverse each keep a
+    unit a unit).  One orbit of unordered pairs can hold mu and a conjugate
+    of -1/mu', two rows of different trace and norm, such as (1/12, 1/6)
+    and (1/6, 5/12).  The numerator is tested first, so that the other
+    members build no mu.
     """
-    seen: set[tuple[Fraction, Fraction]] = set()
-    rows = []
-    for t in enumerate_ratios(2, max_denominator):
-        if t.is_unit:
-            continue
-        n = normalize_by_galois(t)
-        key = (n.alpha.value, n.beta.value)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(n)
-    rows.sort(key=lambda r: (r.alpha.value, r.beta.value))
-    return rows
+    return [
+        t for t in enumerate_ratios(2, max_denominator) if t.alpha.numerator == 1 and not t.is_unit
+    ]
 
 
 # --------------------------------------------------------------------------

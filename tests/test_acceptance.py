@@ -104,9 +104,8 @@ def test_criterion_4_differential_uniqueness():
     for x in xs:
         for y in ys:
             dim, basis = differential_space(stratum2_config(x, y))
-            scaled = basis[0].scaled(y / x / basis[0].residue_at(x))
             reference = stratum2_limit_differential(x, y)
-            ok = ok and dim == 1 and list(scaled.terms) == list(reference.terms)
+            ok = ok and dim == 1 and basis[0].terms == reference.terms
 
     dcfg = decagon_config()
     ddim, dbasis = differential_space(dcfg)

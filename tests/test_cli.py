@@ -235,6 +235,93 @@ def test_stratum2_order_ten_reaches_exclusion():
     assert report.verdict == "verified"
 
 
+def test_stratum2_refutes_a_handoff_that_matches_a_triple(monkeypatch, capsys):
+    # The verdict rests on the handoffs: a non-unit quadratic ratio that
+    # matched an admissible triple would be a periodic point.
+    import dataclasses
+
+    import torsion_packet.lshape as lshape_mod
+
+    exclude = lshape_mod.exclude_against_table1
+    monkeypatch.setattr(
+        lshape_mod,
+        "exclude_against_table1",
+        lambda row: dataclasses.replace(exclude(row), excluded=False),
+    )
+    assert cmd_stratum2(10).verdict == "refuted"
+    code, _ = run_cli(["stratum2", "--torsion-order", "10"], capsys)
+    assert code == EXIT_REFUTED
+
+
+def test_stratum2_refutes_a_torsion_solver_that_drops_a_solution(monkeypatch):
+    import dataclasses
+
+    import torsion_packet.stablefiber as stablefiber_mod
+
+    solve = stablefiber_mod.solve_torsion_pairs
+
+    def dropped(n):
+        ts = solve(n)
+        return dataclasses.replace(
+            ts, solutions=ts.solutions[:-1], tangent_indices=ts.tangent_indices[:-1]
+        )
+
+    monkeypatch.setattr(stablefiber_mod, "solve_torsion_pairs", dropped)
+    report = cmd_stratum2(10)
+    torsion = next(r for r in report.records if r["stage"] == "torsion_solutions")
+    assert torsion["count"] == 8 and torsion["ok"] is False
+    assert report.verdict == "refuted"
+
+
+def test_caches_fill_the_same_under_concurrent_first_use():
+    # Every lru_cache and cached_property, and the stabilizer that
+    # enumerate_ratios writes into its members, holds a pure function's
+    # value, so threads that fill them at once get the serial results.
+    import threading
+
+    from torsion_packet import tanratio
+    from torsion_packet.exactnum import cyclotomic, polynomial, signs
+
+    caches = (
+        polynomial.euler_phi,
+        polynomial.cyclotomic_int_coeffs,
+        cyclotomic._conductor,
+        signs._pi_ball,
+        tanratio._tan_row,
+        tanratio._numerators,
+    )
+
+    def run():
+        ratios = [
+            (t.alpha, t.beta, t.stabilizer, t.minpoly, t.mu_display())
+            for t in tanratio.enumerate_ratios(4, 24)
+        ]
+        return ratios, render(cmd_stratum2(30), "json").rsplit("elapsed_ms", 1)[0]
+
+    serial = run()
+    for cache in caches:
+        cache.cache_clear()
+    start = threading.Barrier(4)
+    results = []
+
+    def worker():
+        start.wait()
+        results.append(run())
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 and all(r == serial for r in results)
+
+
 def test_stratum2_builds_minimal_polynomials_only_for_quadratic_ratios(monkeypatch):
     import torsion_packet.tanratio as tanratio_mod
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torsion_packet.errors import ArithmeticInconsistencyError
-from torsion_packet import stablefiber
+from torsion_packet import tanratio
 from torsion_packet.exactnum import CyclotomicElem, inv_one_minus_zeta, sign_of_real
 from torsion_packet.stablefiber import (
     INFINITY,
@@ -168,11 +168,22 @@ def test_residue_constraints_hold_and_detect_perturbation():
     assert not verify_residue_constraints(perturbed, cfg)
 
 
+def test_zero_orders_are_checked_apart_from_the_residue_rows():
+    # Residues (1, -1, 0, 0) at (2, -2, 3, -3) match at both nodes and sum
+    # to zero, but sum(c_i * p_i) = 4: no double zero at infinity.
+    x, y = F(2), F(3)
+    cfg = stratum2_config(x, y)
+    omega = LimitDifferential(((F(1), x), (F(-1), -x), (F(0), y), (F(0), -y)))
+    assert verify_residue_constraints(omega, cfg)
+    assert not verify_zero_orders(omega, cfg)
+
+
 def test_residue_precondition_on_poles():
     x, y = F(2), F(3)
     cfg = stratum2_config(x, y)
-    with pytest.raises(ValueError, match="poles"):
-        verify_residue_constraints(LimitDifferential(((y, x), (-y, -x))), cfg)
+    for verify in (verify_residue_constraints, verify_zero_orders):
+        with pytest.raises(ValueError, match="poles"):
+            verify(LimitDifferential(((y, x), (-y, -x))), cfg)
 
 
 def test_over_constrained_space_is_trivial():
@@ -302,8 +313,9 @@ def test_torsion_rejects_tiny_order():
 
 
 def test_torsion_solver_inverts_no_general_element(monkeypatch):
-    # Both denominators, 1 - u and w + 1, are binomials 1 - zeta^c with a
-    # closed-form inverse, so the general inverse is never needed.
+    # The one denominator, w + 1 in the Cayley form of i*tan, is a binomial
+    # 1 - zeta^c with a closed-form inverse, so the general inverse is
+    # never needed.
     calls = []
     general_inverse = CyclotomicElem.inverse
 
@@ -319,10 +331,11 @@ def test_torsion_solver_inverts_no_general_element(monkeypatch):
 
 
 def test_torsion_certificate_rejects_a_wrong_binomial_inverse(monkeypatch):
+    # A wrong inverse forges the tangent i_tan that every solution is.
     def off_by_one(m, c):
         return inv_one_minus_zeta(m, c) + 1
 
-    monkeypatch.setattr(stablefiber, "inv_one_minus_zeta", off_by_one)
+    monkeypatch.setattr(tanratio, "inv_one_minus_zeta", off_by_one)
     with pytest.raises(ArithmeticInconsistencyError, match="defining equation"):
         solve_torsion_pairs(7)
 

@@ -466,6 +466,28 @@ def test_normalized_nonunit_rows_at_12():
     assert all(not r.is_unit for r in rows)
 
 
+@pytest.mark.parametrize("bound", [12, 20, 30, 60])
+def test_nonunit_rows_are_the_galois_normal_forms_of_the_nonunits(bound):
+    # The oracle: normalize every non-unit member by a Galois substitution
+    # and deduplicate.  The rows are the members that are already normal.
+    oracle = {}
+    for t in enumerate_ratios(2, bound):
+        if not t.is_unit:
+            n = normalize_by_galois(t)
+            oracle[n.alpha.value, n.beta.value] = (n.trace, n.norm)
+    rows = normalized_nonunit_rows(bound)
+    assert [(r.alpha.value, r.beta.value) for r in rows] == sorted(oracle)
+    assert all(oracle[r.alpha.value, r.beta.value] == (r.trace, r.norm) for r in rows)
+
+
+def test_nonunit_rows_build_no_mu_for_other_numerators(monkeypatch):
+    members = enumerate_ratios(2, 30)
+    monkeypatch.setattr(tanratio, "enumerate_ratios", lambda degree, bound: members)
+    normalized_nonunit_rows(30)
+    others = [t for t in members if t.alpha.numerator != 1]
+    assert others and not any("mu" in vars(t) or "minpoly" in vars(t) for t in others)
+
+
 def test_table1_rows_are_not_deduplicated_by_orbit():
     # (1/12, 1/6) and (1/6, 5/12) lie in one Galois orbit of unordered
     # pairs, but sigma_5 sends the first ratio mu to -1/mu' of the second,
