@@ -11,8 +11,7 @@ quadratic elements and angles as strings, cyclotomic elements as
 {m, coeffs}, the point at infinity as "infinity", admissible triples as
 {b, e, lambda}.  It is the ``default=`` hook of CPython's C JSON encoder,
 which encodes each record in one call, and the text and CSV renderers
-and ``Report.to_dict`` use it too.  The JSON layout puts one record per
-line.
+use it too.  The JSON layout puts one record per line.
 
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
 1 refuted, 2 usage or I/O error (a closed output pipe included),
@@ -86,10 +85,6 @@ class Report:
             "records": self.records,
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def to_dict(self) -> dict[str, Any]:
-        """The report as JSON data: what parsing its JSON rendering gives."""
-        return json.loads(_JSON.encode(self.fields()))
 
 
 def _leaf(value: Any) -> Any:
@@ -192,7 +187,8 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
     Raises ValueError, with a one-line message, when the file cannot be
     read, is not JSON, or is not an object with ``schema_version`` 1 whose
     ``records`` list holds rows with ``alpha``, ``beta``, ``trace`` and
-    ``norm``.
+    ``norm``, the last two rationals.  ``trace`` and ``norm`` come back as
+    the display strings of their ``Fraction`` values.
     """
     if path is None:
         source = "builtin ground truth"
@@ -224,6 +220,11 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
         for k in _GROUND_TRUTH_KEYS:
             if isinstance(row[k], bool) or not isinstance(row[k], (str, int)):
                 raise ValueError(f"{source}: record {i} field {k} must be a string or an integer")
+        for k in ("trace", "norm"):
+            try:
+                row[k] = str(Fraction(row[k]))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{source}: record {i} field {k} is not a rational: {row[k]!r}") from None
     return records
 
 
@@ -288,10 +289,7 @@ def cmd_verify_table1(
         if ground_truth_path is None:  # the shipped file: a packaging bug
             raise
         raise UsageError(str(exc)) from exc
-    expected = [
-        (row["alpha"], row["beta"], str(Fraction(row["trace"])), str(Fraction(row["norm"])))
-        for row in reference
-    ]
+    expected = [(row["alpha"], row["beta"], row["trace"], row["norm"]) for row in reference]
     computed_rows = tanratio.normalized_nonunit_rows(max_denominator)
     computed = [
         (str(r.alpha), str(r.beta), str(r.trace), str(r.norm)) for r in computed_rows

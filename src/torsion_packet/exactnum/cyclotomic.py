@@ -5,8 +5,8 @@ reduced modulo the m-th cyclotomic polynomial, as integers: a tuple
 ``nums`` of numerators over one common denominator ``den > 0``, with
 gcd(den, *nums) = 1 and zero stored as all zeros over 1 (the layout
 ``QuadraticElem`` uses).  The form is canonical, so two elements are
-equal iff their ``(nums, den)`` match, and arithmetic, Galois images and
-embeddings run in integers without building a ``Fraction``.  The
+equal iff their ``(nums, den)`` match, and arithmetic and Galois images
+run in integers without building a ``Fraction``.  The
 rational coordinates ``coeffs`` are a derived, read-only property for
 display.
 
@@ -130,8 +130,9 @@ class CyclotomicElem:
     den > 0 and gcd(den, *nums) = 1.
 
     Instances are immutable; all operations return new elements.
-    Arithmetic between elements requires matching conductors (use
-    :meth:`to_conductor` to move into a larger field explicitly).
+    Arithmetic between elements requires matching conductors; an element
+    of Q(zeta_m) is the sum of nums[j]/den * zeta(m2, j*m2/m) in any
+    multiple m2 of m.
     """
 
     __slots__ = ("m", "nums", "den")
@@ -204,21 +205,13 @@ class CyclotomicElem:
         """Image under complex conjugation zeta -> zeta^(-1)."""
         return galois_apply(self, -1)
 
-    def to_conductor(self, m2: int) -> CyclotomicElem:
-        """Embed into Q(zeta_m2) for a multiple m2 of the conductor."""
-        if m2 % self.m:
-            raise ValueError(f"{m2} is not a multiple of the conductor {self.m}")
-        if m2 == self.m:
-            return self
-        return _make(m2, _power_sum(_conductor(m2), self.nums, m2 // self.m), self.den)
-
     # ----- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicElem):
             if other.m != self.m:
                 raise ValueError(
-                    f"conductor mismatch ({self.m} vs {other.m}); embed explicitly via to_conductor"
+                    f"conductor mismatch ({self.m} vs {other.m}); embed both in a common field first"
                 )
             return other
         if isinstance(other, (int, Fraction)):

@@ -13,13 +13,14 @@ rejects a radicand that is below 2 or not squarefree.  Results of
 arithmetic inherit an already-validated radicand and go through the
 private ``_from_parts``, which only reduces by the gcd; callers that take
 the radicand straight from ``squarefree_part`` or ``squarefree_cores`` may
-use it too.  The rational coefficients ``a = an/den`` and ``b = bn/den``
-are derived, read-only ``Fraction`` properties.
+use it too.
 
-Rational values have bn = 0; their radicand is a formality and equality
-ignores it, so the same rational compares equal across fields.  Signs and
-comparisons are decided exactly in integers (compare an^2 against
-d*bn^2), never by floating point.
+The exclusion argument compares the trace and norm of +-mu^(+-1) with
+those of lambda + 1, so the type carries only negation, inverse, trace,
+norm and display (and the product of two elements, which the exactnum
+micro-benchmark times).  There is no addition and no ordering.  Rational
+values have bn = 0; their radicand is a formality and equality ignores
+it, so the same rational compares equal across fields.
 """
 
 from __future__ import annotations
@@ -99,38 +100,10 @@ class QuadraticElem:
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticElem is immutable")
 
-    @classmethod
-    def rational(cls, value: Scalar, d: int = 2) -> QuadraticElem:
-        """A rational value as a quadratic element (the radicand is inert)."""
-        return cls(value, 0, d)
-
-    @classmethod
-    def sqrt(cls, d: int) -> QuadraticElem:
-        return cls(0, 1, d)
-
-    @property
-    def a(self) -> Fraction:
-        """The rational part an/den."""
-        return Fraction(self.an, self.den)
-
-    @property
-    def b(self) -> Fraction:
-        """The coefficient bn/den of sqrt(d)."""
-        return Fraction(self.bn, self.den)
-
     # ----- structure ----------------------------------------------------
 
     def is_rational(self) -> bool:
         return self.bn == 0
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
-    def conjugate(self) -> QuadraticElem:
-        """The Galois conjugate a - b*sqrt(d)."""
-        return _from_parts(self.an, -self.bn, self.den, self.d)
 
     def trace(self) -> Fraction:
         """Sum with the Galois conjugate: 2a."""
@@ -140,120 +113,31 @@ class QuadraticElem:
         """Product with the Galois conjugate: a^2 - d*b^2."""
         return Fraction(self.an * self.an - self.d * self.bn * self.bn, self.den * self.den)
 
-    def sign(self) -> int:
-        """Exact sign under the embedding sqrt(d) -> positive real root."""
-        an, bn = self.an, self.bn  # den > 0 does not change the sign
-        if bn == 0:
-            return 0 if an == 0 else (1 if an > 0 else -1)
-        if an == 0:
-            return 1 if bn > 0 else -1
-        if an > 0 and bn > 0:
-            return 1
-        if an < 0 and bn < 0:
-            return -1
-        # Opposite signs: compare an^2 with d*bn^2 (equality would force
-        # sqrt(d) rational, impossible for squarefree d >= 2).
-        lhs, rhs = an * an, self.d * bn * bn
-        if lhs == rhs:
-            raise ArithmeticInconsistencyError(f"sqrt({self.d}) cannot be rational")
-        bigger_is_a = lhs > rhs
-        return (1 if an > 0 else -1) if bigger_is_a else (1 if bn > 0 else -1)
-
     # ----- arithmetic ---------------------------------------------------
 
-    def _aligned(self, other):
-        """(a1, b1, q1, a2, b2, q2, d): both operands' integer parts over one
-        radicand d, or None if ``other`` is not a number this type knows.
+    def __neg__(self) -> QuadraticElem:
+        return _from_parts(-self.an, -self.bn, self.den, self.d)
 
-        Addition, subtraction and multiplication by an ``int`` skip it and
-        build the result directly."""
-        if type(other) is not QuadraticElem:  # before the slow ABC check for Fraction
-            if isinstance(other, int):
-                return self.an, self.bn, self.den, other, 0, 1, self.d
-            if isinstance(other, Fraction):
-                return self.an, self.bn, self.den, other.numerator, 0, other.denominator, self.d
-            return None
+    def __mul__(self, other):
+        if type(other) is not QuadraticElem:
+            return NotImplemented
         d = self.d
         if other.d != d and other.bn != 0:
             if self.bn != 0:
                 raise ValueError(f"radicand mismatch: sqrt({self.d}) vs sqrt({other.d})")
             d = other.d
-        return self.an, self.bn, self.den, other.an, other.bn, other.den, d
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return _from_parts(self.an + other * self.den, self.bn, self.den, self.d)
-        ops = self._aligned(other)
-        if ops is None:
-            return NotImplemented
-        a1, b1, q1, a2, b2, q2, d = ops
-        if q1 == q2:
-            return _from_parts(a1 + a2, b1 + b2, q1, d)
-        return _from_parts(a1 * q2 + a2 * q1, b1 * q2 + b2 * q1, q1 * q2, d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QuadraticElem:
-        return _from_parts(-self.an, -self.bn, self.den, self.d)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return _from_parts(self.an - other * self.den, self.bn, self.den, self.d)
-        ops = self._aligned(other)
-        if ops is None:
-            return NotImplemented
-        a1, b1, q1, a2, b2, q2, d = ops
-        return _from_parts(a1 * q2 - a2 * q1, b1 * q2 - b2 * q1, q1 * q2, d)
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return _from_parts(other * self.den - self.an, -self.bn, self.den, self.d)
-        ops = self._aligned(other)
-        if ops is None:
-            return NotImplemented
-        a1, b1, q1, a2, b2, q2, d = ops
-        return _from_parts(a2 * q1 - a1 * q2, b2 * q1 - b1 * q2, q1 * q2, d)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _from_parts(self.an * other, self.bn * other, self.den, self.d)
-        ops = self._aligned(other)
-        if ops is None:
-            return NotImplemented
-        a1, b1, q1, a2, b2, q2, d = ops
-        return _from_parts(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, q1 * q2, d)
-
-    __rmul__ = __mul__
+        a1, b1, a2, b2 = self.an, self.bn, other.an, other.bn
+        return _from_parts(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, self.den * other.den, d)
 
     def inverse(self) -> QuadraticElem:
-        return _quotient(1, 0, 1, self.an, self.bn, self.den, self.d)
-
-    def __truediv__(self, other):
-        ops = self._aligned(other)
-        if ops is None:
-            return NotImplemented
-        return _quotient(*ops)
-
-    def __rtruediv__(self, other):
-        ops = self._aligned(other)
-        if ops is None:
-            return NotImplemented
-        a1, b1, q1, a2, b2, q2, d = ops
-        return _quotient(a2, b2, q2, a1, b1, q1, d)
-
-    def __pow__(self, n: int) -> QuadraticElem:
+        """1/x = (an - bn*sqrt(d)) * den / (an^2 - d*bn^2)."""
+        an, bn, den, d = self.an, self.bn, self.den, self.d
+        n = an * an - d * bn * bn
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero quadratic element")
         if n < 0:
-            return self.inverse() ** (-n)
-        d = self.d
-        ra, rb, rq = 1, 0, 1
-        a, b, q = self.an, self.bn, self.den
-        while n:
-            if n & 1:
-                ra, rb, rq = ra * a + d * rb * b, ra * b + rb * a, rq * q
-            n >>= 1
-            if n:
-                a, b, q = a * a + d * b * b, 2 * a * b, q * q
-        return _from_parts(ra, rb, rq, d)
+            n, den = -n, -den
+        return _from_parts(an * den, -bn * den, n, d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -271,23 +155,8 @@ class QuadraticElem:
 
     def __hash__(self) -> int:
         if self.bn == 0:
-            return hash(self.a)
+            return hash(Fraction(self.an, self.den))
         return hash((self.an, self.bn, self.den, self.d))
-
-    def __lt__(self, other) -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - other).sign() >= 0
-
-    def __float__(self) -> float:
-        return self.an / self.den + self.bn / self.den * math.sqrt(self.d)
 
     def __repr__(self) -> str:
         return f"QuadraticElem({self})"
@@ -329,17 +198,6 @@ def _from_parts(an: int, bn: int, den: int, d: int) -> QuadraticElem:
     _set_den(elem, den)
     _set_d(elem, d)
     return elem
-
-
-def _quotient(a1: int, b1: int, q1: int, a2: int, b2: int, q2: int, d: int) -> QuadraticElem:
-    """((a1 + b1*sqrt(d))/q1) / ((a2 + b2*sqrt(d))/q2), multiplying through
-    by the conjugate a2 - b2*sqrt(d)."""
-    n = a2 * a2 - d * b2 * b2
-    if n == 0:
-        raise ZeroDivisionError("inverse of zero quadratic element")
-    if n < 0:
-        n, q2 = -n, -q2
-    return _from_parts((a1 * a2 - d * b1 * b2) * q2, (b1 * a2 - a1 * b2) * q2, q1 * n, d)
 
 
 def _ratio_str(n: int, q: int) -> str:

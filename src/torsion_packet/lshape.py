@@ -141,7 +141,7 @@ def trace_norm_lambda_plus_one(t: AdmissibleTriple) -> tuple[int, int]:
         or twice_shift + bn <= 0
     ):
         raise ArithmeticInconsistencyError(
-            f"closed-form trace/norm ({trace}, {norm}) disagree with {lam + 1}"
+            f"closed-form trace/norm ({trace}, {norm}) disagree with lambda = {lam}"
         )
     return trace, norm
 

@@ -14,9 +14,9 @@ product, the factors of i cancelling:
 
     mu = (1 - 2/(1 - zeta_m^(e_beta + m/2))) * (1 - 2/(1 - zeta_m^e_alpha)),
 
-in the lcm m of the two angles' conductors.  tan(pi*p/q) itself is
--i = zeta_m^(3m/4) times i*tan(pi*p/q), at home in Q(zeta_m) with
-m = lcm(4, 2q) (the 4 contributes i).  ``i_tan`` is this one form.
+in the lcm m of the two angles' conductors.  ``i_tan`` is this one form.
+No command needs tan(pi*p/q) itself, only i*tan(pi*p/q) and its inverse,
+so the factor i never enters a product.
 
 The degree of mu is an index.  The automorphism zeta_m -> zeta_m^k sends
 mu to tan(pi*k*beta)/tan(pi*k*alpha) (the factors of i cancel in the
@@ -161,24 +161,6 @@ def i_tan(m: int, e: int) -> CyclotomicElem:
     1/(i*tan(pi*e/m)) (see the module docstring).
     """
     return 1 - 2 * inv_one_minus_zeta(m, e + m // 2)
-
-
-def tan_of(angle: RationalAngle) -> CyclotomicElem:
-    """tan(pi * angle) as an element of Q(zeta_lcm(4, 2q)).
-
-    The result is fixed by complex conjugation and positive.
-    """
-    m = angle.conductor
-    return CyclotomicElem.zeta(m, 3 * m // 4) * i_tan(m, m * angle.numerator // angle.denominator)
-
-
-def sin_of(angle: RationalAngle) -> CyclotomicElem:
-    """sin(pi * angle) = (zeta^p - zeta^-p) / (2i) in Q(zeta_lcm(4, 2q))."""
-    m = angle.conductor
-    a = angle.numerator * (m // (2 * angle.denominator))
-    i = CyclotomicElem.zeta(m, m // 4)
-    diff = CyclotomicElem.zeta(m, a) - CyclotomicElem.zeta(m, -a)
-    return diff * (-i) / 2
 
 
 class TangentRatio:
@@ -514,32 +496,3 @@ def normalized_nonunit_rows(max_denominator: int = 12) -> list[TangentRatio]:
     return [
         t for t in enumerate_ratios(2, max_denominator) if t.alpha.numerator == 1 and not t.is_unit
     ]
-
-
-# --------------------------------------------------------------------------
-# The tangent/sine addition identity
-
-
-def check_addition_formula(x: RationalAngle, y: RationalAngle) -> bool:
-    """Exact check of tan(pi(x+y)/2)/tan(pi(x-y)/2) = (s+1)/(s-1), s = sin(pi x)/sin(pi y).
-
-    Requires x > y so that the half-difference angle avoids the zero of
-    the tangent.  The left side is the one-product ratio of two Cayley
-    forms, as for mu; the sines are A/(2i), B/(2i) with A = z_x - 1/z_x,
-    B = z_y - 1/z_y for z = exp(i*pi*angle), so the right side is
-    (A + B)/(A - B).  Both live in one common cyclotomic field and are
-    compared after clearing A - B, so the result is exact.
-    """
-    if not y < x:
-        raise ValueError(f"need x > y, got x = {x}, y = {y}")
-    half_sum = RationalAngle((x.value + y.value) / 2)
-    half_diff = RationalAngle((x.value - y.value) / 2)
-    m = math.lcm(x.conductor, y.conductor, half_sum.conductor, half_diff.conductor)
-    e_sum = m * half_sum.numerator // half_sum.denominator
-    e_diff = m * half_diff.numerator // half_diff.denominator
-    lhs = i_tan(m, e_sum) * i_tan(m, e_diff + m // 2)
-    ax = x.numerator * (m // (2 * x.denominator))
-    ay = y.numerator * (m // (2 * y.denominator))
-    big_a = CyclotomicElem.zeta(m, ax) - CyclotomicElem.zeta(m, -ax)
-    big_b = CyclotomicElem.zeta(m, ay) - CyclotomicElem.zeta(m, -ay)
-    return lhs * (big_a - big_b) == big_a + big_b

@@ -1,0 +1,65 @@
+"""Exact cyclotomic values that only the tests need.
+
+The package builds i*tan in Cayley form and never tan, sin or an element
+moved into a larger field; the tests that check those forms build them
+here, from the public API.
+"""
+
+import math
+
+from torsion_packet.exactnum import CyclotomicElem
+from torsion_packet.tanratio import RationalAngle, i_tan
+
+
+def embed(e: CyclotomicElem, m2: int) -> CyclotomicElem:
+    """``e`` in Q(zeta_m2), m2 a multiple of its conductor m: the sum of
+    c_j * zeta(m2, j*m2/m) over its coordinates c_j."""
+    if m2 % e.m:
+        raise ValueError(f"{m2} is not a multiple of the conductor {e.m}")
+    step = m2 // e.m
+    out = CyclotomicElem.zero(m2)
+    for j, c in enumerate(e.coeffs):
+        if c:
+            out = out + c * CyclotomicElem.zeta(m2, j * step)
+    return out
+
+
+def tan_of(angle: RationalAngle) -> CyclotomicElem:
+    """tan(pi * angle) as an element of Q(zeta_lcm(4, 2q)): -i = zeta_m^(3m/4)
+    times the Cayley form i*tan.  It is real and positive."""
+    m = angle.conductor
+    return CyclotomicElem.zeta(m, 3 * m // 4) * i_tan(m, m * angle.numerator // angle.denominator)
+
+
+def sin_of(angle: RationalAngle) -> CyclotomicElem:
+    """sin(pi * angle) = (zeta^p - zeta^-p) / (2i) in Q(zeta_lcm(4, 2q))."""
+    m = angle.conductor
+    a = angle.numerator * (m // (2 * angle.denominator))
+    i = CyclotomicElem.zeta(m, m // 4)
+    diff = CyclotomicElem.zeta(m, a) - CyclotomicElem.zeta(m, -a)
+    return diff * (-i) / 2
+
+
+def check_addition_formula(x: RationalAngle, y: RationalAngle) -> bool:
+    """Exact check of tan(pi(x+y)/2)/tan(pi(x-y)/2) = (s+1)/(s-1), s = sin(pi x)/sin(pi y).
+
+    Requires x > y so that the half-difference angle avoids the zero of
+    the tangent.  The left side is the one-product ratio of two Cayley
+    forms, as for mu; the sines are A/(2i), B/(2i) with A = z_x - 1/z_x,
+    B = z_y - 1/z_y for z = exp(i*pi*angle), so the right side is
+    (A + B)/(A - B).  Both live in one common cyclotomic field and are
+    compared after clearing A - B, so the result is exact.
+    """
+    if not y < x:
+        raise ValueError(f"need x > y, got x = {x}, y = {y}")
+    half_sum = RationalAngle((x.value + y.value) / 2)
+    half_diff = RationalAngle((x.value - y.value) / 2)
+    m = math.lcm(x.conductor, y.conductor, half_sum.conductor, half_diff.conductor)
+    e_sum = m * half_sum.numerator // half_sum.denominator
+    e_diff = m * half_diff.numerator // half_diff.denominator
+    lhs = i_tan(m, e_sum) * i_tan(m, e_diff + m // 2)
+    ax = x.numerator * (m // (2 * x.denominator))
+    ay = y.numerator * (m // (2 * y.denominator))
+    big_a = CyclotomicElem.zeta(m, ax) - CyclotomicElem.zeta(m, -ax)
+    big_b = CyclotomicElem.zeta(m, ay) - CyclotomicElem.zeta(m, -ay)
+    return lhs * (big_a - big_b) == big_a + big_b

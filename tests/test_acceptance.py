@@ -24,7 +24,9 @@ from torsion_packet.stablefiber import (
     stratum2_limit_differential,
     symbolic_xy,
 )
-from torsion_packet.tanratio import RationalAngle, angles_up_to, check_addition_formula, tan_of
+from torsion_packet.tanratio import RationalAngle, angles_up_to
+
+from exact_helpers import check_addition_formula, embed, tan_of
 
 
 def _report(number: int, description: str, ok: bool, elapsed: float, budget: float):
@@ -135,10 +137,10 @@ def test_criterion_5_torsion_solver_oracle_equivalence():
         i_elem = CyclotomicElem.zeta(m, m // 4)
         expected = {CyclotomicElem.zero(m).coeffs}
         for a in range(1, (n - 1) // 2 + 1):
-            t = tan_of(RationalAngle(F(a, n))).to_conductor(m)
+            t = embed(tan_of(RationalAngle(F(a, n))), m)
             expected.add((i_elem * t).coeffs)
             expected.add((-i_elem * t).coeffs)
-        got = {s.to_conductor(m).coeffs for s in ts.solutions}
+        got = {embed(s, m).coeffs for s in ts.solutions}
         ok = ok and got == expected
     elapsed = time.perf_counter() - start
     _report(5, "torsion solutions equal the i*tan set and the oracle root set for N <= 12", ok, elapsed, 30)

@@ -1,5 +1,6 @@
 """Tests for the command-line front end and report formats."""
 
+import dataclasses
 import json
 import os
 import re
@@ -10,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from torsion_packet import lshape, stablefiber, tanratio
 from torsion_packet.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
+    _leaf,
     cmd_decagon,
     cmd_lshape,
     cmd_stratum2,
@@ -24,6 +27,8 @@ from torsion_packet.cli import (
     main,
     render,
 )
+from torsion_packet.exactnum import CyclotomicElem
+from torsion_packet.tanratio import RationalAngle
 
 
 def run_cli(args, capsys):
@@ -98,6 +103,18 @@ def _ground_truth_with_version(*version):
                 '{"schema_version": 1, "records": [{"alpha": "1/4", "beta": "1/3", "trace": [0], "norm": "-3"}]}'
             ),
             id="trace-not-scalar",
+        ),
+        pytest.param(
+            lambda p: p.write_text(
+                '{"schema_version": 1, "records": [{"alpha": "1/4", "beta": "1/3", "trace": "abc", "norm": "-3"}]}'
+            ),
+            id="trace-not-rational",
+        ),
+        pytest.param(
+            lambda p: p.write_text(
+                '{"schema_version": 1, "records": [{"alpha": "1/4", "beta": "1/3", "trace": "2", "norm": "1/0"}]}'
+            ),
+            id="norm-zero-denominator",
         ),
         *(pytest.param(_ground_truth_without(k), id=f"no-{k}") for k in ("alpha", "beta", "trace", "norm")),
         pytest.param(_ground_truth_with_version(), id="no-schema-version"),
@@ -235,42 +252,113 @@ def test_stratum2_order_ten_reaches_exclusion():
     assert report.verdict == "verified"
 
 
-def test_stratum2_refutes_a_handoff_that_matches_a_triple(monkeypatch, capsys):
-    # The verdict rests on the handoffs: a non-unit quadratic ratio that
-    # matched an admissible triple would be a periodic point.
-    import dataclasses
+# --------------------------------------------------------------------------
+# forged checks: each reported check, forged once, turns its verdict
 
-    import torsion_packet.lshape as lshape_mod
 
-    exclude = lshape_mod.exclude_against_table1
-    monkeypatch.setattr(
-        lshape_mod,
-        "exclude_against_table1",
-        lambda row: dataclasses.replace(exclude(row), excluded=False),
+def _false(_):
+    return False
+
+
+def _excluded_false(verdict):
+    return dataclasses.replace(verdict, excluded=False)
+
+
+def _dropping_a_solution(ts):
+    return dataclasses.replace(
+        ts, solutions=ts.solutions[:-1], tangent_indices=ts.tangent_indices[:-1]
     )
-    assert cmd_stratum2(10).verdict == "refuted"
-    code, _ = run_cli(["stratum2", "--torsion-order", "10"], capsys)
-    assert code == EXIT_REFUTED
 
 
-def test_stratum2_refutes_a_torsion_solver_that_drops_a_solution(monkeypatch):
-    import dataclasses
+def _certificate_with(**fields):
+    return lambda cert: dataclasses.replace(cert, **fields)
 
-    import torsion_packet.stablefiber as stablefiber_mod
 
-    solve = stablefiber_mod.solve_torsion_pairs
+def _with_value(position, value):
+    """Adds a rational of Q(zeta_20) to one of the decagon's R sets."""
+    return lambda sets: tuple(
+        s + [CyclotomicElem.from_rational(20, value)] if i == position else s
+        for i, s in enumerate(sets)
+    )
 
-    def dropped(n):
-        ts = solve(n)
-        return dataclasses.replace(
-            ts, solutions=ts.solutions[:-1], tangent_indices=ts.tangent_indices[:-1]
-        )
 
-    monkeypatch.setattr(stablefiber_mod, "solve_torsion_pairs", dropped)
-    report = cmd_stratum2(10)
-    torsion = next(r for r in report.records if r["stage"] == "torsion_solutions")
-    assert torsion["count"] == 8 and torsion["ok"] is False
-    assert report.verdict == "refuted"
+def _failed(name, key="ok"):
+    """The report's record for the stage or check ``name`` has ``key`` false."""
+    return lambda report: any(
+        rec.get(key) is False for rec in report["records"] if name in (rec.get("stage"), rec.get("check"))
+    )
+
+
+def _has_status(status):
+    return lambda report: any(rec["status"] == status for rec in report["records"])
+
+
+_EXTRA_RATIO = tanratio.ratio(RationalAngle.of(1, 7), RationalAngle.of(2, 7))
+_STRATUM2 = ["stratum2", "--torsion-order", "10"]
+
+# (id, argv, module, function, change of its result, what the report shows)
+_FORGED_CHECKS = [
+    ("verify-table1-missing-row", ["verify-table1"], tanratio, "normalized_nonunit_rows",
+     lambda rows: rows[:-1], _has_status("missing")),
+    ("verify-table1-unexpected-row", ["verify-table1"], tanratio, "normalized_nonunit_rows",
+     lambda rows: rows + [_EXTRA_RATIO], _has_status("unexpected")),
+    ("verify-table1-row-count", ["verify-table1"], tanratio, "normalized_nonunit_rows",
+     lambda rows: rows + rows[:1], lambda report: report["parameters"]["rows_computed"] == 10),
+    ("lshape-unit-case-extra-triple", ["lshape", "unit-case"], lshape, "unit_case_triples",
+     lambda ts: ts + [lshape.make_triple(3, 0)], lambda report: len(report["records"]) == 3),
+    ("lshape-exclude-matched-row", ["lshape", "exclude"], lshape, "exclude_against_table1",
+     _excluded_false, lambda report: report["records"][0]["excluded"] is False),
+    ("lshape-exclude-row-count", ["lshape", "exclude"], tanratio, "normalized_nonunit_rows",
+     lambda rows: rows[:-1], lambda report: len(report["records"]) == 8),
+    ("stratum2-differential-space", _STRATUM2, stablefiber, "certify_stratum2",
+     _certificate_with(dimensions=(2,)), _failed("differential_space")),
+    ("stratum2-residue-constraints", _STRATUM2, stablefiber, "certify_stratum2",
+     _certificate_with(closed_form_in_kernel=False), _failed("residue_constraints")),
+    ("stratum2-closed-form-generator", _STRATUM2, stablefiber, "certify_stratum2",
+     _certificate_with(basis_is_closed_form=False), _failed("matches_closed_form_generator")),
+    ("stratum2-height-ratio", _STRATUM2, stablefiber, "certify_stratum2",
+     _certificate_with(height_ratio_holds=False), _failed("height_ratio")),
+    ("stratum2_refutes_a_torsion_solver_that_drops_a_solution", _STRATUM2, stablefiber,
+     "solve_torsion_pairs", _dropping_a_solution,
+     lambda report: _failed("torsion_solutions")(report)
+     and [rec["count"] for rec in report["records"] if rec["stage"] == "torsion_solutions"] == [8]),
+    ("stratum2_refutes_a_handoff_that_matches_a_triple", _STRATUM2, lshape, "exclude_against_table1",
+     _excluded_false,
+     lambda report: any(rec.get("status", "").startswith("matched") for rec in report["records"])),
+    ("decagon-verify-solution-class", ["decagon", "verify"], stablefiber,
+     "decagon_admissible_assignments", lambda found: (found[0] | {(0, 0)}, found[1]),
+     _failed("solution_class")),
+    ("decagon-R_x", ["decagon", "exclude-r"], stablefiber, "decagon_r_sets", _with_value(0, -2),
+     _failed("R_x", "only_minus_one_or_nonnegative")),
+    ("decagon-R_y", ["decagon", "exclude-r"], stablefiber, "decagon_r_sets", _with_value(1, 1),
+     _failed("R_y", "all_nonpositive")),
+    ("decagon-intersection", ["decagon", "exclude-r"], stablefiber, "decagon_r_sets",
+     _with_value(2, 1), _failed("intersection", "contained_in_{-1,0}")),
+    ("decagon-dimension", ["decagon", "differential"], stablefiber, "differential_space",
+     lambda found: (2, found[1]), _failed("dimension")),
+    ("decagon-matches_closed_form_generator", ["decagon", "differential"], stablefiber,
+     "differentials_proportional", _false, _failed("matches_closed_form_generator")),
+    ("decagon-residue_constraints", ["decagon", "differential"], stablefiber,
+     "verify_residue_constraints", _false, _failed("residue_constraints")),
+    ("decagon-simple_zeros_at_0_and_infinity", ["decagon", "differential"], stablefiber,
+     "verify_zero_orders", _false, _failed("simple_zeros_at_0_and_infinity")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, change, shows",
+    [pytest.param(*case[1:], id=case[0]) for case in _FORGED_CHECKS],
+)
+def test_a_forged_check_refutes_the_verdict(argv, module, name, change, shows, monkeypatch, capsys):
+    # Exit 1 means refuted: a verdict rests on every check its report
+    # names, so forging any one of them gives "refuted", not "verified",
+    # and the report shows the check that failed.
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(original(*args)))
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    report = json.loads(out)
+    assert report["verdict"] == "refuted" and code == EXIT_REFUTED
+    assert shows(report)
 
 
 def test_caches_fill_the_same_under_concurrent_first_use():
@@ -386,6 +474,17 @@ def test_decagon_values_are_ordered_by_exact_signs():
 # report formats and determinism
 
 
+def report_dict(report):
+    """The report as JSON data: what parsing its JSON rendering gives."""
+    return json.loads(render(report, "json"))
+
+
+def plain_encoding(report):
+    """The report's fields through one plain ``json.dumps`` with the report
+    encoder's leaf hook: the layout-free reference for the JSON rendering."""
+    return json.loads(json.dumps(report.fields(), default=_leaf))
+
+
 def _strip_elapsed(d):
     d = dict(d)
     d.pop("elapsed_ms")
@@ -400,7 +499,7 @@ def test_reports_are_deterministic_modulo_elapsed():
         lambda: cmd_stratum2(5),
     ):
         a, b = make(), make()
-        assert _strip_elapsed(a.to_dict()) == _strip_elapsed(b.to_dict())
+        assert _strip_elapsed(report_dict(a)) == _strip_elapsed(report_dict(b))
 
 
 # One small parameter set per subcommand.
@@ -423,7 +522,7 @@ def test_json_roundtrip():
     for make in _EVERY_SUBCOMMAND:
         report = make()
         payload = json.loads(render(report, "json"))
-        assert payload == report.to_dict(), report.command
+        assert payload == plain_encoding(report), report.command
         assert list(payload) == [
             "schema_version",
             "command",
@@ -438,7 +537,7 @@ def test_json_roundtrip():
     assert lines[0] == "{" and lines[-1] == "}"
     record_lines = [line for line in lines if line.startswith("    {")]
     assert len(record_lines) == len(report.records) == 10
-    assert [json.loads(line.rstrip(",")) for line in record_lines] == report.to_dict()["records"]
+    assert [json.loads(line.rstrip(",")) for line in record_lines] == plain_encoding(report)["records"]
     assert len(lines) == len(report.records) + 9
 
 
@@ -634,7 +733,7 @@ def test_every_exact_type_has_one_encoding():
         '7,,,,,,,,,,"a,b"'
     )
     payload = json.loads(render(report, "json"))
-    assert payload == report.to_dict()
+    assert payload == plain_encoding(report)
     assert payload["parameters"] == {"bound": "3/4", "angles": ["1/12"]}
     assert payload["records"][0] == {
         "q": "-2/3",

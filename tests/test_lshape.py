@@ -22,6 +22,8 @@ from torsion_packet.lshape import (
 )
 from torsion_packet.tanratio import RationalAngle, normalized_nonunit_rows, ratio
 
+from quadratic_reference import RefQuadratic
+
 
 def test_admissibility_conditions():
     assert is_admissible(1, -1) and is_admissible(2, 0) and is_admissible(4, 1)
@@ -52,8 +54,10 @@ def test_sieved_enumeration_matches_make_triple():
 
 def test_lambda_satisfies_its_quadratic():
     for t in enumerate_triples(50):
-        assert t.lam * t.lam == t.e * t.lam + t.b
-        assert t.lam.sign() == 1
+        lam = RefQuadratic.of(t.lam)
+        e, b = RefQuadratic(t.e, 0, lam.d), RefQuadratic(t.b, 0, lam.d)
+        assert lam * lam == e * lam + b
+        assert lam.sign() == 1
 
 
 def test_rational_lambda_case():
@@ -82,11 +86,12 @@ def test_forged_lambda_fails_trace_norm_cross_check():
 def test_trace_norm_closed_form_matches_field_arithmetic():
     for t in enumerate_triples(60):
         trace, norm = trace_norm_lambda_plus_one(t)
-        lam1 = t.lam + 1
+        lam = RefQuadratic.of(t.lam)
+        lam1 = lam + RefQuadratic(1, 0, lam.d)
         if not t.lam.is_rational():
             # quadratic-field trace/norm agree with the defining-quadratic frame
             assert lam1.trace() == trace and lam1.norm() == norm
-        assert lam1 * (t.e - t.lam + 1) == norm
+        assert lam1 * (RefQuadratic(t.e + 1, 0, lam.d) - lam) == RefQuadratic(norm, 0, lam.d)
         assert trace in (1, 2, 3) and norm <= -1
 
 
@@ -245,14 +250,19 @@ def _pair_and_lambda(draw):
 @given(_pair_and_lambda())
 def test_integer_certificates_agree_with_field_arithmetic(case):
     b, e, lam = case
-    positive = lam.sign() > 0
+    ref = RefQuadratic.of(lam)
+
+    def rational(x):
+        return RefQuadratic(x, 0, ref.d)
+
+    positive = ref.sign() > 0
     try:
         AdmissibleTriple(b, e, lam)
         accepted = True
     except ValueError as exc:
         assert "does not satisfy" in str(exc)
         accepted = False
-    assert accepted == (lam * (lam - e) == b and positive)
+    assert accepted == (ref * (ref - rational(e)) == rational(b) and positive)
 
     t = make_triple(b, e)
     object.__setattr__(t, "lam", lam)
@@ -262,21 +272,23 @@ def test_integer_certificates_agree_with_field_arithmetic(case):
     except ArithmeticInconsistencyError as exc:
         assert "disagree" in str(exc)
         cross_checked = False
-    assert cross_checked == ((lam + 1) * ((e + 1) - lam) == e + 1 - b and positive)
+    lam1 = ref + rational(1)
+    assert cross_checked == (lam1 * (rational(e + 1) - ref) == rational(e + 1 - b) and positive)
 
 
 def _forgeries(t):
     """Wrong lambdas for the triple t, by name."""
     disc = t.e * t.e + 4 * t.b
-    d = t.lam.d
-    s = isqrt(disc // d) if t.lam.bn else isqrt(disc)
-    forged = {"conjugate root": t.e - t.lam}
-    if t.lam.bn:
+    an, bn, den, d = t.lam.an, t.lam.bn, t.lam.den, t.lam.d
+    s = isqrt(disc // d) if bn else isqrt(disc)
+    # e - lambda = ((e*den - an) - bn*sqrt(d))/den
+    forged = {"conjugate root": QuadraticElem(F(t.e * den - an, den), F(-bn, den), d)}
+    if bn:
         forged["wrong radicand"] = QuadraticElem(F(t.e, 2), F(s, 2), 3 if d == 2 else 2)
-        forged["rational lambda"] = QuadraticElem.rational(F(t.e + s, 2))
+        forged["rational lambda"] = QuadraticElem(F(t.e + s, 2), 0, 2)
         forged["den 1 for 2"] = QuadraticElem(t.e, s, d)
     else:
-        forged["den 1 for 2"] = QuadraticElem.rational(t.e + s)
+        forged["den 1 for 2"] = QuadraticElem(t.e + s, 0, 2)
     return forged
 
 
