@@ -6,12 +6,12 @@ text, JSON or CSV.  Reports are deterministic for fixed parameters up to
 the elapsed_ms field.
 
 Records hold plain JSON values and a few exact types, handed over raw.
-One function, ``_leaf``, is the only encoder of those types: rationals,
-quadratic elements and angles as strings, cyclotomic elements as
-{m, coeffs}, the point at infinity as "infinity", admissible triples as
-{b, e, lambda}.  It is the ``default=`` hook of CPython's C JSON encoder,
-which encodes each record in one call, and the text and CSV renderers
-use it too.  The JSON layout puts one record per line.
+One function, ``_leaf``, is the only encoder of those types: rationals
+(angles are ``Fraction``s too) and quadratic elements as strings,
+cyclotomic elements as {m, coeffs}, the point at infinity as "infinity",
+admissible triples as {b, e, lambda}.  It is the ``default=`` hook of
+CPython's C JSON encoder, which encodes each record in one call, and the
+text and CSV renderers use it too.  The JSON layout puts one record per line.
 
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
 1 refuted, 2 usage or I/O error (a closed output pipe included),
@@ -30,11 +30,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import __version__
 from .errors import ArithmeticInconsistencyError, UsageError
@@ -64,8 +63,7 @@ _DECAGON_GEOMETRY = {
 _RESIDUE_CONVENTION = "opposite residues at the two branches of each node (sum zero)"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Machine-readable result of one subcommand run."""
 
     command: str
@@ -73,12 +71,11 @@ class Report:
     verdict: str
     records: list[dict[str, Any]]
     elapsed_ms: int = 0
-    schema_version: int = SCHEMA_VERSION
 
     def fields(self) -> dict[str, Any]:
         """The top-level report fields in their output order, unencoded."""
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "parameters": self.parameters,
             "verdict": self.verdict,
@@ -90,11 +87,11 @@ class Report:
 def _leaf(value: Any) -> Any:
     """The one report encoding of each exact type JSON does not know.
 
-    Rationals, quadratic elements and angles become their display
-    strings, cyclotomic elements {m, coeffs[]}, the point at infinity
-    "infinity", admissible triples {b, e, lambda}.
+    Rationals (angles included) and quadratic elements become their
+    display strings, cyclotomic elements {m, coeffs[]}, the point at
+    infinity "infinity", admissible triples {b, e, lambda}.
     """
-    if isinstance(value, (Fraction, QuadraticElem, tanratio.RationalAngle)):
+    if isinstance(value, (Fraction, QuadraticElem)):
         return str(value)
     if isinstance(value, CyclotomicElem):
         return {"m": value.m, "coeffs": [str(c) for c in value.coeffs]}
@@ -186,9 +183,10 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
 
     Raises ValueError, with a one-line message, when the file cannot be
     read, is not JSON, or is not an object with ``schema_version`` 1 whose
-    ``records`` list holds rows with ``alpha``, ``beta``, ``trace`` and
-    ``norm``, the last two rationals.  ``trace`` and ``norm`` come back as
-    the display strings of their ``Fraction`` values.
+    ``records`` list holds rows with the rationals ``alpha``, ``beta``,
+    ``trace`` and ``norm``, the angles with 0 < alpha < beta < 1/2 (the
+    check of ``tanratio.ratio``).  Each comes back as the display string of
+    its ``Fraction`` value, so "2/24" reads as "1/12".
     """
     if path is None:
         source = "builtin ground truth"
@@ -220,11 +218,14 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
         for k in _GROUND_TRUTH_KEYS:
             if isinstance(row[k], bool) or not isinstance(row[k], (str, int)):
                 raise ValueError(f"{source}: record {i} field {k} must be a string or an integer")
-        for k in ("trace", "norm"):
             try:
                 row[k] = str(Fraction(row[k]))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{source}: record {i} field {k} is not a rational: {row[k]!r}") from None
+        try:
+            tanratio.ratio(Fraction(row["alpha"]), Fraction(row["beta"]))
+        except ValueError as exc:
+            raise ValueError(f"{source}: record {i}: {exc}") from None
     return records
 
 
@@ -453,8 +454,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
 
     handoff_pairs = [(a, b) for a in nonzero for b in nonzero if a < b]
     for a, b in handoff_pairs:
-        alpha = tanratio.RationalAngle(Fraction(a, torsion_order))
-        beta = tanratio.RationalAngle(Fraction(b, torsion_order))
+        alpha, beta = Fraction(a, torsion_order), Fraction(b, torsion_order)
         r = tanratio.ratio(alpha, beta)
         rec: dict[str, Any] = {
             "stage": "handoff",

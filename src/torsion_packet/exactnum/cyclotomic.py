@@ -21,7 +21,6 @@ list of conjugates out only for callers that read its coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
@@ -331,18 +330,12 @@ class CyclotomicElem:
         return not self.is_zero()
 
     def __repr__(self) -> str:
-        return f"CyclotomicElem(m={self.m}, {self._pretty()})"
-
-    def _pretty(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            var = "1" if j == 0 else ("z" if j == 1 else f"z^{j}")
-            parts.append(f"{c}*{var}" if j else f"{c}")
-        return " + ".join(parts)
+        terms = [
+            str(c) if j == 0 else f"{c}*z" if j == 1 else f"{c}*z^{j}"
+            for j, c in enumerate(self.coeffs)
+            if c
+        ]
+        return f"CyclotomicElem(m={self.m}, {' + '.join(terms) or '0'})"
 
 
 _new = object.__new__
@@ -417,24 +410,34 @@ def inv_one_minus_zeta(m: int, c: int) -> CyclotomicElem:
     return _make(m, _power_sum(_conductor(m), range(m - 1, -m, -2), cc), 2 * m)
 
 
-@dataclass(frozen=True)
 class MinPoly:
     """A monic irreducible polynomial over Q, as produced by a Galois orbit.
 
     Coefficients are stored constant-term first; the leading coefficient
     is always 1.  ``trace`` and ``norm`` are the usual sum and product of
-    the roots.
+    the roots.  Instances are immutable and compare by their coefficients.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs: Iterable[Scalar]):
+        cs = tuple(Fraction(c) for c in coeffs)
         if not cs or cs[-1] != 1:
             raise ValueError("MinPoly requires monic coefficients, constant term first")
         if len(cs) < 2:
             raise ValueError("MinPoly must have positive degree")
         object.__setattr__(self, "coeffs", cs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MinPoly is immutable")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MinPoly):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"MinPoly(coeffs=({', '.join(map(str, self.coeffs))}))"
 
     @property
     def degree(self) -> int:

@@ -14,10 +14,9 @@ excluded when no candidate matches any admissible pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import QuadraticElem, squarefree_part
@@ -27,13 +26,10 @@ from .tanratio import TangentRatio
 MuSource = Union[TangentRatio, QuadraticElem]
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class AdmissibleTriple:
-    """(b, e) with the derived lambda = (e + sqrt(e^2 + 4b))/2."""
+    """(b, e) with the derived lambda = (e + sqrt(e^2 + 4b))/2; immutable."""
 
-    b: int
-    e: int
-    lam: QuadraticElem
+    __slots__ = ("b", "e", "lam")
 
     def __init__(self, b: int, e: int, lam: QuadraticElem):
         """Certify that (b, e) is admissible and lam the positive root of
@@ -59,14 +55,25 @@ class AdmissibleTriple:
             or twice_shift + bn <= 0
         ):
             raise ValueError(f"lambda = {lam} does not satisfy x^2 = {e}x + {b}")
-        # A frozen class refuses attribute assignment; the slot descriptors
-        # set the fields directly, as in QuadraticElem.
+        # The class refuses attribute assignment; the slot descriptors set
+        # the fields directly, as in QuadraticElem.
         _set_b(self, b)
         _set_e(self, e)
         _set_lam(self, lam)
 
+    def __setattr__(self, name, value):
+        raise AttributeError("AdmissibleTriple is immutable")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AdmissibleTriple):
+            return (self.b, self.e, self.lam) == (other.b, other.e, other.lam)
+        return NotImplemented
+
     def __str__(self) -> str:
         return f"(b={self.b}, e={self.e}, lambda={self.lam})"
+
+    def __repr__(self) -> str:
+        return f"AdmissibleTriple{self}"
 
 
 _set_b = AdmissibleTriple.b.__set__
@@ -157,23 +164,19 @@ def unit_case_triples() -> list[AdmissibleTriple]:
     return [make_triple(e + 2, e) for e in (-1, 0, 1) if is_admissible(e + 2, e)]
 
 
-@dataclass(frozen=True)
-class CandidateCheck:
+class CandidateCheck(NamedTuple):
     """One of the four height-ratio candidates and how it fared."""
 
     label: str
     value: QuadraticElem
     trace: Fraction
     norm: Fraction
-    matches: tuple[AdmissibleTriple, ...]
     reason: str  # "matched", "trace not in {1,2,3}", "norm not an integer", "no admissible b"
 
 
-@dataclass(frozen=True)
-class ExclusionVerdict:
+class ExclusionVerdict(NamedTuple):
     """Result of testing one quadratic ratio against all admissible pairs."""
 
-    mu_source: MuSource
     mu_value: QuadraticElem
     candidates_checked: tuple[CandidateCheck, ...]
     matching_triples: tuple[AdmissibleTriple, ...]
@@ -244,12 +247,10 @@ def exclude_against_table1(row: MuSource) -> ExclusionVerdict:
                 value=value,
                 trace=trace,
                 norm=norm,
-                matches=tuple(matches),
                 reason=_match_reason(trace, norm, matches),
             )
         )
     return ExclusionVerdict(
-        mu_source=row,
         mu_value=mu,
         candidates_checked=tuple(candidates),
         matching_triples=tuple(all_matches),

@@ -24,9 +24,8 @@ one moment condition sum(c_i * p_i^j) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import CyclotomicElem, sign_of_real
@@ -34,14 +33,8 @@ from .tanratio import i_tan
 
 
 class _AtInfinity:
-    """Singleton marker for the point at infinity on the projective line."""
-
-    _instance: Optional[_AtInfinity] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Marker for the point at infinity on the projective line; its one
+    instance is ``INFINITY``, and every check is ``is INFINITY``."""
 
     def __repr__(self) -> str:
         return "INFINITY"
@@ -54,7 +47,6 @@ INFINITY = _AtInfinity()
 Point = Union[CyclotomicElem, Fraction, _AtInfinity]
 
 
-@dataclass(frozen=True)
 class NodalConfig:
     """A projective line with identified point pairs and marked points.
 
@@ -63,13 +55,10 @@ class NodalConfig:
     ``zero_orders`` maps marked labels to required vanishing orders of
     the limit differential; ``involution`` optionally names a symmetry
     ("negation" for z -> -z, "inversion" for z -> 1/z) that must map the
-    configuration to itself.
+    configuration to itself.  Instances are immutable.
     """
 
-    nodes: tuple[tuple[Point, Point], ...]
-    marked: tuple[tuple[str, Point], ...] = ()
-    zero_orders: tuple[tuple[str, int], ...] = ()
-    involution: Optional[str] = None
+    __slots__ = ("nodes", "marked", "zero_orders", "involution")
 
     def __init__(
         self,
@@ -83,6 +72,9 @@ class NodalConfig:
         object.__setattr__(self, "zero_orders", tuple(sorted((str(l), int(k)) for l, k in zero_orders.items())))
         object.__setattr__(self, "involution", involution)
         self._validate()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NodalConfig is immutable")
 
     # -- derived views ----------------------------------------------------
 
@@ -161,14 +153,16 @@ def config_to_json_dict(
     }
 
 
-@dataclass(frozen=True)
 class LimitDifferential:
-    """sum(c/(z - p)) dz, stored as (residue coefficient, pole) terms."""
+    """sum(c/(z - p)) dz, stored as (residue coefficient, pole) terms; immutable."""
 
-    terms: tuple[tuple[Point, Point], ...]
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[Point, Point]]):
         object.__setattr__(self, "terms", tuple((c, p) for c, p in terms))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LimitDifferential is immutable")
 
     @property
     def poles(self) -> tuple[Point, ...]:
@@ -372,8 +366,7 @@ def symbolic_xy() -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
 _CERTIFIED_DEGREE = 4
 
 
-@dataclass(frozen=True)
-class Stratum2Certificate:
+class Stratum2Certificate(NamedTuple):
     """Outcome of checking the stratum-2 claims over Q(x, y) on a grid.
 
     ``dimensions`` holds the kernel dimension at each grid point; each flag
@@ -494,8 +487,7 @@ def decagon_limit_differential(x: Point, y: Point) -> LimitDifferential:
 # Torsion well-definedness
 
 
-@dataclass(frozen=True)
-class TorsionSolution:
+class TorsionSolution(NamedTuple):
     """Solutions of (x-1)^N = (-x-1)^N with their tangent parametrization.
 
     ``solutions[i]`` equals i*tan(tangent_indices[i]*pi/N) exactly; the

@@ -64,7 +64,6 @@ bound adds nothing new), not by an unconditional completeness proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional
@@ -111,47 +110,12 @@ _TABLE_MAX_REL_WIDTH_BITS = 60
 # overflow, so the relative bounds above hold.
 _REL_SEPARATION = 2.0**-48
 
-
-@dataclass(frozen=True, order=True)
-class RationalAngle:
-    """A rational multiple of pi strictly between 0 and pi/2.
-
-    ``value`` is the rational coefficient: the angle is value * pi.
-    """
-
-    value: Fraction
-
-    def __post_init__(self):
-        v = self.value
-        if not isinstance(v, Fraction):
-            object.__setattr__(self, "value", Fraction(v))
-            v = self.value
-        if not (0 < v < Fraction(1, 2)):
-            raise ValueError(f"angle must lie strictly between 0 and 1/2, got {v}")
-
-    @classmethod
-    def of(cls, numerator: int, denominator: int) -> RationalAngle:
-        return cls(Fraction(numerator, denominator))
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    @property
-    def conductor(self) -> int:
-        """Conductor of the cyclotomic field housing tan(pi * value)."""
-        return math.lcm(4, 2 * self.denominator)
-
-    def __str__(self) -> str:
-        return str(self.value)
+_HALF = Fraction(1, 2)
 
 
-def _common_conductor(alpha: RationalAngle, beta: RationalAngle) -> int:
-    return math.lcm(alpha.conductor, beta.conductor)
+def _common_conductor(alpha: Fraction, beta: Fraction) -> int:
+    """Conductor lcm(4, 2*q_alpha, 2*q_beta) of the field holding both tangents."""
+    return math.lcm(4, 2 * alpha.denominator, 2 * beta.denominator)
 
 
 def i_tan(m: int, e: int) -> CyclotomicElem:
@@ -166,13 +130,15 @@ def i_tan(m: int, e: int) -> CyclotomicElem:
 class TangentRatio:
     """A classified ratio mu = tan(pi*beta)/tan(pi*alpha), computed lazily.
 
-    ``stabilizer`` is (degree, Stab(mu)) from ``_stabilizer``.  ``mu`` is
-    built only for an exact check or the minimal polynomial, so a ratio of
-    degree above 2 is displayed from its conductor alone.  ``minpoly`` (and
-    ``trace``, ``norm``, ``is_unit``) takes one conjugate per coset of Stab.
+    ``alpha`` and ``beta`` are the angles as reduced ``Fraction``s, checked
+    by ``ratio``.  ``stabilizer`` is (degree, Stab(mu)) from ``_stabilizer``.
+    ``mu`` is built only for an exact check or the minimal polynomial, so a
+    ratio of degree above 2 is displayed from its conductor alone.
+    ``minpoly`` (and ``trace``, ``norm``, ``is_unit``) takes one conjugate
+    per coset of Stab.
     """
 
-    def __init__(self, alpha: RationalAngle, beta: RationalAngle):
+    def __init__(self, alpha: Fraction, beta: Fraction):
         self.alpha = alpha
         self.beta = beta
 
@@ -240,10 +206,14 @@ class TangentRatio:
         return f"TangentRatio(alpha={self.alpha}, beta={self.beta}, mu={self.mu_display()})"
 
 
-def ratio(alpha: RationalAngle, beta: RationalAngle) -> TangentRatio:
-    """tan(pi*beta)/tan(pi*alpha) in the common conductor, classified lazily."""
-    if not alpha < beta:
-        raise ValueError(f"need alpha < beta, got {alpha} >= {beta}")
+def ratio(alpha: Fraction, beta: Fraction) -> TangentRatio:
+    """tan(pi*beta)/tan(pi*alpha) in the common conductor, classified lazily.
+
+    Each angle is a reduced ``Fraction``, its coefficient of pi; this is the
+    one check that 0 < alpha < beta < 1/2.
+    """
+    if not 0 < alpha < beta < _HALF:
+        raise ValueError(f"need 0 < alpha < beta < 1/2, got alpha = {alpha}, beta = {beta}")
     return TangentRatio(alpha, beta)
 
 
@@ -328,11 +298,9 @@ def _numerators(q: int) -> tuple[int, ...]:
     return tuple(p for p in range(1, (q + 1) // 2) if math.gcd(p, q) == 1)
 
 
-def angles_up_to(max_denominator: int) -> list[RationalAngle]:
+def angles_up_to(max_denominator: int) -> list[Fraction]:
     """All reduced rational angles p/q in (0, 1/2) with q <= max_denominator."""
-    return sorted(
-        RationalAngle.of(p, q) for q in range(3, max_denominator + 1) for p in _numerators(q)
-    )
+    return sorted(Fraction(p, q) for q in range(3, max_denominator + 1) for p in _numerators(q))
 
 
 # An angle p/q as the integer pair (p, q), and an orbit as its key (q1, q2, c).
@@ -429,15 +397,15 @@ def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRa
         (pa, qa), (pb, qb) = _orbit_representative(key)
         found = _stabilizer(
             pa, qa, pb, qb, degree_target,
-            lambda: ratio(RationalAngle.of(pa, qa), RationalAngle.of(pb, qb)).mu,
+            lambda: ratio(Fraction(pa, qa), Fraction(pb, qb)).mu,
         )
         if found is None or found[0] != degree_target:
             continue
         for a, b in _orbit_members(key):
-            t = ratio(RationalAngle.of(*a), RationalAngle.of(*b))
+            t = ratio(Fraction(*a), Fraction(*b))
             t.stabilizer = found
             kept.append(t)
-    kept.sort(key=lambda t: (t.alpha.value, t.beta.value))
+    kept.sort(key=lambda t: (t.alpha, t.beta))
     return kept
 
 
@@ -449,9 +417,9 @@ def _fold(f: Fraction) -> Fraction:
     """Fold an angle coefficient into (0, 1/2) using the period and odd
     symmetry of |tan|."""
     r = f % 1
-    if r > Fraction(1, 2):
+    if r > _HALF:
         r = 1 - r
-    if r == 0 or r == Fraction(1, 2):
+    if r == 0 or r == _HALF:
         raise ArithmeticInconsistencyError(f"angle {f} folded onto a tangent zero or pole")
     return r
 
@@ -470,11 +438,11 @@ def normalize_by_galois(t: TangentRatio) -> TangentRatio:
         return t
     m = _common_conductor(t.alpha, t.beta)
     for k in conductor_units(m):
-        fa = _fold(k * t.alpha.value)
-        fb = _fold(k * t.beta.value)
+        fa = _fold(k * t.alpha)
+        fb = _fold(k * t.beta)
         lo, hi = (fa, fb) if fa < fb else (fb, fa)
         if lo.numerator == 1:
-            return ratio(RationalAngle(lo), RationalAngle(hi))
+            return ratio(lo, hi)
     raise ArithmeticInconsistencyError(
         f"no Galois substitution normalizes alpha = {t.alpha}"
     )

@@ -6,9 +6,15 @@ here, from the public API.
 """
 
 import math
+from fractions import Fraction
 
 from torsion_packet.exactnum import CyclotomicElem
-from torsion_packet.tanratio import RationalAngle, i_tan
+from torsion_packet.tanratio import i_tan
+
+
+def conductor(angle: Fraction) -> int:
+    """Conductor lcm(4, 2q) of the cyclotomic field holding tan(pi * p/q)."""
+    return math.lcm(4, 2 * angle.denominator)
 
 
 def embed(e: CyclotomicElem, m2: int) -> CyclotomicElem:
@@ -24,23 +30,23 @@ def embed(e: CyclotomicElem, m2: int) -> CyclotomicElem:
     return out
 
 
-def tan_of(angle: RationalAngle) -> CyclotomicElem:
+def tan_of(angle: Fraction) -> CyclotomicElem:
     """tan(pi * angle) as an element of Q(zeta_lcm(4, 2q)): -i = zeta_m^(3m/4)
     times the Cayley form i*tan.  It is real and positive."""
-    m = angle.conductor
+    m = conductor(angle)
     return CyclotomicElem.zeta(m, 3 * m // 4) * i_tan(m, m * angle.numerator // angle.denominator)
 
 
-def sin_of(angle: RationalAngle) -> CyclotomicElem:
+def sin_of(angle: Fraction) -> CyclotomicElem:
     """sin(pi * angle) = (zeta^p - zeta^-p) / (2i) in Q(zeta_lcm(4, 2q))."""
-    m = angle.conductor
+    m = conductor(angle)
     a = angle.numerator * (m // (2 * angle.denominator))
     i = CyclotomicElem.zeta(m, m // 4)
     diff = CyclotomicElem.zeta(m, a) - CyclotomicElem.zeta(m, -a)
     return diff * (-i) / 2
 
 
-def check_addition_formula(x: RationalAngle, y: RationalAngle) -> bool:
+def check_addition_formula(x: Fraction, y: Fraction) -> bool:
     """Exact check of tan(pi(x+y)/2)/tan(pi(x-y)/2) = (s+1)/(s-1), s = sin(pi x)/sin(pi y).
 
     Requires x > y so that the half-difference angle avoids the zero of
@@ -52,9 +58,8 @@ def check_addition_formula(x: RationalAngle, y: RationalAngle) -> bool:
     """
     if not y < x:
         raise ValueError(f"need x > y, got x = {x}, y = {y}")
-    half_sum = RationalAngle((x.value + y.value) / 2)
-    half_diff = RationalAngle((x.value - y.value) / 2)
-    m = math.lcm(x.conductor, y.conductor, half_sum.conductor, half_diff.conductor)
+    half_sum, half_diff = (x + y) / 2, (x - y) / 2
+    m = math.lcm(*map(conductor, (x, y, half_sum, half_diff)))
     e_sum = m * half_sum.numerator // half_sum.denominator
     e_diff = m * half_diff.numerator // half_diff.denominator
     lhs = i_tan(m, e_sum) * i_tan(m, e_diff + m // 2)

@@ -24,7 +24,7 @@ from torsion_packet.stablefiber import (
     stratum2_limit_differential,
     symbolic_xy,
 )
-from torsion_packet.tanratio import RationalAngle, angles_up_to
+from torsion_packet.tanratio import angles_up_to
 
 from exact_helpers import check_addition_formula, embed, tan_of
 
@@ -137,7 +137,7 @@ def test_criterion_5_torsion_solver_oracle_equivalence():
         i_elem = CyclotomicElem.zeta(m, m // 4)
         expected = {CyclotomicElem.zero(m).coeffs}
         for a in range(1, (n - 1) // 2 + 1):
-            t = embed(tan_of(RationalAngle(F(a, n))), m)
+            t = embed(tan_of(F(a, n)), m)
             expected.add((i_elem * t).coeffs)
             expected.add((-i_elem * t).coeffs)
         got = {embed(s, m).coeffs for s in ts.solutions}

@@ -1,12 +1,12 @@
 """Tests for the command-line front end and report formats."""
 
-import dataclasses
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +28,6 @@ from torsion_packet.cli import (
     render,
 )
 from torsion_packet.exactnum import CyclotomicElem
-from torsion_packet.tanratio import RationalAngle
 
 
 def run_cli(args, capsys):
@@ -79,6 +78,17 @@ def _ground_truth_without(key):
     return write
 
 
+def _ground_truth_with(**fields):
+    """The shipped rows with ``fields`` changed in the first, (1/12, 1/6)."""
+
+    def write(path):
+        rows = load_reference_rows()
+        rows[0].update(fields)
+        path.write_text(json.dumps({"schema_version": 1, "records": rows}))
+
+    return write
+
+
 def _ground_truth_with_version(*version):
     def write(path):
         payload = {"records": load_reference_rows()}
@@ -117,6 +127,10 @@ def _ground_truth_with_version(*version):
             id="norm-zero-denominator",
         ),
         *(pytest.param(_ground_truth_without(k), id=f"no-{k}") for k in ("alpha", "beta", "trace", "norm")),
+        pytest.param(_ground_truth_with(alpha="abc"), id="alpha-not-rational"),
+        pytest.param(_ground_truth_with(alpha=1), id="alpha-one"),
+        pytest.param(_ground_truth_with(alpha="3/4"), id="alpha-above-one-half"),
+        pytest.param(_ground_truth_with(alpha="1/6", beta="1/12"), id="alpha-beta-swapped"),
         pytest.param(_ground_truth_with_version(), id="no-schema-version"),
         *(
             pytest.param(_ground_truth_with_version(v), id=f"schema-version-{v!r}")
@@ -134,6 +148,20 @@ def test_verify_table1_bad_ground_truth_exits_2(write, tmp_path, capsys):
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert "Traceback" not in out.err
+
+
+def test_verify_table1_reads_ground_truth_angles_as_rationals(tmp_path, capsys):
+    # A non-reduced spelling is the same rational, and the report shows
+    # its reduced form.
+    path = tmp_path / "truth.json"
+    _ground_truth_with(alpha="2/24", beta="2/12", trace="4/2", norm="-2/6")(path)
+    code, out = run_cli(["verify-table1", "--ground-truth", str(path), "--format", "json"], capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["verdict"] == "verified"
+    assert report["records"][0] == {
+        "alpha": "1/12", "beta": "1/6", "trace": "2", "norm": "-1/3", "status": "match"
+    }
 
 
 # --------------------------------------------------------------------------
@@ -261,17 +289,15 @@ def _false(_):
 
 
 def _excluded_false(verdict):
-    return dataclasses.replace(verdict, excluded=False)
+    return verdict._replace(excluded=False)
 
 
 def _dropping_a_solution(ts):
-    return dataclasses.replace(
-        ts, solutions=ts.solutions[:-1], tangent_indices=ts.tangent_indices[:-1]
-    )
+    return ts._replace(solutions=ts.solutions[:-1], tangent_indices=ts.tangent_indices[:-1])
 
 
 def _certificate_with(**fields):
-    return lambda cert: dataclasses.replace(cert, **fields)
+    return lambda cert: cert._replace(**fields)
 
 
 def _with_value(position, value):
@@ -293,7 +319,7 @@ def _has_status(status):
     return lambda report: any(rec["status"] == status for rec in report["records"])
 
 
-_EXTRA_RATIO = tanratio.ratio(RationalAngle.of(1, 7), RationalAngle.of(2, 7))
+_EXTRA_RATIO = tanratio.ratio(Fraction(1, 7), Fraction(2, 7))
 _STRATUM2 = ["stratum2", "--torsion-order", "10"]
 
 # (id, argv, module, function, change of its result, what the report shows)
@@ -584,12 +610,35 @@ _PINNED = {
         'intersection,"[""-1"", ""0""]",,,True,'
         '"0 is a zero of the limit form, -1 a Weierstrass limit; no new periodic point"'
     ),
+    ("verify-table1", "text"): (
+        "command: verify-table1\n  max_denominator: 12\n  ground_truth: builtin\n"
+        "  rows_expected: 9\n  rows_computed: 9\nverdict: verified\nelapsed_ms: *\n"
+        "  alpha=1/12  beta=1/6  trace=2  norm=-1/3  status=match\n"
+        "  alpha=1/12  beta=1/3  trace=6  norm=-3  status=match\n"
+        "  alpha=1/10  beta=1/5  trace=0  norm=-5  status=match\n"
+        "  alpha=1/10  beta=2/5  trace=10  norm=5  status=match\n"
+        "  alpha=1/6  beta=1/4  trace=0  norm=-3  status=match\n"
+        "  alpha=1/6  beta=5/12  trace=6  norm=-3  status=match\n"
+        "  alpha=1/5  beta=3/10  trace=2  norm=1/5  status=match\n"
+        "  alpha=1/4  beta=1/3  trace=0  norm=-3  status=match\n"
+        "  alpha=1/3  beta=5/12  trace=2  norm=-1/3  status=match"
+    ),
+}
+
+# The run behind each pinned command.
+_PINNED_RUNS = {
+    "lshape enumerate": lambda: cmd_lshape("enumerate", 5),
+    "decagon exclude-r": lambda: cmd_decagon("exclude-r"),
+    "verify-table1": cmd_verify_table1,
+    "decagon differential": lambda: cmd_decagon("differential"),
+    "stratum2 --torsion-order 5": lambda: cmd_stratum2(5),
+    "tangent-ratios --degree 2 --max-denominator 12": lambda: cmd_tangent_ratios(2, 12),
 }
 
 
 @pytest.mark.parametrize("command, fmt", sorted(_PINNED))
 def test_text_and_csv_renderings_are_pinned(command, fmt):
-    report = cmd_lshape("enumerate", 5) if command == "lshape enumerate" else cmd_decagon("exclude-r")
+    report = _PINNED_RUNS[command]()
     assert _mask_elapsed(render(report, fmt)) == _PINNED[command, fmt]
 
 
@@ -597,8 +646,22 @@ def _z10(*coeffs):
     return {"m": 10, "coeffs": list(coeffs)}
 
 
-# The JSON records that carry configurations, generators, the grid and the
-# point at infinity, pinned.
+def _quadratic_ratio(alpha, beta, trace, norm, is_unit, mu, m, coeffs):
+    """A tangent-ratios record of degree 2; ``coeffs`` space-separated."""
+    return {
+        "alpha": alpha,
+        "beta": beta,
+        "degree": 2,
+        "trace": trace,
+        "norm": norm,
+        "is_unit": is_unit,
+        "mu": mu,
+        "mu_cyclotomic": {"m": m, "coeffs": coeffs.split()},
+    }
+
+
+# The JSON records that carry configurations, generators, the grid, the
+# point at infinity and angles, pinned.
 _PINNED_RECORDS = {
     "decagon differential": [
         {
@@ -675,36 +738,55 @@ _PINNED_RECORDS = {
             "status": "unit: pentagon/octagon regime, handled by known torsion",
         },
     ],
+    "tangent-ratios --degree 2 --max-denominator 12": [
+        _quadratic_ratio(*row)
+        for row in (
+            ("1/12", "1/6", "2", "-1/3", False, "1 + 2/3*sqrt(3)", 24, "1 0 4/3 0 0 0 -2/3 0"),
+            ("1/12", "1/4", "4", "1", True, "2 + sqrt(3)", 24, "2 0 2 0 0 0 -1 0"),
+            ("1/12", "1/3", "6", "-3", False, "3 + 2*sqrt(3)", 24, "3 0 4 0 0 0 -2 0"),
+            ("1/12", "5/12", "14", "1", True, "7 + 4*sqrt(3)", 24, "7 0 8 0 0 0 -4 0"),
+            ("1/10", "1/5", "0", "-5", False, "sqrt(5)", 20, "1 0 0 0 2 0 -2 0"),
+            ("1/10", "3/10", "4", "-1", True, "2 + sqrt(5)", 20, "3 0 0 0 2 0 -2 0"),
+            ("1/10", "2/5", "10", "5", False, "5 + 2*sqrt(5)", 20, "7 0 0 0 4 0 -4 0"),
+            ("1/8", "1/4", "2", "-1", True, "1 + sqrt(2)", 16, "1 0 1 0 0 0 -1 0"),
+            ("1/8", "3/8", "6", "1", True, "3 + 2*sqrt(2)", 16, "3 0 2 0 0 0 -2 0"),
+            ("1/6", "1/4", "0", "-3", False, "sqrt(3)", 24, "0 0 2 0 0 0 -1 0"),
+            ("1/6", "5/12", "6", "-3", False, "3 + 2*sqrt(3)", 24, "3 0 4 0 0 0 -2 0"),
+            ("1/5", "3/10", "2", "1/5", False, "1 + 2/5*sqrt(5)", 20, "7/5 0 0 0 4/5 0 -4/5 0"),
+            ("1/5", "2/5", "4", "-1", True, "2 + sqrt(5)", 20, "3 0 0 0 2 0 -2 0"),
+            ("1/4", "1/3", "0", "-3", False, "sqrt(3)", 24, "0 0 2 0 0 0 -1 0"),
+            ("1/4", "3/8", "2", "-1", True, "1 + sqrt(2)", 16, "1 0 1 0 0 0 -1 0"),
+            ("1/4", "5/12", "4", "1", True, "2 + sqrt(3)", 24, "2 0 2 0 0 0 -1 0"),
+            ("3/10", "2/5", "0", "-5", False, "sqrt(5)", 20, "1 0 0 0 2 0 -2 0"),
+            ("1/3", "5/12", "2", "-1/3", False, "1 + 2/3*sqrt(3)", 24, "1 0 4/3 0 0 0 -2/3 0"),
+        )
+    ],
 }
 
 
 @pytest.mark.parametrize("command", sorted(_PINNED_RECORDS))
 def test_json_records_are_pinned(command):
-    report = cmd_decagon("differential") if command.startswith("decagon") else cmd_stratum2(5)
-    records = json.loads(render(report, "json"))["records"]
+    records = json.loads(render(_PINNED_RUNS[command](), "json"))["records"]
     assert records == _PINNED_RECORDS[command]
     # Key order is part of the rendering too.
     assert [list(r) for r in records] == [list(r) for r in _PINNED_RECORDS[command]]
 
 
 def test_every_exact_type_has_one_encoding():
-    from fractions import Fraction
-
     from torsion_packet.cli import Report
     from torsion_packet.exactnum import CyclotomicElem, QuadraticElem
     from torsion_packet.lshape import make_triple
     from torsion_packet.stablefiber import INFINITY
-    from torsion_packet.tanratio import RationalAngle
 
     report = Report(
         "synthetic",
-        {"bound": Fraction(3, 4), "angles": (RationalAngle(Fraction(1, 12)),)},
+        {"bound": Fraction(3, 4), "angles": (Fraction(1, 12),)},
         "verified",
         [
             {
                 "q": Fraction(-2, 3),
                 "mu": QuadraticElem(1, Fraction(1, 2), 3),
-                "angle": RationalAngle(Fraction(5, 12)),
+                "angle": Fraction(5, 12),
                 "z": CyclotomicElem.zeta(5, 1),
                 "triple": make_triple(4, 1),
                 "none": None,

@@ -20,7 +20,7 @@ from torsion_packet.lshape import (
     trace_norm_lambda_plus_one,
     unit_case_triples,
 )
-from torsion_packet.tanratio import RationalAngle, normalized_nonunit_rows, ratio
+from torsion_packet.tanratio import normalized_nonunit_rows, ratio
 
 from quadratic_reference import RefQuadratic
 
@@ -135,7 +135,7 @@ def test_unit_case_bound_validation():
 
 
 def test_sqrt5_row_is_excluded_on_trace():
-    row = ratio(RationalAngle.of(1, 10), RationalAngle.of(1, 5))
+    row = ratio(F(1, 10), F(1, 5))
     verdict = exclude_against_table1(row)
     assert verdict.excluded and not verdict.matching_triples
     assert [str(c.trace) for c in verdict.candidates_checked] == ["0", "0", "0", "0"]
@@ -144,7 +144,7 @@ def test_sqrt5_row_is_excluded_on_trace():
 
 
 def test_trace_two_candidate_fails_on_norm():
-    row = ratio(RationalAngle.of(1, 10), RationalAngle.of(2, 5))
+    row = ratio(F(1, 10), F(2, 5))
     verdict = exclude_against_table1(row)
     assert verdict.excluded
     by_label = {c.label: c for c in verdict.candidates_checked}
@@ -163,9 +163,9 @@ def test_all_reference_rows_excluded():
 
 def test_exclusion_rejects_wrong_degree_or_units():
     with pytest.raises(ValueError, match="degree-2"):
-        exclude_against_table1(ratio(RationalAngle.of(1, 6), RationalAngle.of(1, 3)))
+        exclude_against_table1(ratio(F(1, 6), F(1, 3)))
     with pytest.raises(ValueError, match="non-unit"):
-        exclude_against_table1(ratio(RationalAngle.of(1, 12), RationalAngle.of(1, 4)))
+        exclude_against_table1(ratio(F(1, 12), F(1, 4)))
 
 
 def test_engine_sensitivity_to_norm_mutation():

@@ -8,8 +8,10 @@ function used by nothing but the tests belongs in ``tests/``.
 
 import functools
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 import types
 from importlib import resources
@@ -29,12 +31,14 @@ ALLOWED = {
     "exactnum.quadratic.QuadraticElem.__mul__": "timed by perfbench/micro.py",
     "exactnum.quadratic.QuadraticElem.__eq__": "value semantics of an immutable number",
     "exactnum.quadratic.QuadraticElem.__hash__": "value semantics of an immutable number",
-    "exactnum.cyclotomic.CyclotomicElem._pretty": "the body of CyclotomicElem.__repr__",
-    "stablefiber._AtInfinity.__new__": "called once, when the module is imported",
+    "exactnum.cyclotomic.MinPoly.__eq__": "value semantics of an immutable polynomial",
     "exactnum.quadratic.QuadraticElem.is_rational": (
         "rejects a rational mu handed to lshape.exclude_against_table1 directly"
     ),
     "lshape.AdmissibleTriple.__str__": "names the matched triples of a refuted handoff",
+    "lshape.AdmissibleTriple.__eq__": (
+        "value semantics; exclude_against_table1 compares triples only when two candidates match"
+    ),
 }
 
 
@@ -60,8 +64,9 @@ def _functions(obj):
 
 def defined_functions():
     """{code object: "module.qualname"} for every function defined in a
-    module file of the package, at module level or in a class.  Code that
-    ``dataclasses`` generates has no such file and is left out."""
+    module file of the package, at module level or in a class.  The
+    methods that ``typing.NamedTuple`` generates (``__new__``, ``_replace``,
+    ...) have no such file and are left out."""
     found = {}
     for module in _package_modules():
         prefix = module.__name__.partition(".")[2]
@@ -163,3 +168,19 @@ def test_readme_names_every_cache():
 
     assert listed("lru_cache") == lru
     assert listed("cached_property") == cached
+
+
+def test_import_needs_no_dataclasses_or_inspect():
+    # Records are NamedTuples and validated values are __slots__ classes,
+    # so importing the CLI pulls in neither module.  -S keeps the .pth
+    # files of site-packages out of the fresh interpreter.
+    src = Path(torsion_packet.__file__).resolve().parents[1]
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, torsion_packet.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert loaded.stdout == "[]\n"

@@ -31,7 +31,7 @@ from torsion_packet.stablefiber import (
     verify_residue_constraints,
     verify_zero_orders,
 )
-from torsion_packet.tanratio import RationalAngle, ratio
+from torsion_packet.tanratio import ratio
 
 from float_embedding import complex_embedding
 
@@ -260,7 +260,7 @@ def test_height_ratio_with_tangent_coordinates():
     dim, basis = differential_space(cfg)
     assert dim == 1
     hr = height_ratio(basis[0], cfg)
-    mu = ratio(RationalAngle.of(1, 10), RationalAngle.of(1, 5)).mu
+    mu = ratio(F(1, 10), F(1, 5)).mu
     assert hr == mu
     z5 = CyclotomicElem.zeta(20, 4)
     assert hr == 2 * (z5 + z5**4) + 1  # sqrt(5)

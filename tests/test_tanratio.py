@@ -19,7 +19,6 @@ from torsion_packet.exactnum import (
 )
 from torsion_packet.stablefiber import solve_torsion_pairs
 from torsion_packet.tanratio import (
-    RationalAngle,
     _REL_SEPARATION,
     _common_conductor,
     _orbit_key,
@@ -34,15 +33,15 @@ from torsion_packet.tanratio import (
     ratio,
 )
 
-from exact_helpers import check_addition_formula, embed, sin_of, tan_of
+from exact_helpers import check_addition_formula, conductor, embed, sin_of, tan_of
 from float_embedding import complex_embedding
 
 
 def ang(p, q):
-    return RationalAngle.of(p, q)
+    return F(p, q)
 
 
-def _tan_parts(angle: RationalAngle, m: int) -> tuple[CyclotomicElem, CyclotomicElem]:
+def _tan_parts(angle: F, m: int) -> tuple[CyclotomicElem, CyclotomicElem]:
     """(numerator, denominator) of tan(pi*angle) in Q(zeta_m) as sums of roots.
 
     With z = zeta_m^a = exp(i*pi*p/q), tan(pi*p/q) = -i(z - 1/z) / (z + 1/z).
@@ -55,7 +54,7 @@ def _tan_parts(angle: RationalAngle, m: int) -> tuple[CyclotomicElem, Cyclotomic
     return -CyclotomicElem.zeta(m, m // 4) * (z - z_inv), z + z_inv
 
 
-def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> Optional[int]:
+def _pair_degree_exact(alpha: F, beta: F, cap: int) -> Optional[int]:
     """Number of distinct Galois conjugates of mu, or None once above ``cap``.
 
     The exact per-pair reference for the orbit scan, independent of
@@ -89,11 +88,14 @@ def _pair_degree_exact(alpha: RationalAngle, beta: RationalAngle, cap: int) -> O
 
 
 def test_angle_domain():
+    # ratio() is the one check of 0 < alpha < beta < 1/2, for either angle.
     for bad in (F(0), F(1, 2), F(-1, 4), F(3, 5)):
-        with pytest.raises(ValueError):
-            RationalAngle(bad)
-    assert ang(1, 4).conductor == 8
-    assert ang(1, 10).conductor == 20
+        with pytest.raises(ValueError, match="0 < alpha < beta < 1/2"):
+            ratio(bad, F(1, 3))
+        with pytest.raises(ValueError, match="0 < alpha < beta < 1/2"):
+            ratio(F(1, 12), bad)
+    assert conductor(ang(1, 4)) == 8
+    assert conductor(ang(1, 10)) == 20
 
 
 def test_tan_of_quarter_pi_is_one():
@@ -122,7 +124,7 @@ def test_tan_values_are_real_and_positive():
 
 def test_sin_embedding_satisfies_pythagoras():
     for p, q in ((1, 6), (1, 4), (2, 5)):
-        m = ang(p, q).conductor
+        m = conductor(ang(p, q))
         s = sin_of(ang(p, q))
         c = s / tan_of(ang(p, q))
         assert s * s + c * c == 1
@@ -132,7 +134,7 @@ def test_tan_and_mu_against_sums_of_roots():
     # tan_of and mu against the sum-of-roots fractions, cross-multiplied so
     # that no inverse is taken on the reference side.
     for alpha in angles_up_to(40):
-        num, den = _tan_parts(alpha, alpha.conductor)
+        num, den = _tan_parts(alpha, conductor(alpha))
         assert tan_of(alpha) * den == num, alpha
     angles = angles_up_to(16)
     for i, alpha in enumerate(angles):
@@ -176,7 +178,7 @@ def test_degree_is_orbit_size_on_stratum2_handoff_pairs():
     for a in positive:
         for b in positive:
             if a < b:
-                r = ratio(RationalAngle(F(a, n)), RationalAngle(F(b, n)))
+                r = ratio(F(a, n), F(b, n))
                 assert r.degree == minimal_polynomial(r.mu).degree
 
 
@@ -220,12 +222,12 @@ def test_enumerate_smallest_bound():
 
 def test_enumerate_degree_one():
     rows = enumerate_ratios(1, 6)
-    assert any((r.alpha.value, r.beta.value, r.mu) == (F(1, 6), F(1, 3), 3) for r in rows)
+    assert any((r.alpha, r.beta, r.mu) == (F(1, 6), F(1, 3), 3) for r in rows)
 
 
 def test_enumerate_is_sorted_and_respects_bound():
     rows = enumerate_ratios(2, 12)
-    keys = [(r.alpha.value, r.beta.value) for r in rows]
+    keys = [(r.alpha, r.beta) for r in rows]
     assert keys == sorted(keys)
     assert all(
         r.alpha.denominator <= 12 and r.beta.denominator <= 12 for r in rows
@@ -246,12 +248,12 @@ def test_numeric_prefilter_agrees_with_exact_path():
     # degree.
     angles = angles_up_to(14)
     exact_degree = {
-        (a.value, b.value): _pair_degree_exact(a, b, 4)
+        (a, b): _pair_degree_exact(a, b, 4)
         for i, a in enumerate(angles)
         for b in angles[i + 1 :]
     }
     for d in range(1, 5):
-        kept = [(r.alpha.value, r.beta.value) for r in enumerate_ratios(d, 14)]
+        kept = [(r.alpha, r.beta) for r in enumerate_ratios(d, 14)]
         assert kept, d
         assert kept == sorted(k for k, deg in exact_degree.items() if deg == d)
 
@@ -265,7 +267,7 @@ def _pair_scan(degree, max_denominator):
     kept = []
     for i, a in enumerate(angles):
         for b in angles[i + 1 :]:
-            m = math.lcm(a.conductor, b.conductor)
+            m = math.lcm(conductor(a), conductor(b))
             ta, tb = _tan_row(a.denominator), _tan_row(b.denominator)
             reps = []
             for k in range(1, m // 2, 2):
@@ -277,7 +279,7 @@ def _pair_scan(degree, max_denominator):
                     if len(reps) > degree:
                         break
             if len(reps) <= degree and _pair_degree_exact(a, b, degree) == degree:
-                kept.append((a.value, b.value))
+                kept.append((a, b))
     return kept
 
 
@@ -288,7 +290,7 @@ def _pair_count(max_denominator):
 
 def test_orbit_scan_matches_pair_scan():
     for d in range(1, 5):
-        got = [(r.alpha.value, r.beta.value) for r in enumerate_ratios(d, 20)]
+        got = [(r.alpha, r.beta) for r in enumerate_ratios(d, 20)]
         assert got, d
         assert got == _pair_scan(d, 20), d
     for bound, pairs, orbits in ((20, 1953, 191), (60, 150_975, 2289)):
@@ -311,7 +313,7 @@ def test_degree_is_the_orbit_size_on_every_orbit_representative():
 def _handoff_degrees(n):
     positive = [a for a in solve_torsion_pairs(n).tangent_indices if a > 0]
     return [
-        ratio(RationalAngle(F(a, n)), RationalAngle(F(b, n))).degree
+        ratio(F(a, n), F(b, n)).degree
         for a in positive
         for b in positive
         if a < b
@@ -324,7 +326,7 @@ def test_degrees_hold_when_every_unit_is_a_candidate(monkeypatch):
     # float scan never drops an orbit.
     def classified():
         rows = [
-            [(r.alpha.value, r.beta.value, r.trace, r.norm) for r in enumerate_ratios(d, 14)]
+            [(r.alpha, r.beta, r.trace, r.norm) for r in enumerate_ratios(d, 14)]
             for d in range(1, 5)
         ]
         return rows, _handoff_degrees(12)
@@ -437,7 +439,7 @@ def test_normalize_identity_when_already_normalized():
 def test_normalize_moves_numerator_to_one():
     r = ratio(ang(3, 10), ang(2, 5))
     n = normalize_by_galois(r)
-    assert (n.alpha.value, n.beta.value) == (F(1, 10), F(1, 5))
+    assert (n.alpha, n.beta) == (F(1, 10), F(1, 5))
     assert n.trace == r.trace and n.norm == r.norm
 
 
@@ -471,10 +473,10 @@ def test_nonunit_rows_are_the_galois_normal_forms_of_the_nonunits(bound):
     for t in enumerate_ratios(2, bound):
         if not t.is_unit:
             n = normalize_by_galois(t)
-            oracle[n.alpha.value, n.beta.value] = (n.trace, n.norm)
+            oracle[n.alpha, n.beta] = (n.trace, n.norm)
     rows = normalized_nonunit_rows(bound)
-    assert [(r.alpha.value, r.beta.value) for r in rows] == sorted(oracle)
-    assert all(oracle[r.alpha.value, r.beta.value] == (r.trace, r.norm) for r in rows)
+    assert [(r.alpha, r.beta) for r in rows] == sorted(oracle)
+    assert all(oracle[r.alpha, r.beta] == (r.trace, r.norm) for r in rows)
 
 
 def test_nonunit_rows_build_no_mu_for_other_numerators(monkeypatch):
@@ -504,8 +506,8 @@ def test_table1_rows_are_not_deduplicated_by_orbit():
 
 def test_stability_up_to_20():
     # A light version of the acceptance stability sweep.
-    at_12 = [(r.alpha.value, r.beta.value) for r in normalized_nonunit_rows(12)]
-    at_20 = [(r.alpha.value, r.beta.value) for r in normalized_nonunit_rows(20)]
+    at_12 = [(r.alpha, r.beta) for r in normalized_nonunit_rows(12)]
+    at_20 = [(r.alpha, r.beta) for r in normalized_nonunit_rows(20)]
     assert at_12 == at_20
 
 
@@ -519,8 +521,8 @@ def test_float_agreement_denominators_up_to_16():
         for beta in angles[i + 1 :]:
             r = ratio(alpha, beta)
             approx = complex_embedding(r.mu)
-            expected = math.tan(math.pi * float(beta.value)) / math.tan(
-                math.pi * float(alpha.value)
+            expected = math.tan(math.pi * float(beta)) / math.tan(
+                math.pi * float(alpha)
             )
             assert abs(approx.imag) < 1e-9
             assert abs(approx.real - expected) <= 1e-9 * max(1.0, abs(expected))
