@@ -374,16 +374,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
                     "alpha": r.alpha,
                     "beta": r.beta,
                     "mu": verdict_row.mu_value,
-                    "candidates": [
-                        {
-                            "label": c.label,
-                            "value": c.value,
-                            "trace": c.trace,
-                            "norm": c.norm,
-                            "reason": c.reason,
-                        }
-                        for c in verdict_row.candidates_checked
-                    ],
+                    "candidates": [c._asdict() for c in verdict_row.candidates_checked],
                     "matching_triples": list(verdict_row.matching_triples),
                     "excluded": verdict_row.excluded,
                 }
@@ -551,7 +542,7 @@ def cmd_decagon(subcommand: str) -> Report:
         dim, basis = stablefiber.differential_space(config)
         reference = stablefiber.decagon_limit_differential(x, y)
         ok_dim = dim == 1
-        ok_prop = bool(basis) and stablefiber.differentials_proportional(basis[0], reference)
+        ok_match = basis == [reference]
         ok_res = stablefiber.verify_residue_constraints(reference, config)
         ok_zero = stablefiber.verify_zero_orders(reference, config)
         records = [
@@ -560,13 +551,13 @@ def cmd_decagon(subcommand: str) -> Report:
                 "value": dim,
                 "ok": ok_dim,
                 "configuration": stablefiber.config_to_json_dict(config),
-                "generator": _terms(basis[0].terms) if basis else None,
+                "generator": _terms(zip(basis[0], config.poles)) if basis else None,
             },
-            {"check": "matches_closed_form_generator", "ok": ok_prop},
+            {"check": "matches_closed_form_generator", "ok": ok_match},
             {"check": "residue_constraints", "ok": ok_res},
             {"check": "simple_zeros_at_0_and_infinity", "ok": ok_zero},
         ]
-        verdict = VERIFIED if ok_dim and ok_prop and ok_res and ok_zero else REFUTED
+        verdict = VERIFIED if ok_dim and ok_match and ok_res and ok_zero else REFUTED
     else:
         raise UsageError(f"unknown decagon subcommand {subcommand!r}")
     return Report(

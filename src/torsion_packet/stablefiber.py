@@ -153,43 +153,6 @@ def config_to_json_dict(
     }
 
 
-class LimitDifferential:
-    """sum(c/(z - p)) dz, stored as (residue coefficient, pole) terms; immutable."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[Point, Point]]):
-        object.__setattr__(self, "terms", tuple((c, p) for c, p in terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LimitDifferential is immutable")
-
-    @property
-    def poles(self) -> tuple[Point, ...]:
-        return tuple(p for _, p in self.terms)
-
-    def residue_at(self, point: Point) -> Point:
-        for c, p in self.terms:
-            if p == point:
-                return c
-        raise KeyError(f"no pole at {point!r}")
-
-
-def differentials_proportional(a: LimitDifferential, b: LimitDifferential) -> bool:
-    """Whether two differentials with the same poles differ by a scalar."""
-    if len(a.terms) != len(b.terms):
-        return False
-    try:
-        pairs = [(ca, b.residue_at(p)) for ca, p in a.terms]
-    except KeyError:
-        return False
-    anchor = next(((ca, cb) for ca, cb in pairs if ca), None)
-    if anchor is None:
-        return not any(cb for _, cb in pairs)
-    ca0, cb0 = anchor
-    return all(ca * cb0 == cb * ca0 for ca, cb in pairs)
-
-
 # --------------------------------------------------------------------------
 # The linear systems
 
@@ -258,51 +221,51 @@ def _zero_order_rows(config: NodalConfig, poles: Sequence[Point], zero, one) -> 
     ]
 
 
-def differential_space(config: NodalConfig) -> tuple[int, list[LimitDifferential]]:
+def differential_space(config: NodalConfig) -> tuple[int, list[tuple[Point, ...]]]:
     """Dimension and basis of differentials satisfying all exact conditions.
 
     Unknowns are the residue coefficients at the node preimages; the
     conditions are the residue rows (node matching, total residue zero) and
     the zero-order rows (one linear condition per prescribed vanishing
-    order, with infinity handled in the coordinate w = 1/z).
+    order, with infinity handled in the coordinate w = 1/z).  Each basis
+    differential is its tuple of residues, in the order of ``config.poles``.
     """
     poles, zero, one = _unknowns(config)
     rows = _residue_rows(config, poles, zero, one) + _zero_order_rows(config, poles, zero, one)
-    basis = _kernel_basis(rows, len(poles), zero, one)
-    diffs = [LimitDifferential(zip(vec, poles)) for vec in basis]
-    return len(diffs), diffs
+    basis = [tuple(vec) for vec in _kernel_basis(rows, len(poles), zero, one)]
+    return len(basis), basis
 
 
-def _satisfies(rows_of, omega: LimitDifferential, config: NodalConfig) -> bool:
-    """Whether the residues of ``omega``, taken in node-point order, satisfy
-    the condition rows that ``rows_of`` builds for ``differential_space``."""
+def _satisfies(rows_of, residues: Sequence[Point], config: NodalConfig) -> bool:
+    """Whether ``residues``, one per node point in the order of
+    ``config.poles``, satisfy the condition rows that ``rows_of`` builds for
+    ``differential_space``."""
     poles, zero, one = _unknowns(config)
-    if len(omega.terms) != len(poles) or any(omega.poles.count(p) != 1 for p in poles):
-        raise ValueError("differential poles do not match the node points")
-    residues = [omega.residue_at(p) for p in poles]
+    if len(residues) != len(poles):
+        raise ValueError(f"{len(residues)} residues for {len(poles)} node points")
     return not any(
         sum(a * c for a, c in zip(row, residues)) for row in rows_of(config, poles, zero, one)
     )
 
 
-def verify_residue_constraints(omega: LimitDifferential, config: NodalConfig) -> bool:
+def verify_residue_constraints(residues: Sequence[Point], config: NodalConfig) -> bool:
     """Exact check of total residue zero and node matching Res(p) + Res(q) = 0."""
-    return _satisfies(_residue_rows, omega, config)
+    return _satisfies(_residue_rows, residues, config)
 
 
-def verify_zero_orders(omega: LimitDifferential, config: NodalConfig) -> bool:
+def verify_zero_orders(residues: Sequence[Point], config: NodalConfig) -> bool:
     """Exact check of the prescribed vanishing orders at the marked points."""
-    return _satisfies(_zero_order_rows, omega, config)
+    return _satisfies(_zero_order_rows, residues, config)
 
 
-def height_ratio(omega: LimitDifferential, config: NodalConfig):
+def height_ratio(residues: Sequence[Point]) -> Point:
     """Res(first point of first node) / Res(second point of second node) of
-    the (unique) limit differential; for ``stratum2_config(x, y)`` this is
-    y/x over Q(x, y) (see ``certify_stratum2``)."""
-    den = omega.residue_at(config.nodes[1][1])
-    if not den:
+    the (unique) limit differential, given by its residues in pole order;
+    for ``stratum2_config(x, y)`` this is y/x over Q(x, y) (see
+    ``certify_stratum2``)."""
+    if not residues[3]:
         raise ZeroDivisionError("designated denominator residue is zero")
-    return omega.residue_at(config.nodes[0][0]) / den
+    return residues[0] / residues[3]
 
 
 # --------------------------------------------------------------------------
@@ -342,10 +305,10 @@ def _evaluate_xy(entry: str, x: Point, y: Point) -> Point:
 
 def stratum2_limit_differential(
     x: Point, y: Point, closed_form: Sequence[tuple[str, str]] = STRATUM2_CLOSED_FORM
-) -> LimitDifferential:
+) -> tuple[Point, ...]:
     """The closed-form generator at (x, y): residues (y/x, -y/x, -1, 1) at
     (x, -x, y, -y)."""
-    return LimitDifferential((_evaluate_xy(c, x, y), _evaluate_xy(p, x, y)) for c, p in closed_form)
+    return tuple(_evaluate_xy(c, x, y) for c, _ in closed_form)
 
 
 def symbolic_xy() -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -424,18 +387,18 @@ def certify_stratum2(
     for a in xs:
         for b in ys:
             config = stratum2_config(a, b)
-            form = stratum2_limit_differential(a, b, closed_form)
-            if form.poles != config.poles:
+            if tuple(_evaluate_xy(p, a, b) for _, p in closed_form) != config.poles:
                 raise ValueError(f"closed-form poles {[p for _, p in closed_form]} are not x, -x, y, -y")
+            form = stratum2_limit_differential(a, b, closed_form)
             dim, basis = differential_space(config)
             dimensions.append(dim)
-            basis_ok = basis_ok and dim == 1 and basis[0].terms == form.terms
+            basis_ok = basis_ok and basis == [form]
             kernel_ok = (
                 kernel_ok
                 and verify_residue_constraints(form, config)
                 and verify_zero_orders(form, config)
             )
-            ratio_ok = ratio_ok and height_ratio(form, config) == _evaluate_xy(ratio, a, b)
+            ratio_ok = ratio_ok and height_ratio(form) == _evaluate_xy(ratio, a, b)
     a, b = xs[0], ys[0]
     names = {_evaluate_xy(p, a, b): p for _, p in closed_form}
     return Stratum2Certificate(
@@ -476,11 +439,12 @@ def decagon_config() -> NodalConfig:
     )
 
 
-def decagon_limit_differential(x: Point, y: Point) -> LimitDifferential:
-    """The closed-form generator with residues +-(y - 1/y) and +-(1/x - x)."""
-    c = y - 1 / y
-    d = 1 / x - x
-    return LimitDifferential(((c, x), (-c, 1 / x), (d, y), (-d, 1 / y)))
+def decagon_limit_differential(x: Point, y: Point) -> tuple[Point, ...]:
+    """The closed-form generator, RREF normalised: residues (r, -r, -1, 1)
+    at (x, 1/x, y, 1/y), r = (y - 1/y)/(x - 1/x)."""
+    r = (y - 1 / y) / (x - 1 / x)
+    zero = x - x
+    return r, -r, zero - 1, zero + 1
 
 
 # --------------------------------------------------------------------------
@@ -495,7 +459,6 @@ class TorsionSolution(NamedTuple):
     for even N (indices A with -N/2 < A < N/2).
     """
 
-    order: int
     solutions: tuple[CyclotomicElem, ...]
     tangent_indices: tuple[int, ...]
 
@@ -530,7 +493,7 @@ def solve_torsion_pairs(order: int) -> TorsionSolution:
         solutions.append(x)
     if len(set(solutions)) != len(solutions):
         raise ArithmeticInconsistencyError("duplicate torsion solutions")
-    return TorsionSolution(order=n, solutions=tuple(solutions), tangent_indices=indices)
+    return TorsionSolution(solutions=tuple(solutions), tangent_indices=indices)
 
 
 # --------------------------------------------------------------------------

@@ -50,10 +50,12 @@ swapping the two angles inverts mu; neither changes the stabilizer, and G
 is abelian, so the whole orbit of the unordered, folded pair
 {p1/q1, p2/q2} under the units k shares L and Stab(mu).  Scaling by
 k = p1^-1 mod q1 gives p1 = 1; the units that then fix 1/q1 up to sign
-move p2 freely within its class +-p2*p1^-1 mod g, g = gcd(q1, q2).  The
-orbit's key is therefore (q1, q2, c) with q1 <= q2 and c the least of
-+-p2*p1^-1 mod g, where for q1 = q2 the swap also identifies c with c^-1
-(see ``_orbit_key``).
+move p2 freely within its class +-p2*p1^-1 mod g, g = gcd(q1, q2).  Each
+orbit therefore has one representative {1/q1, p2/q2} with q1 <= q2 and
+p2/q2 the least of its class, where for q1 = q2 the swap also identifies
+the class of c with that of c^-1 (see ``_orbit_representatives``).  The
+orbit's members are the representative's images under the units k, each
+angle folded back into (0, 1/2) (``_orbit_members``).
 
 Only finitely many pairs produce a ratio of any fixed degree, but that
 finiteness is ineffective; the enumeration here is a bounded search, and
@@ -303,9 +305,8 @@ def angles_up_to(max_denominator: int) -> list[Fraction]:
     return sorted(Fraction(p, q) for q in range(3, max_denominator + 1) for p in _numerators(q))
 
 
-# An angle p/q as the integer pair (p, q), and an orbit as its key (q1, q2, c).
+# An angle p/q as the integer pair (p, q).
 _Angle = tuple[int, int]
-_OrbitKey = tuple[int, int, int]
 
 
 def _fold_mod(r: int, g: int) -> int:
@@ -314,31 +315,19 @@ def _fold_mod(r: int, g: int) -> int:
     return min(r, g - r)
 
 
-def _orbit_key(a: _Angle, b: _Angle) -> _OrbitKey:
-    """Key of the Galois orbit of the unordered pair of reduced angles {a, b}.
-
-    With a = p1/q1, b = p2/q2 and q1 <= q2 (swapped if needed), the key is
-    (q1, q2, c), c the least of +-p2*p1^-1 mod g, g = gcd(q1, q2); when
-    q1 = q2 the swap of the two angles also sends c to +-c^-1, and the key
-    takes the least of the four.  For g <= 2 there is one orbit, c = 1.
-    """
-    (p1, q1), (p2, q2) = (a, b) if a[1] <= b[1] else (b, a)
-    g = math.gcd(q1, q2)
-    if g <= 2:
-        return q1, q2, 1
-    c = _fold_mod(p2 * pow(p1, -1, g), g)
-    if q1 == q2:
-        c = min(c, _fold_mod(pow(c, -1, g), g))
-    return q1, q2, c
+def _ordered(a: _Angle, b: _Angle) -> tuple[_Angle, _Angle]:
+    return (a, b) if a[0] * b[1] < b[0] * a[1] else (b, a)
 
 
-def _orbit_keys(max_denominator: int) -> Iterator[_OrbitKey]:
-    """One key per Galois orbit of the pairs of distinct angles up to the bound.
+def _orbit_representatives(max_denominator: int) -> Iterator[tuple[_Angle, _Angle]]:
+    """One pair per Galois orbit of the pairs of distinct angles up to the
+    bound: 1/q1 and the least p2/q2 of its class, q1 <= q2, as (alpha, beta).
 
-    For q1 < q2 the classes c are the units of (Z/g)^* up to sign,
-    max(1, phi(g)/2) of them.  For q1 = q2 the class of +-1 would pair an
-    angle with itself and is left out, and c must be the least of
-    +-c, +-c^-1.
+    The class of p2 is +-c mod g, g = gcd(q1, q2).  For q1 < q2 the classes
+    c are the units of (Z/g)^* up to sign, max(1, phi(g)/2) of them.  For
+    q1 = q2 the class of +-1 would pair an angle with itself and is left
+    out, and the swap of the two angles identifies c with +-c^-1, so c is
+    the least of the four.
     """
     for q2 in range(3, max_denominator + 1):
         for q1 in range(3, q2 + 1):
@@ -348,40 +337,29 @@ def _orbit_keys(max_denominator: int) -> Iterator[_OrbitKey]:
                     continue
                 if q1 == q2 and (c == 1 or _fold_mod(pow(c, -1, g), g) < c):
                     continue
-                yield q1, q2, c
+                p2 = next(p for p in _numerators(q2) if (p - c) % g == 0 or (p + c) % g == 0)
+                yield _ordered((1, q1), (p2, q2))
 
 
-def _ordered(a: _Angle, b: _Angle) -> tuple[_Angle, _Angle]:
-    return (a, b) if a[0] * b[1] < b[0] * a[1] else (b, a)
-
-
-def _orbit_representative(key: _OrbitKey) -> tuple[_Angle, _Angle]:
-    """(alpha, beta) of the orbit's pair 1/q1 and the least p2/q2 of its class."""
-    q1, q2, c = key
-    g = math.gcd(q1, q2)
-    for p2 in _numerators(q2):
-        if (p2 - c) % g == 0 or (p2 + c) % g == 0:
-            return _ordered((1, q1), (p2, q2))
-    raise ArithmeticInconsistencyError(f"Galois orbit {key} has no representative")
-
-
-def _orbit_members(key: _OrbitKey) -> list[tuple[_Angle, _Angle]]:
-    """Every pair (alpha, beta), alpha < beta, of the orbit with this key."""
-    q1, q2, _ = key
-    return [
-        _ordered((p1, q1), (p2, q2))
-        for p1 in _numerators(q1)
-        for p2 in _numerators(q2)
-        if (q1 < q2 or p1 < p2) and _orbit_key((p1, q1), (p2, q2)) == key
-    ]
+def _orbit_members(rep: tuple[_Angle, _Angle]) -> set[tuple[_Angle, _Angle]]:
+    """Every pair (alpha, beta), alpha < beta, of the orbit of ``rep``: the
+    images of its two angles under the units k <= L/2, L = lcm(q1, q2),
+    each folded back into (0, 1/2)."""
+    (p1, q1), (p2, q2) = rep
+    lcm = math.lcm(q1, q2)
+    return {
+        _ordered((_fold_mod(k * p1, q1), q1), (_fold_mod(k * p2, q2), q2))
+        for k in range(1, lcm // 2 + 1)
+        if math.gcd(k, lcm) == 1
+    }
 
 
 def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRatio]:
     """All ratios of the requested degree with both denominators bounded.
 
     One representative per Galois orbit of angle pairs is classified (see
-    the module docstring); the orbits come from ``_orbit_keys`` in
-    integers.  ``_stabilizer`` drops the orbit as soon as
+    the module docstring); the orbits come from ``_orbit_representatives``
+    in integers.  ``_stabilizer`` drops the orbit as soon as
     ``degree_target + 1`` conjugates are certified pairwise distinct, and
     otherwise certifies the stabilizer, building mu only for an exact
     check.  An orbit of exactly the target degree is expanded into its
@@ -393,15 +371,15 @@ def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRa
     if max_denominator < 3:
         raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
     kept: list[TangentRatio] = []
-    for key in _orbit_keys(max_denominator):
-        (pa, qa), (pb, qb) = _orbit_representative(key)
+    for rep in _orbit_representatives(max_denominator):
+        (pa, qa), (pb, qb) = rep
         found = _stabilizer(
             pa, qa, pb, qb, degree_target,
             lambda: ratio(Fraction(pa, qa), Fraction(pb, qb)).mu,
         )
         if found is None or found[0] != degree_target:
             continue
-        for a, b in _orbit_members(key):
+        for a, b in _orbit_members(rep):
             t = ratio(Fraction(*a), Fraction(*b))
             t.stabilizer = found
             kept.append(t)

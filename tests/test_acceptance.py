@@ -18,7 +18,6 @@ from torsion_packet.stablefiber import (
     decagon_limit_differential,
     decagon_points,
     differential_space,
-    differentials_proportional,
     solve_torsion_pairs,
     stratum2_config,
     stratum2_limit_differential,
@@ -107,13 +106,13 @@ def test_criterion_4_differential_uniqueness():
         for y in ys:
             dim, basis = differential_space(stratum2_config(x, y))
             reference = stratum2_limit_differential(x, y)
-            ok = ok and dim == 1 and basis[0].terms == reference.terms
+            ok = ok and dim == 1 and basis == [reference]
 
     dcfg = decagon_config()
     ddim, dbasis = differential_space(dcfg)
     ok = ok and ddim == 1
     dx, dy = decagon_points()
-    ok = ok and differentials_proportional(dbasis[0], decagon_limit_differential(dx, dy))
+    ok = ok and dbasis == [decagon_limit_differential(dx, dy)]
     elapsed = time.perf_counter() - start
     _report(4, "differential space has dimension 1 and matches the closed form", ok, elapsed, 30)
 

@@ -363,7 +363,8 @@ _FORGED_CHECKS = [
     ("decagon-dimension", ["decagon", "differential"], stablefiber, "differential_space",
      lambda found: (2, found[1]), _failed("dimension")),
     ("decagon-matches_closed_form_generator", ["decagon", "differential"], stablefiber,
-     "differentials_proportional", _false, _failed("matches_closed_form_generator")),
+     "decagon_limit_differential", lambda form: (form[1], form[0], *form[2:]),
+     _failed("matches_closed_form_generator")),
     ("decagon-residue_constraints", ["decagon", "differential"], stablefiber,
      "verify_residue_constraints", _false, _failed("residue_constraints")),
     ("decagon-simple_zeros_at_0_and_infinity", ["decagon", "differential"], stablefiber,
@@ -385,6 +386,24 @@ def test_a_forged_check_refutes_the_verdict(argv, module, name, change, shows, m
     report = json.loads(out)
     assert report["verdict"] == "refuted" and code == EXIT_REFUTED
     assert shows(report)
+
+
+def test_twice_the_decagon_closed_form_is_not_its_generator(monkeypatch, capsys):
+    # Twice the closed form satisfies every condition, but the match is
+    # equality with the RREF basis, as for stratum2, not proportionality.
+    original = stablefiber.decagon_limit_differential
+    monkeypatch.setattr(
+        stablefiber, "decagon_limit_differential", lambda x, y: tuple(2 * c for c in original(x, y))
+    )
+    code, out = run_cli(["decagon", "differential", "--format", "json"], capsys)
+    report = json.loads(out)
+    assert report["verdict"] == "refuted" and code == EXIT_REFUTED
+    assert {rec["check"]: rec["ok"] for rec in report["records"]} == {
+        "dimension": True,
+        "matches_closed_form_generator": False,
+        "residue_constraints": True,
+        "simple_zeros_at_0_and_infinity": True,
+    }
 
 
 def test_caches_fill_the_same_under_concurrent_first_use():

@@ -17,6 +17,8 @@ import types
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 import torsion_packet
 from torsion_packet import cli
 
@@ -168,6 +170,25 @@ def test_readme_names_every_cache():
 
     assert listed("lru_cache") == lru
     assert listed("cached_property") == cached
+
+
+def test_readme_names_every_immutable_class():
+    # The immutability paragraph of the README lists each __slots__ class
+    # whose __setattr__ raises, so that it names no deleted class and
+    # misses no new one.
+    immutable = set()
+    for module in _package_modules():
+        for value in vars(module).values():
+            if not (isinstance(value, type) and value.__module__ == module.__name__):
+                continue
+            setter = vars(value).get("__setattr__")
+            if "__slots__" in vars(value) and setter is not None:
+                with pytest.raises(AttributeError, match="immutable"):
+                    setter(None, "name", None)
+                immutable.add(value.__name__)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"`__slots__` classes\s+that\s+refuse\s+attribute\s+assignment:(.*?)\.", readme, re.S)
+    assert set(re.findall(r"`(\w+)`", sentence.group(1))) == immutable
 
 
 def test_import_needs_no_dataclasses_or_inspect():

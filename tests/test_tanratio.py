@@ -21,10 +21,8 @@ from torsion_packet.stablefiber import solve_torsion_pairs
 from torsion_packet.tanratio import (
     _REL_SEPARATION,
     _common_conductor,
-    _orbit_key,
-    _orbit_keys,
     _orbit_members,
-    _orbit_representative,
+    _orbit_representatives,
     _tan_row,
     angles_up_to,
     enumerate_ratios,
@@ -294,16 +292,16 @@ def test_orbit_scan_matches_pair_scan():
         assert got, d
         assert got == _pair_scan(d, 20), d
     for bound, pairs, orbits in ((20, 1953, 191), (60, 150_975, 2289)):
-        keys = list(_orbit_keys(bound))
-        assert len(keys) == len(set(keys)) == orbits
+        reps = list(_orbit_representatives(bound))
+        assert len(reps) == len(set(reps)) == orbits
         assert _pair_count(bound) == pairs
-        assert sum(len(_orbit_members(k)) for k in keys) == pairs
+        assert sum(len(_orbit_members(rep)) for rep in reps) == pairs
 
 
 def test_degree_is_the_orbit_size_on_every_orbit_representative():
     # The stabilizer index against the exact orbit, on all 191 orbits up to
     # denominator 20.
-    reps = [_orbit_representative(key) for key in _orbit_keys(20)]
+    reps = list(_orbit_representatives(20))
     assert len(reps) == 191
     for a, b in reps:
         r = ratio(ang(*a), ang(*b))
@@ -374,20 +372,23 @@ def _brute_force_orbit(a, b):
     return frozenset(orbit)
 
 
-def test_orbit_key_matches_brute_force_orbits():
+def test_orbit_members_match_brute_force_orbits():
     angles = [(a.numerator, a.denominator) for a in angles_up_to(24)]
     brute = {
         _brute_force_orbit(a, b) for i, a in enumerate(angles) for b in angles[i + 1 :]
     }
     assert len(brute) == 293
-    keyed = set()
-    for key in _orbit_keys(24):
-        members = _orbit_members(key)
-        assert _orbit_representative(key) in members
+    found = []
+    for rep in _orbit_representatives(24):
+        # The angle of the least denominator has numerator 1.
+        assert min(rep, key=lambda angle: angle[1])[0] == 1
+        members = _orbit_members(rep)
+        assert rep in members
         assert all(a[0] * b[1] < b[0] * a[1] for a, b in members)
-        assert all(_orbit_key(a, b) == key for a, b in members)
-        keyed.add(frozenset(frozenset(pair) for pair in members))
-    assert keyed == brute
+        orbit = _brute_force_orbit(*rep)
+        assert frozenset(frozenset(pair) for pair in members) == orbit
+        found.append(orbit)
+    assert len(found) == 293 and set(found) == brute
 
 
 def test_tan_table_entries_within_their_error_bound():
@@ -492,16 +493,18 @@ def test_table1_rows_are_not_deduplicated_by_orbit():
     # pairs, but sigma_5 sends the first ratio mu to -1/mu' of the second,
     # so the two rows have different trace and norm and both belong in
     # the table.
-    assert _orbit_key((1, 12), (1, 6)) == _orbit_key((1, 6), (5, 12)) == (6, 12, 1)
+    assert _brute_force_orbit((1, 12), (1, 6)) == _brute_force_orbit((1, 6), (5, 12))
     table = normalized_nonunit_rows(12)
     rows = {(str(r.alpha), str(r.beta)): (r.trace, r.norm) for r in table}
     assert rows[("1/12", "1/6")] == (2, F(-1, 3))
     assert rows[("1/6", "5/12")] == (6, -3)
-    keys = {
-        _orbit_key((r.alpha.numerator, r.alpha.denominator), (r.beta.numerator, r.beta.denominator))
+    orbits = {
+        _brute_force_orbit(
+            (r.alpha.numerator, r.alpha.denominator), (r.beta.numerator, r.beta.denominator)
+        )
         for r in table
     }
-    assert len(rows) == 9 and len(keys) == 6
+    assert len(rows) == 9 and len(orbits) == 6
 
 
 def test_stability_up_to_20():
