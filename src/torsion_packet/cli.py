@@ -194,9 +194,9 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
     else:
         source = f"ground truth {path}"
         try:
-            data = Path(path).read_text()
-        except OSError as exc:
-            raise ValueError(f"cannot read {source}: {exc.strerror or exc}") from exc
+            data = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read {source}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -367,13 +367,13 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
         records = []
         all_excluded = True
         for r in rows:
-            verdict_row = lshape.exclude_against_table1(r)
+            verdict_row = lshape.exclude_against_table1(r.value)
             all_excluded = all_excluded and verdict_row.excluded
             records.append(
                 {
                     "alpha": r.alpha,
                     "beta": r.beta,
-                    "mu": verdict_row.mu_value,
+                    "mu": r.value,
                     "candidates": [c._asdict() for c in verdict_row.candidates_checked],
                     "matching_triples": list(verdict_row.matching_triples),
                     "excluded": verdict_row.excluded,
@@ -461,7 +461,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
         elif r.is_unit:
             rec["status"] = "unit: pentagon/octagon regime, handled by known torsion"
         else:
-            verdict_row = lshape.exclude_against_table1(r)
+            verdict_row = lshape.exclude_against_table1(r.value)
             oks.append(verdict_row.excluded)
             rec["status"] = (
                 "excluded by trace/norm matching"
@@ -638,40 +638,53 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    code, error = _run(args)
+    if error is not None and sys.stderr is not None:
+        try:
+            print(error, file=sys.stderr, flush=True)
+        except OSError:
+            # stderr is closed or full, so the exit code alone reports the
+            # error.  Point stderr at devnull so that the flush at
+            # interpreter shutdown does not fail and change that code.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
+
+
+def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
+    """Run a parsed command and write its report: the exit code, and the
+    one line for stderr, if there is one."""
     try:
         if args.output:
             _check_output_path(Path(args.output))
         report = args.run(args)
         rendered = render(report, args.format)
     except ArithmeticInconsistencyError as exc:
-        print(f"internal arithmetic inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_INTERNAL, f"internal arithmetic inconsistency: {exc}"
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, f"error: {exc}"
     except Exception as exc:
         message = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
-    pipe_closed = False
+        return EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {message}"
+    code = EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED
+    error = None
     try:
         print(rendered)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away.  Point stdout at devnull so that the flush
-        # at interpreter shutdown does not raise a second time.
+    except OSError as exc:
+        # Point stdout at devnull so that the flush at interpreter shutdown
+        # does not raise a second time.  A reader that went away (a closed
+        # pipe) needs no message.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        pipe_closed = True
+        code = EXIT_USAGE
+        if not isinstance(exc, BrokenPipeError):
+            error = f"error: cannot write the report to stdout: {exc.strerror or exc}"
     if args.output:
         try:
             with Path(args.output).open("w") as fh:
                 print(rendered, file=fh)
         except OSError as exc:
-            print(f"error: cannot write --output {args.output}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_USAGE
-    if pipe_closed:
-        return EXIT_USAGE
-    return EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED
+            return EXIT_USAGE, f"error: cannot write --output {args.output}: {exc.strerror or exc}"
+    return code, error
 
 
 def _check_output_path(path: Path) -> None:

@@ -14,10 +14,9 @@ from .cyclotomic import (
     inv_one_minus_zeta,
     minimal_polynomial,
 )
-from .polynomial import cyclotomic_int_coeffs, divisors, euler_phi
+from .polynomial import cyclotomic_int_coeffs
 from .quadratic import (
     QuadraticElem,
-    quadratic_from_minpoly,
     real_display,
     real_value,
     squarefree_part,
@@ -31,13 +30,10 @@ __all__ = [
     "QuadraticElem",
     "conductor_units",
     "cyclotomic_int_coeffs",
-    "divisors",
-    "euler_phi",
     "galois_apply",
     "galois_orbit",
     "inv_one_minus_zeta",
     "minimal_polynomial",
-    "quadratic_from_minpoly",
     "real_display",
     "real_value",
     "sign_of_real",

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from ..errors import ArithmeticInconsistencyError
-from .polynomial import cyclotomic_int_coeffs, euler_phi
+from .polynomial import cyclotomic_int_coeffs
 
 Scalar = Union[int, Fraction]
 
@@ -38,7 +38,8 @@ class _Conductor:
 
     def __init__(self, m: int):
         self.m = m
-        d = euler_phi(m)
+        phi = cyclotomic_int_coeffs(m)
+        d = len(phi) - 1
         self.degree = d
         # power_table[j] = the nonzero coordinates of zeta^j as sparse
         # (index, coefficient) pairs; products of two reduced elements need
@@ -47,7 +48,6 @@ class _Conductor:
         table = []
         cur = [0] * d
         cur[0] = 1
-        phi = cyclotomic_int_coeffs(m)
         for j in range(size):
             if j:
                 high = cur[d - 1]
@@ -163,7 +163,7 @@ class CyclotomicElem:
 
     @classmethod
     def zero(cls, m: int) -> CyclotomicElem:
-        return _make(m, (0,) * euler_phi(m), 1)
+        return _make(m, (0,) * _conductor(m).degree, 1)
 
     @classmethod
     def one(cls, m: int) -> CyclotomicElem:
@@ -172,7 +172,7 @@ class CyclotomicElem:
     @classmethod
     def from_rational(cls, m: int, value: Scalar) -> CyclotomicElem:
         q = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        return _make(m, (q.numerator,) + (0,) * (euler_phi(m) - 1), q.denominator)
+        return _make(m, (q.numerator,) + (0,) * (_conductor(m).degree - 1), q.denominator)
 
     @classmethod
     def zeta(cls, m: int, power: int = 1) -> CyclotomicElem:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from ..errors import ArithmeticInconsistencyError
 from .cyclotomic import CyclotomicElem, MinPoly, minimal_polynomial
@@ -207,17 +207,19 @@ def _ratio_str(n: int, q: int) -> str:
     return str(n) if q == 1 else f"{n}/{q}"
 
 
-def quadratic_from_minpoly(p: MinPoly, which_root: int = 1) -> QuadraticElem:
-    """The real root (-t +- sqrt(disc))/2 of a degree-2 minimal polynomial.
+def real_value(e: CyclotomicElem, p: MinPoly) -> Union[Fraction, QuadraticElem]:
+    """The exact value of a real cyclotomic element of degree at most 2.
 
-    ``which_root`` selects the sign of the sqrt(D) coefficient (+1 or -1).
-    Rejects polynomials whose discriminant is not a positive non-square,
-    since only those have a real quadratic-field model.
+    ``p`` is the minimal polynomial of ``e``.  A degree-2 element is the
+    root (-t +- sqrt(disc))/2 of ``p`` whose sqrt(D) coefficient has the
+    exact sign of e - trace/2.  A discriminant that is not a positive
+    non-square is rejected, since only those have a real quadratic-field
+    model.
     """
+    if p.degree == 1:
+        return p.trace
     if p.degree != 2:
-        raise ValueError(f"expected a quadratic, got degree {p.degree}")
-    if which_root not in (1, -1):
-        raise ValueError("which_root must be +1 or -1")
+        raise ValueError(f"expected degree at most 2, got degree {p.degree}")
     c0, c1, _ = p.coeffs
     disc = c1 * c1 - 4 * c0
     if disc <= 0:
@@ -225,32 +227,17 @@ def quadratic_from_minpoly(p: MinPoly, which_root: int = 1) -> QuadraticElem:
     s, d = squarefree_part(disc.numerator * disc.denominator)
     if d == 1:
         raise ValueError(f"discriminant {disc} is a perfect square; the roots are rational")
-    b = Fraction(s, 2 * disc.denominator) * which_root
+    b = Fraction(s, 2 * disc.denominator) * sign_of_real(e - p.trace / 2)
     root = QuadraticElem(-c1 / 2, b, d)
     if root.trace() != -c1 or root.norm() != c0:
         raise ArithmeticInconsistencyError("quadratic root failed the trace/norm round-trip")
     return root
 
 
-def real_value(e: CyclotomicElem, p: MinPoly) -> Union[Fraction, QuadraticElem]:
-    """The exact value of a real cyclotomic element of degree at most 2.
-
-    ``p`` is the minimal polynomial of ``e``.  A degree-2 element is the
-    root of ``p`` whose sqrt(D) coefficient has the exact sign of
-    e - trace/2.
-    """
-    if p.degree == 1:
-        return p.trace
-    if p.degree == 2:
-        return quadratic_from_minpoly(p, sign_of_real(e - p.trace / 2))
-    raise ValueError(f"expected degree at most 2, got degree {p.degree}")
-
-
-def real_display(e: CyclotomicElem, p: Optional[MinPoly] = None) -> str:
+def real_display(e: CyclotomicElem) -> str:
     """A rational or a + b*sqrt(D) for a real element of degree at most 2;
     above that, only the degree, as "degree-n element"."""
-    if p is None:
-        p = minimal_polynomial(e)
+    p = minimal_polynomial(e)
     if p.degree > 2:
         return f"degree-{p.degree} element"
     return str(real_value(e, p))

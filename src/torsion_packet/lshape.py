@@ -6,24 +6,22 @@ lambda = (e + sqrt(e^2 + 4b))/2, the positive root of x^2 = e*x + b.
 The quantity that matters downstream is lambda + 1, whose trace is e + 2
 (hence in {1, 2, 3}) and whose norm is e + 1 - b (a negative integer).
 
-The exclusion engine takes a quadratic tangent ratio mu and checks the
-four candidates mu, -mu, 1/mu, -1/mu (sign changes and swapping the two
-height coordinates) against those trace/norm constraints; a ratio is
-excluded when no candidate matches any admissible pair.
+The exclusion engine takes the value of a quadratic tangent ratio mu, a
+``QuadraticElem`` (``TangentRatio.value``), and checks the four
+candidates mu, -mu, 1/mu, -1/mu (sign changes and swapping the two height
+coordinates) against those trace/norm constraints; a ratio is excluded
+when no candidate matches any admissible pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import QuadraticElem, squarefree_part
 from .exactnum.quadratic import _from_parts, squarefree_cores
-from .tanratio import TangentRatio
-
-MuSource = Union[TangentRatio, QuadraticElem]
 
 
 class AdmissibleTriple:
@@ -177,7 +175,6 @@ class CandidateCheck(NamedTuple):
 class ExclusionVerdict(NamedTuple):
     """Result of testing one quadratic ratio against all admissible pairs."""
 
-    mu_value: QuadraticElem
     candidates_checked: tuple[CandidateCheck, ...]
     matching_triples: tuple[AdmissibleTriple, ...]
     excluded: bool
@@ -207,29 +204,17 @@ def _match_reason(trace: Fraction, norm: Fraction, matches: list[AdmissibleTripl
     return "no admissible b"
 
 
-def as_quadratic_ratio(mu_source: MuSource) -> QuadraticElem:
-    """The quadratic value of a ratio source (classified ratio or explicit)."""
-    if isinstance(mu_source, TangentRatio):
-        if mu_source.degree != 2:
-            raise ValueError(f"exclusion needs a degree-2 ratio, got degree {mu_source.degree}")
-        if mu_source.is_unit:
-            raise ValueError("exclusion applies to non-unit ratios only")
-        return mu_source.mu_as_quadratic()
-    if isinstance(mu_source, QuadraticElem):
-        if mu_source.is_rational():
-            raise ValueError("exclusion needs a degree-2 value, got a rational")
-        return mu_source
-    raise TypeError(f"cannot read a quadratic ratio from {mu_source!r}")
-
-
-def exclude_against_table1(row: MuSource) -> ExclusionVerdict:
+def exclude_against_table1(mu: QuadraticElem) -> ExclusionVerdict:
     """Test mu, -mu, 1/mu, -1/mu against every admissible (b, e).
 
-    No bound on b is needed: when a candidate's trace and norm are both
-    integers in range, they determine (b, e) (``matching_triples_for``), so
-    an exclusion holds for all admissible parameters.
+    ``mu`` is an irrational ``QuadraticElem``.  No bound on b is needed:
+    when a candidate's trace and norm are both integers in range, they
+    determine (b, e) (``matching_triples_for``), so an exclusion holds for
+    all admissible parameters.  A unit mu is not refused: its candidates
+    have norm +-1, which only the pentagon and octagon triples match.
     """
-    mu = as_quadratic_ratio(row)
+    if not isinstance(mu, QuadraticElem) or mu.is_rational():
+        raise ValueError(f"exclusion needs a degree-2 value, got {mu!r}")
     candidates = []
     all_matches: list[AdmissibleTriple] = []
     for label, value in (
@@ -251,7 +236,6 @@ def exclude_against_table1(row: MuSource) -> ExclusionVerdict:
             )
         )
     return ExclusionVerdict(
-        mu_value=mu,
         candidates_checked=tuple(candidates),
         matching_triples=tuple(all_matches),
         excluded=not all_matches,

@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import (
@@ -79,7 +79,6 @@ from .exactnum import (
     galois_apply,
     inv_one_minus_zeta,
     minimal_polynomial,
-    real_display,
     real_value,
 )
 from .exactnum.signs import cos_sin_ball
@@ -137,7 +136,8 @@ class TangentRatio:
     ``mu`` is built only for an exact check or the minimal polynomial, so a
     ratio of degree above 2 is displayed from its conductor alone.
     ``minpoly`` (and ``trace``, ``norm``, ``is_unit``) takes one conjugate
-    per coset of Stab.
+    per coset of Stab.  ``value``, read for degree at most 2, is the exact
+    value of mu derived once from ``mu`` and ``minpoly``.
     """
 
     def __init__(self, alpha: Fraction, beta: Fraction):
@@ -192,17 +192,16 @@ class TangentRatio:
     def norm(self) -> Fraction:
         return self.minpoly.norm
 
-    def mu_as_quadratic(self) -> QuadraticElem:
-        """The value of mu as a + b*sqrt(D); only for degree-2 ratios."""
-        if self.degree != 2:
-            raise ValueError(f"mu has degree {self.degree}, not 2")
+    @cached_property
+    def value(self) -> Union[Fraction, QuadraticElem]:
+        """mu as a rational or as a + b*sqrt(D); only for degree at most 2."""
         return real_value(self.mu, self.minpoly)
 
     def mu_display(self) -> str:
         if self.degree > 2:
             m = _common_conductor(self.alpha, self.beta)
             return f"degree-{self.degree} element of Q(zeta_{m})"
-        return real_display(self.mu, self.minpoly)
+        return str(self.value)
 
     def __repr__(self) -> str:
         return f"TangentRatio(alpha={self.alpha}, beta={self.beta}, mu={self.mu_display()})"

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -105,6 +106,7 @@ def _ground_truth_with_version(*version):
         pytest.param(None, id="missing-file"),
         pytest.param(lambda p: p.mkdir(), id="directory"),
         pytest.param(lambda p: p.write_text("{not json"), id="not-json"),
+        pytest.param(lambda p: p.write_bytes(b'\xff\xfe{"schema_version": 1}'), id="not-utf8"),
         pytest.param(lambda p: p.write_text("[1, 2]"), id="no-records"),
         pytest.param(lambda p: p.write_text('{"schema_version": 1, "records": {}}'), id="records-not-list"),
         pytest.param(lambda p: p.write_text('{"schema_version": 1, "records": [7]}'), id="row-not-object"),
@@ -147,6 +149,7 @@ def test_verify_table1_bad_ground_truth_exits_2(write, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert f"ground truth {path}" in out.err
     assert "Traceback" not in out.err
 
 
@@ -413,11 +416,9 @@ def test_caches_fill_the_same_under_concurrent_first_use():
     import threading
 
     from torsion_packet import tanratio
-    from torsion_packet.exactnum import cyclotomic, polynomial, signs
+    from torsion_packet.exactnum import cyclotomic, signs
 
     caches = (
-        polynomial.euler_phi,
-        polynomial.cyclotomic_int_coeffs,
         cyclotomic._conductor,
         signs._pi_ball,
         tanratio._tan_row,
@@ -473,6 +474,24 @@ def test_stratum2_builds_minimal_polynomials_only_for_quadratic_ratios(monkeypat
         assert sorted(built) == sorted(d for d in degrees if d <= 2)
         if n == 13:
             assert built == [] and min(degrees) > 2
+
+
+def test_stratum2_derives_each_quadratic_value_once(monkeypatch):
+    # mu_display and the exclusion engine both read TangentRatio.value, so
+    # each handoff of degree at most 2 derives its value once.
+    import torsion_packet.tanratio as tanratio_mod
+
+    original = tanratio_mod.real_value
+    calls = []
+
+    def counted(e, p):
+        calls.append(p.degree)
+        return original(e, p)
+
+    monkeypatch.setattr(tanratio_mod, "real_value", counted)
+    report = cmd_stratum2(12)
+    degrees = [r["degree"] for r in report.records if r["stage"] == "handoff"]
+    assert len(calls) == sum(1 for d in degrees if d <= 2) == 10
 
 
 def test_stratum2_usage(capsys):
@@ -1035,6 +1054,29 @@ def test_closed_stdout_pipe_exits_2_without_traceback(tmp_path):
     assert code == EXIT_USAGE
     assert "Traceback" not in err
     assert json.loads(copy.read_text())["verdict"] == "verified"  # the --output copy is still written
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "args, redirect",
+    [
+        pytest.param("verify-table1", "> /dev/full", id="stdout-full"),
+        pytest.param("stratum2 --torsion-order 1", "2>&-", id="stderr-closed"),
+        pytest.param("stratum2 --torsion-order 1", "2> /dev/full", id="stderr-full"),
+    ],
+)
+def test_unwritable_standard_stream_exits_2(args, redirect):
+    # A report that cannot be written is an I/O error, told in one line; an
+    # error line that cannot be written leaves the exit code as it is.
+    command = f"{shlex.quote(sys.executable)} -m torsion_packet.cli {args} {redirect}"
+    proc = subprocess.run(
+        command, shell=True, capture_output=True, text=True, env=_env_with_src(), timeout=120
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    if redirect == "> /dev/full":
+        assert proc.stderr.startswith("error: cannot write the report to stdout: ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_commands_run_without_sympy():

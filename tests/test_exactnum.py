@@ -15,13 +15,11 @@ from torsion_packet.exactnum import (
     QuadraticElem,
     conductor_units,
     cyclotomic_int_coeffs,
-    divisors,
-    euler_phi,
     galois_apply,
     galois_orbit,
     inv_one_minus_zeta,
     minimal_polynomial,
-    quadratic_from_minpoly,
+    real_value,
     sign_of_real,
     squarefree_part,
 )
@@ -37,6 +35,11 @@ from quadratic_reference import RefQuadratic
 
 def zeta(m, k=1):
     return CyclotomicElem.zeta(m, k)
+
+
+def _phi(m):
+    """Euler's totient by its definition: the units of Z/m."""
+    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
 
 
 # --------------------------------------------------------------------------
@@ -77,10 +80,11 @@ def test_cyclotomic_polynomial_12():
 
 def test_cyclotomic_degree_and_product_identity_up_to_60():
     for m in range(1, 61):
-        assert len(cyclotomic_int_coeffs(m)) - 1 == euler_phi(m)
+        assert len(cyclotomic_int_coeffs(m)) - 1 == _phi(m)
         product = [1]
-        for d in divisors(m):
-            product = _int_poly_mul(product, cyclotomic_int_coeffs(d))
+        for d in range(1, m + 1):
+            if m % d == 0:
+                product = _int_poly_mul(product, cyclotomic_int_coeffs(d))
         assert product == [-1] + [0] * (m - 1) + [1]
 
 
@@ -212,7 +216,7 @@ def _full_unit_orbit(e):
 
 def _sparse_elems(m):
     # Mostly-zero coordinates, so that orbits of every size turn up.
-    d = euler_phi(m)
+    d = _phi(m)
     return st.lists(
         st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 3)]), min_size=d, max_size=d
     ).map(lambda cs: CyclotomicElem(m, cs))
@@ -330,20 +334,34 @@ def test_squarefree_part():
     assert squarefree_part(1) == (1, 1)
 
 
-def test_quadratic_from_minpoly_examples():
-    assert quadratic_from_minpoly(MinPoly([-5, 0, 1]), 1) == QuadraticElem(0, 1, 5)
-    assert quadratic_from_minpoly(MinPoly([5, -10, 1]), 1) == QuadraticElem(5, 2, 5)
-    assert quadratic_from_minpoly(MinPoly([-1, -2, 1]), 1) == QuadraticElem(1, 1, 2)
+def _sqrt5():
+    # sqrt(5) = 2*(zeta_5 + zeta_5^4) + 1.
+    z = zeta(5)
+    return 2 * (z + z**4) + 1
 
 
-def test_quadratic_from_minpoly_rejects_complex_roots():
+def test_real_value_examples():
+    z8 = zeta(8)
+    sqrt2 = z8 + z8**7  # 2*cos(pi/4)
+    for e, poly, value in (
+        (_sqrt5(), [-5, 0, 1], QuadraticElem(0, 1, 5)),
+        (5 + 2 * _sqrt5(), [5, -10, 1], QuadraticElem(5, 2, 5)),
+        (1 + sqrt2, [-1, -2, 1], QuadraticElem(1, 1, 2)),
+        (1 - sqrt2, [-1, -2, 1], QuadraticElem(1, -1, 2)),
+    ):
+        p = minimal_polynomial(e)
+        assert p == MinPoly(poly)
+        assert real_value(e, p) == value
+
+
+def test_real_value_rejects_complex_roots():
     with pytest.raises(ValueError, match="not positive"):
-        quadratic_from_minpoly(MinPoly([1, 0, 1]), 1)
+        real_value(_sqrt5(), MinPoly([1, 0, 1]))
 
 
-def test_quadratic_from_minpoly_rejects_square_disc():
+def test_real_value_rejects_square_disc():
     with pytest.raises(ValueError, match="perfect square"):
-        quadratic_from_minpoly(MinPoly([-4, 0, 1]), 1)
+        real_value(_sqrt5(), MinPoly([-4, 0, 1]))
 
 
 def test_quadratic_trace_norm_against_conjugate():
@@ -549,7 +567,7 @@ def _real_elems():
         lambda m: st.builds(
             build,
             st.just(m),
-            st.lists(st.deferred(lambda: rationals), min_size=euler_phi(m), max_size=euler_phi(m)),
+            st.lists(st.deferred(lambda: rationals), min_size=_phi(m), max_size=_phi(m)),
             st.integers(0, 40),
         )
     )
@@ -612,7 +630,7 @@ rationals = st.fractions(
 
 
 def cyclo_elems(m):
-    d = euler_phi(m)
+    d = _phi(m)
     return st.lists(rationals, min_size=d, max_size=d).map(
         lambda cs: CyclotomicElem(m, cs)
     )
@@ -809,9 +827,9 @@ def assert_cyclo_matches_reference(e, ref):
     assert e.m == ref.m
     # canonical form
     assert e.den > 0 and math.gcd(e.den, *e.nums) == 1
-    assert len(e.nums) == euler_phi(e.m) and all(type(n) is int for n in e.nums)
+    assert len(e.nums) == _phi(e.m) and all(type(n) is int for n in e.nums)
     if not any(ref.coeffs):
-        assert e.is_zero() and e.nums == (0,) * euler_phi(e.m) and e.den == 1
+        assert e.is_zero() and e.nums == (0,) * _phi(e.m) and e.den == 1
     assert e.coeffs == ref.coeffs
     # a rebuilt element is equal, hashes equally and stores the same integers
     again = CyclotomicElem(ref.m, ref.coeffs)
@@ -828,7 +846,7 @@ def assert_cyclo_matches_reference(e, ref):
 
 
 def _cyclo_pair_case(m):
-    d = euler_phi(m)
+    d = _phi(m)
     # Sparse coordinates make zero, rational and equal operands likely.
     coords = st.one_of(
         st.lists(wide_rationals, min_size=d, max_size=d),
@@ -890,7 +908,7 @@ def test_cyclotomic_matches_fraction_reference(case):
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([5, 8, 12, 20, 24, 60]).flatmap(
-        lambda m: st.lists(wide_rationals, min_size=euler_phi(m), max_size=euler_phi(m)).map(
+        lambda m: st.lists(wide_rationals, min_size=_phi(m), max_size=_phi(m)).map(
             lambda cs: CyclotomicElem(m, cs)
         )
     )

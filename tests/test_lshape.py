@@ -135,8 +135,7 @@ def test_unit_case_bound_validation():
 
 
 def test_sqrt5_row_is_excluded_on_trace():
-    row = ratio(F(1, 10), F(1, 5))
-    verdict = exclude_against_table1(row)
+    verdict = exclude_against_table1(ratio(F(1, 10), F(1, 5)).value)
     assert verdict.excluded and not verdict.matching_triples
     assert [str(c.trace) for c in verdict.candidates_checked] == ["0", "0", "0", "0"]
     inv_norms = {c.label: c.norm for c in verdict.candidates_checked}
@@ -144,8 +143,7 @@ def test_sqrt5_row_is_excluded_on_trace():
 
 
 def test_trace_two_candidate_fails_on_norm():
-    row = ratio(F(1, 10), F(2, 5))
-    verdict = exclude_against_table1(row)
+    verdict = exclude_against_table1(ratio(F(1, 10), F(2, 5)).value)
     assert verdict.excluded
     by_label = {c.label: c for c in verdict.candidates_checked}
     assert by_label["1/mu"].trace == 2
@@ -158,14 +156,15 @@ def test_all_reference_rows_excluded():
     rows = normalized_nonunit_rows(12)
     assert len(rows) == 9
     for row in rows:
-        assert exclude_against_table1(row).excluded
+        assert exclude_against_table1(row.value).excluded
 
 
-def test_exclusion_rejects_wrong_degree_or_units():
+def test_exclusion_rejects_a_rational_value():
+    # tan(pi/3)/tan(pi/6) = 3 has degree 1: its value is a Fraction.
     with pytest.raises(ValueError, match="degree-2"):
-        exclude_against_table1(ratio(F(1, 6), F(1, 3)))
-    with pytest.raises(ValueError, match="non-unit"):
-        exclude_against_table1(ratio(F(1, 12), F(1, 4)))
+        exclude_against_table1(ratio(F(1, 6), F(1, 3)).value)
+    with pytest.raises(ValueError, match="degree-2"):
+        exclude_against_table1(QuadraticElem(3, 0, 2))
 
 
 def test_engine_sensitivity_to_norm_mutation():
@@ -199,7 +198,7 @@ def test_exclusion_has_no_bound_on_b():
 def test_candidate_set_closed_under_inversion():
     rows = normalized_nonunit_rows(12)
     for row in rows:
-        mu = row.mu_as_quadratic()
+        mu = row.value
         v1 = exclude_against_table1(mu)
         v2 = exclude_against_table1(mu.inverse())
         assert v1.excluded == v2.excluded

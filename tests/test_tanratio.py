@@ -161,11 +161,11 @@ def test_tan_against_generic_inverse():
 def test_ratio_examples_from_reference_list():
     r = ratio(ang(1, 10), ang(2, 5))
     assert r.degree == 2 and r.trace == 10 and r.norm == 5
-    assert r.mu_as_quadratic() == QuadraticElem(5, 2, 5)
+    assert r.value == QuadraticElem(5, 2, 5)
 
     r = ratio(ang(1, 12), ang(1, 6))
     assert r.degree == 2 and r.trace == 2 and r.norm == F(-1, 3)
-    assert r.mu_as_quadratic() == QuadraticElem(1, F(2, 3), 3)
+    assert r.value == QuadraticElem(1, F(2, 3), 3)
 
 
 def test_degree_is_orbit_size_on_stratum2_handoff_pairs():
@@ -201,7 +201,7 @@ def test_mu_exceeds_one():
 def test_unit_flags():
     assert not ratio(ang(1, 10), ang(1, 5)).is_unit  # sqrt(5), norm -5
     r = ratio(ang(1, 12), ang(1, 4))
-    assert r.mu_as_quadratic() == QuadraticElem(2, 1, 3)
+    assert r.value == QuadraticElem(2, 1, 3)
     assert r.is_unit  # 2 + sqrt(3), norm 1
 
 
