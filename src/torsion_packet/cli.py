@@ -23,6 +23,7 @@ exits 2; a ValueError from the library is a bug and exits 3.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -31,8 +32,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 from typing import Any, NamedTuple, Optional
 
 from . import __version__
@@ -190,13 +189,14 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
     """
     if path is None:
         source = "builtin ground truth"
-        data = resources.files("torsion_packet").joinpath("data/table1.json").read_text()
+        path = os.path.join(os.path.dirname(__file__), "data", "table1.json")
     else:
         source = f"ground truth {path}"
-        try:
-            data = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValueError(f"cannot read {source}: {getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {source}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -632,13 +632,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse exits 0 after --help or --version, dropping any error
+        # writing their text, so it is written here; a usage error exits 2.
+        with contextlib.redirect_stdout(io.StringIO()) as shown:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
-    code, error = _run(args)
+        status, error = _write_stdout(shown.getvalue(), "the help or version text", end="")
+        code = status or int(exc.code or 0)
+    else:
+        code, error = _run(args)
     if error is not None and sys.stderr is not None:
         try:
             print(error, file=sys.stderr, flush=True)
@@ -655,7 +658,7 @@ def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
     one line for stderr, if there is one."""
     try:
         if args.output:
-            _check_output_path(Path(args.output))
+            _check_output_path(args.output)
         report = args.run(args)
         rendered = render(report, args.format)
     except ArithmeticInconsistencyError as exc:
@@ -665,34 +668,40 @@ def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
     except Exception as exc:
         message = " ".join(str(exc).split())
         return EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {message}"
-    code = EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED
-    error = None
-    try:
-        print(rendered)
-        sys.stdout.flush()
-    except OSError as exc:
-        # Point stdout at devnull so that the flush at interpreter shutdown
-        # does not raise a second time.  A reader that went away (a closed
-        # pipe) needs no message.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_USAGE
-        if not isinstance(exc, BrokenPipeError):
-            error = f"error: cannot write the report to stdout: {exc.strerror or exc}"
+    status, error = _write_stdout(rendered, "the report")
+    code = status or (EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED)
     if args.output:
         try:
-            with Path(args.output).open("w") as fh:
+            with open(args.output, "w") as fh:
                 print(rendered, file=fh)
         except OSError as exc:
             return EXIT_USAGE, f"error: cannot write --output {args.output}: {exc.strerror or exc}"
     return code, error
 
 
-def _check_output_path(path: Path) -> None:
+def _write_stdout(text: str, what: str, end: str = "\n") -> tuple[int, Optional[str]]:
+    """Print ``text`` to stdout and flush it: EXIT_OK and no error line, or
+    EXIT_USAGE and the line for stderr, if there is one."""
+    try:
+        print(text, end=end, flush=True)
+    except OSError as exc:
+        # Point stdout at devnull so that the flush at interpreter shutdown
+        # does not raise a second time.  A reader that went away (a closed
+        # pipe) needs no message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_USAGE, None
+        return EXIT_USAGE, f"error: cannot write {what} to stdout: {exc.strerror or exc}"
+    return EXIT_OK, None
+
+
+def _check_output_path(path: str) -> None:
     """Reject an --output path that cannot be written, before any computing."""
-    if path.is_dir():
+    if os.path.isdir(path):
         raise UsageError(f"--output {path} is a directory")
-    if not path.parent.is_dir():
-        raise UsageError(f"--output directory {path.parent} does not exist")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"--output directory {parent} does not exist")
 
 
 if __name__ == "__main__":

@@ -34,8 +34,12 @@ Galois acts on mu through G = (Z/L)^*/{+-1}, and deg mu = |G|/|Stab(mu)|.
   conjugate is farther than that from mu has sigma_k(mu) != mu; the
   others form the candidate set C.  Every k in Stab(mu) computes to mu's
   value within that bound, so Stab(mu) is contained in C.
-* Each candidate c != 1 is decided exactly: sigma_c'(mu) == mu, where
-  c' = c or c + L, whichever is odd, is a unit mod m congruent to c mod L.
+* Each candidate c != 1 is decided exactly, without mu.  Write
+  w_j = exp(2*pi*i*x_j) for x = (c*beta, alpha, beta, c*alpha) and
+  W = w_1*w_2*w_3*w_4.  Clearing the (w_j + 1) denominators of
+  tan(pi*c*beta)*tan(pi*alpha) = tan(pi*beta)*tan(pi*c*alpha) leaves
+  sum_j s_j*(w_j + W/w_j) = 0, s = (-1, -1, 1, 1): the terms of even degree
+  cancel, and prod s = 1.  This is a sum of 8 powers of zeta_L.
 
 Both steps are exact, so no fallback exists, and when C = {1} no exact
 arithmetic runs.  The scan also stops, with no exact step, once more
@@ -68,7 +72,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import (
@@ -133,7 +137,7 @@ class TangentRatio:
 
     ``alpha`` and ``beta`` are the angles as reduced ``Fraction``s, checked
     by ``ratio``.  ``stabilizer`` is (degree, Stab(mu)) from ``_stabilizer``.
-    ``mu`` is built only for an exact check or the minimal polynomial, so a
+    The degree needs no ``mu``, which ``minpoly`` and ``value`` build, so a
     ratio of degree above 2 is displayed from its conductor alone.
     ``minpoly`` (and ``trace``, ``norm``, ``is_unit``) takes one conjugate
     per coset of Stab.  ``value``, read for degree at most 2, is the exact
@@ -159,9 +163,7 @@ class TangentRatio:
     @cached_property
     def stabilizer(self) -> tuple[int, tuple[int, ...]]:
         a, b = self.alpha, self.beta
-        return _stabilizer(
-            a.numerator, a.denominator, b.numerator, b.denominator, None, lambda: self.mu
-        )
+        return _stabilizer(a.numerator, a.denominator, b.numerator, b.denominator, None)
 
     @property
     def degree(self) -> int:
@@ -249,16 +251,16 @@ def _tan_row(q: int) -> tuple[float, ...]:
 
 
 def _stabilizer(
-    pa: int, qa: int, pb: int, qb: int, cap: Optional[int], mu: Callable[[], CyclotomicElem]
+    pa: int, qa: int, pb: int, qb: int, cap: Optional[int]
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """(degree, Stab) of mu = tan(pi*pb/qb)/tan(pi*pa/qa), or None above ``cap``.
 
     G = (Z/L)^*/{+-1}, L = lcm(qa, qb), is walked as the units k <= L/2
     (see the module docstring).  None means that more than ``cap``
     conjugates were certified pairwise distinct; with no cap, the pairwise
-    count is skipped.  ``mu()`` is called only if a candidate other than 1
-    needs its exact check.  An index that is not an integer, or is below
-    the count of certified distinct conjugates, raises.
+    count is skipped.  A candidate other than 1 is decided by the sum of 8
+    powers of zeta_L of the module docstring.  An index that is not an
+    integer, or is below the count of certified distinct conjugates, raises.
     """
     lcm = math.lcm(qa, qb)
     ta, tb = _tan_row(qa), _tan_row(qb)
@@ -282,9 +284,12 @@ def _stabilizer(
                 if len(reps) > cap:
                     return None
     stab = [1]
-    if candidates:
-        exact = mu()
-        stab += [c for c in candidates if galois_apply(exact, c if c % 2 else c + lcm) == exact]
+    zeta, ea, eb = CyclotomicElem.zeta, pa * (lcm // qa), pb * (lcm // qb)
+    for c in candidates:
+        e = (c * eb, ea, eb, c * ea)
+        total = sum(e)
+        if not sum(s * (zeta(lcm, x) + zeta(lcm, total - x)) for s, x in zip((-1, -1, 1, 1), e)):
+            stab.append(c)
     if order % len(stab) or order // len(stab) < len(reps):
         raise ArithmeticInconsistencyError(
             f"stabilizer {stab} of tan(pi*{pb}/{qb})/tan(pi*{pa}/{qa}) in a group of order "
@@ -360,10 +365,10 @@ def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRa
     the module docstring); the orbits come from ``_orbit_representatives``
     in integers.  ``_stabilizer`` drops the orbit as soon as
     ``degree_target + 1`` conjugates are certified pairwise distinct, and
-    otherwise certifies the stabilizer, building mu only for an exact
-    check.  An orbit of exactly the target degree is expanded into its
-    member pairs, each handed the representative's stabilizer.  Output is
-    sorted by (alpha, beta).
+    otherwise certifies the stabilizer from the representative's four
+    integers, building no mu.  An orbit of exactly the target degree is
+    expanded into its member pairs, each handed the representative's
+    stabilizer.  Output is sorted by (alpha, beta).
     """
     if degree_target < 1:
         raise ValueError(f"degree target must be positive, got {degree_target}")
@@ -372,10 +377,7 @@ def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRa
     kept: list[TangentRatio] = []
     for rep in _orbit_representatives(max_denominator):
         (pa, qa), (pb, qb) = rep
-        found = _stabilizer(
-            pa, qa, pb, qb, degree_target,
-            lambda: ratio(Fraction(pa, qa), Fraction(pb, qb)).mu,
-        )
+        found = _stabilizer(pa, qa, pb, qb, degree_target)
         if found is None or found[0] != degree_target:
             continue
         for a, b in _orbit_members(rep):
@@ -390,17 +392,6 @@ def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRa
 # Galois normalization
 
 
-def _fold(f: Fraction) -> Fraction:
-    """Fold an angle coefficient into (0, 1/2) using the period and odd
-    symmetry of |tan|."""
-    r = f % 1
-    if r > _HALF:
-        r = 1 - r
-    if r == 0 or r == _HALF:
-        raise ArithmeticInconsistencyError(f"angle {f} folded onto a tangent zero or pole")
-    return r
-
-
 def normalize_by_galois(t: TangentRatio) -> TangentRatio:
     """An equivalent ratio whose alpha has numerator 1.
 
@@ -413,13 +404,11 @@ def normalize_by_galois(t: TangentRatio) -> TangentRatio:
     """
     if t.alpha.numerator == 1:
         return t
-    m = _common_conductor(t.alpha, t.beta)
-    for k in conductor_units(m):
-        fa = _fold(k * t.alpha)
-        fb = _fold(k * t.beta)
-        lo, hi = (fa, fb) if fa < fb else (fb, fa)
-        if lo.numerator == 1:
-            return ratio(lo, hi)
+    (pa, qa), (pb, qb) = t.alpha.as_integer_ratio(), t.beta.as_integer_ratio()
+    for k in conductor_units(_common_conductor(t.alpha, t.beta)):
+        lo, hi = _ordered((_fold_mod(k * pa, qa), qa), (_fold_mod(k * pb, qb), qb))
+        if lo[0] == 1:
+            return ratio(Fraction(*lo), Fraction(*hi))
     raise ArithmeticInconsistencyError(
         f"no Galois substitution normalizes alpha = {t.alpha}"
     )

@@ -922,10 +922,12 @@ def test_output_path_checked_before_computing(target, tmp_path, capsys, monkeypa
 
 
 def test_output_write_error_exits_2(tmp_path, capsys, monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise PermissionError(13, "Permission denied", str(self))
+    import torsion_packet.cli as cli_mod
 
-    monkeypatch.setattr(Path, "open", refuse)
+    def refuse(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", file)
+
+    monkeypatch.setattr(cli_mod, "open", refuse, raising=False)
     code = main(["lshape", "unit-case", "--b-max", "50", "--output", str(tmp_path / "report.txt")])
     out = capsys.readouterr()
     assert code == EXIT_USAGE
@@ -1077,6 +1079,25 @@ def test_unwritable_standard_stream_exits_2(args, redirect):
     if redirect == "> /dev/full":
         assert proc.stderr.startswith("error: cannot write the report to stdout: ")
         assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_to_full_stdout_exit_2(flag, unbuffered):
+    # argparse drops the error of its own write, so the text is written by
+    # the CLI, whether the write or the flush at exit is the one that fails.
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsion_packet.cli", flag],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
 
 
 def test_commands_run_without_sympy():

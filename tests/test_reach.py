@@ -28,7 +28,6 @@ EXEMPT = frozenset({"__repr__", "__setattr__"})
 ALLOWED = {
     "tanratio.angles_up_to": "read by perfbench/tracechild.py to count the pairs scanned",
     "tanratio.normalize_by_galois": "wrapped by name in perfbench/tracechild.py",
-    "tanratio._fold": "the folding step of normalize_by_galois",
     "exactnum.cyclotomic.CyclotomicElem.__init__": "builds the operands of perfbench/micro.py",
     "exactnum.quadratic.QuadraticElem.__mul__": "timed by perfbench/micro.py",
     "exactnum.quadratic.QuadraticElem.__eq__": "value semantics of an immutable number",
@@ -188,17 +187,27 @@ def test_readme_names_every_immutable_class():
     assert set(re.findall(r"`(\w+)`", sentence.group(1))) == immutable
 
 
-def test_import_needs_no_dataclasses_or_inspect():
-    # Records are NamedTuples and validated values are __slots__ classes,
-    # so importing the CLI pulls in neither module.  -S keeps the .pth
-    # files of site-packages out of the fresh interpreter.
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh interpreter holds after importing the
+    CLI.  -S keeps the .pth files of site-packages out of it."""
     src = Path(torsion_packet.__file__).resolve().parents[1]
     loaded = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, torsion_packet.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         f"import sys, torsion_packet.cli; print(sorted({set(modules)!r} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert loaded.stdout == "[]\n"
+    return loaded.stdout
+
+
+def test_import_needs_no_dataclasses_or_inspect():
+    # Records are NamedTuples and validated values are __slots__ classes,
+    # so importing the CLI pulls in neither module.
+    assert _loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_import_needs_no_pathlib_or_importlib_resources():
+    # The shipped table and the --output path are read with open and os.path.
+    assert _loaded_by_cli_import({"pathlib", "importlib.resources"}) == "[]\n"

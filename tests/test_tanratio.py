@@ -334,6 +334,48 @@ def test_degrees_hold_when_every_unit_is_a_candidate(monkeypatch):
     assert classified() == certified
 
 
+def test_stabilizer_is_the_units_that_fix_mu(monkeypatch):
+    # With every unit a candidate, each one is decided by the 8-term sum in
+    # Q(zeta_L); the oracle applies the unit, lifted to an odd one, to mu.
+    monkeypatch.setattr(tanratio, "_REL_SEPARATION", 2.0)
+    pairs = [(F(*a), F(*b)) for a, b in _orbit_representatives(20)]
+    for n in (24, 30, 60):
+        positive = [a for a in solve_torsion_pairs(n).tangent_indices if a > 0]
+        pairs += [(F(a, n), F(b, n)) for a in positive for b in positive if a < b]
+    fixing = 0
+    for alpha, beta in pairs:
+        lcm = math.lcm(alpha.denominator, beta.denominator)
+        mu = ratio(alpha, beta).mu
+        expected = tuple(
+            k
+            for k in range(1, lcm // 2 + 1)
+            if math.gcd(k, lcm) == 1 and galois_apply(mu, k if k % 2 else k + lcm) == mu
+        )
+        _, stab = tanratio._stabilizer(*alpha.as_integer_ratio(), *beta.as_integer_ratio(), None)
+        assert stab == expected, (alpha, beta)
+        fixing += len(stab) > 1
+    assert fixing
+
+
+def test_mu_is_built_only_where_it_is_read(monkeypatch):
+    # The degree needs no mu: stratum2 builds it, two tangents each, only
+    # for the handoffs of degree at most 2, and the enumeration not at all.
+    calls = []
+
+    def counting(m, e):
+        calls.append(e)
+        return i_tan(m, e)
+
+    i_tan = tanratio.i_tan
+    monkeypatch.setattr(tanratio, "i_tan", counting)
+    report = cli.cmd_stratum2(120)
+    low = [r for r in report.records if r["stage"] == "handoff" and r["degree"] <= 2]
+    assert len(calls) == 2 * len(low) == 54
+    calls.clear()
+    assert enumerate_ratios(6, 40)
+    assert calls == []
+
+
 def test_stratum2_handoff_needs_no_exact_orbit(monkeypatch):
     def no_orbit(*args, **kwargs):
         raise AssertionError("galois_orbit called")
