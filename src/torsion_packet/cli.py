@@ -334,9 +334,12 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
             raise UsageError(f"--b-max must be at least 3, got {b_max}")
         parameters["b_max"] = b_max
         # lambda is kept as its display string, so that no triple outlives
-        # the loop that checks it.
+        # the loop that checks it.  Every record is checked and kept, so a
+        # failed check refutes the verdict without hiding the records after it.
         records = []
+        ok = True
         for t in lshape.enumerate_triples(b_max):
+            ok = lshape.is_positive_root(t.b, t.e, t.lam) and ok
             trace, norm = lshape.trace_norm_lambda_plus_one(t)
             records.append(
                 {
@@ -347,7 +350,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
                     "norm_lambda_plus_one": norm,
                 }
             )
-        verdict = VERIFIED
+        verdict = VERIFIED if ok else REFUTED
     elif subcommand == "unit-case":
         triples = lshape.unit_case_triples()
         expected = [(1, -1), (2, 0)]

@@ -5,6 +5,8 @@ integer, e + 1 < b, and b even when e = 1; it determines
 lambda = (e + sqrt(e^2 + 4b))/2, the positive root of x^2 = e*x + b.
 The quantity that matters downstream is lambda + 1, whose trace is e + 2
 (hence in {1, 2, 3}) and whose norm is e + 1 - b (a negative integer).
+Both are closed forms; ``is_positive_root`` is the one certificate that
+lambda is the root they rest on.
 
 The exclusion engine takes the value of a quadratic tangent ratio mu, a
 ``QuadraticElem`` (``TangentRatio.value``), and checks the four
@@ -19,7 +21,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .errors import ArithmeticInconsistencyError
 from .exactnum import QuadraticElem, squarefree_part
 from .exactnum.quadratic import _from_parts, squarefree_cores
 
@@ -31,27 +32,10 @@ class AdmissibleTriple:
 
     def __init__(self, b: int, e: int, lam: QuadraticElem):
         """Certify that (b, e) is admissible and lam the positive root of
-        x^2 = e*x + b.
-
-        With lam = (an + bn*sqrt(d))/den, den^2 * (lam^2 - e*lam - b) is
-        (an^2 + d*bn^2 - e*an*den - b*den^2) + bn*(2*an - e*den)*sqrt(d).
-        For bn != 0 the radicand d >= 2 is squarefree, so sqrt(d) is
-        irrational and the quadratic holds exactly when both integers
-        vanish; for a rational lam, bn = 0 and only the first one is left.
-        The other root e - lam satisfies the same quadratic, and of the two
-        roots (product -b < 0) lam is the positive one exactly when
-        2*lam - e > 0; once the quadratic holds, one of bn and 2*an - e*den
-        is zero, so that sign is the sign of 2*an - e*den + bn.
-        """
+        x^2 = e*x + b (``is_positive_root``)."""
         if not is_admissible(b, e):
             raise ValueError(f"(b={b}, e={e}) is not admissible")
-        an, bn, den = lam.an, lam.bn, lam.den
-        twice_shift = 2 * an - e * den
-        if (
-            an * an + lam.d * bn * bn - e * an * den - b * den * den
-            or bn * twice_shift
-            or twice_shift + bn <= 0
-        ):
+        if not is_positive_root(b, e, lam):
             raise ValueError(f"lambda = {lam} does not satisfy x^2 = {e}x + {b}")
         # The class refuses attribute assignment; the slot descriptors set
         # the fields directly, as in QuadraticElem.
@@ -81,6 +65,28 @@ _set_lam = AdmissibleTriple.lam.__set__
 
 def is_admissible(b: int, e: int) -> bool:
     return e in (-1, 0, 1) and b >= 1 and e + 1 < b and not (e == 1 and b % 2)
+
+
+def is_positive_root(b: int, e: int, lam: QuadraticElem) -> bool:
+    """Whether lam is the positive root of x^2 = e*x + b, for b > 0.
+
+    With lam = (an + bn*sqrt(d))/den, den^2 * (lam^2 - e*lam - b) is
+    (an^2 + d*bn^2 - e*an*den - b*den^2) + bn*(2*an - e*den)*sqrt(d).
+    For bn != 0 the radicand d >= 2 is squarefree, so sqrt(d) is
+    irrational and the quadratic holds exactly when both integers vanish;
+    for a rational lam, bn = 0 and only the first one is left.  The other
+    root e - lam satisfies the same quadratic, and of the two roots
+    (product -b < 0) lam is the positive one exactly when 2*lam - e > 0;
+    once the quadratic holds, one of bn and 2*an - e*den is zero, so that
+    sign is the sign of 2*an - e*den + bn.
+    """
+    an, bn, den = lam.an, lam.bn, lam.den
+    twice_shift = 2 * an - e * den
+    return not (
+        an * an + lam.d * bn * bn - e * an * den - b * den * den
+        or bn * twice_shift
+        or twice_shift + bn <= 0
+    )
 
 
 def make_triple(b: int, e: int) -> AdmissibleTriple:
@@ -122,33 +128,14 @@ def enumerate_triples(b_max: int) -> Iterator[AdmissibleTriple]:
 
 
 def trace_norm_lambda_plus_one(t: AdmissibleTriple) -> tuple[int, int]:
-    """(trace, norm) of lambda + 1, the norm cross-checked on lambda's integers.
+    """(trace, norm) of lambda + 1: (e + 2, e + 1 - b).
 
-    The closed forms are trace = e + 2 and norm = e + 1 - b.  The other
-    root of the defining quadratic is e - lambda, so that of lambda + 1 is
-    (e + 1) - lambda: for irrational lambda the quadratic-field conjugate.
-    The two roots sum to e + 2 whatever lambda is, so only their product
-    tests lambda.  With lambda = (an + bn*sqrt(d))/den, den^2 times that
-    product is ((an + den)*((e + 1)*den - an) - d*bn^2)
-    + bn*(e*den - 2*an)*sqrt(d); sqrt(d) is irrational for bn != 0 (d >= 2
-    squarefree), so the product is the norm exactly when the first integer
-    is norm*den^2 and the second is 0.  The conjugate root gives the same
-    product, so lambda must also be the positive root: 2*lambda - e > 0,
-    whose sign is that of 2*an - e*den + bn once the product matches.
+    The other root of lambda + 1 is e + 1 - lambda, and
+    (lambda + 1)(e + 1 - lambda) = e + 1 - b + (e*lambda + b - lambda^2),
+    so the product is the norm exactly when lambda is a root, which
+    ``is_positive_root`` certifies.
     """
-    b, e, lam = t.b, t.e, t.lam
-    trace, norm = e + 2, e + 1 - b
-    an, bn, den = lam.an, lam.bn, lam.den
-    twice_shift = 2 * an - e * den
-    if (
-        (an + den) * ((e + 1) * den - an) - lam.d * bn * bn != norm * den * den
-        or bn * twice_shift
-        or twice_shift + bn <= 0
-    ):
-        raise ArithmeticInconsistencyError(
-            f"closed-form trace/norm ({trace}, {norm}) disagree with lambda = {lam}"
-        )
-    return trace, norm
+    return t.e + 2, t.e + 1 - t.b
 
 
 def unit_case_triples() -> list[AdmissibleTriple]:
@@ -180,28 +167,23 @@ class ExclusionVerdict(NamedTuple):
     excluded: bool
 
 
-def matching_triples_for(trace: Fraction, norm: Fraction) -> list[AdmissibleTriple]:
-    """Admissible triples whose lambda + 1 has the given trace and norm.
+def matching_triples_for(trace: Fraction, norm: Fraction) -> tuple[list[AdmissibleTriple], str]:
+    """Admissible triples whose lambda + 1 has the given trace and norm, and
+    the ``CandidateCheck`` reason.
 
     The trace fixes e and the norm then fixes b, so the answer covers every
     admissible (b, e), with no bound on b.
     """
     trace, norm = Fraction(trace), Fraction(norm)
-    if trace.denominator != 1 or trace not in (1, 2, 3) or norm.denominator != 1:
-        return []
+    if trace.denominator != 1 or trace not in (1, 2, 3):
+        return [], "trace not in {1,2,3}"
+    if norm.denominator != 1:
+        return [], "norm not an integer"
     e = int(trace) - 2
     b = e + 1 - int(norm)
-    return [make_triple(b, e)] if is_admissible(b, e) else []
-
-
-def _match_reason(trace: Fraction, norm: Fraction, matches: list[AdmissibleTriple]) -> str:
-    if matches:
-        return "matched"
-    if trace.denominator != 1 or trace not in (1, 2, 3):
-        return "trace not in {1,2,3}"
-    if norm.denominator != 1:
-        return "norm not an integer"
-    return "no admissible b"
+    if not is_admissible(b, e):
+        return [], "no admissible b"
+    return [make_triple(b, e)], "matched"
 
 
 def exclude_against_table1(mu: QuadraticElem) -> ExclusionVerdict:
@@ -224,7 +206,7 @@ def exclude_against_table1(mu: QuadraticElem) -> ExclusionVerdict:
         ("-1/mu", -mu.inverse()),
     ):
         trace, norm = value.trace(), value.norm()
-        matches = matching_triples_for(trace, norm)
+        matches, reason = matching_triples_for(trace, norm)
         all_matches.extend(m for m in matches if m not in all_matches)
         candidates.append(
             CandidateCheck(
@@ -232,7 +214,7 @@ def exclude_against_table1(mu: QuadraticElem) -> ExclusionVerdict:
                 value=value,
                 trace=trace,
                 norm=norm,
-                reason=_match_reason(trace, norm, matches),
+                reason=reason,
             )
         )
     return ExclusionVerdict(

@@ -466,8 +466,9 @@ class TorsionSolution(NamedTuple):
 def solve_torsion_pairs(order: int) -> TorsionSolution:
     """Solve (x-1)^N = (-x-1)^N exactly: x_A = i*tan(A*pi/N), -N/2 < A < N/2.
 
-    In Q(zeta_m), m = lcm(4, N), x_A is ``i_tan(m, e)`` for e = (m/N)*A, the
-    Cayley form (w - 1)/(w + 1) of w = zeta_m^e.  Each is certified by one
+    In Q(zeta_m), m = lcm(2, N), x_A is ``i_tan(m, e)`` for e = (m/N)*A, the
+    Cayley form (w - 1)/(w + 1) of w = zeta_m^e = zeta_N^A: that needs only
+    N | m and an even m, for zeta_m^(m/2) = -1.  Each is certified by one
     product, x - 1 = u*(x + 1) with u = -zeta_m^(-e) = zeta_m^(m/2 - e), and
     by u^N = (-1)^N checked on the exponent of u; together they give
     (x-1)^N = u^N (x+1)^N = (-x-1)^N.  The list is complete: the x^N terms
@@ -479,7 +480,7 @@ def solve_torsion_pairs(order: int) -> TorsionSolution:
     n = order
     if n < 2:
         raise ValueError(f"torsion order must be at least 2, got {n}")
-    m = math.lcm(4, n)
+    m = math.lcm(2, n)
     half = m // 2  # zeta^half = -1
     amax = (n - 1) // 2
     indices = tuple(range(-amax, amax + 1))

@@ -28,7 +28,7 @@ from torsion_packet.cli import (
     main,
     render,
 )
-from torsion_packet.exactnum import CyclotomicElem
+from torsion_packet.exactnum import CyclotomicElem, QuadraticElem
 
 
 def run_cli(args, capsys):
@@ -299,6 +299,20 @@ def _dropping_a_solution(ts):
     return ts._replace(solutions=ts.solutions[:-1], tangent_indices=ts.tangent_indices[:-1])
 
 
+def _with_forged_lambda(triples):
+    """The (b=3, e=0) triple with lambda swapped to sqrt(2) after construction."""
+    for t in triples:
+        if (t.b, t.e) == (3, 0):
+            object.__setattr__(t, "lam", QuadraticElem(0, 1, 2))
+        yield t
+
+
+def _every_triple_to_three(report):
+    records = report["records"]
+    pairs = [(rec["b"], rec["e"]) for rec in records]
+    return pairs == [(1, -1), (2, -1), (2, 0), (3, -1), (3, 0)] and records[-1]["lambda"] == "sqrt(2)"
+
+
 def _certificate_with(**fields):
     return lambda cert: cert._replace(**fields)
 
@@ -333,6 +347,8 @@ _FORGED_CHECKS = [
      lambda rows: rows + [_EXTRA_RATIO], _has_status("unexpected")),
     ("verify-table1-row-count", ["verify-table1"], tanratio, "normalized_nonunit_rows",
      lambda rows: rows + rows[:1], lambda report: report["parameters"]["rows_computed"] == 10),
+    ("lshape-enumerate-forged-lambda", ["lshape", "enumerate", "--b-max", "3"], lshape,
+     "enumerate_triples", _with_forged_lambda, _every_triple_to_three),
     ("lshape-unit-case-extra-triple", ["lshape", "unit-case"], lshape, "unit_case_triples",
      lambda ts: ts + [lshape.make_triple(3, 0)], lambda report: len(report["records"]) == 3),
     ("lshape-exclude-matched-row", ["lshape", "exclude"], lshape, "exclude_against_table1",
@@ -385,9 +401,10 @@ def test_a_forged_check_refutes_the_verdict(argv, module, name, change, shows, m
     # and the report shows the check that failed.
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: change(original(*args)))
-    code, out = run_cli(argv + ["--format", "json"], capsys)
-    report = json.loads(out)
-    assert report["verdict"] == "refuted" and code == EXIT_REFUTED
+    code = main(argv + ["--format", "json"])
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert report["verdict"] == "refuted" and code == EXIT_REFUTED and out.err == ""
     assert shows(report)
 
 
@@ -812,7 +829,7 @@ def test_json_records_are_pinned(command):
 
 def test_every_exact_type_has_one_encoding():
     from torsion_packet.cli import Report
-    from torsion_packet.exactnum import CyclotomicElem, QuadraticElem
+    from torsion_packet.exactnum import CyclotomicElem
     from torsion_packet.lshape import make_triple
     from torsion_packet.stablefiber import INFINITY
 
@@ -970,18 +987,6 @@ def test_any_other_exception_exits_3_with_one_line(exc, monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"internal error: {type(exc).__name__}: ") and out.err.count("\n") == 1
-
-
-def test_failed_lambda_cross_check_exits_3(monkeypatch, capsys):
-    import torsion_packet.lshape as lshape_mod
-    from torsion_packet.exactnum import QuadraticElem
-
-    forged = lshape_mod.make_triple(3, 0)
-    object.__setattr__(forged, "lam", QuadraticElem(0, 1, 2))
-    monkeypatch.setattr(lshape_mod, "enumerate_triples", lambda b_max: [forged])
-    assert main(["lshape", "enumerate", "--b-max", "3"]) == EXIT_INTERNAL
-    err = capsys.readouterr().err
-    assert err.startswith("internal arithmetic inconsistency: ") and err.count("\n") == 1
 
 
 def test_internal_value_error_exits_3_not_2(monkeypatch, capsys):

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsion_packet.cli import cmd_lshape
-from torsion_packet.errors import ArithmeticInconsistencyError, UsageError
+from torsion_packet.errors import UsageError
 from torsion_packet.exactnum import QuadraticElem
 from torsion_packet.lshape import (
     AdmissibleTriple,
     enumerate_triples,
     exclude_against_table1,
     is_admissible,
+    is_positive_root,
     make_triple,
     matching_triples_for,
     trace_norm_lambda_plus_one,
@@ -76,11 +77,10 @@ def test_trace_norm_examples():
 
 def test_forged_lambda_fails_trace_norm_cross_check():
     # sqrt(2) in place of sqrt(3) for (b=3, e=0): the trace of lambda + 1
-    # still matches, the norm does not.
+    # still matches, the norm does not, and the certificate refuses it.
     t = make_triple(3, 0)
-    object.__setattr__(t, "lam", QuadraticElem(0, 1, 2))
-    with pytest.raises(ArithmeticInconsistencyError, match="disagree"):
-        trace_norm_lambda_plus_one(t)
+    assert is_positive_root(3, 0, t.lam)
+    assert not is_positive_root(3, 0, QuadraticElem(0, 1, 2))
 
 
 def test_trace_norm_closed_form_matches_field_arithmetic():
@@ -170,8 +170,8 @@ def test_exclusion_rejects_a_rational_value():
 def test_engine_sensitivity_to_norm_mutation():
     # A trace-compatible synthetic mutation must produce a match: trace 2
     # with norm -1 corresponds to the octagon parameters.
-    assert [(t.b, t.e) for t in matching_triples_for(F(2), F(-1))] == [(2, 0)]
-    assert [(t.b, t.e) for t in matching_triples_for(F(1), F(-1))] == [(1, -1)]
+    assert [(t.b, t.e) for t in matching_triples_for(F(2), F(-1))[0]] == [(2, 0)]
+    assert [(t.b, t.e) for t in matching_triples_for(F(1), F(-1))[0]] == [(1, -1)]
     # 1 + sqrt(2) has trace 2, norm -1: the engine reports a match,
     # so the nine exclusions above are not vacuous.
     verdict = exclude_against_table1(QuadraticElem(1, 1, 2))
@@ -180,16 +180,17 @@ def test_engine_sensitivity_to_norm_mutation():
 
 
 def test_matching_requires_admissibility():
-    assert matching_triples_for(F(3), F(-2)) == [make_triple(4, 1)]
-    assert matching_triples_for(F(3), F(-1)) == []  # b = 3 odd with e = 1
-    assert matching_triples_for(F(2), F(1, 5)) == []  # non-integral norm
-    assert matching_triples_for(F(4), F(-1)) == []  # trace out of range
+    assert matching_triples_for(F(3), F(-2)) == ([make_triple(4, 1)], "matched")
+    assert matching_triples_for(F(3), F(-1)) == ([], "no admissible b")  # b = 3 odd with e = 1
+    assert matching_triples_for(F(2), F(1, 5)) == ([], "norm not an integer")
+    assert matching_triples_for(F(4), F(-1)) == ([], "trace not in {1,2,3}")
+    assert matching_triples_for(F(5, 2), F(1, 5)) == ([], "trace not in {1,2,3}")
 
 
 def test_exclusion_has_no_bound_on_b():
     # 1 + sqrt(20001) has trace 2 and norm -20,000, the lambda + 1 of
     # (b=20001, e=0): the norm fixes b, however large.
-    assert [(t.b, t.e) for t in matching_triples_for(F(2), F(-20_000))] == [(20_001, 0)]
+    assert [(t.b, t.e) for t in matching_triples_for(F(2), F(-20_000))[0]] == [(20_001, 0)]
     verdict = exclude_against_table1(QuadraticElem(1, 1, 20_001))
     assert not verdict.excluded
     assert [(t.b, t.e) for t in verdict.matching_triples] == [(20_001, 0)]
@@ -263,16 +264,11 @@ def test_integer_certificates_agree_with_field_arithmetic(case):
         accepted = False
     assert accepted == (ref * (ref - rational(e)) == rational(b) and positive)
 
-    t = make_triple(b, e)
-    object.__setattr__(t, "lam", lam)
-    try:
-        assert trace_norm_lambda_plus_one(t) == (e + 2, e + 1 - b)
-        cross_checked = True
-    except ArithmeticInconsistencyError as exc:
-        assert "disagree" in str(exc)
-        cross_checked = False
+    # The same certificate is the field identity that makes e + 1 - b the
+    # norm of lambda + 1, (lambda + 1)(e + 1 - lambda) = e + 1 - b.
     lam1 = ref + rational(1)
-    assert cross_checked == (lam1 * (rational(e + 1) - ref) == rational(e + 1 - b) and positive)
+    assert is_positive_root(b, e, lam) == accepted
+    assert accepted == (lam1 * (rational(e + 1) - ref) == rational(e + 1 - b) and positive)
 
 
 def _forgeries(t):
@@ -298,8 +294,5 @@ def test_forged_lambdas_fail_both_checks():
             seen.add(name)
             with pytest.raises(ValueError, match="does not satisfy"):
                 AdmissibleTriple(t.b, t.e, lam)
-            forged = make_triple(t.b, t.e)
-            object.__setattr__(forged, "lam", lam)
-            with pytest.raises(ArithmeticInconsistencyError, match="disagree"):
-                trace_norm_lambda_plus_one(forged)
+            assert not is_positive_root(t.b, t.e, lam)
     assert seen == {"conjugate root", "wrong radicand", "rational lambda", "den 1 for 2"}

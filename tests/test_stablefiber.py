@@ -1,5 +1,6 @@
 """Tests for nodal configurations, limit differentials and the decagon analysis."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 from torsion_packet.errors import ArithmeticInconsistencyError
 from torsion_packet import tanratio
-from torsion_packet.exactnum import CyclotomicElem, inv_one_minus_zeta, sign_of_real
+from torsion_packet.exactnum import (
+    CyclotomicElem,
+    inv_one_minus_zeta,
+    minimal_polynomial,
+    real_value,
+    sign_of_real,
+)
 from torsion_packet.stablefiber import (
     INFINITY,
     STRATUM2_CLOSED_FORM,
@@ -259,9 +266,9 @@ def test_height_ratio_with_tangent_coordinates():
     dim, basis = differential_space(cfg)
     assert dim == 1
     hr = height_ratio(basis[0])
-    mu = ratio(F(1, 10), F(1, 5)).mu
-    assert hr == mu
-    z5 = CyclotomicElem.zeta(20, 4)
+    # The solutions live in Q(zeta_10), mu in Q(zeta_20): compare values.
+    assert real_value(hr, minimal_polynomial(hr)) == ratio(F(1, 10), F(1, 5)).value
+    z5 = CyclotomicElem.zeta(10, 2)
     assert hr == 2 * (z5 + z5**4) + 1  # sqrt(5)
 
 
@@ -302,6 +309,13 @@ def test_torsion_counts_and_imaginarity():
         assert len(ts.solutions) == expected
         for x in ts.solutions:
             assert x.conjugate() == -x
+
+
+def test_torsion_solutions_live_in_conductor_lcm_2_n():
+    # i*tan(A*pi/N) = (w - 1)/(w + 1) with w = zeta_N^A needs only N | m
+    # and an even m, so N = 15 and 41 need Q(zeta_2N), not Q(zeta_4N).
+    for n in (15, 30, 41):
+        assert {x.m for x in solve_torsion_pairs(n).solutions} == {math.lcm(2, n)}
 
 
 def test_torsion_rejects_tiny_order():
