@@ -399,7 +399,8 @@ def cmd_stratum2(torsion_order: int) -> Report:
     """The full minimal-stratum pipeline: the differential over Q(x, y)
     with its residue constraints and height ratio (certified on a grid of
     rational specializations), torsion solutions, and the handoff of the
-    resulting tangent ratios to the admissible-parameter matching."""
+    ratios tan(pi*B/N)/tan(pi*A/N), classified once per Galois orbit, to
+    the admissible-parameter matching."""
     if torsion_order < 2:
         raise UsageError(f"--torsion-order must be at least 2, got {torsion_order}")
     start = time.perf_counter()
@@ -430,7 +431,6 @@ def cmd_stratum2(torsion_order: int) -> Report:
     oks.append(cert.height_ratio_holds)
 
     torsion = stablefiber.solve_torsion_pairs(torsion_order)
-    nonzero = [a for a in torsion.tangent_indices if a > 0]
     # The equation has degree N for odd N and N - 1 for even N: the count
     # of its distinct solutions says that none is missing.
     ok_count = len(torsion.solutions) == (torsion_order if torsion_order % 2 else torsion_order - 1)
@@ -446,16 +446,18 @@ def cmd_stratum2(torsion_order: int) -> Report:
     )
     oks.append(ok_count)
 
-    handoff_pairs = [(a, b) for a in nonzero for b in nonzero if a < b]
-    for a, b in handoff_pairs:
-        alpha, beta = Fraction(a, torsion_order), Fraction(b, torsion_order)
-        r = tanratio.ratio(alpha, beta)
+    def index(angle: Fraction) -> int:
+        return angle.numerator * (torsion_order // angle.denominator)
+    # Sorted by (A, B): a sort by the Fraction angles costs what the walk saves.
+    divisors = [q for q in range(3, torsion_order + 1) if torsion_order % q == 0]
+    handoffs = sorted((index(r.alpha), index(r.beta), r) for r in tanratio.classify(divisors))
+    for a, b, r in handoffs:
         rec: dict[str, Any] = {
             "stage": "handoff",
             "A": a,
             "B": b,
-            "alpha": alpha,
-            "beta": beta,
+            "alpha": r.alpha,
+            "beta": r.beta,
             "mu": r.mu_display(),
             "degree": r.degree,
         }
@@ -474,7 +476,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
         records.append(rec)
 
     verdict = VERIFIED if all(oks) else REFUTED
-    if not handoff_pairs:
+    if not handoffs:
         verdict = INCONCLUSIVE if all(oks) else REFUTED
     return Report(
         command="stratum2",
@@ -660,7 +662,7 @@ def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
     """Run a parsed command and write its report: the exit code, and the
     one line for stderr, if there is one."""
     try:
-        if args.output:
+        if args.output is not None:
             _check_output_path(args.output)
         report = args.run(args)
         rendered = render(report, args.format)
@@ -673,7 +675,7 @@ def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
         return EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {message}"
     status, error = _write_stdout(rendered, "the report")
     code = status or (EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED)
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w") as fh:
                 print(rendered, file=fh)
@@ -700,6 +702,8 @@ def _write_stdout(text: str, what: str, end: str = "\n") -> tuple[int, Optional[
 
 def _check_output_path(path: str) -> None:
     """Reject an --output path that cannot be written, before any computing."""
+    if not path:
+        raise UsageError("--output needs a file path, got an empty one")
     if os.path.isdir(path):
         raise UsageError(f"--output {path} is a directory")
     parent = os.path.dirname(path) or "."

@@ -48,10 +48,10 @@ provably exceeds the cap.  The minimal polynomial multiplies out one
 conjugate per coset of Stab(mu), and ``exactnum.minimal_polynomial``
 checks that its coefficients are rational.
 
-The enumeration classifies one pair per Galois orbit, not every pair.
-Folding an angle back into (0, 1/2) changes a tangent only by a sign, and
-swapping the two angles inverts mu; neither changes the stabilizer, and G
-is abelian, so the whole orbit of the unordered, folded pair
+``classify`` walks one pair per Galois orbit, not every pair.  Folding an
+angle back into (0, 1/2) changes a tangent only by a sign, and swapping
+the two angles inverts mu; neither changes the stabilizer, and G is
+abelian, so the whole orbit of the unordered, folded pair
 {p1/q1, p2/q2} under the units k shares L and Stab(mu).  Scaling by
 k = p1^-1 mod q1 gives p1 = 1; the units that then fix 1/q1 up to sign
 move p2 freely within its class +-p2*p1^-1 mod g, g = gcd(q1, q2).  Each
@@ -59,7 +59,9 @@ orbit therefore has one representative {1/q1, p2/q2} with q1 <= q2 and
 p2/q2 the least of its class, where for q1 = q2 the swap also identifies
 the class of c with that of c^-1 (see ``_orbit_representatives``).  The
 orbit's members are the representative's images under the units k, each
-angle folded back into (0, 1/2) (``_orbit_members``).
+angle folded back into (0, 1/2) (``_orbit_members``).  Units keep
+denominators, so ``classify`` walks the pairs up to a bound, or
+``stratum2``'s handoffs A/N < B/N: the pairs whose denominators divide N.
 
 Only finitely many pairs produce a ratio of any fixed degree, but that
 finiteness is ineffective; the enumeration here is a bounded search, and
@@ -72,7 +74,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import (
@@ -136,9 +138,10 @@ class TangentRatio:
     """A classified ratio mu = tan(pi*beta)/tan(pi*alpha), computed lazily.
 
     ``alpha`` and ``beta`` are the angles as reduced ``Fraction``s, checked
-    by ``ratio``.  ``stabilizer`` is (degree, Stab(mu)) from ``_stabilizer``.
-    The degree needs no ``mu``, which ``minpoly`` and ``value`` build, so a
-    ratio of degree above 2 is displayed from its conductor alone.
+    by ``ratio``.  ``stabilizer``, (degree, Stab(mu)) from ``_stabilizer``, is
+    written by ``classify``, once per Galois orbit.  The degree needs no
+    ``mu``, which ``minpoly`` and ``value`` build, so a ratio of degree above
+    2 is displayed from its conductor alone.
     ``minpoly`` (and ``trace``, ``norm``, ``is_unit``) takes one conjugate
     per coset of Stab.  ``value``, read for degree at most 2, is the exact
     value of mu derived once from ``mu`` and ``minpoly``.
@@ -159,11 +162,6 @@ class TangentRatio:
         if not mu.is_real():
             raise ArithmeticInconsistencyError(f"ratio of tangents {alpha}, {beta} is not real")
         return mu
-
-    @cached_property
-    def stabilizer(self) -> tuple[int, tuple[int, ...]]:
-        a, b = self.alpha, self.beta
-        return _stabilizer(a.numerator, a.denominator, b.numerator, b.denominator, None)
 
     @property
     def degree(self) -> int:
@@ -210,7 +208,7 @@ class TangentRatio:
 
 
 def ratio(alpha: Fraction, beta: Fraction) -> TangentRatio:
-    """tan(pi*beta)/tan(pi*alpha) in the common conductor, classified lazily.
+    """tan(pi*beta)/tan(pi*alpha) in the common conductor, not yet classified.
 
     Each angle is a reduced ``Fraction``, its coefficient of pi; this is the
     one check that 0 < alpha < beta < 1/2.
@@ -323,9 +321,10 @@ def _ordered(a: _Angle, b: _Angle) -> tuple[_Angle, _Angle]:
     return (a, b) if a[0] * b[1] < b[0] * a[1] else (b, a)
 
 
-def _orbit_representatives(max_denominator: int) -> Iterator[tuple[_Angle, _Angle]]:
-    """One pair per Galois orbit of the pairs of distinct angles up to the
-    bound: 1/q1 and the least p2/q2 of its class, q1 <= q2, as (alpha, beta).
+def _orbit_representatives(denominators: Sequence[int]) -> Iterator[tuple[_Angle, _Angle]]:
+    """One pair per Galois orbit of the pairs of distinct angles whose
+    denominators lie in ``denominators`` (ascending, each at least 3):
+    1/q1 and the least p2/q2 of its class, q1 <= q2, as (alpha, beta).
 
     The class of p2 is +-c mod g, g = gcd(q1, q2).  For q1 < q2 the classes
     c are the units of (Z/g)^* up to sign, max(1, phi(g)/2) of them.  For
@@ -333,8 +332,8 @@ def _orbit_representatives(max_denominator: int) -> Iterator[tuple[_Angle, _Angl
     out, and the swap of the two angles identifies c with +-c^-1, so c is
     the least of the four.
     """
-    for q2 in range(3, max_denominator + 1):
-        for q1 in range(3, q2 + 1):
+    for j, q2 in enumerate(denominators):
+        for q1 in denominators[: j + 1]:
             g = math.gcd(q1, q2)
             for c in range(1, max(1, g // 2) + 1):
                 if math.gcd(c, g) != 1:
@@ -358,34 +357,36 @@ def _orbit_members(rep: tuple[_Angle, _Angle]) -> set[tuple[_Angle, _Angle]]:
     }
 
 
-def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRatio]:
-    """All ratios of the requested degree with both denominators bounded.
+def classify(denominators: Sequence[int], degree: Optional[int] = None) -> list[TangentRatio]:
+    """Every pair of distinct angles whose denominators lie in
+    ``denominators`` (ascending, each at least 3), in the order of the walk;
+    with a ``degree``, only the pairs of that degree.
 
-    One representative per Galois orbit of angle pairs is classified (see
-    the module docstring); the orbits come from ``_orbit_representatives``
-    in integers.  ``_stabilizer`` drops the orbit as soon as
-    ``degree_target + 1`` conjugates are certified pairwise distinct, and
-    otherwise certifies the stabilizer from the representative's four
-    integers, building no mu.  An orbit of exactly the target degree is
-    expanded into its member pairs, each handed the representative's
-    stabilizer.  Output is sorted by (alpha, beta).
+    ``_stabilizer`` runs once per orbit, on its representative from
+    ``_orbit_representatives``, with ``degree`` as its cap: it drops the
+    orbit once ``degree + 1`` conjugates are certified pairwise distinct,
+    and builds no mu.  Each member of a kept orbit is handed its stabilizer.
     """
-    if degree_target < 1:
-        raise ValueError(f"degree target must be positive, got {degree_target}")
-    if max_denominator < 3:
-        raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
     kept: list[TangentRatio] = []
-    for rep in _orbit_representatives(max_denominator):
-        (pa, qa), (pb, qb) = rep
-        found = _stabilizer(pa, qa, pb, qb, degree_target)
-        if found is None or found[0] != degree_target:
+    for rep in _orbit_representatives(denominators):
+        found = _stabilizer(*rep[0], *rep[1], degree)
+        if found is None or degree not in (None, found[0]):
             continue
         for a, b in _orbit_members(rep):
             t = ratio(Fraction(*a), Fraction(*b))
             t.stabilizer = found
             kept.append(t)
-    kept.sort(key=lambda t: (t.alpha, t.beta))
     return kept
+
+
+def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRatio]:
+    """``classify`` for one degree, denominators up to a bound, by (alpha, beta)."""
+    if degree_target < 1:
+        raise ValueError(f"degree target must be positive, got {degree_target}")
+    if max_denominator < 3:
+        raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
+    kept = classify(range(3, max_denominator + 1), degree_target)
+    return sorted(kept, key=lambda t: (t.alpha, t.beta))
 
 
 # --------------------------------------------------------------------------

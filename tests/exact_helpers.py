@@ -8,8 +8,17 @@ here, from the public API.
 import math
 from fractions import Fraction
 
+from torsion_packet import tanratio
 from torsion_packet.exactnum import CyclotomicElem
-from torsion_packet.tanratio import i_tan
+from torsion_packet.tanratio import TangentRatio, i_tan
+
+
+def classified_ratio(alpha: Fraction, beta: Fraction) -> TangentRatio:
+    """``ratio(alpha, beta)`` classified on its own: the per-pair oracle of
+    the stabilizer that ``tanratio.classify`` computes once per orbit."""
+    t = tanratio.ratio(alpha, beta)
+    t.stabilizer = tanratio._stabilizer(*alpha.as_integer_ratio(), *beta.as_integer_ratio(), None)
+    return t
 
 
 def conductor(angle: Fraction) -> int:

@@ -30,6 +30,8 @@ from torsion_packet.cli import (
 )
 from torsion_packet.exactnum import CyclotomicElem, QuadraticElem
 
+from exact_helpers import classified_ratio
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -336,7 +338,7 @@ def _has_status(status):
     return lambda report: any(rec["status"] == status for rec in report["records"])
 
 
-_EXTRA_RATIO = tanratio.ratio(Fraction(1, 7), Fraction(2, 7))
+_EXTRA_RATIO = classified_ratio(Fraction(1, 7), Fraction(2, 7))
 _STRATUM2 = ["stratum2", "--torsion-order", "10"]
 
 # (id, argv, module, function, change of its result, what the report shows)
@@ -427,8 +429,8 @@ def test_twice_the_decagon_closed_form_is_not_its_generator(monkeypatch, capsys)
 
 
 def test_caches_fill_the_same_under_concurrent_first_use():
-    # Every lru_cache and cached_property, and the stabilizer that
-    # enumerate_ratios writes into its members, holds a pure function's
+    # Every lru_cache and cached_property, and the stabilizer that the
+    # orbit walk writes into its members, holds a pure function's
     # value, so threads that fill them at once get the serial results.
     import threading
 
@@ -922,6 +924,7 @@ def _under_a_file(tmp):
         pytest.param(lambda tmp: tmp / "missing" / "report.txt", id="missing-directory"),
         pytest.param(lambda tmp: tmp, id="is-a-directory"),
         pytest.param(_under_a_file, id="parent-is-a-file"),
+        pytest.param(lambda tmp: "", id="empty"),
     ],
 )
 def test_output_path_checked_before_computing(target, tmp_path, capsys, monkeypatch):

@@ -31,7 +31,14 @@ from torsion_packet.tanratio import (
     ratio,
 )
 
-from exact_helpers import check_addition_formula, conductor, embed, sin_of, tan_of
+from exact_helpers import (
+    check_addition_formula,
+    classified_ratio,
+    conductor,
+    embed,
+    sin_of,
+    tan_of,
+)
 from float_embedding import complex_embedding
 
 
@@ -159,11 +166,11 @@ def test_tan_against_generic_inverse():
 
 
 def test_ratio_examples_from_reference_list():
-    r = ratio(ang(1, 10), ang(2, 5))
+    r = classified_ratio(ang(1, 10), ang(2, 5))
     assert r.degree == 2 and r.trace == 10 and r.norm == 5
     assert r.value == QuadraticElem(5, 2, 5)
 
-    r = ratio(ang(1, 12), ang(1, 6))
+    r = classified_ratio(ang(1, 12), ang(1, 6))
     assert r.degree == 2 and r.trace == 2 and r.norm == F(-1, 3)
     assert r.value == QuadraticElem(1, F(2, 3), 3)
 
@@ -176,12 +183,12 @@ def test_degree_is_orbit_size_on_stratum2_handoff_pairs():
     for a in positive:
         for b in positive:
             if a < b:
-                r = ratio(F(a, n), F(b, n))
+                r = classified_ratio(F(a, n), F(b, n))
                 assert r.degree == minimal_polynomial(r.mu).degree
 
 
 def test_ratio_degree_one():
-    r = ratio(ang(1, 6), ang(1, 3))
+    r = classified_ratio(ang(1, 6), ang(1, 3))
     assert r.degree == 1 and r.mu == 3
 
 
@@ -199,8 +206,8 @@ def test_mu_exceeds_one():
 
 
 def test_unit_flags():
-    assert not ratio(ang(1, 10), ang(1, 5)).is_unit  # sqrt(5), norm -5
-    r = ratio(ang(1, 12), ang(1, 4))
+    assert not classified_ratio(ang(1, 10), ang(1, 5)).is_unit  # sqrt(5), norm -5
+    r = classified_ratio(ang(1, 12), ang(1, 4))
     assert r.value == QuadraticElem(2, 1, 3)
     assert r.is_unit  # 2 + sqrt(3), norm 1
 
@@ -292,7 +299,7 @@ def test_orbit_scan_matches_pair_scan():
         assert got, d
         assert got == _pair_scan(d, 20), d
     for bound, pairs, orbits in ((20, 1953, 191), (60, 150_975, 2289)):
-        reps = list(_orbit_representatives(bound))
+        reps = list(_orbit_representatives(range(3, bound + 1)))
         assert len(reps) == len(set(reps)) == orbits
         assert _pair_count(bound) == pairs
         assert sum(len(_orbit_members(rep)) for rep in reps) == pairs
@@ -301,17 +308,17 @@ def test_orbit_scan_matches_pair_scan():
 def test_degree_is_the_orbit_size_on_every_orbit_representative():
     # The stabilizer index against the exact orbit, on all 191 orbits up to
     # denominator 20.
-    reps = list(_orbit_representatives(20))
+    reps = list(_orbit_representatives(range(3, 21)))
     assert len(reps) == 191
     for a, b in reps:
-        r = ratio(ang(*a), ang(*b))
+        r = classified_ratio(ang(*a), ang(*b))
         assert r.degree == len(galois_orbit(r.mu)), (a, b)
 
 
 def _handoff_degrees(n):
     positive = [a for a in solve_torsion_pairs(n).tangent_indices if a > 0]
     return [
-        ratio(F(a, n), F(b, n)).degree
+        classified_ratio(F(a, n), F(b, n)).degree
         for a in positive
         for b in positive
         if a < b
@@ -338,7 +345,7 @@ def test_stabilizer_is_the_units_that_fix_mu(monkeypatch):
     # With every unit a candidate, each one is decided by the 8-term sum in
     # Q(zeta_L); the oracle applies the unit, lifted to an odd one, to mu.
     monkeypatch.setattr(tanratio, "_REL_SEPARATION", 2.0)
-    pairs = [(F(*a), F(*b)) for a, b in _orbit_representatives(20)]
+    pairs = [(F(*a), F(*b)) for a, b in _orbit_representatives(range(3, 21))]
     for n in (24, 30, 60):
         positive = [a for a in solve_torsion_pairs(n).tangent_indices if a > 0]
         pairs += [(F(a, n), F(b, n)) for a in positive for b in positive if a < b]
@@ -396,6 +403,48 @@ def test_stratum2_handoff_needs_no_exact_orbit(monkeypatch):
     assert calls == []
 
 
+def test_stratum2_takes_every_handoff_from_the_orbit_walk(monkeypatch):
+    # The walk over the divisors of N yields exactly the pairs A/N < B/N,
+    # 0 < A < B < N/2, each with the stabilizer that the per-pair oracle
+    # certifies, and the report lists them by (A, B) with that degree.
+    walked = []
+
+    def recording(denominators, degree=None):
+        found = classify(denominators, degree)
+        walked.append(found)
+        return found
+
+    classify = tanratio.classify
+    monkeypatch.setattr(tanratio, "classify", recording)
+    for n in range(2, 61):
+        walked.clear()
+        records = [r for r in cli.cmd_stratum2(n).records if r["stage"] == "handoff"]
+        [found] = walked
+        pairs = [(a, b) for a in range(1, (n + 1) // 2) for b in range(a + 1, (n + 1) // 2)]
+        oracle = [classified_ratio(F(a, n), F(b, n)).stabilizer for a, b in pairs]
+        walk = {(t.alpha, t.beta): t.stabilizer for t in found}
+        assert len(walk) == len(found)
+        assert walk == {(F(a, n), F(b, n)): stab for (a, b), stab in zip(pairs, oracle)}, n
+        assert [(r["A"], r["B"], r["degree"]) for r in records] == [
+            (a, b, degree) for (a, b), (degree, _) in zip(pairs, oracle)
+        ]
+
+
+@pytest.mark.parametrize("n, orbits, handoffs", [(41, 10, 190), (210, 312, 5356)])
+def test_stratum2_runs_the_stabilizer_once_per_orbit(n, orbits, handoffs, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return stabilizer(*args)
+
+    stabilizer = tanratio._stabilizer
+    monkeypatch.setattr(tanratio, "_stabilizer", counting)
+    report = cli.cmd_stratum2(n)
+    assert len([r for r in report.records if r["stage"] == "handoff"]) == handoffs
+    assert len(calls) == orbits
+
+
 def _brute_force_orbit(a, b):
     # Apply every unit k of lcm(qa, qb) to the pair and fold both angles
     # back into (0, 1/2).
@@ -421,7 +470,7 @@ def test_orbit_members_match_brute_force_orbits():
     }
     assert len(brute) == 293
     found = []
-    for rep in _orbit_representatives(24):
+    for rep in _orbit_representatives(range(3, 25)):
         # The angle of the least denominator has numerator 1.
         assert min(rep, key=lambda angle: angle[1])[0] == 1
         members = _orbit_members(rep)
@@ -479,16 +528,22 @@ def test_normalize_identity_when_already_normalized():
     assert normalize_by_galois(r) is r
 
 
+def _normal_form(t):
+    """``normalize_by_galois(t)``, classified by the per-pair oracle."""
+    n = normalize_by_galois(t)
+    return classified_ratio(n.alpha, n.beta)
+
+
 def test_normalize_moves_numerator_to_one():
-    r = ratio(ang(3, 10), ang(2, 5))
-    n = normalize_by_galois(r)
+    r = classified_ratio(ang(3, 10), ang(2, 5))
+    n = _normal_form(r)
     assert (n.alpha, n.beta) == (F(1, 10), F(1, 5))
     assert n.trace == r.trace and n.norm == r.norm
 
 
 def test_normalize_preserves_degree():
     for r in enumerate_ratios(2, 12):
-        assert normalize_by_galois(r).degree == r.degree
+        assert _normal_form(r).degree == r.degree
 
 
 def test_normalized_nonunit_rows_at_12():
@@ -515,7 +570,7 @@ def test_nonunit_rows_are_the_galois_normal_forms_of_the_nonunits(bound):
     oracle = {}
     for t in enumerate_ratios(2, bound):
         if not t.is_unit:
-            n = normalize_by_galois(t)
+            n = _normal_form(t)
             oracle[n.alpha, n.beta] = (n.trace, n.norm)
     rows = normalized_nonunit_rows(bound)
     assert [(r.alpha, r.beta) for r in rows] == sorted(oracle)
