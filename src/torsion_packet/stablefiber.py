@@ -23,13 +23,12 @@ one moment condition sum(c_i * p_i^j) = 0.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import CyclotomicElem, sign_of_real
-from .tanratio import i_tan
+from .tanratio import i_tan, tan_conductor
 
 
 class _AtInfinity:
@@ -466,9 +465,9 @@ class TorsionSolution(NamedTuple):
 def solve_torsion_pairs(order: int) -> TorsionSolution:
     """Solve (x-1)^N = (-x-1)^N exactly: x_A = i*tan(A*pi/N), -N/2 < A < N/2.
 
-    In Q(zeta_m), m = lcm(2, N), x_A is ``i_tan(m, e)`` for e = (m/N)*A, the
-    Cayley form (w - 1)/(w + 1) of w = zeta_m^e = zeta_N^A: that needs only
-    N | m and an even m, for zeta_m^(m/2) = -1.  Each is certified by one
+    In Q(zeta_m), m = ``tan_conductor(N)``, x_A is ``i_tan(m, e)`` for e = (m/N)*A,
+    the Cayley form (w - 1)/(w + 1) of w = zeta_m^e = zeta_N^A, built for A >= 0
+    (tan is odd: x_(-A) = -x_A).  Each is certified by one
     product, x - 1 = u*(x + 1) with u = -zeta_m^(-e) = zeta_m^(m/2 - e), and
     by u^N = (-1)^N checked on the exponent of u; together they give
     (x-1)^N = u^N (x+1)^N = (-x-1)^N.  The list is complete: the x^N terms
@@ -480,18 +479,16 @@ def solve_torsion_pairs(order: int) -> TorsionSolution:
     n = order
     if n < 2:
         raise ValueError(f"torsion order must be at least 2, got {n}")
-    m = math.lcm(2, n)
+    m = tan_conductor(n)
     half = m // 2  # zeta^half = -1
     amax = (n - 1) // 2
     indices = tuple(range(-amax, amax + 1))
-    solutions = []
-    for a in indices:
-        e = (m // n) * a
-        x = i_tan(m, e)  # |a| < n/2 keeps clear of the pole
-        c = (half - e) % m  # u = zeta^c
+    built = [i_tan(m, (m // n) * a) for a in range(amax + 1)]  # a < n/2 keeps clear of the pole
+    solutions = [-x for x in reversed(built[1:])] + built  # tan is odd: x_(-A) = -x_A
+    for a, x in zip(indices, solutions):
+        c = (half - (m // n) * a) % m  # u = zeta^c
         if x - 1 != CyclotomicElem.zeta(m, c) * (x + 1) or (c - half) * n % m:
             raise ArithmeticInconsistencyError(f"i*tan({a}*pi/{n}) fails the defining equation")
-        solutions.append(x)
     if len(set(solutions)) != len(solutions):
         raise ArithmeticInconsistencyError("duplicate torsion solutions")
     return TorsionSolution(solutions=tuple(solutions), tangent_indices=indices)

@@ -12,11 +12,12 @@ Since tan(x + pi/2) = -1/tan(x), the same form shifted by m/2 is
 1/(i*tan(pi*p/q)) = (w + 1)/(w - 1) = 1 - 2/(1 - w).  So mu is one
 product, the factors of i cancelling:
 
-    mu = (1 - 2/(1 - zeta_m^(e_beta + m/2))) * (1 - 2/(1 - zeta_m^e_alpha)),
+    mu = (1 - 2/(1 - zeta_m^(e_beta + m/2))) * (1 - 2/(1 - zeta_m^e_alpha)).
 
-in the lcm m of the two angles' conductors.  ``i_tan`` is this one form.
+``i_tan`` is this one form; it needs only an even m with q | m, so every
+exact tangent lives in Q(zeta_m), m = lcm(2, q, ...) (``tan_conductor``).
 No command needs tan(pi*p/q) itself, only i*tan(pi*p/q) and its inverse,
-so the factor i never enters a product.
+so the factor i never enters a product, and 4 need not divide m.
 
 The degree of mu is an index.  The automorphism zeta_m -> zeta_m^k sends
 mu to tan(pi*k*beta)/tan(pi*k*alpha) (the factors of i cancel in the
@@ -120,9 +121,9 @@ _REL_SEPARATION = 2.0**-48
 _HALF = Fraction(1, 2)
 
 
-def _common_conductor(alpha: Fraction, beta: Fraction) -> int:
-    """Conductor lcm(4, 2*q_alpha, 2*q_beta) of the field holding both tangents."""
-    return math.lcm(4, 2 * alpha.denominator, 2 * beta.denominator)
+def tan_conductor(*denominators: int) -> int:
+    """lcm(2, *denominators): the one conductor rule of ``i_tan`` for these q."""
+    return math.lcm(2, *denominators)
 
 
 def i_tan(m: int, e: int) -> CyclotomicElem:
@@ -141,7 +142,7 @@ class TangentRatio:
     by ``ratio``.  ``stabilizer``, (degree, Stab(mu)) from ``_stabilizer``, is
     written by ``classify``, once per Galois orbit.  The degree needs no
     ``mu``, which ``minpoly`` and ``value`` build, so a ratio of degree above
-    2 is displayed from its conductor alone.
+    2 is displayed from its ``tan_conductor`` alone.
     ``minpoly`` (and ``trace``, ``norm``, ``is_unit``) takes one conjugate
     per coset of Stab.  ``value``, read for degree at most 2, is the exact
     value of mu derived once from ``mu`` and ``minpoly``.
@@ -153,9 +154,9 @@ class TangentRatio:
 
     @cached_property
     def mu(self) -> CyclotomicElem:
-        """mu in the common conductor of the two angles."""
+        """mu in Q(zeta_m), m = ``tan_conductor`` of the two denominators."""
         alpha, beta = self.alpha, self.beta
-        m = _common_conductor(alpha, beta)
+        m = tan_conductor(alpha.denominator, beta.denominator)
         e_alpha = m * alpha.numerator // alpha.denominator
         e_beta = m * beta.numerator // beta.denominator
         mu = i_tan(m, e_beta) * i_tan(m, e_alpha + m // 2)
@@ -199,7 +200,7 @@ class TangentRatio:
 
     def mu_display(self) -> str:
         if self.degree > 2:
-            m = _common_conductor(self.alpha, self.beta)
+            m = tan_conductor(self.alpha.denominator, self.beta.denominator)
             return f"degree-{self.degree} element of Q(zeta_{m})"
         return str(self.value)
 
@@ -208,7 +209,7 @@ class TangentRatio:
 
 
 def ratio(alpha: Fraction, beta: Fraction) -> TangentRatio:
-    """tan(pi*beta)/tan(pi*alpha) in the common conductor, not yet classified.
+    """tan(pi*beta)/tan(pi*alpha), not yet classified.
 
     Each angle is a reduced ``Fraction``, its coefficient of pi; this is the
     one check that 0 < alpha < beta < 1/2.
@@ -406,7 +407,7 @@ def normalize_by_galois(t: TangentRatio) -> TangentRatio:
     if t.alpha.numerator == 1:
         return t
     (pa, qa), (pb, qb) = t.alpha.as_integer_ratio(), t.beta.as_integer_ratio()
-    for k in conductor_units(_common_conductor(t.alpha, t.beta)):
+    for k in conductor_units(tan_conductor(qa, qb)):
         lo, hi = _ordered((_fold_mod(k * pa, qa), qa), (_fold_mod(k * pb, qb), qb))
         if lo[0] == 1:
             return ratio(Fraction(*lo), Fraction(*hi))

@@ -30,7 +30,7 @@ from torsion_packet.cli import (
 )
 from torsion_packet.exactnum import CyclotomicElem, QuadraticElem
 
-from exact_helpers import classified_ratio
+from exact_helpers import classified_ratio, embed
 
 
 def run_cli(args, capsys):
@@ -798,27 +798,64 @@ _PINNED_RECORDS = {
     "tangent-ratios --degree 2 --max-denominator 12": [
         _quadratic_ratio(*row)
         for row in (
-            ("1/12", "1/6", "2", "-1/3", False, "1 + 2/3*sqrt(3)", 24, "1 0 4/3 0 0 0 -2/3 0"),
-            ("1/12", "1/4", "4", "1", True, "2 + sqrt(3)", 24, "2 0 2 0 0 0 -1 0"),
-            ("1/12", "1/3", "6", "-3", False, "3 + 2*sqrt(3)", 24, "3 0 4 0 0 0 -2 0"),
-            ("1/12", "5/12", "14", "1", True, "7 + 4*sqrt(3)", 24, "7 0 8 0 0 0 -4 0"),
-            ("1/10", "1/5", "0", "-5", False, "sqrt(5)", 20, "1 0 0 0 2 0 -2 0"),
-            ("1/10", "3/10", "4", "-1", True, "2 + sqrt(5)", 20, "3 0 0 0 2 0 -2 0"),
-            ("1/10", "2/5", "10", "5", False, "5 + 2*sqrt(5)", 20, "7 0 0 0 4 0 -4 0"),
-            ("1/8", "1/4", "2", "-1", True, "1 + sqrt(2)", 16, "1 0 1 0 0 0 -1 0"),
-            ("1/8", "3/8", "6", "1", True, "3 + 2*sqrt(2)", 16, "3 0 2 0 0 0 -2 0"),
-            ("1/6", "1/4", "0", "-3", False, "sqrt(3)", 24, "0 0 2 0 0 0 -1 0"),
-            ("1/6", "5/12", "6", "-3", False, "3 + 2*sqrt(3)", 24, "3 0 4 0 0 0 -2 0"),
-            ("1/5", "3/10", "2", "1/5", False, "1 + 2/5*sqrt(5)", 20, "7/5 0 0 0 4/5 0 -4/5 0"),
-            ("1/5", "2/5", "4", "-1", True, "2 + sqrt(5)", 20, "3 0 0 0 2 0 -2 0"),
-            ("1/4", "1/3", "0", "-3", False, "sqrt(3)", 24, "0 0 2 0 0 0 -1 0"),
-            ("1/4", "3/8", "2", "-1", True, "1 + sqrt(2)", 16, "1 0 1 0 0 0 -1 0"),
-            ("1/4", "5/12", "4", "1", True, "2 + sqrt(3)", 24, "2 0 2 0 0 0 -1 0"),
-            ("3/10", "2/5", "0", "-5", False, "sqrt(5)", 20, "1 0 0 0 2 0 -2 0"),
-            ("1/3", "5/12", "2", "-1/3", False, "1 + 2/3*sqrt(3)", 24, "1 0 4/3 0 0 0 -2/3 0"),
+            ("1/12", "1/6", "2", "-1/3", False, "1 + 2/3*sqrt(3)", 12, "1 4/3 0 -2/3"),
+            ("1/12", "1/4", "4", "1", True, "2 + sqrt(3)", 12, "2 2 0 -1"),
+            ("1/12", "1/3", "6", "-3", False, "3 + 2*sqrt(3)", 12, "3 4 0 -2"),
+            ("1/12", "5/12", "14", "1", True, "7 + 4*sqrt(3)", 12, "7 8 0 -4"),
+            ("1/10", "1/5", "0", "-5", False, "sqrt(5)", 10, "1 0 2 -2"),
+            ("1/10", "3/10", "4", "-1", True, "2 + sqrt(5)", 10, "3 0 2 -2"),
+            ("1/10", "2/5", "10", "5", False, "5 + 2*sqrt(5)", 10, "7 0 4 -4"),
+            ("1/8", "1/4", "2", "-1", True, "1 + sqrt(2)", 8, "1 1 0 -1"),
+            ("1/8", "3/8", "6", "1", True, "3 + 2*sqrt(2)", 8, "3 2 0 -2"),
+            ("1/6", "1/4", "0", "-3", False, "sqrt(3)", 12, "0 2 0 -1"),
+            ("1/6", "5/12", "6", "-3", False, "3 + 2*sqrt(3)", 12, "3 4 0 -2"),
+            ("1/5", "3/10", "2", "1/5", False, "1 + 2/5*sqrt(5)", 10, "7/5 0 4/5 -4/5"),
+            ("1/5", "2/5", "4", "-1", True, "2 + sqrt(5)", 10, "3 0 2 -2"),
+            ("1/4", "1/3", "0", "-3", False, "sqrt(3)", 12, "0 2 0 -1"),
+            ("1/4", "3/8", "2", "-1", True, "1 + sqrt(2)", 8, "1 1 0 -1"),
+            ("1/4", "5/12", "4", "1", True, "2 + sqrt(3)", 12, "2 2 0 -1"),
+            ("3/10", "2/5", "0", "-5", False, "sqrt(5)", 10, "1 0 2 -2"),
+            ("1/3", "5/12", "2", "-1/3", False, "1 + 2/3*sqrt(3)", 12, "1 4/3 0 -2/3"),
         )
     ],
 }
+
+
+# The same mu_cyclotomic pinned at the conductor lcm(4, 2q_alpha, 2q_beta),
+# twice the one each tangent ratio now lives at.
+_PINNED_MU_IN_THE_WIDER_FIELD = {
+    ("1/12", "1/6"): (24, "1 0 4/3 0 0 0 -2/3 0"),
+    ("1/12", "1/4"): (24, "2 0 2 0 0 0 -1 0"),
+    ("1/12", "1/3"): (24, "3 0 4 0 0 0 -2 0"),
+    ("1/12", "5/12"): (24, "7 0 8 0 0 0 -4 0"),
+    ("1/10", "1/5"): (20, "1 0 0 0 2 0 -2 0"),
+    ("1/10", "3/10"): (20, "3 0 0 0 2 0 -2 0"),
+    ("1/10", "2/5"): (20, "7 0 0 0 4 0 -4 0"),
+    ("1/8", "1/4"): (16, "1 0 1 0 0 0 -1 0"),
+    ("1/8", "3/8"): (16, "3 0 2 0 0 0 -2 0"),
+    ("1/6", "1/4"): (24, "0 0 2 0 0 0 -1 0"),
+    ("1/6", "5/12"): (24, "3 0 4 0 0 0 -2 0"),
+    ("1/5", "3/10"): (20, "7/5 0 0 0 4/5 0 -4/5 0"),
+    ("1/5", "2/5"): (20, "3 0 0 0 2 0 -2 0"),
+    ("1/4", "1/3"): (24, "0 0 2 0 0 0 -1 0"),
+    ("1/4", "3/8"): (16, "1 0 1 0 0 0 -1 0"),
+    ("1/4", "5/12"): (24, "2 0 2 0 0 0 -1 0"),
+    ("3/10", "2/5"): (20, "1 0 0 0 2 0 -2 0"),
+    ("1/3", "5/12"): (24, "1 0 4/3 0 0 0 -2/3 0"),
+}
+
+
+def test_pinned_mu_embeds_into_the_wider_field():
+    # Each re-pinned mu_cyclotomic is the same number as before: embedded
+    # into the conductor of the earlier pin, it is that element.
+    records = _PINNED_RECORDS["tangent-ratios --degree 2 --max-denominator 12"]
+    assert len(records) == len(_PINNED_MU_IN_THE_WIDER_FIELD)
+    for r in records:
+        m, coeffs = _PINNED_MU_IN_THE_WIDER_FIELD[r["alpha"], r["beta"]]
+        mu = r["mu_cyclotomic"]
+        assert 2 * mu["m"] == m
+        here = CyclotomicElem(mu["m"], [Fraction(c) for c in mu["coeffs"]])
+        assert embed(here, m) == CyclotomicElem(m, [Fraction(c) for c in coeffs.split()])
 
 
 @pytest.mark.parametrize("command", sorted(_PINNED_RECORDS))

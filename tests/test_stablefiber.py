@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torsion_packet.errors import ArithmeticInconsistencyError
-from torsion_packet import tanratio
+from torsion_packet import stablefiber, tanratio
 from torsion_packet.exactnum import (
     CyclotomicElem,
     inv_one_minus_zeta,
@@ -312,9 +312,38 @@ def test_torsion_counts_and_imaginarity():
 
 def test_torsion_solutions_live_in_conductor_lcm_2_n():
     # i*tan(A*pi/N) = (w - 1)/(w + 1) with w = zeta_N^A needs only N | m
-    # and an even m, so N = 15 and 41 need Q(zeta_2N), not Q(zeta_4N).
-    for n in (15, 30, 41):
-        assert {x.m for x in solve_torsion_pairs(n).solutions} == {math.lcm(2, n)}
+    # and an even m, so N = 15 and 41 need Q(zeta_2N), not Q(zeta_4N); the
+    # tangent ratios share the rule, tanratio.tan_conductor.
+    for n in range(2, 61):
+        m = tanratio.tan_conductor(n)
+        assert m == math.lcm(2, n)
+        assert {x.m for x in solve_torsion_pairs(n).solutions} == {m}
+
+
+def test_torsion_solver_builds_half_and_negates_the_rest(monkeypatch):
+    # tan is odd, so x_(-A) = -x_A: only A = 0..(N-1)//2 are built.
+    calls = []
+
+    def counting(m, e):
+        calls.append(e)
+        return i_tan(m, e)
+
+    i_tan = stablefiber.i_tan
+    monkeypatch.setattr(stablefiber, "i_tan", counting)
+    ts = solve_torsion_pairs(210)
+    assert len(calls) == 105 and len(ts.solutions) == 209
+    assert all(ts.solutions[-1 - i] == -x for i, x in enumerate(ts.solutions))
+
+
+def test_torsion_certificate_checks_the_negated_half(monkeypatch):
+    # A wrong negation forges every solution of negative index, and the
+    # defining equation still catches it.
+    def forged(self):
+        return CyclotomicElem(self.m, [-c for c in self.coeffs]) + 1
+
+    monkeypatch.setattr(CyclotomicElem, "__neg__", forged)
+    with pytest.raises(ArithmeticInconsistencyError, match=r"i\*tan\(-3\*pi/7\)"):
+        solve_torsion_pairs(7)
 
 
 def test_torsion_rejects_tiny_order():

@@ -20,7 +20,6 @@ from torsion_packet.exactnum import (
 from torsion_packet.stablefiber import solve_torsion_pairs
 from torsion_packet.tanratio import (
     _REL_SEPARATION,
-    _common_conductor,
     _orbit_members,
     _orbit_representatives,
     _tan_row,
@@ -29,6 +28,7 @@ from torsion_packet.tanratio import (
     normalize_by_galois,
     normalized_nonunit_rows,
     ratio,
+    tan_conductor,
 )
 
 from exact_helpers import (
@@ -44,6 +44,12 @@ from float_embedding import complex_embedding
 
 def ang(p, q):
     return F(p, q)
+
+
+def _reference_conductor(alpha: F, beta: F) -> int:
+    """lcm(4, 2*q_alpha, 2*q_beta): the field of both tangents themselves,
+    i included, which ``_tan_parts`` needs; twice ``tan_conductor``."""
+    return math.lcm(conductor(alpha), conductor(beta))
 
 
 def _tan_parts(angle: F, m: int) -> tuple[CyclotomicElem, CyclotomicElem]:
@@ -67,7 +73,7 @@ def _pair_degree_exact(alpha: F, beta: F, cap: int) -> Optional[int]:
     representation (numerator, denominator) of mu, comparing conjugates by
     cross-multiplication, so no field inversion is ever needed.
     """
-    m = _common_conductor(alpha, beta)
+    m = _reference_conductor(alpha, beta)
     na, da = _tan_parts(alpha, m)
     nb, db = _tan_parts(beta, m)
     num = nb * da
@@ -135,6 +141,17 @@ def test_sin_embedding_satisfies_pythagoras():
         assert s * s + c * c == 1
 
 
+def _matches_reference(alpha: F, beta: F) -> bool:
+    """Whether mu lives in Q(zeta_tan_conductor) and, embedded into the
+    reference field, equals the sum-of-roots fraction, cross-multiplied so
+    that no inverse is taken on the reference side."""
+    m = _reference_conductor(alpha, beta)
+    na, da = _tan_parts(alpha, m)
+    nb, db = _tan_parts(beta, m)
+    mu = ratio(alpha, beta).mu
+    return 2 * mu.m == m and embed(mu, m) * db * na == nb * da
+
+
 def test_tan_and_mu_against_sums_of_roots():
     # tan_of and mu against the sum-of-roots fractions, cross-multiplied so
     # that no inverse is taken on the reference side.
@@ -144,11 +161,7 @@ def test_tan_and_mu_against_sums_of_roots():
     angles = angles_up_to(16)
     for i, alpha in enumerate(angles):
         for beta in angles[i + 1 :]:
-            m = _common_conductor(alpha, beta)
-            na, da = _tan_parts(alpha, m)
-            nb, db = _tan_parts(beta, m)
-            mu = ratio(alpha, beta).mu
-            assert mu.m == m and mu * db * na == nb * da, (alpha, beta)
+            assert _matches_reference(alpha, beta), (alpha, beta)
 
 
 def test_tan_against_generic_inverse():
@@ -158,7 +171,21 @@ def test_tan_against_generic_inverse():
         t = tan_of(ang(p, q))
         assert t * t.inverse() == 1
         mu = ratio(ang(1, 7), ang(p, q)).mu
-        assert mu * embed(tan_of(ang(1, 7)), mu.m) == embed(t, mu.m)
+        m = math.lcm(mu.m, conductor(ang(1, 7)), conductor(ang(p, q)))
+        assert embed(mu, m) * embed(tan_of(ang(1, 7)), m) == embed(t, m)
+
+
+def test_every_mu_lives_at_the_tan_conductor():
+    # One rule names the field of every exact tangent, lcm(2, q, ...); the
+    # torsion solutions are checked against it in test_stablefiber.py.  mu
+    # depends on its pair only through the two denominators, which a Galois
+    # orbit shares, so one pair per orbit up to 30 covers every pair of
+    # denominators.
+    for a, b in _orbit_representatives(range(3, 31)):
+        alpha, beta = F(*a), F(*b)
+        assert ratio(alpha, beta).mu.m == tan_conductor(a[1], b[1]) == math.lcm(2, a[1], b[1])
+        if max(a[1], b[1]) <= 24:
+            assert _matches_reference(alpha, beta), (alpha, beta)
 
 
 # --------------------------------------------------------------------------
