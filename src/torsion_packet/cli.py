@@ -10,8 +10,10 @@ One function, ``_leaf``, is the only encoder of those types: rationals
 (angles are ``Fraction``s too) and quadratic elements as strings,
 cyclotomic elements as {m, coeffs}, the point at infinity as "infinity",
 admissible triples as {b, e, lambda}.  It is the ``default=`` hook of
-CPython's C JSON encoder, which encodes each record in one call, and the
-text and CSV renderers use it too.  The JSON layout puts one record per line.
+the one JSON encoder, CPython's C encoder built once at import, which
+keeps no state between calls and encodes each record in one call; the
+text and CSV renderers use it too.  The JSON layout puts one record per
+line.
 
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
 1 refuted, 2 usage or I/O error (a closed output pipe included),
@@ -37,6 +39,7 @@ from typing import Any, NamedTuple, Optional
 from . import __version__
 from .errors import ArithmeticInconsistencyError, UsageError
 from .exactnum import CyclotomicElem, QuadraticElem, real_display, sign_of_real
+from .exactnum.quadratic import parts_str
 from . import lshape, stablefiber, tanratio
 
 SCHEMA_VERSION = 1
@@ -101,9 +104,19 @@ def _leaf(value: Any) -> Any:
     raise TypeError(f"cannot encode {value!r} into a report")
 
 
-# CPython encodes in C only when ``indent`` is None, so the JSON layout
-# below places its line breaks itself.
-_JSON = json.JSONEncoder(default=_leaf)
+# The C encoder that ``json.JSONEncoder(default=_leaf).encode`` builds
+# afresh on every call, built once.  Without ``markers`` (the circular
+# check) it keeps no state between calls, so every call and thread shares
+# it.  It takes no ``indent``, so the JSON layout below places its line
+# breaks itself.
+_c_encoder = json.encoder.c_make_encoder(
+    None, _leaf, json.encoder.encode_basestring_ascii, None, ": ", ", ", False, False, True
+)
+
+
+def _encode(value: Any) -> str:
+    """``value`` as compact JSON, exact types by ``_leaf``."""
+    return "".join(_c_encoder(value, 0))
 
 
 def render(report: Report, fmt: str) -> str:
@@ -121,7 +134,7 @@ def _render_json(report: Report) -> str:
 
     The pieces are joined once, so the report text is built once.
     """
-    encode = _JSON.encode
+    encode = _encode
     chunks = ["{\n"]
     for key, value in report.fields().items():
         chunks += ("  ", encode(key), ": ")
@@ -144,7 +157,7 @@ def _cell(value: Any) -> Any:
         return value
     if not isinstance(value, (dict, list, tuple)):
         value = _leaf(value)
-    return value if isinstance(value, str) else _JSON.encode(value)
+    return value if isinstance(value, str) else _encode(value)
 
 
 def _render_csv(report: Report) -> str:
@@ -333,19 +346,20 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
         if b_max < 3:
             raise UsageError(f"--b-max must be at least 3, got {b_max}")
         parameters["b_max"] = b_max
-        # lambda is kept as its display string, so that no triple outlives
-        # the loop that checks it.  Every record is checked and kept, so a
+        # Each row is plain integers (b, e, an, bn, den, d), and lambda is
+        # kept as its display string.  Every record is checked and kept, so a
         # failed check refutes the verdict without hiding the records after it.
         records = []
         ok = True
-        for t in lshape.enumerate_triples(b_max):
-            ok = lshape.is_positive_root(t.b, t.e, t.lam) and ok
-            trace, norm = lshape.trace_norm_lambda_plus_one(t)
+        for row in lshape.enumerate_triples(b_max):
+            b, e, an, bn, den, d = row
+            ok = lshape.is_positive_root(*row) and ok
+            trace, norm = lshape.trace_norm_lambda_plus_one(b, e)
             records.append(
                 {
-                    "b": t.b,
-                    "e": t.e,
-                    "lambda": str(t.lam),
+                    "b": b,
+                    "e": e,
+                    "lambda": parts_str(an, bn, den, d),
                     "trace_lambda_plus_one": trace,
                     "norm_lambda_plus_one": norm,
                 }

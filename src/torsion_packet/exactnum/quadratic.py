@@ -162,21 +162,7 @@ class QuadraticElem:
         return f"QuadraticElem({self})"
 
     def __str__(self) -> str:
-        an, bn, den = self.an, self.bn, self.den
-        if bn == 0:
-            return _ratio_str(an, den)
-        root = f"sqrt({self.d})"
-        if bn == den:
-            tail = root
-        elif bn == -den:
-            tail = f"-{root}"
-        else:
-            tail = f"{_ratio_str(bn, den)}*{root}"
-        if an == 0:
-            return tail
-        op = "-" if bn < 0 else "+"
-        mag = tail.lstrip("-")
-        return f"{_ratio_str(an, den)} {op} {mag}"
+        return parts_str(self.an, self.bn, self.den, self.d)
 
 
 _new = object.__new__
@@ -198,6 +184,18 @@ def _from_parts(an: int, bn: int, den: int, d: int) -> QuadraticElem:
     _set_den(elem, den)
     _set_d(elem, d)
     return elem
+
+
+def parts_str(an: int, bn: int, den: int, d: int) -> str:
+    """The display of (an + bn*sqrt(d))/den for den > 0, as a rational when
+    bn = 0 and as "a + b*sqrt(d)" otherwise; the parts need not be reduced."""
+    if bn == 0:
+        return _ratio_str(an, den)
+    mag = -bn if bn < 0 else bn
+    tail = f"sqrt({d})" if mag == den else f"{_ratio_str(mag, den)}*sqrt({d})"
+    if an == 0:
+        return tail if bn > 0 else f"-{tail}"
+    return f"{_ratio_str(an, den)} {'-' if bn < 0 else '+'} {tail}"
 
 
 def _ratio_str(n: int, q: int) -> str:

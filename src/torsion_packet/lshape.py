@@ -6,7 +6,8 @@ lambda = (e + sqrt(e^2 + 4b))/2, the positive root of x^2 = e*x + b.
 The quantity that matters downstream is lambda + 1, whose trace is e + 2
 (hence in {1, 2, 3}) and whose norm is e + 1 - b (a negative integer).
 Both are closed forms; ``is_positive_root`` is the one certificate that
-lambda is the root they rest on.
+lambda is the root they rest on.  It reads lambda = (an + bn*sqrt(d))/den
+as its four integers, which ``enumerate_triples`` yields as plain rows.
 
 The exclusion engine takes the value of a quadratic tangent ratio mu, a
 ``QuadraticElem`` (``TangentRatio.value``), and checks the four
@@ -35,7 +36,7 @@ class AdmissibleTriple:
         x^2 = e*x + b (``is_positive_root``)."""
         if not is_admissible(b, e):
             raise ValueError(f"(b={b}, e={e}) is not admissible")
-        if not is_positive_root(b, e, lam):
+        if not is_positive_root(b, e, lam.an, lam.bn, lam.den, lam.d):
             raise ValueError(f"lambda = {lam} does not satisfy x^2 = {e}x + {b}")
         # The class refuses attribute assignment; the slot descriptors set
         # the fields directly, as in QuadraticElem.
@@ -67,10 +68,11 @@ def is_admissible(b: int, e: int) -> bool:
     return e in (-1, 0, 1) and b >= 1 and e + 1 < b and not (e == 1 and b % 2)
 
 
-def is_positive_root(b: int, e: int, lam: QuadraticElem) -> bool:
-    """Whether lam is the positive root of x^2 = e*x + b, for b > 0.
+def is_positive_root(b: int, e: int, an: int, bn: int, den: int, d: int) -> bool:
+    """Whether lam = (an + bn*sqrt(d))/den is the positive root of
+    x^2 = e*x + b, for b > 0, den > 0 and a squarefree radicand d >= 2.
 
-    With lam = (an + bn*sqrt(d))/den, den^2 * (lam^2 - e*lam - b) is
+    Here den^2 * (lam^2 - e*lam - b) is
     (an^2 + d*bn^2 - e*an*den - b*den^2) + bn*(2*an - e*den)*sqrt(d).
     For bn != 0 the radicand d >= 2 is squarefree, so sqrt(d) is
     irrational and the quadratic holds exactly when both integers vanish;
@@ -80,10 +82,9 @@ def is_positive_root(b: int, e: int, lam: QuadraticElem) -> bool:
     once the quadratic holds, one of bn and 2*an - e*den is zero, so that
     sign is the sign of 2*an - e*den + bn.
     """
-    an, bn, den = lam.an, lam.bn, lam.den
     twice_shift = 2 * an - e * den
     return not (
-        an * an + lam.d * bn * bn - e * an * den - b * den * den
+        an * an + d * bn * bn - e * an * den - b * den * den
         or bn * twice_shift
         or twice_shift + bn <= 0
     )
@@ -93,41 +94,47 @@ def make_triple(b: int, e: int) -> AdmissibleTriple:
     """Construct the triple for admissible (b, e), deriving lambda exactly."""
     if not is_admissible(b, e):
         raise ValueError(f"(b={b}, e={e}) is not admissible")
-    return _triple(b, e, squarefree_part(e * e + 4 * b)[1])
-
-
-def _triple(b: int, e: int, d: int) -> AdmissibleTriple:
-    """The triple for admissible (b, e), given the squarefree d with
-    e^2 + 4b = s^2 * d."""
-    s = isqrt((e * e + 4 * b) // d)
-    # The radicand is the squarefree d (or 2 for a rational lambda), so the
-    # constructor that skips the radicand check is safe here.
-    if d == 1:
-        # Perfect-square discriminant: lambda is rational (a square-tiled
-        # case); the radicand of the stored element is then inert.
-        lam = _from_parts(e + s, 0, 2, 2)
-    else:
-        lam = _from_parts(e, s, 2, d)
+    # The radicand is squarefree (or the inert 2 of a rational lambda), so
+    # the constructor that skips the radicand check is safe here.
+    lam = _from_parts(*_lambda_parts(b, e, squarefree_part(e * e + 4 * b)[1]))
     return AdmissibleTriple(b, e, lam)
 
 
-def enumerate_triples(b_max: int) -> Iterator[AdmissibleTriple]:
-    """All admissible (b, e) with b <= b_max, sorted by (b, e), one at a time.
+def _lambda_parts(b: int, e: int, d: int) -> tuple[int, int, int, int]:
+    """(an, bn, den, d) in lowest terms of lambda = (e + sqrt(e^2 + 4b))/2,
+    for admissible (b, e) and the squarefree d with e^2 + 4b = s^2 * d.
+
+    s = e (mod 2): e^2 + 4b = e^2 (mod 4), and a squarefree d is not a
+    multiple of 4.  So e + s is even, and s is even when e = 0.  A
+    perfect-square discriminant (d = 1) gives a rational lambda, whose
+    radicand is the inert 2.
+    """
+    s = isqrt((e * e + 4 * b) // d)
+    if d == 1:
+        return (e + s) // 2, 0, 1, 2
+    return (e, s, 2, d) if e else (0, s // 2, 1, d)
+
+
+def enumerate_triples(b_max: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """The rows (b, e, an, bn, den, d) of every admissible (b, e) with
+    b <= b_max, sorted by (b, e), one at a time: plain integers, with
+    lambda = (an + bn*sqrt(d))/den as ``make_triple`` derives it.
 
     The squarefree parts of the discriminants e^2 + 4b come from one sieve.
+    Each row is left for ``is_positive_root`` to certify.
     """
     if b_max < 1:
         raise ValueError(f"b_max must be positive, got {b_max}")
     cores = squarefree_cores(4 * b_max + 1)
     return (
-        _triple(b, e, cores[e * e + 4 * b])
+        (b, e, *_lambda_parts(b, e, cores[e * e + 4 * b]))
         for b in range(1, b_max + 1)
         for e in (-1, 0, 1)
         if is_admissible(b, e)
     )
 
 
-def trace_norm_lambda_plus_one(t: AdmissibleTriple) -> tuple[int, int]:
+def trace_norm_lambda_plus_one(b: int, e: int) -> tuple[int, int]:
     """(trace, norm) of lambda + 1: (e + 2, e + 1 - b).
 
     The other root of lambda + 1 is e + 1 - lambda, and
@@ -135,7 +142,7 @@ def trace_norm_lambda_plus_one(t: AdmissibleTriple) -> tuple[int, int]:
     so the product is the norm exactly when lambda is a root, which
     ``is_positive_root`` certifies.
     """
-    return t.e + 2, t.e + 1 - t.b
+    return e + 2, e + 1 - b
 
 
 def unit_case_triples() -> list[AdmissibleTriple]:

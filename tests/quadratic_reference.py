@@ -20,7 +20,12 @@ class RefQuadratic:
     @classmethod
     def of(cls, q: QuadraticElem) -> "RefQuadratic":
         """The value of ``q``, read from its integers."""
-        return cls(F(q.an, q.den), F(q.bn, q.den), q.d)
+        return cls.of_parts(q.an, q.bn, q.den, q.d)
+
+    @classmethod
+    def of_parts(cls, an, bn, den, d) -> "RefQuadratic":
+        """The value of (an + bn*sqrt(d))/den."""
+        return cls(F(an, den), F(bn, den), d)
 
     def __eq__(self, o):
         # A rational's radicand is a formality, as in QuadraticElem.

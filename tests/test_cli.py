@@ -301,12 +301,10 @@ def _dropping_a_solution(ts):
     return ts._replace(solutions=ts.solutions[:-1], tangent_indices=ts.tangent_indices[:-1])
 
 
-def _with_forged_lambda(triples):
-    """The (b=3, e=0) triple with lambda swapped to sqrt(2) after construction."""
-    for t in triples:
-        if (t.b, t.e) == (3, 0):
-            object.__setattr__(t, "lam", QuadraticElem(0, 1, 2))
-        yield t
+def _with_forged_lambda(rows):
+    """The (b=3, e=0) row with lambda swapped to sqrt(2), as (an, bn, den, d)."""
+    for row in rows:
+        yield (3, 0, 0, 1, 1, 2) if row[:2] == (3, 0) else row
 
 
 def _every_triple_to_three(report):
@@ -449,7 +447,11 @@ def test_caches_fill_the_same_under_concurrent_first_use():
             (t.alpha, t.beta, t.stabilizer, t.minpoly, t.mu_display())
             for t in tanratio.enumerate_ratios(4, 24)
         ]
-        return ratios, render(cmd_stratum2(30), "json").rsplit("elapsed_ms", 1)[0]
+        return (
+            ratios,
+            render(cmd_stratum2(30), "json").rsplit("elapsed_ms", 1)[0],
+            render(cmd_lshape("enumerate", 50), "json").rsplit("elapsed_ms", 1)[0],
+        )
 
     serial = run()
     for cache in caches:
@@ -622,6 +624,52 @@ def test_json_roundtrip():
     assert len(record_lines) == len(report.records) == 10
     assert [json.loads(line.rstrip(",")) for line in record_lines] == plain_encoding(report)["records"]
     assert len(lines) == len(report.records) + 9
+
+
+def _json_dumps_layout(report):
+    """The JSON rendering built from plain ``json.dumps`` calls with the
+    report encoder's leaf hook: one field per line, one record per line."""
+    fields = []
+    for key, value in report.fields().items():
+        if key == "records" and value:
+            body = ",\n".join("    " + json.dumps(rec, default=_leaf) for rec in value)
+            fields.append(f'  "records": [\n{body}\n  ]')
+        else:
+            fields.append(f"  {json.dumps(key)}: {json.dumps(value, default=_leaf)}")
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
+@pytest.mark.parametrize(
+    "name, args, argv",
+    [
+        # tangent-ratios records hold a CyclotomicElem, mu_cyclotomic.
+        pytest.param("cmd_tangent_ratios", (2, 12), ["tangent-ratios"], id="tangent-ratios"),
+        pytest.param("cmd_stratum2", (12,), ["stratum2", "--torsion-order", "12"], id="stratum2-12"),
+        pytest.param("cmd_decagon", ("differential",), ["decagon", "differential"], id="decagon-differential"),
+        pytest.param("cmd_lshape", ("exclude",), ["lshape", "exclude"], id="lshape-exclude"),
+        pytest.param("cmd_lshape", ("enumerate", 50), ["lshape", "enumerate", "--b-max", "50"],
+                     id="lshape-enumerate-50"),
+    ],
+)
+def test_the_shared_encoder_renders_as_json_dumps(name, args, argv, monkeypatch, capsys):
+    # The C encoder shared by every render writes each line as json.dumps
+    # does; a record it cannot encode is a bug (exit 3, one stderr line),
+    # and leaves nothing behind that changes the next render.
+    import torsion_packet.cli as cli_mod
+
+    report = getattr(cli_mod, name)(*args)
+    assert report.records
+    rendered = render(report, "json")
+    assert rendered == _json_dumps_layout(report)
+
+    # The value _leaf rejects sits inside the last record, after others.
+    broken = report._replace(records=[*report.records, {"ok": True, "v": [1, {"w": object()}]}])
+    monkeypatch.setattr(cli_mod, name, lambda *a: broken)
+    assert main(argv + ["--format", "json"]) == EXIT_INTERNAL
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal error: TypeError: cannot encode <object") and out.err.count("\n") == 1
+    assert render(report, "json") == rendered
 
 
 def _mask_elapsed(text):
@@ -1030,17 +1078,17 @@ def test_any_other_exception_exits_3_with_one_line(exc, monkeypatch, capsys):
 
 
 def test_internal_value_error_exits_3_not_2(monkeypatch, capsys):
-    # A library ValueError is a bug, not a usage error: a lambda built with
-    # the wrong radicand fails AdmissibleTriple's own check.
+    # A library ValueError is a bug, not a usage error: a lambda that
+    # make_triple builds with the wrong radicand fails AdmissibleTriple's
+    # own check.
     import torsion_packet.lshape as lshape_mod
 
     from_parts = lshape_mod._from_parts
     monkeypatch.setattr(lshape_mod, "_from_parts", lambda an, bn, den, d: from_parts(an, bn, den, 2))
-    assert main(["lshape", "enumerate", "--b-max", "3"]) == EXIT_INTERNAL
+    assert main(["lshape", "unit-case"]) == EXIT_INTERNAL
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("internal error: ValueError: lambda = -1/2 + 1/2*sqrt(2) does not satisfy")
-    assert out.err.count("\n") == 1
+    assert out.err == "internal error: ValueError: lambda = -1/2 + 1/2*sqrt(2) does not satisfy x^2 = -1x + 1\n"
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from torsion_packet.cli import cmd_lshape
 from torsion_packet.errors import UsageError
 from torsion_packet.exactnum import QuadraticElem
+from torsion_packet.exactnum.quadratic import parts_str
 from torsion_packet.lshape import (
     AdmissibleTriple,
     enumerate_triples,
@@ -27,6 +28,11 @@ from exact_helpers import classified_ratio
 from quadratic_reference import RefQuadratic
 
 
+def _parts(lam):
+    """The integers (an, bn, den, d) of lam = (an + bn*sqrt(d))/den."""
+    return lam.an, lam.bn, lam.den, lam.d
+
+
 def test_admissibility_conditions():
     assert is_admissible(1, -1) and is_admissible(2, 0) and is_admissible(4, 1)
     assert not is_admissible(1, 0)  # e + 1 < b fails
@@ -35,8 +41,8 @@ def test_admissibility_conditions():
 
 
 def test_enumerate_smallest_cases():
-    triples = [(t.b, t.e) for t in enumerate_triples(2)]
-    assert triples == [(1, -1), (2, -1), (2, 0)]
+    rows = list(enumerate_triples(2))
+    assert rows == [(1, -1, -1, 1, 2, 5), (2, -1, 1, 0, 1, 2), (2, 0, 0, 1, 1, 2)]
 
 
 def test_pentagon_and_octagon_lambdas():
@@ -47,17 +53,23 @@ def test_pentagon_and_octagon_lambdas():
 
 
 def test_sieved_enumeration_matches_make_triple():
+    # AdmissibleTriple is the reference: each row has the parts of
+    # make_triple's lambda (reduced, the inert radicand of a rational
+    # lambda included), its certificate verdict and its display.
     pairs = [(b, e) for b in range(1, 301) for e in (-1, 0, 1) if is_admissible(b, e)]
-    sieved, direct = list(enumerate_triples(300)), [make_triple(b, e) for b, e in pairs]
-    assert sieved == direct
-    # Equality ignores the inert radicand of a rational lambda; compare it too.
-    assert [t.lam.d for t in sieved] == [t.lam.d for t in direct]
+    rows = list(enumerate_triples(300))
+    assert [row[:2] for row in rows] == pairs
+    for row in rows:
+        t = make_triple(*row[:2])
+        assert row == (t.b, t.e, *_parts(t.lam))
+        assert is_positive_root(*row) and is_positive_root(t.b, t.e, *_parts(t.lam))
+        assert parts_str(*row[2:]) == str(t.lam)
 
 
 def test_lambda_satisfies_its_quadratic():
-    for t in enumerate_triples(50):
-        lam = RefQuadratic.of(t.lam)
-        e, b = RefQuadratic(t.e, 0, lam.d), RefQuadratic(t.b, 0, lam.d)
+    for b, e, *parts in enumerate_triples(50):
+        lam = RefQuadratic.of_parts(*parts)
+        e, b = RefQuadratic(e, 0, lam.d), RefQuadratic(b, 0, lam.d)
         assert lam * lam == e * lam + b
         assert lam.sign() == 1
 
@@ -69,9 +81,9 @@ def test_rational_lambda_case():
 
 
 def test_trace_norm_examples():
-    assert trace_norm_lambda_plus_one(make_triple(1, -1)) == (1, -1)
-    assert trace_norm_lambda_plus_one(make_triple(2, 0)) == (2, -1)
-    assert trace_norm_lambda_plus_one(make_triple(4, 1)) == (3, -2)
+    for (b, e), expected in (((1, -1), (1, -1)), ((2, 0), (2, -1)), ((4, 1), (3, -2))):
+        t = make_triple(b, e)
+        assert trace_norm_lambda_plus_one(t.b, t.e) == expected
     with pytest.raises(ValueError):
         make_triple(5, 1)
 
@@ -80,19 +92,19 @@ def test_forged_lambda_fails_trace_norm_cross_check():
     # sqrt(2) in place of sqrt(3) for (b=3, e=0): the trace of lambda + 1
     # still matches, the norm does not, and the certificate refuses it.
     t = make_triple(3, 0)
-    assert is_positive_root(3, 0, t.lam)
-    assert not is_positive_root(3, 0, QuadraticElem(0, 1, 2))
+    assert is_positive_root(3, 0, *_parts(t.lam))
+    assert not is_positive_root(3, 0, *_parts(QuadraticElem(0, 1, 2)))
 
 
 def test_trace_norm_closed_form_matches_field_arithmetic():
-    for t in enumerate_triples(60):
-        trace, norm = trace_norm_lambda_plus_one(t)
-        lam = RefQuadratic.of(t.lam)
+    for b, e, an, bn, den, d in enumerate_triples(60):
+        trace, norm = trace_norm_lambda_plus_one(b, e)
+        lam = RefQuadratic.of_parts(an, bn, den, d)
         lam1 = lam + RefQuadratic(1, 0, lam.d)
-        if not t.lam.is_rational():
+        if bn:
             # quadratic-field trace/norm agree with the defining-quadratic frame
             assert lam1.trace() == trace and lam1.norm() == norm
-        assert lam1 * (RefQuadratic(t.e + 1, 0, lam.d) - lam) == RefQuadratic(norm, 0, lam.d)
+        assert lam1 * (RefQuadratic(e + 1, 0, lam.d) - lam) == RefQuadratic(norm, 0, lam.d)
         assert trace in (1, 2, 3) and norm <= -1
 
 
@@ -268,32 +280,33 @@ def test_integer_certificates_agree_with_field_arithmetic(case):
     # The same certificate is the field identity that makes e + 1 - b the
     # norm of lambda + 1, (lambda + 1)(e + 1 - lambda) = e + 1 - b.
     lam1 = ref + rational(1)
-    assert is_positive_root(b, e, lam) == accepted
+    assert is_positive_root(b, e, *_parts(lam)) == accepted
     assert accepted == (lam1 * (rational(e + 1) - ref) == rational(e + 1 - b) and positive)
 
 
-def _forgeries(t):
-    """Wrong lambdas for the triple t, by name."""
-    disc = t.e * t.e + 4 * t.b
-    an, bn, den, d = t.lam.an, t.lam.bn, t.lam.den, t.lam.d
+def _forgeries(b, e, an, bn, den, d):
+    """Wrong lambdas for the row (b, e, an, bn, den, d), by name."""
+    disc = e * e + 4 * b
     s = isqrt(disc // d) if bn else isqrt(disc)
     # e - lambda = ((e*den - an) - bn*sqrt(d))/den
-    forged = {"conjugate root": QuadraticElem(F(t.e * den - an, den), F(-bn, den), d)}
+    forged = {"conjugate root": QuadraticElem(F(e * den - an, den), F(-bn, den), d)}
     if bn:
-        forged["wrong radicand"] = QuadraticElem(F(t.e, 2), F(s, 2), 3 if d == 2 else 2)
-        forged["rational lambda"] = QuadraticElem(F(t.e + s, 2), 0, 2)
-        forged["den 1 for 2"] = QuadraticElem(t.e, s, d)
+        forged["wrong radicand"] = QuadraticElem(F(e, 2), F(s, 2), 3 if d == 2 else 2)
+        forged["rational lambda"] = QuadraticElem(F(e + s, 2), 0, 2)
+        forged["den 1 for 2"] = QuadraticElem(e, s, d)
     else:
-        forged["den 1 for 2"] = QuadraticElem(t.e + s, 0, 2)
+        forged["den 1 for 2"] = QuadraticElem(e + s, 0, 2)
     return forged
 
 
 def test_forged_lambdas_fail_both_checks():
     seen = set()
-    for t in enumerate_triples(60):
-        for name, lam in _forgeries(t).items():
+    for row in enumerate_triples(60):
+        b, e = row[:2]
+        assert is_positive_root(*row)
+        for name, lam in _forgeries(*row).items():
             seen.add(name)
             with pytest.raises(ValueError, match="does not satisfy"):
-                AdmissibleTriple(t.b, t.e, lam)
-            assert not is_positive_root(t.b, t.e, lam)
+                AdmissibleTriple(b, e, lam)
+            assert not is_positive_root(b, e, *_parts(lam))
     assert seen == {"conjugate root", "wrong radicand", "rational lambda", "den 1 for 2"}
