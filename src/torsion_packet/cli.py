@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -161,18 +160,21 @@ def _cell(value: Any) -> Any:
 
 
 def _render_csv(report: Report) -> str:
+    """The records alone: a header of every key in order of first sight,
+    then one row per record, "" where a record has no such key.
+
+    ``csv`` is imported here, so that a command that renders no CSV does
+    not import it.
+    """
+    import csv
+
     records = report.records
     buf = io.StringIO()
     if records:
-        keys: list[str] = []
-        for rec in records:
-            for k in rec:
-                if k not in keys:
-                    keys.append(k)
-        writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({k: _cell(v) for k, v in rec.items()})
+        keys = list(dict.fromkeys(k for rec in records for k in rec))
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([_cell(rec.get(k, "")) for k in keys] for rec in records)
     return buf.getvalue().rstrip("\n")
 
 

@@ -64,6 +64,23 @@ angle folded back into (0, 1/2) (``_orbit_members``).  Units keep
 denominators, so ``classify`` walks the pairs up to a bound, or
 ``stratum2``'s handoffs A/N < B/N: the pairs whose denominators divide N.
 
+For a degree target, ``classify`` first drops whole denominator pairs
+(q1, q2), before any orbit is walked or any tangent is read, by a
+certificate in integers (``_pair_admits_degree``).  Let deg mu = d for
+alpha = p1/q1, beta = p2/q2, and g = gcd(q1, q2).  G/Stab(mu) has order
+d, so by Lagrange sigma_(k^d) fixes mu for every unit k.  Take a unit u of
+Z/q2 with u = 1 mod g.  As 1 and u agree mod g, the Chinese remainder
+theorem gives k mod L with k = 1 mod q1 and k = u mod q2, a unit mod L.
+Then k^d = 1 mod q1 leaves tan(pi*k^d*alpha) = tan(pi*alpha), so
+sigma_(k^d)(mu) = mu says tan(pi*u^d*p2/q2) = tan(pi*p2/q2); tan is
+injective mod pi and gcd(p2, q2) = 1, so u^d = 1 mod q2.  With q1 and q2
+swapped, the same holds mod q1.  So a pair of denominators q1, q2 has a
+ratio of degree d only if, for both q = q1 and q = q2, the group
+K(q, g) = {u in (Z/q)^* : u = 1 mod g} has exponent dividing d.  The
+check reads neither numerator, and ``_kernel_exponent_divides`` caches it
+per (q, g, d).  A diagonal pair q1 = q2 has K(q, q) = {1} and is never
+dropped.  For d = 2, 141 of the 1,711 pairs up to 60 are kept.
+
 Only finitely many pairs produce a ratio of any fixed degree, but that
 finiteness is ineffective; the enumeration here is a bounded search, and
 the shipped reference list is supported by a stability sweep (raising the
@@ -322,10 +339,28 @@ def _ordered(a: _Angle, b: _Angle) -> tuple[_Angle, _Angle]:
     return (a, b) if a[0] * b[1] < b[0] * a[1] else (b, a)
 
 
-def _orbit_representatives(denominators: Sequence[int]) -> Iterator[tuple[_Angle, _Angle]]:
+@lru_cache(maxsize=None)
+def _kernel_exponent_divides(q: int, g: int, d: int) -> bool:
+    """Whether u^d = 1 mod q for every unit u of Z/q with u = 1 mod g, g | q:
+    whether the exponent of K(q, g) divides d (see the module docstring)."""
+    return all(pow(u, d, q) == 1 for u in range(1 + g, q, g) if math.gcd(u, q) == 1)
+
+
+def _pair_admits_degree(q1: int, q2: int, degree: int) -> bool:
+    """False only if no pair of angles with denominators q1, q2 has a ratio
+    of this degree: the Lagrange/CRT certificate of the module docstring."""
+    g = math.gcd(q1, q2)
+    return _kernel_exponent_divides(q1, g, degree) and _kernel_exponent_divides(q2, g, degree)
+
+
+def _orbit_representatives(
+    denominators: Sequence[int], degree: Optional[int] = None
+) -> Iterator[tuple[_Angle, _Angle]]:
     """One pair per Galois orbit of the pairs of distinct angles whose
     denominators lie in ``denominators`` (ascending, each at least 3):
     1/q1 and the least p2/q2 of its class, q1 <= q2, as (alpha, beta).
+    With a ``degree``, the denominator pairs that ``_pair_admits_degree``
+    rules out are skipped whole.
 
     The class of p2 is +-c mod g, g = gcd(q1, q2).  For q1 < q2 the classes
     c are the units of (Z/g)^* up to sign, max(1, phi(g)/2) of them.  For
@@ -335,6 +370,8 @@ def _orbit_representatives(denominators: Sequence[int]) -> Iterator[tuple[_Angle
     """
     for j, q2 in enumerate(denominators):
         for q1 in denominators[: j + 1]:
+            if degree is not None and not _pair_admits_degree(q1, q2, degree):
+                continue
             g = math.gcd(q1, q2)
             for c in range(1, max(1, g // 2) + 1):
                 if math.gcd(c, g) != 1:
@@ -366,10 +403,12 @@ def classify(denominators: Sequence[int], degree: Optional[int] = None) -> list[
     ``_stabilizer`` runs once per orbit, on its representative from
     ``_orbit_representatives``, with ``degree`` as its cap: it drops the
     orbit once ``degree + 1`` conjugates are certified pairwise distinct,
-    and builds no mu.  Each member of a kept orbit is handed its stabilizer.
+    and builds no mu.  With a ``degree``, the walk skips the denominator
+    pairs that cannot hold it.  Each member of a kept orbit is handed its
+    stabilizer.
     """
     kept: list[TangentRatio] = []
-    for rep in _orbit_representatives(denominators):
+    for rep in _orbit_representatives(denominators, degree):
         found = _stabilizer(*rep[0], *rep[1], degree)
         if found is None or degree not in (None, found[0]):
             continue

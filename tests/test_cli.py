@@ -1,5 +1,7 @@
 """Tests for the command-line front end and report formats."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -18,6 +20,7 @@ from torsion_packet.cli import (
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
+    _cell,
     _leaf,
     cmd_decagon,
     cmd_lshape,
@@ -973,6 +976,23 @@ def test_every_exact_type_has_one_encoding():
     }
     with pytest.raises(TypeError, match="cannot encode"):
         render(Report("bad", {}, "verified", [{"v": object()}]), "json")
+
+
+def test_csv_matches_a_dictwriter_reference():
+    # stratum2's records have five different key sets; the header is every
+    # key in order of first sight, and a missing key is an empty field, as
+    # csv.DictWriter writes them.
+    report = cmd_stratum2(12)
+    assert len({tuple(rec) for rec in report.records}) == 5
+    keys: list[str] = []
+    for rec in report.records:
+        keys += [k for k in rec if k not in keys]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
+    writer.writeheader()
+    for rec in report.records:
+        writer.writerow({k: _cell(v) for k, v in rec.items()})
+    assert render(report, "csv") == buf.getvalue().rstrip("\n")
 
 
 def test_csv_renders_records_only():

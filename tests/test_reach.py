@@ -211,3 +211,8 @@ def test_import_needs_no_dataclasses_or_inspect():
 def test_import_needs_no_pathlib_or_importlib_resources():
     # The shipped table and the --output path are read with open and os.path.
     assert _loaded_by_cli_import({"pathlib", "importlib.resources"}) == "[]\n"
+
+
+def test_import_needs_no_csv():
+    # Only the CSV renderer imports csv, when it runs.
+    assert _loaded_by_cli_import({"csv"}) == "[]\n"

@@ -330,6 +330,61 @@ def test_orbit_scan_matches_pair_scan():
         assert len(reps) == len(set(reps)) == orbits
         assert _pair_count(bound) == pairs
         assert sum(len(_orbit_members(rep)) for rep in reps) == pairs
+    # The walk with a degree skips whole denominator pairs, and keeps
+    # exactly what the walk over every orbit keeps.
+    for d in range(1, 9):
+        pruned = [(t.alpha, t.beta, t.stabilizer) for t in tanratio.classify(range(3, 37), d)]
+        assert sorted(pruned) == _unpruned_walk(36, d), d
+
+
+def _unpruned_walk(bound, degree):
+    kept = []
+    for rep in _orbit_representatives(range(3, bound + 1)):
+        found = tanratio._stabilizer(*rep[0], *rep[1], degree)
+        if found is not None and found[0] == degree:
+            kept += [(F(*a), F(*b), found) for a, b in _orbit_members(rep)]
+    return sorted(kept)
+
+
+def test_pair_filter_prunes_only_pairs_without_the_degree():
+    # Every orbit's exact degree, uncapped, against the pairs the filter
+    # rules out: none of them holds an orbit of a pruned degree.
+    degrees: dict[tuple[int, int], set[int]] = {}
+    for rep in _orbit_representatives(range(3, 25)):
+        (_, q1), (_, q2) = rep
+        found = tanratio._stabilizer(*rep[0], *rep[1], None)
+        degrees.setdefault((min(q1, q2), max(q1, q2)), set()).add(found[0])
+    pruned = [
+        (q1, q2, d)
+        for q2 in range(3, 25)
+        for q1 in range(3, q2 + 1)
+        for d in range(1, 7)
+        if not tanratio._pair_admits_degree(q1, q2, d)
+    ]
+    assert len(pruned) == 1215
+    for q1, q2, d in pruned:
+        assert d not in degrees[q1, q2], (q1, q2, d)
+
+
+def test_kernel_exponent_is_the_lcm_of_unit_orders():
+    # K(q, g), the units of Z/q that are 1 mod g, against the lcm of the
+    # multiplicative orders of its elements.
+    for q in range(3, 41):
+        for g in (g for g in range(1, q + 1) if q % g == 0):
+            exponent = 1
+            for u in range(1, q, g):
+                if math.gcd(u, q) == 1:
+                    exponent = math.lcm(exponent, next(n for n in range(1, q) if pow(u, n, q) == 1))
+            for d in range(1, 13):
+                assert tanratio._kernel_exponent_divides(q, g, d) == (d % exponent == 0), (q, g, d)
+
+
+def test_pair_filter_counts_at_bound_60():
+    denominators = range(3, 61)
+    pairs = [(q1, q2) for j, q2 in enumerate(denominators) for q1 in denominators[: j + 1]]
+    assert len(pairs) == 1711
+    assert sum(tanratio._pair_admits_degree(q1, q2, 2) for q1, q2 in pairs) == 141
+    assert len(list(_orbit_representatives(denominators, 2))) == 584
 
 
 def test_degree_is_the_orbit_size_on_every_orbit_representative():
