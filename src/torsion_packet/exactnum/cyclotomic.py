@@ -14,8 +14,8 @@ Galois automorphisms sigma_k : zeta -> zeta^k for gcd(k, m) = 1 act by
 permuting power-basis exponents and re-reducing.  The degree of an element
 is the size of its Galois orbit, which :func:`galois_orbit` lists for any
 element; tangent ratios count theirs more cheaply, as the index of a
-stabilizer (see ``tanratio``).  :func:`minimal_polynomial` multiplies a
-list of conjugates out only for callers that read its coefficients.
+stabilizer (see ``tanratio``).  :func:`minimal_polynomial` multiplies the
+orbit out; ``tanratio`` calls it once per orbit of angle pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from ..errors import ArithmeticInconsistencyError
 from .polynomial import cyclotomic_int_coeffs
@@ -484,22 +484,15 @@ def galois_orbit(e: CyclotomicElem) -> list[CyclotomicElem]:
     return orbit
 
 
-def minimal_polynomial(
-    e: CyclotomicElem, orbit: Optional[list[CyclotomicElem]] = None
-) -> MinPoly:
-    """Minimal polynomial of ``e`` over Q, as the product over its Galois orbit.
+def minimal_polynomial(e: CyclotomicElem) -> MinPoly:
+    """Minimal polynomial of ``e`` over Q, as the product over ``galois_orbit(e)``.
 
-    ``orbit`` lists the distinct conjugates of ``e`` when the caller already
-    holds them, and defaults to ``galois_orbit(e)``.  The orbit product is
-    irreducible, so the degree of the result equals the orbit size.  A
-    non-rational coefficient in the product indicates an arithmetic bug (or
-    a partial orbit) and aborts.
+    The orbit product is irreducible, so the degree of the result equals
+    the orbit size.  A non-rational coefficient in the product indicates an
+    arithmetic bug and aborts.
     """
-    if orbit is None:
-        orbit = galois_orbit(e)
-    one = CyclotomicElem.one(e.m)
-    poly: list[CyclotomicElem] = [one]
-    for root in orbit:
+    poly: list[CyclotomicElem] = [CyclotomicElem.one(e.m)]
+    for root in galois_orbit(e):
         nxt = [CyclotomicElem.zero(e.m)] * (len(poly) + 1)
         for i, c in enumerate(poly):
             nxt[i + 1] = nxt[i + 1] + c

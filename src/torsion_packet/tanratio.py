@@ -45,9 +45,7 @@ Galois acts on mu through G = (Z/L)^*/{+-1}, and deg mu = |G|/|Stab(mu)|.
 Both steps are exact, so no fallback exists, and when C = {1} no exact
 arithmetic runs.  The scan also stops, with no exact step, once more
 conjugates than a given cap are pairwise separated: the degree then
-provably exceeds the cap.  The minimal polynomial multiplies out one
-conjugate per coset of Stab(mu), and ``exactnum.minimal_polynomial``
-checks that its coefficients are rational.
+provably exceeds the cap.
 
 ``classify`` walks one pair per Galois orbit, not every pair.  Folding an
 angle back into (0, 1/2) changes a tangent only by a sign, and swapping
@@ -60,9 +58,15 @@ orbit therefore has one representative {1/q1, p2/q2} with q1 <= q2 and
 p2/q2 the least of its class, where for q1 = q2 the swap also identifies
 the class of c with that of c^-1 (see ``_orbit_representatives``).  The
 orbit's members are the representative's images under the units k, each
-angle folded back into (0, 1/2) (``_orbit_members``).  Units keep
-denominators, so ``classify`` walks the pairs up to a bound, or
-``stratum2``'s handoffs A/N < B/N: the pairs whose denominators divide N.
+angle folded back into (0, 1/2).  Units keep denominators, so
+``classify`` walks the pairs up to a bound, or ``stratum2``'s handoffs
+A/N < B/N: the pairs whose denominators divide N.  A member is
+mu' = +-sigma_k(mu)^(+-1) for the representative's mu, negated when
+exactly one angle folds and inverted when the two swap, and sigma_k keeps
+the minimal polynomial p.  So only the representative multiplies out its
+Galois orbit (``exactnum.minimal_polynomial``), whose degree must equal
+the certified index, and a member's polynomial is p(-x) and/or p
+reversed, made monic again.
 
 For a degree target, ``classify`` first drops whole denominator pairs
 (q1, q2), before any orbit is walked or any tangent is read, by a
@@ -100,7 +104,6 @@ from .exactnum import (
     MinPoly,
     QuadraticElem,
     conductor_units,
-    galois_apply,
     inv_one_minus_zeta,
     minimal_polynomial,
     real_value,
@@ -156,13 +159,13 @@ class TangentRatio:
     """A classified ratio mu = tan(pi*beta)/tan(pi*alpha), computed lazily.
 
     ``alpha`` and ``beta`` are the angles as reduced ``Fraction``s, checked
-    by ``ratio``.  ``stabilizer``, (degree, Stab(mu)) from ``_stabilizer``, is
-    written by ``classify``, once per Galois orbit.  The degree needs no
-    ``mu``, which ``minpoly`` and ``value`` build, so a ratio of degree above
-    2 is displayed from its ``tan_conductor`` alone.
-    ``minpoly`` (and ``trace``, ``norm``, ``is_unit``) takes one conjugate
-    per coset of Stab.  ``value``, read for degree at most 2, is the exact
-    value of mu derived once from ``mu`` and ``minpoly``.
+    by ``ratio``.  ``classify`` writes ``stabilizer``, (degree, Stab(mu))
+    from ``_stabilizer``, and ``orbit``, (representative, negated, inverted).
+    The degree needs no ``mu``, which ``minpoly`` and ``value`` build, so a
+    ratio of degree above 2 is displayed from its ``tan_conductor`` alone.
+    ``minpoly`` (and ``trace``, ``norm``, ``is_unit``) is built once per
+    orbit.  ``value``, read for degree at most 2, is the exact value of mu
+    derived once from ``mu`` and ``minpoly``.
     """
 
     def __init__(self, alpha: Fraction, beta: Fraction):
@@ -187,16 +190,19 @@ class TangentRatio:
 
     @cached_property
     def minpoly(self) -> MinPoly:
-        _, stab = self.stabilizer
-        lcm = math.lcm(self.alpha.denominator, self.beta.denominator)
-        mu = self.mu
-        covered: set[int] = set()
-        images = []
-        for g in range(1, lcm // 2 + 1):
-            if g not in covered and math.gcd(g, lcm) == 1:
-                covered.update(_fold_mod(g * s, lcm) for s in stab)
-                images.append(galois_apply(mu, g if g % 2 else g + lcm))
-        return minimal_polynomial(mu, images)
+        rep, negated, inverted = self.orbit
+        if rep is not self:
+            cs = rep.minpoly.coeffs
+            if negated:
+                cs = [-c if (len(cs) - i) % 2 == 0 else c for i, c in enumerate(cs)]
+            return MinPoly([c / cs[0] for c in reversed(cs)] if inverted else cs)
+        poly = minimal_polynomial(self.mu)
+        if poly.degree != self.degree:
+            raise ArithmeticInconsistencyError(
+                f"tan(pi*{self.beta})/tan(pi*{self.alpha}) has an orbit product of "
+                f"degree {poly.degree}, not the certified {self.degree}"
+            )
+        return poly
 
     @property
     def is_unit(self) -> bool:
@@ -222,7 +228,8 @@ class TangentRatio:
         return str(self.value)
 
     def __repr__(self) -> str:
-        return f"TangentRatio(alpha={self.alpha}, beta={self.beta}, mu={self.mu_display()})"
+        mu = f", mu={self.mu_display()}" if hasattr(self, "stabilizer") else ""
+        return f"TangentRatio(alpha={self.alpha}, beta={self.beta}{mu})"
 
 
 def ratio(alpha: Fraction, beta: Fraction) -> TangentRatio:
@@ -382,19 +389,6 @@ def _orbit_representatives(
                 yield _ordered((1, q1), (p2, q2))
 
 
-def _orbit_members(rep: tuple[_Angle, _Angle]) -> set[tuple[_Angle, _Angle]]:
-    """Every pair (alpha, beta), alpha < beta, of the orbit of ``rep``: the
-    images of its two angles under the units k <= L/2, L = lcm(q1, q2),
-    each folded back into (0, 1/2)."""
-    (p1, q1), (p2, q2) = rep
-    lcm = math.lcm(q1, q2)
-    return {
-        _ordered((_fold_mod(k * p1, q1), q1), (_fold_mod(k * p2, q2), q2))
-        for k in range(1, lcm // 2 + 1)
-        if math.gcd(k, lcm) == 1
-    }
-
-
 def classify(denominators: Sequence[int], degree: Optional[int] = None) -> list[TangentRatio]:
     """Every pair of distinct angles whose denominators lie in
     ``denominators`` (ascending, each at least 3), in the order of the walk;
@@ -404,17 +398,28 @@ def classify(denominators: Sequence[int], degree: Optional[int] = None) -> list[
     ``_orbit_representatives``, with ``degree`` as its cap: it drops the
     orbit once ``degree + 1`` conjugates are certified pairwise distinct,
     and builds no mu.  With a ``degree``, the walk skips the denominator
-    pairs that cannot hold it.  Each member of a kept orbit is handed its
-    stabilizer.
+    pairs that cannot hold it.  Each member of a kept orbit, from the units
+    k <= L/2, L = lcm(q1, q2), is handed the stabilizer and its ``orbit``
+    (see the module docstring); k = 1 gives the representative itself.
     """
     kept: list[TangentRatio] = []
     for rep in _orbit_representatives(denominators, degree):
         found = _stabilizer(*rep[0], *rep[1], degree)
         if found is None or degree not in (None, found[0]):
             continue
-        for a, b in _orbit_members(rep):
+        (p1, q1), (p2, q2) = rep
+        members: dict[tuple[_Angle, _Angle], tuple[bool, bool]] = {}
+        for k in _numerators(math.lcm(q1, q2)):
+            a, b = k * p1 % q1, k * p2 % q2
+            negated = (2 * a > q1) != (2 * b > q2)
+            x, y = (min(a, q1 - a), q1), (min(b, q2 - b), q2)
+            inverted = x[0] * q2 > y[0] * q1
+            members.setdefault((y, x) if inverted else (x, y), (negated, inverted))
+        head = None
+        for (a, b), flags in members.items():
             t = ratio(Fraction(*a), Fraction(*b))
-            t.stabilizer = found
+            head = head or t
+            t.stabilizer, t.orbit = found, (head, *flags)
             kept.append(t)
     return kept
 

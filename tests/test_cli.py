@@ -483,21 +483,34 @@ def test_caches_fill_the_same_under_concurrent_first_use():
 def test_stratum2_builds_minimal_polynomials_only_for_quadratic_ratios(monkeypatch):
     import torsion_packet.tanratio as tanratio_mod
 
+    # One build per orbit whose polynomial is read: the orbits of the
+    # handoffs of degree at most 2.  The other members derive theirs.
     original = tanratio_mod.minimal_polynomial
-    built = []
+    classify = tanratio_mod.classify
+    built, walked = [], []
 
-    def counted(e, orbit=None):
-        p = original(e, orbit)
+    def counted(e):
+        p = original(e)
         built.append(p.degree)
         return p
 
+    def recording(denominators, degree=None):
+        found = classify(denominators, degree)
+        walked.extend(found)
+        return found
+
     monkeypatch.setattr(tanratio_mod, "minimal_polynomial", counted)
-    for n in (13, 10):
+    monkeypatch.setattr(tanratio_mod, "classify", recording)
+    for n, builds in ((13, 0), (10, 4)):
         built.clear()
+        walked.clear()
         degrees = [r["degree"] for r in cmd_stratum2(n).records if r["stage"] == "handoff"]
-        assert sorted(built) == sorted(d for d in degrees if d <= 2)
+        low = {t.orbit[0] for t in walked if t.degree <= 2}
+        assert len(built) == len(low) == builds
+        assert sorted(built) == sorted(t.degree for t in low)
+        assert set(built) == {d for d in degrees if d <= 2}
         if n == 13:
-            assert built == [] and min(degrees) > 2
+            assert min(degrees) > 2
 
 
 def test_stratum2_derives_each_quadratic_value_once(monkeypatch):

@@ -7,6 +7,7 @@ from typing import Optional
 import pytest
 
 from torsion_packet import cli, tanratio
+from torsion_packet.errors import ArithmeticInconsistencyError
 from torsion_packet.exactnum import (
     CyclotomicElem,
     MinPoly,
@@ -20,7 +21,6 @@ from torsion_packet.exactnum import (
 from torsion_packet.stablefiber import solve_torsion_pairs
 from torsion_packet.tanratio import (
     _REL_SEPARATION,
-    _orbit_members,
     _orbit_representatives,
     _tan_row,
     angles_up_to,
@@ -329,21 +329,14 @@ def test_orbit_scan_matches_pair_scan():
         reps = list(_orbit_representatives(range(3, bound + 1)))
         assert len(reps) == len(set(reps)) == orbits
         assert _pair_count(bound) == pairs
-        assert sum(len(_orbit_members(rep)) for rep in reps) == pairs
+        members = {(t.alpha, t.beta) for t in tanratio.classify(range(3, bound + 1))}
+        assert len(members) == pairs
     # The walk with a degree skips whole denominator pairs, and keeps
-    # exactly what the walk over every orbit keeps.
+    # exactly what the walk over every orbit, uncapped, keeps.
+    every = [(t.alpha, t.beta, t.stabilizer) for t in tanratio.classify(range(3, 37))]
     for d in range(1, 9):
         pruned = [(t.alpha, t.beta, t.stabilizer) for t in tanratio.classify(range(3, 37), d)]
-        assert sorted(pruned) == _unpruned_walk(36, d), d
-
-
-def _unpruned_walk(bound, degree):
-    kept = []
-    for rep in _orbit_representatives(range(3, bound + 1)):
-        found = tanratio._stabilizer(*rep[0], *rep[1], degree)
-        if found is not None and found[0] == degree:
-            kept += [(F(*a), F(*b), found) for a, b in _orbit_members(rep)]
-    return sorted(kept)
+        assert sorted(pruned) == sorted(m for m in every if m[2][0] == d), d
 
 
 def test_pair_filter_prunes_only_pairs_without_the_degree():
@@ -476,7 +469,7 @@ def test_stratum2_handoff_needs_no_exact_orbit(monkeypatch):
         return galois_apply(e, k)
 
     monkeypatch.setattr(cyclotomic, "galois_orbit", no_orbit)
-    monkeypatch.setattr(tanratio, "galois_apply", counting)
+    monkeypatch.setattr(cyclotomic, "galois_apply", counting)
     report = cli.cmd_stratum2(41)
     assert report.verdict == "verified"
     # Every handoff at N = 41 has no stabilizer candidate but 1, so the
@@ -551,17 +544,76 @@ def test_orbit_members_match_brute_force_orbits():
         _brute_force_orbit(a, b) for i, a in enumerate(angles) for b in angles[i + 1 :]
     }
     assert len(brute) == 293
+    orbits: dict[tuple, list] = {}
+    for t in tanratio.classify(range(3, 25)):
+        rep = t.orbit[0]
+        orbits.setdefault((rep.alpha.as_integer_ratio(), rep.beta.as_integer_ratio()), []).append(t)
+    assert list(orbits) == list(_orbit_representatives(range(3, 25)))
     found = []
-    for rep in _orbit_representatives(range(3, 25)):
-        # The angle of the least denominator has numerator 1.
+    for rep, members in orbits.items():
+        # The angle of the least denominator has numerator 1, and the
+        # representative is a member of its own orbit, with no sign or swap.
         assert min(rep, key=lambda angle: angle[1])[0] == 1
-        members = _orbit_members(rep)
-        assert rep in members
-        assert all(a[0] * b[1] < b[0] * a[1] for a, b in members)
+        head = members[0]
+        assert (head.alpha, head.beta) == (F(*rep[0]), F(*rep[1]))
+        assert head.orbit == (head, False, False)
+        assert all(t.stabilizer is head.stabilizer for t in members)
+        assert all(t.alpha < t.beta for t in members)
+        pairs = {(t.alpha.as_integer_ratio(), t.beta.as_integer_ratio()) for t in members}
+        assert len(pairs) == len(members)
         orbit = _brute_force_orbit(*rep)
-        assert frozenset(frozenset(pair) for pair in members) == orbit
+        assert frozenset(frozenset(pair) for pair in pairs) == orbit
         found.append(orbit)
     assert len(found) == 293 and set(found) == brute
+
+
+def test_every_member_derives_the_minimal_polynomial_of_its_mu():
+    # mu = +-sigma_k(mu_rep)^(+-1): each member's polynomial is derived from
+    # its representative's, and equals the orbit product of its own mu.
+    cases = set()
+    for d in range(1, 7):
+        for t in enumerate_ratios(d, 30):
+            assert t.minpoly == minimal_polynomial(t.mu), (t.alpha, t.beta)
+            assert t.minpoly.degree == d
+            cases.add(t.orbit[1:])
+    assert cases == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_minimal_polynomial_is_built_once_per_orbit(monkeypatch):
+    built = []
+
+    def counting(e):
+        built.append(e)
+        return build(e)
+
+    build = tanratio.minimal_polynomial
+    monkeypatch.setattr(tanratio, "minimal_polynomial", counting)
+    report = cli.cmd_tangent_ratios(6, 60)
+    assert len(report.records) == 408
+    assert len(built) == 75
+
+
+def test_forged_stabilizer_fails_the_orbit_product_check(monkeypatch, capsys):
+    # tan(pi/5)/tan(pi/12) has degree 8; a representative that claims degree
+    # 2 builds an orbit product of degree 8 and raises when it is read.
+    t = ratio(F(1, 12), F(1, 5))
+    t.stabilizer, t.orbit = (2, (1,)), (t, False, False)
+    with pytest.raises(ArithmeticInconsistencyError, match="degree 8, not the certified 2"):
+        t.minpoly
+    # Every orbit certified as degree 2 reaches the check through the CLI.
+    monkeypatch.setattr(tanratio, "_stabilizer", lambda *args: (2, (1,)))
+    assert cli.main(["tangent-ratios", "--degree", "2", "--max-denominator", "12"]) == 3
+    assert "certified 2" in capsys.readouterr().err
+
+
+def test_repr_shows_mu_only_once_classified():
+    t = ratio(F(1, 5), F(1, 4))
+    assert repr(t) == "TangentRatio(alpha=1/5, beta=1/4)"
+    assert repr(normalize_by_galois(ratio(F(2, 7), F(3, 7)))).startswith("TangentRatio(alpha=1/7")
+    assert repr(classified_ratio(F(1, 12), F(1, 4))) == (
+        "TangentRatio(alpha=1/12, beta=1/4, mu=2 + sqrt(3))"
+    )
+    assert repr(classified_ratio(F(1, 12), F(1, 5))).endswith("mu=degree-8 element of Q(zeta_60))")
 
 
 def test_tan_table_entries_within_their_error_bound():
