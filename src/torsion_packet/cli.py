@@ -530,13 +530,9 @@ def cmd_decagon(subcommand: str) -> Report:
         verdict = VERIFIED if ok else REFUTED
     elif subcommand == "exclude-r":
         r_x, r_y, inter = stablefiber.decagon_r_sets()
-        allowed = (
-            CyclotomicElem.from_rational(20, -1),
-            CyclotomicElem.from_rational(20, 0),
-        )
-        ok_rx = all(r == allowed[0] or sign_of_real(r) >= 0 for r in r_x)
+        ok_rx = all(r == -1 or sign_of_real(r) >= 0 for r in r_x)
         ok_ry = all(sign_of_real(r) <= 0 for r in r_y)
-        ok_inter = all(any(r == a for a in allowed) for r in inter)
+        ok_inter = all(r in (-1, 0) for r in inter)
         records = [
             {
                 "check": "R_x",

@@ -111,26 +111,24 @@ class NodalConfig:
         if self.involution is not None:
             self._check_involution()
 
-    def _image(self, p: Point, zero: Point) -> Point:
+    def _image(self, p: Point) -> Union[Point, int]:
+        """The image of ``p``; under inversion INFINITY's is the integer 0."""
         if self.involution == "negation":
             return p if p is INFINITY else -p
         if p is INFINITY:
-            return zero
-        if p == zero:
+            return 0
+        if p == 0:
             return INFINITY
         return 1 / p
 
     def _check_involution(self):
-        finite = next(p for p in self.all_points() if p is not INFINITY)
-        zero = finite - finite
         for pair in self.nodes:
-            image = (self._image(pair[0], zero), self._image(pair[1], zero))
+            image = (self._image(pair[0]), self._image(pair[1]))
             if image not in self.nodes and image[::-1] not in self.nodes:
                 raise ValueError(f"involution does not preserve the node pair {pair!r}")
         marked_pts = [p for _, p in self.marked]
         for p in marked_pts:
-            img = self._image(p, zero)
-            if img not in marked_pts:
+            if self._image(p) not in marked_pts:
                 raise ValueError(f"involution does not preserve the marked point {p!r}")
 
 
@@ -157,19 +155,21 @@ def config_to_json_dict(
 
 
 def _kernel_basis(rows: list[list], ncols: int, zero, one) -> list[list]:
-    """Basis of the right kernel, by reduced row echelon form over a field."""
+    """Basis of the right kernel, by reduced row echelon form over a field.
+    ``rows`` may hold the integers 0 and 1; pivots divided into the field's
+    ``one`` and vectors filled with its ``zero`` keep every entry in the field."""
     mat = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if not mat[i][c] == zero), None)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = one / mat[r][c]
         mat[r] = [v * inv for v in mat[r]]
         for i in range(len(mat)):
-            if i != r and not mat[i][c] == zero:
+            if i != r and mat[i][c]:
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
@@ -186,35 +186,33 @@ def _kernel_basis(rows: list[list], ncols: int, zero, one) -> list[list]:
     return basis
 
 
-def _unknowns(config: NodalConfig) -> tuple[tuple[Point, ...], Point, Point]:
-    """The node points, in the order of the unknown residues, and the zero
-    and one of their field."""
+def _unknowns(config: NodalConfig) -> tuple[Point, ...]:
+    """The node points, in the order of the unknown residues."""
     poles = config.poles
     if any(p is INFINITY for p in poles):
         raise ValueError("nodes at infinity are not supported")
-    zero = poles[0] - poles[0]
-    return poles, zero, zero + 1
+    return poles
 
 
-def _residue_rows(config: NodalConfig, poles: Sequence[Point], zero, one) -> list[list]:
+def _residue_rows(config: NodalConfig, poles: Sequence[Point]) -> list[list[int]]:
     """Node matching Res(p) + Res(q) = 0 at each node, then total residue
-    zero (regularity at infinity)."""
+    zero (regularity at infinity), as rows of the integers 0 and 1."""
     rows = []
     for i in range(len(config.nodes)):
-        row = [zero] * len(poles)
-        row[2 * i] = row[2 * i + 1] = one
+        row = [0] * len(poles)
+        row[2 * i] = row[2 * i + 1] = 1
         rows.append(row)
-    rows.append([one] * len(poles))
+    rows.append([1] * len(poles))
     return rows
 
 
-def _zero_order_rows(config: NodalConfig, poles: Sequence[Point], zero, one) -> list[list]:
+def _zero_order_rows(config: NodalConfig, poles: Sequence[Point]) -> list[list]:
     """One moment condition per prescribed vanishing order j = 1, ..., k at
     a marked point: sum(c_i * p_i^j) = 0 at infinity, sum(c_i/(pt - p_i)^j)
     = 0 at a finite point pt."""
     orders = dict(config.zero_orders)
     return [
-        [p**j if pt is INFINITY else one / ((pt - p) ** j) for p in poles]
+        [p**j if pt is INFINITY else 1 / ((pt - p) ** j) for p in poles]
         for label, pt in config.marked
         for j in range(1, orders.get(label, 0) + 1)
     ]
@@ -227,11 +225,13 @@ def differential_space(config: NodalConfig) -> tuple[int, list[tuple[Point, ...]
     conditions are the residue rows (node matching, total residue zero) and
     the zero-order rows (one linear condition per prescribed vanishing
     order, with infinity handled in the coordinate w = 1/z).  Each basis
-    differential is its tuple of residues, in the order of ``config.poles``.
+    differential is its tuple of residues, in the order of ``config.poles``,
+    in the field of the node points: only here are its zero and one made.
     """
-    poles, zero, one = _unknowns(config)
-    rows = _residue_rows(config, poles, zero, one) + _zero_order_rows(config, poles, zero, one)
-    basis = [tuple(vec) for vec in _kernel_basis(rows, len(poles), zero, one)]
+    poles = _unknowns(config)
+    rows = _residue_rows(config, poles) + _zero_order_rows(config, poles)
+    zero = poles[0] - poles[0]
+    basis = [tuple(vec) for vec in _kernel_basis(rows, len(poles), zero, zero + 1)]
     return len(basis), basis
 
 
@@ -239,12 +239,10 @@ def _satisfies(rows_of, residues: Sequence[Point], config: NodalConfig) -> bool:
     """Whether ``residues``, one per node point in the order of
     ``config.poles``, satisfy the condition rows that ``rows_of`` builds for
     ``differential_space``."""
-    poles, zero, one = _unknowns(config)
+    poles = _unknowns(config)
     if len(residues) != len(poles):
         raise ValueError(f"{len(residues)} residues for {len(poles)} node points")
-    return not any(
-        sum(a * c for a, c in zip(row, residues)) for row in rows_of(config, poles, zero, one)
-    )
+    return not any(sum(a * c for a, c in zip(row, residues)) for row in rows_of(config, poles))
 
 
 def verify_residue_constraints(residues: Sequence[Point], config: NodalConfig) -> bool:
@@ -516,18 +514,10 @@ def decagon_admissible_assignments() -> tuple[set[tuple[int, int]], set[tuple[in
     and the pairs are disjoint.  Expected is the symmetry class of
     (zeta_5, zeta_5^2) under inverting either coordinate and swapping.
     """
-    usable = [j for j in range(1, 10) if j != 5]
-    passing = {j for j in usable if decagon_node_condition(j)}
-    accepted = set()
-    for jx in usable:
-        for jy in usable:
-            if {jx, (10 - jx) % 10} == {jy, (10 - jy) % 10}:
-                continue
-            if jx in passing and jy in passing:
-                accepted.add((jx, jy))
-    expected = {(a, b) for a in (2, 8) for b in (4, 6)} | {
-        (a, b) for a in (4, 6) for b in (2, 8)
-    }
+    passing = {j for j in range(1, 10) if j != 5 and decagon_node_condition(j)}
+    accepted = {(jx, jy) for jx in passing for jy in passing if jy not in (jx, 10 - jx)}
+    expected = {(a, b) for a in (2, 8) for b in (4, 6)}
+    expected |= {(b, a) for a, b in expected}
     return accepted, expected
 
 

@@ -55,12 +55,13 @@ abelian, so the whole orbit of the unordered, folded pair
 k = p1^-1 mod q1 gives p1 = 1; the units that then fix 1/q1 up to sign
 move p2 freely within its class +-p2*p1^-1 mod g, g = gcd(q1, q2).  Each
 orbit therefore has one representative {1/q1, p2/q2} with q1 <= q2 and
-p2/q2 the least of its class, where for q1 = q2 the swap also identifies
-the class of c with that of c^-1 (see ``_orbit_representatives``).  The
-orbit's members are the representative's images under the units k, each
-angle folded back into (0, 1/2).  Units keep denominators, so
-``classify`` walks the pairs up to a bound, or ``stratum2``'s handoffs
-A/N < B/N: the pairs whose denominators divide N.  A member is
+p2 the first unit mod q2 in its class c, g - c, g + c, ... (c <= g/2),
+where for q1 = q2 the swap also identifies the class of c with that of
+c^-1 (see ``_orbit_representatives``).  The orbit's members are the
+representative's images under the units k, each angle folded back into
+(0, 1/2).  Units keep denominators, so ``classify`` walks the pairs up to
+a bound, or ``stratum2``'s handoffs A/N < B/N: the pairs whose
+denominators divide N.  A member is
 mu' = +-sigma_k(mu)^(+-1) for the representative's mu, negated when
 exactly one angle folds and inverted when the two swap, and sigma_k keeps
 the minimal polynomial p.  So only the representative multiplies out its
@@ -373,7 +374,9 @@ def _orbit_representatives(
     c are the units of (Z/g)^* up to sign, max(1, phi(g)/2) of them.  For
     q1 = q2 the class of +-1 would pair an angle with itself and is left
     out, and the swap of the two angles identifies c with +-c^-1, so c is
-    the least of the four.
+    the least of the four.  The units of the class are symmetric under
+    p -> q2 - p, so its least, p2 < q2/2, is the first unit mod q2 in the
+    ascending c, g - c, g + c, 2g - c, ...; on the diagonal it is c.
     """
     for j, q2 in enumerate(denominators):
         for q1 in denominators[: j + 1]:
@@ -385,7 +388,7 @@ def _orbit_representatives(
                     continue
                 if q1 == q2 and (c == 1 or _fold_mod(pow(c, -1, g), g) < c):
                     continue
-                p2 = next(p for p in _numerators(q2) if (p - c) % g == 0 or (p + c) % g == 0)
+                p2 = next(p for n in range(0, q2, g) for p in (n + c, n + g - c) if math.gcd(p, q2) == 1)
                 yield _ordered((1, q1), (p2, q2))
 
 

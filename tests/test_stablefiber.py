@@ -214,6 +214,17 @@ def test_rational_point_configuration():
     assert verify_zero_orders(basis[0], cfg)
 
 
+def test_integer_rows_give_residues_in_the_field_of_the_nodes():
+    # The residue rows hold the integers 0 and 1, and an integer pivot 1
+    # still yields residues in the field of the node points, which is what
+    # the report encoder renders.
+    for cfg, field in ((decagon_config(), CyclotomicElem), (stratum2_config(F(2), F(3)), F)):
+        rows = stablefiber._residue_rows(cfg, cfg.poles)
+        assert {type(v) for row in rows for v in row} == {int}
+        _, basis = differential_space(cfg)
+        assert [type(c) for c in basis[0]] == [field] * 4
+
+
 def test_solver_output_satisfies_constraints_independently():
     for cfg in (stratum2_config(F(1), F(6)), decagon_config(), stratum2_config(x=F(5), y=F(7))):
         _, basis = differential_space(cfg)

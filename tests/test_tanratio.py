@@ -380,6 +380,113 @@ def test_pair_filter_counts_at_bound_60():
     assert len(list(_orbit_representatives(denominators, 2))) == 584
 
 
+def _scanned_representatives(denominators, degree=None):
+    """``_orbit_representatives`` with each p2 found by a scan of every
+    numerator of q2 for the first in the class +-c mod g: the oracle of the
+    class lift."""
+    for j, q2 in enumerate(denominators):
+        for q1 in denominators[: j + 1]:
+            if degree is not None and not tanratio._pair_admits_degree(q1, q2, degree):
+                continue
+            g = math.gcd(q1, q2)
+            for c in range(1, max(1, g // 2) + 1):
+                if math.gcd(c, g) != 1:
+                    continue
+                if q1 == q2 and (c == 1 or tanratio._fold_mod(pow(c, -1, g), g) < c):
+                    continue
+                p2 = next(p for p in tanratio._numerators(q2) if (p - c) % g == 0 or (p + c) % g == 0)
+                yield tanratio._ordered((1, q1), (p2, q2))
+
+
+def test_orbit_representatives_are_read_off_their_class():
+    reps = list(_orbit_representatives(range(3, 61)))
+    assert len(reps) == 2289
+    assert reps == list(_scanned_representatives(range(3, 61)))
+    denominators = range(3, 401)
+    assert list(_orbit_representatives(denominators, 2)) == list(_scanned_representatives(denominators, 2))
+
+
+def _four_cosine_angles(alpha: F, beta: F, k: int) -> tuple[int, tuple[int, int, int, int]]:
+    """L = lcm(q_alpha, q_beta) and L times the angles of sigma_k(mu) = mu
+    written as four cosines, cos(pi a) + cos(pi b) = cos(pi c) + cos(pi d):
+    a = (k+1)beta + (k-1)alpha, b = (k-1)beta - (k+1)alpha,
+    c = (k+1)beta - (k-1)alpha and d = (k-1)beta + (k+1)alpha."""
+    lcm = math.lcm(alpha.denominator, beta.denominator)
+    ea, eb = alpha.numerator * (lcm // alpha.denominator), beta.numerator * (lcm // beta.denominator)
+    return lcm, (
+        (k + 1) * eb + (k - 1) * ea,
+        (k - 1) * eb - (k + 1) * ea,
+        (k + 1) * eb - (k - 1) * ea,
+        (k - 1) * eb + (k + 1) * ea,
+    )
+
+
+def _four_cosine_sum(alpha: F, beta: F, k: int) -> CyclotomicElem:
+    """2(cos(pi a) + cos(pi b) - cos(pi c) - cos(pi d)) in Q(zeta_2L), with
+    2 cos(pi x) = zeta_2L^(xL) + zeta_2L^(-xL)."""
+    lcm, angles = _four_cosine_angles(alpha, beta, k)
+    zeta = CyclotomicElem.zeta
+    return sum(s * (zeta(2 * lcm, x) + zeta(2 * lcm, -x)) for s, x in zip((1, 1, -1, -1), angles))
+
+
+def _pairs_up_to_12():
+    angles = angles_up_to(12)
+    return [(a, b) for i, b in enumerate(angles) for a in angles[:i]]
+
+
+def _mu_fixers_up_to_30():
+    """(alpha, beta, k) with a unit 1 < k <= L/2 that fixes mu, from the walk."""
+    return [(t.alpha, t.beta, k) for t in tanratio.classify(range(3, 31)) for k in t.stabilizer[1] if k != 1]
+
+
+def test_four_cosines_vanish_exactly_on_the_stabilizer():
+    # tan x tan y = (cos(x-y) - cos(x+y))/(cos(x-y) + cos(x+y)) turns
+    # sigma_k(mu) = mu into four cosines.  Checked on every pair up to 12 and
+    # every unit 1 < k <= L/2, none of which fixes mu, then on the eight
+    # (pair, k) up to 30 that do.
+    pairs = _pairs_up_to_12()
+    assert len(pairs) == 231
+    cases = fixed = 0
+    for alpha, beta in pairs:
+        (pa, qa), (pb, qb) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+        lcm = math.lcm(qa, qb)
+        stab = tanratio._stabilizer(pa, qa, pb, qb, None)[1]
+        for k in range(2, lcm // 2 + 1):
+            if math.gcd(k, lcm) == 1:
+                cases += 1
+                fixed += k in stab
+                assert (not _four_cosine_sum(alpha, beta, k)) == (k in stab), (alpha, beta, k)
+    assert (cases, fixed) == (2724, 0)
+    fixers = _mu_fixers_up_to_30()
+    assert len(fixers) == 8
+    assert (F(1, 24), F(5, 24), 7) in fixers and (F(1, 15), F(7, 30), 11) in fixers
+    for alpha, beta, k in fixers:
+        assert not _four_cosine_sum(alpha, beta, k), (alpha, beta, k)
+
+
+def test_trivial_pairings_of_the_four_cosines_need_k_plus_or_minus_one():
+    # Every unit k mod L: a = +-c (mod 2) iff k = 1 mod q_alpha or
+    # k = -1 mod q_beta; b = +-d iff k = -1 mod q_alpha or k = 1 mod q_beta;
+    # a = +-d never.  So no fixer of mu up to 30 has a trivial pairing.
+    def paired(lcm, x, y):
+        return (x - y) % (2 * lcm) == 0 or (x + y) % (2 * lcm) == 0
+
+    cases = 0
+    for alpha, beta in _pairs_up_to_12():
+        qa, qb = alpha.denominator, beta.denominator
+        lcm = math.lcm(qa, qb)
+        for k in (k for k in range(1, lcm) if math.gcd(k, lcm) == 1):
+            cases += 1
+            _, (a, b, c, d) = _four_cosine_angles(alpha, beta, k)
+            assert paired(lcm, a, c) == ((k - 1) % qa == 0 or (k + 1) % qb == 0), (alpha, beta, k)
+            assert paired(lcm, b, d) == ((k + 1) % qa == 0 or (k - 1) % qb == 0), (alpha, beta, k)
+            assert not paired(lcm, a, d), (alpha, beta, k)
+    assert cases == 5910
+    for alpha, beta, k in _mu_fixers_up_to_30():
+        lcm, (a, b, c, d) = _four_cosine_angles(alpha, beta, k)
+        assert not (paired(lcm, a, c) or paired(lcm, b, d) or paired(lcm, a, d)), (alpha, beta, k)
+
+
 def test_degree_is_the_orbit_size_on_every_orbit_representative():
     # The stabilizer index against the exact orbit, on all 191 orbits up to
     # denominator 20.
