@@ -10,11 +10,12 @@ ceiling at which a nonzero element must already be separated (see
 ``_precision_ceiling``); failing that raises.
 
 The kernel, ``cos_sin_ball``, is also what the tangent table of
-``tanratio`` is built from: an entry is s/c for balls (c, s) +- rad with
-rad <= 2 at 96 bits, whose enclosure [(s - rad)/(c + rad), (s + rad)/(c - rad)]
-of the tangent is checked to have relative width at most 2^-60.  The
-kernel holds no state beyond a cache of pi per precision, so concurrent
-calls share nothing they could change.
+``tanratio`` is built from: one call per row q, for exp(i*pi/q) with guard
+bits, whose powers in fixed point give balls (c, s) +- 2 at 96 bits for
+every angle pi*r/q, r < q/2.  An entry is s/c, and the enclosure
+[(s - 2)/(c + 2), (s + 2)/(c - 2)] of the tangent is checked to have
+relative width at most 2^-60.  The kernel holds no state beyond a cache of
+pi per precision, so concurrent calls share nothing they could change.
 """
 
 from __future__ import annotations

@@ -157,7 +157,8 @@ def config_to_json_dict(
 def _kernel_basis(rows: list[list], ncols: int, zero, one) -> list[list]:
     """Basis of the right kernel, by reduced row echelon form over a field.
     ``rows`` may hold the integers 0 and 1; pivots divided into the field's
-    ``one`` and vectors filled with its ``zero`` keep every entry in the field."""
+    ``one`` make every pivot row a row of field elements, and the field's
+    ``zero`` fills only the free entries of each vector."""
     mat = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
@@ -181,7 +182,7 @@ def _kernel_basis(rows: list[list], ncols: int, zero, one) -> list[list]:
         vec = [zero] * ncols
         vec[free] = one
         for i, pc in enumerate(pivots):
-            vec[pc] = zero - mat[i][free]
+            vec[pc] = -mat[i][free]
         basis.append(vec)
     return basis
 

@@ -225,6 +225,18 @@ def test_integer_rows_give_residues_in_the_field_of_the_nodes():
         assert [type(c) for c in basis[0]] == [field] * 4
 
 
+def test_every_basis_entry_has_the_type_of_the_field():
+    # The kernel negates pivot-row entries, which scaling by the field's one
+    # has made field elements, and fills the free entries with its zero.
+    # An entry left an int would render differently in the reports.
+    cases = [(stratum2_config(x, y), F) for x, y in _grid_points()]
+    cases.append((decagon_config(), CyclotomicElem))
+    for cfg, field in cases:
+        dim, basis = differential_space(cfg)
+        assert dim == len(basis) >= 1
+        assert {type(c) for vec in basis for c in vec} == {field}
+
+
 def test_solver_output_satisfies_constraints_independently():
     for cfg in (stratum2_config(F(1), F(6)), decagon_config(), stratum2_config(x=F(5), y=F(7))):
         _, basis = differential_space(cfg)

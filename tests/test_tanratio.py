@@ -18,10 +18,12 @@ from torsion_packet.exactnum import (
     minimal_polynomial,
     sign_of_real,
 )
+from torsion_packet.exactnum.signs import cos_sin_ball
 from torsion_packet.stablefiber import solve_torsion_pairs
 from torsion_packet.tanratio import (
     _REL_SEPARATION,
     _orbit_representatives,
+    _rotation_balls,
     _tan_row,
     angles_up_to,
     enumerate_ratios,
@@ -758,6 +760,41 @@ def test_tan_table_entries_within_their_error_bound():
             else:
                 ref = 1 / math.tan(math.pi * (q - 2 * p) / (2 * q))
             assert abs(row[r] - sign * ref) <= 4 * math.ulp(ref), (r, q)
+
+
+def _per_entry_enclosure(r, q):
+    """The enclosure of tan(pi*r/q) from its own ``cos_sin_ball`` at 96
+    bits, its ends rounded to doubles (int division rounds correctly)."""
+    c, s, rad = cos_sin_ball(r, q, 96)
+    return c, s, rad, (s - rad) / (c + rad), (s + rad) / (c - rad)
+
+
+def test_rotated_rows_lie_in_the_per_entry_enclosures():
+    # Each row is one ball of exp(i*pi/q) raised to the powers r by
+    # rotation; every entry must round into the enclosure that a ball of
+    # its own angle gives.  Rounding is monotone, so a quotient anywhere in
+    # that enclosure rounds between its rounded ends.
+    for q in range(3, 301):
+        row = _tan_row(q)
+        for r in tanratio._numerators(q):
+            _, _, _, lo, hi = _per_entry_enclosure(r, q)
+            assert lo <= row[r] <= hi and row[q - r] == -row[r], (r, q)
+
+
+@pytest.mark.parametrize("q", [997, 2000, 4001])
+def test_rotation_error_stays_within_radius_two_at_large_r(q):
+    # The error of the rotation grows with r; the guard bits bound it so
+    # the balls keep radius 2 up to r = (q - 1)/2.  Both that ball and the
+    # per-entry one hold the true value, so their centres lie within the
+    # sum of the radii.
+    row = _tan_row(q)
+    units = tanratio._numerators(q)
+    balls = list(_rotation_balls(q))
+    assert [r for r, _, _ in balls] == list(units)
+    for r, c, s in balls:
+        c0, s0, rad0, lo, hi = _per_entry_enclosure(r, q)
+        assert abs(c - c0) <= rad0 + 2 and abs(s - s0) <= rad0 + 2, (r, q)
+        assert lo <= row[r] <= hi, (r, q)
 
 
 # --------------------------------------------------------------------------
