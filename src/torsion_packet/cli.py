@@ -447,16 +447,16 @@ def cmd_stratum2(torsion_order: int) -> Report:
     oks.append(cert.height_ratio_holds)
 
     torsion = stablefiber.solve_torsion_pairs(torsion_order)
-    # The equation has degree N for odd N and N - 1 for even N: the count
-    # of its distinct solutions says that none is missing.
-    ok_count = len(torsion.solutions) == (torsion_order if torsion_order % 2 else torsion_order - 1)
+    # The equation has degree N for odd N and N - 1 for even N, and the
+    # solver's docstring proves its solutions distinct: the count says none is missing.
+    ok_count = len(torsion) == (torsion_order if torsion_order % 2 else torsion_order - 1)
     records.append(
         {
             "stage": "torsion_solutions",
-            "count": len(torsion.solutions),
-            "tangent_indices": list(torsion.tangent_indices),
-            "nonzero_count": sum(1 for a in torsion.tangent_indices if a != 0),
-            "zero_solution_degenerate": 0 in torsion.tangent_indices,
+            "count": len(torsion),
+            "tangent_indices": list(torsion),
+            "nonzero_count": sum(1 for a in torsion if a != 0),
+            "zero_solution_degenerate": 0 in torsion,
             "ok": ok_count,
         }
     )

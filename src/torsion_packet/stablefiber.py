@@ -449,48 +449,46 @@ def decagon_limit_differential(x: Point, y: Point) -> tuple[Point, ...]:
 # Torsion well-definedness
 
 
-class TorsionSolution(NamedTuple):
-    """Solutions of (x-1)^N = (-x-1)^N with their tangent parametrization.
-
-    ``solutions[i]`` equals i*tan(tangent_indices[i]*pi/N) exactly; the
-    lists are sorted by index.  There are N solutions for odd N and N - 1
-    for even N (indices A with -N/2 < A < N/2).
-    """
-
-    solutions: tuple[CyclotomicElem, ...]
-    tangent_indices: tuple[int, ...]
-
-
-def solve_torsion_pairs(order: int) -> TorsionSolution:
-    """Solve (x-1)^N = (-x-1)^N exactly: x_A = i*tan(A*pi/N), -N/2 < A < N/2.
+def solve_torsion_pairs(order: int) -> tuple[int, ...]:
+    """The indices A, -N/2 < A < N/2, ascending, of the solutions
+    x_A = i*tan(A*pi/N) of (x-1)^N = (-x-1)^N, certified exactly.
 
     In Q(zeta_m), m = ``tan_conductor(N)``, x_A is ``i_tan(m, e)`` for e = (m/N)*A,
-    the Cayley form (w - 1)/(w + 1) of w = zeta_m^e = zeta_N^A, built for A >= 0
-    (tan is odd: x_(-A) = -x_A).  Each is certified by one
-    product, x - 1 = u*(x + 1) with u = -zeta_m^(-e) = zeta_m^(m/2 - e), and
-    by u^N = (-1)^N checked on the exponent of u; together they give
-    (x-1)^N = u^N (x+1)^N = (-x-1)^N.  The list is complete: the x^N terms
-    cancel for even N and add for odd N, so the equation has degree N for
-    odd N and N - 1 for even N (its x^(N-1) coefficient is then -2N), which
-    is exactly the number of indices A, and the solutions are checked
-    pairwise distinct.
+    the Cayley form (w - 1)/(w + 1) of w = zeta_m^e = zeta_N^A.  With
+    u_A = -zeta_m^(-e) = zeta_m^c, c = m/2 - e, x_A - 1 = u_A*(x_A + 1) and
+    u_A^N = (-1)^N give (x-1)^N = u^N (x+1)^N = (-x-1)^N.  u_A^N = (-1)^N is
+    the integer congruence (c - m/2)*N = 0 mod m, checked for every A; the
+    product is checked once per Galois orbit, on x_g for g = 0 and for each
+    divisor g < N/2 of N:
+
+    * Transport.  Any other A has g = gcd(A, N) among them, and a unit k
+      mod m with k*g = A (mod N), as A/g is a unit mod N/g and the units
+      mod m reduce onto those mod N/g.  Then sigma_k(x_g) = x_A, and, k
+      being odd, sigma_k(u_g) = u_A.  sigma_k is a field automorphism, so
+      the identity that holds for x_g also holds for x_A.
+    * Distinctness.  Distinct A in (-N/2, N/2) give distinct zeta_N^A, and
+      the Cayley map w -> (w - 1)/(w + 1) is injective.
+
+    The list is complete: the x^N terms cancel for even N and add for odd N,
+    so the equation has degree N for odd N and N - 1 for even N (its
+    x^(N-1) coefficient is then -2N), which is exactly the number of indices.
     """
     n = order
     if n < 2:
         raise ValueError(f"torsion order must be at least 2, got {n}")
     m = tan_conductor(n)
     half = m // 2  # zeta^half = -1
-    amax = (n - 1) // 2
+    amax = (n - 1) // 2  # A < N/2 keeps clear of the pole
     indices = tuple(range(-amax, amax + 1))
-    built = [i_tan(m, (m // n) * a) for a in range(amax + 1)]  # a < n/2 keeps clear of the pole
-    solutions = [-x for x in reversed(built[1:])] + built  # tan is odd: x_(-A) = -x_A
-    for a, x in zip(indices, solutions):
+    for a in indices:
         c = (half - (m // n) * a) % m  # u = zeta^c
-        if x - 1 != CyclotomicElem.zeta(m, c) * (x + 1) or (c - half) * n % m:
+        ok = (c - half) * n % m == 0
+        if ok and (a == 0 or a > 0 and n % a == 0):  # A = g stands for its orbit
+            x = i_tan(m, (m // n) * a)
+            ok = x - 1 == CyclotomicElem.zeta(m, c) * (x + 1)
+        if not ok:
             raise ArithmeticInconsistencyError(f"i*tan({a}*pi/{n}) fails the defining equation")
-    if len(set(solutions)) != len(solutions):
-        raise ArithmeticInconsistencyError("duplicate torsion solutions")
-    return TorsionSolution(solutions=tuple(solutions), tangent_indices=indices)
+    return indices
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from torsion_packet.stablefiber import (
     stratum2_limit_differential,
     symbolic_xy,
 )
-from torsion_packet.tanratio import angles_up_to
+from torsion_packet.tanratio import angles_up_to, i_tan, tan_conductor
 
 from exact_helpers import check_addition_formula, embed, tan_of
 
@@ -121,12 +121,14 @@ def test_criterion_5_torsion_solver_oracle_equivalence():
     start = time.perf_counter()
     ok = True
     for n in range(2, 13):
-        ts = solve_torsion_pairs(n)
+        indices = solve_torsion_pairs(n)
+        m_n = tan_conductor(n)
+        solutions = [i_tan(m_n, (m_n // n) * a) for a in indices]
         # Independent expansion oracle: coefficients of (x-1)^n - (-x-1)^n.
         coeffs = [math.comb(n, k) * ((-1) ** (n - k) - (-1) ** n) for k in range(n + 1)]
         degree = max(i for i, c in enumerate(coeffs) if c)
-        ok = ok and degree == len(ts.solutions)
-        for sol in ts.solutions:
+        ok = ok and degree == len(indices)
+        for sol in solutions:
             value = None
             for c in reversed(coeffs):
                 value = (value * sol + c) if value is not None else (sol - sol + c)
@@ -139,7 +141,7 @@ def test_criterion_5_torsion_solver_oracle_equivalence():
             t = embed(tan_of(F(a, n)), m)
             expected.add((i_elem * t).coeffs)
             expected.add((-i_elem * t).coeffs)
-        got = {embed(s, m).coeffs for s in ts.solutions}
+        got = {embed(s, m).coeffs for s in solutions}
         ok = ok and got == expected
     elapsed = time.perf_counter() - start
     _report(5, "torsion solutions equal the i*tan set and the oracle root set for N <= 12", ok, elapsed, 30)

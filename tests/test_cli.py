@@ -300,8 +300,8 @@ def _excluded_false(verdict):
     return verdict._replace(excluded=False)
 
 
-def _dropping_a_solution(ts):
-    return ts._replace(solutions=ts.solutions[:-1], tangent_indices=ts.tangent_indices[:-1])
+def _dropping_a_solution(indices):
+    return indices[:-1]
 
 
 def _with_forged_lambda(rows):

@@ -11,6 +11,8 @@ from torsion_packet.errors import ArithmeticInconsistencyError
 from torsion_packet import stablefiber, tanratio
 from torsion_packet.exactnum import (
     CyclotomicElem,
+    conductor_units,
+    galois_apply,
     inv_one_minus_zeta,
     minimal_polynomial,
     real_value,
@@ -282,9 +284,8 @@ def test_symbolic_height_ratio_is_y_over_x():
 def test_height_ratio_with_tangent_coordinates():
     # Node coordinates i*tan(pi/10) and i*tan(2*pi/10): the height ratio
     # collapses to tan(pi/5)/tan(pi/10) = sqrt(5), reference list row 1.
-    torsion = solve_torsion_pairs(10)
-    by_index = dict(zip(torsion.tangent_indices, torsion.solutions))
-    cfg = stratum2_config(x=by_index[1], y=by_index[2])
+    assert {1, 2} <= set(solve_torsion_pairs(10))
+    cfg = stratum2_config(x=tanratio.i_tan(10, 1), y=tanratio.i_tan(10, 2))
     dim, basis = differential_space(cfg)
     assert dim == 1
     hr = height_ratio(basis[0])
@@ -304,69 +305,92 @@ def test_height_ratio_rejects_zero_denominator():
 # torsion solutions
 
 
+def _torsion_solutions(n):
+    """x_A = i*tan(A*pi/N) for every index the solver returns, built here."""
+    m = tanratio.tan_conductor(n)
+    return [tanratio.i_tan(m, (m // n) * a) for a in solve_torsion_pairs(n)]
+
+
+def _counting_i_tan(monkeypatch):
+    """The (m, e) of every ``i_tan`` the solver builds."""
+    calls = []
+    i_tan = stablefiber.i_tan
+
+    def counting(m, e):
+        calls.append((m, e))
+        return i_tan(m, e)
+
+    monkeypatch.setattr(stablefiber, "i_tan", counting)
+    return calls
+
+
 def test_torsion_order_two():
-    ts = solve_torsion_pairs(2)
-    assert len(ts.solutions) == 1
-    assert ts.solutions[0].is_zero()
-    assert ts.tangent_indices == (0,)
+    assert solve_torsion_pairs(2) == (0,)
+    assert [x.is_zero() for x in _torsion_solutions(2)] == [True]
 
 
 def test_torsion_order_four():
-    ts = solve_torsion_pairs(4)
     i = CyclotomicElem.zeta(4)
-    assert set(ts.tangent_indices) == {-1, 0, 1}
-    assert {s.coeffs for s in ts.solutions} == {(-i).coeffs, CyclotomicElem.zero(4).coeffs, i.coeffs}
+    assert solve_torsion_pairs(4) == (-1, 0, 1)
+    assert _torsion_solutions(4) == [-i, CyclotomicElem.zero(4), i]
 
 
 def test_torsion_order_five_matches_tangent_parametrization():
-    ts = solve_torsion_pairs(5)
-    assert ts.tangent_indices == (-2, -1, 0, 1, 2)
-    assert len(ts.solutions) == 5
+    assert solve_torsion_pairs(5) == (-2, -1, 0, 1, 2)
 
 
 def test_torsion_counts_and_imaginarity():
     for n in range(2, 13):
-        ts = solve_torsion_pairs(n)
         expected = n if n % 2 else n - 1
-        assert len(ts.solutions) == expected
-        for x in ts.solutions:
+        assert len(solve_torsion_pairs(n)) == expected
+        for x in _torsion_solutions(n):
             assert x.conjugate() == -x
 
 
-def test_torsion_solutions_live_in_conductor_lcm_2_n():
+def test_torsion_solutions_live_in_conductor_lcm_2_n(monkeypatch):
     # i*tan(A*pi/N) = (w - 1)/(w + 1) with w = zeta_N^A needs only N | m
     # and an even m, so N = 15 and 41 need Q(zeta_2N), not Q(zeta_4N); the
     # tangent ratios share the rule, tanratio.tan_conductor.
+    calls = _counting_i_tan(monkeypatch)
     for n in range(2, 61):
         m = tanratio.tan_conductor(n)
         assert m == math.lcm(2, n)
-        assert {x.m for x in solve_torsion_pairs(n).solutions} == {m}
+        calls.clear()
+        solve_torsion_pairs(n)
+        assert {cm for cm, _ in calls} == {m}
 
 
-def test_torsion_solver_builds_half_and_negates_the_rest(monkeypatch):
-    # tan is odd, so x_(-A) = -x_A: only A = 0..(N-1)//2 are built.
-    calls = []
-
-    def counting(m, e):
-        calls.append(e)
-        return i_tan(m, e)
-
-    i_tan = stablefiber.i_tan
-    monkeypatch.setattr(stablefiber, "i_tan", counting)
-    ts = solve_torsion_pairs(210)
-    assert len(calls) == 105 and len(ts.solutions) == 209
-    assert all(ts.solutions[-1 - i] == -x for i, x in enumerate(ts.solutions))
+def test_torsion_solver_builds_one_solution_per_orbit(monkeypatch):
+    # Galois transports the check on x_g to every A with gcd(A, N) = g, so
+    # only A = 0 and the divisors g < N/2 of N are built: 1 + 14 at
+    # N = 210 and 1 + 30 at N = 840.
+    calls = _counting_i_tan(monkeypatch)
+    for n, builds in ((210, 15), (840, 31)):
+        calls.clear()
+        assert len(solve_torsion_pairs(n)) == n - 1
+        reps = [0] + [g for g in range(1, n // 2) if n % g == 0]
+        assert len(reps) == builds
+        assert calls == [(n, g) for g in reps]
 
 
-def test_torsion_certificate_checks_the_negated_half(monkeypatch):
-    # A wrong negation forges every solution of negative index, and the
-    # defining equation still catches it.
-    def forged(self):
-        return CyclotomicElem(self.m, [-c for c in self.coeffs]) + 1
-
-    monkeypatch.setattr(CyclotomicElem, "__neg__", forged)
-    with pytest.raises(ArithmeticInconsistencyError, match=r"i\*tan\(-3\*pi/7\)"):
-        solve_torsion_pairs(7)
+def test_galois_transports_the_orbit_representative_to_every_solution():
+    # The oracle for the solver's docstring: sigma_k(x_g) = x_A for a unit
+    # k mod m with k*g = A (mod N), every x_A passes the defining identity
+    # x - 1 = zeta_m^(m/2 - e)*(x + 1), and the x_A are pairwise distinct.
+    for n in [*range(2, 61), 210]:
+        m = tanratio.tan_conductor(n)
+        units = conductor_units(m)
+        built = {}
+        for a in solve_torsion_pairs(n):
+            e = (m // n) * a
+            x = tanratio.i_tan(m, e)
+            assert x - 1 == CyclotomicElem.zeta(m, m // 2 - e) * (x + 1), (n, a)
+            g = math.gcd(a, n)
+            if g < n:
+                k = next(k for k in units if (k * g - a) % n == 0)
+                assert galois_apply(tanratio.i_tan(m, (m // n) * g), k) == x, (n, a, k)
+            built[x] = a
+        assert len(built) == (n if n % 2 else n - 1)
 
 
 def test_torsion_rejects_tiny_order():
@@ -387,8 +411,7 @@ def test_torsion_solver_inverts_no_general_element(monkeypatch):
 
     monkeypatch.setattr(CyclotomicElem, "inverse", counted)
     for n in range(2, 61):
-        ts = solve_torsion_pairs(n)
-        assert len(ts.solutions) == (n if n % 2 else n - 1)
+        assert len(solve_torsion_pairs(n)) == (n if n % 2 else n - 1)
     assert calls == []
 
 

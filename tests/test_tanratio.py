@@ -207,7 +207,7 @@ def test_ratio_examples_from_reference_list():
 def test_degree_is_orbit_size_on_stratum2_handoff_pairs():
     # Every handoff pair (A/N, B/N), 0 < A < B, of stratum2 at N = 12.
     n = 12
-    positive = [a for a in solve_torsion_pairs(n).tangent_indices if a > 0]
+    positive = [a for a in solve_torsion_pairs(n) if a > 0]
     assert positive == [1, 2, 3, 4, 5]
     for a in positive:
         for b in positive:
@@ -290,6 +290,28 @@ def test_numeric_prefilter_agrees_with_exact_path():
         kept = [(r.alpha, r.beta) for r in enumerate_ratios(d, 14)]
         assert kept, d
         assert kept == sorted(k for k, deg in exact_degree.items() if deg == d)
+
+
+def test_rel_separation_bound_holds_in_exact_arithmetic():
+    # The chain of inequalities in the comment above _REL_SEPARATION, in
+    # Fractions, with u = 2^-53 and the table's width limit.  Each step is
+    # increasing in the error it is given, so it may take the bound of the
+    # step before.
+    u = F(1, 2**53)
+    width = F(1, 2**tanratio._TABLE_MAX_REL_WIDTH_BITS)
+    assert width == F(1, 2**60)
+    entry = (1 + u) * (1 + width) - 1
+    entry_bound = u + F(1, 2**59)
+    assert entry < entry_bound
+    conjugate = (1 + entry_bound) * (1 + u) / (1 - entry_bound) - 1
+    conjugate_bound = F(31, 10) * u
+    assert conjugate < conjugate_bound
+    # Equal true values w, each computed within 3.1u|w|: the gap is at most
+    # 2 * 3.1u|w| rounded once, and max(|v|, |r|) >= (1 - 3.1u)|w|.
+    gap = 2 * conjugate_bound * (1 + u) / (1 - conjugate_bound)
+    gap_bound = F(63, 10) * u
+    assert gap < gap_bound
+    assert F(_REL_SEPARATION) == 32 * u > 5 * gap_bound
 
 
 def _pair_scan(degree, max_denominator):
@@ -500,7 +522,7 @@ def test_degree_is_the_orbit_size_on_every_orbit_representative():
 
 
 def _handoff_degrees(n):
-    positive = [a for a in solve_torsion_pairs(n).tangent_indices if a > 0]
+    positive = [a for a in solve_torsion_pairs(n) if a > 0]
     return [
         classified_ratio(F(a, n), F(b, n)).degree
         for a in positive
@@ -531,7 +553,7 @@ def test_stabilizer_is_the_units_that_fix_mu(monkeypatch):
     monkeypatch.setattr(tanratio, "_REL_SEPARATION", 2.0)
     pairs = [(F(*a), F(*b)) for a, b in _orbit_representatives(range(3, 21))]
     for n in (24, 30, 60):
-        positive = [a for a in solve_torsion_pairs(n).tangent_indices if a > 0]
+        positive = [a for a in solve_torsion_pairs(n) if a > 0]
         pairs += [(F(a, n), F(b, n)) for a in positive for b in positive if a < b]
     fixing = 0
     for alpha, beta in pairs:
