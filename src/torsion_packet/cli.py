@@ -5,9 +5,9 @@ Each subcommand produces a Report (schema version 1) with a verdict in
 text, JSON or CSV.  Reports are deterministic for fixed parameters up to
 the elapsed_ms field.
 
-Records hold plain JSON values and a few exact types, handed over raw.
-One function, ``_leaf``, is the only encoder of those types: rationals
-(angles are ``Fraction``s too) and quadratic elements as strings,
+Records hold plain JSON values, angles as "p/q" (``tanratio.angle_str``)
+and a few exact types, handed over raw.  One function, ``_leaf``, is the
+only encoder of those types: rationals and quadratic elements as strings,
 cyclotomic elements as {m, coeffs}, the point at infinity as "infinity",
 admissible triples as {b, e, lambda}.  It is the ``default=`` hook of
 the one JSON encoder, CPython's C encoder built once at import, which
@@ -40,6 +40,7 @@ from .errors import ArithmeticInconsistencyError, UsageError
 from .exactnum import CyclotomicElem, QuadraticElem, real_display, sign_of_real
 from .exactnum.quadratic import parts_str
 from . import lshape, stablefiber, tanratio
+from .tanratio import angle_str
 
 SCHEMA_VERSION = 1
 
@@ -88,9 +89,9 @@ class Report(NamedTuple):
 def _leaf(value: Any) -> Any:
     """The one report encoding of each exact type JSON does not know.
 
-    Rationals (angles included) and quadratic elements become their
-    display strings, cyclotomic elements {m, coeffs[]}, the point at
-    infinity "infinity", admissible triples {b, e, lambda}.
+    Rationals and quadratic elements become their display strings,
+    cyclotomic elements {m, coeffs[]}, the point at infinity "infinity",
+    admissible triples {b, e, lambda}.
     """
     if isinstance(value, (Fraction, QuadraticElem)):
         return str(value)
@@ -199,8 +200,8 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
     read, is not JSON, or is not an object with ``schema_version`` 1 whose
     ``records`` list holds rows with the rationals ``alpha``, ``beta``,
     ``trace`` and ``norm``, the angles with 0 < alpha < beta < 1/2 (the
-    check of ``tanratio.ratio``).  Each comes back as the display string of
-    its ``Fraction`` value, so "2/24" reads as "1/12".
+    check of ``tanratio.ratio``; no other angle arrives as text).  Each comes
+    back as the display string of its ``Fraction``, so "2/24" reads "1/12".
     """
     if path is None:
         source = "builtin ground truth"
@@ -238,7 +239,7 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{source}: record {i} field {k} is not a rational: {row[k]!r}") from None
         try:
-            tanratio.ratio(Fraction(row["alpha"]), Fraction(row["beta"]))
+            tanratio.ratio(*(Fraction(row[k]).as_integer_ratio() for k in ("alpha", "beta")))
         except ValueError as exc:
             raise ValueError(f"{source}: record {i}: {exc}") from None
     return records
@@ -264,8 +265,8 @@ def cmd_tangent_ratios(
         rows = [r for r in rows if not r.is_unit]
     records = [
         {
-            "alpha": r.alpha,
-            "beta": r.beta,
+            "alpha": angle_str(r.alpha),
+            "beta": angle_str(r.beta),
             "degree": r.degree,
             "trace": r.trace,
             "norm": r.norm,
@@ -305,22 +306,15 @@ def cmd_verify_table1(
         if ground_truth_path is None:  # the shipped file: a packaging bug
             raise
         raise UsageError(str(exc)) from exc
-    expected = [(row["alpha"], row["beta"], row["trace"], row["norm"]) for row in reference]
-    computed_rows = tanratio.normalized_nonunit_rows(max_denominator)
+    # Both sides are display rows: the reference file's text and the report's.
+    keys = _GROUND_TRUTH_KEYS
+    expected = [tuple(row[k] for k in keys) for row in reference]
     computed = [
-        (str(r.alpha), str(r.beta), str(r.trace), str(r.norm)) for r in computed_rows
+        (angle_str(r.alpha), angle_str(r.beta), str(r.trace), str(r.norm))
+        for r in tanratio.normalized_nonunit_rows(max_denominator)
     ]
-    records = []
-    for row in expected:
-        status = "match" if row in computed else "missing"
-        records.append(
-            {"alpha": row[0], "beta": row[1], "trace": row[2], "norm": row[3], "status": status}
-        )
-    for row in computed:
-        if row not in expected:
-            records.append(
-                {"alpha": row[0], "beta": row[1], "trace": row[2], "norm": row[3], "status": "unexpected"}
-            )
+    records = [dict(zip(keys, row), status="match" if row in computed else "missing") for row in expected]
+    records += [dict(zip(keys, row), status="unexpected") for row in computed if row not in expected]
     ok = all(rec["status"] == "match" for rec in records) and len(computed) == len(expected)
     return Report(
         command="verify-table1",
@@ -384,21 +378,19 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
     elif subcommand == "exclude":
         rows = tanratio.normalized_nonunit_rows(12)
         records = []
-        all_excluded = True
         for r in rows:
             verdict_row = lshape.exclude_against_table1(r.value)
-            all_excluded = all_excluded and verdict_row.excluded
             records.append(
                 {
-                    "alpha": r.alpha,
-                    "beta": r.beta,
+                    "alpha": angle_str(r.alpha),
+                    "beta": angle_str(r.beta),
                     "mu": r.value,
                     "candidates": [c._asdict() for c in verdict_row.candidates_checked],
                     "matching_triples": list(verdict_row.matching_triples),
                     "excluded": verdict_row.excluded,
                 }
             )
-        verdict = VERIFIED if all_excluded and len(rows) == 9 else REFUTED
+        verdict = VERIFIED if all(rec["excluded"] for rec in records) and len(rows) == 9 else REFUTED
         parameters["scope"] = "every admissible (b, e), since the norm of lambda + 1 fixes b"
     else:
         raise UsageError(f"unknown lshape subcommand {subcommand!r}")
@@ -462,18 +454,18 @@ def cmd_stratum2(torsion_order: int) -> Report:
     )
     oks.append(ok_count)
 
-    def index(angle: Fraction) -> int:
-        return angle.numerator * (torsion_order // angle.denominator)
-    # Sorted by (A, B): a sort by the Fraction angles costs what the walk saves.
     divisors = [q for q in range(3, torsion_order + 1) if torsion_order % q == 0]
-    handoffs = sorted((index(r.alpha), index(r.beta), r) for r in tanratio.classify(divisors))
+    handoffs = sorted(
+        (r.alpha[0] * (torsion_order // r.alpha[1]), r.beta[0] * (torsion_order // r.beta[1]), r)
+        for r in tanratio.classify(divisors)
+    )
     for a, b, r in handoffs:
         rec: dict[str, Any] = {
             "stage": "handoff",
             "A": a,
             "B": b,
-            "alpha": r.alpha,
-            "beta": r.beta,
+            "alpha": angle_str(r.alpha),
+            "beta": angle_str(r.beta),
             "mu": r.mu_display(),
             "degree": r.degree,
         }
@@ -491,9 +483,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
             )
         records.append(rec)
 
-    verdict = VERIFIED if all(oks) else REFUTED
-    if not handoffs:
-        verdict = INCONCLUSIVE if all(oks) else REFUTED
+    verdict = REFUTED if not all(oks) else VERIFIED if handoffs else INCONCLUSIVE
     return Report(
         command="stratum2",
         parameters={

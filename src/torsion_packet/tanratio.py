@@ -97,6 +97,7 @@ bound adds nothing new), not by an unconditional completeness proof.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence, Union
@@ -142,7 +143,13 @@ _TABLE_MAX_REL_WIDTH_BITS = 60
 # overflow, so the relative bounds above hold.
 _REL_SEPARATION = 2.0**-48
 
-_HALF = Fraction(1, 2)
+# An angle p/q, its coefficient of pi, as the reduced integer pair (p, q).
+_Angle = tuple[int, int]
+
+
+def angle_str(angle: _Angle) -> str:
+    """The display "p/q" of an angle (p, q)."""
+    return f"{angle[0]}/{angle[1]}"
 
 
 def tan_conductor(*denominators: int) -> int:
@@ -162,9 +169,9 @@ def i_tan(m: int, e: int) -> CyclotomicElem:
 class TangentRatio:
     """A classified ratio mu = tan(pi*beta)/tan(pi*alpha), computed lazily.
 
-    ``alpha`` and ``beta`` are the angles as reduced ``Fraction``s, checked
-    by ``ratio``.  ``classify`` writes ``stabilizer``, (degree, Stab(mu))
-    from ``_stabilizer``, and ``orbit``, (representative, negated, inverted).
+    ``alpha`` and ``beta`` are the angles as reduced pairs (p, q), checked by
+    ``ratio``.  ``classify`` writes ``stabilizer``, (degree, Stab(mu)) from
+    ``_stabilizer``, and ``orbit``, (representative, negated, inverted).
     The degree needs no ``mu``, which ``minpoly`` and ``value`` build, so a
     ratio of degree above 2 is displayed from its ``tan_conductor`` alone.
     ``minpoly`` (and ``trace``, ``norm``, ``is_unit``) is built once per
@@ -172,20 +179,17 @@ class TangentRatio:
     derived once from ``mu`` and ``minpoly``.
     """
 
-    def __init__(self, alpha: Fraction, beta: Fraction):
-        self.alpha = alpha
-        self.beta = beta
+    def __init__(self, alpha: _Angle, beta: _Angle):
+        self.alpha, self.beta = alpha, beta
 
     @cached_property
     def mu(self) -> CyclotomicElem:
         """mu in Q(zeta_m), m = ``tan_conductor`` of the two denominators."""
-        alpha, beta = self.alpha, self.beta
-        m = tan_conductor(alpha.denominator, beta.denominator)
-        e_alpha = m * alpha.numerator // alpha.denominator
-        e_beta = m * beta.numerator // beta.denominator
-        mu = i_tan(m, e_beta) * i_tan(m, e_alpha + m // 2)
+        (pa, qa), (pb, qb) = self.alpha, self.beta
+        m = tan_conductor(qa, qb)
+        mu = i_tan(m, m * pb // qb) * i_tan(m, m * pa // qa + m // 2)
         if not mu.is_real():
-            raise ArithmeticInconsistencyError(f"ratio of tangents {alpha}, {beta} is not real")
+            raise ArithmeticInconsistencyError(f"ratio of tangents {pa}/{qa}, {pb}/{qb} is not real")
         return mu
 
     @property
@@ -203,8 +207,8 @@ class TangentRatio:
         poly = minimal_polynomial(self.mu)
         if poly.degree != self.degree:
             raise ArithmeticInconsistencyError(
-                f"tan(pi*{self.beta})/tan(pi*{self.alpha}) has an orbit product of "
-                f"degree {poly.degree}, not the certified {self.degree}"
+                f"tan(pi*{angle_str(self.beta)})/tan(pi*{angle_str(self.alpha)}) has an orbit "
+                f"product of degree {poly.degree}, not the certified {self.degree}"
             )
         return poly
 
@@ -227,23 +231,25 @@ class TangentRatio:
 
     def mu_display(self) -> str:
         if self.degree > 2:
-            m = tan_conductor(self.alpha.denominator, self.beta.denominator)
+            m = tan_conductor(self.alpha[1], self.beta[1])
             return f"degree-{self.degree} element of Q(zeta_{m})"
         return str(self.value)
 
     def __repr__(self) -> str:
         mu = f", mu={self.mu_display()}" if hasattr(self, "stabilizer") else ""
-        return f"TangentRatio(alpha={self.alpha}, beta={self.beta}{mu})"
+        return f"TangentRatio(alpha={angle_str(self.alpha)}, beta={angle_str(self.beta)}{mu})"
 
 
-def ratio(alpha: Fraction, beta: Fraction) -> TangentRatio:
+def ratio(alpha: _Angle, beta: _Angle) -> TangentRatio:
     """tan(pi*beta)/tan(pi*alpha), not yet classified.
 
-    Each angle is a reduced ``Fraction``, its coefficient of pi; this is the
-    one check that 0 < alpha < beta < 1/2.
+    Each angle is an integer pair (p, q), its coefficient p/q of pi; this is
+    the one check that both are reduced and 0 < alpha < beta < 1/2.
     """
-    if not 0 < alpha < beta < _HALF:
-        raise ValueError(f"need 0 < alpha < beta < 1/2, got alpha = {alpha}, beta = {beta}")
+    (p1, q1), (p2, q2) = alpha, beta
+    reduced = math.gcd(p1, q1) == math.gcd(p2, q2) == 1
+    if not (reduced and q1 > 0 and 0 < p1 * q2 < p2 * q1 and 0 < 2 * p2 < q2):
+        raise ValueError(f"need reduced 0 < alpha < beta < 1/2, got alpha = {p1}/{q1}, beta = {p2}/{q2}")
     return TangentRatio(alpha, beta)
 
 
@@ -279,15 +285,16 @@ def _rotation_balls(q: int) -> Iterator[tuple[int, int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _tan_row(q: int) -> tuple[float, ...]:
+def _tan_row(q: int) -> array:
     """Floats of tan(pi*r/q), r = 0, ..., q - 1; 0.0 where gcd(r, q) > 1.
 
-    Each entry is s/c correctly rounded, for the balls (c, s) +- 2 at 96
-    bits of ``_rotation_balls``; the enclosure
+    The row is an ``array('d')``, 8 bytes an entry, as every row read stays
+    cached; callers only read it.  Each entry is s/c correctly rounded, for
+    the balls (c, s) +- 2 at 96 bits of ``_rotation_balls``; the enclosure
     [(s - rad)/(c + rad), (s + rad)/(c - rad)] of the tangent, rad = 2, is
     checked to be positive with relative width <= 2^-60.
     """
-    row = [0.0] * q
+    row = array("d", [0.0]) * q
     rad = 2
     for r, c, s in _rotation_balls(q):
         # Width of the enclosure, 2 rad (s + c) / (c^2 - rad^2), at most
@@ -302,7 +309,7 @@ def _tan_row(q: int) -> tuple[float, ...]:
         row[r] = s / c
         # tan(pi*(q-r)/q) = -tan(pi*r/q), and negation is exact.
         row[q - r] = -row[r]
-    return tuple(row)
+    return row
 
 
 def _stabilizer(
@@ -359,13 +366,18 @@ def _numerators(q: int) -> tuple[int, ...]:
     return tuple(p for p in range(1, (q + 1) // 2) if math.gcd(p, q) == 1)
 
 
-def angles_up_to(max_denominator: int) -> list[Fraction]:
-    """All reduced rational angles p/q in (0, 1/2) with q <= max_denominator."""
-    return sorted(Fraction(p, q) for q in range(3, max_denominator + 1) for p in _numerators(q))
+def _by_value(max_denominator: int):
+    """Exact integer sort key of angles (p, q), q <= max_denominator:
+    floor(p*D/q), D = max_denominator^2, as two differ by >= 1/(q1*q2) >= 1/D."""
+    d = max_denominator * max_denominator
+    return lambda angle: angle[0] * d // angle[1]
 
 
-# An angle p/q as the integer pair (p, q).
-_Angle = tuple[int, int]
+def angles_up_to(max_denominator: int) -> list[_Angle]:
+    """All reduced rational angles (p, q), p/q in (0, 1/2) and
+    q <= max_denominator, in ascending order of p/q."""
+    angles = [(p, q) for q in range(3, max_denominator + 1) for p in _numerators(q)]
+    return sorted(angles, key=_by_value(max_denominator))
 
 
 def _fold_mod(r: int, g: int) -> int:
@@ -445,13 +457,13 @@ def classify(denominators: Sequence[int], degree: Optional[int] = None) -> list[
         members: dict[tuple[_Angle, _Angle], tuple[bool, bool]] = {}
         for k in _numerators(math.lcm(q1, q2)):
             a, b = k * p1 % q1, k * p2 % q2
-            negated = (2 * a > q1) != (2 * b > q2)
-            x, y = (min(a, q1 - a), q1), (min(b, q2 - b), q2)
+            fold_a, fold_b = 2 * a > q1, 2 * b > q2
+            x, y = (q1 - a if fold_a else a, q1), (q2 - b if fold_b else b, q2)
             inverted = x[0] * q2 > y[0] * q1
-            members.setdefault((y, x) if inverted else (x, y), (negated, inverted))
+            members.setdefault((y, x) if inverted else (x, y), (fold_a != fold_b, inverted))
         head = None
         for (a, b), flags in members.items():
-            t = ratio(Fraction(*a), Fraction(*b))
+            t = ratio(a, b)
             head = head or t
             t.stabilizer, t.orbit = found, (head, *flags)
             kept.append(t)
@@ -465,7 +477,8 @@ def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRa
     if max_denominator < 3:
         raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
     kept = classify(range(3, max_denominator + 1), degree_target)
-    return sorted(kept, key=lambda t: (t.alpha, t.beta))
+    key = _by_value(max_denominator)
+    return sorted(kept, key=lambda t: (key(t.alpha), key(t.beta)))
 
 
 # --------------------------------------------------------------------------
@@ -482,16 +495,14 @@ def normalize_by_galois(t: TangentRatio) -> TangentRatio:
     command calls it: the tests keep it as the oracle of
     ``normalized_nonunit_rows``.
     """
-    if t.alpha.numerator == 1:
+    if t.alpha[0] == 1:
         return t
-    (pa, qa), (pb, qb) = t.alpha.as_integer_ratio(), t.beta.as_integer_ratio()
+    (pa, qa), (pb, qb) = t.alpha, t.beta
     for k in conductor_units(tan_conductor(qa, qb)):
         lo, hi = _ordered((_fold_mod(k * pa, qa), qa), (_fold_mod(k * pb, qb), qb))
         if lo[0] == 1:
-            return ratio(Fraction(*lo), Fraction(*hi))
-    raise ArithmeticInconsistencyError(
-        f"no Galois substitution normalizes alpha = {t.alpha}"
-    )
+            return ratio(lo, hi)
+    raise ArithmeticInconsistencyError(f"no Galois substitution normalizes alpha = {angle_str(t.alpha)}")
 
 
 def normalized_nonunit_rows(max_denominator: int = 12) -> list[TangentRatio]:
@@ -507,6 +518,4 @@ def normalized_nonunit_rows(max_denominator: int = 12) -> list[TangentRatio]:
     and (1/6, 5/12).  The numerator is tested first, so that the other
     members build no mu.
     """
-    return [
-        t for t in enumerate_ratios(2, max_denominator) if t.alpha.numerator == 1 and not t.is_unit
-    ]
+    return [t for t in enumerate_ratios(2, max_denominator) if t.alpha[0] == 1 and not t.is_unit]

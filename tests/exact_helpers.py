@@ -13,12 +13,13 @@ from torsion_packet.exactnum import CyclotomicElem
 from torsion_packet.tanratio import TangentRatio, i_tan
 
 
-def classified_ratio(alpha: Fraction, beta: Fraction) -> TangentRatio:
-    """``ratio(alpha, beta)`` classified on its own, as the representative of
-    its orbit: the per-pair oracle of the stabilizer and the minimal
-    polynomial that ``tanratio.classify`` computes once per orbit."""
+def classified_ratio(alpha: tuple[int, int], beta: tuple[int, int]) -> TangentRatio:
+    """``ratio(alpha, beta)`` of the angles as reduced pairs (p, q),
+    classified on its own, as the representative of its orbit: the per-pair
+    oracle of the stabilizer and the minimal polynomial that
+    ``tanratio.classify`` computes once per orbit."""
     t = tanratio.ratio(alpha, beta)
-    t.stabilizer = tanratio._stabilizer(*alpha.as_integer_ratio(), *beta.as_integer_ratio(), None)
+    t.stabilizer = tanratio._stabilizer(*alpha, *beta, None)
     t.orbit = (t, False, False)
     return t
 

@@ -168,7 +168,7 @@ def test_criterion_7_addition_formula_suite():
     ok = True
     for i, smaller in enumerate(angles):
         for larger in angles[i + 1 :]:
-            ok = ok and check_addition_formula(larger, smaller)
+            ok = ok and check_addition_formula(F(*larger), F(*smaller))
             checked += 1
     elapsed = time.perf_counter() - start
     ok = ok and checked == 231

@@ -1,6 +1,7 @@
 """Tests for the command-line front end and report formats."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -339,7 +340,7 @@ def _has_status(status):
     return lambda report: any(rec["status"] == status for rec in report["records"])
 
 
-_EXTRA_RATIO = classified_ratio(Fraction(1, 7), Fraction(2, 7))
+_EXTRA_RATIO = classified_ratio((1, 7), (2, 7))
 _STRATUM2 = ["stratum2", "--torsion-order", "10"]
 
 # (id, argv, module, function, change of its result, what the report shows)
@@ -761,6 +762,32 @@ _PINNED_RUNS = {
 def test_text_and_csv_renderings_are_pinned(command, fmt):
     report = _PINNED_RUNS[command]()
     assert _mask_elapsed(render(report, fmt)) == _PINNED[command, fmt]
+
+
+# The sha256 of the JSON rendering, elapsed_ms set to 0, of three larger
+# reports: stratum2 at N = 60 lists 406 handoffs of degree 1, 2, 4 and 8
+# in (A, B) order, and tangent-ratios shows degree-6 ratios by their field.
+_PINNED_DIGESTS = {
+    "stratum2 --torsion-order 60": (
+        lambda: cmd_stratum2(60),
+        "664e01a912900ec080bfd387f296153b7f08fc0c60871ce715a2bef2874f2bb7",
+    ),
+    "tangent-ratios --degree 6 --max-denominator 30": (
+        lambda: cmd_tangent_ratios(6, 30),
+        "c016c3752fd1b7d4fd7360d383c6e26cc53e5f5b1da4bd8b0873a58280b77d12",
+    ),
+    "lshape exclude": (
+        lambda: cmd_lshape("exclude"),
+        "08825b259f6e046506aaea85d3ac14e00de76ef11e081bbc4a37b30d0fc6d0c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_DIGESTS))
+def test_larger_json_reports_are_pinned_by_digest(command):
+    run, digest = _PINNED_DIGESTS[command]
+    text = render(run()._replace(elapsed_ms=0), "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _z10(*coeffs):

@@ -148,7 +148,7 @@ def test_unit_case_bound_validation():
 
 
 def test_sqrt5_row_is_excluded_on_trace():
-    verdict = exclude_against_table1(classified_ratio(F(1, 10), F(1, 5)).value)
+    verdict = exclude_against_table1(classified_ratio((1, 10), (1, 5)).value)
     assert verdict.excluded and not verdict.matching_triples
     assert [str(c.trace) for c in verdict.candidates_checked] == ["0", "0", "0", "0"]
     inv_norms = {c.label: c.norm for c in verdict.candidates_checked}
@@ -156,7 +156,7 @@ def test_sqrt5_row_is_excluded_on_trace():
 
 
 def test_trace_two_candidate_fails_on_norm():
-    verdict = exclude_against_table1(classified_ratio(F(1, 10), F(2, 5)).value)
+    verdict = exclude_against_table1(classified_ratio((1, 10), (2, 5)).value)
     assert verdict.excluded
     by_label = {c.label: c for c in verdict.candidates_checked}
     assert by_label["1/mu"].trace == 2
@@ -175,7 +175,7 @@ def test_all_reference_rows_excluded():
 def test_exclusion_rejects_a_rational_value():
     # tan(pi/3)/tan(pi/6) = 3 has degree 1: its value is a Fraction.
     with pytest.raises(ValueError, match="degree-2"):
-        exclude_against_table1(classified_ratio(F(1, 6), F(1, 3)).value)
+        exclude_against_table1(classified_ratio((1, 6), (1, 3)).value)
     with pytest.raises(ValueError, match="degree-2"):
         exclude_against_table1(QuadraticElem(3, 0, 2))
 
