@@ -5,15 +5,15 @@ Each subcommand produces a Report (schema version 1) with a verdict in
 text, JSON or CSV.  Reports are deterministic for fixed parameters up to
 the elapsed_ms field.
 
-Records hold plain JSON values, angles as "p/q" (``tanratio.angle_str``)
-and a few exact types, handed over raw.  One function, ``_leaf``, is the
-only encoder of those types: rationals and quadratic elements as strings,
-cyclotomic elements as {m, coeffs}, the point at infinity as "infinity",
-admissible triples as {b, e, lambda}.  It is the ``default=`` hook of
-the one JSON encoder, CPython's C encoder built once at import, which
-keeps no state between calls and encodes each record in one call; the
-text and CSV renderers use it too.  The JSON layout puts one record per
-line.
+Records hold plain JSON values, angles as "p/q" (``tanratio.angle_str``),
+the lambda of an admissible triple's integer row as ``parts_str`` writes
+it, and a few exact types, handed over raw.  One function, ``_leaf``, is
+the only encoder of those types: rationals and quadratic elements as
+strings, cyclotomic elements as {m, coeffs}, the point at infinity as
+"infinity".  It is the ``default=`` hook of the one JSON encoder,
+CPython's C encoder built once at import, which keeps no state between
+calls and encodes each record in one call; the text and CSV renderers use
+it too.  The JSON layout puts one record per line.
 
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
 1 refuted, 2 usage or I/O error (a closed output pipe included),
@@ -90,8 +90,7 @@ def _leaf(value: Any) -> Any:
     """The one report encoding of each exact type JSON does not know.
 
     Rationals and quadratic elements become their display strings,
-    cyclotomic elements {m, coeffs[]}, the point at infinity "infinity",
-    admissible triples {b, e, lambda}.
+    cyclotomic elements {m, coeffs[]} and the point at infinity "infinity".
     """
     if isinstance(value, (Fraction, QuadraticElem)):
         return str(value)
@@ -99,8 +98,6 @@ def _leaf(value: Any) -> Any:
         return {"m": value.m, "coeffs": [str(c) for c in value.coeffs]}
     if value is stablefiber.INFINITY:
         return "infinity"
-    if isinstance(value, lshape.AdmissibleTriple):
-        return {"b": value.b, "e": value.e, "lambda": str(value.lam)}
     raise TypeError(f"cannot encode {value!r} into a report")
 
 
@@ -363,18 +360,17 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
         verdict = VERIFIED if ok else REFUTED
     elif subcommand == "unit-case":
         triples = lshape.unit_case_triples()
-        expected = [(1, -1), (2, 0)]
         records = [
             {
-                "b": t.b,
-                "e": t.e,
-                "lambda": t.lam,
-                "surface": "pentagon" if t.b == 1 else "octagon",
+                "b": b,
+                "e": e,
+                "lambda": parts_str(*lam),
+                "surface": "pentagon" if b == 1 else "octagon",
                 "handled_by": "known torsion on y^2 = x^5 - 1 resp. y^2 = x(x^4 - 1)",
             }
-            for t in triples
+            for b, e, *lam in triples
         ]
-        verdict = VERIFIED if [(t.b, t.e) for t in triples] == expected else REFUTED
+        verdict = VERIFIED if [t[:2] for t in triples] == [(1, -1), (2, 0)] else REFUTED
     elif subcommand == "exclude":
         rows = tanratio.normalized_nonunit_rows(12)
         records = []
@@ -386,7 +382,9 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
                     "beta": angle_str(r.beta),
                     "mu": r.value,
                     "candidates": [c._asdict() for c in verdict_row.candidates_checked],
-                    "matching_triples": list(verdict_row.matching_triples),
+                    "matching_triples": [
+                        {"b": b, "e": e, "lambda": parts_str(*lam)} for b, e, *lam in verdict_row.matching_triples
+                    ],
                     "excluded": verdict_row.excluded,
                 }
             )
@@ -416,7 +414,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
     oks: list[bool] = []
 
     cert = stablefiber.certify_stratum2()
-    ok_dim = all(d == 1 for d in cert.dimensions)
+    ok_dim = cert.dimension == 1
     records.append(
         {
             "stage": "differential_space",
@@ -479,7 +477,8 @@ def cmd_stratum2(torsion_order: int) -> Report:
             rec["status"] = (
                 "excluded by trace/norm matching"
                 if verdict_row.excluded
-                else f"matched admissible triples {[str(t) for t in verdict_row.matching_triples]}"
+                else "matched admissible triples "
+                + str([f"(b={t[0]}, e={t[1]}, lambda={parts_str(*t[2:])})" for t in verdict_row.matching_triples])
             )
         records.append(rec)
 

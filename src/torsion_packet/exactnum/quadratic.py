@@ -11,9 +11,7 @@ The radicand is validated once: the public constructor
 ``QuadraticElem(a, b, d)`` takes int or ``Fraction`` coefficients and
 rejects a radicand that is below 2 or not squarefree.  Results of
 arithmetic inherit an already-validated radicand and go through the
-private ``_from_parts``, which only reduces by the gcd; callers that take
-the radicand straight from ``squarefree_part`` or ``squarefree_cores`` may
-use it too.
+private ``_from_parts``, which only reduces by the gcd.
 
 The exclusion argument compares the trace and norm of +-mu^(+-1) with
 those of lambda + 1, so the type carries only negation, inverse, trace,

@@ -7,7 +7,8 @@ The quantity that matters downstream is lambda + 1, whose trace is e + 2
 (hence in {1, 2, 3}) and whose norm is e + 1 - b (a negative integer).
 Both are closed forms; ``is_positive_root`` is the one certificate that
 lambda is the root they rest on.  It reads lambda = (an + bn*sqrt(d))/den
-as its four integers, which ``enumerate_triples`` yields as plain rows.
+as its four integers, so a triple is the plain row (b, e, an, bn, den, d),
+as ``enumerate_triples`` and ``make_triple`` yield it.
 
 The exclusion engine takes the value of a quadratic tangent ratio mu, a
 ``QuadraticElem`` (``TangentRatio.value``), and checks the four
@@ -23,45 +24,9 @@ from math import isqrt
 from typing import Iterator, NamedTuple
 
 from .exactnum import QuadraticElem, squarefree_part
-from .exactnum.quadratic import _from_parts, squarefree_cores
+from .exactnum.quadratic import parts_str, squarefree_cores
 
-
-class AdmissibleTriple:
-    """(b, e) with the derived lambda = (e + sqrt(e^2 + 4b))/2; immutable."""
-
-    __slots__ = ("b", "e", "lam")
-
-    def __init__(self, b: int, e: int, lam: QuadraticElem):
-        """Certify that (b, e) is admissible and lam the positive root of
-        x^2 = e*x + b (``is_positive_root``)."""
-        if not is_admissible(b, e):
-            raise ValueError(f"(b={b}, e={e}) is not admissible")
-        if not is_positive_root(b, e, lam.an, lam.bn, lam.den, lam.d):
-            raise ValueError(f"lambda = {lam} does not satisfy x^2 = {e}x + {b}")
-        # The class refuses attribute assignment; the slot descriptors set
-        # the fields directly, as in QuadraticElem.
-        _set_b(self, b)
-        _set_e(self, e)
-        _set_lam(self, lam)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AdmissibleTriple is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AdmissibleTriple):
-            return (self.b, self.e, self.lam) == (other.b, other.e, other.lam)
-        return NotImplemented
-
-    def __str__(self) -> str:
-        return f"(b={self.b}, e={self.e}, lambda={self.lam})"
-
-    def __repr__(self) -> str:
-        return f"AdmissibleTriple{self}"
-
-
-_set_b = AdmissibleTriple.b.__set__
-_set_e = AdmissibleTriple.e.__set__
-_set_lam = AdmissibleTriple.lam.__set__
+Triple = tuple[int, int, int, int, int, int]
 
 
 def is_admissible(b: int, e: int) -> bool:
@@ -90,14 +55,15 @@ def is_positive_root(b: int, e: int, an: int, bn: int, den: int, d: int) -> bool
     )
 
 
-def make_triple(b: int, e: int) -> AdmissibleTriple:
-    """Construct the triple for admissible (b, e), deriving lambda exactly."""
+def make_triple(b: int, e: int) -> Triple:
+    """The row (b, e, an, bn, den, d) of admissible (b, e), as
+    ``enumerate_triples`` yields it, certified by ``is_positive_root``."""
     if not is_admissible(b, e):
         raise ValueError(f"(b={b}, e={e}) is not admissible")
-    # The radicand is squarefree (or the inert 2 of a rational lambda), so
-    # the constructor that skips the radicand check is safe here.
-    lam = _from_parts(*_lambda_parts(b, e, squarefree_part(e * e + 4 * b)[1]))
-    return AdmissibleTriple(b, e, lam)
+    row = (b, e, *_lambda_parts(b, e, squarefree_part(e * e + 4 * b)[1]))
+    if not is_positive_root(*row):
+        raise ValueError(f"lambda = {parts_str(*row[2:])} does not satisfy x^2 = {e}x + {b}")
+    return row
 
 
 def _lambda_parts(b: int, e: int, d: int) -> tuple[int, int, int, int]:
@@ -115,7 +81,7 @@ def _lambda_parts(b: int, e: int, d: int) -> tuple[int, int, int, int]:
     return (e, s, 2, d) if e else (0, s // 2, 1, d)
 
 
-def enumerate_triples(b_max: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+def enumerate_triples(b_max: int) -> Iterator[Triple]:
     """The rows (b, e, an, bn, den, d) of every admissible (b, e) with
     b <= b_max, sorted by (b, e), one at a time: plain integers, with
     lambda = (an + bn*sqrt(d))/den as ``make_triple`` derives it.
@@ -145,7 +111,7 @@ def trace_norm_lambda_plus_one(b: int, e: int) -> tuple[int, int]:
     return e + 2, e + 1 - b
 
 
-def unit_case_triples() -> list[AdmissibleTriple]:
+def unit_case_triples() -> list[Triple]:
     """Admissible (b, e) with |norm(lambda + 1)| = |e + 1 - b| = 1.
 
     Admissibility forces b > e + 1, so the norm is at most -1 and the
@@ -170,11 +136,11 @@ class ExclusionVerdict(NamedTuple):
     """Result of testing one quadratic ratio against all admissible pairs."""
 
     candidates_checked: tuple[CandidateCheck, ...]
-    matching_triples: tuple[AdmissibleTriple, ...]
+    matching_triples: tuple[Triple, ...]
     excluded: bool
 
 
-def matching_triples_for(trace: Fraction, norm: Fraction) -> tuple[list[AdmissibleTriple], str]:
+def matching_triples_for(trace: Fraction, norm: Fraction) -> tuple[list[Triple], str]:
     """Admissible triples whose lambda + 1 has the given trace and norm, and
     the ``CandidateCheck`` reason.
 
@@ -205,7 +171,7 @@ def exclude_against_table1(mu: QuadraticElem) -> ExclusionVerdict:
     if not isinstance(mu, QuadraticElem) or mu.is_rational():
         raise ValueError(f"exclusion needs a degree-2 value, got {mu!r}")
     candidates = []
-    all_matches: list[AdmissibleTriple] = []
+    all_matches: list[Triple] = []
     for label, value in (
         ("mu", mu),
         ("-mu", -mu),

@@ -330,24 +330,21 @@ _CERTIFIED_DEGREE = 4
 class Stratum2Certificate(NamedTuple):
     """Outcome of checking the stratum-2 claims over Q(x, y) on a grid.
 
-    ``dimensions`` holds the kernel dimension at each grid point; each flag
-    holds when its check passed at every grid point.  ``configuration`` is
-    the configuration record with the node points named x, -x, y, -y.
+    ``dimension`` is the kernel dimension at the first grid point, an upper
+    bound over Q(x, y), and ``basis_is_closed_form`` compares the RREF basis
+    there (see ``certify_stratum2`` for why that is enough); the other
+    flags hold when their check passed at every grid point.  ``configuration`` is the configuration record of the first grid
+    point with the node points named x, -x, y, -y.
     """
 
     grid: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
     closed_form: tuple[tuple[str, str], ...]
     height_ratio: str
     configuration: dict[str, Any]
-    dimensions: tuple[int, ...]
+    dimension: int
     basis_is_closed_form: bool
     closed_form_in_kernel: bool
     height_ratio_holds: bool
-
-    @property
-    def dimension(self) -> int:
-        """The smallest dimension on the grid: an upper bound over Q(x, y)."""
-        return min(self.dimensions)
 
 
 def certify_stratum2(
@@ -358,10 +355,11 @@ def certify_stratum2(
     ``stratum2_config(x, y)`` is the line spanned by ``closed_form``, whose
     height ratio Res(x)/Res(-y) is ``ratio``.
 
-    At every point (a, b) of the grid S x T from ``symbolic_xy`` this checks
-    that the specialized kernel has dimension 1 and RREF basis equal to the
-    closed form at (a, b), that the closed form satisfies the residue and
-    vanishing-order conditions there, and that its height ratio equals
+    At the first point of the grid S x T from ``symbolic_xy`` this solves
+    the specialized kernel once and checks that it has dimension 1 and RREF
+    basis equal to the closed form there.  At every point (a, b) of the
+    grid it checks, by evaluation alone, that the closed form satisfies the
+    residue and vanishing-order conditions and that its height ratio equals
     ``ratio`` at (a, b).  Passing every check proves the claims over Q(x, y):
 
     * upper bound: the conditions are polynomials in x and y, so the rank
@@ -373,24 +371,25 @@ def certify_stratum2(
       degree at most d in each variable that vanishes on S x T with
       |S|, |T| > d is zero (product-grid Schwartz-Zippel), so the closed
       form, which is nonzero, lies in the kernel identically, the
-      dimension is exactly 1, and the height ratio holds identically.
+      dimension is exactly 1, and the height ratio holds identically;
+    * generator: the RREF generator of a line is its vector scaled to 1 in
+      its last nonzero column.  ``basis_is_closed_form`` also requires the
+      lower bound and a last residue of "1", so the closed form is that
+      generator over Q(x, y), not only at the solved point, where x = 1
+      and a form scaled by x would match too.
     """
     xs, ys = symbolic_xy()
     if min(len(xs), len(ys)) <= _CERTIFIED_DEGREE:
         raise ArithmeticInconsistencyError(
             f"a {len(xs)}x{len(ys)} grid cannot certify polynomials of degree {_CERTIFIED_DEGREE}"
         )
-    dimensions = []
-    basis_ok = kernel_ok = ratio_ok = True
+    kernel_ok = ratio_ok = True
     for a in xs:
         for b in ys:
             config = stratum2_config(a, b)
             if tuple(_evaluate_xy(p, a, b) for _, p in closed_form) != config.poles:
                 raise ValueError(f"closed-form poles {[p for _, p in closed_form]} are not x, -x, y, -y")
             form = stratum2_limit_differential(a, b, closed_form)
-            dim, basis = differential_space(config)
-            dimensions.append(dim)
-            basis_ok = basis_ok and basis == [form]
             kernel_ok = (
                 kernel_ok
                 and verify_residue_constraints(form, config)
@@ -398,14 +397,18 @@ def certify_stratum2(
             )
             ratio_ok = ratio_ok and height_ratio(form) == _evaluate_xy(ratio, a, b)
     a, b = xs[0], ys[0]
+    config = stratum2_config(a, b)
+    dimension, basis = differential_space(config)
     names = {_evaluate_xy(p, a, b): p for _, p in closed_form}
     return Stratum2Certificate(
         grid=(xs, ys),
         closed_form=tuple(closed_form),
         height_ratio=ratio,
-        configuration=config_to_json_dict(stratum2_config(a, b), names),
-        dimensions=tuple(dimensions),
-        basis_is_closed_form=basis_ok,
+        configuration=config_to_json_dict(config, names),
+        dimension=dimension,
+        basis_is_closed_form=kernel_ok
+        and closed_form[-1][0] == "1"
+        and basis == [stratum2_limit_differential(a, b, closed_form)],
         closed_form_in_kernel=kernel_ok,
         height_ratio_holds=ratio_ok,
     )
@@ -456,8 +459,8 @@ def solve_torsion_pairs(order: int) -> tuple[int, ...]:
     In Q(zeta_m), m = ``tan_conductor(N)``, x_A is ``i_tan(m, e)`` for e = (m/N)*A,
     the Cayley form (w - 1)/(w + 1) of w = zeta_m^e = zeta_N^A.  With
     u_A = -zeta_m^(-e) = zeta_m^c, c = m/2 - e, x_A - 1 = u_A*(x_A + 1) and
-    u_A^N = (-1)^N give (x-1)^N = u^N (x+1)^N = (-x-1)^N.  u_A^N = (-1)^N is
-    the integer congruence (c - m/2)*N = 0 mod m, checked for every A; the
+    u_A^N = (-1)^N give (x-1)^N = u^N (x+1)^N = (-x-1)^N.  u_A^N = (-1)^N
+    holds for every A, as (c - m/2)*N = -(m/N)*A*N = -m*A = 0 (mod m); the
     product is checked once per Galois orbit, on x_g for g = 0 and for each
     divisor g < N/2 of N:
 
@@ -477,18 +480,13 @@ def solve_torsion_pairs(order: int) -> tuple[int, ...]:
     if n < 2:
         raise ValueError(f"torsion order must be at least 2, got {n}")
     m = tan_conductor(n)
-    half = m // 2  # zeta^half = -1
     amax = (n - 1) // 2  # A < N/2 keeps clear of the pole
-    indices = tuple(range(-amax, amax + 1))
-    for a in indices:
-        c = (half - (m // n) * a) % m  # u = zeta^c
-        ok = (c - half) * n % m == 0
-        if ok and (a == 0 or a > 0 and n % a == 0):  # A = g stands for its orbit
-            x = i_tan(m, (m // n) * a)
-            ok = x - 1 == CyclotomicElem.zeta(m, c) * (x + 1)
-        if not ok:
-            raise ArithmeticInconsistencyError(f"i*tan({a}*pi/{n}) fails the defining equation")
-    return indices
+    for g in (0, *(g for g in range(1, amax + 1) if n % g == 0)):
+        e = (m // n) * g
+        x = i_tan(m, e)
+        if x - 1 != CyclotomicElem.zeta(m, m // 2 - e) * (x + 1):  # u_g = zeta^c, c = m/2 - e
+            raise ArithmeticInconsistencyError(f"i*tan({g}*pi/{n}) fails the defining equation")
+    return tuple(range(-amax, amax + 1))
 
 
 # --------------------------------------------------------------------------

@@ -360,7 +360,7 @@ _FORGED_CHECKS = [
     ("lshape-exclude-row-count", ["lshape", "exclude"], tanratio, "normalized_nonunit_rows",
      lambda rows: rows[:-1], lambda report: len(report["records"]) == 8),
     ("stratum2-differential-space", _STRATUM2, stablefiber, "certify_stratum2",
-     _certificate_with(dimensions=(2,)), _failed("differential_space")),
+     _certificate_with(dimension=2), _failed("differential_space")),
     ("stratum2-residue-constraints", _STRATUM2, stablefiber, "certify_stratum2",
      _certificate_with(closed_form_in_kernel=False), _failed("residue_constraints")),
     ("stratum2-closed-form-generator", _STRATUM2, stablefiber, "certify_stratum2",
@@ -750,6 +750,7 @@ _PINNED = {
 # The run behind each pinned command.
 _PINNED_RUNS = {
     "lshape enumerate": lambda: cmd_lshape("enumerate", 5),
+    "lshape unit-case": lambda: cmd_lshape("unit-case"),
     "decagon exclude-r": lambda: cmd_decagon("exclude-r"),
     "verify-table1": cmd_verify_table1,
     "decagon differential": lambda: cmd_decagon("differential"),
@@ -808,9 +809,15 @@ def _quadratic_ratio(alpha, beta, trace, norm, is_unit, mu, m, coeffs):
     }
 
 
+_UNIT_CASE_SOURCE = "known torsion on y^2 = x^5 - 1 resp. y^2 = x(x^4 - 1)"
+
 # The JSON records that carry configurations, generators, the grid, the
-# point at infinity and angles, pinned.
+# point at infinity, angles and admissible triples, pinned.
 _PINNED_RECORDS = {
+    "lshape unit-case": [
+        {"b": 1, "e": -1, "lambda": "-1/2 + 1/2*sqrt(5)", "surface": "pentagon", "handled_by": _UNIT_CASE_SOURCE},
+        {"b": 2, "e": 0, "lambda": "sqrt(2)", "surface": "octagon", "handled_by": _UNIT_CASE_SOURCE},
+    ],
     "decagon differential": [
         {
             "check": "dimension",
@@ -957,10 +964,24 @@ def test_json_records_are_pinned(command):
     assert [list(r) for r in records] == [list(r) for r in _PINNED_RECORDS[command]]
 
 
+def test_a_matched_triple_is_pinned_in_both_reports(monkeypatch):
+    # mu = 1 + sqrt(2) and -1/mu = 1 - sqrt(2) both have trace 2 and norm
+    # -1, so both match (b=2, e=0), which the verdict lists once.
+    matched = lshape.exclude_against_table1(QuadraticElem(1, 1, 2))
+    monkeypatch.setattr(lshape, "exclude_against_table1", lambda mu: matched)
+    triple = {"b": 2, "e": 0, "lambda": "sqrt(2)"}
+    report = cmd_lshape("exclude")
+    records = json.loads(render(report, "json"))["records"]
+    assert [r["matching_triples"] for r in records] == [[triple]] * 9
+    assert list(records[0]["matching_triples"][0]) == ["b", "e", "lambda"]
+    assert render(report, "text").count('  matching_triples=[{"b": 2, "e": 0, "lambda": "sqrt(2)"}]  ') == 9
+    handoffs = {(r["A"], r["B"]): r["status"] for r in cmd_stratum2(10).records if r["stage"] == "handoff"}
+    assert handoffs[1, 2] == "matched admissible triples ['(b=2, e=0, lambda=sqrt(2))']"
+
+
 def test_every_exact_type_has_one_encoding():
     from torsion_packet.cli import Report
     from torsion_packet.exactnum import CyclotomicElem
-    from torsion_packet.lshape import make_triple
     from torsion_packet.stablefiber import INFINITY
 
     report = Report(
@@ -973,31 +994,29 @@ def test_every_exact_type_has_one_encoding():
                 "mu": QuadraticElem(1, Fraction(1, 2), 3),
                 "angle": Fraction(5, 12),
                 "z": CyclotomicElem.zeta(5, 1),
-                "triple": make_triple(4, 1),
                 "none": None,
                 "flag": False,
                 "x": 0.5,
-                "nested": {"pair": (Fraction(1, 2), make_triple(2, 0)), "k": [None, True]},
+                "nested": {"pair": (Fraction(1, 2), QuadraticElem(0, 1, 2)), "k": [None, True]},
                 "point": INFINITY,
             },
             {"q": 7, "extra": "a,b"},
         ],
     )
     z = '{"m": 5, "coeffs": ["0", "1", "0", "0"]}'
-    triple = '{"b": 4, "e": 1, "lambda": "1/2 + 1/2*sqrt(17)"}'
-    nested = '{"pair": ["1/2", {"b": 2, "e": 0, "lambda": "sqrt(2)"}], "k": [null, true]}'
+    nested = '{"pair": ["1/2", "sqrt(2)"], "k": [null, true]}'
     # The renderings of the previous, recursive encoder.
     assert render(report, "text") == (
         'command: synthetic\n  bound: 3/4\n  angles: ["1/12"]\nverdict: verified\nelapsed_ms: 0\n'
-        f"  q=-2/3  mu=1 + 1/2*sqrt(3)  angle=5/12  z={z}  triple={triple}"
+        f"  q=-2/3  mu=1 + 1/2*sqrt(3)  angle=5/12  z={z}"
         f"  none=None  flag=False  x=0.5  nested={nested}  point=infinity\n"
         "  q=7  extra=a,b"
     )
-    quoted = {k: '"' + v.replace('"', '""') + '"' for k, v in (("z", z), ("t", triple), ("n", nested))}
+    quoted = {k: '"' + v.replace('"', '""') + '"' for k, v in (("z", z), ("n", nested))}
     assert render(report, "csv") == (
-        "q,mu,angle,z,triple,none,flag,x,nested,point,extra\n"
-        f"-2/3,1 + 1/2*sqrt(3),5/12,{quoted['z']},{quoted['t']},,False,0.5,{quoted['n']},infinity,\n"
-        '7,,,,,,,,,,"a,b"'
+        "q,mu,angle,z,none,flag,x,nested,point,extra\n"
+        f"-2/3,1 + 1/2*sqrt(3),5/12,{quoted['z']},,False,0.5,{quoted['n']},infinity,\n"
+        '7,,,,,,,,,"a,b"'
     )
     payload = json.loads(render(report, "json"))
     assert payload == plain_encoding(report)
@@ -1007,7 +1026,6 @@ def test_every_exact_type_has_one_encoding():
         "mu": "1 + 1/2*sqrt(3)",
         "angle": "5/12",
         "z": json.loads(z),
-        "triple": json.loads(triple),
         "none": None,
         "flag": False,
         "x": 0.5,
@@ -1139,12 +1157,11 @@ def test_any_other_exception_exits_3_with_one_line(exc, monkeypatch, capsys):
 
 def test_internal_value_error_exits_3_not_2(monkeypatch, capsys):
     # A library ValueError is a bug, not a usage error: a lambda that
-    # make_triple builds with the wrong radicand fails AdmissibleTriple's
-    # own check.
+    # make_triple derives with the wrong radicand fails its own check.
     import torsion_packet.lshape as lshape_mod
 
-    from_parts = lshape_mod._from_parts
-    monkeypatch.setattr(lshape_mod, "_from_parts", lambda an, bn, den, d: from_parts(an, bn, den, 2))
+    lambda_parts = lshape_mod._lambda_parts
+    monkeypatch.setattr(lshape_mod, "_lambda_parts", lambda b, e, d: (*lambda_parts(b, e, d)[:3], 2))
     assert main(["lshape", "unit-case"]) == EXIT_INTERNAL
     out = capsys.readouterr()
     assert out.out == ""

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsion_packet import lshape
 from torsion_packet.cli import cmd_lshape
 from torsion_packet.errors import UsageError
 from torsion_packet.exactnum import QuadraticElem
 from torsion_packet.exactnum.quadratic import parts_str
 from torsion_packet.lshape import (
-    AdmissibleTriple,
     enumerate_triples,
     exclude_against_table1,
     is_admissible,
@@ -46,24 +46,24 @@ def test_enumerate_smallest_cases():
 
 
 def test_pentagon_and_octagon_lambdas():
-    pentagon = make_triple(1, -1)
-    octagon = make_triple(2, 0)
-    assert pentagon.lam == QuadraticElem(F(-1, 2), F(1, 2), 5)
-    assert octagon.lam == QuadraticElem(0, 1, 2)
+    assert make_triple(1, -1) == (1, -1, *_parts(QuadraticElem(F(-1, 2), F(1, 2), 5)))
+    assert make_triple(2, 0) == (2, 0, *_parts(QuadraticElem(0, 1, 2)))
 
 
 def test_sieved_enumeration_matches_make_triple():
-    # AdmissibleTriple is the reference: each row has the parts of
-    # make_triple's lambda (reduced, the inert radicand of a rational
-    # lambda included), its certificate verdict and its display.
+    # Each sieved row is make_triple's row, and the public QuadraticElem
+    # constructor, which reduces and checks the radicand, gives its lambda
+    # the same parts (the inert radicand of a rational lambda included)
+    # and the same display.
     pairs = [(b, e) for b in range(1, 301) for e in (-1, 0, 1) if is_admissible(b, e)]
     rows = list(enumerate_triples(300))
     assert [row[:2] for row in rows] == pairs
     for row in rows:
-        t = make_triple(*row[:2])
-        assert row == (t.b, t.e, *_parts(t.lam))
-        assert is_positive_root(*row) and is_positive_root(t.b, t.e, *_parts(t.lam))
-        assert parts_str(*row[2:]) == str(t.lam)
+        an, bn, den, d = row[2:]
+        lam = QuadraticElem(F(an, den), F(bn, den), d)
+        assert row == make_triple(*row[:2]) == (*row[:2], *_parts(lam))
+        assert is_positive_root(*row)
+        assert parts_str(*row[2:]) == str(lam)
 
 
 def test_lambda_satisfies_its_quadratic():
@@ -76,14 +76,13 @@ def test_lambda_satisfies_its_quadratic():
 
 def test_rational_lambda_case():
     # e = 0, b = 4 has square discriminant 16, so lambda = 2.
-    t = make_triple(4, 0)
-    assert t.lam == 2
+    assert make_triple(4, 0) == (4, 0, 2, 0, 1, 2)
 
 
 def test_trace_norm_examples():
     for (b, e), expected in (((1, -1), (1, -1)), ((2, 0), (2, -1)), ((4, 1), (3, -2))):
         t = make_triple(b, e)
-        assert trace_norm_lambda_plus_one(t.b, t.e) == expected
+        assert trace_norm_lambda_plus_one(*t[:2]) == expected
     with pytest.raises(ValueError):
         make_triple(5, 1)
 
@@ -91,8 +90,7 @@ def test_trace_norm_examples():
 def test_forged_lambda_fails_trace_norm_cross_check():
     # sqrt(2) in place of sqrt(3) for (b=3, e=0): the trace of lambda + 1
     # still matches, the norm does not, and the certificate refuses it.
-    t = make_triple(3, 0)
-    assert is_positive_root(3, 0, *_parts(t.lam))
+    assert is_positive_root(*make_triple(3, 0))
     assert not is_positive_root(3, 0, *_parts(QuadraticElem(0, 1, 2)))
 
 
@@ -122,7 +120,7 @@ def _unit_case_scan(b_max):
 def test_unit_case_is_pentagon_and_octagon_only():
     # the closed form against the scan, exhaustively over small bounds,
     # then spot checks at larger ones
-    closed_form = [(t.b, t.e) for t in unit_case_triples()]
+    closed_form = [t[:2] for t in unit_case_triples()]
     assert closed_form == [(1, -1), (2, 0)]
     for b_max in range(3, 200):
         assert _unit_case_scan(b_max) == closed_form
@@ -131,7 +129,7 @@ def test_unit_case_is_pentagon_and_octagon_only():
 
 
 def test_unit_case_large_bound():
-    assert _unit_case_scan(10**6) == [(t.b, t.e) for t in unit_case_triples()]
+    assert _unit_case_scan(10**6) == [t[:2] for t in unit_case_triples()]
 
 
 def test_unit_case_bound_validation():
@@ -183,13 +181,13 @@ def test_exclusion_rejects_a_rational_value():
 def test_engine_sensitivity_to_norm_mutation():
     # A trace-compatible synthetic mutation must produce a match: trace 2
     # with norm -1 corresponds to the octagon parameters.
-    assert [(t.b, t.e) for t in matching_triples_for(F(2), F(-1))[0]] == [(2, 0)]
-    assert [(t.b, t.e) for t in matching_triples_for(F(1), F(-1))[0]] == [(1, -1)]
+    assert [t[:2] for t in matching_triples_for(F(2), F(-1))[0]] == [(2, 0)]
+    assert [t[:2] for t in matching_triples_for(F(1), F(-1))[0]] == [(1, -1)]
     # 1 + sqrt(2) has trace 2, norm -1: the engine reports a match,
     # so the nine exclusions above are not vacuous.
     verdict = exclude_against_table1(QuadraticElem(1, 1, 2))
     assert not verdict.excluded
-    assert [(t.b, t.e) for t in verdict.matching_triples] == [(2, 0)]
+    assert verdict.matching_triples == (make_triple(2, 0),)
 
 
 def test_matching_requires_admissibility():
@@ -203,10 +201,10 @@ def test_matching_requires_admissibility():
 def test_exclusion_has_no_bound_on_b():
     # 1 + sqrt(20001) has trace 2 and norm -20,000, the lambda + 1 of
     # (b=20001, e=0): the norm fixes b, however large.
-    assert [(t.b, t.e) for t in matching_triples_for(F(2), F(-20_000))[0]] == [(20_001, 0)]
+    assert [t[:2] for t in matching_triples_for(F(2), F(-20_000))[0]] == [(20_001, 0)]
     verdict = exclude_against_table1(QuadraticElem(1, 1, 20_001))
     assert not verdict.excluded
-    assert [(t.b, t.e) for t in verdict.matching_triples] == [(20_001, 0)]
+    assert [t[:2] for t in verdict.matching_triples] == [(20_001, 0)]
 
 
 def test_candidate_set_closed_under_inversion():
@@ -221,11 +219,13 @@ def test_candidate_set_closed_under_inversion():
         assert vals1 == vals2
 
 
-def test_triple_construction_validation():
-    with pytest.raises(ValueError):
+def test_triple_construction_validation(monkeypatch):
+    with pytest.raises(ValueError, match=r"\(b=1, e=0\) is not admissible"):
         make_triple(1, 0)
-    with pytest.raises(ValueError):
-        AdmissibleTriple(2, 0, QuadraticElem(0, 1, 3))  # wrong lambda
+    assert not is_positive_root(2, 0, *_parts(QuadraticElem(0, 1, 3)))  # wrong lambda
+    monkeypatch.setattr(lshape, "_lambda_parts", lambda b, e, d: (0, 1, 1, 3))
+    with pytest.raises(ValueError, match=r"lambda = sqrt\(3\) does not satisfy x\^2 = 0x \+ 2"):
+        make_triple(2, 0)
 
 
 # --------------------------------------------------------------------------
@@ -249,8 +249,7 @@ def _pair_and_lambda(draw):
     the true root, the true root with one of (an, bn, den, d) redrawn, or
     all four drawn afresh."""
     b, e = draw(_PAIRS)
-    root = make_triple(b, e).lam
-    parts = {"an": root.an, "bn": root.bn, "den": root.den, "d": root.d}
+    parts = dict(zip(_FRESH_PARTS, make_triple(b, e)[2:]))
     change = draw(st.sampled_from(("none", "an", "bn", "den", "d", "all")))
     for name, fresh in _FRESH_PARTS.items():
         if change in (name, "all"):
@@ -269,18 +268,12 @@ def test_integer_certificates_agree_with_field_arithmetic(case):
         return RefQuadratic(x, 0, ref.d)
 
     positive = ref.sign() > 0
-    try:
-        AdmissibleTriple(b, e, lam)
-        accepted = True
-    except ValueError as exc:
-        assert "does not satisfy" in str(exc)
-        accepted = False
+    accepted = is_positive_root(b, e, *_parts(lam))
     assert accepted == (ref * (ref - rational(e)) == rational(b) and positive)
 
     # The same certificate is the field identity that makes e + 1 - b the
     # norm of lambda + 1, (lambda + 1)(e + 1 - lambda) = e + 1 - b.
     lam1 = ref + rational(1)
-    assert is_positive_root(b, e, *_parts(lam)) == accepted
     assert accepted == (lam1 * (rational(e + 1) - ref) == rational(e + 1 - b) and positive)
 
 
@@ -299,14 +292,18 @@ def _forgeries(b, e, an, bn, den, d):
     return forged
 
 
-def test_forged_lambdas_fail_both_checks():
+def test_forged_lambdas_fail_both_checks(monkeypatch):
+    # Each forgery fails the certificate, and make_triple, handed its
+    # parts in place of the derived ones, refuses it.  The rows are sieved
+    # before any forgery replaces _lambda_parts.
     seen = set()
-    for row in enumerate_triples(60):
+    for row in list(enumerate_triples(60)):
         b, e = row[:2]
         assert is_positive_root(*row)
         for name, lam in _forgeries(*row).items():
             seen.add(name)
-            with pytest.raises(ValueError, match="does not satisfy"):
-                AdmissibleTriple(b, e, lam)
             assert not is_positive_root(b, e, *_parts(lam))
+            monkeypatch.setattr(lshape, "_lambda_parts", lambda b, e, d: _parts(lam))
+            with pytest.raises(ValueError, match="does not satisfy"):
+                make_triple(b, e)
     assert seen == {"conjugate root", "wrong radicand", "rational lambda", "den 1 for 2"}

@@ -33,10 +33,6 @@ ALLOWED = {
     "exactnum.quadratic.QuadraticElem.__eq__": "value semantics of an immutable number",
     "exactnum.quadratic.QuadraticElem.__hash__": "value semantics of an immutable number",
     "exactnum.cyclotomic.MinPoly.__eq__": "value semantics of an immutable polynomial",
-    "lshape.AdmissibleTriple.__str__": "names the matched triples of a refuted handoff",
-    "lshape.AdmissibleTriple.__eq__": (
-        "value semantics; exclude_against_table1 compares triples only when two candidates match"
-    ),
 }
 
 

@@ -102,9 +102,20 @@ def test_symbolic_stratum2_space_is_a_line():
     # Dimension 1 at one specialization bounds the dimension over Q(x, y)
     # by 1; the closed form lying in the kernel identically gives 1.
     cert = certify_stratum2()
-    assert cert.dimension == 1 and set(cert.dimensions) == {1}
-    assert len(cert.dimensions) == len(_grid_points())
+    assert cert.dimension == 1
     assert cert.closed_form_in_kernel
+
+
+def test_certificate_solves_one_kernel(monkeypatch):
+    # The upper bound needs the kernel at one grid point, the one whose
+    # configuration the report shows; the lower bound only evaluates.
+    solved = []
+    original = stablefiber.differential_space
+    monkeypatch.setattr(stablefiber, "differential_space", lambda config: solved.append(config) or original(config))
+    cert = certify_stratum2()
+    xs, ys = symbolic_xy()
+    assert [config.poles for config in solved] == [(xs[0], -xs[0], ys[0], -ys[0])]
+    assert cert.dimension == 1 and cert.basis_is_closed_form
 
 
 def test_symbolic_generator_matches_closed_form_coefficientwise():
@@ -123,6 +134,14 @@ def test_certificate_rejects_forged_closed_form():
     assert not cert.basis_is_closed_form
     assert not cert.closed_form_in_kernel
     assert not cert.height_ratio_holds
+    # Scaled by x, the form still spans the kernel and has height ratio y/x,
+    # and at the solved point (1, 6) it equals the RREF basis.
+    cert = certify_stratum2((("y", "x"), ("-y", "-x"), ("-x", "y"), ("x", "-y")))
+    assert cert.closed_form_in_kernel and cert.height_ratio_holds
+    assert not cert.basis_is_closed_form
+    # Agreeing with the generator at (1, 6) only is not enough either.
+    cert = certify_stratum2((("y/x", "x"), ("-y", "-x"), ("-1", "y"), ("1", "-y")))
+    assert not cert.basis_is_closed_form and not cert.closed_form_in_kernel
     # A wrong height ratio fails on its own.
     cert = certify_stratum2(STRATUM2_CLOSED_FORM, "x/y")
     assert cert.basis_is_closed_form and cert.closed_form_in_kernel
