@@ -39,8 +39,10 @@ from . import __version__
 from .errors import ArithmeticInconsistencyError, UsageError
 from .exactnum import CyclotomicElem, QuadraticElem, real_display, sign_of_real
 from .exactnum.quadratic import parts_str
-from . import lshape, stablefiber, tanratio
-from .tanratio import angle_str
+# tanratio is imported by the code that calls it, so that a command that
+# reads no tangent ratio does not load it.  lshape and stablefiber stay here:
+# perfbench/tracechild.py looks both up in sys.modules after importing cli.
+from . import lshape, stablefiber
 
 SCHEMA_VERSION = 1
 
@@ -200,6 +202,8 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
     check of ``tanratio.ratio``; no other angle arrives as text).  Each comes
     back as the display string of its ``Fraction``, so "2/24" reads "1/12".
     """
+    from . import tanratio
+
     if path is None:
         source = "builtin ground truth"
         path = os.path.join(os.path.dirname(__file__), "data", "table1.json")
@@ -256,14 +260,16 @@ def cmd_tangent_ratios(
         raise UsageError(f"--degree must be at least 1, got {degree}")
     if max_denominator < 3:
         raise UsageError(f"--max-denominator must be at least 3, got {max_denominator}")
+    from . import tanratio
+
     start = time.perf_counter()
     rows = tanratio.enumerate_ratios(degree, max_denominator)
     if non_units_only:
         rows = [r for r in rows if not r.is_unit]
     records = [
         {
-            "alpha": angle_str(r.alpha),
-            "beta": angle_str(r.beta),
+            "alpha": tanratio.angle_str(r.alpha),
+            "beta": tanratio.angle_str(r.beta),
             "degree": r.degree,
             "trace": r.trace,
             "norm": r.norm,
@@ -296,6 +302,8 @@ def cmd_verify_table1(
         raise UsageError(
             f"--max-denominator must be at least 12 to cover the reference list, got {max_denominator}"
         )
+    from . import tanratio
+
     start = time.perf_counter()
     try:
         reference = load_reference_rows(ground_truth_path)
@@ -307,7 +315,7 @@ def cmd_verify_table1(
     keys = _GROUND_TRUTH_KEYS
     expected = [tuple(row[k] for k in keys) for row in reference]
     computed = [
-        (angle_str(r.alpha), angle_str(r.beta), str(r.trace), str(r.norm))
+        (tanratio.angle_str(r.alpha), tanratio.angle_str(r.beta), str(r.trace), str(r.norm))
         for r in tanratio.normalized_nonunit_rows(max_denominator)
     ]
     records = [dict(zip(keys, row), status="match" if row in computed else "missing") for row in expected]
@@ -372,14 +380,16 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
         ]
         verdict = VERIFIED if [t[:2] for t in triples] == [(1, -1), (2, 0)] else REFUTED
     elif subcommand == "exclude":
+        from . import tanratio
+
         rows = tanratio.normalized_nonunit_rows(12)
         records = []
         for r in rows:
             verdict_row = lshape.exclude_against_table1(r.value)
             records.append(
                 {
-                    "alpha": angle_str(r.alpha),
-                    "beta": angle_str(r.beta),
+                    "alpha": tanratio.angle_str(r.alpha),
+                    "beta": tanratio.angle_str(r.beta),
                     "mu": r.value,
                     "candidates": [c._asdict() for c in verdict_row.candidates_checked],
                     "matching_triples": [
@@ -409,6 +419,8 @@ def cmd_stratum2(torsion_order: int) -> Report:
     the admissible-parameter matching."""
     if torsion_order < 2:
         raise UsageError(f"--torsion-order must be at least 2, got {torsion_order}")
+    from . import tanratio
+
     start = time.perf_counter()
     records: list[dict[str, Any]] = []
     oks: list[bool] = []
@@ -462,8 +474,8 @@ def cmd_stratum2(torsion_order: int) -> Report:
             "stage": "handoff",
             "A": a,
             "B": b,
-            "alpha": angle_str(r.alpha),
-            "beta": angle_str(r.beta),
+            "alpha": tanratio.angle_str(r.alpha),
+            "beta": tanratio.angle_str(r.beta),
             "mu": r.mu_display(),
             "degree": r.degree,
         }

@@ -11,8 +11,10 @@ from .cyclotomic import (
     conductor_units,
     galois_apply,
     galois_orbit,
+    i_tan,
     inv_one_minus_zeta,
     minimal_polynomial,
+    tan_conductor,
 )
 from .polynomial import cyclotomic_int_coeffs
 from .quadratic import (
@@ -32,10 +34,12 @@ __all__ = [
     "cyclotomic_int_coeffs",
     "galois_apply",
     "galois_orbit",
+    "i_tan",
     "inv_one_minus_zeta",
     "minimal_polynomial",
     "real_display",
     "real_value",
     "sign_of_real",
     "squarefree_part",
+    "tan_conductor",
 ]

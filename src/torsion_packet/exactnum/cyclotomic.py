@@ -16,6 +16,11 @@ is the size of its Galois orbit, which :func:`galois_orbit` lists for any
 element; tangent ratios count theirs more cheaply, as the index of a
 stabilizer (see ``tanratio``).  :func:`minimal_polynomial` multiplies the
 orbit out; ``tanratio`` calls it once per orbit of angle pairs.
+
+Every exact tangent is built here, as :func:`i_tan`'s Cayley form of
+i*tan(pi*e/m), one closed-form binomial inverse (:func:`inv_one_minus_zeta`)
+in the field that :func:`tan_conductor` gives both the tangent ratios and
+the torsion solver.
 """
 
 from __future__ import annotations
@@ -408,6 +413,22 @@ def inv_one_minus_zeta(m: int, c: int) -> CyclotomicElem:
         raise ZeroDivisionError("1 - zeta^c is zero when m divides c")
     # The weights m - 1 - 2j for j = 0, ..., m - 1.
     return _make(m, _power_sum(_conductor(m), range(m - 1, -m, -2), cc), 2 * m)
+
+
+def tan_conductor(*denominators: int) -> int:
+    """lcm(2, *denominators): the one conductor rule of ``i_tan`` for these q."""
+    return math.lcm(2, *denominators)
+
+
+def i_tan(m: int, e: int) -> CyclotomicElem:
+    """i*tan(pi*e/m) in Q(zeta_m), m even, in Cayley form 1 - 2/(1 - zeta_m^(e + m/2)).
+
+    With w = zeta_m^e, i*tan(pi*e/m) = (w - 1)/(w + 1), and zeta_m^(m/2)
+    = -1 turns 1/(w + 1) into the binomial inverse 1/(1 - zeta_m^(e + m/2)).
+    e = m/2 mod m, a pole, raises ZeroDivisionError.  At e + m/2 this is
+    1/(i*tan(pi*e/m)), since tan(x + pi/2) = -1/tan(x).
+    """
+    return 1 - 2 * inv_one_minus_zeta(m, e + m // 2)
 
 
 class MinPoly:

@@ -7,8 +7,8 @@ module sets up the linear conditions on the residue coefficients c_i --
 total residue zero, matching at nodes, prescribed vanishing orders at
 marked points -- and computes the kernel exactly over a cyclotomic field
 or over Q.  Claims over the fraction field Q(x, y), where the node
-positions are symbolic, are certified by rational specialization on a
-grid (see ``certify_stratum2``).
+positions are symbolic, are certified by specialization on a grid of
+integers (see ``certify_stratum2``).
 
 Residue convention at a node (p, q): Res(p) + Res(q) = 0.  The displayed
 limit differentials satisfy this anti-symmetric matching (their residues
@@ -27,8 +27,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
-from .exactnum import CyclotomicElem, sign_of_real
-from .tanratio import i_tan, tan_conductor
+from .exactnum import CyclotomicElem, i_tan, sign_of_real, tan_conductor
 
 
 class _AtInfinity:
@@ -236,11 +235,10 @@ def differential_space(config: NodalConfig) -> tuple[int, list[tuple[Point, ...]
     return len(basis), basis
 
 
-def _satisfies(rows_of, residues: Sequence[Point], config: NodalConfig) -> bool:
-    """Whether ``residues``, one per node point in the order of
-    ``config.poles``, satisfy the condition rows that ``rows_of`` builds for
-    ``differential_space``."""
-    poles = _unknowns(config)
+def _satisfies(rows_of, residues: Sequence, config: NodalConfig, poles: Sequence) -> bool:
+    """Whether ``residues``, one per pole in ``poles``, satisfy the condition
+    rows that ``rows_of`` builds for ``differential_space`` from ``config``
+    with those poles."""
     if len(residues) != len(poles):
         raise ValueError(f"{len(residues)} residues for {len(poles)} node points")
     return not any(sum(a * c for a, c in zip(row, residues)) for row in rows_of(config, poles))
@@ -248,33 +246,28 @@ def _satisfies(rows_of, residues: Sequence[Point], config: NodalConfig) -> bool:
 
 def verify_residue_constraints(residues: Sequence[Point], config: NodalConfig) -> bool:
     """Exact check of total residue zero and node matching Res(p) + Res(q) = 0."""
-    return _satisfies(_residue_rows, residues, config)
+    return _satisfies(_residue_rows, residues, config, _unknowns(config))
 
 
 def verify_zero_orders(residues: Sequence[Point], config: NodalConfig) -> bool:
     """Exact check of the prescribed vanishing orders at the marked points."""
-    return _satisfies(_zero_order_rows, residues, config)
-
-
-def height_ratio(residues: Sequence[Point]) -> Point:
-    """Res(first point of first node) / Res(second point of second node) of
-    the (unique) limit differential, given by its residues in pole order;
-    for ``stratum2_config(x, y)`` this is y/x over Q(x, y) (see
-    ``certify_stratum2``)."""
-    if not residues[3]:
-        raise ZeroDivisionError("designated denominator residue is zero")
-    return residues[0] / residues[3]
+    return _satisfies(_zero_order_rows, residues, config, _unknowns(config))
 
 
 # --------------------------------------------------------------------------
 # The two concrete configurations
 
 
+def _stratum2_nodes(x: Union[Point, int], y: Union[Point, int]) -> tuple[tuple, tuple]:
+    """The node pairs of ``stratum2_config(x, y)``, for points or integers."""
+    return (x, -x), (y, -y)
+
+
 def stratum2_config(x: Point, y: Point) -> NodalConfig:
     """Nodes (x, -x), (y, -y) and a double zero at infinity: the vertical
     degeneration of an L-shaped surface at node coordinates x and y."""
     return NodalConfig(
-        nodes=((x, -x), (y, -y)),
+        nodes=_stratum2_nodes(x, y),
         marked=(("omega_zero", INFINITY),),
         zero_orders={"omega_zero": 2},
         involution="negation",
@@ -290,23 +283,18 @@ STRATUM2_CLOSED_FORM = (("y/x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y"))
 STRATUM2_HEIGHT_RATIO = "y/x"
 
 
-def _evaluate_xy(entry: str, x: Point, y: Point) -> Point:
-    """Value at (x, y) of a closed-form entry ``[-]t`` or ``[-]t/u`` with
-    t in {1, x, y} and u in {x, y}."""
-    atoms = {"1": x - x + 1, "x": x, "y": y}
-    num, _, den = entry.removeprefix("-").partition("/")
-    if num not in atoms or den not in ("", "x", "y"):
-        raise ValueError(f"closed-form entry {entry!r} is not [-]t or [-]t/u, t in 1, x, y, u in x, y")
-    value = atoms[num] / atoms[den] if den else atoms[num]
-    return -value if entry.startswith("-") else value
-
-
-def stratum2_limit_differential(
-    x: Point, y: Point, closed_form: Sequence[tuple[str, str]] = STRATUM2_CLOSED_FORM
-) -> tuple[Point, ...]:
-    """The closed-form generator at (x, y): residues (y/x, -y/x, -1, 1) at
-    (x, -x, y, -y)."""
-    return tuple(_evaluate_xy(c, x, y) for c, _ in closed_form)
+def _cleared_xy(entries: Iterable[str], a: int, b: int) -> list[int]:
+    """x*y times each closed-form entry ``[-]t`` or ``[-]t/u``, t in {1, x, y}
+    and u in {x, y}, at the integers (a, b): t times x*y/u, a polynomial."""
+    atom = {"1": 1, "x": a, "y": b}
+    over = {"": a * b, "x": b, "y": a}
+    values = []
+    for entry in entries:
+        t, _, u = entry.removeprefix("-").partition("/")
+        if t not in atom or u not in over:
+            raise ValueError(f"closed-form entry {entry!r} is not [-]t or [-]t/u, t in 1, x, y, u in x, y")
+        values.append(-atom[t] * over[u] if entry.startswith("-") else atom[t] * over[u])
+    return values
 
 
 def symbolic_xy() -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -333,8 +321,9 @@ class Stratum2Certificate(NamedTuple):
     ``dimension`` is the kernel dimension at the first grid point, an upper
     bound over Q(x, y), and ``basis_is_closed_form`` compares the RREF basis
     there (see ``certify_stratum2`` for why that is enough); the other
-    flags hold when their check passed at every grid point.  ``configuration`` is the configuration record of the first grid
-    point with the node points named x, -x, y, -y.
+    flags hold when their check passed at every grid point.
+    ``configuration`` is the configuration record of the first grid point
+    with the node points named x, -x, y, -y.
     """
 
     grid: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
@@ -358,48 +347,61 @@ def certify_stratum2(
     At the first point of the grid S x T from ``symbolic_xy`` this solves
     the specialized kernel once and checks that it has dimension 1 and RREF
     basis equal to the closed form there.  At every point (a, b) of the
-    grid it checks, by evaluation alone, that the closed form satisfies the
-    residue and vanishing-order conditions and that its height ratio equals
-    ``ratio`` at (a, b).  Passing every check proves the claims over Q(x, y):
+    grid it checks, by evaluation alone and in integers, that the closed
+    form satisfies the residue and vanishing-order conditions, that its
+    poles are x, -x, y, -y, and that its height ratio equals ``ratio``.
+    Each of these identities is evaluated multiplied by x*y, the height
+    ratio's Res(x) - ratio * Res(-y) = 0 by x^2*y^2, which clears every
+    denominator.  Passing every check proves the claims over Q(x, y):
 
     * upper bound: the conditions are polynomials in x and y, so the rank
       over Q(x, y) is at least the rank at any specialization, and
       dimension 1 at one grid point gives dimension at most 1;
     * lower bound: each condition on the closed form times x*y, and the
-      height-ratio identity Res(x) - ratio * Res(-y) = 0 times x^2*y^2, is a
-      polynomial of degree at most 4 in each variable.  A polynomial of
-      degree at most d in each variable that vanishes on S x T with
-      |S|, |T| > d is zero (product-grid Schwartz-Zippel), so the closed
-      form, which is nonzero, lies in the kernel identically, the
-      dimension is exactly 1, and the height ratio holds identically;
+      height-ratio identity times x^2*y^2, is a polynomial of degree at
+      most 4 in each variable.  A polynomial of degree at most d in each
+      variable that vanishes on S x T with |S|, |T| > d is zero
+      (product-grid Schwartz-Zippel), so the closed form, which is
+      nonzero, lies in the kernel identically, the dimension is exactly 1,
+      and the height ratio holds identically;
     * generator: the RREF generator of a line is its vector scaled to 1 in
       its last nonzero column.  ``basis_is_closed_form`` also requires the
       lower bound and a last residue of "1", so the closed form is that
       generator over Q(x, y), not only at the solved point, where x = 1
       and a form scaled by x would match too.
+
+    The condition rows at each grid point are the rows that
+    ``differential_space`` solves, built from the solved configuration
+    with that point's poles: its one marked point is at infinity, where
+    the rows are powers of the poles, so nothing else moves with the point.
     """
     xs, ys = symbolic_xy()
-    if min(len(xs), len(ys)) <= _CERTIFIED_DEGREE:
+    if min(len(set(xs)), len(set(ys))) <= _CERTIFIED_DEGREE or any(v.denominator != 1 for v in xs + ys):
         raise ArithmeticInconsistencyError(
-            f"a {len(xs)}x{len(ys)} grid cannot certify polynomials of degree {_CERTIFIED_DEGREE}"
+            f"a {len(xs)}x{len(ys)} grid cannot certify polynomials of degree {_CERTIFIED_DEGREE}:"
+            f" each axis needs more than {_CERTIFIED_DEGREE} distinct integers"
         )
+    config = stratum2_config(xs[0], ys[0])
+    residues, poles = zip(*closed_form)
     kernel_ok = ratio_ok = True
-    for a in xs:
-        for b in ys:
-            config = stratum2_config(a, b)
-            if tuple(_evaluate_xy(p, a, b) for _, p in closed_form) != config.poles:
-                raise ValueError(f"closed-form poles {[p for _, p in closed_form]} are not x, -x, y, -y")
-            form = stratum2_limit_differential(a, b, closed_form)
+    for x in xs:
+        for y in ys:
+            a, b = x.numerator, y.numerator
+            points = sum(_stratum2_nodes(a, b), ())
+            if _cleared_xy(poles, a, b) != [a * b * p for p in points]:
+                raise ValueError(f"closed-form poles {list(poles)} are not x, -x, y, -y")
+            form = _cleared_xy(residues, a, b)
             kernel_ok = (
                 kernel_ok
-                and verify_residue_constraints(form, config)
-                and verify_zero_orders(form, config)
+                and _satisfies(_residue_rows, form, config, points)
+                and _satisfies(_zero_order_rows, form, config, points)
             )
-            ratio_ok = ratio_ok and height_ratio(form) == _evaluate_xy(ratio, a, b)
-    a, b = xs[0], ys[0]
-    config = stratum2_config(a, b)
+            # Res(x) = ratio * Res(-y), x and -y being the first and last pole.
+            ratio_ok = ratio_ok and form[0] * a * b == _cleared_xy([ratio], a, b)[0] * form[3]
     dimension, basis = differential_space(config)
-    names = {_evaluate_xy(p, a, b): p for _, p in closed_form}
+    a, b = xs[0].numerator, ys[0].numerator
+    # The grid has shown that the closed form's poles are the configuration's, in order.
+    names = dict(zip(config.poles, poles))
     return Stratum2Certificate(
         grid=(xs, ys),
         closed_form=tuple(closed_form),
@@ -408,7 +410,8 @@ def certify_stratum2(
         dimension=dimension,
         basis_is_closed_form=kernel_ok
         and closed_form[-1][0] == "1"
-        and basis == [stratum2_limit_differential(a, b, closed_form)],
+        and dimension == 1
+        and [c * a * b for c in basis[0]] == _cleared_xy(residues, a, b),
         closed_form_in_kernel=kernel_ok,
         height_ratio_holds=ratio_ok,
     )

@@ -14,8 +14,9 @@ product, the factors of i cancelling:
 
     mu = (1 - 2/(1 - zeta_m^(e_beta + m/2))) * (1 - 2/(1 - zeta_m^e_alpha)).
 
-``i_tan`` is this one form; it needs only an even m with q | m, so every
-exact tangent lives in Q(zeta_m), m = lcm(2, q, ...) (``tan_conductor``).
+``exactnum.i_tan`` is this one form, built next to the binomial inverse it
+calls; it needs only an even m with q | m, so every exact tangent lives in
+Q(zeta_m), m = lcm(2, q, ...) (``exactnum.tan_conductor``).
 No command needs tan(pi*p/q) itself, only i*tan(pi*p/q) and its inverse,
 so the factor i never enters a product, and 4 need not divide m.
 
@@ -108,9 +109,10 @@ from .exactnum import (
     MinPoly,
     QuadraticElem,
     conductor_units,
-    inv_one_minus_zeta,
+    i_tan,
     minimal_polynomial,
     real_value,
+    tan_conductor,
 )
 from .exactnum.signs import cos_sin_ball
 
@@ -150,20 +152,6 @@ _Angle = tuple[int, int]
 def angle_str(angle: _Angle) -> str:
     """The display "p/q" of an angle (p, q)."""
     return f"{angle[0]}/{angle[1]}"
-
-
-def tan_conductor(*denominators: int) -> int:
-    """lcm(2, *denominators): the one conductor rule of ``i_tan`` for these q."""
-    return math.lcm(2, *denominators)
-
-
-def i_tan(m: int, e: int) -> CyclotomicElem:
-    """i*tan(pi*e/m) in Q(zeta_m), m even, in Cayley form 1 - 2/(1 - zeta_m^(e + m/2)).
-
-    e = m/2 mod m, a pole, raises ZeroDivisionError.  At e + m/2 this is
-    1/(i*tan(pi*e/m)) (see the module docstring).
-    """
-    return 1 - 2 * inv_one_minus_zeta(m, e + m // 2)
 
 
 class TangentRatio:

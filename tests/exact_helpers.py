@@ -2,7 +2,8 @@
 
 The package builds i*tan in Cayley form and never tan, sin or an element
 moved into a larger field; the tests that check those forms build them
-here, from the public API.
+here, from the public API.  The stratum-2 limit differential at a point is
+here too: the package checks its closed form in integers only.
 """
 
 import math
@@ -80,3 +81,10 @@ def check_addition_formula(x: Fraction, y: Fraction) -> bool:
     big_a = CyclotomicElem.zeta(m, ax) - CyclotomicElem.zeta(m, -ax)
     big_b = CyclotomicElem.zeta(m, ay) - CyclotomicElem.zeta(m, -ay)
     return lhs * (big_a - big_b) == big_a + big_b
+
+
+def stratum2_limit_differential(x, y):
+    """The stratum-2 generator at the point (x, y), written out apart from
+    the closed-form strings: residues (y/x, -y/x, -1, 1) at (x, -x, y, -y)."""
+    one = x - x + 1
+    return y / x, -y / x, -one, one

@@ -20,12 +20,11 @@ from torsion_packet.stablefiber import (
     differential_space,
     solve_torsion_pairs,
     stratum2_config,
-    stratum2_limit_differential,
     symbolic_xy,
 )
 from torsion_packet.tanratio import angles_up_to, i_tan, tan_conductor
 
-from exact_helpers import check_addition_formula, embed, tan_of
+from exact_helpers import check_addition_formula, embed, stratum2_limit_differential, tan_of
 
 
 def _report(number: int, description: str, ok: bool, elapsed: float, budget: float):

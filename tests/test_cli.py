@@ -481,6 +481,58 @@ def test_caches_fill_the_same_under_concurrent_first_use():
     assert len(results) == 4 and all(r == serial for r in results)
 
 
+# Four threads in a fresh interpreter start at once, each in a command that
+# imports tanratio inside the function that calls it, so all four race
+# through its first import.
+_CONCURRENT_FIRST_IMPORT = """
+import sys, threading
+import torsion_packet.cli as cli
+assert "torsion_packet.tanratio" not in sys.modules
+runs = [line.split() for line in sys.stdin.read().splitlines()]
+start = threading.Barrier(len(runs))
+codes = [None] * len(runs)
+def worker(i):
+    start.wait()
+    codes[i] = cli.main(runs[i])
+threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(runs))]
+sys.setswitchinterval(1e-5)
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads) and codes == [0] * len(runs), codes
+"""
+
+
+def test_concurrent_first_import_of_tanratio_gives_the_serial_reports(tmp_path, capsys):
+    # The CLI imports tanratio only in the commands that read a tangent
+    # ratio; a first import from several threads at once must leave every
+    # report as a serial run writes it.
+    commands = [
+        ["verify-table1"],
+        ["stratum2", "--torsion-order", "30"],
+        ["lshape", "exclude"],
+        ["tangent-ratios", "--degree", "4", "--max-denominator", "12"],
+    ]
+    runs = [[*argv, "--format", "json", "--output", str(tmp_path / f"thread{i}.json")] for i, argv in enumerate(commands)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONCURRENT_FIRST_IMPORT],
+        input="\n".join(" ".join(argv) for argv in runs),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_env_with_src(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for i, argv in enumerate(commands):
+        serial = tmp_path / f"serial{i}.json"
+        assert main([*argv, "--format", "json", "--output", str(serial)]) == 0
+        threaded = (tmp_path / f"thread{i}.json").read_text()
+        assert threaded.rsplit("elapsed_ms", 1)[0] == serial.read_text().rsplit("elapsed_ms", 1)[0], argv
+    capsys.readouterr()
+
+
 def test_stratum2_builds_minimal_polynomials_only_for_quadratic_ratios(monkeypatch):
     import torsion_packet.tanratio as tanratio_mod
 

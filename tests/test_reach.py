@@ -183,19 +183,33 @@ def test_readme_names_every_immutable_class():
     assert set(re.findall(r"`(\w+)`", sentence.group(1))) == immutable
 
 
-def _loaded_by_cli_import(modules):
-    """Which of ``modules`` a fresh interpreter holds after importing the
-    CLI.  -S keeps the .pth files of site-packages out of it."""
+def _loaded_after(modules, script):
+    """Which of ``modules`` a fresh interpreter holds after running
+    ``script``.  -S keeps the .pth files of site-packages out of it."""
     src = Path(torsion_packet.__file__).resolve().parents[1]
     loaded = subprocess.run(
         [sys.executable, "-S", "-c",
-         f"import sys, torsion_packet.cli; print(sorted({set(modules)!r} & set(sys.modules)))"],
+         f"{script}\nimport sys; print(sorted({set(modules)!r} & set(sys.modules)))"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
     return loaded.stdout
+
+
+def _loaded_by_cli_import(modules, argv=None):
+    """Which of ``modules`` a fresh interpreter holds after importing the
+    CLI and, if ``argv`` is given, running it through ``main`` with the
+    report written to a buffer."""
+    script = "import torsion_packet.cli"
+    if argv is not None:
+        script += (
+            "\nimport contextlib, io"
+            "\nwith contextlib.redirect_stdout(io.StringIO()):"
+            f"\n    assert torsion_packet.cli.main({argv!r}) == 0"
+        )
+    return _loaded_after(modules, script)
 
 
 def test_import_needs_no_dataclasses_or_inspect():
@@ -212,3 +226,37 @@ def test_import_needs_no_pathlib_or_importlib_resources():
 def test_import_needs_no_csv():
     # Only the CSV renderer imports csv, when it runs.
     assert _loaded_by_cli_import({"csv"}) == "[]\n"
+
+
+_TANRATIO = "torsion_packet.tanratio"
+
+
+def test_cli_import_loads_lshape_and_stablefiber_but_not_tanratio():
+    # perfbench/tracechild.py's install looks lshape and stablefiber up in
+    # sys.modules right after importing the CLI, so both load with it.
+    # tanratio loads only in the commands that read a tangent ratio.
+    modules = {_TANRATIO, "torsion_packet.lshape", "torsion_packet.stablefiber"}
+    assert _loaded_by_cli_import(modules) == "['torsion_packet.lshape', 'torsion_packet.stablefiber']\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        pytest.param(argv, loads, id="-".join(argv[:2]))
+        for argv, loads in (
+            (["lshape", "enumerate", "--b-max", "20"], False),
+            (["lshape", "unit-case"], False),
+            (["decagon", "verify"], False),
+            (["decagon", "exclude-r"], False),
+            (["decagon", "differential"], False),
+            (["lshape", "exclude"], True),
+        )
+    ],
+)
+def test_only_commands_that_read_a_tangent_ratio_load_tanratio(argv, loads):
+    assert _loaded_by_cli_import({_TANRATIO}, argv) == (f"[{_TANRATIO!r}]\n" if loads else "[]\n")
+
+
+def test_stablefiber_does_not_load_tanratio():
+    # The torsion solver takes i_tan and tan_conductor from exactnum.
+    assert _loaded_after({_TANRATIO}, "import torsion_packet.stablefiber") == "[]\n"

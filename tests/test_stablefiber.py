@@ -12,6 +12,7 @@ from torsion_packet import stablefiber, tanratio
 from torsion_packet.exactnum import (
     CyclotomicElem,
     conductor_units,
+    cyclotomic,
     galois_apply,
     inv_one_minus_zeta,
     minimal_polynomial,
@@ -30,15 +31,13 @@ from torsion_packet.stablefiber import (
     decagon_points,
     decagon_r_sets,
     differential_space,
-    height_ratio,
     solve_torsion_pairs,
     stratum2_config,
-    stratum2_limit_differential,
     symbolic_xy,
     verify_residue_constraints,
     verify_zero_orders,
 )
-from exact_helpers import classified_ratio
+from exact_helpers import classified_ratio, stratum2_limit_differential
 from float_embedding import complex_embedding
 
 
@@ -118,6 +117,41 @@ def test_certificate_solves_one_kernel(monkeypatch):
     assert cert.dimension == 1 and cert.basis_is_closed_form
 
 
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__pow__", "__neg__", "__eq__",
+)
+
+
+def test_certificate_evaluates_the_grid_in_integers(monkeypatch):
+    # One configuration is built, at the solved point, and the grid costs no
+    # Fraction arithmetic: a 7 x 7 grid through the same first point takes
+    # exactly the Fraction operations of the 5 x 5 one.
+    built, ops = [], []
+    init = NodalConfig.__init__
+    monkeypatch.setattr(NodalConfig, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    for name in _FRACTION_ARITHMETIC:
+        def counted(*args, _op=getattr(F, name), _name=name):
+            ops.append(_name)
+            return _op(*args)
+
+        monkeypatch.setattr(F, name, counted)
+
+    def fraction_ops(grid):
+        monkeypatch.setattr(stablefiber, "symbolic_xy", lambda: grid)
+        built.clear()
+        ops.clear()
+        cert = certify_stratum2()
+        assert len(built) == 1
+        assert cert.dimension == 1 and cert.basis_is_closed_form
+        assert cert.closed_form_in_kernel and cert.height_ratio_holds
+        return len(ops)
+
+    small = fraction_ops(symbolic_xy())
+    large = fraction_ops((tuple(F(a) for a in range(1, 8)), tuple(F(b) for b in range(6, 13))))
+    assert small == large > 0
+
+
 def test_symbolic_generator_matches_closed_form_coefficientwise():
     cert = certify_stratum2()
     assert cert.basis_is_closed_form
@@ -154,6 +188,22 @@ def test_certificate_refuses_a_grid_below_the_degree_bound(monkeypatch):
     small = tuple(F(a) for a in range(1, 5)), tuple(F(b) for b in range(5, 9))
     monkeypatch.setattr(stablefiber_mod, "symbolic_xy", lambda: small)
     with pytest.raises(ArithmeticInconsistencyError, match="cannot certify"):
+        certify_stratum2()
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        pytest.param((1, 2, 3, 4, 4), id="four-distinct-values"),
+        pytest.param((F(1, 2), 1, F(3, 2), 2, F(5, 2)), id="fractions"),
+    ],
+)
+def test_certificate_needs_five_distinct_integers_on_each_axis(xs, monkeypatch):
+    # Five entries with a repeat are four points on that axis, and the grid
+    # is evaluated in integers.
+    grid = tuple(F(a) for a in xs), tuple(F(b) for b in range(6, 11))
+    monkeypatch.setattr(stablefiber, "symbolic_xy", lambda: grid)
+    with pytest.raises(ArithmeticInconsistencyError, match="cannot certify.*distinct integers"):
         certify_stratum2()
 
 
@@ -289,6 +339,16 @@ def test_decagon_vanishing_moments_explicitly():
 
 # --------------------------------------------------------------------------
 # height ratio
+
+
+def height_ratio(residues):
+    """Res(first point of first node) / Res(second point of second node) of
+    a limit differential, given by its residues in pole order: y/x for
+    ``stratum2_config(x, y)``.  The certificate checks the same ratio
+    cleared of denominators, in integers."""
+    if not residues[3]:
+        raise ZeroDivisionError("designated denominator residue is zero")
+    return residues[0] / residues[3]
 
 
 def test_symbolic_height_ratio_is_y_over_x():
@@ -439,7 +499,7 @@ def test_torsion_certificate_rejects_a_wrong_binomial_inverse(monkeypatch):
     def off_by_one(m, c):
         return inv_one_minus_zeta(m, c) + 1
 
-    monkeypatch.setattr(tanratio, "inv_one_minus_zeta", off_by_one)
+    monkeypatch.setattr(cyclotomic, "inv_one_minus_zeta", off_by_one)
     with pytest.raises(ArithmeticInconsistencyError, match="defining equation"):
         solve_torsion_pairs(7)
 
