@@ -25,7 +25,6 @@ exits 2; a ValueError from the library is a bug and exits 3.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import io
 import json
@@ -605,13 +604,32 @@ def _ms_since(start: float) -> int:
 # Argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps its help and version text in ``shown``,
+    shared with its subparsers, for ``main`` to write: argparse would drop
+    a failed write, and swapping sys.stdout would mix concurrent calls."""
+
+    def __init__(self, *args, shown: list[str], **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shown = shown
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            self.shown.append(message)
+        else:
+            super()._print_message(message, file)
+
+
+def _build_parser(shown: list[str]) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="torsion-packet",
         description="Exact verification of periodic-point exclusion arguments in genus two.",
+        shown=shown,
     )
     parser.add_argument("--version", action="version", version=f"torsion-packet {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True, parser_class=functools.partial(_Parser, shown=shown)
+    )
 
     def common(p: argparse.ArgumentParser):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -650,13 +668,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    shown: list[str] = []
     try:
-        # argparse exits 0 after --help or --version, dropping any error
-        # writing their text, so it is written here; a usage error exits 2.
-        with contextlib.redirect_stdout(io.StringIO()) as shown:
-            args = _build_parser().parse_args(argv)
+        # A usage error exits 2; --help and --version exit 0 once their
+        # text, which the parser leaves in ``shown``, is written.
+        args = _build_parser(shown).parse_args(argv)
     except SystemExit as exc:
-        status, error = _write_stdout(shown.getvalue(), "the help or version text", end="")
+        status, error = _write_stdout("".join(shown), "the help or version text", end="")
         code = status or int(exc.code or 0)
     else:
         code, error = _run(args)

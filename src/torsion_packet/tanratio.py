@@ -89,6 +89,15 @@ check reads neither numerator, and ``_kernel_exponent_divides`` caches it
 per (q, g, d).  A diagonal pair q1 = q2 has K(q, q) = {1} and is never
 dropped.  For d = 2, 141 of the 1,711 pairs up to 60 are kept.
 
+The same Lagrange argument drops most orbits that are left on one
+comparison, before their conjugates are scanned: sigma_(k^d) fixes mu of
+degree d, so a unit s = k^d that moves mu rules d out.  ``_lagrange_power``
+caches per (L, d) the power s of the first unit k <= L/2 with
+k^d != +-1 mod L, or None if there is none; ``_stabilizer`` reads
+sigma_s(mu) from two table entries and drops the orbit when
+``_REL_SEPARATION`` certifies it apart from mu.  At d = 2 this drops 555
+of the 584 orbits walked at bound 60, and 160,210 of 160,250 at 1000.
+
 Only finitely many pairs produce a ratio of any fixed degree, but that
 finiteness is ineffective; the enumeration here is a bounded search, and
 the shipped reference list is supported by a stability sweep (raising the
@@ -303,18 +312,26 @@ def _tan_row(q: int) -> array:
 def _stabilizer(
     pa: int, qa: int, pb: int, qb: int, cap: Optional[int]
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """(degree, Stab) of mu = tan(pi*pb/qb)/tan(pi*pa/qa), or None above ``cap``.
+    """(degree, Stab) of mu = tan(pi*pb/qb)/tan(pi*pa/qa), or None if not ``cap``.
 
     G = (Z/L)^*/{+-1}, L = lcm(qa, qb), is walked as the units k <= L/2
-    (see the module docstring).  None means that more than ``cap``
-    conjugates were certified pairwise distinct; with no cap, the pairwise
-    count is skipped.  A candidate other than 1 is decided by the sum of 8
-    powers of zeta_L of the module docstring.  An index that is not an
+    (see the module docstring).  None means that the degree is certified
+    not to be ``cap``: sigma_s(mu), s = ``_lagrange_power(L, cap)``, is
+    certified apart from mu (Lagrange), or more than ``cap`` conjugates
+    are certified pairwise distinct.  With no cap, neither test runs.  A
+    candidate other than 1 is decided by the sum of 8 powers of zeta_L of
+    the module docstring.  An index that is not an
     integer, or is below the count of certified distinct conjugates, raises.
     """
     lcm = math.lcm(qa, qb)
     ta, tb = _tan_row(qa), _tan_row(qb)
     value = tb[pb] / ta[pa]
+    if cap is not None:
+        s = _lagrange_power(lcm, cap)
+        if s is not None:
+            v = tb[s * pb % qb] / ta[s * pa % qa]
+            if abs(v - value) > _REL_SEPARATION * max(abs(v), abs(value)):
+                return None
     reps = [value]  # pairwise certified distinct conjugates, mu first
     candidates = []
     order = 1
@@ -346,6 +363,18 @@ def _stabilizer(
             f"{order} does not have an integer index of at least {len(reps)}"
         )
     return order // len(stab), tuple(stab)
+
+
+@lru_cache(maxsize=None)
+def _lagrange_power(lcm: int, d: int) -> Optional[int]:
+    """k^d mod L for the first unit k <= L/2 of Z/L with k^d != +-1 mod L,
+    or None if every unit's d-th power is +-1 (see the module docstring)."""
+    for k in range(2, lcm // 2 + 1):
+        if math.gcd(k, lcm) == 1:
+            s = pow(k, d, lcm)
+            if s not in (1, lcm - 1):
+                return s
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -407,7 +436,8 @@ def _orbit_representatives(
     out, and the swap of the two angles identifies c with +-c^-1, so c is
     the least of the four.  The units of the class are symmetric under
     p -> q2 - p, so its least, p2 < q2/2, is the first unit mod q2 in the
-    ascending c, g - c, g + c, 2g - c, ...; on the diagonal it is c.
+    ascending c, g - c, g + c, 2g - c, ...: c itself when c is a unit mod
+    q2, as on the diagonal.
     """
     for j, q2 in enumerate(denominators):
         for q1 in denominators[: j + 1]:
@@ -419,7 +449,10 @@ def _orbit_representatives(
                     continue
                 if q1 == q2 and (c == 1 or _fold_mod(pow(c, -1, g), g) < c):
                     continue
-                p2 = next(p for n in range(0, q2, g) for p in (n + c, n + g - c) if math.gcd(p, q2) == 1)
+                if math.gcd(c, q2) == 1:
+                    p2 = c
+                else:
+                    p2 = next(p for n in range(0, q2, g) for p in (n + c, n + g - c) if math.gcd(p, q2) == 1)
                 yield _ordered((1, q1), (p2, q2))
 
 
@@ -430,8 +463,9 @@ def classify(denominators: Sequence[int], degree: Optional[int] = None) -> list[
 
     ``_stabilizer`` runs once per orbit, on its representative from
     ``_orbit_representatives``, with ``degree`` as its cap: it drops the
-    orbit once ``degree + 1`` conjugates are certified pairwise distinct,
-    and builds no mu.  With a ``degree``, the walk skips the denominator
+    orbit when one Lagrange comparison rules the degree out or once
+    ``degree + 1`` conjugates are certified pairwise distinct, and builds
+    no mu.  With a ``degree``, the walk skips the denominator
     pairs that cannot hold it.  Each member of a kept orbit, from the units
     k <= L/2, L = lcm(q1, q2), is handed the stabilizer and its ``orbit``
     (see the module docstring); k = 1 gives the representative itself.

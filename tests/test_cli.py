@@ -444,6 +444,7 @@ def test_caches_fill_the_same_under_concurrent_first_use():
         signs._pi_ball,
         tanratio._tan_row,
         tanratio._numerators,
+        tanratio._lagrange_power,
     )
 
     def run():
@@ -1173,6 +1174,36 @@ def test_output_write_error_exits_2(tmp_path, capsys, monkeypatch):
 def test_version_flag(capsys):
     code = main(["--version"])
     assert code == 0
+
+
+def test_main_from_eight_threads_prints_every_report(capsys):
+    # main keeps the help and version text in its own buffer and leaves
+    # sys.stdout alone, so concurrent calls print every report to the one
+    # stdout and no call swaps it from under another.
+    import threading
+
+    stdout = sys.stdout
+    start = threading.Barrier(8)
+    codes = []
+
+    def worker():
+        start.wait()
+        codes.append(main(["decagon", "verify", "--format", "json"]))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sys.stdout is stdout
+    assert codes == [0] * 8
+    assert capsys.readouterr().out.count('"command": "decagon verify"') == 8
 
 
 def test_internal_inconsistency_maps_to_exit_3(monkeypatch, capsys):

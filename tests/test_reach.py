@@ -100,6 +100,7 @@ def test_every_function_is_reached_by_a_command(capsys, tmp_path):
         ["decagon", "verify", "--format", "csv"],
         ["decagon", "exclude-r", "--format", "json"],
         ["decagon", "differential"],
+        ["lshape", "--help"],
     ]
     # A cached body runs only on its first call, so start from empty caches.
     for cache in _lru_caches():

@@ -417,6 +417,75 @@ def test_pair_filter_counts_at_bound_60():
     assert len(list(_orbit_representatives(denominators, 2))) == 584
 
 
+def test_lagrange_power_is_the_first_unit_power_off_plus_or_minus_one():
+    # Brute force over every unit of Z/L: s = k^d mod L for the least unit
+    # k with k^d != +-1, and None exactly when there is no such k.
+    for lcm in range(1, 301):
+        units = [k for k in range(1, lcm) if math.gcd(k, lcm) == 1]
+        for d in range(1, 9):
+            s = tanratio._lagrange_power(lcm, d)
+            moving = [k for k in units if pow(k, d, lcm) not in (1, lcm - 1)]
+            if not moving:
+                assert s is None, (lcm, d)
+                continue
+            k = moving[0]
+            assert 2 * k < lcm and s == pow(k, d, lcm), (lcm, d)
+            assert math.gcd(s, lcm) == 1 and s not in (1, lcm - 1), (lcm, d)
+
+
+def _classified(denominators, degree):
+    return [
+        (t.alpha, t.beta, t.stabilizer, (t.orbit[0].alpha, t.orbit[0].beta, *t.orbit[1:]))
+        for t in tanratio.classify(denominators, degree)
+    ]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 6, 8])
+def test_lagrange_drop_keeps_every_orbit_of_the_degree(degree, monkeypatch):
+    # The one comparison of sigma_s(mu) with mu drops only orbits whose
+    # degree is not the target: the walk without it keeps the same members,
+    # stabilizers and orbits.
+    for bound in (40, 50, 60):
+        denominators = range(3, bound + 1)
+        with_test = _classified(denominators, degree)
+        with monkeypatch.context() as m:
+            m.setattr(tanratio, "_lagrange_power", lambda lcm, d: None)
+            assert _classified(denominators, degree) == with_test, bound
+        assert with_test, bound
+
+
+def test_lagrange_drop_counts_at_bound_60(monkeypatch):
+    # The drop reads mu and sigma_s(mu), two table entries each, and no
+    # other conjugate, so a None after exactly 4 reads is an orbit that the
+    # one comparison dropped.
+    reads = 0
+
+    class CountingRow:
+        def __init__(self, row):
+            self.row = row
+
+        def __getitem__(self, r):
+            nonlocal reads
+            reads += 1
+            return self.row[r]
+
+    tan_row = tanratio._tan_row
+    monkeypatch.setattr(tanratio, "_tan_row", lambda q: CountingRow(tan_row(q)))
+    reps = list(_orbit_representatives(range(3, 61), 2))
+    dropped, without_s = 0, set()
+    for (pa, qa), (pb, qb) in reps:
+        reads = 0
+        found = tanratio._stabilizer(pa, qa, pb, qb, 2)
+        dropped += found is None and reads == 4
+        lcm = math.lcm(qa, qb)
+        if tanratio._lagrange_power(lcm, 2) is None:
+            without_s.add(lcm)
+    assert (len(reps), dropped) == (584, 555)
+    # The orbits left to the scan whose every unit squares to +-1 mod L.
+    assert without_s == {5, 6, 8, 10, 12, 24}
+    assert sum(math.lcm(qa, qb) in without_s for (_, qa), (_, qb) in reps) == 26
+
+
 def _scanned_representatives(denominators, degree=None):
     """``_orbit_representatives`` with each p2 found by a scan of every
     numerator of q2 for the first in the class +-c mod g: the oracle of the
