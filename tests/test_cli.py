@@ -834,6 +834,16 @@ _PINNED_DIGESTS = {
         lambda: cmd_lshape("exclude"),
         "08825b259f6e046506aaea85d3ac14e00de76ef11e081bbc4a37b30d0fc6d0c4",
     ),
+    # 21,741 records, with handoffs of many degrees.
+    "stratum2 --torsion-order 420": (
+        lambda: cmd_stratum2(420),
+        "9a0f0384cbc1638d669aa9de2b5a2d717bb9052cb57077580b0cdee34d69f72d",
+    ),
+    # 440 members in 62 orbits, every (negated, inverted) case among them.
+    "tangent-ratios --degree 8 --max-denominator 40": (
+        lambda: cmd_tangent_ratios(8, 40),
+        "47e595f30fad094de6208e075ad4bfc3cb909a19b01d4b5550c882ac930b4c0e",
+    ),
 }
 
 
