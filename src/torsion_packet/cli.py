@@ -36,7 +36,7 @@ from typing import Any, NamedTuple, Optional
 
 from . import __version__
 from .errors import ArithmeticInconsistencyError, UsageError
-from .exactnum import CyclotomicElem, QuadraticElem, real_display, sign_of_real
+from .exactnum import CyclotomicElem, QuadraticElem, real_display, real_value, sign_of_real
 from .exactnum.quadratic import parts_str
 # tanratio is imported by the code that calls it, so that a command that
 # reads no tangent ratio does not load it.  lshape and stablefiber stay here:
@@ -264,19 +264,20 @@ def cmd_tangent_ratios(
     start = time.perf_counter()
     rows = tanratio.enumerate_ratios(degree, max_denominator)
     if non_units_only:
-        rows = [r for r in rows if not r.is_unit]
+        rows = [row for row in rows if not row[2].is_unit]
     records = [
         {
-            "alpha": tanratio.angle_str(r.alpha),
-            "beta": tanratio.angle_str(r.beta),
-            "degree": r.degree,
-            "trace": r.trace,
-            "norm": r.norm,
-            "is_unit": r.is_unit,
-            "mu": r.mu_display(),
-            "mu_cyclotomic": r.mu,
+            "alpha": tanratio.angle_str(alpha),
+            "beta": tanratio.angle_str(beta),
+            "degree": degree,
+            "trace": poly.trace,
+            "norm": poly.norm,
+            "is_unit": poly.is_unit,
+            "mu": str(real_value(mu, poly)) if degree <= 2 else tanratio.field_display(degree, alpha, beta),
+            "mu_cyclotomic": mu,
         }
-        for r in rows
+        for alpha, beta, poly in rows
+        for mu in (tanratio.exact_mu(alpha, beta),)
     ]
     return Report(
         command="tangent-ratios",
@@ -314,8 +315,8 @@ def cmd_verify_table1(
     keys = _GROUND_TRUTH_KEYS
     expected = [tuple(row[k] for k in keys) for row in reference]
     computed = [
-        (tanratio.angle_str(r.alpha), tanratio.angle_str(r.beta), str(r.trace), str(r.norm))
-        for r in tanratio.normalized_nonunit_rows(max_denominator)
+        (tanratio.angle_str(alpha), tanratio.angle_str(beta), str(poly.trace), str(poly.norm))
+        for alpha, beta, poly in tanratio.normalized_nonunit_rows(max_denominator)
     ]
     records = [dict(zip(keys, row), status="match" if row in computed else "missing") for row in expected]
     records += [dict(zip(keys, row), status="unexpected") for row in computed if row not in expected]
@@ -383,13 +384,14 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
 
         rows = tanratio.normalized_nonunit_rows(12)
         records = []
-        for r in rows:
-            verdict_row = lshape.exclude_against_table1(r.value)
+        for alpha, beta, poly in rows:
+            value = real_value(tanratio.exact_mu(alpha, beta), poly)
+            verdict_row = lshape.exclude_against_table1(value)
             records.append(
                 {
-                    "alpha": tanratio.angle_str(r.alpha),
-                    "beta": tanratio.angle_str(r.beta),
-                    "mu": r.value,
+                    "alpha": tanratio.angle_str(alpha),
+                    "beta": tanratio.angle_str(beta),
+                    "mu": value,
                     "candidates": [c._asdict() for c in verdict_row.candidates_checked],
                     "matching_triples": [
                         {"b": b, "e": e, "lambda": parts_str(*lam)} for b, e, *lam in verdict_row.matching_triples
@@ -463,35 +465,48 @@ def cmd_stratum2(torsion_order: int) -> Report:
     )
     oks.append(ok_count)
 
+    # Each orbit builds one display string above degree 2, which its
+    # members share; at most degree 2, the representative's mu builds the
+    # orbit product, and each member derives its own polynomial and value.
     divisors = [q for q in range(3, torsion_order + 1) if torsion_order % q == 0]
-    handoffs = sorted(
-        (r.alpha[0] * (torsion_order // r.alpha[1]), r.beta[0] * (torsion_order // r.beta[1]), r)
-        for r in tanratio.classify(divisors)
-    )
-    for a, b, r in handoffs:
-        rec: dict[str, Any] = {
-            "stage": "handoff",
-            "A": a,
-            "B": b,
-            "alpha": tanratio.angle_str(r.alpha),
-            "beta": tanratio.angle_str(r.beta),
-            "mu": r.mu_display(),
-            "degree": r.degree,
-        }
-        if r.degree != 2:
-            rec["status"] = "not quadratic: outside the degree-2 height-ratio regime"
-        elif r.is_unit:
-            rec["status"] = "unit: pentagon/octagon regime, handled by known torsion"
-        else:
-            verdict_row = lshape.exclude_against_table1(r.value)
-            oks.append(verdict_row.excluded)
-            rec["status"] = (
-                "excluded by trace/norm matching"
-                if verdict_row.excluded
-                else "matched admissible triples "
-                + str([f"(b={t[0]}, e={t[1]}, lambda={parts_str(*t[2:])})" for t in verdict_row.matching_triples])
+    handoffs = []
+    for degree, _, members in tanratio.classify(divisors):
+        shown = tanratio.field_display(degree, *members[0][:2]) if degree > 2 else None
+        poly = None
+        for alpha, beta, negated, inverted in members:
+            status = "not quadratic: outside the degree-2 height-ratio regime"
+            if degree <= 2:
+                mu = tanratio.exact_mu(alpha, beta)
+                if poly is None:
+                    poly = tanratio.orbit_minpoly(degree, alpha, beta, mu)
+                member_poly = tanratio.member_minpoly(poly, negated, inverted)
+                value = real_value(mu, member_poly)
+                shown = str(value)
+                if degree == 2 and member_poly.is_unit:
+                    status = "unit: pentagon/octagon regime, handled by known torsion"
+                elif degree == 2:
+                    verdict_row = lshape.exclude_against_table1(value)
+                    oks.append(verdict_row.excluded)
+                    status = (
+                        "excluded by trace/norm matching"
+                        if verdict_row.excluded
+                        else "matched admissible triples "
+                        + str([f"(b={t[0]}, e={t[1]}, lambda={parts_str(*t[2:])})" for t in verdict_row.matching_triples])
+                    )
+            handoffs.append(
+                {
+                    "stage": "handoff",
+                    "A": alpha[0] * (torsion_order // alpha[1]),
+                    "B": beta[0] * (torsion_order // beta[1]),
+                    "alpha": tanratio.angle_str(alpha),
+                    "beta": tanratio.angle_str(beta),
+                    "mu": shown,
+                    "degree": degree,
+                    "status": status,
+                }
             )
-        records.append(rec)
+    handoffs.sort(key=lambda rec: (rec["A"], rec["B"]))
+    records += handoffs
 
     verdict = REFUTED if not all(oks) else VERIFIED if handoffs else INCONCLUSIVE
     return Report(

@@ -11,10 +11,11 @@ as its four integers, so a triple is the plain row (b, e, an, bn, den, d),
 as ``enumerate_triples`` and ``make_triple`` yield it.
 
 The exclusion engine takes the value of a quadratic tangent ratio mu, a
-``QuadraticElem`` (``TangentRatio.value``), and checks the four
-candidates mu, -mu, 1/mu, -1/mu (sign changes and swapping the two height
-coordinates) against those trace/norm constraints; a ratio is excluded
-when no candidate matches any admissible pair.
+``QuadraticElem`` (``real_value`` of mu against its minimal polynomial),
+and checks the four candidates mu, -mu, 1/mu, -1/mu (sign changes and
+swapping the two height coordinates) against those trace/norm
+constraints; a ratio is excluded when no candidate matches any
+admissible pair.
 """
 
 from __future__ import annotations

@@ -67,10 +67,12 @@ a bound, or ``stratum2``'s handoffs A/N < B/N: the pairs whose
 denominators divide N.  A member is
 mu' = +-sigma_k(mu)^(+-1) for the representative's mu, negated when
 exactly one angle folds and inverted when the two swap, and sigma_k keeps
-the minimal polynomial p.  So only the representative multiplies out its
-Galois orbit (``exactnum.minimal_polynomial``), whose degree must equal
-the certified index, and a member's polynomial is p(-x) and/or p
-reversed, made monic again.
+the minimal polynomial p.  So ``classify`` returns an orbit as the integer
+rows (degree, Stab, members), each member (alpha, beta, negated, inverted),
+``members[0]`` the representative.  Only the representative multiplies out
+its Galois orbit (``orbit_minpoly``), whose degree must equal the
+certified index, and a member's polynomial is p(-x) and/or p reversed,
+made monic again (``member_minpoly``).
 
 For a degree target, ``classify`` first drops whole denominator pairs
 (q1, q2), before any orbit is walked or any tangent is read, by a
@@ -85,9 +87,9 @@ injective mod pi and gcd(p2, q2) = 1, so u^d = 1 mod q2.  With q1 and q2
 swapped, the same holds mod q1.  So a pair of denominators q1, q2 has a
 ratio of degree d only if, for both q = q1 and q = q2, the group
 K(q, g) = {u in (Z/q)^* : u = 1 mod g} has exponent dividing d.  The
-check reads neither numerator, and ``_kernel_exponent_divides`` caches it
-per (q, g, d).  A diagonal pair q1 = q2 has K(q, q) = {1} and is never
-dropped.  For d = 2, 141 of the 1,711 pairs up to 60 are kept.
+check reads neither numerator, and the walk memoizes
+``_kernel_exponent_divides`` per (q, g) for its one d.  A diagonal pair
+q1 = q2 has K(q, q) = {1} and is never dropped.  For d = 2, 141 of the 1,711 pairs up to 60 are kept.
 
 The same Lagrange argument drops most orbits that are left on one
 comparison, before their conjugates are scanned: sigma_(k^d) fixes mu of
@@ -108,19 +110,16 @@ from __future__ import annotations
 
 import math
 from array import array
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from functools import lru_cache
+from typing import Iterator, Optional, Sequence
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import (
     CyclotomicElem,
     MinPoly,
-    QuadraticElem,
     conductor_units,
     i_tan,
     minimal_polynomial,
-    real_value,
     tan_conductor,
 )
 from .exactnum.signs import cos_sin_ball
@@ -163,82 +162,12 @@ def angle_str(angle: _Angle) -> str:
     return f"{angle[0]}/{angle[1]}"
 
 
-class TangentRatio:
-    """A classified ratio mu = tan(pi*beta)/tan(pi*alpha), computed lazily.
-
-    ``alpha`` and ``beta`` are the angles as reduced pairs (p, q), checked by
-    ``ratio``.  ``classify`` writes ``stabilizer``, (degree, Stab(mu)) from
-    ``_stabilizer``, and ``orbit``, (representative, negated, inverted).
-    The degree needs no ``mu``, which ``minpoly`` and ``value`` build, so a
-    ratio of degree above 2 is displayed from its ``tan_conductor`` alone.
-    ``minpoly`` (and ``trace``, ``norm``, ``is_unit``) is built once per
-    orbit.  ``value``, read for degree at most 2, is the exact value of mu
-    derived once from ``mu`` and ``minpoly``.
-    """
-
-    def __init__(self, alpha: _Angle, beta: _Angle):
-        self.alpha, self.beta = alpha, beta
-
-    @cached_property
-    def mu(self) -> CyclotomicElem:
-        """mu in Q(zeta_m), m = ``tan_conductor`` of the two denominators."""
-        (pa, qa), (pb, qb) = self.alpha, self.beta
-        m = tan_conductor(qa, qb)
-        mu = i_tan(m, m * pb // qb) * i_tan(m, m * pa // qa + m // 2)
-        if not mu.is_real():
-            raise ArithmeticInconsistencyError(f"ratio of tangents {pa}/{qa}, {pb}/{qb} is not real")
-        return mu
-
-    @property
-    def degree(self) -> int:
-        return self.stabilizer[0]
-
-    @cached_property
-    def minpoly(self) -> MinPoly:
-        rep, negated, inverted = self.orbit
-        if rep is not self:
-            cs = rep.minpoly.coeffs
-            if negated:
-                cs = [-c if (len(cs) - i) % 2 == 0 else c for i, c in enumerate(cs)]
-            return MinPoly([c / cs[0] for c in reversed(cs)] if inverted else cs)
-        poly = minimal_polynomial(self.mu)
-        if poly.degree != self.degree:
-            raise ArithmeticInconsistencyError(
-                f"tan(pi*{angle_str(self.beta)})/tan(pi*{angle_str(self.alpha)}) has an orbit "
-                f"product of degree {poly.degree}, not the certified {self.degree}"
-            )
-        return poly
-
-    @property
-    def is_unit(self) -> bool:
-        return self.minpoly.is_unit
-
-    @property
-    def trace(self) -> Fraction:
-        return self.minpoly.trace
-
-    @property
-    def norm(self) -> Fraction:
-        return self.minpoly.norm
-
-    @cached_property
-    def value(self) -> Union[Fraction, QuadraticElem]:
-        """mu as a rational or as a + b*sqrt(D); only for degree at most 2."""
-        return real_value(self.mu, self.minpoly)
-
-    def mu_display(self) -> str:
-        if self.degree > 2:
-            m = tan_conductor(self.alpha[1], self.beta[1])
-            return f"degree-{self.degree} element of Q(zeta_{m})"
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        mu = f", mu={self.mu_display()}" if hasattr(self, "stabilizer") else ""
-        return f"TangentRatio(alpha={angle_str(self.alpha)}, beta={angle_str(self.beta)}{mu})"
+# A member of a classified orbit: (alpha, beta, negated, inverted).
+Member = tuple[_Angle, _Angle, bool, bool]
 
 
-def ratio(alpha: _Angle, beta: _Angle) -> TangentRatio:
-    """tan(pi*beta)/tan(pi*alpha), not yet classified.
+def ratio(alpha: _Angle, beta: _Angle) -> tuple[_Angle, _Angle]:
+    """The pair (alpha, beta) of tan(pi*beta)/tan(pi*alpha), checked.
 
     Each angle is an integer pair (p, q), its coefficient p/q of pi; this is
     the one check that both are reduced and 0 < alpha < beta < 1/2.
@@ -247,7 +176,46 @@ def ratio(alpha: _Angle, beta: _Angle) -> TangentRatio:
     reduced = math.gcd(p1, q1) == math.gcd(p2, q2) == 1
     if not (reduced and q1 > 0 and 0 < p1 * q2 < p2 * q1 and 0 < 2 * p2 < q2):
         raise ValueError(f"need reduced 0 < alpha < beta < 1/2, got alpha = {p1}/{q1}, beta = {p2}/{q2}")
-    return TangentRatio(alpha, beta)
+    return alpha, beta
+
+
+def exact_mu(alpha: _Angle, beta: _Angle) -> CyclotomicElem:
+    """mu in Q(zeta_m), m = ``tan_conductor`` of the two denominators."""
+    (pa, qa), (pb, qb) = alpha, beta
+    m = tan_conductor(qa, qb)
+    mu = i_tan(m, m * pb // qb) * i_tan(m, m * pa // qa + m // 2)
+    if not mu.is_real():
+        raise ArithmeticInconsistencyError(f"ratio of tangents {pa}/{qa}, {pb}/{qb} is not real")
+    return mu
+
+
+def orbit_minpoly(degree: int, alpha: _Angle, beta: _Angle, mu: CyclotomicElem) -> MinPoly:
+    """The minimal polynomial of a representative's ``mu``, its orbit
+    product, checked against the certified ``degree``."""
+    poly = minimal_polynomial(mu)
+    if poly.degree != degree:
+        raise ArithmeticInconsistencyError(
+            f"tan(pi*{angle_str(beta)})/tan(pi*{angle_str(alpha)}) has an orbit "
+            f"product of degree {poly.degree}, not the certified {degree}"
+        )
+    return poly
+
+
+def member_minpoly(poly: MinPoly, negated: bool, inverted: bool) -> MinPoly:
+    """A member's minimal polynomial from its representative's ``poly``:
+    p(-x) when negated and p reversed when inverted, each made monic."""
+    if not (negated or inverted):
+        return poly
+    cs = poly.coeffs
+    if negated:
+        cs = [-c if (len(cs) - i) % 2 == 0 else c for i, c in enumerate(cs)]
+    return MinPoly([c / cs[0] for c in reversed(cs)] if inverted else cs)
+
+
+def field_display(degree: int, alpha: _Angle, beta: _Angle) -> str:
+    """The display of a mu of degree above 2: its degree and field, which
+    every member of its orbit shares."""
+    return f"degree-{degree} element of Q(zeta_{tan_conductor(alpha[1], beta[1])})"
 
 
 # --------------------------------------------------------------------------
@@ -407,18 +375,26 @@ def _ordered(a: _Angle, b: _Angle) -> tuple[_Angle, _Angle]:
     return (a, b) if a[0] * b[1] < b[0] * a[1] else (b, a)
 
 
-@lru_cache(maxsize=None)
 def _kernel_exponent_divides(q: int, g: int, d: int) -> bool:
     """Whether u^d = 1 mod q for every unit u of Z/q with u = 1 mod g, g | q:
     whether the exponent of K(q, g) divides d (see the module docstring)."""
     return all(pow(u, d, q) == 1 for u in range(1 + g, q, g) if math.gcd(u, q) == 1)
 
 
-def _pair_admits_degree(q1: int, q2: int, degree: int) -> bool:
+def _pair_admits_degree(q1: int, q2: int, degree: int, divides: dict[tuple[int, int], bool]) -> bool:
     """False only if no pair of angles with denominators q1, q2 has a ratio
-    of this degree: the Lagrange/CRT certificate of the module docstring."""
+    of this degree: the Lagrange/CRT certificate of the module docstring.
+    ``divides`` memoizes ``_kernel_exponent_divides`` per (q, g) for this
+    ``degree``, for as long as one walk runs."""
     g = math.gcd(q1, q2)
-    return _kernel_exponent_divides(q1, g, degree) and _kernel_exponent_divides(q2, g, degree)
+    ok = divides.get((q1, g))
+    if ok is None:
+        ok = divides[q1, g] = _kernel_exponent_divides(q1, g, degree)
+    if ok:
+        ok = divides.get((q2, g))
+        if ok is None:
+            ok = divides[q2, g] = _kernel_exponent_divides(q2, g, degree)
+    return ok
 
 
 def _orbit_representatives(
@@ -439,9 +415,10 @@ def _orbit_representatives(
     ascending c, g - c, g + c, 2g - c, ...: c itself when c is a unit mod
     q2, as on the diagonal.
     """
+    divides: dict[tuple[int, int], bool] = {}
     for j, q2 in enumerate(denominators):
         for q1 in denominators[: j + 1]:
-            if degree is not None and not _pair_admits_degree(q1, q2, degree):
+            if degree is not None and not _pair_admits_degree(q1, q2, degree, divides):
                 continue
             g = math.gcd(q1, q2)
             for c in range(1, max(1, g // 2) + 1):
@@ -456,59 +433,63 @@ def _orbit_representatives(
                 yield _ordered((1, q1), (p2, q2))
 
 
-def classify(denominators: Sequence[int], degree: Optional[int] = None) -> list[TangentRatio]:
-    """Every pair of distinct angles whose denominators lie in
-    ``denominators`` (ascending, each at least 3), in the order of the walk;
-    with a ``degree``, only the pairs of that degree.
+def classify(
+    denominators: Sequence[int], degree: Optional[int] = None
+) -> list[tuple[int, tuple[int, ...], tuple[Member, ...]]]:
+    """(degree, Stab, members) for each Galois orbit of the pairs of distinct
+    angles whose denominators lie in ``denominators`` (ascending, each at
+    least 3), in the order of the walk; with a ``degree``, only the orbits
+    of that degree.
 
     ``_stabilizer`` runs once per orbit, on its representative from
     ``_orbit_representatives``, with ``degree`` as its cap: it drops the
     orbit when one Lagrange comparison rules the degree out or once
     ``degree + 1`` conjugates are certified pairwise distinct, and builds
     no mu.  With a ``degree``, the walk skips the denominator
-    pairs that cannot hold it.  Each member of a kept orbit, from the units
-    k <= L/2, L = lcm(q1, q2), is handed the stabilizer and its ``orbit``
-    (see the module docstring); k = 1 gives the representative itself.
+    pairs that cannot hold it.  The members of a kept orbit, each checked
+    by ``ratio``, are its images under the units k <= L/2, L = lcm(q1, q2)
+    (see the module docstring); k = 1 gives the representative.
     """
-    kept: list[TangentRatio] = []
+    kept = []
     for rep in _orbit_representatives(denominators, degree):
         found = _stabilizer(*rep[0], *rep[1], degree)
         if found is None or degree not in (None, found[0]):
             continue
         (p1, q1), (p2, q2) = rep
-        members: dict[tuple[_Angle, _Angle], tuple[bool, bool]] = {}
+        images: dict[tuple[_Angle, _Angle], tuple[bool, bool]] = {}
         for k in _numerators(math.lcm(q1, q2)):
             a, b = k * p1 % q1, k * p2 % q2
             fold_a, fold_b = 2 * a > q1, 2 * b > q2
             x, y = (q1 - a if fold_a else a, q1), (q2 - b if fold_b else b, q2)
             inverted = x[0] * q2 > y[0] * q1
-            members.setdefault((y, x) if inverted else (x, y), (fold_a != fold_b, inverted))
-        head = None
-        for (a, b), flags in members.items():
-            t = ratio(a, b)
-            head = head or t
-            t.stabilizer, t.orbit = found, (head, *flags)
-            kept.append(t)
+            images.setdefault((y, x) if inverted else (x, y), (fold_a != fold_b, inverted))
+        kept.append((*found, tuple([(*ratio(a, b), *flags) for (a, b), flags in images.items()])))
     return kept
 
 
-def enumerate_ratios(degree_target: int, max_denominator: int) -> list[TangentRatio]:
-    """``classify`` for one degree, denominators up to a bound, by (alpha, beta)."""
+def enumerate_ratios(degree_target: int, max_denominator: int) -> list[tuple[_Angle, _Angle, MinPoly]]:
+    """Every ratio of one degree with both denominators up to a bound, as
+    the row (alpha, beta, minimal polynomial), by (alpha, beta).  Only the
+    representative of each orbit of ``classify`` builds mu."""
     if degree_target < 1:
         raise ValueError(f"degree target must be positive, got {degree_target}")
     if max_denominator < 3:
         raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
-    kept = classify(range(3, max_denominator + 1), degree_target)
+    rows = []
+    for degree, _, members in classify(range(3, max_denominator + 1), degree_target):
+        alpha, beta = members[0][:2]
+        poly = orbit_minpoly(degree, alpha, beta, exact_mu(alpha, beta))
+        rows += [(a, b, member_minpoly(poly, negated, inverted)) for a, b, negated, inverted in members]
     key = _by_value(max_denominator)
-    return sorted(kept, key=lambda t: (key(t.alpha), key(t.beta)))
+    return sorted(rows, key=lambda row: (key(row[0]), key(row[1])))
 
 
 # --------------------------------------------------------------------------
 # Galois normalization
 
 
-def normalize_by_galois(t: TangentRatio) -> TangentRatio:
-    """An equivalent ratio whose alpha has numerator 1.
+def normalize_by_galois(pair: tuple[_Angle, _Angle]) -> tuple[_Angle, _Angle]:
+    """An equivalent pair (alpha, beta) whose alpha has numerator 1.
 
     Applies the Galois substitution zeta -> zeta^k to both tangent factors
     for the smallest k that sends alpha's numerator class to +-1 mod its
@@ -517,18 +498,18 @@ def normalize_by_galois(t: TangentRatio) -> TangentRatio:
     command calls it: the tests keep it as the oracle of
     ``normalized_nonunit_rows``.
     """
-    if t.alpha[0] == 1:
-        return t
-    (pa, qa), (pb, qb) = t.alpha, t.beta
+    (pa, qa), (pb, qb) = pair
+    if pa == 1:
+        return pair
     for k in conductor_units(tan_conductor(qa, qb)):
         lo, hi = _ordered((_fold_mod(k * pa, qa), qa), (_fold_mod(k * pb, qb), qb))
         if lo[0] == 1:
             return ratio(lo, hi)
-    raise ArithmeticInconsistencyError(f"no Galois substitution normalizes alpha = {angle_str(t.alpha)}")
+    raise ArithmeticInconsistencyError(f"no Galois substitution normalizes alpha = {pa}/{qa}")
 
 
-def normalized_nonunit_rows(max_denominator: int = 12) -> list[TangentRatio]:
-    """Degree-2 non-unit ratios up to the bound whose alpha has numerator 1.
+def normalized_nonunit_rows(max_denominator: int = 12) -> list[tuple[_Angle, _Angle, MinPoly]]:
+    """Degree-2 non-unit rows of ``enumerate_ratios`` whose alpha has numerator 1.
 
     These are exactly the normal forms that ``normalize_by_galois`` gives
     the non-units.  It fixes each member whose alpha has numerator 1, and
@@ -537,7 +518,6 @@ def normalized_nonunit_rows(max_denominator: int = 12) -> list[TangentRatio]:
     non-unit too (a Galois conjugate, a sign and an inverse each keep a
     unit a unit).  One orbit of unordered pairs can hold mu and a conjugate
     of -1/mu', two rows of different trace and norm, such as (1/12, 1/6)
-    and (1/6, 5/12).  The numerator is tested first, so that the other
-    members build no mu.
+    and (1/6, 5/12).
     """
-    return [t for t in enumerate_ratios(2, max_denominator) if t.alpha[0] == 1 and not t.is_unit]
+    return [row for row in enumerate_ratios(2, max_denominator) if row[0][0] == 1 and not row[2].is_unit]

@@ -8,21 +8,33 @@ here too: the package checks its closed form in integers only.
 
 import math
 from fractions import Fraction
+from typing import Union
 
 from torsion_packet import tanratio
-from torsion_packet.exactnum import CyclotomicElem
-from torsion_packet.tanratio import TangentRatio, i_tan
+from torsion_packet.exactnum import CyclotomicElem, MinPoly, QuadraticElem, real_value
+from torsion_packet.tanratio import i_tan
 
 
-def classified_ratio(alpha: tuple[int, int], beta: tuple[int, int]) -> TangentRatio:
-    """``ratio(alpha, beta)`` of the angles as reduced pairs (p, q),
-    classified on its own, as the representative of its orbit: the per-pair
-    oracle of the stabilizer and the minimal polynomial that
-    ``tanratio.classify`` computes once per orbit."""
-    t = tanratio.ratio(alpha, beta)
-    t.stabilizer = tanratio._stabilizer(*alpha, *beta, None)
-    t.orbit = (t, False, False)
-    return t
+def stabilizer(alpha: tuple[int, int], beta: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
+    """(degree, Stab) of ``ratio(alpha, beta)``, the angles as reduced pairs
+    (p, q), certified for this pair on its own with no degree cap."""
+    (pa, qa), (pb, qb) = tanratio.ratio(alpha, beta)
+    return tanratio._stabilizer(pa, qa, pb, qb, None)
+
+
+def classified_ratio(alpha: tuple[int, int], beta: tuple[int, int]) -> tuple[tuple[int, tuple[int, ...]], MinPoly]:
+    """(stabilizer, minimal polynomial) of ``ratio(alpha, beta)``, classified
+    on its own, as the representative of its orbit: the per-pair oracle of
+    what ``tanratio.classify`` certifies and ``enumerate_ratios`` builds
+    once per orbit."""
+    found = stabilizer(alpha, beta)
+    return found, tanratio.orbit_minpoly(found[0], alpha, beta, tanratio.exact_mu(alpha, beta))
+
+
+def ratio_value(alpha: tuple[int, int], beta: tuple[int, int]) -> Union[Fraction, QuadraticElem]:
+    """The exact value of a ratio of degree at most 2, from its own mu and
+    the oracle's polynomial."""
+    return real_value(tanratio.exact_mu(alpha, beta), classified_ratio(alpha, beta)[1])
 
 
 def conductor(angle: Fraction) -> int:

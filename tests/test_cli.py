@@ -340,7 +340,7 @@ def _has_status(status):
     return lambda report: any(rec["status"] == status for rec in report["records"])
 
 
-_EXTRA_RATIO = classified_ratio((1, 7), (2, 7))
+_EXTRA_RATIO = ((1, 7), (2, 7), classified_ratio((1, 7), (2, 7))[1])
 _STRATUM2 = ["stratum2", "--torsion-order", "10"]
 
 # (id, argv, module, function, change of its result, what the report shows)
@@ -431,9 +431,8 @@ def test_twice_the_decagon_closed_form_is_not_its_generator(monkeypatch, capsys)
 
 
 def test_caches_fill_the_same_under_concurrent_first_use():
-    # Every lru_cache and cached_property, and the stabilizer that the
-    # orbit walk writes into its members, holds a pure function's
-    # value, so threads that fill them at once get the serial results.
+    # Every lru_cache holds a pure function's value, so threads that fill
+    # them at once get the serial results.
     import threading
 
     from torsion_packet import tanratio
@@ -448,12 +447,9 @@ def test_caches_fill_the_same_under_concurrent_first_use():
     )
 
     def run():
-        ratios = [
-            (t.alpha, t.beta, t.stabilizer, t.minpoly, t.mu_display())
-            for t in tanratio.enumerate_ratios(4, 24)
-        ]
         return (
-            ratios,
+            tanratio.classify(range(3, 25), 4),
+            tanratio.enumerate_ratios(4, 24),
             render(cmd_stratum2(30), "json").rsplit("elapsed_ms", 1)[0],
             render(cmd_lshape("enumerate", 50), "json").rsplit("elapsed_ms", 1)[0],
         )
@@ -559,27 +555,27 @@ def test_stratum2_builds_minimal_polynomials_only_for_quadratic_ratios(monkeypat
         built.clear()
         walked.clear()
         degrees = [r["degree"] for r in cmd_stratum2(n).records if r["stage"] == "handoff"]
-        low = {t.orbit[0] for t in walked if t.degree <= 2}
+        low = [degree for degree, _, _ in walked if degree <= 2]
         assert len(built) == len(low) == builds
-        assert sorted(built) == sorted(t.degree for t in low)
+        assert sorted(built) == sorted(low)
         assert set(built) == {d for d in degrees if d <= 2}
         if n == 13:
             assert min(degrees) > 2
 
 
 def test_stratum2_derives_each_quadratic_value_once(monkeypatch):
-    # mu_display and the exclusion engine both read TangentRatio.value, so
-    # each handoff of degree at most 2 derives its value once.
-    import torsion_packet.tanratio as tanratio_mod
+    # The display and the exclusion engine read one value, so each handoff
+    # of degree at most 2 derives its value once.
+    import torsion_packet.cli as cli_mod
 
-    original = tanratio_mod.real_value
+    original = cli_mod.real_value
     calls = []
 
     def counted(e, p):
         calls.append(p.degree)
         return original(e, p)
 
-    monkeypatch.setattr(tanratio_mod, "real_value", counted)
+    monkeypatch.setattr(cli_mod, "real_value", counted)
     report = cmd_stratum2(12)
     degrees = [r["degree"] for r in report.records if r["stage"] == "handoff"]
     assert len(calls) == sum(1 for d in degrees if d <= 2) == 10

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from torsion_packet import lshape
 from torsion_packet.cli import cmd_lshape
 from torsion_packet.errors import UsageError
-from torsion_packet.exactnum import QuadraticElem
+from torsion_packet.exactnum import QuadraticElem, real_value
 from torsion_packet.exactnum.quadratic import parts_str
 from torsion_packet.lshape import (
     enumerate_triples,
@@ -22,9 +22,9 @@ from torsion_packet.lshape import (
     trace_norm_lambda_plus_one,
     unit_case_triples,
 )
-from torsion_packet.tanratio import normalized_nonunit_rows
+from torsion_packet.tanratio import exact_mu, normalized_nonunit_rows
 
-from exact_helpers import classified_ratio
+from exact_helpers import ratio_value
 from quadratic_reference import RefQuadratic
 
 
@@ -146,7 +146,7 @@ def test_unit_case_bound_validation():
 
 
 def test_sqrt5_row_is_excluded_on_trace():
-    verdict = exclude_against_table1(classified_ratio((1, 10), (1, 5)).value)
+    verdict = exclude_against_table1(ratio_value((1, 10), (1, 5)))
     assert verdict.excluded and not verdict.matching_triples
     assert [str(c.trace) for c in verdict.candidates_checked] == ["0", "0", "0", "0"]
     inv_norms = {c.label: c.norm for c in verdict.candidates_checked}
@@ -154,7 +154,7 @@ def test_sqrt5_row_is_excluded_on_trace():
 
 
 def test_trace_two_candidate_fails_on_norm():
-    verdict = exclude_against_table1(classified_ratio((1, 10), (2, 5)).value)
+    verdict = exclude_against_table1(ratio_value((1, 10), (2, 5)))
     assert verdict.excluded
     by_label = {c.label: c for c in verdict.candidates_checked}
     assert by_label["1/mu"].trace == 2
@@ -166,14 +166,14 @@ def test_trace_two_candidate_fails_on_norm():
 def test_all_reference_rows_excluded():
     rows = normalized_nonunit_rows(12)
     assert len(rows) == 9
-    for row in rows:
-        assert exclude_against_table1(row.value).excluded
+    for alpha, beta, poly in rows:
+        assert exclude_against_table1(real_value(exact_mu(alpha, beta), poly)).excluded
 
 
 def test_exclusion_rejects_a_rational_value():
     # tan(pi/3)/tan(pi/6) = 3 has degree 1: its value is a Fraction.
     with pytest.raises(ValueError, match="degree-2"):
-        exclude_against_table1(classified_ratio((1, 6), (1, 3)).value)
+        exclude_against_table1(ratio_value((1, 6), (1, 3)))
     with pytest.raises(ValueError, match="degree-2"):
         exclude_against_table1(QuadraticElem(3, 0, 2))
 
@@ -209,8 +209,8 @@ def test_exclusion_has_no_bound_on_b():
 
 def test_candidate_set_closed_under_inversion():
     rows = normalized_nonunit_rows(12)
-    for row in rows:
-        mu = row.value
+    for alpha, beta, poly in rows:
+        mu = real_value(exact_mu(alpha, beta), poly)
         v1 = exclude_against_table1(mu)
         v2 = exclude_against_table1(mu.inverse())
         assert v1.excluded == v2.excluded

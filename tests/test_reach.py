@@ -137,9 +137,10 @@ def test_every_function_is_reached_by_a_command(capsys, tmp_path):
 
 def test_readme_names_every_cache():
     # The concurrency paragraph of the README lists each lru_cache as
-    # `module.function` and each cached_property as `Class.property`.  The
-    # decorator lines of the source are counted too, so that no cache
-    # hides where the namespace walk does not look.
+    # `module.function`, and the package defines no cached_property, so no
+    # object fills an attribute after it is built.  The decorator lines of the
+    # source are counted too, so that no cache hides where the namespace
+    # walk does not look.
     lru, cached, decorated = set(), set(), 0
     for module in _package_modules():
         source = Path(module.__file__).read_text()
@@ -153,16 +154,13 @@ def test_readme_names_every_cache():
                     for name, attr in vars(value).items()
                     if isinstance(attr, functools.cached_property)
                 }
-    assert decorated == len(lru) + len(cached)
+    assert not cached
+    assert decorated == len(lru)
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
-    def listed(kind):
-        bullet = re.search(rf"^\* the `functools\.{kind}`s (.*?)(?=^\* |\n\n)", readme, re.M | re.S)
-        return set(re.findall(r"`(\w+(?:\.\w+)+)`", bullet.group(1)))
-
-    assert listed("lru_cache") == lru
-    assert listed("cached_property") == cached
+    listed = re.search(r"the `functools\.lru_cache`s (.*?)\n\n", readme, re.S).group(1)
+    assert set(re.findall(r"`(\w+(?:\.\w+)+)`", listed)) == lru
 
 
 def test_readme_names_every_immutable_class():

@@ -37,7 +37,7 @@ from torsion_packet.stablefiber import (
     verify_residue_constraints,
     verify_zero_orders,
 )
-from exact_helpers import classified_ratio, stratum2_limit_differential
+from exact_helpers import ratio_value, stratum2_limit_differential
 from float_embedding import complex_embedding
 
 
@@ -369,7 +369,7 @@ def test_height_ratio_with_tangent_coordinates():
     assert dim == 1
     hr = height_ratio(basis[0])
     # The solutions live in Q(zeta_10), mu in Q(zeta_20): compare values.
-    assert real_value(hr, minimal_polynomial(hr)) == classified_ratio((1, 10), (1, 5)).value
+    assert real_value(hr, minimal_polynomial(hr)) == ratio_value((1, 10), (1, 5))
     z5 = CyclotomicElem.zeta(10, 2)
     assert hr == 2 * (z5 + z5**4) + 1  # sqrt(5)
 

@@ -1,6 +1,7 @@
 """Tests for tangent-ratio embedding, classification and enumeration."""
 
 import math
+import random
 from fractions import Fraction as F
 from typing import Optional
 
@@ -27,8 +28,11 @@ from torsion_packet.tanratio import (
     _tan_row,
     angles_up_to,
     enumerate_ratios,
+    exact_mu,
+    member_minpoly,
     normalize_by_galois,
     normalized_nonunit_rows,
+    orbit_minpoly,
     ratio,
     tan_conductor,
 )
@@ -38,7 +42,9 @@ from exact_helpers import (
     classified_ratio,
     conductor,
     embed,
+    ratio_value,
     sin_of,
+    stabilizer,
     tan_of,
 )
 from float_embedding import complex_embedding
@@ -160,7 +166,7 @@ def _matches_reference(a: tuple[int, int], b: tuple[int, int]) -> bool:
     m = _reference_conductor(alpha, beta)
     na, da = _tan_parts(alpha, m)
     nb, db = _tan_parts(beta, m)
-    mu = ratio(a, b).mu
+    mu = exact_mu(a, b)
     return 2 * mu.m == m and embed(mu, m) * db * na == nb * da
 
 
@@ -183,7 +189,7 @@ def test_tan_against_generic_inverse():
     for p, q in ((1, 5), (3, 8), (5, 12)):
         t = tan_of(ang(p, q))
         assert t * t.inverse() == 1
-        mu = ratio((1, 7), (p, q)).mu
+        mu = exact_mu((1, 7), (p, q))
         m = math.lcm(mu.m, conductor(ang(1, 7)), conductor(ang(p, q)))
         assert embed(mu, m) * embed(tan_of(ang(1, 7)), m) == embed(t, m)
 
@@ -195,7 +201,7 @@ def test_every_mu_lives_at_the_tan_conductor():
     # orbit shares, so one pair per orbit up to 30 covers every pair of
     # denominators.
     for a, b in _orbit_representatives(range(3, 31)):
-        assert ratio(a, b).mu.m == tan_conductor(a[1], b[1]) == math.lcm(2, a[1], b[1])
+        assert exact_mu(a, b).m == tan_conductor(a[1], b[1]) == math.lcm(2, a[1], b[1])
         if max(a[1], b[1]) <= 24:
             assert _matches_reference(a, b), (a, b)
 
@@ -205,13 +211,13 @@ def test_every_mu_lives_at_the_tan_conductor():
 
 
 def test_ratio_examples_from_reference_list():
-    r = classified_ratio((1, 10), (2, 5))
-    assert r.degree == 2 and r.trace == 10 and r.norm == 5
-    assert r.value == QuadraticElem(5, 2, 5)
+    (degree, _), poly = classified_ratio((1, 10), (2, 5))
+    assert degree == 2 and poly.trace == 10 and poly.norm == 5
+    assert ratio_value((1, 10), (2, 5)) == QuadraticElem(5, 2, 5)
 
-    r = classified_ratio((1, 12), (1, 6))
-    assert r.degree == 2 and r.trace == 2 and r.norm == F(-1, 3)
-    assert r.value == QuadraticElem(1, F(2, 3), 3)
+    (degree, _), poly = classified_ratio((1, 12), (1, 6))
+    assert degree == 2 and poly.trace == 2 and poly.norm == F(-1, 3)
+    assert ratio_value((1, 12), (1, 6)) == QuadraticElem(1, F(2, 3), 3)
 
 
 def test_degree_is_orbit_size_on_stratum2_handoff_pairs():
@@ -222,13 +228,13 @@ def test_degree_is_orbit_size_on_stratum2_handoff_pairs():
     for a in positive:
         for b in positive:
             if a < b:
-                r = classified_ratio(reduced(a, n), reduced(b, n))
-                assert r.degree == minimal_polynomial(r.mu).degree
+                alpha, beta = reduced(a, n), reduced(b, n)
+                (degree, _), poly = classified_ratio(alpha, beta)
+                assert degree == minimal_polynomial(exact_mu(alpha, beta)).degree == poly.degree
 
 
 def test_ratio_degree_one():
-    r = classified_ratio((1, 6), (1, 3))
-    assert r.degree == 1 and r.mu == 3
+    assert stabilizer((1, 6), (1, 3))[0] == 1 and exact_mu((1, 6), (1, 3)) == 3
 
 
 def test_ratio_requires_alpha_below_beta():
@@ -239,16 +245,15 @@ def test_ratio_requires_alpha_below_beta():
 
 
 def test_mu_exceeds_one():
-    for r in enumerate_ratios(2, 8):
-        assert sign_of_real(r.mu - 1) == 1
-    assert sign_of_real(ratio((1, 6), (1, 3)).mu - 1) == 1
+    for alpha, beta, _ in enumerate_ratios(2, 8):
+        assert sign_of_real(exact_mu(alpha, beta) - 1) == 1
+    assert sign_of_real(exact_mu((1, 6), (1, 3)) - 1) == 1
 
 
 def test_unit_flags():
-    assert not classified_ratio((1, 10), (1, 5)).is_unit  # sqrt(5), norm -5
-    r = classified_ratio((1, 12), (1, 4))
-    assert r.value == QuadraticElem(2, 1, 3)
-    assert r.is_unit  # 2 + sqrt(3), norm 1
+    assert not classified_ratio((1, 10), (1, 5))[1].is_unit  # sqrt(5), norm -5
+    assert ratio_value((1, 12), (1, 4)) == QuadraticElem(2, 1, 3)
+    assert classified_ratio((1, 12), (1, 4))[1].is_unit  # 2 + sqrt(3), norm 1
 
 
 # --------------------------------------------------------------------------
@@ -260,21 +265,21 @@ def test_enumerate_smallest_bound():
     # tan(pi/3)/tan(pi/4) = sqrt(3) is quadratic (it is a shipped row of
     # the reference list).
     rows = enumerate_ratios(2, 4)
-    assert [(r.alpha, r.beta) for r in rows] == [((1, 4), (1, 3))]
-    assert rows[0].trace == 0 and rows[0].norm == -3
+    assert [row[:2] for row in rows] == [((1, 4), (1, 3))]
+    assert rows[0][2].trace == 0 and rows[0][2].norm == -3
 
 
 def test_enumerate_degree_one():
     rows = enumerate_ratios(1, 6)
-    assert any((r.alpha, r.beta, r.mu) == ((1, 6), (1, 3), 3) for r in rows)
+    assert any((a, b, exact_mu(a, b)) == ((1, 6), (1, 3), 3) for a, b, _ in rows)
 
 
 def test_enumerate_is_sorted_and_respects_bound():
     rows = enumerate_ratios(2, 12)
-    keys = [(F(*r.alpha), F(*r.beta)) for r in rows]
+    keys = [(F(*a), F(*b)) for a, b, _ in rows]
     assert keys == sorted(keys)
-    assert all(r.alpha[1] <= 12 and r.beta[1] <= 12 for r in rows)
-    assert all(r.degree == 2 for r in rows)
+    assert all(a[1] <= 12 and b[1] <= 12 for a, b, _ in rows)
+    assert all(poly.degree == 2 for _, _, poly in rows)
     # The angles come in ascending order of value, by their integer key.
     values = [F(p, q) for q in range(3, 61) for p in range(1, q) if 2 * p < q and math.gcd(p, q) == 1]
     assert [F(*a) for a in angles_up_to(60)] == sorted(values)
@@ -299,7 +304,7 @@ def test_numeric_prefilter_agrees_with_exact_path():
         for b in angles[i + 1 :]
     }
     for d in range(1, 5):
-        kept = [(r.alpha, r.beta) for r in enumerate_ratios(d, 14)]
+        kept = [row[:2] for row in enumerate_ratios(d, 14)]
         assert kept, d
         assert kept == [k for k, deg in exact_degree.items() if deg == d]
 
@@ -359,21 +364,21 @@ def _pair_count(max_denominator):
 
 def test_orbit_scan_matches_pair_scan():
     for d in range(1, 5):
-        got = [(r.alpha, r.beta) for r in enumerate_ratios(d, 20)]
+        got = [row[:2] for row in enumerate_ratios(d, 20)]
         assert got, d
         assert got == _pair_scan(d, 20), d
     for bound, pairs, orbits in ((20, 1953, 191), (60, 150_975, 2289)):
         reps = list(_orbit_representatives(range(3, bound + 1)))
         assert len(reps) == len(set(reps)) == orbits
         assert _pair_count(bound) == pairs
-        members = {(t.alpha, t.beta) for t in tanratio.classify(range(3, bound + 1))}
+        members = {m[:2] for _, _, orbit in tanratio.classify(range(3, bound + 1)) for m in orbit}
         assert len(members) == pairs
     # The walk with a degree skips whole denominator pairs, and keeps
     # exactly what the walk over every orbit, uncapped, keeps.
-    every = [(t.alpha, t.beta, t.stabilizer) for t in tanratio.classify(range(3, 37))]
+    every = tanratio.classify(range(3, 37))
     for d in range(1, 9):
-        pruned = [(t.alpha, t.beta, t.stabilizer) for t in tanratio.classify(range(3, 37), d)]
-        assert sorted(pruned) == sorted(m for m in every if m[2][0] == d), d
+        pruned = tanratio.classify(range(3, 37), d)
+        assert sorted(pruned) == sorted(orbit for orbit in every if orbit[0] == d), d
 
 
 def test_pair_filter_prunes_only_pairs_without_the_degree():
@@ -389,7 +394,7 @@ def test_pair_filter_prunes_only_pairs_without_the_degree():
         for q2 in range(3, 25)
         for q1 in range(3, q2 + 1)
         for d in range(1, 7)
-        if not tanratio._pair_admits_degree(q1, q2, d)
+        if not tanratio._pair_admits_degree(q1, q2, d, {})
     ]
     assert len(pruned) == 1215
     for q1, q2, d in pruned:
@@ -413,7 +418,8 @@ def test_pair_filter_counts_at_bound_60():
     denominators = range(3, 61)
     pairs = [(q1, q2) for j, q2 in enumerate(denominators) for q1 in denominators[: j + 1]]
     assert len(pairs) == 1711
-    assert sum(tanratio._pair_admits_degree(q1, q2, 2) for q1, q2 in pairs) == 141
+    divides = {}
+    assert sum(tanratio._pair_admits_degree(q1, q2, 2, divides) for q1, q2 in pairs) == 141
     assert len(list(_orbit_representatives(denominators, 2))) == 584
 
 
@@ -433,13 +439,6 @@ def test_lagrange_power_is_the_first_unit_power_off_plus_or_minus_one():
             assert math.gcd(s, lcm) == 1 and s not in (1, lcm - 1), (lcm, d)
 
 
-def _classified(denominators, degree):
-    return [
-        (t.alpha, t.beta, t.stabilizer, (t.orbit[0].alpha, t.orbit[0].beta, *t.orbit[1:]))
-        for t in tanratio.classify(denominators, degree)
-    ]
-
-
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 6, 8])
 def test_lagrange_drop_keeps_every_orbit_of_the_degree(degree, monkeypatch):
     # The one comparison of sigma_s(mu) with mu drops only orbits whose
@@ -447,10 +446,10 @@ def test_lagrange_drop_keeps_every_orbit_of_the_degree(degree, monkeypatch):
     # stabilizers and orbits.
     for bound in (40, 50, 60):
         denominators = range(3, bound + 1)
-        with_test = _classified(denominators, degree)
+        with_test = tanratio.classify(denominators, degree)
         with monkeypatch.context() as m:
             m.setattr(tanratio, "_lagrange_power", lambda lcm, d: None)
-            assert _classified(denominators, degree) == with_test, bound
+            assert tanratio.classify(denominators, degree) == with_test, bound
         assert with_test, bound
 
 
@@ -490,9 +489,10 @@ def _scanned_representatives(denominators, degree=None):
     """``_orbit_representatives`` with each p2 found by a scan of every
     numerator of q2 for the first in the class +-c mod g: the oracle of the
     class lift."""
+    divides = {}
     for j, q2 in enumerate(denominators):
         for q1 in denominators[: j + 1]:
-            if degree is not None and not tanratio._pair_admits_degree(q1, q2, degree):
+            if degree is not None and not tanratio._pair_admits_degree(q1, q2, degree, divides):
                 continue
             g = math.gcd(q1, q2)
             for c in range(1, max(1, g // 2) + 1):
@@ -543,7 +543,13 @@ def _pairs_up_to_12():
 
 def _mu_fixers_up_to_30():
     """(alpha, beta, k) with a unit 1 < k <= L/2 that fixes mu, from the walk."""
-    return [(t.alpha, t.beta, k) for t in tanratio.classify(range(3, 31)) for k in t.stabilizer[1] if k != 1]
+    return [
+        (alpha, beta, k)
+        for _, stab, members in tanratio.classify(range(3, 31))
+        for alpha, beta, _, _ in members
+        for k in stab
+        if k != 1
+    ]
 
 
 def test_four_cosines_vanish_exactly_on_the_stabilizer():
@@ -600,14 +606,13 @@ def test_degree_is_the_orbit_size_on_every_orbit_representative():
     reps = list(_orbit_representatives(range(3, 21)))
     assert len(reps) == 191
     for a, b in reps:
-        r = classified_ratio(a, b)
-        assert r.degree == len(galois_orbit(r.mu)), (a, b)
+        assert stabilizer(a, b)[0] == len(galois_orbit(exact_mu(a, b))), (a, b)
 
 
 def _handoff_degrees(n):
     positive = [a for a in solve_torsion_pairs(n) if a > 0]
     return [
-        classified_ratio(reduced(a, n), reduced(b, n)).degree
+        stabilizer(reduced(a, n), reduced(b, n))[0]
         for a in positive
         for b in positive
         if a < b
@@ -620,7 +625,7 @@ def test_degrees_hold_when_every_unit_is_a_candidate(monkeypatch):
     # float scan never drops an orbit.
     def classified():
         rows = [
-            [(r.alpha, r.beta, r.trace, r.norm) for r in enumerate_ratios(d, 14)]
+            [(a, b, poly.trace, poly.norm) for a, b, poly in enumerate_ratios(d, 14)]
             for d in range(1, 5)
         ]
         return rows, _handoff_degrees(12)
@@ -641,7 +646,7 @@ def test_stabilizer_is_the_units_that_fix_mu(monkeypatch):
     fixing = 0
     for alpha, beta in pairs:
         lcm = math.lcm(alpha[1], beta[1])
-        mu = ratio(alpha, beta).mu
+        mu = exact_mu(alpha, beta)
         expected = tuple(
             k
             for k in range(1, lcm // 2 + 1)
@@ -655,7 +660,8 @@ def test_stabilizer_is_the_units_that_fix_mu(monkeypatch):
 
 def test_mu_is_built_only_where_it_is_read(monkeypatch):
     # The degree needs no mu: stratum2 builds it, two tangents each, only
-    # for the handoffs of degree at most 2, and the enumeration not at all.
+    # for the handoffs of degree at most 2, and the enumeration only on each
+    # orbit's representative, for its orbit product.
     calls = []
 
     def counting(m, e):
@@ -668,8 +674,9 @@ def test_mu_is_built_only_where_it_is_read(monkeypatch):
     low = [r for r in report.records if r["stage"] == "handoff" and r["degree"] <= 2]
     assert len(calls) == 2 * len(low) == 54
     calls.clear()
-    assert enumerate_ratios(6, 40)
-    assert calls == []
+    rows = enumerate_ratios(6, 40)
+    orbits = tanratio.classify(range(3, 41), 6)
+    assert len(calls) == 2 * len(orbits) < len(rows)
 
 
 def test_stratum2_handoff_needs_no_exact_orbit(monkeypatch):
@@ -710,9 +717,9 @@ def test_stratum2_takes_every_handoff_from_the_orbit_walk(monkeypatch):
         records = [r for r in cli.cmd_stratum2(n).records if r["stage"] == "handoff"]
         [found] = walked
         pairs = [(a, b) for a in range(1, (n + 1) // 2) for b in range(a + 1, (n + 1) // 2)]
-        oracle = [classified_ratio(reduced(a, n), reduced(b, n)).stabilizer for a, b in pairs]
-        walk = {(t.alpha, t.beta): t.stabilizer for t in found}
-        assert len(walk) == len(found)
+        oracle = [stabilizer(reduced(a, n), reduced(b, n)) for a, b in pairs]
+        walk = {(alpha, beta): (d, stab) for d, stab, members in found for alpha, beta, _, _ in members}
+        assert len(walk) == sum(len(members) for _, _, members in found)
         assert walk == {(reduced(a, n), reduced(b, n)): stab for (a, b), stab in zip(pairs, oracle)}, n
         assert [(r["A"], r["B"], r["degree"]) for r in records] == [
             (a, b, degree) for (a, b), (degree, _) in zip(pairs, oracle)
@@ -758,22 +765,17 @@ def test_orbit_members_match_brute_force_orbits():
         _brute_force_orbit(a, b) for i, a in enumerate(angles) for b in angles[i + 1 :]
     }
     assert len(brute) == 293
-    orbits: dict[tuple, list] = {}
-    for t in tanratio.classify(range(3, 25)):
-        rep = t.orbit[0]
-        orbits.setdefault((rep.alpha, rep.beta), []).append(t)
-    assert list(orbits) == list(_orbit_representatives(range(3, 25)))
+    orbits = tanratio.classify(range(3, 25))
+    assert [members[0][:2] for _, _, members in orbits] == list(_orbit_representatives(range(3, 25)))
     found = []
-    for rep, members in orbits.items():
+    for _, _, members in orbits:
         # The angle of the least denominator has numerator 1, and the
         # representative is a member of its own orbit, with no sign or swap.
+        rep = members[0][:2]
         assert min(rep, key=lambda angle: angle[1])[0] == 1
-        head = members[0]
-        assert (head.alpha, head.beta) == rep
-        assert head.orbit == (head, False, False)
-        assert all(t.stabilizer is head.stabilizer for t in members)
-        assert all(F(*t.alpha) < F(*t.beta) for t in members)
-        pairs = {(t.alpha, t.beta) for t in members}
+        assert members[0][2:] == (False, False)
+        assert all(F(*alpha) < F(*beta) for alpha, beta, _, _ in members)
+        pairs = {m[:2] for m in members}
         assert len(pairs) == len(members)
         orbit = _brute_force_orbit(*rep)
         assert frozenset(frozenset(pair) for pair in pairs) == orbit
@@ -786,10 +788,14 @@ def test_every_member_derives_the_minimal_polynomial_of_its_mu():
     # its representative's, and equals the orbit product of its own mu.
     cases = set()
     for d in range(1, 7):
-        for t in enumerate_ratios(d, 30):
-            assert t.minpoly == minimal_polynomial(t.mu), (t.alpha, t.beta)
-            assert t.minpoly.degree == d
-            cases.add(t.orbit[1:])
+        for _, _, members in tanratio.classify(range(3, 31), d):
+            alpha, beta = members[0][:2]
+            poly = orbit_minpoly(d, alpha, beta, exact_mu(alpha, beta))
+            for alpha, beta, negated, inverted in members:
+                derived = member_minpoly(poly, negated, inverted)
+                assert derived == minimal_polynomial(exact_mu(alpha, beta)), (alpha, beta)
+                assert derived.degree == d
+                cases.add((negated, inverted))
     assert cases == {(False, False), (True, False), (False, True), (True, True)}
 
 
@@ -810,46 +816,42 @@ def test_minimal_polynomial_is_built_once_per_orbit(monkeypatch):
 def test_forged_stabilizer_fails_the_orbit_product_check(monkeypatch, capsys):
     # tan(pi/5)/tan(pi/12) has degree 8; a representative that claims degree
     # 2 builds an orbit product of degree 8 and raises when it is read.
-    t = ratio((1, 12), (1, 5))
-    t.stabilizer, t.orbit = (2, (1,)), (t, False, False)
+    alpha, beta = ratio((1, 12), (1, 5))
     with pytest.raises(ArithmeticInconsistencyError, match="degree 8, not the certified 2"):
-        t.minpoly
+        orbit_minpoly(2, alpha, beta, exact_mu(alpha, beta))
     # Every orbit certified as degree 2 reaches the check through the CLI.
     monkeypatch.setattr(tanratio, "_stabilizer", lambda *args: (2, (1,)))
     assert cli.main(["tangent-ratios", "--degree", "2", "--max-denominator", "12"]) == 3
     assert "certified 2" in capsys.readouterr().err
 
 
-def test_repr_shows_mu_only_once_classified():
-    t = ratio((1, 5), (1, 4))
-    assert repr(t) == "TangentRatio(alpha=1/5, beta=1/4)"
-    assert repr(normalize_by_galois(ratio((2, 7), (3, 7)))).startswith("TangentRatio(alpha=1/7")
-    assert repr(classified_ratio((1, 12), (1, 4))) == (
-        "TangentRatio(alpha=1/12, beta=1/4, mu=2 + sqrt(3))"
-    )
-    assert repr(classified_ratio((1, 12), (1, 5))).endswith("mu=degree-8 element of Q(zeta_60))")
-
-
 def test_tan_table_entries_within_their_error_bound():
     # Ties the float table to the exact core: every entry t with q <= 12
     # has the exact tangent strictly between t*(1 - 2^-52) and t*(1 + 2^-52).
     eps = F(1, 2**52)
+
+    def check(r, q):
+        exact = tan_of(ang(r, q)) if 2 * r < q else -tan_of(ang(q - r, q))
+        t = F(_tan_row(q)[r])
+        lo, hi = sorted((t * (1 - eps), t * (1 + eps)))
+        assert sign_of_real(exact - lo) == 1 and sign_of_real(hi - exact) == 1, (r, q)
+
     checked = 0
     for q in range(3, 13):
-        row = _tan_row(q)
-        assert len(row) == q
+        assert len(_tan_row(q)) == q
         for r in range(1, q):
-            if math.gcd(r, q) != 1:
-                continue
-            if 2 * r < q:
-                exact = tan_of(ang(r, q))
-            else:
-                exact = -tan_of(ang(q - r, q))
-            t = F(row[r])
-            lo, hi = sorted((t * (1 - eps), t * (1 + eps)))
-            assert sign_of_real(exact - lo) == 1 and sign_of_real(hi - exact) == 1, (r, q)
-            checked += 1
+            if math.gcd(r, q) == 1:
+                check(r, q)
+                checked += 1
     assert checked == sum(1 for q in range(3, 13) for r in range(1, q) if math.gcd(r, q) == 1)
+    # verify-table1 --max-denominator 2000 reads rows up to q = 2000, built
+    # by the longest rotations: a few seeded entries of two of those rows,
+    # on both sides of q/2, checked the same way.
+    rng = random.Random(2000)
+    for q in (997, 1999):
+        units = [r for r in range(1, q) if math.gcd(r, q) == 1]
+        for r in rng.sample(units, 3) + [units[len(units) // 2 - 1]]:
+            check(r, q)
     # A reference outside the ball kernel, which sign_of_real shares: every
     # entry up to q = 60 is within 4 ulp of the libm tangent.  tan is
     # ill-conditioned near pi/2, so angles above pi/4 use
@@ -907,31 +909,28 @@ def test_rotation_error_stays_within_radius_two_at_large_r(q):
 
 
 def test_normalize_identity_when_already_normalized():
-    r = ratio((1, 10), (1, 5))
-    assert normalize_by_galois(r) is r
-
-
-def _normal_form(t):
-    """``normalize_by_galois(t)``, classified by the per-pair oracle."""
-    n = normalize_by_galois(t)
-    return classified_ratio(n.alpha, n.beta)
+    pair = ratio((1, 10), (1, 5))
+    assert normalize_by_galois(pair) is pair
+    assert normalize_by_galois(((2, 7), (3, 7))) == ((1, 7), (2, 7))
 
 
 def test_normalize_moves_numerator_to_one():
-    r = classified_ratio((3, 10), (2, 5))
-    n = _normal_form(r)
-    assert (n.alpha, n.beta) == ((1, 10), (1, 5))
-    assert n.trace == r.trace and n.norm == r.norm
+    pair = ((3, 10), (2, 5))
+    n = normalize_by_galois(pair)
+    assert n == ((1, 10), (1, 5))
+    _, poly = classified_ratio(*pair)
+    _, normal = classified_ratio(*n)
+    assert normal.trace == poly.trace and normal.norm == poly.norm
 
 
 def test_normalize_preserves_degree():
-    for r in enumerate_ratios(2, 12):
-        assert _normal_form(r).degree == r.degree
+    for alpha, beta, poly in enumerate_ratios(2, 12):
+        assert stabilizer(*normalize_by_galois((alpha, beta)))[0] == poly.degree
 
 
 def test_normalized_nonunit_rows_at_12():
     rows = normalized_nonunit_rows(12)
-    got = [(r.alpha, r.beta, r.trace, r.norm) for r in rows]
+    got = [(a, b, poly.trace, poly.norm) for a, b, poly in rows]
     assert got == [
         ((1, 12), (1, 6), 2, F(-1, 3)),
         ((1, 12), (1, 3), 6, -3),
@@ -943,7 +942,7 @@ def test_normalized_nonunit_rows_at_12():
         ((1, 4), (1, 3), 0, -3),
         ((1, 3), (5, 12), 2, F(-1, 3)),
     ]
-    assert all(not r.is_unit for r in rows)
+    assert all(not poly.is_unit for _, _, poly in rows)
 
 
 @pytest.mark.parametrize("bound", [12, 20, 30, 60])
@@ -951,21 +950,30 @@ def test_nonunit_rows_are_the_galois_normal_forms_of_the_nonunits(bound):
     # The oracle: normalize every non-unit member by a Galois substitution
     # and deduplicate.  The rows are the members that are already normal.
     oracle = {}
-    for t in enumerate_ratios(2, bound):
-        if not t.is_unit:
-            n = _normal_form(t)
-            oracle[n.alpha, n.beta] = (n.trace, n.norm)
+    for alpha, beta, poly in enumerate_ratios(2, bound):
+        if not poly.is_unit:
+            n = normalize_by_galois((alpha, beta))
+            oracle[n] = classified_ratio(*n)[1]
     rows = normalized_nonunit_rows(bound)
-    assert [(r.alpha, r.beta) for r in rows] == sorted(oracle, key=lambda k: (F(*k[0]), F(*k[1])))
-    assert all(oracle[r.alpha, r.beta] == (r.trace, r.norm) for r in rows)
+    assert [row[:2] for row in rows] == sorted(oracle, key=lambda k: (F(*k[0]), F(*k[1])))
+    assert all(oracle[alpha, beta] == poly for alpha, beta, poly in rows)
 
 
 def test_nonunit_rows_build_no_mu_for_other_numerators(monkeypatch):
-    members = enumerate_ratios(2, 30)
-    monkeypatch.setattr(tanratio, "enumerate_ratios", lambda degree, bound: members)
+    # Only each orbit's representative builds mu, for its orbit product;
+    # every other member derives its polynomial, whatever its numerator.
+    built = []
+
+    def recording(alpha, beta):
+        built.append((alpha, beta))
+        return exact_mu(alpha, beta)
+
+    monkeypatch.setattr(tanratio, "exact_mu", recording)
     normalized_nonunit_rows(30)
-    others = [t for t in members if t.alpha[0] != 1]
-    assert others and not any("mu" in vars(t) or "minpoly" in vars(t) for t in others)
+    orbits = tanratio.classify(range(3, 31), 2)
+    assert built == [members[0][:2] for _, _, members in orbits]
+    others = {m[:2] for _, _, members in orbits for m in members[1:] if m[0][0] != 1}
+    assert others and not others & set(built)
 
 
 def test_table1_rows_are_not_deduplicated_by_orbit():
@@ -975,17 +983,17 @@ def test_table1_rows_are_not_deduplicated_by_orbit():
     # the table.
     assert _brute_force_orbit((1, 12), (1, 6)) == _brute_force_orbit((1, 6), (5, 12))
     table = normalized_nonunit_rows(12)
-    rows = {(r.alpha, r.beta): (r.trace, r.norm) for r in table}
+    rows = {(a, b): (poly.trace, poly.norm) for a, b, poly in table}
     assert rows[(1, 12), (1, 6)] == (2, F(-1, 3))
     assert rows[(1, 6), (5, 12)] == (6, -3)
-    orbits = {_brute_force_orbit(r.alpha, r.beta) for r in table}
+    orbits = {_brute_force_orbit(a, b) for a, b, _ in table}
     assert len(rows) == 9 and len(orbits) == 6
 
 
 def test_stability_up_to_20():
     # A light version of the acceptance stability sweep.
-    at_12 = [(r.alpha, r.beta) for r in normalized_nonunit_rows(12)]
-    at_20 = [(r.alpha, r.beta) for r in normalized_nonunit_rows(20)]
+    at_12 = [row[:2] for row in normalized_nonunit_rows(12)]
+    at_20 = [row[:2] for row in normalized_nonunit_rows(20)]
     assert at_12 == at_20
 
 
@@ -997,8 +1005,7 @@ def test_float_agreement_denominators_up_to_16():
     angles = angles_up_to(16)
     for i, alpha in enumerate(angles):
         for beta in angles[i + 1 :]:
-            r = ratio(alpha, beta)
-            approx = complex_embedding(r.mu)
+            approx = complex_embedding(exact_mu(alpha, beta))
             expected = math.tan(math.pi * float(F(*beta))) / math.tan(
                 math.pi * float(F(*alpha))
             )
