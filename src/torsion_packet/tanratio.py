@@ -463,7 +463,8 @@ def classify(
             x, y = (q1 - a if fold_a else a, q1), (q2 - b if fold_b else b, q2)
             inverted = x[0] * q2 > y[0] * q1
             images.setdefault((y, x) if inverted else (x, y), (fold_a != fold_b, inverted))
-        kept.append((*found, tuple([(*ratio(a, b), *flags) for (a, b), flags in images.items()])))
+        members = [(*ratio(a, b), *flags) for (a, b), flags in images.items()]
+        kept.append((*found, tuple(members)))
     return kept
 
 

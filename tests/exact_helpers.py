@@ -22,7 +22,9 @@ def stabilizer(alpha: tuple[int, int], beta: tuple[int, int]) -> tuple[int, tupl
     return tanratio._stabilizer(pa, qa, pb, qb, None)
 
 
-def classified_ratio(alpha: tuple[int, int], beta: tuple[int, int]) -> tuple[tuple[int, tuple[int, ...]], MinPoly]:
+def classified_ratio(
+    alpha: tuple[int, int], beta: tuple[int, int]
+) -> tuple[tuple[int, tuple[int, ...]], MinPoly]:
     """(stabilizer, minimal polynomial) of ``ratio(alpha, beta)``, classified
     on its own, as the representative of its orbit: the per-pair oracle of
     what ``tanratio.classify`` certifies and ``enumerate_ratios`` builds
