@@ -786,16 +786,19 @@ def test_orbit_members_match_brute_force_orbits():
 def test_every_member_derives_the_minimal_polynomial_of_its_mu():
     # mu = +-sigma_k(mu_rep)^(+-1): each member's polynomial is derived from
     # its representative's, and equals the orbit product of its own mu.
+    # The enumeration's rows carry exactly these polynomials.
     cases = set()
     for d in range(1, 7):
+        derived = {}
         for _, _, members in tanratio.classify(range(3, 31), d):
             alpha, beta = members[0][:2]
             poly = orbit_minpoly(d, alpha, beta, exact_mu(alpha, beta))
             for alpha, beta, negated, inverted in members:
-                derived = member_minpoly(poly, negated, inverted)
-                assert derived == minimal_polynomial(exact_mu(alpha, beta)), (alpha, beta)
-                assert derived.degree == d
+                derived[alpha, beta] = member_minpoly(poly, negated, inverted)
+                assert derived[alpha, beta] == minimal_polynomial(exact_mu(alpha, beta)), (alpha, beta)
+                assert derived[alpha, beta].degree == d
                 cases.add((negated, inverted))
+        assert {row[:2]: row[2] for row in enumerate_ratios(d, 30)} == derived, d
     assert cases == {(False, False), (True, False), (False, True), (True, True)}
 
 
