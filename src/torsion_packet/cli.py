@@ -20,19 +20,29 @@ Exit codes: 0 verified (or inconclusive: nothing checked failed),
 3 internal arithmetic inconsistency or any other internal error.  Only
 UsageError, raised here after checking arguments and input files,
 exits 2; a ValueError from the library is a bug and exits 3.
+
+``main`` runs one command and returns its exit code; it is the entry of
+the library, the tests and perfbench/tracechild.py, and never freezes
+the garbage collector.  ``entry`` is the process entry point, of ``python -m
+torsion_packet.cli`` and of the installed ``torsion-packet`` script: it
+calls ``main``, then ``gc.freeze()``, then ``sys.exit``, so that the
+collections the interpreter runs at exit skip every object that exists
+by then.  Atexit handlers, the flush of stdout and stderr at shutdown and
+the exit code are as without it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import Any, NamedTuple, Optional
+from typing import Any, NamedTuple, NoReturn, Optional
 
 from . import __version__
 from .errors import ArithmeticInconsistencyError, UsageError
@@ -700,8 +710,25 @@ def main(argv: Optional[list[str]] = None) -> int:
             # stderr is closed or full, so the exit code alone reports the
             # error.  Point stderr at devnull so that the flush at
             # interpreter shutdown does not fail and change that code.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stderr.fileno())
+            os.close(devnull)
     return code
+
+
+def entry(argv: Optional[list[str]] = None) -> NoReturn:
+    """Run ``main`` and exit the process with its code.
+
+    ``gc.freeze()`` moves every object then alive into the permanent
+    generation, which the full collections at interpreter exit skip;
+    freeing cyclic garbage at exit is all that is left out.  That takes
+    the time from ``main``'s return to the process's end from 8.2 ms to
+    2.3 ms (README).  Not ``os._exit``: it would skip atexit handlers and
+    the final flush of stdout, whose failure must still exit 2.
+    """
+    code = main(argv)
+    gc.freeze()
+    sys.exit(code)
 
 
 def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
@@ -739,7 +766,9 @@ def _write_stdout(text: str, what: str, end: str = "\n") -> tuple[int, Optional[
         # Point stdout at devnull so that the flush at interpreter shutdown
         # does not raise a second time.  A reader that went away (a closed
         # pipe) needs no message.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return EXIT_USAGE, None
         return EXIT_USAGE, f"error: cannot write {what} to stdout: {exc.strerror or exc}"
@@ -758,4 +787,4 @@ def _check_output_path(path: str) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1359,6 +1359,108 @@ def test_help_and_version_to_full_stdout_exit_2(flag, unbuffered):
     assert proc.stderr.startswith("error: cannot write ") and proc.stderr.count("\n") == 1
 
 
+def _against_a_forged_trace(tmp):
+    path = tmp / "forged.json"
+    _ground_truth_with(trace="7")(path)
+    return ["verify-table1", "--ground-truth", str(path)]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        pytest.param(lambda tmp: ["verify-table1"], EXIT_OK, id="verified"),
+        pytest.param(_against_a_forged_trace, EXIT_REFUTED, id="refuted"),
+        pytest.param(lambda tmp: ["verify-table1", "--no-such-flag"], EXIT_USAGE, id="usage"),
+    ],
+)
+def test_module_run_exits_with_the_verdicts_code(args, code, tmp_path):
+    # ``python -m`` runs cli.entry, which exits with main's code.
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsion_packet.cli", *args(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code != EXIT_USAGE:
+        assert proc.stdout.startswith("command: verify-table1\n")
+
+
+def _run_script(script):
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_env_with_src(), timeout=120
+    )
+
+
+def test_entry_maps_a_library_failure_to_exit_3():
+    proc = _run_script(
+        "from torsion_packet import cli, stablefiber\n"
+        "def broken():\n"
+        "    raise RuntimeError('synthetic')\n"
+        "stablefiber.decagon_admissible_assignments = broken\n"
+        "cli.entry(['decagon', 'verify'])\n"
+    )
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stdout == ""
+    assert proc.stderr == "internal error: RuntimeError: synthetic\n"
+
+
+def test_entry_freezes_before_atexit_handlers_run():
+    # The freeze skips only the freeing of garbage at exit: a handler
+    # registered before entry still runs, after the freeze, and the report
+    # is flushed at shutdown.
+    proc = _run_script(
+        "import atexit, gc\n"
+        "from torsion_packet import cli\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "cli.entry(['decagon', 'verify', '--format', 'json'])\n"
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report, _, tail = proc.stdout.rpartition("}\n")
+    assert json.loads(report + "}")["verdict"] == "verified"
+    assert tail == "frozen at exit: True\n"
+
+
+def test_main_does_not_freeze_the_gc(capsys):
+    import gc
+
+    before = gc.get_freeze_count()
+    assert main(["decagon", "verify"]) == EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+class _UnwritableStream:
+    """A text stream whose every write fails, on a descriptor of its own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_failed_writes_leave_no_descriptor_open(tmp_path, monkeypatch):
+    # Each failed write points the stream's descriptor at devnull; the
+    # descriptor opened on devnull for that is closed again.
+    with open(tmp_path / "out", "w") as out, open(tmp_path / "err", "w") as err:
+        monkeypatch.setattr(sys, "stdout", _UnwritableStream(out.fileno()))
+        monkeypatch.setattr(sys, "stderr", _UnwritableStream(err.fileno()))
+        counts = []
+        for _ in range(5):
+            assert main(["lshape", "unit-case"]) == EXIT_USAGE
+            counts.append(len(os.listdir("/proc/self/fd")))
+    assert len(set(counts)) == 1, counts
+
+
 def test_commands_run_without_sympy():
     # The Q(x, y) claims are certified by rational specialization, and signs
     # and the tan table by the integer ball kernel; neither a computer
