@@ -477,7 +477,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
 
     # Each orbit builds one display string above degree 2, which its
     # members share; at most degree 2, the representative's mu builds the
-    # orbit product, and each member derives its own polynomial and value.
+    # minimal polynomial, and each member derives its own polynomial and value.
     divisors = [q for q in range(3, torsion_order + 1) if torsion_order % q == 0]
     handoffs = []
     for degree, _, members in tanratio.classify(divisors):

@@ -10,7 +10,6 @@ from .cyclotomic import (
     MinPoly,
     conductor_units,
     galois_apply,
-    galois_orbit,
     i_tan,
     inv_one_minus_zeta,
     minimal_polynomial,
@@ -33,7 +32,6 @@ __all__ = [
     "conductor_units",
     "cyclotomic_int_coeffs",
     "galois_apply",
-    "galois_orbit",
     "i_tan",
     "inv_one_minus_zeta",
     "minimal_polynomial",

@@ -11,11 +11,11 @@ rational coordinates ``coeffs`` are a derived, read-only property for
 display.
 
 Galois automorphisms sigma_k : zeta -> zeta^k for gcd(k, m) = 1 act by
-permuting power-basis exponents and re-reducing.  The degree of an element
-is the size of its Galois orbit, which :func:`galois_orbit` lists for any
-element; tangent ratios count theirs more cheaply, as the index of a
-stabilizer (see ``tanratio``).  :func:`minimal_polynomial` multiplies the
-orbit out; ``tanratio`` calls it once per orbit of angle pairs.
+permuting power-basis exponents and re-reducing.  Tangent ratios count
+their degree as the index of a stabilizer (see ``tanratio``).
+:func:`minimal_polynomial` uses no Galois action: it reads the traces of
+an element's powers and applies Newton's identities; ``tanratio`` calls it
+once per orbit of angle pairs.
 
 Every exact tangent is built here, as :func:`i_tan`'s Cayley form of
 i*tan(pi*e/m), one closed-form binomial inverse (:func:`inv_one_minus_zeta`)
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from ..errors import ArithmeticInconsistencyError
@@ -71,6 +72,16 @@ def _conductor(m: int) -> _Conductor:
     if m < 1:
         raise ValueError(f"conductor must be a positive integer, got {m}")
     return _Conductor(m)
+
+
+@lru_cache(maxsize=None)
+def _trace_row(m: int) -> tuple[int, ...]:
+    """Tr(zeta_m^i) over Q for i < phi(m): mu(n)*phi(m)/phi(n), n = m/gcd(i, m),
+    read off Phi_n = x^phi(n) - mu(n)*x^(phi(n) - 1) + ..., built once per n."""
+    phi = _conductor(m).degree
+    ns = [m // math.gcd(i, m) for i in range(phi)]
+    cyc = {n: cyclotomic_int_coeffs(n) for n in set(ns)}
+    return tuple(-cyc[n][-2] * (phi // (len(cyc[n]) - 1)) for n in ns)
 
 
 def _power_sum(ctx: _Conductor, weights: Iterable[int], k: int) -> list[int]:
@@ -165,10 +176,6 @@ class CyclotomicElem:
         return tuple(Fraction(n, den) for n in self.nums)
 
     # ----- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, m: int) -> CyclotomicElem:
-        return _make(m, (0,) * _conductor(m).degree, 1)
 
     @classmethod
     def one(cls, m: int) -> CyclotomicElem:
@@ -432,7 +439,7 @@ def i_tan(m: int, e: int) -> CyclotomicElem:
 
 
 class MinPoly:
-    """A monic irreducible polynomial over Q, as produced by a Galois orbit.
+    """A monic irreducible polynomial over Q, as ``minimal_polynomial`` builds it.
 
     Coefficients are stored constant-term first; the leading coefficient
     is always 1.  ``trace`` and ``norm`` are the usual sum and product of
@@ -481,49 +488,36 @@ class MinPoly:
         return all(c.denominator == 1 for c in self.coeffs) and abs(self.coeffs[0]) == 1
 
 
-def galois_orbit(e: CyclotomicElem) -> list[CyclotomicElem]:
-    """The distinct images of ``e`` under the automorphisms of Q(zeta_m).
-
-    Images are listed in the order of first appearance over the ascending
-    units k.  The orbit size is the degree of ``e`` over Q.
-
-    For a real ``e``, sigma_(m-k)(e) = conj(sigma_k(e)) = sigma_k(e), so every
-    image first appears in the lower half of the units, and only that half
-    is scanned.
-    """
-    units = conductor_units(e.m)
-    if e.is_real():
-        units = units[: (len(units) + 1) // 2]
-    seen: set[tuple] = set()
-    orbit: list[CyclotomicElem] = []
-    for k in units:
-        img = galois_apply(e, k)
-        key = (img.nums, img.den)
-        if key not in seen:
-            seen.add(key)
-            orbit.append(img)
-    return orbit
-
-
 def minimal_polynomial(e: CyclotomicElem) -> MinPoly:
-    """Minimal polynomial of ``e`` over Q, as the product over ``galois_orbit(e)``.
+    """Minimal polynomial of ``e`` over Q, by Newton's identities on the
+    traces of the powers of the algebraic integer N = den*e.
 
-    The orbit product is irreducible, so the degree of the result equals
-    the orbit size.  A non-rational coefficient in the product indicates an
-    arithmetic bug and aborts.
+    If N has degree d, each of its d conjugates is the image of phi(m)/d of
+    the phi(m) embeddings, so their power sums are p_j = Tr(N^j)*d/phi(m),
+    and k*c_(d-k) = -(p_k + c_(d-1)*p_(k-1) + ... + c_(d-k+1)*p_1) gives
+    the monic integer coefficients c_i.  The divisors d of phi(m) are tried
+    in ascending order, and the first polynomial with N as a root has
+    degree deg N, as no rational polynomial of lower degree has N as a root
+    (so the inexact divisions of a smaller d do no harm).  It gives the
+    coefficients c_i/den^(d-i) of the result.  The characteristic
+    polynomial, at d = phi(m), has N as a root, so finding none is an
+    arithmetic bug.
     """
-    poly: list[CyclotomicElem] = [CyclotomicElem.one(e.m)]
-    for root in galois_orbit(e):
-        nxt = [CyclotomicElem.zero(e.m)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * root
-        poly = nxt
-    coeffs = []
-    for c in poly:
-        if not c.is_rational():
-            raise ArithmeticInconsistencyError(
-                f"Galois orbit product of {e!r} has a non-rational coefficient {c!r}"
-            )
-        coeffs.append(c.to_rational())
-    return MinPoly(coeffs)
+    m, nums = e.m, e.nums
+    ctx = _conductor(m)
+    phi, row = ctx.degree, _trace_row(m)
+    powers = [(1,) + (0,) * (phi - 1), nums]  # N^j
+    traces = [phi, sum(map(mul, nums, row))]  # Tr(N^j)
+    for d in range(1, phi + 1):
+        if phi % d:
+            continue
+        while len(powers) <= d:
+            powers.append(_reduce_product(_poly_product(powers[-1], nums), ctx))
+            traces.append(sum(map(mul, powers[-1], row)))
+        p = [t * d // phi for t in traces]
+        c = [0] * d + [1]
+        for k in range(1, d + 1):
+            c[d - k] = -sum(c[d - i] * p[k - i] for i in range(k)) // k
+        if not any(sum(map(mul, col, c)) for col in zip(*powers)):
+            return MinPoly(Fraction(g, e.den ** (d - i)) for i, g in enumerate(c))
+    raise ArithmeticInconsistencyError(f"no divisor of phi({m}) gives a polynomial with root {e!r}")

@@ -69,8 +69,8 @@ mu' = +-sigma_k(mu)^(+-1) for the representative's mu, negated when
 exactly one angle folds and inverted when the two swap, and sigma_k keeps
 the minimal polynomial p.  So ``classify`` returns an orbit as the integer
 rows (degree, Stab, members), each member (alpha, beta, negated, inverted),
-``members[0]`` the representative.  Only the representative multiplies out
-its Galois orbit (``orbit_minpoly``), whose degree must equal the
+``members[0]`` the representative.  Only the representative builds its
+minimal polynomial (``orbit_minpoly``), whose degree must equal the
 certified index, and a member's polynomial is p(-x) and/or p reversed,
 made monic again (``member_minpoly``).
 
@@ -190,13 +190,13 @@ def exact_mu(alpha: _Angle, beta: _Angle) -> CyclotomicElem:
 
 
 def orbit_minpoly(degree: int, alpha: _Angle, beta: _Angle, mu: CyclotomicElem) -> MinPoly:
-    """The minimal polynomial of a representative's ``mu``, its orbit
-    product, checked against the certified ``degree``."""
+    """The minimal polynomial of a representative's ``mu``, checked against
+    the certified ``degree``."""
     poly = minimal_polynomial(mu)
     if poly.degree != degree:
         raise ArithmeticInconsistencyError(
-            f"tan(pi*{angle_str(beta)})/tan(pi*{angle_str(alpha)}) has an orbit "
-            f"product of degree {poly.degree}, not the certified {degree}"
+            f"tan(pi*{angle_str(beta)})/tan(pi*{angle_str(alpha)}) has a minimal "
+            f"polynomial of degree {poly.degree}, not the certified {degree}"
         )
     return poly
 

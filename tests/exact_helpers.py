@@ -11,7 +11,14 @@ from fractions import Fraction
 from typing import Union
 
 from torsion_packet import tanratio
-from torsion_packet.exactnum import CyclotomicElem, MinPoly, QuadraticElem, real_value
+from torsion_packet.exactnum import (
+    CyclotomicElem,
+    MinPoly,
+    QuadraticElem,
+    conductor_units,
+    galois_apply,
+    real_value,
+)
 from torsion_packet.tanratio import i_tan
 
 
@@ -50,11 +57,37 @@ def embed(e: CyclotomicElem, m2: int) -> CyclotomicElem:
     if m2 % e.m:
         raise ValueError(f"{m2} is not a multiple of the conductor {e.m}")
     step = m2 // e.m
-    out = CyclotomicElem.zero(m2)
+    out = CyclotomicElem.from_rational(m2, 0)
     for j, c in enumerate(e.coeffs):
         if c:
             out = out + c * CyclotomicElem.zeta(m2, j * step)
     return out
+
+
+def full_unit_orbit(e: CyclotomicElem) -> list[CyclotomicElem]:
+    """The distinct images sigma_k(e) over every unit k of Z/m, ascending, in
+    the order of first appearance: the Galois orbit, of size deg e."""
+    seen, orbit = set(), []
+    for k in conductor_units(e.m):
+        img = galois_apply(e, k)
+        if img not in seen:
+            seen.add(img)
+            orbit.append(img)
+    return orbit
+
+
+def orbit_product(e: CyclotomicElem) -> MinPoly:
+    """The minimal polynomial of ``e`` as the product of x - r over its
+    Galois orbit, multiplied out in Q(zeta_m): the reference for
+    ``minimal_polynomial``, which uses no Galois action."""
+    poly = [CyclotomicElem.one(e.m)]
+    for root in full_unit_orbit(e):
+        nxt = [CyclotomicElem.from_rational(e.m, 0)] * (len(poly) + 1)
+        for i, c in enumerate(poly):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * root
+        poly = nxt
+    return MinPoly(c.to_rational() for c in poly)
 
 
 def tan_of(angle: Fraction) -> CyclotomicElem:

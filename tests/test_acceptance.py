@@ -135,7 +135,7 @@ def test_criterion_5_torsion_solver_oracle_equivalence():
         # Independent tangent construction through the angle embedding.
         m = math.lcm(4, 2 * n)
         i_elem = CyclotomicElem.zeta(m, m // 4)
-        expected = {CyclotomicElem.zero(m).coeffs}
+        expected = {CyclotomicElem.from_rational(m, 0).coeffs}
         for a in range(1, (n - 1) // 2 + 1):
             t = embed(tan_of(F(a, n)), m)
             expected.add((i_elem * t).coeffs)

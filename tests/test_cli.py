@@ -440,6 +440,7 @@ def test_caches_fill_the_same_under_concurrent_first_use():
 
     caches = (
         cyclotomic._conductor,
+        cyclotomic._trace_row,
         signs._pi_ball,
         tanratio._tan_row,
         tanratio._numerators,

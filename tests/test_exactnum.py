@@ -16,7 +16,6 @@ from torsion_packet.exactnum import (
     conductor_units,
     cyclotomic_int_coeffs,
     galois_apply,
-    galois_orbit,
     inv_one_minus_zeta,
     minimal_polynomial,
     real_value,
@@ -28,7 +27,7 @@ from torsion_packet.exactnum import cyclotomic, signs
 from torsion_packet.exactnum.quadratic import squarefree_cores
 from torsion_packet.exactnum.signs import _pi_ball, _precision_ceiling, _real_part_ball, cos_sin_ball
 
-from exact_helpers import embed
+from exact_helpers import embed, full_unit_orbit, orbit_product
 from float_embedding import complex_embedding
 from quadratic_reference import RefQuadratic
 
@@ -115,7 +114,7 @@ def test_rational_elements_hash_like_their_value():
     assert one == 1 and hash(one) == hash(1) and len({one, 1}) == 1
     half = CyclotomicElem.from_rational(12, F(1, 2))
     assert half == F(1, 2) and hash(half) == hash(F(1, 2)) and len({half, F(1, 2)}) == 1
-    assert {CyclotomicElem.zero(5): "zero"}[0] == "zero"
+    assert {CyclotomicElem.from_rational(5, 0): "zero"}[0] == "zero"
     e = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
     assert hash(e) == hash(-1) and {e, -1} == {-1}
 
@@ -199,19 +198,7 @@ def test_minpoly_of_sqrt5():
 def test_minpoly_degree_equals_orbit_size():
     z = zeta(20)
     e = z + z**19  # 2*cos(pi/10), degree 4
-    assert len(galois_orbit(e)) == minimal_polynomial(e).degree == 4
-
-
-def _full_unit_orbit(e):
-    # The orbit scan over every unit k, ascending: the reference for the
-    # half scan that galois_orbit makes on real elements.
-    seen, orbit = set(), []
-    for k in conductor_units(e.m):
-        img = galois_apply(e, k)
-        if img.coeffs not in seen:
-            seen.add(img.coeffs)
-            orbit.append(img)
-    return orbit
+    assert len(full_unit_orbit(e)) == minimal_polynomial(e).degree == 4
 
 
 def _sparse_elems(m):
@@ -228,28 +215,24 @@ def _sparse_elems(m):
         lambda m: st.tuples(_sparse_elems(m), st.booleans())
     )
 )
-def test_orbit_matches_full_unit_scan(case):
+def test_minimal_polynomial_matches_the_orbit_product(case):
     x, make_real = case
     e = x + x.conjugate() if make_real else x
-    assert galois_orbit(e) == _full_unit_orbit(e)
+    assert minimal_polynomial(e) == orbit_product(e)
 
 
-def test_real_orbit_scans_half_the_units(monkeypatch):
-    calls = []
+def test_minimal_polynomial_uses_no_galois_action(monkeypatch):
+    z = zeta(20)
+    real = z + z**19  # 2*cos(pi/10)
+    nonreal = zeta(12) + 2
 
-    def counting(e, k):
-        calls.append(k)
-        return galois_apply(e, k)
+    def no_action(e, k):
+        raise AssertionError("galois_apply called")
 
-    monkeypatch.setattr(cyclotomic, "galois_apply", counting)
-    z = zeta(60)
-    real = z + z**59 + 3 * (z**7 + z**53)
-    assert len(galois_orbit(real)) == 8
-    # One conjugation for the reality test, then the units below 30.
-    assert calls == [-1] + [k for k in conductor_units(60) if k < 30]
-    calls.clear()
-    assert len(galois_orbit(z)) == 16
-    assert calls == [-1] + list(conductor_units(60))
+    monkeypatch.setattr(cyclotomic, "galois_apply", no_action)
+    assert minimal_polynomial(real) == MinPoly([5, 0, -5, 0, 1])
+    # Phi_12(x - 2) for Phi_12 = x^4 - x^2 + 1.
+    assert minimal_polynomial(nonreal) == MinPoly([13, -28, 23, -8, 1])
 
 
 def test_minpoly_invariant_under_galois():
@@ -303,7 +286,7 @@ def test_inv_one_minus_zeta_rejects_zero_denominator():
 
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
-        CyclotomicElem.zero(5).inverse()
+        CyclotomicElem.from_rational(5, 0).inverse()
 
 
 def test_inverse_rejects_a_wrong_conjugate(monkeypatch):
@@ -411,7 +394,7 @@ def test_quadratic_mixed_radicand_rules():
 
 def test_sign_examples():
     z = zeta(5)
-    assert sign_of_real(CyclotomicElem.zero(5)) == 0
+    assert sign_of_real(CyclotomicElem.from_rational(5, 0)) == 0
     assert sign_of_real(z + z**4) == 1  # 2*cos(2*pi/5)
     assert sign_of_real(z**2 + z**3) == -1  # 2*cos(4*pi/5)
 

@@ -411,7 +411,7 @@ def test_torsion_order_two():
 def test_torsion_order_four():
     i = CyclotomicElem.zeta(4)
     assert solve_torsion_pairs(4) == (-1, 0, 1)
-    assert _torsion_solutions(4) == [-i, CyclotomicElem.zero(4), i]
+    assert _torsion_solutions(4) == [-i, CyclotomicElem.from_rational(4, 0), i]
 
 
 def test_torsion_order_five_matches_tangent_parametrization():

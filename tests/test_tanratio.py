@@ -15,7 +15,6 @@ from torsion_packet.exactnum import (
     QuadraticElem,
     cyclotomic,
     galois_apply,
-    galois_orbit,
     minimal_polynomial,
     sign_of_real,
 )
@@ -42,6 +41,7 @@ from exact_helpers import (
     classified_ratio,
     conductor,
     embed,
+    full_unit_orbit,
     ratio_value,
     sin_of,
     stabilizer,
@@ -137,8 +137,7 @@ def test_tan_of_pi_over_six_squares_to_one_third():
 
 
 def test_tan_of_pi_over_five_minpoly():
-    # tan(pi/5) has minimal polynomial x^4 - 10x^2 + 5: verified by the
-    # exact Galois orbit product.
+    # tan(pi/5) has minimal polynomial x^4 - 10x^2 + 5.
     mp = minimal_polynomial(tan_of(ang(1, 5)))
     assert mp == MinPoly([5, 0, -10, 0, 1])
 
@@ -606,7 +605,7 @@ def test_degree_is_the_orbit_size_on_every_orbit_representative():
     reps = list(_orbit_representatives(range(3, 21)))
     assert len(reps) == 191
     for a, b in reps:
-        assert stabilizer(a, b)[0] == len(galois_orbit(exact_mu(a, b))), (a, b)
+        assert stabilizer(a, b)[0] == len(full_unit_orbit(exact_mu(a, b))), (a, b)
 
 
 def _handoff_degrees(n):
@@ -661,7 +660,7 @@ def test_stabilizer_is_the_units_that_fix_mu(monkeypatch):
 def test_mu_is_built_only_where_it_is_read(monkeypatch):
     # The degree needs no mu: stratum2 builds it, two tangents each, only
     # for the handoffs of degree at most 2, and the enumeration only on each
-    # orbit's representative, for its orbit product.
+    # orbit's representative, for its minimal polynomial.
     calls = []
 
     def counting(m, e):
@@ -680,8 +679,8 @@ def test_mu_is_built_only_where_it_is_read(monkeypatch):
 
 
 def test_stratum2_handoff_needs_no_exact_orbit(monkeypatch):
-    def no_orbit(*args, **kwargs):
-        raise AssertionError("galois_orbit called")
+    def no_minpoly(*args, **kwargs):
+        raise AssertionError("minimal_polynomial called")
 
     calls = []
 
@@ -689,7 +688,7 @@ def test_stratum2_handoff_needs_no_exact_orbit(monkeypatch):
         calls.append(k)
         return galois_apply(e, k)
 
-    monkeypatch.setattr(cyclotomic, "galois_orbit", no_orbit)
+    monkeypatch.setattr(tanratio, "minimal_polynomial", no_minpoly)
     monkeypatch.setattr(cyclotomic, "galois_apply", counting)
     report = cli.cmd_stratum2(41)
     assert report.verdict == "verified"
@@ -785,7 +784,7 @@ def test_orbit_members_match_brute_force_orbits():
 
 def test_every_member_derives_the_minimal_polynomial_of_its_mu():
     # mu = +-sigma_k(mu_rep)^(+-1): each member's polynomial is derived from
-    # its representative's, and equals the orbit product of its own mu.
+    # its representative's, and equals the minimal polynomial of its own mu.
     # The enumeration's rows carry exactly these polynomials.
     cases = set()
     for d in range(1, 7):
@@ -817,11 +816,13 @@ def test_minimal_polynomial_is_built_once_per_orbit(monkeypatch):
 
 
 def test_forged_stabilizer_fails_the_orbit_product_check(monkeypatch, capsys):
-    # tan(pi/5)/tan(pi/12) has degree 8; a representative that claims degree
-    # 2 builds an orbit product of degree 8 and raises when it is read.
+    # tan(pi/5)/tan(pi/12) has degree 8; a representative that claims a
+    # divisor (2, 4), a non-divisor (12) or a multiple (16) of 8 builds a
+    # minimal polynomial of degree 8 and raises when it is read.
     alpha, beta = ratio((1, 12), (1, 5))
-    with pytest.raises(ArithmeticInconsistencyError, match="degree 8, not the certified 2"):
-        orbit_minpoly(2, alpha, beta, exact_mu(alpha, beta))
+    for forged in (2, 4, 12, 16):
+        with pytest.raises(ArithmeticInconsistencyError, match=f"degree 8, not the certified {forged}$"):
+            orbit_minpoly(forged, alpha, beta, exact_mu(alpha, beta))
     # Every orbit certified as degree 2 reaches the check through the CLI.
     monkeypatch.setattr(tanratio, "_stabilizer", lambda *args: (2, (1,)))
     assert cli.main(["tangent-ratios", "--degree", "2", "--max-denominator", "12"]) == 3
@@ -963,7 +964,7 @@ def test_nonunit_rows_are_the_galois_normal_forms_of_the_nonunits(bound):
 
 
 def test_nonunit_rows_build_no_mu_for_other_numerators(monkeypatch):
-    # Only each orbit's representative builds mu, for its orbit product;
+    # Only each orbit's representative builds mu, for its minimal polynomial;
     # every other member derives its polynomial, whatever its numerator.
     built = []
 
