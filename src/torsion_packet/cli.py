@@ -2,18 +2,20 @@
 
 Each subcommand produces a Report (schema version 1) with a verdict in
 {verified, refuted, inconclusive} and structured records, rendered as
-text, JSON or CSV.  Reports are deterministic for fixed parameters up to
-the elapsed_ms field.
+text, JSON or CSV.  A ``cmd_*`` function returns its report with
+elapsed_ms 0, a function of its arguments alone; ``_run`` stamps the
+command's time in ms: its argument checks, lazy imports and computation,
+not rendering or writing.
 
 Records hold plain JSON values, angles as "p/q" (``tanratio.angle_str``),
 the lambda of an admissible triple's integer row as ``parts_str`` writes
 it, and a few exact types, handed over raw.  One function, ``_leaf``, is
 the only encoder of those types: rationals and quadratic elements as
 strings, cyclotomic elements as {m, coeffs}, the point at infinity as
-"infinity".  It is the ``default=`` hook of the one JSON encoder,
-CPython's C encoder built once at import, which keeps no state between
-calls and encodes each record in one call; the text and CSV renderers use
-it too.  The JSON layout puts one record per line.
+"infinity".  It is the ``default=`` hook of the one JSON encoder, the C
+encoder of CPython's ``_json``, built once at import, which keeps no state
+between calls and encodes each record in one call; the text and CSV
+renderers use it too.  The JSON layout puts one record per line.
 
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
 1 refuted, 2 usage or I/O error (a closed output pipe included),
@@ -33,11 +35,11 @@ the exit code are as without it.
 
 from __future__ import annotations
 
+import _json
 import argparse
 import functools
 import gc
 import io
-import json
 import os
 import sys
 import time
@@ -77,7 +79,8 @@ _RESIDUE_CONVENTION = "opposite residues at the two branches of each node (sum z
 
 
 class Report(NamedTuple):
-    """Machine-readable result of one subcommand run."""
+    """Machine-readable result of one subcommand run: ``elapsed_ms`` is 0
+    as a ``cmd_*`` function returns it, until ``_run`` stamps its time."""
 
     command: str
     parameters: dict[str, Any]
@@ -113,12 +116,13 @@ def _leaf(value: Any) -> Any:
 
 
 # The C encoder that ``json.JSONEncoder(default=_leaf).encode`` builds
-# afresh on every call, built once.  Without ``markers`` (the circular
-# check) it keeps no state between calls, so every call and thread shares
-# it.  It takes no ``indent``, so the JSON layout below places its line
-# breaks itself.
-_c_encoder = json.encoder.c_make_encoder(
-    None, _leaf, json.encoder.encode_basestring_ascii, None, ": ", ", ", False, False, True
+# afresh on every call, built once from the ``_json`` objects that
+# ``json.encoder`` re-exports, so that the CLI does not import ``json``.
+# Without ``markers`` (the circular check) it keeps no state between calls,
+# so every call and thread shares it.  It takes no ``indent``, so the JSON
+# layout below places its line breaks itself.
+_c_encoder = _json.make_encoder(
+    None, _leaf, _json.encode_basestring_ascii, None, ": ", ", ", False, False, True
 )
 
 
@@ -211,6 +215,8 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
     check of ``tanratio.ratio``; no other angle arrives as text).  Each comes
     back as the display string of its ``Fraction``, so "2/24" reads "1/12".
     """
+    import json
+
     from . import tanratio
 
     if path is None:
@@ -271,7 +277,6 @@ def cmd_tangent_ratios(
         raise UsageError(f"--max-denominator must be at least 3, got {max_denominator}")
     from . import tanratio
 
-    start = time.perf_counter()
     rows = tanratio.enumerate_ratios(degree, max_denominator)
     if non_units_only:
         rows = [row for row in rows if not row[2].is_unit]
@@ -298,7 +303,6 @@ def cmd_tangent_ratios(
         },
         verdict=VERIFIED,
         records=records,
-        elapsed_ms=_ms_since(start),
     )
 
 
@@ -314,7 +318,6 @@ def cmd_verify_table1(
         )
     from . import tanratio
 
-    start = time.perf_counter()
     try:
         reference = load_reference_rows(ground_truth_path)
     except ValueError as exc:
@@ -341,7 +344,6 @@ def cmd_verify_table1(
         },
         verdict=VERIFIED if ok else REFUTED,
         records=records,
-        elapsed_ms=_ms_since(start),
     )
 
 
@@ -351,7 +353,6 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
     Only ``enumerate`` reads the bound ``b_max``: the unit case is a
     closed form, and the exclusion covers every admissible (b, e).
     """
-    start = time.perf_counter()
     parameters: dict[str, Any] = {}
     if subcommand == "enumerate":
         if b_max < 3:
@@ -418,7 +419,6 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
         parameters=parameters,
         verdict=verdict,
         records=records,
-        elapsed_ms=_ms_since(start),
     )
 
 
@@ -432,7 +432,6 @@ def cmd_stratum2(torsion_order: int) -> Report:
         raise UsageError(f"--torsion-order must be at least 2, got {torsion_order}")
     from . import tanratio
 
-    start = time.perf_counter()
     records: list[dict[str, Any]] = []
     oks: list[bool] = []
 
@@ -527,13 +526,11 @@ def cmd_stratum2(torsion_order: int) -> Report:
         },
         verdict=verdict,
         records=records,
-        elapsed_ms=_ms_since(start),
     )
 
 
 def cmd_decagon(subcommand: str) -> Report:
     """verify | exclude-r | differential for the decagon degeneration."""
-    start = time.perf_counter()
     params: dict[str, Any] = {"geometry_constants": dict(_DECAGON_GEOMETRY)}
     if subcommand == "verify":
         accepted, expected = stablefiber.decagon_admissible_assignments()
@@ -607,7 +604,6 @@ def cmd_decagon(subcommand: str) -> Report:
         parameters=params,
         verdict=verdict,
         records=records,
-        elapsed_ms=_ms_since(start),
     )
 
 
@@ -619,10 +615,6 @@ def _terms(pairs) -> dict[str, Any]:
 def _sorted_reals(elems: list[CyclotomicElem]) -> list[CyclotomicElem]:
     """Real elements in ascending order, compared by exact signs."""
     return sorted(elems, key=functools.cmp_to_key(lambda a, b: sign_of_real(a - b)))
-
-
-def _ms_since(start: float) -> int:
-    return max(0, round((time.perf_counter() - start) * 1000))
 
 
 # --------------------------------------------------------------------------
@@ -737,7 +729,8 @@ def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
     try:
         if args.output is not None:
             _check_output_path(args.output)
-        report = args.run(args)
+        start = time.perf_counter()
+        report = args.run(args)._replace(elapsed_ms=_ms_since(start))
         rendered = render(report, args.format)
     except ArithmeticInconsistencyError as exc:
         return EXIT_INTERNAL, f"internal arithmetic inconsistency: {exc}"
@@ -755,6 +748,10 @@ def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
         except OSError as exc:
             return EXIT_USAGE, f"error: cannot write --output {args.output}: {exc.strerror or exc}"
     return code, error
+
+
+def _ms_since(start: float) -> int:
+    return max(0, round((time.perf_counter() - start) * 1000))
 
 
 def _write_stdout(text: str, what: str, end: str = "\n") -> tuple[int, Optional[str]]:

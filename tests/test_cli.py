@@ -451,8 +451,8 @@ def test_caches_fill_the_same_under_concurrent_first_use():
         return (
             tanratio.classify(range(3, 25), 4),
             tanratio.enumerate_ratios(4, 24),
-            render(cmd_stratum2(30), "json").rsplit("elapsed_ms", 1)[0],
-            render(cmd_lshape("enumerate", 50), "json").rsplit("elapsed_ms", 1)[0],
+            render(cmd_stratum2(30), "json"),
+            render(cmd_lshape("enumerate", 50), "json"),
         )
 
     serial = run()
@@ -527,7 +527,7 @@ def test_concurrent_first_import_of_tanratio_gives_the_serial_reports(tmp_path, 
         serial = tmp_path / f"serial{i}.json"
         assert main([*argv, "--format", "json", "--output", str(serial)]) == 0
         threaded = (tmp_path / f"thread{i}.json").read_text()
-        assert threaded.rsplit("elapsed_ms", 1)[0] == serial.read_text().rsplit("elapsed_ms", 1)[0], argv
+        assert _mask_elapsed(threaded) == _mask_elapsed(serial.read_text()), argv
     capsys.readouterr()
 
 
@@ -637,23 +637,6 @@ def plain_encoding(report):
     return json.loads(json.dumps(report.fields(), default=_leaf))
 
 
-def _strip_elapsed(d):
-    d = dict(d)
-    d.pop("elapsed_ms")
-    return d
-
-
-def test_reports_are_deterministic_modulo_elapsed():
-    for make in (
-        lambda: cmd_verify_table1(),
-        lambda: cmd_lshape("unit-case", 100),
-        lambda: cmd_decagon("exclude-r"),
-        lambda: cmd_stratum2(5),
-    ):
-        a, b = make(), make()
-        assert _strip_elapsed(report_dict(a)) == _strip_elapsed(report_dict(b))
-
-
 # One small parameter set per subcommand.
 _EVERY_SUBCOMMAND = (
     lambda: cmd_tangent_ratios(2, 6),
@@ -668,6 +651,41 @@ _EVERY_SUBCOMMAND = (
     lambda: cmd_decagon("exclude-r"),
     lambda: cmd_decagon("differential"),
 )
+
+
+def test_reports_are_deterministic():
+    # No command reads a clock: a direct call's report has elapsed_ms 0 and
+    # is a function of the arguments alone.  lshape enumerate at 2,000 runs
+    # for several ms, which a command's own clock would show.
+    for make in (*_EVERY_SUBCOMMAND, lambda: cmd_stratum2(5), lambda: cmd_lshape("enumerate", 2000)):
+        a, b = make(), make()
+        assert a.elapsed_ms == 0, a.command
+        assert a == b, a.command
+
+
+def test_main_stamps_the_interval_around_the_command(monkeypatch, capsys):
+    # _run reads the clock once before the command and once after it, and
+    # the JSON report carries that interval in ms.
+    import torsion_packet.cli as cli_mod
+
+    readings = iter((100.0, 100.0421))
+    calls = []
+
+    def clock():
+        calls.append("clock")
+        return next(readings)
+
+    def command(mode):
+        calls.append("command")
+        return cmd_decagon(mode)
+
+    monkeypatch.setattr(cli_mod.time, "perf_counter", clock)
+    monkeypatch.setattr(cli_mod, "cmd_decagon", command)
+    assert main(["decagon", "verify", "--format", "json"]) == EXIT_OK
+    assert calls == ["clock", "command", "clock"]
+    report = json.loads(capsys.readouterr().out)
+    assert report["elapsed_ms"] == 42
+    assert {**report, "elapsed_ms": 0} == report_dict(cmd_decagon("verify"))
 
 
 def test_json_roundtrip():
@@ -740,13 +758,15 @@ def test_the_shared_encoder_renders_as_json_dumps(name, args, argv, monkeypatch,
 
 
 def _mask_elapsed(text):
-    return re.sub(r"^elapsed_ms: \d+$", "elapsed_ms: *", text, flags=re.M)
+    """A text or JSON report written by ``main``, the digits of its
+    elapsed_ms masked: only ``_run`` reads the clock."""
+    return re.sub(r'^(elapsed_ms: |  "elapsed_ms": )\d+$', r"\1*", text, flags=re.M)
 
 
 # Text and CSV renderings of the previous, recursive encoder, pinned.
 _PINNED = {
     ("lshape enumerate", "text"): (
-        "command: lshape enumerate\n  b_max: 5\nverdict: verified\nelapsed_ms: *\n"
+        "command: lshape enumerate\n  b_max: 5\nverdict: verified\nelapsed_ms: 0\n"
         "  b=1  e=-1  lambda=-1/2 + 1/2*sqrt(5)  trace_lambda_plus_one=1  norm_lambda_plus_one=-1\n"
         "  b=2  e=-1  lambda=1  trace_lambda_plus_one=1  norm_lambda_plus_one=-2\n"
         "  b=2  e=0  lambda=sqrt(2)  trace_lambda_plus_one=2  norm_lambda_plus_one=-1\n"
@@ -768,7 +788,7 @@ _PINNED = {
         "command: decagon exclude-r\n"
         '  geometry_constants: {"square_side_lengths": ["1", "-1/2 + 1/2*sqrt(5)"], '
         '"crossing_parameter": "1/5*sqrt(5)"}\n'
-        "verdict: verified\nelapsed_ms: *\n"
+        "verdict: verified\nelapsed_ms: 0\n"
         '  check=R_x  values=["-1", "0", "-1/2 + 1/2*sqrt(5)", "1/2 + 1/2*sqrt(5)"]'
         "  only_minus_one_or_nonnegative=True\n"
         '  check=R_y  values=["-1/2 - 1/2*sqrt(5)", "-1", "1/2 - 1/2*sqrt(5)", "0"]  all_nonpositive=True\n'
@@ -784,7 +804,7 @@ _PINNED = {
     ),
     ("verify-table1", "text"): (
         "command: verify-table1\n  max_denominator: 12\n  ground_truth: builtin\n"
-        "  rows_expected: 9\n  rows_computed: 9\nverdict: verified\nelapsed_ms: *\n"
+        "  rows_expected: 9\n  rows_computed: 9\nverdict: verified\nelapsed_ms: 0\n"
         "  alpha=1/12  beta=1/6  trace=2  norm=-1/3  status=match\n"
         "  alpha=1/12  beta=1/3  trace=6  norm=-3  status=match\n"
         "  alpha=1/10  beta=1/5  trace=0  norm=-5  status=match\n"
@@ -812,10 +832,10 @@ _PINNED_RUNS = {
 @pytest.mark.parametrize("command, fmt", sorted(_PINNED))
 def test_text_and_csv_renderings_are_pinned(command, fmt):
     report = _PINNED_RUNS[command]()
-    assert _mask_elapsed(render(report, fmt)) == _PINNED[command, fmt]
+    assert render(report, fmt) == _PINNED[command, fmt]
 
 
-# The sha256 of the JSON rendering, elapsed_ms set to 0, of three larger
+# The sha256 of the JSON rendering, whose elapsed_ms is 0, of larger
 # reports: stratum2 at N = 60 lists 406 handoffs of degree 1, 2, 4 and 8
 # in (A, B) order, and tangent-ratios shows degree-6 ratios by their field.
 _PINNED_DIGESTS = {
@@ -847,7 +867,7 @@ _PINNED_DIGESTS = {
 @pytest.mark.parametrize("command", sorted(_PINNED_DIGESTS))
 def test_larger_json_reports_are_pinned_by_digest(command):
     run, digest = _PINNED_DIGESTS[command]
-    text = render(run()._replace(elapsed_ms=0), "json")
+    text = render(run(), "json")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -228,6 +228,13 @@ def test_import_needs_no_csv():
     assert _loaded_by_cli_import({"csv"}) == "[]\n"
 
 
+def test_import_needs_no_json():
+    # The report encoder is built from _json, so a JSON report loads no
+    # json; only load_reference_rows, which verify-table1 calls, imports it.
+    assert _loaded_by_cli_import({"json"}, ["decagon", "verify", "--format", "json"]) == "[]\n"
+    assert _loaded_by_cli_import({"json"}, ["verify-table1"]) == "['json']\n"
+
+
 _TANRATIO = "torsion_packet.tanratio"
 
 
