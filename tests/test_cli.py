@@ -861,6 +861,16 @@ _PINNED_DIGESTS = {
         lambda: cmd_tangent_ratios(8, 40),
         "47e595f30fad094de6208e075ad4bfc3cb909a19b01d4b5550c882ac930b4c0e",
     ),
+    # 26 rows, each quadratic value real_value of the row's own mu.
+    "tangent-ratios --degree 2 --max-denominator 60": (
+        lambda: cmd_tangent_ratios(2, 60),
+        "eb5c7f9ff0751a715c4cdec1f238a5e7c5bc1e6e50ae681dbf72d6372633650e",
+    ),
+    # 190 rows, each mu_cyclotomic and field display from its own angles.
+    "tangent-ratios --degree 4 --max-denominator 60": (
+        lambda: cmd_tangent_ratios(4, 60),
+        "b082c5dfb424daeb1ccf0160b84d7fc9191eab47cc014afab4974ebedffdf18b",
+    ),
 }
 
 
