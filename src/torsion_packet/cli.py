@@ -41,6 +41,7 @@ import functools
 import gc
 import io
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -250,7 +251,10 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
         for k in _GROUND_TRUTH_KEYS:
             if isinstance(row[k], bool) or not isinstance(row[k], (str, int)):
                 raise ValueError(f"{source}: record {i} field {k} must be a string or an integer")
+            # Only "-1/3" or an integer: Fraction alone also reads 1e3, 0.5, 1_000 and " 7".
             try:
+                if isinstance(row[k], str) and not re.fullmatch("-?[0-9]+(?:/[0-9]+)?", row[k]):
+                    raise ValueError
                 row[k] = str(Fraction(row[k]))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{source}: record {i} field {k} is not a rational: {row[k]!r}") from None
@@ -277,9 +281,6 @@ def cmd_tangent_ratios(
         raise UsageError(f"--max-denominator must be at least 3, got {max_denominator}")
     from . import tanratio
 
-    rows = tanratio.enumerate_ratios(degree, max_denominator)
-    if non_units_only:
-        rows = [row for row in rows if not row[2].is_unit]
     records = [
         {
             "alpha": tanratio.angle_str(alpha),
@@ -291,8 +292,8 @@ def cmd_tangent_ratios(
             "mu": str(real_value(mu, poly)) if degree <= 2 else tanratio.field_display(degree, alpha, beta),
             "mu_cyclotomic": mu,
         }
-        for alpha, beta, poly in rows
-        for mu in (tanratio.exact_mu(alpha, beta),)
+        for alpha, beta, poly, mu in tanratio.enumerate_ratios(degree, max_denominator)
+        if not (non_units_only and poly.is_unit)
     ]
     return Report(
         command="tangent-ratios",
@@ -329,7 +330,7 @@ def cmd_verify_table1(
     expected = [tuple(row[k] for k in keys) for row in reference]
     computed = [
         (tanratio.angle_str(alpha), tanratio.angle_str(beta), str(poly.trace), str(poly.norm))
-        for alpha, beta, poly in tanratio.normalized_nonunit_rows(max_denominator)
+        for alpha, beta, poly, _ in tanratio.normalized_nonunit_rows(max_denominator)
     ]
     records = [dict(zip(keys, row), status="match" if row in computed else "missing") for row in expected]
     records += [dict(zip(keys, row), status="unexpected") for row in computed if row not in expected]
@@ -393,10 +394,9 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
     elif subcommand == "exclude":
         from . import tanratio
 
-        rows = tanratio.normalized_nonunit_rows(12)
         records = []
-        for alpha, beta, poly in rows:
-            value = real_value(tanratio.exact_mu(alpha, beta), poly)
+        for alpha, beta, poly, mu in tanratio.normalized_nonunit_rows(12):
+            value = real_value(mu, poly)
             verdict_row = lshape.exclude_against_table1(value)
             records.append(
                 {
@@ -410,7 +410,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
                     "excluded": verdict_row.excluded,
                 }
             )
-        verdict = VERIFIED if all(rec["excluded"] for rec in records) and len(rows) == 9 else REFUTED
+        verdict = VERIFIED if all(rec["excluded"] for rec in records) and len(records) == 9 else REFUTED
         parameters["scope"] = "every admissible (b, e), since the norm of lambda + 1 fixes b"
     else:
         raise UsageError(f"unknown lshape subcommand {subcommand!r}")
@@ -475,45 +475,43 @@ def cmd_stratum2(torsion_order: int) -> Report:
     oks.append(ok_count)
 
     # Each orbit builds one display string above degree 2, which its
-    # members share; at most degree 2, the representative's mu builds the
-    # minimal polynomial, and each member derives its own polynomial and value.
+    # members share; at most degree 2, ``tanratio.orbit_rows`` gives each
+    # member its minimal polynomial and mu, and so its value.
     divisors = [q for q in range(3, torsion_order + 1) if torsion_order % q == 0]
+    outside = "not quadratic: outside the degree-2 height-ratio regime"
     handoffs = []
+
+    def handoff(alpha, beta, shown, degree, status):
+        handoffs.append(
+            {
+                "stage": "handoff",
+                "A": alpha[0] * (torsion_order // alpha[1]),
+                "B": beta[0] * (torsion_order // beta[1]),
+                "alpha": tanratio.angle_str(alpha),
+                "beta": tanratio.angle_str(beta),
+                "mu": shown,
+                "degree": degree,
+                "status": status,
+            }
+        )
+
     for degree, _, members in tanratio.classify(divisors):
-        shown = tanratio.field_display(degree, *members[0][:2]) if degree > 2 else None
-        poly = None
-        for alpha, beta, negated, inverted in members:
-            status = "not quadratic: outside the degree-2 height-ratio regime"
-            if degree <= 2:
-                mu = tanratio.exact_mu(alpha, beta)
-                if poly is None:
-                    poly = tanratio.orbit_minpoly(degree, alpha, beta, mu)
-                member_poly = tanratio.member_minpoly(poly, negated, inverted)
-                value = real_value(mu, member_poly)
-                shown = str(value)
-                if degree == 2 and member_poly.is_unit:
-                    status = "unit: pentagon/octagon regime, handled by known torsion"
-                elif degree == 2:
-                    verdict_row = lshape.exclude_against_table1(value)
-                    oks.append(verdict_row.excluded)
-                    status = (
-                        "excluded by trace/norm matching"
-                        if verdict_row.excluded
-                        else "matched admissible triples "
-                        + str([f"(b={t[0]}, e={t[1]}, lambda={parts_str(*t[2:])})" for t in verdict_row.matching_triples])
-                    )
-            handoffs.append(
-                {
-                    "stage": "handoff",
-                    "A": alpha[0] * (torsion_order // alpha[1]),
-                    "B": beta[0] * (torsion_order // beta[1]),
-                    "alpha": tanratio.angle_str(alpha),
-                    "beta": tanratio.angle_str(beta),
-                    "mu": shown,
-                    "degree": degree,
-                    "status": status,
-                }
-            )
+        if degree > 2:
+            shown = tanratio.field_display(degree, *members[0][:2])
+            for alpha, beta, _, _ in members:
+                handoff(alpha, beta, shown, degree, outside)
+            continue
+        for alpha, beta, poly, mu in tanratio.orbit_rows(degree, members):
+            value = real_value(mu, poly)
+            status = outside
+            if degree == 2 and poly.is_unit:
+                status = "unit: pentagon/octagon regime, handled by known torsion"
+            elif degree == 2:
+                verdict_row = lshape.exclude_against_table1(value)
+                oks.append(verdict_row.excluded)
+                matched = [f"(b={t[0]}, e={t[1]}, lambda={parts_str(*t[2:])})" for t in verdict_row.matching_triples]
+                status = "excluded by trace/norm matching" if verdict_row.excluded else f"matched admissible triples {matched}"
+            handoff(alpha, beta, str(value), degree, status)
     handoffs.sort(key=lambda rec: (rec["A"], rec["B"]))
     records += handoffs
 

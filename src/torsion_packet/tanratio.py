@@ -69,10 +69,10 @@ mu' = +-sigma_k(mu)^(+-1) for the representative's mu, negated when
 exactly one angle folds and inverted when the two swap, and sigma_k keeps
 the minimal polynomial p.  So ``classify`` returns an orbit as the integer
 rows (degree, Stab, members), each member (alpha, beta, negated, inverted),
-``members[0]`` the representative.  Only the representative builds its
-minimal polynomial (``orbit_minpoly``), whose degree must equal the
-certified index, and a member's polynomial is p(-x) and/or p reversed,
-made monic again (``member_minpoly``).
+``members[0]`` the representative.  ``orbit_rows`` gives each member its
+row (alpha, beta, p, mu), mu its own: only the representative builds its
+minimal polynomial, whose degree must equal the certified index, and a
+member's polynomial is p(-x) and/or p reversed, made monic again.
 
 For a degree target, ``classify`` first drops whole denominator pairs
 (q1, q2), before any orbit is walked or any tangent is read, by a
@@ -162,8 +162,10 @@ def angle_str(angle: _Angle) -> str:
     return f"{angle[0]}/{angle[1]}"
 
 
-# A member of a classified orbit: (alpha, beta, negated, inverted).
+# A member of a classified orbit, (alpha, beta, negated, inverted), and its
+# row of ``orbit_rows``, (alpha, beta, minimal polynomial, mu).
 Member = tuple[_Angle, _Angle, bool, bool]
+Row = tuple[_Angle, _Angle, MinPoly, CyclotomicElem]
 
 
 def ratio(alpha: _Angle, beta: _Angle) -> tuple[_Angle, _Angle]:
@@ -189,27 +191,28 @@ def exact_mu(alpha: _Angle, beta: _Angle) -> CyclotomicElem:
     return mu
 
 
-def orbit_minpoly(degree: int, alpha: _Angle, beta: _Angle, mu: CyclotomicElem) -> MinPoly:
-    """The minimal polynomial of a representative's ``mu``, checked against
-    the certified ``degree``."""
-    poly = minimal_polynomial(mu)
-    if poly.degree != degree:
-        raise ArithmeticInconsistencyError(
-            f"tan(pi*{angle_str(beta)})/tan(pi*{angle_str(alpha)}) has a minimal "
-            f"polynomial of degree {poly.degree}, not the certified {degree}"
-        )
-    return poly
-
-
-def member_minpoly(poly: MinPoly, negated: bool, inverted: bool) -> MinPoly:
-    """A member's minimal polynomial from its representative's ``poly``:
-    p(-x) when negated and p reversed when inverted, each made monic."""
-    if not (negated or inverted):
-        return poly
-    cs = poly.coeffs
-    if negated:
-        cs = [-c if (len(cs) - i) % 2 == 0 else c for i, c in enumerate(cs)]
-    return MinPoly([c / cs[0] for c in reversed(cs)] if inverted else cs)
+def orbit_rows(degree: int, members: Sequence[Member]) -> list[Row]:
+    """The row (alpha, beta, minimal polynomial, mu) of each member of an
+    orbit of ``classify``, in order.  Each member builds its mu; only the
+    representative builds its polynomial p, checked against ``degree``, and
+    a member's is p(-x) when negated and p reversed when inverted, made monic."""
+    rows = []
+    for alpha, beta, negated, inverted in members:
+        mu = exact_mu(alpha, beta)
+        if not rows:
+            poly = minimal_polynomial(mu)
+            if poly.degree != degree:
+                raise ArithmeticInconsistencyError(
+                    f"tan(pi*{angle_str(beta)})/tan(pi*{angle_str(alpha)}) has a minimal "
+                    f"polynomial of degree {poly.degree}, not the certified {degree}"
+                )
+        cs = poly.coeffs
+        if negated:
+            cs = [-c if (len(cs) - i) % 2 == 0 else c for i, c in enumerate(cs)]
+        if inverted:
+            cs = [c / cs[0] for c in reversed(cs)]
+        rows.append((alpha, beta, MinPoly(cs) if negated or inverted else poly, mu))
+    return rows
 
 
 def field_display(degree: int, alpha: _Angle, beta: _Angle) -> str:
@@ -468,19 +471,16 @@ def classify(
     return kept
 
 
-def enumerate_ratios(degree_target: int, max_denominator: int) -> list[tuple[_Angle, _Angle, MinPoly]]:
+def enumerate_ratios(degree_target: int, max_denominator: int) -> list[Row]:
     """Every ratio of one degree with both denominators up to a bound, as
-    the row (alpha, beta, minimal polynomial), by (alpha, beta).  Only the
-    representative of each orbit of ``classify`` builds mu."""
+    the ``orbit_rows`` row (alpha, beta, minimal polynomial, mu), by (alpha,
+    beta).  Only each orbit's representative builds a minimal polynomial."""
     if degree_target < 1:
         raise ValueError(f"degree target must be positive, got {degree_target}")
     if max_denominator < 3:
         raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
-    rows = []
-    for degree, _, members in classify(range(3, max_denominator + 1), degree_target):
-        alpha, beta = members[0][:2]
-        poly = orbit_minpoly(degree, alpha, beta, exact_mu(alpha, beta))
-        rows += [(a, b, member_minpoly(poly, negated, inverted)) for a, b, negated, inverted in members]
+    orbits = classify(range(3, max_denominator + 1), degree_target)
+    rows = [row for degree, _, members in orbits for row in orbit_rows(degree, members)]
     key = _by_value(max_denominator)
     return sorted(rows, key=lambda row: (key(row[0]), key(row[1])))
 
@@ -509,7 +509,7 @@ def normalize_by_galois(pair: tuple[_Angle, _Angle]) -> tuple[_Angle, _Angle]:
     raise ArithmeticInconsistencyError(f"no Galois substitution normalizes alpha = {pa}/{qa}")
 
 
-def normalized_nonunit_rows(max_denominator: int = 12) -> list[tuple[_Angle, _Angle, MinPoly]]:
+def normalized_nonunit_rows(max_denominator: int = 12) -> list[Row]:
     """Degree-2 non-unit rows of ``enumerate_ratios`` whose alpha has numerator 1.
 
     These are exactly the normal forms that ``normalize_by_galois`` gives

@@ -33,11 +33,12 @@ def classified_ratio(
     alpha: tuple[int, int], beta: tuple[int, int]
 ) -> tuple[tuple[int, tuple[int, ...]], MinPoly]:
     """(stabilizer, minimal polynomial) of ``ratio(alpha, beta)``, classified
-    on its own, as the representative of its orbit: the per-pair oracle of
-    what ``tanratio.classify`` certifies and ``enumerate_ratios`` builds
-    once per orbit."""
+    on its own, as the one member of its own orbit: the per-pair oracle of
+    what ``tanratio.classify`` certifies and ``orbit_rows`` builds once per
+    orbit, checked against the certified degree."""
     found = stabilizer(alpha, beta)
-    return found, tanratio.orbit_minpoly(found[0], alpha, beta, tanratio.exact_mu(alpha, beta))
+    ((_, _, poly, _),) = tanratio.orbit_rows(found[0], [(alpha, beta, False, False)])
+    return found, poly
 
 
 def ratio_value(alpha: tuple[int, int], beta: tuple[int, int]) -> Union[Fraction, QuadraticElem]:

@@ -34,7 +34,7 @@ from torsion_packet.cli import (
 )
 from torsion_packet.exactnum import CyclotomicElem, QuadraticElem
 
-from exact_helpers import classified_ratio, embed
+from exact_helpers import embed, stabilizer
 
 
 def run_cli(args, capsys):
@@ -136,6 +136,12 @@ def _ground_truth_with_version(*version):
         ),
         *(pytest.param(_ground_truth_without(k), id=f"no-{k}") for k in ("alpha", "beta", "trace", "norm")),
         pytest.param(_ground_truth_with(alpha="abc"), id="alpha-not-rational"),
+        # Fraction reads each of these, but the grammar is "-1/3" or an integer.
+        *(
+            pytest.param(_ground_truth_with(trace=t), id=f"trace-{t!r}")
+            for t in ("1e3", "2e0", "-0.5e0", "1_000", " 7", "2 ", "+2", "\u0662", "2/1\uff10", "2.0")
+        ),
+        pytest.param(_ground_truth_with(norm="-1/+3"), id="norm-signed-denominator"),
         pytest.param(_ground_truth_with(alpha=1), id="alpha-one"),
         pytest.param(_ground_truth_with(alpha="3/4"), id="alpha-above-one-half"),
         pytest.param(_ground_truth_with(alpha="1/6", beta="1/12"), id="alpha-beta-swapped"),
@@ -340,7 +346,7 @@ def _has_status(status):
     return lambda report: any(rec["status"] == status for rec in report["records"])
 
 
-_EXTRA_RATIO = ((1, 7), (2, 7), classified_ratio((1, 7), (2, 7))[1])
+(_EXTRA_RATIO,) = tanratio.orbit_rows(stabilizer((1, 7), (2, 7))[0], [((1, 7), (2, 7), False, False)])
 _STRATUM2 = ["stratum2", "--torsion-order", "10"]
 
 # (id, argv, module, function, change of its result, what the report shows)

@@ -22,7 +22,7 @@ from torsion_packet.lshape import (
     trace_norm_lambda_plus_one,
     unit_case_triples,
 )
-from torsion_packet.tanratio import exact_mu, normalized_nonunit_rows
+from torsion_packet.tanratio import normalized_nonunit_rows
 
 from exact_helpers import ratio_value
 from quadratic_reference import RefQuadratic
@@ -166,8 +166,8 @@ def test_trace_two_candidate_fails_on_norm():
 def test_all_reference_rows_excluded():
     rows = normalized_nonunit_rows(12)
     assert len(rows) == 9
-    for alpha, beta, poly in rows:
-        assert exclude_against_table1(real_value(exact_mu(alpha, beta), poly)).excluded
+    for _, _, poly, mu in rows:
+        assert exclude_against_table1(real_value(mu, poly)).excluded
 
 
 def test_exclusion_rejects_a_rational_value():
@@ -209,8 +209,8 @@ def test_exclusion_has_no_bound_on_b():
 
 def test_candidate_set_closed_under_inversion():
     rows = normalized_nonunit_rows(12)
-    for alpha, beta, poly in rows:
-        mu = real_value(exact_mu(alpha, beta), poly)
+    for _, _, poly, exact in rows:
+        mu = real_value(exact, poly)
         v1 = exclude_against_table1(mu)
         v2 = exclude_against_table1(mu.inverse())
         assert v1.excluded == v2.excluded

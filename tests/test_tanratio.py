@@ -28,10 +28,9 @@ from torsion_packet.tanratio import (
     angles_up_to,
     enumerate_ratios,
     exact_mu,
-    member_minpoly,
     normalize_by_galois,
     normalized_nonunit_rows,
-    orbit_minpoly,
+    orbit_rows,
     ratio,
     tan_conductor,
 )
@@ -244,8 +243,8 @@ def test_ratio_requires_alpha_below_beta():
 
 
 def test_mu_exceeds_one():
-    for alpha, beta, _ in enumerate_ratios(2, 8):
-        assert sign_of_real(exact_mu(alpha, beta) - 1) == 1
+    for _, _, _, mu in enumerate_ratios(2, 8):
+        assert sign_of_real(mu - 1) == 1
     assert sign_of_real(exact_mu((1, 6), (1, 3)) - 1) == 1
 
 
@@ -270,15 +269,15 @@ def test_enumerate_smallest_bound():
 
 def test_enumerate_degree_one():
     rows = enumerate_ratios(1, 6)
-    assert any((a, b, exact_mu(a, b)) == ((1, 6), (1, 3), 3) for a, b, _ in rows)
+    assert any((a, b, mu) == ((1, 6), (1, 3), 3) for a, b, _, mu in rows)
 
 
 def test_enumerate_is_sorted_and_respects_bound():
     rows = enumerate_ratios(2, 12)
-    keys = [(F(*a), F(*b)) for a, b, _ in rows]
+    keys = [(F(*a), F(*b)) for a, b, _, _ in rows]
     assert keys == sorted(keys)
-    assert all(a[1] <= 12 and b[1] <= 12 for a, b, _ in rows)
-    assert all(poly.degree == 2 for _, _, poly in rows)
+    assert all(a[1] <= 12 and b[1] <= 12 for a, b, _, _ in rows)
+    assert all(poly.degree == 2 for _, _, poly, _ in rows)
     # The angles come in ascending order of value, by their integer key.
     values = [F(p, q) for q in range(3, 61) for p in range(1, q) if 2 * p < q and math.gcd(p, q) == 1]
     assert [F(*a) for a in angles_up_to(60)] == sorted(values)
@@ -624,7 +623,7 @@ def test_degrees_hold_when_every_unit_is_a_candidate(monkeypatch):
     # float scan never drops an orbit.
     def classified():
         rows = [
-            [(a, b, poly.trace, poly.norm) for a, b, poly in enumerate_ratios(d, 14)]
+            [(a, b, poly.trace, poly.norm) for a, b, poly, _ in enumerate_ratios(d, 14)]
             for d in range(1, 5)
         ]
         return rows, _handoff_degrees(12)
@@ -657,25 +656,50 @@ def test_stabilizer_is_the_units_that_fix_mu(monkeypatch):
     assert fixing
 
 
+def _counting_builds(monkeypatch):
+    """The exponents of every ``i_tan`` and the argument of every
+    ``minimal_polynomial`` that ``tanratio`` builds, two tangents to a mu."""
+    calls, built = [], []
+    i_tan, build = tanratio.i_tan, tanratio.minimal_polynomial
+    monkeypatch.setattr(tanratio, "i_tan", lambda m, e: calls.append(e) or i_tan(m, e))
+    monkeypatch.setattr(tanratio, "minimal_polynomial", lambda e: built.append(e) or build(e))
+    return calls, built
+
+
 def test_mu_is_built_only_where_it_is_read(monkeypatch):
-    # The degree needs no mu: stratum2 builds it, two tangents each, only
-    # for the handoffs of degree at most 2, and the enumeration only on each
-    # orbit's representative, for its minimal polynomial.
-    calls = []
-
-    def counting(m, e):
-        calls.append(e)
-        return i_tan(m, e)
-
-    i_tan = tanratio.i_tan
-    monkeypatch.setattr(tanratio, "i_tan", counting)
+    # The degree needs no mu: stratum2 builds it only for the handoffs of
+    # degree at most 2, and a row of the enumeration once; each orbit's
+    # representative builds the one minimal polynomial of its orbit.
+    calls, built = _counting_builds(monkeypatch)
     report = cli.cmd_stratum2(120)
     low = [r for r in report.records if r["stage"] == "handoff" and r["degree"] <= 2]
+    divisors = [q for q in range(3, 121) if 120 % q == 0]
+    low_orbits = [members for degree, _, members in tanratio.classify(divisors) if degree <= 2]
     assert len(calls) == 2 * len(low) == 54
+    assert len(built) == len(low_orbits) == 16 < len(low)
     calls.clear()
+    built.clear()
     rows = enumerate_ratios(6, 40)
     orbits = tanratio.classify(range(3, 41), 6)
-    assert len(calls) == 2 * len(orbits) < len(rows)
+    assert len(calls) == 2 * len(rows) == 606
+    assert len(built) == len(orbits) == 57
+    assert built == [exact_mu(*members[0][:2]) for _, _, members in orbits]
+
+
+def test_each_row_builds_its_mu_once(monkeypatch):
+    # tangent-ratios reads each row's mu and builds no other: two tangents a
+    # row.  verify-table1 reads no mu, but every row of the degree-2
+    # enumeration carries one.
+    calls, built = _counting_builds(monkeypatch)
+    report = cli.cmd_tangent_ratios(8, 40)
+    assert len(calls) == 2 * len(report.records) == 880
+    assert len(built) == 62
+    calls.clear()
+    built.clear()
+    report = cli.cmd_verify_table1(60)
+    assert report.verdict == "verified"
+    assert (len(calls), len(built)) == (52, 15)
+    assert len(enumerate_ratios(2, 60)) == 26
 
 
 def test_stratum2_handoff_needs_no_exact_orbit(monkeypatch):
@@ -785,19 +809,20 @@ def test_orbit_members_match_brute_force_orbits():
 def test_every_member_derives_the_minimal_polynomial_of_its_mu():
     # mu = +-sigma_k(mu_rep)^(+-1): each member's polynomial is derived from
     # its representative's, and equals the minimal polynomial of its own mu.
-    # The enumeration's rows carry exactly these polynomials.
+    # The enumeration's rows carry exactly these polynomials and mus.
     cases = set()
     for d in range(1, 7):
         derived = {}
         for _, _, members in tanratio.classify(range(3, 31), d):
-            alpha, beta = members[0][:2]
-            poly = orbit_minpoly(d, alpha, beta, exact_mu(alpha, beta))
-            for alpha, beta, negated, inverted in members:
-                derived[alpha, beta] = member_minpoly(poly, negated, inverted)
-                assert derived[alpha, beta] == minimal_polynomial(exact_mu(alpha, beta)), (alpha, beta)
-                assert derived[alpha, beta].degree == d
+            rows = orbit_rows(d, members)
+            assert [row[:2] for row in rows] == [m[:2] for m in members]
+            for (alpha, beta, poly, mu), (_, _, negated, inverted) in zip(rows, members):
+                assert mu == exact_mu(alpha, beta), (alpha, beta)
+                assert poly == minimal_polynomial(mu), (alpha, beta)
+                assert poly.degree == d
+                derived[alpha, beta] = (poly, mu)
                 cases.add((negated, inverted))
-        assert {row[:2]: row[2] for row in enumerate_ratios(d, 30)} == derived, d
+        assert {row[:2]: row[2:] for row in enumerate_ratios(d, 30)} == derived, d
     assert cases == {(False, False), (True, False), (False, True), (True, True)}
 
 
@@ -822,7 +847,7 @@ def test_forged_stabilizer_fails_the_orbit_product_check(monkeypatch, capsys):
     alpha, beta = ratio((1, 12), (1, 5))
     for forged in (2, 4, 12, 16):
         with pytest.raises(ArithmeticInconsistencyError, match=f"degree 8, not the certified {forged}$"):
-            orbit_minpoly(forged, alpha, beta, exact_mu(alpha, beta))
+            orbit_rows(forged, [(alpha, beta, False, False)])
     # Every orbit certified as degree 2 reaches the check through the CLI.
     monkeypatch.setattr(tanratio, "_stabilizer", lambda *args: (2, (1,)))
     assert cli.main(["tangent-ratios", "--degree", "2", "--max-denominator", "12"]) == 3
@@ -928,13 +953,13 @@ def test_normalize_moves_numerator_to_one():
 
 
 def test_normalize_preserves_degree():
-    for alpha, beta, poly in enumerate_ratios(2, 12):
+    for alpha, beta, poly, _ in enumerate_ratios(2, 12):
         assert stabilizer(*normalize_by_galois((alpha, beta)))[0] == poly.degree
 
 
 def test_normalized_nonunit_rows_at_12():
     rows = normalized_nonunit_rows(12)
-    got = [(a, b, poly.trace, poly.norm) for a, b, poly in rows]
+    got = [(a, b, poly.trace, poly.norm) for a, b, poly, _ in rows]
     assert got == [
         ((1, 12), (1, 6), 2, F(-1, 3)),
         ((1, 12), (1, 3), 6, -3),
@@ -946,7 +971,7 @@ def test_normalized_nonunit_rows_at_12():
         ((1, 4), (1, 3), 0, -3),
         ((1, 3), (5, 12), 2, F(-1, 3)),
     ]
-    assert all(not poly.is_unit for _, _, poly in rows)
+    assert all(not poly.is_unit for _, _, poly, _ in rows)
 
 
 @pytest.mark.parametrize("bound", [12, 20, 30, 60])
@@ -954,30 +979,28 @@ def test_nonunit_rows_are_the_galois_normal_forms_of_the_nonunits(bound):
     # The oracle: normalize every non-unit member by a Galois substitution
     # and deduplicate.  The rows are the members that are already normal.
     oracle = {}
-    for alpha, beta, poly in enumerate_ratios(2, bound):
+    for alpha, beta, poly, _ in enumerate_ratios(2, bound):
         if not poly.is_unit:
             n = normalize_by_galois((alpha, beta))
             oracle[n] = classified_ratio(*n)[1]
     rows = normalized_nonunit_rows(bound)
     assert [row[:2] for row in rows] == sorted(oracle, key=lambda k: (F(*k[0]), F(*k[1])))
-    assert all(oracle[alpha, beta] == poly for alpha, beta, poly in rows)
+    assert all(oracle[alpha, beta] == poly for alpha, beta, poly, _ in rows)
 
 
-def test_nonunit_rows_build_no_mu_for_other_numerators(monkeypatch):
-    # Only each orbit's representative builds mu, for its minimal polynomial;
-    # every other member derives its polynomial, whatever its numerator.
+def test_nonunit_rows_build_no_minimal_polynomial_for_other_numerators(monkeypatch):
+    # Each row builds its own mu, once; only each orbit's representative
+    # builds a minimal polynomial, and every other member derives its
+    # polynomial, whatever its numerator.
+    _, polys = _counting_builds(monkeypatch)
     built = []
-
-    def recording(alpha, beta):
-        built.append((alpha, beta))
-        return exact_mu(alpha, beta)
-
-    monkeypatch.setattr(tanratio, "exact_mu", recording)
+    monkeypatch.setattr(tanratio, "exact_mu", lambda alpha, beta: built.append((alpha, beta)) or exact_mu(alpha, beta))
     normalized_nonunit_rows(30)
     orbits = tanratio.classify(range(3, 31), 2)
-    assert built == [members[0][:2] for _, _, members in orbits]
-    others = {m[:2] for _, _, members in orbits for m in members[1:] if m[0][0] != 1}
-    assert others and not others & set(built)
+    assert built == [m[:2] for _, _, members in orbits for m in members] and len(built) == 26
+    assert polys == [exact_mu(*members[0][:2]) for _, _, members in orbits] and len(polys) == 15
+    # Members of other numerators, which derive their polynomials, are there.
+    assert any(m[0][0] != 1 for _, _, members in orbits for m in members[1:])
 
 
 def test_table1_rows_are_not_deduplicated_by_orbit():
@@ -987,10 +1010,10 @@ def test_table1_rows_are_not_deduplicated_by_orbit():
     # the table.
     assert _brute_force_orbit((1, 12), (1, 6)) == _brute_force_orbit((1, 6), (5, 12))
     table = normalized_nonunit_rows(12)
-    rows = {(a, b): (poly.trace, poly.norm) for a, b, poly in table}
+    rows = {(a, b): (poly.trace, poly.norm) for a, b, poly, _ in table}
     assert rows[(1, 12), (1, 6)] == (2, F(-1, 3))
     assert rows[(1, 6), (5, 12)] == (6, -3)
-    orbits = {_brute_force_orbit(a, b) for a, b, _ in table}
+    orbits = {_brute_force_orbit(a, b) for a, b, _, _ in table}
     assert len(rows) == 9 and len(orbits) == 6
 
 
