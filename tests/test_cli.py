@@ -844,6 +844,7 @@ def test_text_and_csv_renderings_are_pinned(command, fmt):
 # The sha256 of the JSON rendering, whose elapsed_ms is 0, of larger
 # reports: stratum2 at N = 60 lists 406 handoffs of degree 1, 2, 4 and 8
 # in (A, B) order, and tangent-ratios shows degree-6 ratios by their field.
+# A key that ends in "--format text" or "--format csv" pins that rendering.
 _PINNED_DIGESTS = {
     "stratum2 --torsion-order 60": (
         lambda: cmd_stratum2(60),
@@ -856,6 +857,15 @@ _PINNED_DIGESTS = {
     "lshape exclude": (
         lambda: cmd_lshape("exclude"),
         "08825b259f6e046506aaea85d3ac14e00de76ef11e081bbc4a37b30d0fc6d0c4",
+    ),
+    # Each of the 9 rows writes its four candidates as one JSON list.
+    "lshape exclude --format text": (
+        lambda: cmd_lshape("exclude"),
+        "d4130c1e7d1a2467e42f282925532f1006cb254b48192c796d4b349115cadb68",
+    ),
+    "lshape exclude --format csv": (
+        lambda: cmd_lshape("exclude"),
+        "1c2f71835c33a0f6034da59877b33ccb1c5e8857fe0230100be3409004d01eca",
     ),
     # 21,741 records, with handoffs of many degrees.
     "stratum2 --torsion-order 420": (
@@ -883,7 +893,7 @@ _PINNED_DIGESTS = {
 @pytest.mark.parametrize("command", sorted(_PINNED_DIGESTS))
 def test_larger_json_reports_are_pinned_by_digest(command):
     run, digest = _PINNED_DIGESTS[command]
-    text = render(run(), "json")
+    text = render(run(), command.partition(" --format ")[2] or "json")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
