@@ -397,17 +397,15 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
         records = []
         for alpha, beta, poly, mu in tanratio.normalized_nonunit_rows(12):
             value = real_value(mu, poly)
-            verdict_row = lshape.exclude_against_table1(value)
+            candidates, matches = lshape.exclude_against_table1(value)
             records.append(
                 {
                     "alpha": tanratio.angle_str(alpha),
                     "beta": tanratio.angle_str(beta),
                     "mu": value,
-                    "candidates": [c._asdict() for c in verdict_row.candidates_checked],
-                    "matching_triples": [
-                        {"b": b, "e": e, "lambda": parts_str(*lam)} for b, e, *lam in verdict_row.matching_triples
-                    ],
-                    "excluded": verdict_row.excluded,
+                    "candidates": candidates,
+                    "matching_triples": [{"b": b, "e": e, "lambda": parts_str(*lam)} for b, e, *lam in matches],
+                    "excluded": not matches,
                 }
             )
         verdict = VERIFIED if all(rec["excluded"] for rec in records) and len(records) == 9 else REFUTED
@@ -507,10 +505,10 @@ def cmd_stratum2(torsion_order: int) -> Report:
             if degree == 2 and poly.is_unit:
                 status = "unit: pentagon/octagon regime, handled by known torsion"
             elif degree == 2:
-                verdict_row = lshape.exclude_against_table1(value)
-                oks.append(verdict_row.excluded)
-                matched = [f"(b={t[0]}, e={t[1]}, lambda={parts_str(*t[2:])})" for t in verdict_row.matching_triples]
-                status = "excluded by trace/norm matching" if verdict_row.excluded else f"matched admissible triples {matched}"
+                _, matches = lshape.exclude_against_table1(value)
+                oks.append(not matches)
+                matched = [f"(b={t[0]}, e={t[1]}, lambda={parts_str(*t[2:])})" for t in matches]
+                status = f"matched admissible triples {matched}" if matches else "excluded by trace/norm matching"
             handoff(alpha, beta, str(value), degree, status)
     handoffs.sort(key=lambda rec: (rec["A"], rec["B"]))
     records += handoffs

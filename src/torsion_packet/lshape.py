@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .exactnum import QuadraticElem, squarefree_part
 from .exactnum.quadratic import parts_str, squarefree_cores
@@ -123,27 +123,10 @@ def unit_case_triples() -> list[Triple]:
     return [make_triple(e + 2, e) for e in (-1, 0, 1) if is_admissible(e + 2, e)]
 
 
-class CandidateCheck(NamedTuple):
-    """One of the four height-ratio candidates and how it fared."""
-
-    label: str
-    value: QuadraticElem
-    trace: Fraction
-    norm: Fraction
-    reason: str  # "matched", "trace not in {1,2,3}", "norm not an integer", "no admissible b"
-
-
-class ExclusionVerdict(NamedTuple):
-    """Result of testing one quadratic ratio against all admissible pairs."""
-
-    candidates_checked: tuple[CandidateCheck, ...]
-    matching_triples: tuple[Triple, ...]
-    excluded: bool
-
-
 def matching_triples_for(trace: Fraction, norm: Fraction) -> tuple[list[Triple], str]:
     """Admissible triples whose lambda + 1 has the given trace and norm, and
-    the ``CandidateCheck`` reason.
+    the reason a candidate record gives: "matched", "trace not in {1,2,3}",
+    "norm not an integer" or "no admissible b".
 
     The trace fixes e and the norm then fixes b, so the answer covers every
     admissible (b, e), with no bound on b.
@@ -160,14 +143,17 @@ def matching_triples_for(trace: Fraction, norm: Fraction) -> tuple[list[Triple],
     return [make_triple(b, e)], "matched"
 
 
-def exclude_against_table1(mu: QuadraticElem) -> ExclusionVerdict:
+def exclude_against_table1(mu: QuadraticElem) -> tuple[list[dict], tuple[Triple, ...]]:
     """Test mu, -mu, 1/mu, -1/mu against every admissible (b, e).
 
-    ``mu`` is an irrational ``QuadraticElem``.  No bound on b is needed:
-    when a candidate's trace and norm are both integers in range, they
-    determine (b, e) (``matching_triples_for``), so an exclusion holds for
-    all admissible parameters.  A unit mu is not refused: its candidates
-    have norm +-1, which only the pentagon and octagon triples match.
+    Returns the four candidate records {label, value, trace, norm, reason}
+    and the distinct admissible triples they match; mu is excluded when
+    there are none.  ``mu`` is an irrational ``QuadraticElem``.  No bound
+    on b is needed: when a candidate's trace and norm are both integers in
+    range, they determine (b, e) (``matching_triples_for``), so an
+    exclusion holds for all admissible parameters.  A unit mu is not
+    refused: its candidates have norm +-1, which only the pentagon and
+    octagon triples match.
     """
     if not isinstance(mu, QuadraticElem) or mu.is_rational():
         raise ValueError(f"exclusion needs a degree-2 value, got {mu!r}")
@@ -182,17 +168,5 @@ def exclude_against_table1(mu: QuadraticElem) -> ExclusionVerdict:
         trace, norm = value.trace(), value.norm()
         matches, reason = matching_triples_for(trace, norm)
         all_matches.extend(m for m in matches if m not in all_matches)
-        candidates.append(
-            CandidateCheck(
-                label=label,
-                value=value,
-                trace=trace,
-                norm=norm,
-                reason=reason,
-            )
-        )
-    return ExclusionVerdict(
-        candidates_checked=tuple(candidates),
-        matching_triples=tuple(all_matches),
-        excluded=not all_matches,
-    )
+        candidates.append({"label": label, "value": value, "trace": trace, "norm": norm, "reason": reason})
+    return candidates, tuple(all_matches)

@@ -303,8 +303,9 @@ def _false(_):
     return False
 
 
-def _excluded_false(verdict):
-    return verdict._replace(excluded=False)
+def _matching_the_octagon(result):
+    """The exclusion's candidates, with the (b=2, e=0) triple as their match."""
+    return result[0], (lshape.make_triple(2, 0),)
 
 
 def _dropping_a_solution(indices):
@@ -362,7 +363,7 @@ _FORGED_CHECKS = [
     ("lshape-unit-case-extra-triple", ["lshape", "unit-case"], lshape, "unit_case_triples",
      lambda ts: ts + [lshape.make_triple(3, 0)], lambda report: len(report["records"]) == 3),
     ("lshape-exclude-matched-row", ["lshape", "exclude"], lshape, "exclude_against_table1",
-     _excluded_false, lambda report: report["records"][0]["excluded"] is False),
+     _matching_the_octagon, lambda report: report["records"][0]["excluded"] is False),
     ("lshape-exclude-row-count", ["lshape", "exclude"], tanratio, "normalized_nonunit_rows",
      lambda rows: rows[:-1], lambda report: len(report["records"]) == 8),
     ("stratum2-differential-space", _STRATUM2, stablefiber, "certify_stratum2",
@@ -378,7 +379,7 @@ _FORGED_CHECKS = [
      lambda report: _failed("torsion_solutions")(report)
      and [rec["count"] for rec in report["records"] if rec["stage"] == "torsion_solutions"] == [8]),
     ("stratum2_refutes_a_handoff_that_matches_a_triple", _STRATUM2, lshape, "exclude_against_table1",
-     _excluded_false,
+     _matching_the_octagon,
      lambda report: any(rec.get("status", "").startswith("matched") for rec in report["records"])),
     ("decagon-verify-solution-class", ["decagon", "verify"], stablefiber,
      "decagon_admissible_assignments", lambda found: (found[0] | {(0, 0)}, found[1]),
@@ -1072,7 +1073,7 @@ def test_json_records_are_pinned(command):
 
 def test_a_matched_triple_is_pinned_in_both_reports(monkeypatch):
     # mu = 1 + sqrt(2) and -1/mu = 1 - sqrt(2) both have trace 2 and norm
-    # -1, so both match (b=2, e=0), which the verdict lists once.
+    # -1, so both match (b=2, e=0), which the matches list once.
     matched = lshape.exclude_against_table1(QuadraticElem(1, 1, 2))
     monkeypatch.setattr(lshape, "exclude_against_table1", lambda mu: matched)
     triple = {"b": 2, "e": 0, "lambda": "sqrt(2)"}

@@ -146,28 +146,30 @@ def test_unit_case_bound_validation():
 
 
 def test_sqrt5_row_is_excluded_on_trace():
-    verdict = exclude_against_table1(ratio_value((1, 10), (1, 5)))
-    assert verdict.excluded and not verdict.matching_triples
-    assert [str(c.trace) for c in verdict.candidates_checked] == ["0", "0", "0", "0"]
-    inv_norms = {c.label: c.norm for c in verdict.candidates_checked}
+    candidates, matches = exclude_against_table1(ratio_value((1, 10), (1, 5)))
+    assert matches == ()
+    assert [str(c["trace"]) for c in candidates] == ["0", "0", "0", "0"]
+    inv_norms = {c["label"]: c["norm"] for c in candidates}
     assert inv_norms["1/mu"] == F(-1, 5)
 
 
 def test_trace_two_candidate_fails_on_norm():
-    verdict = exclude_against_table1(ratio_value((1, 10), (2, 5)))
-    assert verdict.excluded
-    by_label = {c.label: c for c in verdict.candidates_checked}
-    assert by_label["1/mu"].trace == 2
-    assert by_label["1/mu"].norm == F(1, 5)
-    assert by_label["1/mu"].reason == "norm not an integer"
-    assert {by_label[l].reason for l in ("mu", "-mu", "-1/mu")} == {"trace not in {1,2,3}"}
+    candidates, matches = exclude_against_table1(ratio_value((1, 10), (2, 5)))
+    assert matches == ()
+    by_label = {c["label"]: c for c in candidates}
+    assert list(by_label) == ["mu", "-mu", "1/mu", "-1/mu"]
+    assert list(by_label["1/mu"]) == ["label", "value", "trace", "norm", "reason"]
+    assert by_label["1/mu"]["trace"] == 2
+    assert by_label["1/mu"]["norm"] == F(1, 5)
+    assert by_label["1/mu"]["reason"] == "norm not an integer"
+    assert {by_label[l]["reason"] for l in ("mu", "-mu", "-1/mu")} == {"trace not in {1,2,3}"}
 
 
 def test_all_reference_rows_excluded():
     rows = normalized_nonunit_rows(12)
     assert len(rows) == 9
     for _, _, poly, mu in rows:
-        assert exclude_against_table1(real_value(mu, poly)).excluded
+        assert exclude_against_table1(real_value(mu, poly))[1] == ()
 
 
 def test_exclusion_rejects_a_rational_value():
@@ -185,9 +187,8 @@ def test_engine_sensitivity_to_norm_mutation():
     assert [t[:2] for t in matching_triples_for(F(1), F(-1))[0]] == [(1, -1)]
     # 1 + sqrt(2) has trace 2, norm -1: the engine reports a match,
     # so the nine exclusions above are not vacuous.
-    verdict = exclude_against_table1(QuadraticElem(1, 1, 2))
-    assert not verdict.excluded
-    assert verdict.matching_triples == (make_triple(2, 0),)
+    _, matches = exclude_against_table1(QuadraticElem(1, 1, 2))
+    assert matches == (make_triple(2, 0),)
 
 
 def test_matching_requires_admissibility():
@@ -202,20 +203,19 @@ def test_exclusion_has_no_bound_on_b():
     # 1 + sqrt(20001) has trace 2 and norm -20,000, the lambda + 1 of
     # (b=20001, e=0): the norm fixes b, however large.
     assert [t[:2] for t in matching_triples_for(F(2), F(-20_000))[0]] == [(20_001, 0)]
-    verdict = exclude_against_table1(QuadraticElem(1, 1, 20_001))
-    assert not verdict.excluded
-    assert [t[:2] for t in verdict.matching_triples] == [(20_001, 0)]
+    _, matches = exclude_against_table1(QuadraticElem(1, 1, 20_001))
+    assert [t[:2] for t in matches] == [(20_001, 0)]
 
 
 def test_candidate_set_closed_under_inversion():
     rows = normalized_nonunit_rows(12)
     for _, _, poly, exact in rows:
         mu = real_value(exact, poly)
-        v1 = exclude_against_table1(mu)
-        v2 = exclude_against_table1(mu.inverse())
-        assert v1.excluded == v2.excluded
-        vals1 = {(c.trace, c.norm) for c in v1.candidates_checked}
-        vals2 = {(c.trace, c.norm) for c in v2.candidates_checked}
+        candidates1, matches1 = exclude_against_table1(mu)
+        candidates2, matches2 = exclude_against_table1(mu.inverse())
+        assert set(matches1) == set(matches2)
+        vals1 = {(c["trace"], c["norm"]) for c in candidates1}
+        vals2 = {(c["trace"], c["norm"]) for c in candidates2}
         assert vals1 == vals2
 
 
