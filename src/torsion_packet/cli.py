@@ -18,10 +18,11 @@ between calls and encodes each record in one call; the text and CSV
 renderers use it too.  The JSON layout puts one record per line.
 
 Exit codes: 0 verified (or inconclusive: nothing checked failed),
-1 refuted, 2 usage or I/O error (a closed output pipe included),
-3 internal arithmetic inconsistency or any other internal error.  Only
-UsageError, raised here after checking arguments and input files,
-exits 2; a ValueError from the library is a bug and exits 3.
+1 refuted, 2 usage or I/O error (a closed output pipe included) or out
+of memory, 3 internal arithmetic inconsistency or any other internal
+error.  Only UsageError, raised here after checking arguments and input
+files, and MemoryError, from computing, rendering or writing the report,
+exit 2; a ValueError from the library is a bug and exits 3.
 
 ``main`` runs one command and returns its exit code; it is the entry of
 the library, the tests and perfbench/tracechild.py, and never freezes
@@ -690,7 +691,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         status, error = _write_stdout("".join(shown), "the help or version text", end="")
         code = status or int(exc.code or 0)
     else:
-        code, error = _run(args)
+        try:
+            code, error = _run(args)
+        except MemoryError:
+            # The environment, not a bug.  The report and its rendering are
+            # freed once this block ends, before the line goes to stderr.
+            code, error = EXIT_USAGE, f"error: {args.subcommand} ran out of memory"
     if error is not None and sys.stderr is not None:
         try:
             print(error, file=sys.stderr, flush=True)
@@ -732,6 +738,8 @@ def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
         return EXIT_INTERNAL, f"internal arithmetic inconsistency: {exc}"
     except UsageError as exc:
         return EXIT_USAGE, f"error: {exc}"
+    except MemoryError:
+        raise
     except Exception as exc:
         message = " ".join(str(exc).split())
         return EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {message}"
@@ -752,16 +760,19 @@ def _ms_since(start: float) -> int:
 
 def _write_stdout(text: str, what: str, end: str = "\n") -> tuple[int, Optional[str]]:
     """Print ``text`` to stdout and flush it: EXIT_OK and no error line, or
-    EXIT_USAGE and the line for stderr, if there is one."""
+    EXIT_USAGE and the line for stderr, if there is one.  A MemoryError
+    is raised again, for ``main`` to report."""
     try:
         print(text, end=end, flush=True)
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         # Point stdout at devnull so that the flush at interpreter shutdown
         # does not raise a second time.  A reader that went away (a closed
         # pipe) needs no message.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if isinstance(exc, MemoryError):
+            raise
         if isinstance(exc, BrokenPipeError):
             return EXIT_USAGE, None
         return EXIT_USAGE, f"error: cannot write {what} to stdout: {exc.strerror or exc}"

@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsion_packet import lshape, stablefiber, tanratio
 from torsion_packet.cli import (
@@ -1305,6 +1307,112 @@ def test_internal_value_error_exits_3_not_2(monkeypatch, capsys):
     assert out.err == "internal error: ValueError: lambda = -1/2 + 1/2*sqrt(2) does not satisfy x^2 = -1x + 1\n"
 
 
+# Odd spellings of a value: int() reads " 7" as 7 and "\u0663" as 3.
+_ODD = st.sampled_from(["1e3", " 7", "\u0663", "", "7.0", "x", "--"])
+
+
+def _mostly(values):
+    """``values``, or one in eight times an odd spelling."""
+    return st.integers(0, 7).flatmap(lambda k: values if k else _ODD)
+
+
+_SMALL = _mostly(st.integers(-5, 40).map(str))
+# tangent-ratios at degree 60 and bound 60 takes seconds, so degree stops at 8.
+_DEGREE = _mostly(st.integers(-5, 8).map(str))
+_FORMAT = _mostly(st.sampled_from(["text", "json", "csv"]))
+
+
+def _argv(files):
+    """Small argv over the CLI's grammar: each subcommand and mode, values
+    that may be odd, missing or repeated.  --output and --ground-truth name
+    only the fixed ``files``, so no other path is read or written."""
+    common = [("--format", _FORMAT), ("--output", st.sampled_from(files["output"]))]
+    grammar = {
+        "tangent-ratios": ([], [("--degree", _DEGREE), ("--max-denominator", _SMALL), ("--non-units-only", None)]),
+        "verify-table1": ([], [("--max-denominator", _SMALL), ("--ground-truth", st.sampled_from(files["truth"]))]),
+        "lshape": (["enumerate", "unit-case", "exclude"], [("--b-max", _SMALL)]),
+        "stratum2": ([], [("--torsion-order", _SMALL)]),
+        "decagon": (["verify", "exclude-r", "differential"], []),
+    }
+
+    @st.composite
+    def draw(draw_one):
+        command = draw_one(st.sampled_from([*grammar] * 3 + ["--version", "--help", "no-such-command"]))
+        modes, options = grammar.get(command, ([], []))
+        argv = [command]
+        if modes:
+            count = draw_one(st.sampled_from([1] * 6 + [0, 2]))
+            argv += [draw_one(_mostly(st.sampled_from(modes))) for _ in range(count)]
+        for flag, value in draw_one(st.lists(st.sampled_from(options + common), max_size=4)):
+            argv.append(flag)
+            if value is not None and draw_one(st.integers(0, 9)):
+                argv.append(draw_one(value))
+        return argv
+
+    return draw()
+
+
+def test_any_small_argv_exits_0_1_or_2_without_a_traceback(tmp_path, capsys):
+    truth = {name: tmp_path / f"{name}.json" for name in ("shipped", "forged", "exponent", "not-json")}
+    _ground_truth_with()(truth["shipped"])
+    _ground_truth_with(trace="7")(truth["forged"])
+    _ground_truth_with(trace="1e999999999")(truth["exponent"])
+    truth["not-json"].write_text("{not json")
+    files = {
+        "truth": [*map(str, truth.values()), str(tmp_path / "absent.json"), str(tmp_path)],
+        "output": [str(tmp_path / "report.out"), str(tmp_path / "missing" / "report.out"), str(tmp_path), ""],
+    }
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(argv=_argv(files))
+    def check(argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_REFUTED, EXIT_USAGE), (argv, err)
+        assert "Traceback" not in err, (argv, err)
+
+    check()
+
+
+def test_out_of_memory_while_computing_exits_2_with_one_line(monkeypatch, capsys):
+    # Running out of memory is the environment, not a bug: exit 2, not 3.
+    import torsion_packet.cli as cli_mod
+
+    def exhausted(torsion_order):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "cmd_stratum2", exhausted)
+    assert main(["stratum2"]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: stratum2 ran out of memory\n"
+
+
+def test_out_of_memory_while_writing_stdout_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # Not exit 1 ("refuted") with a traceback, as when the MemoryError of
+    # the stdout write went past the OSError handler; stdout then points
+    # at devnull, so the flush at shutdown cannot fail again.
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(sys, "stdout", _UnwritableStream(out.fileno(), MemoryError))
+        assert main(["lshape", "unit-case"]) == EXIT_USAGE
+        os.write(out.fileno(), b"to devnull")
+    assert (tmp_path / "out").read_text() == ""
+    assert capsys.readouterr().err == "error: lshape ran out of memory\n"
+
+
+def test_out_of_memory_while_writing_output_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    import torsion_packet.cli as cli_mod
+
+    def exhausted(file, *args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "open", exhausted, raising=False)
+    assert main(["decagon", "verify", "--output", str(tmp_path / "report.txt")]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert "verdict: verified" in out.out
+    assert out.err == "error: decagon ran out of memory\n"
+
+
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -1455,6 +1563,26 @@ def test_entry_maps_a_library_failure_to_exit_3():
     assert proc.stderr == "internal error: RuntimeError: synthetic\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_an_address_space_limit_exits_2_with_one_line():
+    # stratum2 at N = 1680 peaks near 370 MB, so a child limited to its
+    # own size plus 150 MB runs out of memory while it computes, renders
+    # or writes its report, and each of these exits 2 with the same line.
+    pytest.importorskip("resource")
+    proc = _run_script(
+        "import resource, sys\n"
+        "from torsion_packet import cli\n"
+        "with open('/proc/self/status') as status:\n"
+        "    size_kb = next(int(line.split()[1]) for line in status if line.startswith('VmSize:'))\n"
+        "limit = (size_kb + 150_000) * 1024\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))\n"
+        "sys.exit(cli.main(['stratum2', '--torsion-order', '1680', '--format', 'json']))\n"
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stdout == "" and proc.stderr == "error: stratum2 ran out of memory\n"
+
+
 def test_entry_freezes_before_atexit_handlers_run():
     # The freeze skips only the freeing of garbage at exit: a handler
     # registered before entry still runs, after the freeze, and the report
@@ -1482,11 +1610,12 @@ def test_main_does_not_freeze_the_gc(capsys):
 class _UnwritableStream:
     """A text stream whose every write fails, on a descriptor of its own."""
 
-    def __init__(self, fd):
+    def __init__(self, fd, error=lambda: OSError(28, "No space left on device")):
         self.fd = fd
+        self.error = error
 
     def write(self, text):
-        raise OSError(28, "No space left on device")
+        raise self.error()
 
     def flush(self):
         pass
