@@ -691,12 +691,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         status, error = _write_stdout("".join(shown), "the help or version text", end="")
         code = status or int(exc.code or 0)
     else:
-        try:
-            code, error = _run(args)
-        except MemoryError:
-            # The environment, not a bug.  The report and its rendering are
-            # freed once this block ends, before the line goes to stderr.
-            code, error = EXIT_USAGE, f"error: {args.subcommand} ran out of memory"
+        code, error = _run(args)
     if error is not None and sys.stderr is not None:
         try:
             print(error, file=sys.stderr, flush=True)
@@ -734,24 +729,26 @@ def _run(args: argparse.Namespace) -> tuple[int, Optional[str]]:
         start = time.perf_counter()
         report = args.run(args)._replace(elapsed_ms=_ms_since(start))
         rendered = render(report, args.format)
+        status, error = _write_stdout(rendered, "the report")
+        if args.output is not None:
+            try:
+                with open(args.output, "w") as fh:
+                    print(rendered, file=fh)
+            except OSError as exc:
+                return EXIT_USAGE, f"error: cannot write --output {args.output}: {exc.strerror or exc}"
     except ArithmeticInconsistencyError as exc:
         return EXIT_INTERNAL, f"internal arithmetic inconsistency: {exc}"
     except UsageError as exc:
         return EXIT_USAGE, f"error: {exc}"
     except MemoryError:
-        raise
+        # The environment, not a bug.  Handled here, not raised on: under
+        # an address-space limit, CPython 3.11 lost a MemoryError raised
+        # again from this frame and failed with a SystemError instead.
+        return EXIT_USAGE, f"error: {args.subcommand} ran out of memory"
     except Exception as exc:
         message = " ".join(str(exc).split())
         return EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {message}"
-    status, error = _write_stdout(rendered, "the report")
-    code = status or (EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED)
-    if args.output is not None:
-        try:
-            with open(args.output, "w") as fh:
-                print(rendered, file=fh)
-        except OSError as exc:
-            return EXIT_USAGE, f"error: cannot write --output {args.output}: {exc.strerror or exc}"
-    return code, error
+    return status or (EXIT_OK if report.verdict in (VERIFIED, INCONCLUSIVE) else EXIT_REFUTED), error
 
 
 def _ms_since(start: float) -> int:
@@ -761,7 +758,7 @@ def _ms_since(start: float) -> int:
 def _write_stdout(text: str, what: str, end: str = "\n") -> tuple[int, Optional[str]]:
     """Print ``text`` to stdout and flush it: EXIT_OK and no error line, or
     EXIT_USAGE and the line for stderr, if there is one.  A MemoryError
-    is raised again, for ``main`` to report."""
+    is raised again, for ``_run`` to report."""
     try:
         print(text, end=end, flush=True)
     except (OSError, MemoryError) as exc:

@@ -1389,9 +1389,8 @@ def test_out_of_memory_while_computing_exits_2_with_one_line(monkeypatch, capsys
 
 
 def test_out_of_memory_while_writing_stdout_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
-    # Not exit 1 ("refuted") with a traceback, as when the MemoryError of
-    # the stdout write went past the OSError handler; stdout then points
-    # at devnull, so the flush at shutdown cannot fail again.
+    # Exit 2, never 1 ("refuted"); stdout then points at devnull, so the
+    # flush at shutdown cannot fail again.
     with open(tmp_path / "out", "w") as out:
         monkeypatch.setattr(sys, "stdout", _UnwritableStream(out.fileno(), MemoryError))
         assert main(["lshape", "unit-case"]) == EXIT_USAGE
