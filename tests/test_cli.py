@@ -853,6 +853,16 @@ _PINNED_DIGESTS = {
         lambda: cmd_stratum2(60),
         "664e01a912900ec080bfd387f296153b7f08fc0c60871ce715a2bef2874f2bb7",
     ),
+    # The four stage records lead, with the configuration and generator
+    # as compact JSON cells.
+    "stratum2 --torsion-order 60 --format text": (
+        lambda: cmd_stratum2(60),
+        "3de9e4d6389006be266ac928d9b9aa055578aa76e318730eb3e77cb25db60daf",
+    ),
+    "stratum2 --torsion-order 60 --format csv": (
+        lambda: cmd_stratum2(60),
+        "d4172fcbd56b031f8382aa5e067c03f4f58fd7327f62baad0c86195f1db5a75b",
+    ),
     "tangent-ratios --degree 6 --max-denominator 30": (
         lambda: cmd_tangent_ratios(6, 30),
         "c016c3752fd1b7d4fd7360d383c6e26cc53e5f5b1da4bd8b0873a58280b77d12",
