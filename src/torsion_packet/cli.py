@@ -21,7 +21,7 @@ Exit codes: 0 verified (or inconclusive: nothing checked failed),
 1 refuted, 2 usage or I/O error (a closed output pipe included) or out
 of memory, 3 internal arithmetic inconsistency or any other internal
 error.  Only UsageError, raised here after checking arguments and input
-files, and MemoryError, from computing, rendering or writing the report,
+files, and MemoryError, from parsing, computing, rendering or writing,
 exit 2; a ValueError from the library is a bug and exits 3.
 
 ``main`` runs one command and returns its exit code; it is the entry of
@@ -233,7 +233,7 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
         raise ValueError(f"cannot read {source}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         payload = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         raise ValueError(f"{source} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{source} must be a JSON object with a 'records' list")
@@ -431,31 +431,8 @@ def cmd_stratum2(torsion_order: int) -> Report:
         raise UsageError(f"--torsion-order must be at least 2, got {torsion_order}")
     from . import tanratio
 
-    records: list[dict[str, Any]] = []
-    oks: list[bool] = []
-
-    cert = stablefiber.certify_stratum2()
-    ok_dim = cert.dimension == 1
-    records.append(
-        {
-            "stage": "differential_space",
-            "configuration": cert.configuration,
-            "dimension": cert.dimension,
-            "ok": ok_dim,
-            "generator": _terms(cert.closed_form) if cert.basis_is_closed_form else None,
-            "certified_on_grid": {"x": cert.grid[0], "y": cert.grid[1]},
-        }
-    )
-    oks.append(ok_dim)
-
-    records.append({"stage": "residue_constraints", "ok": cert.closed_form_in_kernel})
-    oks.append(cert.closed_form_in_kernel)
-
-    records.append({"stage": "matches_closed_form_generator", "ok": cert.basis_is_closed_form})
-    oks.append(cert.basis_is_closed_form)
-
-    records.append({"stage": "height_ratio", "value": cert.height_ratio, "ok": cert.height_ratio_holds})
-    oks.append(cert.height_ratio_holds)
+    records = stablefiber.certify_stratum2()
+    oks = [rec["ok"] for rec in records]
 
     torsion = stablefiber.solve_torsion_pairs(torsion_order)
     # The equation has degree N for odd N and N - 1 for even N, and the
@@ -587,7 +564,7 @@ def cmd_decagon(subcommand: str) -> Report:
                 "value": dim,
                 "ok": ok_dim,
                 "configuration": stablefiber.config_to_json_dict(config),
-                "generator": _terms(zip(basis[0], config.poles)) if basis else None,
+                "generator": stablefiber.differential_to_json_dict(zip(basis[0], config.poles)) if basis else None,
             },
             {"check": "matches_closed_form_generator", "ok": ok_match},
             {"check": "residue_constraints", "ok": ok_res},
@@ -602,11 +579,6 @@ def cmd_decagon(subcommand: str) -> Report:
         verdict=verdict,
         records=records,
     )
-
-
-def _terms(pairs) -> dict[str, Any]:
-    """A limit differential's (residue, pole) pairs as a report record."""
-    return {"terms": [{"residue": c, "pole": p} for c, p in pairs]}
 
 
 def _sorted_reals(elems: list[CyclotomicElem]) -> list[CyclotomicElem]:
@@ -684,14 +656,19 @@ def _build_parser(shown: list[str]) -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     shown: list[str] = []
     try:
-        # A usage error exits 2; --help and --version exit 0 once their
-        # text, which the parser leaves in ``shown``, is written.
-        args = _build_parser(shown).parse_args(argv)
-    except SystemExit as exc:
-        status, error = _write_stdout("".join(shown), "the help or version text", end="")
-        code = status or int(exc.code or 0)
-    else:
-        code, error = _run(args)
+        try:
+            # A usage error exits 2; --help and --version exit 0 once their
+            # text, which the parser leaves in ``shown``, is written.
+            args = _build_parser(shown).parse_args(argv)
+        except SystemExit as exc:
+            status, error = _write_stdout("".join(shown), "the help or version text", end="")
+            code = status or int(exc.code or 0)
+        else:
+            code, error = _run(args)
+    except MemoryError:
+        # From parsing or from writing the help or version text; ``_run``
+        # reports its own.  Handled in place, as there.
+        code, error = EXIT_USAGE, "error: torsion-packet ran out of memory"
     if error is not None and sys.stderr is not None:
         try:
             print(error, file=sys.stderr, flush=True)
@@ -758,7 +735,7 @@ def _ms_since(start: float) -> int:
 def _write_stdout(text: str, what: str, end: str = "\n") -> tuple[int, Optional[str]]:
     """Print ``text`` to stdout and flush it: EXIT_OK and no error line, or
     EXIT_USAGE and the line for stderr, if there is one.  A MemoryError
-    is raised again, for ``_run`` to report."""
+    is raised again, for the caller to report."""
     try:
         print(text, end=end, flush=True)
     except (OSError, MemoryError) as exc:

@@ -24,7 +24,7 @@ one moment condition sum(c_i * p_i^j) = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
 from .exactnum import CyclotomicElem, i_tan, sign_of_real, tan_conductor
@@ -147,6 +147,11 @@ def config_to_json_dict(
         "zero_orders": {l: k for l, k in config.zero_orders},
         "involution": config.involution,
     }
+
+
+def differential_to_json_dict(pairs: Iterable[tuple[Any, Any]]) -> dict[str, Any]:
+    """Report record of a limit differential given by its (residue, pole) pairs."""
+    return {"terms": [{"residue": c, "pole": p} for c, p in pairs]}
 
 
 # --------------------------------------------------------------------------
@@ -276,7 +281,7 @@ def stratum2_config(x: Point, y: Point) -> NodalConfig:
 
 # The generator of the stratum-2 differential space over Q(x, y), RREF
 # normalised, as (residue, pole) entries, and its height ratio
-# Res(x)/Res(-y).  Reports display these strings and the certificate
+# Res(x)/Res(-y).  Reports display these strings and certify_stratum2
 # evaluates the same strings, so a report cannot show a form other than the
 # one checked.
 STRATUM2_CLOSED_FORM = (("y/x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y"))
@@ -315,34 +320,24 @@ def symbolic_xy() -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
 _CERTIFIED_DEGREE = 4
 
 
-class Stratum2Certificate(NamedTuple):
-    """Outcome of checking the stratum-2 claims over Q(x, y) on a grid.
-
-    ``dimension`` is the kernel dimension at the first grid point, an upper
-    bound over Q(x, y), and ``basis_is_closed_form`` compares the RREF basis
-    there (see ``certify_stratum2`` for why that is enough); the other
-    flags hold when their check passed at every grid point.
-    ``configuration`` is the configuration record of the first grid point
-    with the node points named x, -x, y, -y.
-    """
-
-    grid: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-    closed_form: tuple[tuple[str, str], ...]
-    height_ratio: str
-    configuration: dict[str, Any]
-    dimension: int
-    basis_is_closed_form: bool
-    closed_form_in_kernel: bool
-    height_ratio_holds: bool
-
-
 def certify_stratum2(
     closed_form: Sequence[tuple[str, str]] = STRATUM2_CLOSED_FORM,
     ratio: str = STRATUM2_HEIGHT_RATIO,
-) -> Stratum2Certificate:
+) -> list[dict[str, Any]]:
     """Certify over Q(x, y) that the differential space of
     ``stratum2_config(x, y)`` is the line spanned by ``closed_form``, whose
-    height ratio Res(x)/Res(-y) is ``ratio``.
+    height ratio Res(x)/Res(-y) is ``ratio``, and return the four stage
+    records of the ``stratum2`` report:
+
+    * ``differential_space``: the configuration at the first grid point,
+      its points named x, -x, y, -y; the kernel dimension there, only an
+      upper bound over Q(x, y), and ``ok`` when it is 1; the closed form as
+      the generator, or None unless ``matches_closed_form_generator``
+      holds; and the grid;
+    * ``residue_constraints``: the closed form satisfies the residue and
+      vanishing-order conditions at every grid point;
+    * ``matches_closed_form_generator``: it is the RREF generator (below);
+    * ``height_ratio``: ``ratio``, and whether it held at every grid point.
 
     At the first point of the grid S x T from ``symbolic_xy`` this solves
     the specialized kernel once and checks that it has dimension 1 and RREF
@@ -365,10 +360,10 @@ def certify_stratum2(
       nonzero, lies in the kernel identically, the dimension is exactly 1,
       and the height ratio holds identically;
     * generator: the RREF generator of a line is its vector scaled to 1 in
-      its last nonzero column.  ``basis_is_closed_form`` also requires the
-      lower bound and a last residue of "1", so the closed form is that
-      generator over Q(x, y), not only at the solved point, where x = 1
-      and a form scaled by x would match too.
+      its last nonzero column.  ``matches_closed_form_generator`` also
+      requires the lower bound and a last residue of "1", so the closed
+      form is that generator over Q(x, y), not only at the solved point,
+      where x = 1 and a form scaled by x would match too.
 
     The condition rows at each grid point are the rows that
     ``differential_space`` solves, built from the solved configuration
@@ -400,21 +395,27 @@ def certify_stratum2(
             ratio_ok = ratio_ok and form[0] * a * b == _cleared_xy([ratio], a, b)[0] * form[3]
     dimension, basis = differential_space(config)
     a, b = xs[0].numerator, ys[0].numerator
-    # The grid has shown that the closed form's poles are the configuration's, in order.
-    names = dict(zip(config.poles, poles))
-    return Stratum2Certificate(
-        grid=(xs, ys),
-        closed_form=tuple(closed_form),
-        height_ratio=ratio,
-        configuration=config_to_json_dict(config, names),
-        dimension=dimension,
-        basis_is_closed_form=kernel_ok
+    generator_ok = (
+        kernel_ok
         and closed_form[-1][0] == "1"
         and dimension == 1
-        and [c * a * b for c in basis[0]] == _cleared_xy(residues, a, b),
-        closed_form_in_kernel=kernel_ok,
-        height_ratio_holds=ratio_ok,
+        and [c * a * b for c in basis[0]] == _cleared_xy(residues, a, b)
     )
+    # The grid has shown that the closed form's poles are the configuration's, in order.
+    names = dict(zip(config.poles, poles))
+    return [
+        {
+            "stage": "differential_space",
+            "configuration": config_to_json_dict(config, names),
+            "dimension": dimension,
+            "ok": dimension == 1,
+            "generator": differential_to_json_dict(closed_form) if generator_ok else None,
+            "certified_on_grid": {"x": xs, "y": ys},
+        },
+        {"stage": "residue_constraints", "ok": kernel_ok},
+        {"stage": "matches_closed_form_generator", "ok": generator_ok},
+        {"stage": "height_ratio", "value": ratio, "ok": ratio_ok},
+    ]
 
 
 def decagon_points(m: int = 10) -> tuple[CyclotomicElem, CyclotomicElem]:

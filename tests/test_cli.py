@@ -114,6 +114,11 @@ def _ground_truth_with_version(*version):
         pytest.param(None, id="missing-file"),
         pytest.param(lambda p: p.mkdir(), id="directory"),
         pytest.param(lambda p: p.write_text("{not json"), id="not-json"),
+        # Nested deeper than the decoder recurses: RecursionError, not a bug.
+        pytest.param(lambda p: p.write_text("[" * 200_000), id="nested-arrays"),
+        pytest.param(
+            lambda p: p.write_text('{"schema_version": 1, "records": ' + "[" * 200_000), id="nested-records"
+        ),
         pytest.param(lambda p: p.write_bytes(b'\xff\xfe{"schema_version": 1}'), id="not-utf8"),
         pytest.param(lambda p: p.write_text("[1, 2]"), id="no-records"),
         pytest.param(lambda p: p.write_text('{"schema_version": 1, "records": {}}'), id="records-not-list"),
@@ -326,8 +331,9 @@ def _every_triple_to_three(report):
     return pairs == [(1, -1), (2, -1), (2, 0), (3, -1), (3, 0)] and records[-1]["lambda"] == "sqrt(2)"
 
 
-def _certificate_with(**fields):
-    return lambda cert: cert._replace(**fields)
+def _failing_stage(stage):
+    """certify_stratum2's records with the ``stage`` record's ok false."""
+    return lambda records: [dict(rec, ok=False) if rec["stage"] == stage else rec for rec in records]
 
 
 def _with_value(position, value):
@@ -369,13 +375,13 @@ _FORGED_CHECKS = [
     ("lshape-exclude-row-count", ["lshape", "exclude"], tanratio, "normalized_nonunit_rows",
      lambda rows: rows[:-1], lambda report: len(report["records"]) == 8),
     ("stratum2-differential-space", _STRATUM2, stablefiber, "certify_stratum2",
-     _certificate_with(dimension=2), _failed("differential_space")),
+     _failing_stage("differential_space"), _failed("differential_space")),
     ("stratum2-residue-constraints", _STRATUM2, stablefiber, "certify_stratum2",
-     _certificate_with(closed_form_in_kernel=False), _failed("residue_constraints")),
+     _failing_stage("residue_constraints"), _failed("residue_constraints")),
     ("stratum2-closed-form-generator", _STRATUM2, stablefiber, "certify_stratum2",
-     _certificate_with(basis_is_closed_form=False), _failed("matches_closed_form_generator")),
+     _failing_stage("matches_closed_form_generator"), _failed("matches_closed_form_generator")),
     ("stratum2-height-ratio", _STRATUM2, stablefiber, "certify_stratum2",
-     _certificate_with(height_ratio_holds=False), _failed("height_ratio")),
+     _failing_stage("height_ratio"), _failed("height_ratio")),
     ("stratum2_refutes_a_torsion_solver_that_drops_a_solution", _STRATUM2, stablefiber,
      "solve_torsion_pairs", _dropping_a_solution,
      lambda report: _failed("torsion_solutions")(report)
@@ -1363,11 +1369,12 @@ def _argv(files):
 
 
 def test_any_small_argv_exits_0_1_or_2_without_a_traceback(tmp_path, capsys):
-    truth = {name: tmp_path / f"{name}.json" for name in ("shipped", "forged", "exponent", "not-json")}
+    truth = {name: tmp_path / f"{name}.json" for name in ("shipped", "forged", "exponent", "not-json", "nested")}
     _ground_truth_with()(truth["shipped"])
     _ground_truth_with(trace="7")(truth["forged"])
     _ground_truth_with(trace="1e999999999")(truth["exponent"])
     truth["not-json"].write_text("{not json")
+    truth["nested"].write_text("[" * 200_000)
     files = {
         "truth": [*map(str, truth.values()), str(tmp_path / "absent.json"), str(tmp_path)],
         "output": [str(tmp_path / "report.out"), str(tmp_path / "missing" / "report.out"), str(tmp_path), ""],
@@ -1420,6 +1427,30 @@ def test_out_of_memory_while_writing_output_exits_2_with_one_line(tmp_path, monk
     out = capsys.readouterr()
     assert "verdict: verified" in out.out
     assert out.err == "error: decagon ran out of memory\n"
+
+
+def test_out_of_memory_while_parsing_exits_2_with_one_line(monkeypatch, capsys):
+    import torsion_packet.cli as cli_mod
+
+    def exhausted(shown):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "_build_parser", exhausted)
+    assert main(["decagon", "verify"]) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: torsion-packet ran out of memory\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["stratum2", "--help"]], ids=["help", "version", "stratum2-help"])
+def test_out_of_memory_while_writing_help_or_version_exits_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    # Not 1 ("refuted") with a traceback: main handles it as _run does.
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(sys, "stdout", _UnwritableStream(out.fileno(), MemoryError))
+        assert main(argv) == EXIT_USAGE
+        os.write(out.fileno(), b"to devnull")
+    assert (tmp_path / "out").read_text() == ""
+    assert capsys.readouterr().err == "error: torsion-packet ran out of memory\n"
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"

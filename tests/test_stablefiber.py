@@ -88,6 +88,15 @@ def _grid_points():
     return [(x, y) for x in xs for y in ys]
 
 
+def _stages(*args):
+    """certify_stratum2's records, by stage."""
+    return {rec["stage"]: rec for rec in certify_stratum2(*args)}
+
+
+def _oks(*args):
+    return {stage: rec["ok"] for stage, rec in _stages(*args).items()}
+
+
 def test_certification_grid_is_large_enough_and_defined():
     xs, ys = symbolic_xy()
     assert min(len(xs), len(ys)) >= 5  # degree bound 4 in each variable
@@ -100,9 +109,9 @@ def test_certification_grid_is_large_enough_and_defined():
 def test_symbolic_stratum2_space_is_a_line():
     # Dimension 1 at one specialization bounds the dimension over Q(x, y)
     # by 1; the closed form lying in the kernel identically gives 1.
-    cert = certify_stratum2()
-    assert cert.dimension == 1
-    assert cert.closed_form_in_kernel
+    stages = _stages()
+    assert stages["differential_space"]["dimension"] == 1
+    assert stages["residue_constraints"]["ok"]
 
 
 def test_certificate_solves_one_kernel(monkeypatch):
@@ -111,10 +120,27 @@ def test_certificate_solves_one_kernel(monkeypatch):
     solved = []
     original = stablefiber.differential_space
     monkeypatch.setattr(stablefiber, "differential_space", lambda config: solved.append(config) or original(config))
-    cert = certify_stratum2()
+    stages = _stages()
     xs, ys = symbolic_xy()
     assert [config.poles for config in solved] == [(xs[0], -xs[0], ys[0], -ys[0])]
-    assert cert.dimension == 1 and cert.basis_is_closed_form
+    assert stages["differential_space"]["dimension"] == 1 and stages["matches_closed_form_generator"]["ok"]
+
+
+def test_a_second_kernel_dimension_fails_the_space_and_the_generator(monkeypatch):
+    # Dimension 2 at the solved point bounds the dimension over Q(x, y) by
+    # 2 only, so neither the line nor its generator is certified, and no
+    # generator is shown; the grid checks do not depend on the kernel.
+    original = stablefiber.differential_space
+    monkeypatch.setattr(stablefiber, "differential_space", lambda config: (2, original(config)[1]))
+    stages = _stages()
+    assert stages["differential_space"]["dimension"] == 2
+    assert stages["differential_space"]["generator"] is None
+    assert _oks() == {
+        "differential_space": False,
+        "residue_constraints": True,
+        "matches_closed_form_generator": False,
+        "height_ratio": True,
+    }
 
 
 _FRACTION_ARITHMETIC = (
@@ -141,10 +167,9 @@ def test_certificate_evaluates_the_grid_in_integers(monkeypatch):
         monkeypatch.setattr(stablefiber, "symbolic_xy", lambda: grid)
         built.clear()
         ops.clear()
-        cert = certify_stratum2()
+        records = certify_stratum2()
         assert len(built) == 1
-        assert cert.dimension == 1 and cert.basis_is_closed_form
-        assert cert.closed_form_in_kernel and cert.height_ratio_holds
+        assert records[0]["dimension"] == 1 and all(rec["ok"] for rec in records)
         return len(ops)
 
     small = fraction_ops(symbolic_xy())
@@ -153,9 +178,16 @@ def test_certificate_evaluates_the_grid_in_integers(monkeypatch):
 
 
 def test_symbolic_generator_matches_closed_form_coefficientwise():
-    cert = certify_stratum2()
-    assert cert.basis_is_closed_form
-    assert cert.closed_form == (("y/x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y"))
+    stages = _stages()
+    assert stages["matches_closed_form_generator"]["ok"]
+    assert stages["differential_space"]["generator"] == {
+        "terms": [
+            {"residue": "y/x", "pole": "x"},
+            {"residue": "-y/x", "pole": "-x"},
+            {"residue": "-1", "pole": "y"},
+            {"residue": "1", "pole": "-y"},
+        ]
+    }
     for x, y in _grid_points():
         _, basis = differential_space(stratum2_config(x, y))
         assert basis == [(y / x, -y / x, F(-1), F(1))]
@@ -163,23 +195,26 @@ def test_symbolic_generator_matches_closed_form_coefficientwise():
 
 def test_certificate_rejects_forged_closed_form():
     forged = (("y/x", "x"), ("-y/x", "-x"), ("1", "y"), ("-1", "-y"))
-    cert = certify_stratum2(forged)
-    assert cert.dimension == 1
-    assert not cert.basis_is_closed_form
-    assert not cert.closed_form_in_kernel
-    assert not cert.height_ratio_holds
+    stages = _stages(forged)
+    assert stages["differential_space"]["dimension"] == 1 and stages["differential_space"]["generator"] is None
+    assert _oks(forged) == {
+        "differential_space": True,
+        "residue_constraints": False,
+        "matches_closed_form_generator": False,
+        "height_ratio": False,
+    }
     # Scaled by x, the form still spans the kernel and has height ratio y/x,
     # and at the solved point (1, 6) it equals the RREF basis.
-    cert = certify_stratum2((("y", "x"), ("-y", "-x"), ("-x", "y"), ("x", "-y")))
-    assert cert.closed_form_in_kernel and cert.height_ratio_holds
-    assert not cert.basis_is_closed_form
+    oks = _oks((("y", "x"), ("-y", "-x"), ("-x", "y"), ("x", "-y")))
+    assert oks["residue_constraints"] and oks["height_ratio"]
+    assert not oks["matches_closed_form_generator"]
     # Agreeing with the generator at (1, 6) only is not enough either.
-    cert = certify_stratum2((("y/x", "x"), ("-y", "-x"), ("-1", "y"), ("1", "-y")))
-    assert not cert.basis_is_closed_form and not cert.closed_form_in_kernel
+    oks = _oks((("y/x", "x"), ("-y", "-x"), ("-1", "y"), ("1", "-y")))
+    assert not oks["matches_closed_form_generator"] and not oks["residue_constraints"]
     # A wrong height ratio fails on its own.
-    cert = certify_stratum2(STRATUM2_CLOSED_FORM, "x/y")
-    assert cert.basis_is_closed_form and cert.closed_form_in_kernel
-    assert not cert.height_ratio_holds
+    stages = _stages(STRATUM2_CLOSED_FORM, "x/y")
+    assert stages["matches_closed_form_generator"]["ok"] and stages["residue_constraints"]["ok"]
+    assert stages["height_ratio"] == {"stage": "height_ratio", "value": "x/y", "ok": False}
 
 
 def test_certificate_refuses_a_grid_below_the_degree_bound(monkeypatch):
@@ -352,8 +387,7 @@ def height_ratio(residues):
 
 
 def test_symbolic_height_ratio_is_y_over_x():
-    cert = certify_stratum2()
-    assert cert.height_ratio == "y/x" and cert.height_ratio_holds
+    assert _stages()["height_ratio"] == {"stage": "height_ratio", "value": "y/x", "ok": True}
     for x, y in _grid_points():
         cfg = stratum2_config(x, y)
         _, basis = differential_space(cfg)
