@@ -235,6 +235,8 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
         payload = json.loads(data)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         raise ValueError(f"{source} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer with more digits than int() reads (sys.get_int_max_str_digits)
+        raise ValueError(f"{source} holds an integer too long to read") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{source} must be a JSON object with a 'records' list")
     version = payload.get("schema_version")
@@ -293,8 +295,7 @@ def cmd_tangent_ratios(
             "mu": str(real_value(mu, poly)) if degree <= 2 else tanratio.field_display(degree, alpha, beta),
             "mu_cyclotomic": mu,
         }
-        for alpha, beta, poly, mu in tanratio.enumerate_ratios(degree, max_denominator)
-        if not (non_units_only and poly.is_unit)
+        for alpha, beta, poly, mu in tanratio.enumerate_ratios(degree, max_denominator, non_units_only)
     ]
     return Report(
         command="tangent-ratios",
@@ -452,7 +453,11 @@ def cmd_stratum2(torsion_order: int) -> Report:
 
     # Each orbit builds one display string above degree 2, which its
     # members share; at most degree 2, ``tanratio.orbit_rows`` gives each
-    # member its minimal polynomial and mu, and so its value.
+    # member its minimal polynomial and mu, and so its value.  The status
+    # is the orbit's, decided once on the representative's row, which comes
+    # first (i == 0): every member shares its unit status, the candidates
+    # +-mu^(+-1) of every member have the same traces and norms, and a
+    # non-unit matches at most one triple.
     divisors = [q for q in range(3, torsion_order + 1) if torsion_order % q == 0]
     outside = "not quadratic: outside the degree-2 height-ratio regime"
     handoffs = []
@@ -477,12 +482,12 @@ def cmd_stratum2(torsion_order: int) -> Report:
             for alpha, beta, _, _ in members:
                 handoff(alpha, beta, shown, degree, outside)
             continue
-        for alpha, beta, poly, mu in tanratio.orbit_rows(degree, members):
+        status = outside
+        for i, (alpha, beta, poly, mu) in enumerate(tanratio.orbit_rows(degree, members)):
             value = real_value(mu, poly)
-            status = outside
-            if degree == 2 and poly.is_unit:
+            if i == 0 and degree == 2 and poly.is_unit:
                 status = "unit: pentagon/octagon regime, handled by known torsion"
-            elif degree == 2:
+            elif i == 0 and degree == 2:
                 _, matches = lshape.exclude_against_table1(value)
                 oks.append(not matches)
                 matched = [f"(b={t[0]}, e={t[1]}, lambda={parts_str(*t[2:])})" for t in matches]

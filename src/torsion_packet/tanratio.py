@@ -62,7 +62,9 @@ p2 the first unit mod q2 in its class c, g - c, g + c, ... (c <= g/2),
 where for q1 = q2 the swap also identifies the class of c with that of
 c^-1 (see ``_orbit_representatives``).  The orbit's members are the
 representative's images under the units k, each angle folded back into
-(0, 1/2).  Units keep denominators, so ``classify`` walks the pairs up to
+(0, 1/2), and the one walk of the units k <= L/2 that certifies Stab
+(``_stabilizer``) records them, so each kept orbit's units are walked
+once.  Units keep denominators, so ``classify`` walks the pairs up to
 a bound, or ``stratum2``'s handoffs A/N < B/N: the pairs whose
 denominators divide N.  A member is
 mu' = +-sigma_k(mu)^(+-1) for the representative's mu, negated when
@@ -72,7 +74,14 @@ rows (degree, Stab, members), each member (alpha, beta, negated, inverted),
 ``members[0]`` the representative.  ``orbit_rows`` gives each member its
 row (alpha, beta, p, mu), mu its own: only the representative builds its
 minimal polynomial, whose degree must equal the certified index, and a
-member's polynomial is p(-x) and/or p reversed, made monic again.
+member's polynomial is p(-x) and/or p reversed, made monic again.  The
+representative's row comes first, and each mu is built only when its row
+is read, so what holds for the whole orbit is decided on that row:
+neither a sign nor an inversion nor sigma_k changes whether mu is a unit,
+so ``enumerate_ratios`` drops a unit orbit there when it is asked for
+non-units only, and the ``stratum2`` command takes unit status and the
+exclusion (the four candidates +-mu^(+-1) of every member have the same
+traces and norms) once per degree-2 orbit.
 
 For a degree target, ``classify`` first drops whole denominator pairs
 (q1, q2), before any orbit is walked or any tangent is read, by a
@@ -191,15 +200,18 @@ def exact_mu(alpha: _Angle, beta: _Angle) -> CyclotomicElem:
     return mu
 
 
-def orbit_rows(degree: int, members: Sequence[Member]) -> list[Row]:
+def orbit_rows(degree: int, members: Sequence[Member]) -> Iterator[Row]:
     """The row (alpha, beta, minimal polynomial, mu) of each member of an
-    orbit of ``classify``, in order.  Each member builds its mu; only the
-    representative builds its polynomial p, checked against ``degree``, and
-    a member's is p(-x) when negated and p reversed when inverted, made monic."""
-    rows = []
+    orbit of ``classify``, in order, built as it is read.  The
+    representative's row comes first: it builds its mu and the orbit's
+    polynomial p, checked against ``degree``, so a caller can decide for
+    the whole orbit from that row (unit status; the exclusion) before any
+    other mu is built.  Each other member builds its own mu, and its
+    polynomial is p(-x) when negated and p reversed when inverted, made monic."""
+    poly = None
     for alpha, beta, negated, inverted in members:
         mu = exact_mu(alpha, beta)
-        if not rows:
+        if poly is None:
             poly = minimal_polynomial(mu)
             if poly.degree != degree:
                 raise ArithmeticInconsistencyError(
@@ -211,8 +223,7 @@ def orbit_rows(degree: int, members: Sequence[Member]) -> list[Row]:
             cs = [-c if (len(cs) - i) % 2 == 0 else c for i, c in enumerate(cs)]
         if inverted:
             cs = [c / cs[0] for c in reversed(cs)]
-        rows.append((alpha, beta, MinPoly(cs) if negated or inverted else poly, mu))
-    return rows
+        yield alpha, beta, MinPoly(cs) if negated or inverted else poly, mu
 
 
 def field_display(degree: int, alpha: _Angle, beta: _Angle) -> str:
@@ -282,11 +293,15 @@ def _tan_row(q: int) -> array:
 
 def _stabilizer(
     pa: int, qa: int, pb: int, qb: int, cap: Optional[int]
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """(degree, Stab) of mu = tan(pi*pb/qb)/tan(pi*pa/qa), or None if not ``cap``.
+) -> Optional[tuple[int, tuple[int, ...], dict[tuple[_Angle, _Angle], tuple[bool, bool]]]]:
+    """(degree, Stab, images) of mu = tan(pi*pb/qb)/tan(pi*pa/qa), for
+    pa/qa < pb/qb, or None if the degree is not ``cap``.
 
-    G = (Z/L)^*/{+-1}, L = lcm(qa, qb), is walked as the units k <= L/2
-    (see the module docstring).  None means that the degree is certified
+    G = (Z/L)^*/{+-1}, L = lcm(qa, qb), is walked once, as the units
+    k <= L/2 (see the module docstring).  The same walk records the orbit:
+    ``images`` maps each distinct image of the pair under k, folded and
+    ordered, to (negated, inverted) of the first k that reaches it, the
+    pair itself first.  None means that the degree is certified
     not to be ``cap``: sigma_s(mu), s = ``_lagrange_power(L, cap)``, is
     certified apart from mu (Lagrange), or more than ``cap`` conjugates
     are certified pairwise distinct.  With no cap, neither test runs.  A
@@ -305,12 +320,19 @@ def _stabilizer(
                 return None
     reps = [value]  # pairwise certified distinct conjugates, mu first
     candidates = []
+    images = {((pa, qa), (pb, qb)): (False, False)}
     order = 1
     for k in range(2, lcm // 2 + 1):
         if math.gcd(k, lcm) != 1:
             continue
         order += 1
-        v = tb[k * pb % qb] / ta[k * pa % qa]
+        a, b = k * pa % qa, k * pb % qb
+        # The image of the pair, each angle folded into (0, 1/2) and the
+        # two in order: negated when exactly one folds, inverted on a swap.
+        x, y = (min(a, qa - a), qa), (min(b, qb - b), qb)
+        inverted = x[0] * qb > y[0] * qa
+        images.setdefault((y, x) if inverted else (x, y), ((2 * a > qa) != (2 * b > qb), inverted))
+        v = tb[b] / ta[a]
         if abs(v - value) <= _REL_SEPARATION * max(abs(v), abs(value)):
             candidates.append(k)
         elif cap is not None:
@@ -333,7 +355,7 @@ def _stabilizer(
             f"stabilizer {stab} of tan(pi*{pb}/{qb})/tan(pi*{pa}/{qa}) in a group of order "
             f"{order} does not have an integer index of at least {len(reps)}"
         )
-    return order // len(stab), tuple(stab)
+    return order // len(stab), tuple(stab), images
 
 
 @lru_cache(maxsize=None)
@@ -348,12 +370,6 @@ def _lagrange_power(lcm: int, d: int) -> Optional[int]:
     return None
 
 
-@lru_cache(maxsize=None)
-def _numerators(q: int) -> tuple[int, ...]:
-    """Numerators p of the reduced angles p/q in (0, 1/2)."""
-    return tuple(p for p in range(1, (q + 1) // 2) if math.gcd(p, q) == 1)
-
-
 def _by_value(max_denominator: int):
     """Exact integer sort key of angles (p, q), q <= max_denominator:
     floor(p*D/q), D = max_denominator^2, as two differ by >= 1/(q1*q2) >= 1/D."""
@@ -364,7 +380,8 @@ def _by_value(max_denominator: int):
 def angles_up_to(max_denominator: int) -> list[_Angle]:
     """All reduced rational angles (p, q), p/q in (0, 1/2) and
     q <= max_denominator, in ascending order of p/q."""
-    angles = [(p, q) for q in range(3, max_denominator + 1) for p in _numerators(q)]
+    qs = range(3, max_denominator + 1)
+    angles = [(p, q) for q in qs for p in range(1, (q + 1) // 2) if math.gcd(p, q) == 1]
     return sorted(angles, key=_by_value(max_denominator))
 
 
@@ -449,38 +466,40 @@ def classify(
     orbit when one Lagrange comparison rules the degree out or once
     ``degree + 1`` conjugates are certified pairwise distinct, and builds
     no mu.  With a ``degree``, the walk skips the denominator
-    pairs that cannot hold it.  The members of a kept orbit, each checked
-    by ``ratio``, are its images under the units k <= L/2, L = lcm(q1, q2)
-    (see the module docstring); k = 1 gives the representative.
+    pairs that cannot hold it.  The members of a kept orbit are the images
+    that the same walk of the units k <= L/2, L = lcm(q1, q2), recorded
+    (see the module docstring), each checked by ``ratio``; k = 1 gives the
+    representative, ``members[0]``.
     """
     kept = []
     for rep in _orbit_representatives(denominators, degree):
         found = _stabilizer(*rep[0], *rep[1], degree)
         if found is None or degree not in (None, found[0]):
             continue
-        (p1, q1), (p2, q2) = rep
-        images: dict[tuple[_Angle, _Angle], tuple[bool, bool]] = {}
-        for k in _numerators(math.lcm(q1, q2)):
-            a, b = k * p1 % q1, k * p2 % q2
-            fold_a, fold_b = 2 * a > q1, 2 * b > q2
-            x, y = (q1 - a if fold_a else a, q1), (q2 - b if fold_b else b, q2)
-            inverted = x[0] * q2 > y[0] * q1
-            images.setdefault((y, x) if inverted else (x, y), (fold_a != fold_b, inverted))
-        members = [(*ratio(a, b), *flags) for (a, b), flags in images.items()]
-        kept.append((*found, tuple(members)))
+        degree_found, stab, images = found
+        kept.append((degree_found, stab, tuple((*ratio(a, b), *flags) for (a, b), flags in images.items())))
     return kept
 
 
-def enumerate_ratios(degree_target: int, max_denominator: int) -> list[Row]:
+def enumerate_ratios(degree_target: int, max_denominator: int, non_units_only: bool = False) -> list[Row]:
     """Every ratio of one degree with both denominators up to a bound, as
     the ``orbit_rows`` row (alpha, beta, minimal polynomial, mu), by (alpha,
-    beta).  Only each orbit's representative builds a minimal polynomial."""
+    beta).  Only each orbit's representative builds a minimal polynomial.
+
+    With ``non_units_only``, an orbit whose representative's polynomial is a
+    unit's is dropped whole, before any other member builds its mu: a
+    member's polynomial is the representative's up to x -> -x and reversal,
+    and neither changes whether it is a unit's."""
     if degree_target < 1:
         raise ValueError(f"degree target must be positive, got {degree_target}")
     if max_denominator < 3:
         raise ValueError(f"max_denominator must be at least 3, got {max_denominator}")
-    orbits = classify(range(3, max_denominator + 1), degree_target)
-    rows = [row for degree, _, members in orbits for row in orbit_rows(degree, members)]
+    rows: list[Row] = []
+    for degree, _, members in classify(range(3, max_denominator + 1), degree_target):
+        orbit = orbit_rows(degree, members)
+        first = next(orbit)
+        if not (non_units_only and first[2].is_unit):
+            rows += [first, *orbit]
     key = _by_value(max_denominator)
     return sorted(rows, key=lambda row: (key(row[0]), key(row[1])))
 
@@ -521,4 +540,4 @@ def normalized_nonunit_rows(max_denominator: int = 12) -> list[Row]:
     of -1/mu', two rows of different trace and norm, such as (1/12, 1/6)
     and (1/6, 5/12).
     """
-    return [row for row in enumerate_ratios(2, max_denominator) if row[0][0] == 1 and not row[2].is_unit]
+    return [row for row in enumerate_ratios(2, max_denominator, True) if row[0][0] == 1]

@@ -26,7 +26,7 @@ def stabilizer(alpha: tuple[int, int], beta: tuple[int, int]) -> tuple[int, tupl
     """(degree, Stab) of ``ratio(alpha, beta)``, the angles as reduced pairs
     (p, q), certified for this pair on its own with no degree cap."""
     (pa, qa), (pb, qb) = tanratio.ratio(alpha, beta)
-    return tanratio._stabilizer(pa, qa, pb, qb, None)
+    return tanratio._stabilizer(pa, qa, pb, qb, None)[:2]
 
 
 def classified_ratio(

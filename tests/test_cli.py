@@ -120,6 +120,14 @@ def _ground_truth_with_version(*version):
             lambda p: p.write_text('{"schema_version": 1, "records": ' + "[" * 200_000), id="nested-records"
         ),
         pytest.param(lambda p: p.write_bytes(b'\xff\xfe{"schema_version": 1}'), id="not-utf8"),
+        # More digits than int() reads: json.loads raises a plain ValueError.
+        pytest.param(
+            lambda p: p.write_text(
+                '{"schema_version": 1, "records": [{"alpha": ' + "1" * 5000
+                + ', "beta": "1/3", "trace": "2", "norm": "-3"}]}'
+            ),
+            id="alpha-5000-digits",
+        ),
         pytest.param(lambda p: p.write_text("[1, 2]"), id="no-records"),
         pytest.param(lambda p: p.write_text('{"schema_version": 1, "records": {}}'), id="records-not-list"),
         pytest.param(lambda p: p.write_text('{"schema_version": 1, "records": [7]}'), id="row-not-object"),
@@ -458,7 +466,6 @@ def test_caches_fill_the_same_under_concurrent_first_use():
         cyclotomic._trace_row,
         signs._pi_ball,
         tanratio._tan_row,
-        tanratio._numerators,
         tanratio._lagrange_power,
     )
 

@@ -4,14 +4,14 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torsion_packet import lshape
 from torsion_packet.cli import cmd_lshape
 from torsion_packet.errors import UsageError
 from torsion_packet.exactnum import QuadraticElem, real_value
-from torsion_packet.exactnum.quadratic import parts_str
+from torsion_packet.exactnum.quadratic import parts_str, squarefree_part
 from torsion_packet.lshape import (
     enumerate_triples,
     exclude_against_table1,
@@ -217,6 +217,36 @@ def test_candidate_set_closed_under_inversion():
         vals1 = {(c["trace"], c["norm"]) for c in candidates1}
         vals2 = {(c["trace"], c["norm"]) for c in candidates2}
         assert vals1 == vals2
+
+
+# Traces and norms around the admissible ones, and their inverses' norms.
+_TRACE_OR_NORM = st.one_of(
+    st.integers(-40, 40).map(F),
+    st.integers(-40, 40).filter(bool).map(lambda k: F(1, k)),
+    st.fractions(-6, 6, max_denominator=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRACE_OR_NORM, _TRACE_OR_NORM)
+@example(F(3), F(-2))  # mu = (3 + sqrt(17))/2 matches (b=4, e=1)
+@example(F(-3, 2), F(-1, 2))  # mu = (-3 + sqrt(17))/4: its 1/mu matches (b=4, e=1)
+def test_a_non_unit_matches_on_at_most_one_candidate(trace, norm):
+    # A matched candidate has an integer trace in {1, 2, 3} and an integer
+    # norm.  For a non-unit, mu and 1/mu cannot both have integer norms,
+    # and of +-x only one has a positive trace, so at most one of the four
+    # candidates matches, and so at most one triple.  This is why one
+    # representative decides the exclusion for its whole Galois orbit.
+    disc = trace * trace - 4 * norm
+    assume(disc > 0)
+    s, d = squarefree_part(disc.numerator * disc.denominator)
+    assume(d >= 2)
+    mu = QuadraticElem(trace / 2, F(s, 2 * disc.denominator), d)
+    assert (mu.trace(), mu.norm()) == (trace, norm)
+    assume(not (trace.denominator == 1 and norm in (1, -1)))
+    candidates, matches = exclude_against_table1(mu)
+    matched = [c["label"] for c in candidates if c["reason"] == "matched"]
+    assert len(matched) <= 1 and len(matches) == len(matched), (mu, matched)
 
 
 def test_triple_construction_validation(monkeypatch):

@@ -7,7 +7,7 @@ from typing import Optional
 
 import pytest
 
-from torsion_packet import cli, tanratio
+from torsion_packet import cli, lshape, tanratio
 from torsion_packet.errors import ArithmeticInconsistencyError
 from torsion_packet.exactnum import (
     CyclotomicElem,
@@ -16,6 +16,7 @@ from torsion_packet.exactnum import (
     cyclotomic,
     galois_apply,
     minimal_polynomial,
+    real_value,
     sign_of_real,
 )
 from torsion_packet.exactnum.signs import cos_sin_ball
@@ -56,6 +57,11 @@ def ang(p, q):
 def reduced(p, q):
     """The angle p/q as the reduced integer pair that the package takes."""
     return F(p, q).as_integer_ratio()
+
+
+def numerators(q):
+    """Numerators p of the reduced angles p/q in (0, 1/2), ascending."""
+    return [p for p in range(1, (q + 1) // 2) if math.gcd(p, q) == 1]
 
 
 def _reference_conductor(alpha: F, beta: F) -> int:
@@ -498,7 +504,7 @@ def _scanned_representatives(denominators, degree=None):
                     continue
                 if q1 == q2 and (c == 1 or tanratio._fold_mod(pow(c, -1, g), g) < c):
                     continue
-                p2 = next(p for p in tanratio._numerators(q2) if (p - c) % g == 0 or (p + c) % g == 0)
+                p2 = next(p for p in numerators(q2) if (p - c) % g == 0 or (p + c) % g == 0)
                 yield tanratio._ordered((1, q1), (p2, q2))
 
 
@@ -650,7 +656,7 @@ def test_stabilizer_is_the_units_that_fix_mu(monkeypatch):
             for k in range(1, lcm // 2 + 1)
             if math.gcd(k, lcm) == 1 and galois_apply(mu, k if k % 2 else k + lcm) == mu
         )
-        _, stab = tanratio._stabilizer(*alpha, *beta, None)
+        _, stab, _ = tanratio._stabilizer(*alpha, *beta, None)
         assert stab == expected, (alpha, beta)
         fixing += len(stab) > 1
     assert fixing
@@ -688,8 +694,9 @@ def test_mu_is_built_only_where_it_is_read(monkeypatch):
 
 def test_each_row_builds_its_mu_once(monkeypatch):
     # tangent-ratios reads each row's mu and builds no other: two tangents a
-    # row.  verify-table1 reads no mu, but every row of the degree-2
-    # enumeration carries one.
+    # row.  verify-table1 reads no mu, but every row of a non-unit orbit of
+    # the degree-2 enumeration carries one; a unit orbit builds only its
+    # representative's, whose polynomial decides the whole orbit.
     calls, built = _counting_builds(monkeypatch)
     report = cli.cmd_tangent_ratios(8, 40)
     assert len(calls) == 2 * len(report.records) == 880
@@ -698,8 +705,61 @@ def test_each_row_builds_its_mu_once(monkeypatch):
     built.clear()
     report = cli.cmd_verify_table1(60)
     assert report.verdict == "verified"
-    assert (len(calls), len(built)) == (52, 15)
+    assert (len(calls), len(built)) == (38, 15)
     assert len(enumerate_ratios(2, 60)) == 26
+    # --non-units-only drops each unit orbit after its representative's row.
+    calls.clear()
+    built.clear()
+    report = cli.cmd_tangent_ratios(4, 60, True)
+    orbits = tanratio.classify(range(3, 61), 4)
+    kept = {(r["alpha"], r["beta"]) for r in report.records}
+    reps = [tuple(map(tanratio.angle_str, members[0][:2])) for _, _, members in orbits]
+    unit_orbits = sum(rep not in kept for rep in reps)
+    assert (len(report.records), len(calls), len(built)) == (88, 232, 54)
+    assert len(calls) == 2 * (len(report.records) + unit_orbits) and len(built) == len(orbits)
+
+
+def test_stratum2_decides_each_quadratic_orbit_once(monkeypatch):
+    # stratum2 takes unit status and the exclusion once per degree-2 orbit,
+    # on its representative's row, and still builds each member's mu once
+    # to display its value.
+    calls, built = _counting_builds(monkeypatch)
+    excluded = []
+    exclude = lshape.exclude_against_table1
+    monkeypatch.setattr(lshape, "exclude_against_table1", lambda mu: excluded.append(mu) or exclude(mu))
+    report = cli.cmd_stratum2(840)
+    assert report.verdict == "verified"
+    assert (len(calls), len(built), len(excluded)) == (54, 16, 6)
+    statuses = [r["status"] for r in report.records if r["stage"] == "handoff" and r["degree"] == 2]
+    assert statuses.count("excluded by trace/norm matching") == 10
+    divisors = [q for q in range(3, 841) if 840 % q == 0]
+    reps = [next(orbit_rows(2, members)) for degree, _, members in tanratio.classify(divisors) if degree == 2]
+    assert excluded == [real_value(mu, poly) for _, _, poly, mu in reps if not poly.is_unit]
+
+
+@pytest.mark.parametrize(
+    "denominators, degree",
+    [([q for q in range(3, 841) if 840 % q == 0], None), (range(3, 61), 2)],
+    ids=["divisors-of-840", "up-to-60"],
+)
+def test_a_quadratic_orbit_shares_its_representatives_decision(denominators, degree):
+    # The one decision per orbit rests on two invariants: sigma_k, a sign
+    # and an inversion keep a unit a unit, and the candidates +-mu^(+-1) of
+    # each member have the traces and norms of the representative's.
+    orbits = [members for d, _, members in tanratio.classify(denominators, degree) if d == 2]
+    nonunit = 0
+    for members in orbits:
+        (_, _, poly, mu), *others = orbit_rows(2, members)
+        candidates, matches = lshape.exclude_against_table1(real_value(mu, poly))
+        traces_norms = {(c["trace"], c["norm"]) for c in candidates}
+        for alpha, beta, member_poly, member_mu in others:
+            assert member_poly.is_unit == poly.is_unit, (alpha, beta)
+            if not poly.is_unit:
+                member_candidates, member_matches = lshape.exclude_against_table1(real_value(member_mu, member_poly))
+                assert member_matches == matches, (alpha, beta)
+                assert {(c["trace"], c["norm"]) for c in member_candidates} == traces_norms, (alpha, beta)
+        nonunit += not poly.is_unit
+    assert (len(orbits), sum(map(len, orbits)), nonunit) == (15, 26, 6)
 
 
 def test_stratum2_handoff_needs_no_exact_orbit(monkeypatch):
@@ -814,7 +874,7 @@ def test_every_member_derives_the_minimal_polynomial_of_its_mu():
     for d in range(1, 7):
         derived = {}
         for _, _, members in tanratio.classify(range(3, 31), d):
-            rows = orbit_rows(d, members)
+            rows = list(orbit_rows(d, members))
             assert [row[:2] for row in rows] == [m[:2] for m in members]
             for (alpha, beta, poly, mu), (_, _, negated, inverted) in zip(rows, members):
                 assert mu == exact_mu(alpha, beta), (alpha, beta)
@@ -847,9 +907,12 @@ def test_forged_stabilizer_fails_the_orbit_product_check(monkeypatch, capsys):
     alpha, beta = ratio((1, 12), (1, 5))
     for forged in (2, 4, 12, 16):
         with pytest.raises(ArithmeticInconsistencyError, match=f"degree 8, not the certified {forged}$"):
-            orbit_rows(forged, [(alpha, beta, False, False)])
+            next(orbit_rows(forged, [(alpha, beta, False, False)]))
     # Every orbit certified as degree 2 reaches the check through the CLI.
-    monkeypatch.setattr(tanratio, "_stabilizer", lambda *args: (2, (1,)))
+    def forged_walk(pa, qa, pb, qb, cap):
+        return 2, (1,), {((pa, qa), (pb, qb)): (False, False)}
+
+    monkeypatch.setattr(tanratio, "_stabilizer", forged_walk)
     assert cli.main(["tangent-ratios", "--degree", "2", "--max-denominator", "12"]) == 3
     assert "certified 2" in capsys.readouterr().err
 
@@ -912,7 +975,7 @@ def test_rotated_rows_lie_in_the_per_entry_enclosures():
     # that enclosure rounds between its rounded ends.
     for q in range(3, 301):
         row = _tan_row(q)
-        for r in tanratio._numerators(q):
+        for r in numerators(q):
             _, _, _, lo, hi = _per_entry_enclosure(r, q)
             assert lo <= row[r] <= hi and row[q - r] == -row[r], (r, q)
 
@@ -924,9 +987,9 @@ def test_rotation_error_stays_within_radius_two_at_large_r(q):
     # per-entry one hold the true value, so their centres lie within the
     # sum of the radii.
     row = _tan_row(q)
-    units = tanratio._numerators(q)
+    units = numerators(q)
     balls = list(_rotation_balls(q))
-    assert [r for r, _, _ in balls] == list(units)
+    assert [r for r, _, _ in balls] == units
     for r, c, s in balls:
         c0, s0, rad0, lo, hi = _per_entry_enclosure(r, q)
         assert abs(c - c0) <= rad0 + 2 and abs(s - s0) <= rad0 + 2, (r, q)
@@ -991,13 +1054,17 @@ def test_nonunit_rows_are_the_galois_normal_forms_of_the_nonunits(bound):
 def test_nonunit_rows_build_no_minimal_polynomial_for_other_numerators(monkeypatch):
     # Each row builds its own mu, once; only each orbit's representative
     # builds a minimal polynomial, and every other member derives its
-    # polynomial, whatever its numerator.
+    # polynomial, whatever its numerator.  A unit orbit stops at its
+    # representative: the 7 other members of the 9 unit orbits build no mu.
     _, polys = _counting_builds(monkeypatch)
     built = []
     monkeypatch.setattr(tanratio, "exact_mu", lambda alpha, beta: built.append((alpha, beta)) or exact_mu(alpha, beta))
     normalized_nonunit_rows(30)
     orbits = tanratio.classify(range(3, 31), 2)
-    assert built == [m[:2] for _, _, members in orbits for m in members] and len(built) == 26
+    units = [minimal_polynomial(exact_mu(*members[0][:2])).is_unit for _, _, members in orbits]
+    assert (len(orbits), sum(units)) == (15, 9)
+    read = [members[:1] if unit else members for (_, _, members), unit in zip(orbits, units)]
+    assert built == [m[:2] for members in read for m in members] and len(built) == 19
     assert polys == [exact_mu(*members[0][:2]) for _, _, members in orbits] and len(polys) == 15
     # Members of other numerators, which derive their polynomials, are there.
     assert any(m[0][0] != 1 for _, _, members in orbits for m in members[1:])
