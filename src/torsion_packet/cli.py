@@ -207,6 +207,12 @@ def _render_text(report: Report) -> str:
 _GROUND_TRUTH_KEYS = ("alpha", "beta", "trace", "norm")
 
 
+def _clip(text: str) -> str:
+    """``text``, cut to its first 40 characters and "..." when longer: how
+    the loader echoes a bad value."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
     """The shipped (or an explicit) ground-truth list of non-unit quadratic ratios.
 
@@ -241,7 +247,7 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
         raise ValueError(f"{source} must be a JSON object with a 'records' list")
     version = payload.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
-        raise ValueError(f"{source} has schema_version {version!r}, expected {SCHEMA_VERSION}")
+        raise ValueError(f"{source} has schema_version {_clip(repr(version))}, expected {SCHEMA_VERSION}")
     records = payload.get("records")
     if not isinstance(records, list):
         raise ValueError(f"{source} must be a JSON object with a 'records' list")
@@ -255,16 +261,20 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
             if isinstance(row[k], bool) or not isinstance(row[k], (str, int)):
                 raise ValueError(f"{source}: record {i} field {k} must be a string or an integer")
             # Only "-1/3" or an integer: Fraction alone also reads 1e3, 0.5, 1_000 and " 7".
+            bad = f"{source}: record {i} field {k} is not a rational: {_clip(repr(row[k]))}"
+            if isinstance(row[k], str) and not re.fullmatch("-?[0-9]+(?:/[0-9]+)?", row[k]):
+                raise ValueError(bad)
             try:
-                if isinstance(row[k], str) and not re.fullmatch("-?[0-9]+(?:/[0-9]+)?", row[k]):
-                    raise ValueError
                 row[k] = str(Fraction(row[k]))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"{source}: record {i} field {k} is not a rational: {row[k]!r}") from None
+            except ZeroDivisionError:
+                raise ValueError(bad) from None
+            except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits)
+                raise ValueError(f"{source}: record {i} field {k} holds a number too long to read") from None
         try:
             tanratio.ratio(*(Fraction(row[k]).as_integer_ratio() for k in ("alpha", "beta")))
-        except ValueError as exc:
-            raise ValueError(f"{source}: record {i}: {exc}") from None
+        except ValueError:
+            got = f"alpha = {_clip(row['alpha'])}, beta = {_clip(row['beta'])}"
+            raise ValueError(f"{source}: record {i}: need 0 < alpha < beta < 1/2, got {got}") from None
     return records
 
 

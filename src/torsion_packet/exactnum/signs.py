@@ -9,18 +9,20 @@ precision doubles until the ball excludes zero, up to an a-priori
 ceiling at which a nonzero element must already be separated (see
 ``_precision_ceiling``); failing that raises.
 
-The kernel, ``cos_sin_ball``, is also what the tangent table of
-``tanratio`` is built from: one call per row q, for exp(i*pi/q) with guard
-bits, whose powers in fixed point give balls (c, s) +- 2 at 96 bits for
-every angle pi*r/q, r < q/2.  An entry is s/c, and the enclosure
-[(s - 2)/(c + 2), (s + 2)/(c - 2)] of the tangent is checked to have
-relative width at most 2^-60.  The kernel holds no state beyond a cache of
-pi per precision, so concurrent calls share nothing they could change.
+Every cosine and sine ball comes from one generator, ``rotation_balls``:
+one ``cos_sin_ball`` of exp(i*pi/q) with guard bits, whose powers in fixed
+point give balls (c, s) +- 2 of exp(i*pi*r/q) for r = 1, 2, ...  A sign
+round reads one such walk over the element's coordinates, and the tangent
+table of ``tanratio`` reads one per row q.  The kernel holds no state
+beyond a cache of pi per precision, so concurrent calls share nothing
+they could change.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
+from typing import Iterator
 
 from ..errors import ArithmeticInconsistencyError
 from .cyclotomic import CyclotomicElem
@@ -121,27 +123,50 @@ def cos_sin_ball(p: int, q: int, bits: int) -> tuple[int, int, int]:
     return cos >> g, sin >> g, -(-err >> g) + 1
 
 
-def _cos_ball(j: int, m: int, bits: int) -> tuple[int, int]:
-    """(mid, rad) of cos(2 pi j/m) 2^bits, by symmetry from [0, pi/2]."""
-    t = 2 * j % (2 * m)  # the angle is pi t/m, t in [0, 2m)
-    if t > m:
-        t = 2 * m - t
-    if 2 * t > m:
-        c, _, rad = cos_sin_ball(m - t, m, bits)
-        return -c, rad
-    c, _, rad = cos_sin_ball(t, m, bits)
-    return c, rad
+def rotation_balls(q: int, count: int, bits: int) -> Iterator[tuple[int, int]]:
+    """(c, s) of exp(i*pi*r/q) for r = 1, ..., count, with
+    |cos(pi*r/q) 2^bits - c| <= 2 and |sin(pi*r/q) 2^bits - s| <= 2.
+
+    Requires q >= 2 and bits >= 2.  With g = bitlen(5 max(q, count)) guard
+    bits and w = bits + g, z_1 = c1 + i*s1 is the ``cos_sin_ball`` of
+    exp(i*pi/q) at w bits, each part within 2, and z_(r+1) = z_r*z_1 / 2^w
+    with each part floored: (c, s) <- ((c*c1 - s*s1) >> w, (s*c1 + c*s1) >> w),
+    from z_0 = 2^w, which gives z_1 exactly.  Let Z_r = 2^w exp(i*pi*r/q)
+    and E_r = |z_r - Z_r|, so E_1 <= 2 sqrt 2.  As
+    z_r z_1 - Z_r Z_1 = (z_r - Z_r) z_1 + Z_r (z_1 - Z_1), |Z_r| = 2^w,
+    |z_1| <= 2^w + E_1 and the two floors cost less than sqrt 2,
+    E_(r+1) <= E_r (1 + eps) + 3 sqrt 2 with eps = E_1 / 2^w.  By induction
+    E_r <= 3 sqrt 2 r (1 + eps)^(r-1) <= 3 sqrt 2 r e^(r eps).  As
+    r <= count < 2^g / 5, r eps < 2 sqrt 2 / (5 * 2^bits), and
+    3 sqrt 2 e^(2 sqrt 2 / 20) < 4.9 for bits >= 2, so E_r < 5r.  Dropping
+    the g guard bits with a floor leaves each of c and s off by less than
+    1 + 5r / 2^g < 2 units of 2^-bits.
+    """
+    g = (5 * max(q, count)).bit_length()
+    w = bits + g
+    c1, s1, _ = cos_sin_ball(1, q, w)
+    c, s = 1 << w, 0
+    for _ in range(count):
+        c, s = (c * c1 - s * s1) >> w, (s * c1 + c * s1) >> w
+        yield c >> g, s >> g
 
 
 def _real_part_ball(nums: list[int], m: int, bits: int) -> tuple[int, int]:
-    """(mid, rad) with |sum_j nums[j] cos(2 pi j/m) 2^bits - mid| <= rad."""
-    mid = rad = 0
-    for j, n in enumerate(nums):
-        if n:
-            c, r = _cos_ball(j, m, bits)
-            mid += n * c
-            rad += abs(n) * r
-    return mid, rad
+    """(mid, rad) with |sum_j nums[j] cos(2 pi j/m) 2^bits - mid| <= rad.
+
+    cos 0 = 1 is exact; the other cosines, each of radius 2, are read from
+    one rotation up to the last nonzero coordinate: by exp(2 pi i/m) =
+    exp(i pi/(m/2)) for even m, and as the even powers of exp(i pi/m) for
+    odd m.
+    """
+    last = max((j for j, n in enumerate(nums) if n), default=0)
+    step = 1 + m % 2
+    balls = islice(rotation_balls(m * step // 2, step * last, bits), step - 1, None, step)
+    mid = nums[0] << bits
+    # zip reads nums first, so a rational element starts no rotation.
+    for n, (c, _) in zip(nums[1 : last + 1], balls):
+        mid += n * c
+    return mid, 2 * sum(map(abs, nums[1:]))
 
 
 def _precision_ceiling(nums: list[int]) -> int:

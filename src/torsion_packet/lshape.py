@@ -159,12 +159,8 @@ def exclude_against_table1(mu: QuadraticElem) -> tuple[list[dict], tuple[Triple,
         raise ValueError(f"exclusion needs a degree-2 value, got {mu!r}")
     candidates = []
     all_matches: list[Triple] = []
-    for label, value in (
-        ("mu", mu),
-        ("-mu", -mu),
-        ("1/mu", mu.inverse()),
-        ("-1/mu", -mu.inverse()),
-    ):
+    inv = mu.inverse()
+    for label, value in (("mu", mu), ("-mu", -mu), ("1/mu", inv), ("-1/mu", -inv)):
         trace, norm = value.trace(), value.norm()
         matches, reason = matching_triples_for(trace, norm)
         all_matches.extend(m for m in matches if m not in all_matches)

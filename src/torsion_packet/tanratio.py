@@ -29,15 +29,16 @@ Galois acts on mu through G = (Z/L)^*/{+-1}, and deg mu = |G|/|Stab(mu)|.
 
 * A float scan reads each conjugate as one division of two entries of a
   tan table.  Each entry is s/c, correctly rounded, for integer balls
-  (c, s) +- 2 around cos and sin at 96 bits.  A row q takes one
-  ``exactnum.signs.cos_sin_ball``, of exp(i*pi/q), and walks r = 1, 2, ...
-  by fixed-point rotation with a proven error bound (``_rotation_balls``).
-  So each entry has a proven relative error bound, and two computed
-  conjugates of equal true value lie within 2^-48 relative of each other
-  (see ``_REL_SEPARATION``).  A unit k whose
-  conjugate is farther than that from mu has sigma_k(mu) != mu; the
-  others form the candidate set C.  Every k in Stab(mu) computes to mu's
-  value within that bound, so Stab(mu) is contained in C.
+  (c, s) +- 2 around cos and sin at 96 bits.  A row q reads one
+  fixed-point rotation from exp(i*pi/q) over r = 1, 2, ..., with a proven
+  error bound (``exactnum.signs.rotation_balls``, the one source of cosine
+  and sine balls, which the signs share).  So each entry has a proven
+  relative error bound, and two computed conjugates of equal true value
+  lie within 2^-48 relative of each other (see ``_REL_SEPARATION``).  A
+  unit k whose conjugate is farther than that from mu has
+  sigma_k(mu) != mu; the others form the candidate set C.  Every k in
+  Stab(mu) computes to mu's value within that bound, so Stab(mu) is
+  contained in C.
 * Each candidate c != 1 is decided exactly, without mu.  Write
   w_j = exp(2*pi*i*x_j) for x = (c*beta, alpha, beta, c*alpha) and
   W = w_1*w_2*w_3*w_4.  Clearing the (w_j + 1) denominators of
@@ -131,14 +132,14 @@ from .exactnum import (
     minimal_polynomial,
     tan_conductor,
 )
-from .exactnum.signs import cos_sin_ball
+from .exactnum.signs import rotation_balls
 
 # Working precision of the tan-table balls, and the largest relative width
 # an enclosure of a tangent may have.  At 96 bits the cosine and sine balls
-# have radius 2 (see ``_rotation_balls``), so the widest enclosure in the
-# row of q is about 2.6q * 2^-96 relative (2^-84.7 at q = 2000), below
-# 2^-60 for every q up to about 2 * 10^10; ``_tan_row`` checks every
-# enclosure against the limit all the same.
+# have radius 2 (see ``exactnum.signs.rotation_balls``), so the widest
+# enclosure in the row of q is about 2.6q * 2^-96 relative (2^-84.7 at
+# q = 2000), below 2^-60 for every q up to about 2 * 10^10; ``_tan_row``
+# checks every enclosure against the limit all the same.
 _TABLE_BITS = 96
 _TABLE_MAX_REL_WIDTH_BITS = 60
 
@@ -236,46 +237,22 @@ def field_display(degree: int, alpha: _Angle, beta: _Angle) -> str:
 # The degree as the index of a certified stabilizer
 
 
-def _rotation_balls(q: int) -> Iterator[tuple[int, int, int]]:
-    """(r, c, s) for the units r < q/2 of Z/q, with |cos(pi*r/q) 2^96 - c| <= 2
-    and |sin(pi*r/q) 2^96 - s| <= 2, from one ``cos_sin_ball`` and a rotation.
-
-    With g = bitlen(5q) guard bits and w = 96 + g, z_1 = c1 + i*s1 is the
-    ``cos_sin_ball`` of exp(i*pi/q) at w bits, each part within 2, and
-    z_(r+1) = z_r*z_1 / 2^w with each part floored:
-    (c, s) <- ((c*c1 - s*s1) >> w, (s*c1 + c*s1) >> w).  Let
-    Z_r = 2^w exp(i*pi*r/q) and E_r = |z_r - Z_r|, so E_1 <= 2 sqrt 2.  As
-    z_r z_1 - Z_r Z_1 = (z_r - Z_r) z_1 + Z_r (z_1 - Z_1), |Z_r| = 2^w,
-    |z_1| <= 2^w + E_1 and the two floors cost less than sqrt 2,
-    E_(r+1) <= E_r (1 + eps) + 3 sqrt 2 with eps = E_1 / 2^w.  By induction
-    E_r <= 3 sqrt 2 r (1 + eps)^(r-1), and as r < q/2 and 2^w > 5q 2^96,
-    r eps < 2q / 2^w < 2^-96, so E_r < 5r.  Dropping the g guard bits with
-    a floor leaves each of c and s off by less than 1 + 5r / 2^g < 2 units
-    of 2^-96, as 2^g > 5q.
-    """
-    g = (5 * q).bit_length()
-    w = _TABLE_BITS + g
-    c1, s1, _ = cos_sin_ball(1, q, w)
-    c, s = c1, s1
-    for r in range(1, (q + 1) // 2):
-        if math.gcd(r, q) == 1:
-            yield r, c >> g, s >> g
-        c, s = (c * c1 - s * s1) >> w, (s * c1 + c * s1) >> w
-
-
 @lru_cache(maxsize=None)
 def _tan_row(q: int) -> array:
     """Floats of tan(pi*r/q), r = 0, ..., q - 1; 0.0 where gcd(r, q) > 1.
 
     The row is an ``array('d')``, 8 bytes an entry, as every row read stays
     cached; callers only read it.  Each entry is s/c correctly rounded, for
-    the balls (c, s) +- 2 at 96 bits of ``_rotation_balls``; the enclosure
+    the balls (c, s) +- 2 at 96 bits of one ``exactnum.signs.rotation_balls``
+    walk over r < q/2, of which the units r are kept; the enclosure
     [(s - rad)/(c + rad), (s + rad)/(c - rad)] of the tangent, rad = 2, is
     checked to be positive with relative width <= 2^-60.
     """
     row = array("d", [0.0]) * q
     rad = 2
-    for r, c, s in _rotation_balls(q):
+    for r, (c, s) in enumerate(rotation_balls(q, (q - 1) // 2, _TABLE_BITS), 1):
+        if math.gcd(r, q) != 1:
+            continue
         # Width of the enclosure, 2 rad (s + c) / (c^2 - rad^2), at most
         # 2^-60 times its lower end (s - rad)/(c + rad).
         if not (s > rad and c > rad) or (

@@ -128,6 +128,13 @@ def _ground_truth_with_version(*version):
             ),
             id="alpha-5000-digits",
         ),
+        # A string Fraction would read but int() cannot: too long, not misspelled.
+        pytest.param(_ground_truth_with(trace="1" * 5000), id="trace-5000-digits"),
+        pytest.param(_ground_truth_with(norm="1/" + "7" * 5000), id="norm-5000-digit-denominator"),
+        # Every bad value is echoed by its first 40 characters only.
+        pytest.param(_ground_truth_with(trace="x" * 100_000), id="trace-100000-characters"),
+        pytest.param(_ground_truth_with(alpha="1" * 4000), id="alpha-4000-digits"),
+        pytest.param(_ground_truth_with_version("1" * 100_000), id="schema-version-100000-characters"),
         pytest.param(lambda p: p.write_text("[1, 2]"), id="no-records"),
         pytest.param(lambda p: p.write_text('{"schema_version": 1, "records": {}}'), id="records-not-list"),
         pytest.param(lambda p: p.write_text('{"schema_version": 1, "records": [7]}'), id="row-not-object"),
@@ -178,6 +185,19 @@ def test_verify_table1_bad_ground_truth_exits_2(write, tmp_path, capsys):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert f"ground truth {path}" in out.err
     assert "Traceback" not in out.err
+    assert len(out.err.encode()) < 200 + len(str(path).encode())
+
+
+@pytest.mark.parametrize(
+    ("field", "value"), [("trace", "1" * 5000), ("norm", "1/" + "7" * 5000), ("alpha", "1" * 5000)]
+)
+def test_a_ground_truth_number_too_long_to_read_says_so(field, value, tmp_path, capsys):
+    path = tmp_path / "truth.json"
+    _ground_truth_with(**{field: value})(path)
+    assert main(["verify-table1", "--ground-truth", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: ground truth {path}: record 0 field {field} holds a number too long to read\n"
+    )
 
 
 def test_verify_table1_reads_ground_truth_angles_as_rationals(tmp_path, capsys):

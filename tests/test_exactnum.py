@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic foundation."""
 
 import math
+import random
 import sys
 import threading
 from fractions import Fraction as F
@@ -492,6 +493,65 @@ def test_cos_sin_ball_matches_math_within_its_radius():
             x = math.pi * p / q
             assert abs(c / 2**b - math.cos(x)) <= rad / 2**b + 2**-50, (p, q)
             assert abs(s / 2**b - math.sin(x)) <= rad / 2**b + 2**-50, (p, q)
+
+
+def _cos_ball_reference(j, m, bits):
+    """(mid, rad) of cos(2 pi j/m) 2^bits from its own ``cos_sin_ball``,
+    folded into [0, pi/2] by symmetry: a reference that shares the series
+    with the rotation but not its error argument."""
+    t = 2 * j % (2 * m)  # the angle is pi t/m, t in [0, 2m)
+    if t > m:
+        t = 2 * m - t
+    if 2 * t > m:
+        c, _, rad = cos_sin_ball(m - t, m, bits)
+        return -c, rad
+    c, _, rad = cos_sin_ball(t, m, bits)
+    return c, rad
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 12, 20, 97, 120, 840])
+@pytest.mark.parametrize("bits", [8, 128, 1024])
+def test_real_part_ball_agrees_with_per_coordinate_balls(m, bits):
+    # Both balls hold sum_j nums[j] cos(2 pi j/m) 2^bits, so their centres
+    # lie within the sum of the radii; the vectors are not restricted to
+    # real elements, and some end in zeros or are rational.
+    rng = random.Random(m * 10_000 + bits)
+    phi = _phi(m)
+    vectors = [[rng.randint(-50, 50) for _ in range(phi)] for _ in range(3)]
+    vectors.append([rng.randint(-50, 50) for _ in range(phi // 2)] + [0] * (phi - phi // 2))
+    vectors.append([7] + [0] * (phi - 1))
+    for nums in vectors:
+        mid, rad = _real_part_ball(nums, m, bits)
+        mid_ref = rad_ref = 0
+        for j, n in enumerate(nums):
+            c, r = _cos_ball_reference(j, m, bits)
+            mid_ref += n * c
+            rad_ref += abs(n) * r
+        assert rad <= 2 * sum(abs(n) for n in nums[1:])
+        assert abs(mid - mid_ref) <= rad + rad_ref, (nums, m, bits)
+
+
+def test_a_sign_round_calls_the_ball_kernel_at_most_once(monkeypatch):
+    # One rotation serves every coordinate of a round, and a rational needs
+    # no cosine at all.  This element has over 100 nonzero coordinates, so
+    # one series per coordinate would show here as over 100 calls.
+    from torsion_packet.tanratio import exact_mu
+
+    calls = []
+    kernel = signs.cos_sin_ball
+
+    def counting(p, q, bits):
+        calls.append((p, q))
+        return kernel(p, q, bits)
+
+    monkeypatch.setattr(signs, "cos_sin_ball", counting)
+    e = exact_mu((1, 840), (13, 840)) - 1
+    assert e.m == 840 and sum(1 for n in e.nums if n) > 100
+    assert sign_of_real(e) == 1
+    assert calls == [(1, 420)]
+    calls.clear()
+    assert sign_of_real(CyclotomicElem.from_rational(840, F(-3, 7))) == -1
+    assert calls == []
 
 
 def _sqrt_convergents(d: int, count: int) -> list[tuple[int, int]]:
