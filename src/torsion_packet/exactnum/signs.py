@@ -189,11 +189,15 @@ def _precision_ceiling(nums: list[int]) -> int:
 def sign_of_real(e: CyclotomicElem, initial_bits: int = _DEFAULT_BITS) -> int:
     """Exact sign (-1, 0, +1) of a conjugation-fixed cyclotomic element.
 
-    Raises ValueError if the element is not fixed by complex conjugation
-    (its embedding would not be a real number), and
+    Raises ValueError if ``initial_bits`` is below 2, the least precision
+    whose balls ``rotation_balls`` bounds (and doubling from 0 would never
+    rise), or if the element is not fixed by complex conjugation (its
+    embedding would not be a real number); and raises
     ArithmeticInconsistencyError if the ball still straddles zero at the
     precision ceiling, which for a correct kernel cannot happen.
     """
+    if initial_bits < 2:
+        raise ValueError(f"initial precision must be at least 2 bits, got {initial_bits}")
     if not e.is_real():
         raise ValueError(f"{e!r} is not fixed by complex conjugation")
     if e.is_zero():

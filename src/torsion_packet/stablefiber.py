@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
-from .exactnum import CyclotomicElem, i_tan, sign_of_real, tan_conductor
+from .exactnum import CyclotomicElem, i_tan, inv_one_minus_zeta, sign_of_real, tan_conductor
 
 
 class _AtInfinity:
@@ -418,11 +418,9 @@ def certify_stratum2(
     ]
 
 
-def decagon_points(m: int = 10) -> tuple[CyclotomicElem, CyclotomicElem]:
-    """The node coordinates exp(2*pi*i/5) and exp(4*pi*i/5) in Q(zeta_m)."""
-    if m % 10:
-        raise ValueError(f"conductor {m} does not contain the tenth roots of unity")
-    return CyclotomicElem.zeta(m, 2 * (m // 10)), CyclotomicElem.zeta(m, 4 * (m // 10))
+def decagon_points() -> tuple[CyclotomicElem, CyclotomicElem]:
+    """The node coordinates exp(2*pi*i/5) and exp(4*pi*i/5) in Q(zeta_10)."""
+    return CyclotomicElem.zeta(10, 2), CyclotomicElem.zeta(10, 4)
 
 
 def decagon_config() -> NodalConfig:
@@ -522,56 +520,41 @@ def decagon_admissible_assignments() -> tuple[set[tuple[int, int]], set[tuple[in
     return accepted, expected
 
 
-def _real_part(w: CyclotomicElem) -> CyclotomicElem:
-    return (w + w.conjugate()) / 2
+def _sin_ratio(u: int, k: int) -> CyclotomicElem:
+    """sin(pi*u/5)/sin(pi*k/5) in Q(zeta_10), for k not a multiple of 5.
 
-
-def _imag_part(w: CyclotomicElem, i_elem: CyclotomicElem) -> CyclotomicElem:
-    return (w - w.conjugate()) * (-i_elem) / 2
-
-
-def _ray_hits(p: CyclotomicElem, m: int) -> list[CyclotomicElem]:
-    """All real r with p - r a positive real multiple of a tenth root of unity.
-
-    For each direction d = zeta_10^k the condition p - r = t*d with real
-    t > 0 determines t = Im(p)/Im(d) when Im(d) != 0; the two real
-    directions (k = 0, 5) are impossible because p itself is not real
-    (asserted, not assumed).
+    With z = zeta_10, sin(pi*j/5) = (z^j - z^-j)/(2i), and
+    z^k - z^-k = -z^-k (1 - z^(2k)), so the ratio is
+    (z^u - z^-u) * (-z^k) / (1 - z^(2k)), the last factor the binomial
+    inverse ``inv_one_minus_zeta(10, 2k)``.
     """
-    i_elem = CyclotomicElem.zeta(m, m // 4)
-    if p.conjugate() == p:
-        raise ArithmeticInconsistencyError(f"{p!r} is unexpectedly real")
-    im_p = _imag_part(p, i_elem)
-    re_p = _real_part(p)
-    hits: list[CyclotomicElem] = []
-    for k in range(10):
-        d = CyclotomicElem.zeta(m, (m // 10) * k)
-        im_d = _imag_part(d, i_elem)
-        if im_d.is_zero():
-            continue
-        t = im_p / im_d
-        s = sign_of_real(t)
-        if s == 0:
-            raise ArithmeticInconsistencyError("degenerate ray multiple t = 0")
-        if s < 0:
-            continue
-        r = re_p - t * _real_part(d)
-        if r.conjugate() != r:
-            raise ArithmeticInconsistencyError(f"ray intersection {r!r} is not real")
-        if not any(r == h for h in hits):
-            hits.append(r)
-    return hits
+    z = CyclotomicElem.zeta
+    return (z(10, u) - z(10, -u)) * -z(10, k) * inv_one_minus_zeta(10, 2 * k)
 
 
 def decagon_r_sets() -> tuple[list[CyclotomicElem], list[CyclotomicElem], list[CyclotomicElem]]:
-    """(R_x, R_y, R_x intersect R_y) for x = zeta_5, y = zeta_5^2 in Q(zeta_20).
+    """(R_x, R_y, R_x intersect R_y) for x = zeta_5, y = zeta_5^2 in Q(zeta_10).
 
-    R_p is the set of real r such that p - r has argument a multiple of
-    pi/5; each set is computed exactly direction by direction.
+    R_p is the set of real r such that p - r is a positive real multiple
+    t*d of a direction d = exp(i*phi), phi = pi*k/5.  For p = exp(i*theta),
+    theta = 2*pi*a/5 with a = 1 or 2, the imaginary and real parts of
+    p - r = t*d give sin(theta) = t*sin(phi) and cos(theta) - r = t*cos(phi).
+    The real directions k = 0, 5 have no solution, as sin(theta) != 0; each
+    of the other eight gives t = sin(theta)/sin(phi) and
+    r = sin(phi - theta)/sin(phi), both ``_sin_ratio``s.  A hit is kept
+    when the exact sign of t is positive.  r = cos(theta) - sin(theta)*cot(phi)
+    strictly increases in phi on (0, pi), where t > 0, so the hits of each
+    set are distinct and come in increasing order of k.
     """
-    m = 20
-    x, y = decagon_points(m)
-    r_x = _ray_hits(x, m)
-    r_y = _ray_hits(y, m)
-    inter = [r for r in r_x if any(r == s for s in r_y)]
-    return r_x, r_y, inter
+    sets = []
+    for a in (1, 2):
+        hits = []
+        for k in (1, 2, 3, 4, 6, 7, 8, 9):
+            s = sign_of_real(_sin_ratio(2 * a, k))
+            if s == 0:
+                raise ArithmeticInconsistencyError("degenerate ray multiple t = 0")
+            if s > 0:
+                hits.append(_sin_ratio(k - 2 * a, k))
+        sets.append(hits)
+    r_x, r_y = sets
+    return r_x, r_y, [r for r in r_x if r in r_y]

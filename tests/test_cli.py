@@ -365,9 +365,9 @@ def _failing_stage(stage):
 
 
 def _with_value(position, value):
-    """Adds a rational of Q(zeta_20) to one of the decagon's R sets."""
+    """Adds a rational of Q(zeta_10) to one of the decagon's R sets."""
     return lambda sets: tuple(
-        s + [CyclotomicElem.from_rational(20, value)] if i == position else s
+        s + [CyclotomicElem.from_rational(10, value)] if i == position else s
         for i, s in enumerate(sets)
     )
 
@@ -646,6 +646,16 @@ def test_decagon_exclude_r_values():
     report = cmd_decagon("exclude-r")
     inter = next(r for r in report.records if r["check"] == "intersection")
     assert inter["values"] == ["-1", "0"]
+
+
+def test_decagon_exclude_r_needs_no_general_inverse(monkeypatch):
+    # Each R set member and each ray multiple is a ratio of sines whose
+    # denominator is a binomial 1 - zeta_10^c with a closed-form inverse.
+    def refuse(self):
+        raise AssertionError(f"general inverse of {self!r}")
+
+    monkeypatch.setattr(CyclotomicElem, "inverse", refuse)
+    assert cmd_decagon("exclude-r").verdict == "verified"
 
 
 def test_decagon_values_are_ordered_by_exact_signs():

@@ -1,7 +1,9 @@
 """Tests for the exact arithmetic foundation."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction as F
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torsion_packet
 from torsion_packet.exactnum import (
     CyclotomicElem,
     MinPoly,
@@ -403,6 +406,35 @@ def test_sign_examples():
 def test_sign_rejects_non_real():
     with pytest.raises(ValueError, match="complex conjugation"):
         sign_of_real(zeta(5))
+
+
+# Prints the ValueError that sign_of_real raises at the precision argv[1].
+_SIGN_AT_PRECISION = """
+import sys
+from torsion_packet.exactnum import CyclotomicElem, sign_of_real
+z = CyclotomicElem.zeta(5)
+try:
+    sign_of_real(z + z**4, initial_bits=int(sys.argv[1]))
+except ValueError as err:
+    print(err)
+"""
+
+
+def test_sign_rejects_an_initial_precision_below_two_bits():
+    # Doubling from 0 bits never rises, and rotation_balls bounds its balls
+    # only from 2 bits on.  The 0 case runs in a child process, so that a
+    # precision loop that never ends fails at the timeout instead of hanging.
+    e = zeta(5) + zeta(5, 4)  # 2*cos(2*pi/5) > 0
+    for bits in (-1, 1):
+        with pytest.raises(ValueError, match="at least 2 bits"):
+            sign_of_real(e, initial_bits=bits)
+    package_root = os.path.dirname(os.path.dirname(torsion_packet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", _SIGN_AT_PRECISION, "0"], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert child.returncode == 0 and "at least 2 bits" in child.stdout, child.stderr
+    assert sign_of_real(e, initial_bits=2) == 1
 
 
 def test_sign_with_tiny_initial_precision():

@@ -37,7 +37,7 @@ from torsion_packet.stablefiber import (
     verify_residue_constraints,
     verify_zero_orders,
 )
-from exact_helpers import ratio_value, stratum2_limit_differential
+from exact_helpers import embed, ratio_value, stratum2_limit_differential
 from float_embedding import complex_embedding
 
 
@@ -567,8 +567,8 @@ def test_decagon_g2_condition_fails_for_primitive_tenth_root():
 
 def test_decagon_r_sets_exact_values():
     r_x, r_y, inter = decagon_r_sets()
-    minus_one = CyclotomicElem.from_rational(20, -1)
-    zero = CyclotomicElem.from_rational(20, 0)
+    minus_one = CyclotomicElem.from_rational(10, -1)
+    zero = CyclotomicElem.from_rational(10, 0)
     assert any(r == minus_one for r in r_x)
     assert any(r == zero for r in r_x)
     assert len(r_x) == 4 and len(r_y) == 4
@@ -581,6 +581,50 @@ def test_decagon_r_sets_exact_values():
     assert {tuple(r.coeffs) for r in inter} == {tuple(minus_one.coeffs), tuple(zero.coeffs)}
 
 
+def _real_part(w):
+    return (w + w.conjugate()) / 2
+
+
+def _imag_part(w, i_elem):
+    return (w - w.conjugate()) * (-i_elem) / 2
+
+
+def _ray_hits(p, m):
+    """All real r with p - r a positive real multiple of a tenth root of
+    unity, by plane geometry in Q(zeta_m), 20 | m: for each direction
+    d = zeta_10^k with Im(d) != 0, t = Im(p)/Im(d) and r = Re(p) - t*Re(d),
+    kept when t > 0 and not found before."""
+    i_elem = CyclotomicElem.zeta(m, m // 4)
+    assert p.conjugate() != p
+    im_p = _imag_part(p, i_elem)
+    re_p = _real_part(p)
+    hits = []
+    for k in range(10):
+        d = CyclotomicElem.zeta(m, (m // 10) * k)
+        im_d = _imag_part(d, i_elem)
+        if im_d.is_zero():
+            continue
+        t = im_p / im_d
+        if sign_of_real(t) > 0:
+            r = re_p - t * _real_part(d)
+            assert r.is_real()
+            if r not in hits:
+                hits.append(r)
+    return hits
+
+
+def test_decagon_r_sets_match_the_ray_geometry():
+    # The sine ratios in Q(zeta_10) against the plane geometry in
+    # Q(zeta_20), element by element and in order.
+    r_x, r_y, inter = decagon_r_sets()
+    oracle_x = _ray_hits(CyclotomicElem.zeta(20, 4), 20)
+    oracle_y = _ray_hits(CyclotomicElem.zeta(20, 8), 20)
+    assert all(r.m == 10 for r in r_x + r_y)
+    assert [embed(r, 20) for r in r_x] == oracle_x
+    assert [embed(r, 20) for r in r_y] == oracle_y
+    assert [embed(r, 20) for r in inter] == [r for r in oracle_x if r in oracle_y]
+
+
 def test_decagon_exclude_r():
     # The intersection R_x cap R_y holds only -1 (a Weierstrass limit) and
     # 0 (a zero of the limit differential).
@@ -591,7 +635,7 @@ def test_decagon_exclude_r():
 def test_minus_one_lies_on_a_tenth_root_ray():
     # x - (-1) = zeta_5 + 1 has argument pi/5: it is a positive multiple
     # of zeta_10.
-    x, _ = decagon_points(20)
+    x = CyclotomicElem.zeta(20, 4)
     z10 = CyclotomicElem.zeta(20, 2)
     w = (x + 1) / z10
     assert w.is_real() and sign_of_real(w) == 1
