@@ -280,34 +280,14 @@ class CyclotomicElem:
         norm = cofactor * self
         if not norm.is_rational():
             raise ArithmeticInconsistencyError(f"the Galois norm of {self!r} is not rational")
-        result = cofactor / norm.to_rational()
+        result = cofactor * (1 / norm.to_rational())
         if not (result * self == 1):
             raise ArithmeticInconsistencyError("inverse verification failed")
         return result
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return _scaled(self, other.denominator, other.numerator)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_rational():
-            if other.is_zero():
-                raise ZeroDivisionError("division by zero")
-            return _scaled(self, other.den, other.nums[0])
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n: int) -> CyclotomicElem:
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError(f"negative exponent {n}: take inverse() first")
         result = CyclotomicElem.one(self.m)
         base = self
         while n:

@@ -1,14 +1,16 @@
-"""Nodal limit fibers and their differentials, solved by exact linear algebra.
+"""Nodal limit fibers and their differentials, certified by exact linear algebra.
 
 A stable limit fiber here is a projective line with two pairs of points
 identified; the limit of the holomorphic 1-form is a rational differential
 sum(c_i/(z - p_i)) dz with simple poles at the node preimages.  This
 module sets up the linear conditions on the residue coefficients c_i --
 total residue zero, matching at nodes, prescribed vanishing orders at
-marked points -- and computes the kernel exactly over a cyclotomic field
-or over Q.  Claims over the fraction field Q(x, y), where the node
-positions are symbolic, are certified by specialization on a grid of
-integers (see ``certify_stratum2``).
+marked points -- and computes the dimension of their solutions exactly,
+as a rank over a cyclotomic field or over Q that divides no entry.  A
+closed form is the generator of a one-dimensional space when it satisfies
+every condition and its last residue is 1.  Claims over the fraction
+field Q(x, y), where the node positions are symbolic, are certified by
+specialization on a grid of integers (see ``certify_stratum2``).
 
 Residue convention at a node (p, q): Res(p) + Res(q) = 0.  The displayed
 limit differentials satisfy this anti-symmetric matching (their residues
@@ -23,6 +25,7 @@ one moment condition sum(c_i * p_i^j) = 0.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
@@ -110,24 +113,22 @@ class NodalConfig:
         if self.involution is not None:
             self._check_involution()
 
-    def _image(self, p: Point) -> Union[Point, int]:
-        """The image of ``p``; under inversion INFINITY's is the integer 0."""
-        if self.involution == "negation":
-            return p if p is INFINITY else -p
-        if p is INFINITY:
-            return 0
-        if p == 0:
-            return INFINITY
-        return 1 / p
+    def _maps(self, p: Point, q: Point) -> bool:
+        """Whether the involution maps ``p`` to ``q``: p + q = 0 under
+        negation, p*q = 1 under inversion, which also pairs 0 with INFINITY."""
+        negation = self.involution == "negation"
+        if p is INFINITY or q is INFINITY:
+            return p is q if negation else (q if p is INFINITY else p) == 0
+        return p + q == 0 if negation else p * q == 1
 
     def _check_involution(self):
         for pair in self.nodes:
-            image = (self._image(pair[0]), self._image(pair[1]))
-            if image not in self.nodes and image[::-1] not in self.nodes:
+            p, q = pair
+            if not any(self._maps(p, a) and self._maps(q, b) for node in self.nodes for a, b in (node, node[::-1])):
                 raise ValueError(f"involution does not preserve the node pair {pair!r}")
         marked_pts = [p for _, p in self.marked]
         for p in marked_pts:
-            if self._image(p) not in marked_pts:
+            if not any(self._maps(p, q) for q in marked_pts):
                 raise ValueError(f"involution does not preserve the marked point {p!r}")
 
 
@@ -158,37 +159,26 @@ def differential_to_json_dict(pairs: Iterable[tuple[Any, Any]]) -> dict[str, Any
 # The linear systems
 
 
-def _kernel_basis(rows: list[list], ncols: int, zero, one) -> list[list]:
-    """Basis of the right kernel, by reduced row echelon form over a field.
-    ``rows`` may hold the integers 0 and 1; pivots divided into the field's
-    ``one`` make every pivot row a row of field elements, and the field's
-    ``zero`` fills only the free entries of each vector."""
+def _rank(rows: list[list], ncols: int) -> int:
+    """Rank of ``rows`` over a field, by fraction-free elimination: each row
+    below the pivot row r becomes a*row - b*row_r, a the pivot and b the
+    row's entry in the pivot column.  a is nonzero, so the rank is kept, and
+    no entry is ever divided.  ``rows`` may mix the integers 0 and 1 with
+    elements of one field."""
     mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
+    rank = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = one / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][free]
-        basis.append(vec)
-    return basis
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        a = mat[rank][c]
+        for i in range(rank + 1, len(mat)):
+            b = mat[i][c]
+            if b:
+                mat[i] = [a * v - b * w for v, w in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
 
 
 def _unknowns(config: NodalConfig) -> tuple[Point, ...]:
@@ -213,31 +203,29 @@ def _residue_rows(config: NodalConfig, poles: Sequence[Point]) -> list[list[int]
 
 def _zero_order_rows(config: NodalConfig, poles: Sequence[Point]) -> list[list]:
     """One moment condition per prescribed vanishing order j = 1, ..., k at
-    a marked point: sum(c_i * p_i^j) = 0 at infinity, sum(c_i/(pt - p_i)^j)
-    = 0 at a finite point pt."""
+    a marked point: sum(c_i * p_i^j) = 0 at infinity, and at a finite point
+    pt, sum(c_i/(pt - p_i)^j) = 0 multiplied by D^j, D = prod(pt - p_i).
+    The points are pairwise distinct, so D is nonzero and the scaled row has
+    the same solutions; its entries prod_{q != p_i}(pt - q)^j divide nothing."""
     orders = dict(config.zero_orders)
     return [
-        [p**j if pt is INFINITY else 1 / ((pt - p) ** j) for p in poles]
+        [p**j if pt is INFINITY else math.prod(pt - q for q in poles if q != p) ** j for p in poles]
         for label, pt in config.marked
         for j in range(1, orders.get(label, 0) + 1)
     ]
 
 
-def differential_space(config: NodalConfig) -> tuple[int, list[tuple[Point, ...]]]:
-    """Dimension and basis of differentials satisfying all exact conditions.
+def differential_space(config: NodalConfig) -> int:
+    """Dimension of the differentials satisfying all exact conditions.
 
     Unknowns are the residue coefficients at the node preimages; the
     conditions are the residue rows (node matching, total residue zero) and
     the zero-order rows (one linear condition per prescribed vanishing
-    order, with infinity handled in the coordinate w = 1/z).  Each basis
-    differential is its tuple of residues, in the order of ``config.poles``,
-    in the field of the node points: only here are its zero and one made.
+    order, with infinity handled in the coordinate w = 1/z).  The dimension
+    is the number of unknowns less the rank of the rows.
     """
     poles = _unknowns(config)
-    rows = _residue_rows(config, poles) + _zero_order_rows(config, poles)
-    zero = poles[0] - poles[0]
-    basis = [tuple(vec) for vec in _kernel_basis(rows, len(poles), zero, zero + 1)]
-    return len(basis), basis
+    return len(poles) - _rank(_residue_rows(config, poles) + _zero_order_rows(config, poles), len(poles))
 
 
 def _satisfies(rows_of, residues: Sequence, config: NodalConfig, poles: Sequence) -> bool:
@@ -339,12 +327,12 @@ def certify_stratum2(
     * ``matches_closed_form_generator``: it is the RREF generator (below);
     * ``height_ratio``: ``ratio``, and whether it held at every grid point.
 
-    At the first point of the grid S x T from ``symbolic_xy`` this solves
-    the specialized kernel once and checks that it has dimension 1 and RREF
-    basis equal to the closed form there.  At every point (a, b) of the
-    grid it checks, by evaluation alone and in integers, that the closed
-    form satisfies the residue and vanishing-order conditions, that its
-    poles are x, -x, y, -y, and that its height ratio equals ``ratio``.
+    At the first point of the grid S x T from ``symbolic_xy`` this computes
+    the rank of the specialized system once and checks that its kernel has
+    dimension 1 there.  At every point (a, b) of the grid it checks, by
+    evaluation alone and in integers, that the closed form satisfies the
+    residue and vanishing-order conditions, that its poles are x, -x, y,
+    -y, and that its height ratio equals ``ratio``.
     Each of these identities is evaluated multiplied by x*y, the height
     ratio's Res(x) - ratio * Res(-y) = 0 by x^2*y^2, which clears every
     denominator.  Passing every check proves the claims over Q(x, y):
@@ -359,14 +347,16 @@ def certify_stratum2(
       (product-grid Schwartz-Zippel), so the closed form, which is
       nonzero, lies in the kernel identically, the dimension is exactly 1,
       and the height ratio holds identically;
-    * generator: the RREF generator of a line is its vector scaled to 1 in
-      its last nonzero column.  ``matches_closed_form_generator`` also
-      requires the lower bound and a last residue of "1", so the closed
-      form is that generator over Q(x, y), not only at the solved point,
-      where x = 1 and a form scaled by x would match too.
+    * generator: in a one-dimensional kernel whose vector has a nonzero
+      last entry, the pivots of the reduced row echelon form sit in the
+      first n - 1 columns, so its generator is that vector scaled to 1 in
+      its last entry.  ``matches_closed_form_generator`` requires
+      dimension 1, the lower bound and a last residue of "1", so the closed
+      form is that generator over Q(x, y).  A form scaled by x fails it,
+      though it agrees with the generator at the solved point, where x = 1.
 
-    The condition rows at each grid point are the rows that
-    ``differential_space`` solves, built from the solved configuration
+    The condition rows at each grid point are the rows whose rank
+    ``differential_space`` computes, built from the solved configuration
     with that point's poles: its one marked point is at infinity, where
     the rows are powers of the poles, so nothing else moves with the point.
     """
@@ -393,14 +383,8 @@ def certify_stratum2(
             )
             # Res(x) = ratio * Res(-y), x and -y being the first and last pole.
             ratio_ok = ratio_ok and form[0] * a * b == _cleared_xy([ratio], a, b)[0] * form[3]
-    dimension, basis = differential_space(config)
-    a, b = xs[0].numerator, ys[0].numerator
-    generator_ok = (
-        kernel_ok
-        and closed_form[-1][0] == "1"
-        and dimension == 1
-        and [c * a * b for c in basis[0]] == _cleared_xy(residues, a, b)
-    )
+    dimension = differential_space(config)
+    generator_ok = kernel_ok and closed_form[-1][0] == "1" and dimension == 1
     # The grid has shown that the closed form's poles are the configuration's, in order.
     names = dict(zip(config.poles, poles))
     return [
@@ -418,19 +402,14 @@ def certify_stratum2(
     ]
 
 
-def decagon_points() -> tuple[CyclotomicElem, CyclotomicElem]:
-    """The node coordinates exp(2*pi*i/5) and exp(4*pi*i/5) in Q(zeta_10)."""
-    return CyclotomicElem.zeta(10, 2), CyclotomicElem.zeta(10, 4)
-
-
 def decagon_config() -> NodalConfig:
-    """Nodes (x, 1/x), (y, 1/y) at x = zeta_5, y = zeta_5^2, simple zeros at
-    0 and infinity, Weierstrass limits at -1 and 1, hyperelliptic
-    involution z -> 1/z."""
-    x, y = decagon_points()
-    zero = x - x
+    """Nodes (x, 1/x), (y, 1/y) at x = zeta_5 = zeta_10^2, y = zeta_5^2 =
+    zeta_10^4, simple zeros at 0 and infinity, Weierstrass limits at -1 and
+    1, hyperelliptic involution z -> 1/z."""
+    z = CyclotomicElem.zeta
+    zero = CyclotomicElem.from_rational(10, 0)
     return NodalConfig(
-        nodes=((x, 1 / x), (y, 1 / y)),
+        nodes=((z(10, 2), z(10, -2)), (z(10, 4), z(10, -4))),
         marked=(
             ("omega_zero_0", zero),
             ("omega_zero_inf", INFINITY),
@@ -442,12 +421,13 @@ def decagon_config() -> NodalConfig:
     )
 
 
-def decagon_limit_differential(x: Point, y: Point) -> tuple[Point, ...]:
+def decagon_limit_differential() -> tuple[CyclotomicElem, ...]:
     """The closed-form generator, RREF normalised: residues (r, -r, -1, 1)
-    at (x, 1/x, y, 1/y), r = (y - 1/y)/(x - 1/x)."""
-    r = (y - 1 / y) / (x - 1 / x)
-    zero = x - x
-    return r, -r, zero - 1, zero + 1
+    at (x, 1/x, y, 1/y), r = (y - 1/y)/(x - 1/x).  With z = zeta_10,
+    z^j - z^-j = 2i*sin(pi*j/5), so r = sin(4*pi/5)/sin(2*pi/5)."""
+    r = _sin_ratio(4, 2)
+    one = CyclotomicElem.one(10)
+    return r, -r, -one, one
 
 
 # --------------------------------------------------------------------------

@@ -3,14 +3,17 @@
 The package builds i*tan in Cayley form and never tan, sin or an element
 moved into a larger field; the tests that check those forms build them
 here, from the public API.  The stratum-2 limit differential at a point is
-here too: the package checks its closed form in integers only.
+here too: the package checks its closed form in integers only.  So is the
+reduced row echelon kernel basis: the package computes only the rank of
+its condition rows, and the basis is the oracle for the closed forms it
+certifies as generators.
 """
 
 import math
 from fractions import Fraction
 from typing import Union
 
-from torsion_packet import tanratio
+from torsion_packet import stablefiber, tanratio
 from torsion_packet.exactnum import (
     CyclotomicElem,
     MinPoly,
@@ -104,7 +107,7 @@ def sin_of(angle: Fraction) -> CyclotomicElem:
     a = angle.numerator * (m // (2 * angle.denominator))
     i = CyclotomicElem.zeta(m, m // 4)
     diff = CyclotomicElem.zeta(m, a) - CyclotomicElem.zeta(m, -a)
-    return diff * (-i) / 2
+    return diff * (-i) * Fraction(1, 2)
 
 
 def check_addition_formula(x: Fraction, y: Fraction) -> bool:
@@ -136,3 +139,53 @@ def stratum2_limit_differential(x, y):
     the closed-form strings: residues (y/x, -y/x, -1, 1) at (x, -x, y, -y)."""
     one = x - x + 1
     return y / x, -y / x, -one, one
+
+
+def field_inverse(x):
+    """1/x for a nonzero int, Fraction or CyclotomicElem: the package's
+    cyclotomic elements have ``inverse()`` and no division."""
+    return x.inverse() if isinstance(x, CyclotomicElem) else Fraction(1, x)
+
+
+def kernel_basis(rows: list[list], ncols: int, zero, one) -> list[list]:
+    """Basis of the right kernel, by reduced row echelon form over a field.
+    ``rows`` may hold the integers 0 and 1; pivots inverted in the field of
+    ``one`` make every pivot row a row of field elements, and the field's
+    ``zero`` fills only the free entries of each vector."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = one * field_inverse(mat[r][c])
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[free] = one
+        for i, pc in enumerate(pivots):
+            vec[pc] = -mat[i][free]
+        basis.append(vec)
+    return basis
+
+
+def rref_basis(config: stablefiber.NodalConfig) -> list[tuple]:
+    """The kernel basis of ``config``'s condition rows, the rows whose rank
+    ``stablefiber.differential_space`` computes, each differential its tuple
+    of residues in the order of ``config.poles``, in the field of the node
+    points."""
+    poles = config.poles
+    rows = stablefiber._residue_rows(config, poles) + stablefiber._zero_order_rows(config, poles)
+    zero = poles[0] - poles[0]
+    return [tuple(vec) for vec in kernel_basis(rows, len(poles), zero, zero + 1)]

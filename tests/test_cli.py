@@ -1,6 +1,7 @@
 """Tests for the command-line front end and report formats."""
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -427,7 +428,8 @@ _FORGED_CHECKS = [
     ("decagon-intersection", ["decagon", "exclude-r"], stablefiber, "decagon_r_sets",
      _with_value(2, 1), _failed("intersection", "contained_in_{-1,0}")),
     ("decagon-dimension", ["decagon", "differential"], stablefiber, "differential_space",
-     lambda found: (2, found[1]), _failed("dimension")),
+     lambda found: 2,
+     lambda report: _failed("dimension")(report) and report["records"][0]["generator"] is None),
     ("decagon-matches_closed_form_generator", ["decagon", "differential"], stablefiber,
      "decagon_limit_differential", lambda form: (form[1], form[0], *form[2:]),
      _failed("matches_closed_form_generator")),
@@ -456,12 +458,10 @@ def test_a_forged_check_refutes_the_verdict(argv, module, name, change, shows, m
 
 
 def test_twice_the_decagon_closed_form_is_not_its_generator(monkeypatch, capsys):
-    # Twice the closed form satisfies every condition, but the match is
-    # equality with the RREF basis, as for stratum2, not proportionality.
+    # Twice the closed form satisfies every condition, but the generator's
+    # last residue is 1, as for stratum2: proportionality is not enough.
     original = stablefiber.decagon_limit_differential
-    monkeypatch.setattr(
-        stablefiber, "decagon_limit_differential", lambda x, y: tuple(2 * c for c in original(x, y))
-    )
+    monkeypatch.setattr(stablefiber, "decagon_limit_differential", lambda: tuple(2 * c for c in original()))
     code, out = run_cli(["decagon", "differential", "--format", "json"], capsys)
     report = json.loads(out)
     assert report["verdict"] == "refuted" and code == EXIT_REFUTED
@@ -648,14 +648,43 @@ def test_decagon_exclude_r_values():
     assert inter["values"] == ["-1", "0"]
 
 
-def test_decagon_exclude_r_needs_no_general_inverse(monkeypatch):
-    # Each R set member and each ray multiple is a ratio of sines whose
-    # denominator is a binomial 1 - zeta_10^c with a closed-form inverse.
+_EVERY_MODE = [
+    ["tangent-ratios", "--degree", "2", "--max-denominator", "12"],
+    ["verify-table1", "--max-denominator", "12"],
+    ["lshape", "enumerate", "--b-max", "20"],
+    ["lshape", "unit-case"],
+    ["lshape", "exclude"],
+    ["stratum2", "--torsion-order", "12"],
+    ["decagon", "verify"],
+    ["decagon", "exclude-r"],
+    ["decagon", "differential"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [pytest.param(argv, id="-".join(a for a in argv[:2] if a[0] != "-")) for argv in _EVERY_MODE]
+)
+def test_no_command_takes_a_general_inverse(argv, monkeypatch, capsys):
+    # Every denominator a command meets is a rational, a binomial
+    # 1 - zeta^c with a closed-form inverse (the decagon's R sets and its
+    # closed form are sine ratios), or cleared: the decagon's finite-point
+    # rows are scaled by a power of D, and the rank divides nothing.  So
+    # with the Galois-norm inverse refused, each report is the usual one.
+    def report(args):
+        assert main(args + ["--format", "json"]) in (EXIT_OK, EXIT_REFUTED)
+        return {**json.loads(capsys.readouterr().out), "elapsed_ms": 0}
+
+    usual = report(argv)
+
     def refuse(self):
         raise AssertionError(f"general inverse of {self!r}")
 
     monkeypatch.setattr(CyclotomicElem, "inverse", refuse)
-    assert cmd_decagon("exclude-r").verdict == "verified"
+    for module in [m for name, m in sys.modules.items() if name.startswith("torsion_packet")]:
+        for value in vars(module).values():
+            if isinstance(value, functools._lru_cache_wrapper):
+                value.cache_clear()
+    assert report(argv) == usual
 
 
 def test_decagon_values_are_ordered_by_exact_signs():

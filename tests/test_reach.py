@@ -6,6 +6,7 @@ run reaches must be named in ``ALLOWED`` with the reason it stays; a
 function used by nothing but the tests belongs in ``tests/``.
 """
 
+import ast
 import functools
 import importlib
 import os
@@ -30,6 +31,9 @@ ALLOWED = {
     "tanratio.normalize_by_galois": "wrapped by name in perfbench/tracechild.py",
     "exactnum.cyclotomic.CyclotomicElem.__init__": "builds the operands of perfbench/micro.py",
     "exactnum.quadratic.QuadraticElem.__mul__": "timed by perfbench/micro.py",
+    "exactnum.cyclotomic.CyclotomicElem.inverse": "timed by perfbench/micro.py and wrapped by name in perfbench/tracechild.py",
+    "exactnum.cyclotomic.CyclotomicElem.to_rational": "serves == between a rational and an element of another conductor",
+    "exactnum.cyclotomic.conductor_units": "serves CyclotomicElem.inverse and tanratio.normalize_by_galois",
     "exactnum.quadratic.QuadraticElem.__eq__": "value semantics of an immutable number",
     "exactnum.quadratic.QuadraticElem.__hash__": "value semantics of an immutable number",
     "exactnum.cyclotomic.MinPoly.__eq__": "value semantics of an immutable polynomial",
@@ -134,6 +138,20 @@ def test_every_function_is_reached_by_a_command(capsys, tmp_path):
     assert not gone, f"allowlisted but no longer defined: {gone}"
     used = sorted(ALLOWED.keys() - unreached)
     assert not used, f"allowlisted but reached by a command: {used}"
+
+
+def test_every_traced_target_resolves_in_the_package():
+    # perfbench/tracechild.py wraps functions by (module, attribute) name; a
+    # renamed one would only fail when the benchmark runs.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracechild.py").read_text()
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    ]
+    assert targets
+    for module, attribute, _ in targets:
+        assert callable(functools.reduce(getattr, attribute.split("."), importlib.import_module(module))), attribute
 
 
 def test_readme_names_every_cache():

@@ -28,7 +28,6 @@ from torsion_packet.stablefiber import (
     decagon_config,
     decagon_limit_differential,
     decagon_node_condition,
-    decagon_points,
     decagon_r_sets,
     differential_space,
     solve_torsion_pairs,
@@ -37,7 +36,14 @@ from torsion_packet.stablefiber import (
     verify_residue_constraints,
     verify_zero_orders,
 )
-from exact_helpers import embed, ratio_value, stratum2_limit_differential
+from exact_helpers import (
+    embed,
+    field_inverse,
+    kernel_basis,
+    ratio_value,
+    rref_basis,
+    stratum2_limit_differential,
+)
 from float_embedding import complex_embedding
 
 
@@ -130,8 +136,7 @@ def test_a_second_kernel_dimension_fails_the_space_and_the_generator(monkeypatch
     # Dimension 2 at the solved point bounds the dimension over Q(x, y) by
     # 2 only, so neither the line nor its generator is certified, and no
     # generator is shown; the grid checks do not depend on the kernel.
-    original = stablefiber.differential_space
-    monkeypatch.setattr(stablefiber, "differential_space", lambda config: (2, original(config)[1]))
+    monkeypatch.setattr(stablefiber, "differential_space", lambda config: 2)
     stages = _stages()
     assert stages["differential_space"]["dimension"] == 2
     assert stages["differential_space"]["generator"] is None
@@ -189,8 +194,7 @@ def test_symbolic_generator_matches_closed_form_coefficientwise():
         ]
     }
     for x, y in _grid_points():
-        _, basis = differential_space(stratum2_config(x, y))
-        assert basis == [(y / x, -y / x, F(-1), F(1))]
+        assert rref_basis(stratum2_config(x, y)) == [(y / x, -y / x, F(-1), F(1))]
 
 
 def test_certificate_rejects_forged_closed_form():
@@ -258,9 +262,9 @@ def test_random_specialization_has_the_closed_form_as_basis(a, b):
     # Independent of the certification grid: any rational point where the
     # configuration is defined gives a line spanned by the closed form.
     assume(a not in (b, -b))
-    dim, basis = differential_space(stratum2_config(a, b))
-    assert dim == 1
-    assert basis == [(b / a, -b / a, F(-1), F(1))]
+    cfg = stratum2_config(a, b)
+    assert differential_space(cfg) == 1
+    assert rref_basis(cfg) == [(b / a, -b / a, F(-1), F(1))]
 
 
 def test_config_rejects_points_outside_the_exact_fields():
@@ -306,69 +310,82 @@ def test_over_constrained_space_is_trivial():
         zero_orders={"z": 3},
         involution="negation",
     )
-    dim, _ = differential_space(cfg)
-    assert dim == 0
+    assert differential_space(cfg) == 0
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0, 1]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4).map(lambda cs: CyclotomicElem(10, cs)),
+)
+
+
+@st.composite
+def _rows_and_width(draw):
+    """Up to 6 x 6 rows of 0, 1, Fractions and Q(zeta_10) entries, with a
+    repeated row, a combination of two rows and a zero row among them."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols), max_size=4))
+    if rows:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c = draw(_ENTRIES)
+        rows += [rows[i], [u + c * v for u, v in zip(rows[i], rows[j])]][: draw(st.integers(0, 2))]
+    rows += [[0] * ncols] * draw(st.integers(0, 1))
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows_and_width())
+def test_rank_leaves_the_kernel_dimension_of_the_rref_oracle(case):
+    rows, ncols = case
+    zero = CyclotomicElem.from_rational(10, 0)
+    assert ncols - stablefiber._rank(rows, ncols) == len(kernel_basis(rows, ncols, zero, zero + 1))
+
+
+def test_finite_point_rows_are_the_moment_rows_times_a_power_of_d():
+    # Row j at a finite point pt is sum(c_i/(pt - p_i)^j) = 0 times D^j,
+    # D = prod(pt - p_i): the same condition, with no entry divided.
+    pt = F(1, 2)
+    cfg = NodalConfig(nodes=((F(2), F(-2)), (F(3), F(-3))), marked=(("z", pt),), zero_orders={"z": 2})
+    d = math.prod(pt - p for p in cfg.poles)
+    rows = stablefiber._zero_order_rows(cfg, cfg.poles)
+    assert len(rows) == 2
+    for j, row in enumerate(rows, 1):
+        assert [c * (pt - p) ** j for c, p in zip(row, cfg.poles)] == [d**j] * 4
 
 
 def test_rational_point_configuration():
-    # The solver is generic over any exact field, rationals included.
+    # The rank and the oracle work over any exact field, rationals included.
     cfg = stratum2_config(x=F(2), y=F(3))
-    dim, basis = differential_space(cfg)
-    assert dim == 1
+    assert differential_space(cfg) == 1
+    basis = rref_basis(cfg)
     assert basis == [stratum2_limit_differential(F(2), F(3))]
     assert verify_residue_constraints(basis[0], cfg)
     assert verify_zero_orders(basis[0], cfg)
 
 
-def test_integer_rows_give_residues_in_the_field_of_the_nodes():
-    # The residue rows hold the integers 0 and 1, and an integer pivot 1
-    # still yields residues in the field of the node points, which is what
-    # the report encoder renders.
-    for cfg, field in ((decagon_config(), CyclotomicElem), (stratum2_config(F(2), F(3)), F)):
-        rows = stablefiber._residue_rows(cfg, cfg.poles)
-        assert {type(v) for row in rows for v in row} == {int}
-        _, basis = differential_space(cfg)
-        assert [type(c) for c in basis[0]] == [field] * 4
-
-
-def test_every_basis_entry_has_the_type_of_the_field():
-    # The kernel negates pivot-row entries, which scaling by the field's one
-    # has made field elements, and fills the free entries with its zero.
-    # An entry left an int would render differently in the reports.
-    cases = [(stratum2_config(x, y), F) for x, y in _grid_points()]
-    cases.append((decagon_config(), CyclotomicElem))
-    for cfg, field in cases:
-        dim, basis = differential_space(cfg)
-        assert dim == len(basis) >= 1
-        assert {type(c) for vec in basis for c in vec} == {field}
-
-
 def test_solver_output_satisfies_constraints_independently():
     for cfg in (stratum2_config(F(1), F(6)), decagon_config(), stratum2_config(x=F(5), y=F(7))):
-        _, basis = differential_space(cfg)
-        for omega in basis:
+        for omega in rref_basis(cfg):
             assert verify_residue_constraints(omega, cfg)
             assert verify_zero_orders(omega, cfg)
 
 
 def test_decagon_differential_space():
     cfg = decagon_config()
-    dim, basis = differential_space(cfg)
-    assert dim == 1
-    x, y = decagon_points()
-    reference = decagon_limit_differential(x, y)
-    assert basis == [reference]
+    assert differential_space(cfg) == 1
+    reference = decagon_limit_differential()
+    assert rref_basis(cfg) == [reference]
     assert verify_residue_constraints(reference, cfg)
     assert verify_zero_orders(reference, cfg)
 
 
 def test_decagon_vanishing_moments_explicitly():
     # first-order vanishing at 0 and infinity: sum(c/p) = 0 and sum(c*p) = 0
-    x, y = decagon_points()
-    omega = decagon_limit_differential(x, y)
+    omega = decagon_limit_differential()
     poles = decagon_config().poles
-    zero = x - x
-    assert sum((c / p for c, p in zip(omega, poles)), zero).is_zero()
+    zero = CyclotomicElem.from_rational(10, 0)
+    assert sum((c * p.inverse() for c, p in zip(omega, poles)), zero).is_zero()
     assert sum((c * p for c, p in zip(omega, poles)), zero).is_zero()
 
 
@@ -383,15 +400,13 @@ def height_ratio(residues):
     cleared of denominators, in integers."""
     if not residues[3]:
         raise ZeroDivisionError("designated denominator residue is zero")
-    return residues[0] / residues[3]
+    return residues[0] * field_inverse(residues[3])
 
 
 def test_symbolic_height_ratio_is_y_over_x():
     assert _stages()["height_ratio"] == {"stage": "height_ratio", "value": "y/x", "ok": True}
     for x, y in _grid_points():
-        cfg = stratum2_config(x, y)
-        _, basis = differential_space(cfg)
-        assert height_ratio(basis[0]) == y / x
+        assert height_ratio(rref_basis(stratum2_config(x, y))[0]) == y / x
 
 
 def test_height_ratio_with_tangent_coordinates():
@@ -399,9 +414,8 @@ def test_height_ratio_with_tangent_coordinates():
     # collapses to tan(pi/5)/tan(pi/10) = sqrt(5), reference list row 1.
     assert {1, 2} <= set(solve_torsion_pairs(10))
     cfg = stratum2_config(x=tanratio.i_tan(10, 1), y=tanratio.i_tan(10, 2))
-    dim, basis = differential_space(cfg)
-    assert dim == 1
-    hr = height_ratio(basis[0])
+    assert differential_space(cfg) == 1
+    hr = height_ratio(rref_basis(cfg)[0])
     # The solutions live in Q(zeta_10), mu in Q(zeta_20): compare values.
     assert real_value(hr, minimal_polynomial(hr)) == ratio_value((1, 10), (1, 5))
     z5 = CyclotomicElem.zeta(10, 2)
@@ -582,11 +596,11 @@ def test_decagon_r_sets_exact_values():
 
 
 def _real_part(w):
-    return (w + w.conjugate()) / 2
+    return (w + w.conjugate()) * F(1, 2)
 
 
 def _imag_part(w, i_elem):
-    return (w - w.conjugate()) * (-i_elem) / 2
+    return (w - w.conjugate()) * (-i_elem) * F(1, 2)
 
 
 def _ray_hits(p, m):
@@ -604,7 +618,7 @@ def _ray_hits(p, m):
         im_d = _imag_part(d, i_elem)
         if im_d.is_zero():
             continue
-        t = im_p / im_d
+        t = im_p * im_d.inverse()
         if sign_of_real(t) > 0:
             r = re_p - t * _real_part(d)
             assert r.is_real()
@@ -637,5 +651,5 @@ def test_minus_one_lies_on_a_tenth_root_ray():
     # of zeta_10.
     x = CyclotomicElem.zeta(20, 4)
     z10 = CyclotomicElem.zeta(20, 2)
-    w = (x + 1) / z10
+    w = (x + 1) * z10.inverse()
     assert w.is_real() and sign_of_real(w) == 1

@@ -158,7 +158,7 @@ def test_sin_embedding_satisfies_pythagoras():
     for p, q in ((1, 6), (1, 4), (2, 5)):
         m = conductor(ang(p, q))
         s = sin_of(ang(p, q))
-        c = s / tan_of(ang(p, q))
+        c = s * tan_of(ang(p, q)).inverse()
         assert s * s + c * c == 1
 
 
