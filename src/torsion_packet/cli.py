@@ -205,6 +205,8 @@ def _render_text(report: Report) -> str:
 
 
 _GROUND_TRUTH_KEYS = ("alpha", "beta", "trace", "norm")
+# The shipped table is under 1 KiB.
+_GROUND_TRUTH_MAX_CHARS = 1 << 20
 
 
 def _clip(text: str) -> str:
@@ -217,7 +219,8 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
     """The shipped (or an explicit) ground-truth list of non-unit quadratic ratios.
 
     Raises ValueError, with a one-line message, when the file cannot be
-    read, is not JSON, or is not an object with ``schema_version`` 1 whose
+    read, holds more than 1 MiB (2^20 characters; only that much plus one
+    is read), is not JSON, or is not an object with ``schema_version`` 1 whose
     ``records`` list holds rows with the rationals ``alpha``, ``beta``,
     ``trace`` and ``norm``, the angles with 0 < alpha < beta < 1/2 (the
     check of ``tanratio.ratio``; no other angle arrives as text).  Each comes
@@ -234,9 +237,11 @@ def load_reference_rows(path: Optional[str] = None) -> list[dict[str, Any]]:
         source = f"ground truth {path}"
     try:
         with open(path, encoding="utf-8") as fh:
-            data = fh.read()
+            data = fh.read(_GROUND_TRUTH_MAX_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {source}: {getattr(exc, 'strerror', None) or exc}") from exc
+    if len(data) > _GROUND_TRUTH_MAX_CHARS:  # /dev/zero would otherwise fill the address space
+        raise ValueError(f"{source} is larger than 1 MiB")
     try:
         payload = json.loads(data)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode

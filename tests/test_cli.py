@@ -51,10 +51,17 @@ def run_cli(args, capsys):
 
 
 def test_verify_table1_default_verified():
-    report = cmd_verify_table1()
-    assert report.verdict == "verified"
-    assert len(report.records) == 9
-    assert all(rec["status"] == "match" for rec in report.records)
+    # Raising the bound finds no new row.  At 400 the pair filter keeps 995
+    # of the 79,401 denominator pairs for degree 2.  At 1000 the walk visits
+    # 160,250 orbits, 83,888 of them off the diagonal, and one Lagrange
+    # comparison drops 160,210 before their conjugates are scanned.  At
+    # 2000, the bound the README quotes, the tangent table holds rows up to
+    # q = 2000, each rotated from one ball of exp(i*pi/q) up to r = 999.
+    for bound in (None, 400, 1000, 2000):
+        report = cmd_verify_table1() if bound is None else cmd_verify_table1(bound)
+        assert report.verdict == "verified", bound
+        assert len(report.records) == 9, bound
+        assert all(rec["status"] == "match" for rec in report.records), bound
 
 
 def test_verify_table1_against_mutated_ground_truth(tmp_path):
@@ -121,6 +128,13 @@ def _ground_truth_with_version(*version):
             lambda p: p.write_text('{"schema_version": 1, "records": ' + "[" * 200_000), id="nested-records"
         ),
         pytest.param(lambda p: p.write_bytes(b'\xff\xfe{"schema_version": 1}'), id="not-utf8"),
+        # Valid JSON, the shipped rows, but longer than the 1 MiB the loader reads.
+        pytest.param(
+            lambda p: p.write_text(
+                json.dumps({"schema_version": 1, "records": load_reference_rows()}) + " " * (1 << 20)
+            ),
+            id="padded-past-1-MiB",
+        ),
         # More digits than int() reads: json.loads raises a plain ValueError.
         pytest.param(
             lambda p: p.write_text(
@@ -160,9 +174,12 @@ def _ground_truth_with_version(*version):
         *(pytest.param(_ground_truth_without(k), id=f"no-{k}") for k in ("alpha", "beta", "trace", "norm")),
         pytest.param(_ground_truth_with(alpha="abc"), id="alpha-not-rational"),
         # Fraction reads each of these, but the grammar is "-1/3" or an integer.
+        # It is checked before any Fraction is built: Fraction("1e999999999")
+        # alone would compute 10^999999999.
         *(
             pytest.param(_ground_truth_with(trace=t), id=f"trace-{t!r}")
-            for t in ("1e3", "2e0", "-0.5e0", "1_000", " 7", "2 ", "+2", "\u0662", "2/1\uff10", "2.0")
+            for t in ("1e3", "2e0", "-0.5e0", "1_000", " 7", "2 ", "+2", "\u0662", "2/1\uff10", "2.0",
+                      "1e999999999")
         ),
         pytest.param(_ground_truth_with(norm="-1/+3"), id="norm-signed-denominator"),
         pytest.param(_ground_truth_with(alpha=1), id="alpha-one"),
@@ -229,6 +246,15 @@ def test_tangent_ratios_degree_one(capsys):
     assert payload["schema_version"] == 1
     rows = {(r["alpha"], r["beta"]): r for r in payload["records"]}
     assert rows[("1/6", "1/3")]["mu"] == "3"
+    # At degree 1 the pair filter keeps only the diagonal pairs and (q, 2q),
+    # q odd; one of them holds the one rational ratio up to 60,
+    # tan(pi/3)/tan(pi/6) = 3.
+    code, out = run_cli(
+        ["tangent-ratios", "--degree", "1", "--max-denominator", "60", "--format", "json"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert [(r["alpha"], r["beta"]) for r in json.loads(out)["records"]] == [("1/6", "1/3")]
 
 
 def test_tangent_ratios_nonunits(capsys):
@@ -243,6 +269,14 @@ def test_tangent_ratios_nonunits(capsys):
     # cyclotomic serialization shape
     mu = payload["records"][0]["mu_cyclotomic"]
     assert set(mu) == {"m", "coeffs"} and len(mu["coeffs"]) >= 1
+    code, out = run_cli(
+        ["tangent-ratios", "--degree", "4", "--max-denominator", "20", "--non-units-only", "--format", "csv"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "alpha,beta,degree,trace,norm,is_unit,mu,mu_cyclotomic"
+    assert len(lines) == 1 + 56 and all(",False," in line for line in lines[1:])
 
 
 def test_tangent_ratios_usage_error(capsys):
@@ -264,6 +298,12 @@ def test_lshape_enumerate_small(capsys):
     payload = json.loads(out)
     got = [(r["b"], r["e"]) for r in payload["records"]]
     assert got == [(1, -1), (2, -1), (2, 0), (3, -1), (3, 0)]
+    # The renderer builds the C encoder once, and on every supported Python
+    # it writes the 24,998 records at b <= 10,000 one per line: 25,007 lines.
+    code, out = run_cli(["lshape", "enumerate", "--b-max", "10000", "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert len(json.loads(out)["records"]) == 24_998
+    assert len(out.splitlines()) == 25_007
 
 
 def test_lshape_unit_case(capsys):
@@ -314,12 +354,15 @@ def test_stratum2_default(capsys):
     assert len(handoff) == 1 and handoff[0]["status"].startswith("unit")
 
 
-def test_stratum2_degenerate_order_two():
+def test_stratum2_degenerate_order_two(capsys):
+    # The one solution, x = 0, leaves nothing to hand off: inconclusive,
+    # which exits 0.
     report = cmd_stratum2(2)
     assert report.verdict == "inconclusive"
     torsion = next(r for r in report.records if r["stage"] == "torsion_solutions")
     assert torsion["zero_solution_degenerate"] is True
     assert torsion["nonzero_count"] == 0
+    assert run_cli(["stratum2", "--torsion-order", "2"], capsys)[0] == EXIT_OK
 
 
 def test_stratum2_order_ten_reaches_exclusion():
@@ -620,8 +663,12 @@ def test_stratum2_derives_each_quadratic_value_once(monkeypatch):
 
     monkeypatch.setattr(cli_mod, "real_value", counted)
     report = cmd_stratum2(12)
-    degrees = [r["degree"] for r in report.records if r["stage"] == "handoff"]
-    assert len(calls) == sum(1 for d in degrees if d <= 2) == 10
+    handoffs = [r for r in report.records if r["stage"] == "handoff"]
+    assert len(calls) == sum(1 for r in handoffs if r["degree"] <= 2) == 10
+    # An angle is the integer pair (p, q) from the orbit walk to the report,
+    # written as "p/q" (tanratio.angle_str) when its record is built.
+    first = handoffs[0]
+    assert (first["A"], first["B"], first["alpha"], first["beta"]) == (1, 2, "1/12", "1/6")
 
 
 def test_stratum2_usage(capsys):
@@ -967,7 +1014,8 @@ _PINNED_DIGESTS = {
         lambda: cmd_tangent_ratios(2, 60),
         "eb5c7f9ff0751a715c4cdec1f238a5e7c5bc1e6e50ae681dbf72d6372633650e",
     ),
-    # 190 rows, each mu_cyclotomic and field display from its own angles.
+    # 190 rows, each mu_cyclotomic and field display from its own angles;
+    # the Lagrange comparison with s = k^4 drops 522 of the 709 orbits walked.
     "tangent-ratios --degree 4 --max-denominator 60": (
         lambda: cmd_tangent_ratios(4, 60),
         "b082c5dfb424daeb1ccf0160b84d7fc9191eab47cc014afab4974ebedffdf18b",
@@ -1264,7 +1312,12 @@ def test_output_flag_writes_file(tmp_path, capsys):
         capsys,
     )
     assert code == EXIT_OK
-    assert json.loads(out_path.read_text())["verdict"] == "verified"
+    copy = json.loads(out_path.read_text())
+    assert copy["verdict"] == "verified"
+    # Only cli._run, which entry reaches through main, stamps elapsed_ms,
+    # and the copy carries it as its last key.
+    key = list(copy)[-1]
+    assert key == "elapsed_ms" and type(copy[key]) is int and copy[key] >= 0
 
 
 def _under_a_file(tmp):
@@ -1560,20 +1613,20 @@ def test_closed_stdout_pipe_exits_2_without_traceback(tmp_path):
     # than a pipe buffer, so the process is still writing when it closes.
     copy = tmp_path / "report.json"
     args = ["lshape", "enumerate", "--b-max", "2000", "--format", "json", "--output", str(copy)]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "torsion_packet.cli", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_env_with_src(),
-    )
-    try:
-        assert proc.stdout.readline() == b"{\n"
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        code = proc.wait(timeout=120)
-    finally:
-        proc.kill()
-        proc.wait()
+    ) as proc:  # closes both pipes on the way out
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
     assert code == EXIT_USAGE
     assert "Traceback" not in err
     assert json.loads(copy.read_text())["verdict"] == "verified"  # the --output copy is still written
@@ -1669,13 +1722,11 @@ def test_entry_maps_a_library_failure_to_exit_3():
     assert proc.stderr == "internal error: RuntimeError: synthetic\n"
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
-def test_an_address_space_limit_exits_2_with_one_line():
-    # stratum2 at N = 1680 peaks near 370 MB, so a child limited to its
-    # own size plus 150 MB runs out of memory while it computes, renders
-    # or writes its report, and each of these exits 2 with the same line.
+def _run_under_an_address_space_limit(argv):
+    """``cli.main(argv)`` in a child whose address space is limited to its
+    size after importing the CLI plus 150 MB."""
     pytest.importorskip("resource")
-    proc = _run_script(
+    return _run_script(
         "import resource, sys\n"
         "from torsion_packet import cli\n"
         "with open('/proc/self/status') as status:\n"
@@ -1683,10 +1734,29 @@ def test_an_address_space_limit_exits_2_with_one_line():
         "limit = (size_kb + 150_000) * 1024\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
         "resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))\n"
-        "sys.exit(cli.main(['stratum2', '--torsion-order', '1680', '--format', 'json']))\n"
+        f"sys.exit(cli.main({argv!r}))\n"
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_an_address_space_limit_exits_2_with_one_line():
+    # stratum2 at N = 1680 peaks near 370 MB, so a child limited to its
+    # own size plus 150 MB runs out of memory while it computes, renders
+    # or writes its report, and each of these exits 2 with the same line.
+    proc = _run_under_an_address_space_limit(["stratum2", "--torsion-order", "1680", "--format", "json"])
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert proc.stdout == "" and proc.stderr == "error: stratum2 ran out of memory\n"
+
+
+@pytest.mark.skipif(
+    not (os.path.exists("/proc/self/status") and os.path.exists("/dev/zero")),
+    reason="no /proc/self/status or /dev/zero",
+)
+def test_an_endless_ground_truth_is_read_up_to_1_mib():
+    # An unbounded read of /dev/zero would run out of memory under the limit.
+    proc = _run_under_an_address_space_limit(["verify-table1", "--ground-truth", "/dev/zero"])
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stdout == "" and proc.stderr == "error: ground truth /dev/zero is larger than 1 MiB\n"
 
 
 def test_entry_freezes_before_atexit_handlers_run():
@@ -1765,12 +1835,34 @@ def test_commands_run_without_sympy():
 
 
 @pytest.mark.skipif(shutil.which("torsion-packet") is None, reason="entry point not installed")
-def test_installed_entry_point():
-    proc = subprocess.run(
-        ["torsion-packet", "decagon", "verify", "--format", "json"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["verdict"] == "verified"
+def test_installed_entry_point(tmp_path):
+    # The installed script runs cli.entry, the one exit path it shares with
+    # python -m, so it exits with the verdict's code; it runs outside the
+    # checkout, where the shipped table is read as package data.
+    from importlib.metadata import entry_points
+
+    (script,) = entry_points(group="console_scripts", name="torsion-packet")
+    assert script.value == "torsion_packet.cli:entry"
+    for argv, code in (
+        (["verify-table1"], EXIT_OK),
+        (_against_a_forged_trace(tmp_path), EXIT_REFUTED),
+        (["decagon", "verify"], EXIT_OK),
+    ):
+        proc = subprocess.run(["torsion-packet", *argv], capture_output=True, text=True, cwd=tmp_path, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+def test_every_package_file_is_installed():
+    # The local half of the check CI makes on an installed copy: an install
+    # ships the packages, directories that hold an __init__.py, and of the
+    # other files only those that a package-data glob in pyproject.toml names.
+    tomllib = pytest.importorskip("tomllib")
+    with open(_SRC.parent / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["torsion_packet"]
+    package = _SRC / "torsion_packet"
+    shipped = {path for pattern in globs for path in package.glob(pattern)}
+    files = [path for path in package.rglob("*") if path.is_file() and "__pycache__" not in path.parts]
+    assert [path for path in files if path.suffix != ".py" and path not in shipped] == []
+    packages = {path.parent for path in files if path.suffix == ".py"}
+    assert [d for d in packages if not (d / "__init__.py").is_file()] == []

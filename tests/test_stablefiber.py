@@ -489,15 +489,17 @@ def test_torsion_solutions_live_in_conductor_lcm_2_n(monkeypatch):
 
 def test_torsion_solver_builds_one_solution_per_orbit(monkeypatch):
     # Galois transports the check on x_g to every A with gcd(A, N) = g, so
-    # only A = 0 and the divisors g < N/2 of N are built: 1 + 14 at
-    # N = 210 and 1 + 30 at N = 840.
+    # only A = 0 and the divisors g < N/2 of N are built, at the conductor
+    # lcm(2, N): 1 + 1 at N = 41 (conductor 82), 1 + 14 at N = 210 and
+    # 1 + 30 at N = 840.
     calls = _counting_i_tan(monkeypatch)
-    for n, builds in ((210, 15), (840, 31)):
+    for n, builds in ((41, 2), (210, 15), (840, 31)):
         calls.clear()
-        assert len(solve_torsion_pairs(n)) == n - 1
+        m = tanratio.tan_conductor(n)
+        assert len(solve_torsion_pairs(n)) == (n if n % 2 else n - 1)
         reps = [0] + [g for g in range(1, n // 2) if n % g == 0]
         assert len(reps) == builds
-        assert calls == [(n, g) for g in reps]
+        assert calls == [(m, (m // n) * g) for g in reps]
 
 
 def test_galois_transports_the_orbit_representative_to_every_solution():

@@ -700,6 +700,9 @@ def test_each_row_builds_its_mu_once(monkeypatch):
     calls, built = _counting_builds(monkeypatch)
     report = cli.cmd_tangent_ratios(8, 40)
     assert len(calls) == 2 * len(report.records) == 880
+    # 440 rows in 62 orbits: each representative's polynomial is built by
+    # Newton's identities and checked against the certified degree, and
+    # the other 378 members' are derived from it by a sign and an inversion.
     assert len(built) == 62
     calls.clear()
     built.clear()
@@ -730,10 +733,14 @@ def test_stratum2_decides_each_quadratic_orbit_once(monkeypatch):
     report = cli.cmd_stratum2(840)
     assert report.verdict == "verified"
     assert (len(calls), len(built), len(excluded)) == (54, 16, 6)
-    statuses = [r["status"] for r in report.records if r["stage"] == "handoff" and r["degree"] == 2]
+    handoffs = [r for r in report.records if r["stage"] == "handoff"]
+    assert (len(handoffs), len(report.records)) == (87_571, 87_576)
+    statuses = [r["status"] for r in handoffs if r["degree"] == 2]
     assert statuses.count("excluded by trace/norm matching") == 10
     divisors = [q for q in range(3, 841) if 840 % q == 0]
-    reps = [next(orbit_rows(2, members)) for degree, _, members in tanratio.classify(divisors) if degree == 2]
+    orbits = tanratio.classify(divisors)
+    assert len(orbits) == 1_776 and sum(len(members) for _, _, members in orbits) == 87_571
+    reps = [next(orbit_rows(2, members)) for degree, _, members in orbits if degree == 2]
     assert excluded == [real_value(mu, poly) for _, _, poly, mu in reps if not poly.is_unit]
 
 
@@ -809,7 +816,8 @@ def test_stratum2_takes_every_handoff_from_the_orbit_walk(monkeypatch):
         ]
 
 
-@pytest.mark.parametrize("n, orbits, handoffs", [(41, 10, 190), (210, 312, 5356)])
+# At N = 59 the 406 handoffs fall into 14 orbits at conductor 118.
+@pytest.mark.parametrize("n, orbits, handoffs", [(41, 10, 190), (59, 14, 406), (210, 312, 5356)])
 def test_stratum2_runs_the_stabilizer_once_per_orbit(n, orbits, handoffs, monkeypatch):
     calls = []
 
@@ -820,6 +828,7 @@ def test_stratum2_runs_the_stabilizer_once_per_orbit(n, orbits, handoffs, monkey
     stabilizer = tanratio._stabilizer
     monkeypatch.setattr(tanratio, "_stabilizer", counting)
     report = cli.cmd_stratum2(n)
+    assert report.verdict == "verified"
     assert len([r for r in report.records if r["stage"] == "handoff"]) == handoffs
     assert len(calls) == orbits
 
