@@ -68,16 +68,9 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# Geometry of the decagon representative (unit square plus golden-ratio
-# square, crossing parameter sqrt(5)/5).  Shipped for provenance only;
-# the verification itself uses just the torsion order and tenth roots of
-# unity.
-_DECAGON_GEOMETRY = {
-    "square_side_lengths": ["1", str(QuadraticElem(Fraction(-1, 2), Fraction(1, 2), 5))],
-    "crossing_parameter": str(QuadraticElem(0, Fraction(1, 5), 5)),
-}
-
-_RESIDUE_CONVENTION = "opposite residues at the two branches of each node (sum zero)"
+# Every angle of the shipped Table 1 has denominator at most 12, so the
+# table is recomputed from this bound up.
+TABLE1_MAX_DENOMINATOR = 12
 
 
 class Report(NamedTuple):
@@ -325,14 +318,15 @@ def cmd_tangent_ratios(
 
 
 def cmd_verify_table1(
-    max_denominator: int = 12,
+    max_denominator: int = TABLE1_MAX_DENOMINATOR,
     ground_truth_path: Optional[str] = None,
 ) -> Report:
     """Recompute the non-unit quadratic ratio list and diff it against the
     shipped ground truth."""
-    if max_denominator < 12:
+    if max_denominator < TABLE1_MAX_DENOMINATOR:
         raise UsageError(
-            f"--max-denominator must be at least 12 to cover the reference list, got {max_denominator}"
+            f"--max-denominator must be at least {TABLE1_MAX_DENOMINATOR} to cover the reference list,"
+            f" got {max_denominator}"
         )
     from . import tanratio
 
@@ -412,7 +406,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
         from . import tanratio
 
         records = []
-        for alpha, beta, poly, mu in tanratio.normalized_nonunit_rows(12):
+        for alpha, beta, poly, mu in tanratio.normalized_nonunit_rows(TABLE1_MAX_DENOMINATOR):
             value = real_value(mu, poly)
             candidates, matches = lshape.exclude_against_table1(value)
             records.append(
@@ -516,7 +510,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
         command="stratum2",
         parameters={
             "torsion_order": torsion_order,
-            "residue_convention": _RESIDUE_CONVENTION,
+            "residue_convention": stablefiber.RESIDUE_CONVENTION,
         },
         verdict=verdict,
         records=records,
@@ -525,7 +519,7 @@ def cmd_stratum2(torsion_order: int) -> Report:
 
 def cmd_decagon(subcommand: str) -> Report:
     """verify | exclude-r | differential for the decagon degeneration."""
-    params: dict[str, Any] = {"geometry_constants": dict(_DECAGON_GEOMETRY)}
+    params: dict[str, Any] = {"geometry_constants": dict(stablefiber.DECAGON_GEOMETRY)}
     if subcommand == "verify":
         accepted, expected = stablefiber.decagon_admissible_assignments()
         ok = accepted == expected
@@ -569,29 +563,9 @@ def cmd_decagon(subcommand: str) -> Report:
         ]
         verdict = VERIFIED if ok_rx and ok_ry and ok_inter else REFUTED
     elif subcommand == "differential":
-        params["residue_convention"] = _RESIDUE_CONVENTION
-        config = stablefiber.decagon_config()
-        dim = stablefiber.differential_space(config)
-        reference = stablefiber.decagon_limit_differential()
-        ok_dim = dim == 1
-        ok_res = stablefiber.verify_residue_constraints(reference, config)
-        ok_zero = stablefiber.verify_zero_orders(reference, config)
-        # In a one-dimensional kernel, the vector with last entry 1 is the
-        # RREF generator (see certify_stratum2).
-        ok_match = ok_dim and ok_res and ok_zero and reference[-1] == 1
-        records = [
-            {
-                "check": "dimension",
-                "value": dim,
-                "ok": ok_dim,
-                "configuration": stablefiber.config_to_json_dict(config),
-                "generator": stablefiber.differential_to_json_dict(zip(reference, config.poles)) if ok_match else None,
-            },
-            {"check": "matches_closed_form_generator", "ok": ok_match},
-            {"check": "residue_constraints", "ok": ok_res},
-            {"check": "simple_zeros_at_0_and_infinity", "ok": ok_zero},
-        ]
-        verdict = VERIFIED if ok_dim and ok_match and ok_res and ok_zero else REFUTED
+        params["residue_convention"] = stablefiber.RESIDUE_CONVENTION
+        records = stablefiber.certify_decagon()
+        verdict = VERIFIED if all(rec["ok"] for rec in records) else REFUTED
     else:
         raise UsageError(f"unknown decagon subcommand {subcommand!r}")
     return Report(
@@ -650,7 +624,7 @@ def _build_parser(shown: list[str]) -> argparse.ArgumentParser:
     p.set_defaults(run=lambda a: cmd_tangent_ratios(a.degree, a.max_denominator, a.non_units_only))
 
     p = sub.add_parser("verify-table1", help="diff the computed non-unit list against the shipped reference")
-    p.add_argument("--max-denominator", type=int, default=12)
+    p.add_argument("--max-denominator", type=int, default=TABLE1_MAX_DENOMINATOR)
     p.add_argument("--ground-truth", type=str, default=None)
     common(p)
     p.set_defaults(run=lambda a: cmd_verify_table1(a.max_denominator, a.ground_truth))

@@ -23,21 +23,3 @@ from .quadratic import (
     squarefree_part,
 )
 from .signs import sign_of_real
-
-__all__ = [
-    "ArithmeticInconsistencyError",
-    "CyclotomicElem",
-    "MinPoly",
-    "QuadraticElem",
-    "conductor_units",
-    "cyclotomic_int_coeffs",
-    "galois_apply",
-    "i_tan",
-    "inv_one_minus_zeta",
-    "minimal_polynomial",
-    "real_display",
-    "real_value",
-    "sign_of_real",
-    "squarefree_part",
-    "tan_conductor",
-]

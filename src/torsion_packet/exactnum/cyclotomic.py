@@ -362,9 +362,7 @@ def _combine(x: CyclotomicElem, sign: int, y: CyclotomicElem) -> CyclotomicElem:
 
 
 def _scaled(x: CyclotomicElem, p: int, q: int) -> CyclotomicElem:
-    """x * p/q for integers p and q != 0."""
-    if q < 0:
-        p, q = -p, -q
+    """x * p/q for integers p and q > 0."""
     return _make(x.m, [n * p for n in x.nums], x.den * q)
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArithmeticInconsistencyError
-from .exactnum import CyclotomicElem, i_tan, inv_one_minus_zeta, sign_of_real, tan_conductor
+from .exactnum import CyclotomicElem, QuadraticElem, i_tan, inv_one_minus_zeta, sign_of_real, tan_conductor
 
 
 class _AtInfinity:
@@ -64,9 +64,9 @@ class NodalConfig:
     def __init__(
         self,
         nodes: Iterable[tuple[Point, Point]],
-        marked: Iterable[tuple[str, Point]] = (),
-        zero_orders: Mapping[str, int] = {},
-        involution: Optional[str] = None,
+        marked: Iterable[tuple[str, Point]],
+        zero_orders: Mapping[str, int],
+        involution: Optional[str],
     ):
         object.__setattr__(self, "nodes", tuple((p, q) for p, q in nodes))
         object.__setattr__(self, "marked", tuple((str(l), p) for l, p in marked))
@@ -189,6 +189,11 @@ def _unknowns(config: NodalConfig) -> tuple[Point, ...]:
     return poles
 
 
+# The residue convention that _residue_rows encodes, as both limit
+# differential reports state it.
+RESIDUE_CONVENTION = "opposite residues at the two branches of each node (sum zero)"
+
+
 def _residue_rows(config: NodalConfig, poles: Sequence[Point]) -> list[list[int]]:
     """Node matching Res(p) + Res(q) = 0 at each node, then total residue
     zero (regularity at infinity), as rows of the integers 0 and 1."""
@@ -308,14 +313,12 @@ def symbolic_xy() -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
 _CERTIFIED_DEGREE = 4
 
 
-def certify_stratum2(
-    closed_form: Sequence[tuple[str, str]] = STRATUM2_CLOSED_FORM,
-    ratio: str = STRATUM2_HEIGHT_RATIO,
-) -> list[dict[str, Any]]:
+def certify_stratum2() -> list[dict[str, Any]]:
     """Certify over Q(x, y) that the differential space of
-    ``stratum2_config(x, y)`` is the line spanned by ``closed_form``, whose
-    height ratio Res(x)/Res(-y) is ``ratio``, and return the four stage
-    records of the ``stratum2`` report:
+    ``stratum2_config(x, y)`` is the line spanned by
+    ``STRATUM2_CLOSED_FORM``, whose height ratio Res(x)/Res(-y) is
+    ``STRATUM2_HEIGHT_RATIO``, and return the four stage records of the
+    ``stratum2`` report:
 
     * ``differential_space``: the configuration at the first grid point,
       its points named x, -x, y, -y; the kernel dimension there, only an
@@ -325,14 +328,14 @@ def certify_stratum2(
     * ``residue_constraints``: the closed form satisfies the residue and
       vanishing-order conditions at every grid point;
     * ``matches_closed_form_generator``: it is the RREF generator (below);
-    * ``height_ratio``: ``ratio``, and whether it held at every grid point.
+    * ``height_ratio``: the ratio, and whether it held at every grid point.
 
     At the first point of the grid S x T from ``symbolic_xy`` this computes
     the rank of the specialized system once and checks that its kernel has
     dimension 1 there.  At every point (a, b) of the grid it checks, by
     evaluation alone and in integers, that the closed form satisfies the
     residue and vanishing-order conditions, that its poles are x, -x, y,
-    -y, and that its height ratio equals ``ratio``.
+    -y, and that its height ratio equals the stated one.
     Each of these identities is evaluated multiplied by x*y, the height
     ratio's Res(x) - ratio * Res(-y) = 0 by x^2*y^2, which clears every
     denominator.  Passing every check proves the claims over Q(x, y):
@@ -366,6 +369,7 @@ def certify_stratum2(
             f"a {len(xs)}x{len(ys)} grid cannot certify polynomials of degree {_CERTIFIED_DEGREE}:"
             f" each axis needs more than {_CERTIFIED_DEGREE} distinct integers"
         )
+    closed_form, ratio = STRATUM2_CLOSED_FORM, STRATUM2_HEIGHT_RATIO
     config = stratum2_config(xs[0], ys[0])
     residues, poles = zip(*closed_form)
     kernel_ok = ratio_ok = True
@@ -402,6 +406,16 @@ def certify_stratum2(
     ]
 
 
+# Geometry of the decagon representative (unit square plus golden-ratio
+# square, crossing parameter sqrt(5)/5), which every decagon report cites.
+# Shipped for provenance only: the certificates use just tenth roots of
+# unity.
+DECAGON_GEOMETRY = {
+    "square_side_lengths": ["1", str(QuadraticElem(Fraction(-1, 2), Fraction(1, 2), 5))],
+    "crossing_parameter": str(QuadraticElem(0, Fraction(1, 5), 5)),
+}
+
+
 def decagon_config() -> NodalConfig:
     """Nodes (x, 1/x), (y, 1/y) at x = zeta_5 = zeta_10^2, y = zeta_5^2 =
     zeta_10^4, simple zeros at 0 and infinity, Weierstrass limits at -1 and
@@ -428,6 +442,44 @@ def decagon_limit_differential() -> tuple[CyclotomicElem, ...]:
     r = _sin_ratio(4, 2)
     one = CyclotomicElem.one(10)
     return r, -r, -one, one
+
+
+def certify_decagon() -> list[dict[str, Any]]:
+    """Certify over Q(zeta_10) that the differential space of
+    ``decagon_config()`` is the line spanned by
+    ``decagon_limit_differential()``, and return the four check records of
+    the ``decagon differential`` report:
+
+    * ``dimension``: the kernel dimension, ``ok`` when it is 1, with the
+      configuration and the closed form as the generator, or None unless
+      ``matches_closed_form_generator`` holds;
+    * ``matches_closed_form_generator``: it is the RREF generator, by the
+      rule that ``certify_stratum2`` proves: dimension 1, the residue and
+      vanishing-order conditions, and a last residue of 1;
+    * ``residue_constraints``: it satisfies the residue conditions;
+    * ``simple_zeros_at_0_and_infinity``: and the vanishing orders.
+
+    The node coordinates are elements of Q(zeta_10), not symbols, so the
+    rank computed there gives the dimension outright.
+    """
+    config = decagon_config()
+    dimension = differential_space(config)
+    form = decagon_limit_differential()
+    residues_ok = verify_residue_constraints(form, config)
+    zeros_ok = verify_zero_orders(form, config)
+    generator_ok = dimension == 1 and residues_ok and zeros_ok and form[-1] == 1
+    return [
+        {
+            "check": "dimension",
+            "value": dimension,
+            "ok": dimension == 1,
+            "configuration": config_to_json_dict(config),
+            "generator": differential_to_json_dict(zip(form, config.poles)) if generator_ok else None,
+        },
+        {"check": "matches_closed_form_generator", "ok": generator_ok},
+        {"check": "residue_constraints", "ok": residues_ok},
+        {"check": "simple_zeros_at_0_and_infinity", "ok": zeros_ok},
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -505,7 +505,7 @@ def normalize_by_galois(pair: tuple[_Angle, _Angle]) -> tuple[_Angle, _Angle]:
     raise ArithmeticInconsistencyError(f"no Galois substitution normalizes alpha = {pa}/{qa}")
 
 
-def normalized_nonunit_rows(max_denominator: int = 12) -> list[Row]:
+def normalized_nonunit_rows(max_denominator: int) -> list[Row]:
     """Degree-2 non-unit rows of ``enumerate_ratios`` whose alpha has numerator 1.
 
     These are exactly the normal forms that ``normalize_by_galois`` gives

@@ -24,6 +24,7 @@ from torsion_packet.cli import (
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
+    TABLE1_MAX_DENOMINATOR,
     _cell,
     _leaf,
     cmd_decagon,
@@ -62,6 +63,16 @@ def test_verify_table1_default_verified():
         assert report.verdict == "verified", bound
         assert len(report.records) == 9, bound
         assert all(rec["status"] == "match" for rec in report.records), bound
+
+
+def test_table1_bound_is_the_largest_denominator_of_the_shipped_table():
+    # verify-table1 starts from this bound and lshape exclude reads the
+    # rows up to it, so both cover the shipped table, and no more.
+    path = Path(stablefiber.__file__).parent / "data" / "table1.json"
+    rows = json.loads(path.read_text())["records"]
+    assert len(rows) == 9
+    denominators = [Fraction(row[k]).denominator for row in rows for k in ("alpha", "beta")]
+    assert max(denominators) == TABLE1_MAX_DENOMINATOR == 12
 
 
 def test_verify_table1_against_mutated_ground_truth(tmp_path):

@@ -22,6 +22,7 @@ from torsion_packet.exactnum import (
 from torsion_packet.stablefiber import (
     INFINITY,
     STRATUM2_CLOSED_FORM,
+    STRATUM2_HEIGHT_RATIO,
     NodalConfig,
     certify_stratum2,
     decagon_admissible_assignments,
@@ -75,6 +76,7 @@ def test_config_involution_closure_enforced():
         NodalConfig(
             nodes=((x, -x), (y, -y)),
             marked=(("p", F(1)),),  # image -1 is not in the configuration
+            zero_orders={},
             involution="negation",
         )
 
@@ -82,7 +84,7 @@ def test_config_involution_closure_enforced():
 def test_config_rejects_unknown_zero_labels():
     x, y = F(2), F(3)
     with pytest.raises(ValueError, match="unmarked"):
-        NodalConfig(nodes=((x, -x), (y, -y)), zero_orders={"ghost": 1})
+        NodalConfig(nodes=((x, -x), (y, -y)), marked=(), zero_orders={"ghost": 1}, involution=None)
 
 
 # --------------------------------------------------------------------------
@@ -94,13 +96,19 @@ def _grid_points():
     return [(x, y) for x in xs for y in ys]
 
 
-def _stages(*args):
+def _stages():
     """certify_stratum2's records, by stage."""
-    return {rec["stage"]: rec for rec in certify_stratum2(*args)}
+    return {rec["stage"]: rec for rec in certify_stratum2()}
 
 
-def _oks(*args):
-    return {stage: rec["ok"] for stage, rec in _stages(*args).items()}
+def _oks():
+    return {stage: rec["ok"] for stage, rec in _stages().items()}
+
+
+def _forge(monkeypatch, closed_form, ratio=STRATUM2_HEIGHT_RATIO):
+    """Make ``closed_form`` and ``ratio`` the ones certify_stratum2 checks."""
+    monkeypatch.setattr(stablefiber, "STRATUM2_CLOSED_FORM", closed_form)
+    monkeypatch.setattr(stablefiber, "STRATUM2_HEIGHT_RATIO", ratio)
 
 
 def test_certification_grid_is_large_enough_and_defined():
@@ -197,11 +205,11 @@ def test_symbolic_generator_matches_closed_form_coefficientwise():
         assert rref_basis(stratum2_config(x, y)) == [(y / x, -y / x, F(-1), F(1))]
 
 
-def test_certificate_rejects_forged_closed_form():
-    forged = (("y/x", "x"), ("-y/x", "-x"), ("1", "y"), ("-1", "-y"))
-    stages = _stages(forged)
+def test_certificate_rejects_forged_closed_form(monkeypatch):
+    _forge(monkeypatch, (("y/x", "x"), ("-y/x", "-x"), ("1", "y"), ("-1", "-y")))
+    stages = _stages()
     assert stages["differential_space"]["dimension"] == 1 and stages["differential_space"]["generator"] is None
-    assert _oks(forged) == {
+    assert _oks() == {
         "differential_space": True,
         "residue_constraints": False,
         "matches_closed_form_generator": False,
@@ -209,14 +217,17 @@ def test_certificate_rejects_forged_closed_form():
     }
     # Scaled by x, the form still spans the kernel and has height ratio y/x,
     # and at the solved point (1, 6) it equals the RREF basis.
-    oks = _oks((("y", "x"), ("-y", "-x"), ("-x", "y"), ("x", "-y")))
+    _forge(monkeypatch, (("y", "x"), ("-y", "-x"), ("-x", "y"), ("x", "-y")))
+    oks = _oks()
     assert oks["residue_constraints"] and oks["height_ratio"]
     assert not oks["matches_closed_form_generator"]
     # Agreeing with the generator at (1, 6) only is not enough either.
-    oks = _oks((("y/x", "x"), ("-y", "-x"), ("-1", "y"), ("1", "-y")))
+    _forge(monkeypatch, (("y/x", "x"), ("-y", "-x"), ("-1", "y"), ("1", "-y")))
+    oks = _oks()
     assert not oks["matches_closed_form_generator"] and not oks["residue_constraints"]
     # A wrong height ratio fails on its own.
-    stages = _stages(STRATUM2_CLOSED_FORM, "x/y")
+    _forge(monkeypatch, STRATUM2_CLOSED_FORM, "x/y")
+    stages = _stages()
     assert stages["matches_closed_form_generator"]["ok"] and stages["residue_constraints"]["ok"]
     assert stages["height_ratio"] == {"stage": "height_ratio", "value": "x/y", "ok": False}
 
@@ -246,11 +257,13 @@ def test_certificate_needs_five_distinct_integers_on_each_axis(xs, monkeypatch):
         certify_stratum2()
 
 
-def test_certificate_rejects_malformed_closed_forms():
+def test_certificate_rejects_malformed_closed_forms(monkeypatch):
+    _forge(monkeypatch, (("y*x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y")))
     with pytest.raises(ValueError, match="not"):
-        certify_stratum2((("y*x", "x"), ("-y/x", "-x"), ("-1", "y"), ("1", "-y")))
+        certify_stratum2()
+    _forge(monkeypatch, (("y/x", "-x"), ("-y/x", "x"), ("-1", "y"), ("1", "-y")))
     with pytest.raises(ValueError, match="poles"):
-        certify_stratum2((("y/x", "-x"), ("-y/x", "x"), ("-1", "y"), ("1", "-y")))
+        certify_stratum2()
 
 
 _nonzero_rationals = st.fractions(max_denominator=50).filter(lambda q: q != 0)
@@ -346,7 +359,9 @@ def test_finite_point_rows_are_the_moment_rows_times_a_power_of_d():
     # Row j at a finite point pt is sum(c_i/(pt - p_i)^j) = 0 times D^j,
     # D = prod(pt - p_i): the same condition, with no entry divided.
     pt = F(1, 2)
-    cfg = NodalConfig(nodes=((F(2), F(-2)), (F(3), F(-3))), marked=(("z", pt),), zero_orders={"z": 2})
+    cfg = NodalConfig(
+        nodes=((F(2), F(-2)), (F(3), F(-3))), marked=(("z", pt),), zero_orders={"z": 2}, involution=None
+    )
     d = math.prod(pt - p for p in cfg.poles)
     rows = stablefiber._zero_order_rows(cfg, cfg.poles)
     assert len(rows) == 2
