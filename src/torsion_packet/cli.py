@@ -50,7 +50,7 @@ from typing import Any, NamedTuple, NoReturn, Optional
 
 from . import __version__
 from .errors import ArithmeticInconsistencyError, UsageError
-from .exactnum import CyclotomicElem, QuadraticElem, real_display, real_value, sign_of_real
+from .exactnum import CyclotomicElem, QuadraticElem, minimal_polynomial, real_value, sign_of_real
 from .exactnum.quadratic import parts_str
 # tanratio is imported by the code that calls it, so that a command that
 # reads no tangent ratio does not load it.  lshape and stablefiber stay here:
@@ -69,8 +69,10 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 # Every angle of the shipped Table 1 has denominator at most 12, so the
-# table is recomputed from this bound up.
+# table is recomputed from this bound up; its rows are the non-unit
+# quadratic ratios that lshape exclude rules out.
 TABLE1_MAX_DENOMINATOR = 12
+TABLE1_ROWS = 9
 
 
 class Report(NamedTuple):
@@ -419,7 +421,7 @@ def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
                     "excluded": not matches,
                 }
             )
-        verdict = VERIFIED if all(rec["excluded"] for rec in records) and len(records) == 9 else REFUTED
+        verdict = VERIFIED if all(rec["excluded"] for rec in records) and len(records) == TABLE1_ROWS else REFUTED
         parameters["scope"] = "every admissible (b, e), since the norm of lambda + 1 fixes b"
     else:
         raise UsageError(f"unknown lshape subcommand {subcommand!r}")
@@ -546,17 +548,17 @@ def cmd_decagon(subcommand: str) -> Report:
         records = [
             {
                 "check": "R_x",
-                "values": [real_display(r) for r in _sorted_reals(r_x)],
+                "values": [str(real_value(r, minimal_polynomial(r))) for r in r_x],
                 "only_minus_one_or_nonnegative": ok_rx,
             },
             {
                 "check": "R_y",
-                "values": [real_display(r) for r in _sorted_reals(r_y)],
+                "values": [str(real_value(r, minimal_polynomial(r))) for r in r_y],
                 "all_nonpositive": ok_ry,
             },
             {
                 "check": "intersection",
-                "values": [real_display(r) for r in _sorted_reals(inter)],
+                "values": [str(real_value(r, minimal_polynomial(r))) for r in inter],
                 "contained_in_{-1,0}": ok_inter,
                 "interpretation": "0 is a zero of the limit form, -1 a Weierstrass limit; no new periodic point",
             },
@@ -574,11 +576,6 @@ def cmd_decagon(subcommand: str) -> Report:
         verdict=verdict,
         records=records,
     )
-
-
-def _sorted_reals(elems: list[CyclotomicElem]) -> list[CyclotomicElem]:
-    """Real elements in ascending order, compared by exact signs."""
-    return sorted(elems, key=functools.cmp_to_key(lambda a, b: sign_of_real(a - b)))
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .cyclotomic import (
 from .polynomial import cyclotomic_int_coeffs
 from .quadratic import (
     QuadraticElem,
-    real_display,
     real_value,
     squarefree_part,
 )

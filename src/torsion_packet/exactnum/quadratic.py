@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Union
 
 from ..errors import ArithmeticInconsistencyError
-from .cyclotomic import CyclotomicElem, MinPoly, minimal_polynomial
+from .cyclotomic import CyclotomicElem, MinPoly
 from .signs import sign_of_real
 
 Scalar = Union[int, Fraction]
@@ -229,11 +229,3 @@ def real_value(e: CyclotomicElem, p: MinPoly) -> Union[Fraction, QuadraticElem]:
         raise ArithmeticInconsistencyError("quadratic root failed the trace/norm round-trip")
     return root
 
-
-def real_display(e: CyclotomicElem) -> str:
-    """A rational or a + b*sqrt(D) for a real element of degree at most 2;
-    above that, only the degree, as "degree-n element"."""
-    p = minimal_polynomial(e)
-    if p.degree > 2:
-        return f"degree-{p.degree} element"
-    return str(real_value(e, p))

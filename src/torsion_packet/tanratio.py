@@ -97,9 +97,9 @@ injective mod pi and gcd(p2, q2) = 1, so u^d = 1 mod q2.  With q1 and q2
 swapped, the same holds mod q1.  So a pair of denominators q1, q2 has a
 ratio of degree d only if, for both q = q1 and q = q2, the group
 K(q, g) = {u in (Z/q)^* : u = 1 mod g} has exponent dividing d.  The
-check reads neither numerator, and the walk memoizes
-``_kernel_exponent_divides`` per (q, g) for its one d.  A diagonal pair
-q1 = q2 has K(q, q) = {1} and is never dropped.  For d = 2, 141 of the 1,711 pairs up to 60 are kept.
+check reads neither numerator, and ``_kernel_exponent_divides`` is
+cached per (q, g, d).  A diagonal pair q1 = q2 has K(q, q) = {1} and is
+never dropped.  For d = 2, 141 of the 1,711 pairs up to 60 are kept.
 
 The same Lagrange argument drops most orbits that are left on one
 comparison, before their conjugates are scanned: sigma_(k^d) fixes mu of
@@ -372,26 +372,18 @@ def _ordered(a: _Angle, b: _Angle) -> tuple[_Angle, _Angle]:
     return (a, b) if a[0] * b[1] < b[0] * a[1] else (b, a)
 
 
+@lru_cache(maxsize=None)
 def _kernel_exponent_divides(q: int, g: int, d: int) -> bool:
     """Whether u^d = 1 mod q for every unit u of Z/q with u = 1 mod g, g | q:
     whether the exponent of K(q, g) divides d (see the module docstring)."""
     return all(pow(u, d, q) == 1 for u in range(1 + g, q, g) if math.gcd(u, q) == 1)
 
 
-def _pair_admits_degree(q1: int, q2: int, degree: int, divides: dict[tuple[int, int], bool]) -> bool:
+def _pair_admits_degree(q1: int, q2: int, degree: int) -> bool:
     """False only if no pair of angles with denominators q1, q2 has a ratio
-    of this degree: the Lagrange/CRT certificate of the module docstring.
-    ``divides`` memoizes ``_kernel_exponent_divides`` per (q, g) for this
-    ``degree``, for as long as one walk runs."""
+    of this degree: the Lagrange/CRT certificate of the module docstring."""
     g = math.gcd(q1, q2)
-    ok = divides.get((q1, g))
-    if ok is None:
-        ok = divides[q1, g] = _kernel_exponent_divides(q1, g, degree)
-    if ok:
-        ok = divides.get((q2, g))
-        if ok is None:
-            ok = divides[q2, g] = _kernel_exponent_divides(q2, g, degree)
-    return ok
+    return _kernel_exponent_divides(q1, g, degree) and _kernel_exponent_divides(q2, g, degree)
 
 
 def _orbit_representatives(
@@ -412,10 +404,9 @@ def _orbit_representatives(
     ascending c, g - c, g + c, 2g - c, ...: c itself when c is a unit mod
     q2, as on the diagonal.
     """
-    divides: dict[tuple[int, int], bool] = {}
     for j, q2 in enumerate(denominators):
         for q1 in denominators[: j + 1]:
-            if degree is not None and not _pair_admits_degree(q1, q2, degree, divides):
+            if degree is not None and not _pair_admits_degree(q1, q2, degree):
                 continue
             g = math.gcd(q1, q2)
             for c in range(1, max(1, g // 2) + 1):

@@ -25,6 +25,7 @@ from torsion_packet.cli import (
     EXIT_REFUTED,
     EXIT_USAGE,
     TABLE1_MAX_DENOMINATOR,
+    TABLE1_ROWS,
     _cell,
     _leaf,
     cmd_decagon,
@@ -61,7 +62,7 @@ def test_verify_table1_default_verified():
     for bound in (None, 400, 1000, 2000):
         report = cmd_verify_table1() if bound is None else cmd_verify_table1(bound)
         assert report.verdict == "verified", bound
-        assert len(report.records) == 9, bound
+        assert len(report.records) == TABLE1_ROWS, bound
         assert all(rec["status"] == "match" for rec in report.records), bound
 
 
@@ -70,7 +71,7 @@ def test_table1_bound_is_the_largest_denominator_of_the_shipped_table():
     # rows up to it, so both cover the shipped table, and no more.
     path = Path(stablefiber.__file__).parent / "data" / "table1.json"
     rows = json.loads(path.read_text())["records"]
-    assert len(rows) == 9
+    assert len(rows) == TABLE1_ROWS
     denominators = [Fraction(row[k]).denominator for row in rows for k in ("alpha", "beta")]
     assert max(denominators) == TABLE1_MAX_DENOMINATOR == 12
 
@@ -541,6 +542,7 @@ def test_caches_fill_the_same_under_concurrent_first_use():
         signs._pi_ball,
         tanratio._tan_row,
         tanratio._lagrange_power,
+        tanratio._kernel_exponent_divides,
     )
 
     def run():

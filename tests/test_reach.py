@@ -267,7 +267,7 @@ def test_cli_import_loads_lshape_and_stablefiber_but_not_tanratio():
 @pytest.mark.parametrize(
     "argv, loads",
     [
-        pytest.param(argv, loads, id="-".join(argv[:2]))
+        pytest.param(argv, loads, id="-".join(a for a in argv[:2] if a[0] != "-"))
         for argv, loads in (
             (["lshape", "enumerate", "--b-max", "20"], False),
             (["lshape", "unit-case"], False),
@@ -275,6 +275,9 @@ def test_cli_import_loads_lshape_and_stablefiber_but_not_tanratio():
             (["decagon", "exclude-r"], False),
             (["decagon", "differential"], False),
             (["lshape", "exclude"], True),
+            (["verify-table1"], True),
+            (["tangent-ratios", "--degree", "2", "--max-denominator", "12"], True),
+            (["stratum2", "--torsion-order", "12"], True),
         )
     ],
 )

@@ -656,6 +656,15 @@ def test_decagon_r_sets_match_the_ray_geometry():
     assert [embed(r, 20) for r in inter] == [r for r in oracle_x if r in oracle_y]
 
 
+def test_decagon_r_sets_ascend_strictly():
+    # decagon exclude-r prints the sets in the order they come: r increases
+    # with the direction k, as the docstring proves, so each set, and the
+    # intersection read off R_x, is strictly ascending by exact signs.
+    for values in decagon_r_sets():
+        assert len(values) >= 2
+        assert [sign_of_real(b - a) for a, b in zip(values, values[1:])] == [1] * (len(values) - 1)
+
+
 def test_decagon_exclude_r():
     # The intersection R_x cap R_y holds only -1 (a Weierstrass limit) and
     # 0 (a zero of the limit differential).

@@ -398,7 +398,7 @@ def test_pair_filter_prunes_only_pairs_without_the_degree():
         for q2 in range(3, 25)
         for q1 in range(3, q2 + 1)
         for d in range(1, 7)
-        if not tanratio._pair_admits_degree(q1, q2, d, {})
+        if not tanratio._pair_admits_degree(q1, q2, d)
     ]
     assert len(pruned) == 1215
     for q1, q2, d in pruned:
@@ -422,8 +422,7 @@ def test_pair_filter_counts_at_bound_60():
     denominators = range(3, 61)
     pairs = [(q1, q2) for j, q2 in enumerate(denominators) for q1 in denominators[: j + 1]]
     assert len(pairs) == 1711
-    divides = {}
-    assert sum(tanratio._pair_admits_degree(q1, q2, 2, divides) for q1, q2 in pairs) == 141
+    assert sum(tanratio._pair_admits_degree(q1, q2, 2) for q1, q2 in pairs) == 141
     assert len(list(_orbit_representatives(denominators, 2))) == 584
 
 
@@ -493,10 +492,9 @@ def _scanned_representatives(denominators, degree=None):
     """``_orbit_representatives`` with each p2 found by a scan of every
     numerator of q2 for the first in the class +-c mod g: the oracle of the
     class lift."""
-    divides = {}
     for j, q2 in enumerate(denominators):
         for q1 in denominators[: j + 1]:
-            if degree is not None and not tanratio._pair_admits_degree(q1, q2, degree, divides):
+            if degree is not None and not tanratio._pair_admits_degree(q1, q2, degree):
                 continue
             g = math.gcd(q1, q2)
             for c in range(1, max(1, g // 2) + 1):
