@@ -46,7 +46,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Any, NamedTuple, NoReturn, Optional
+from typing import Any, NamedTuple, NoReturn, Optional, TextIO
 
 from . import __version__
 from .errors import ArithmeticInconsistencyError, UsageError
@@ -73,6 +73,8 @@ EXIT_INTERNAL = 3
 # quadratic ratios that lshape exclude rules out.
 TABLE1_MAX_DENOMINATOR = 12
 TABLE1_ROWS = 9
+# The default bound on b for lshape enumerate.
+LSHAPE_B_MAX = 10_000
 
 
 class Report(NamedTuple):
@@ -361,7 +363,7 @@ def cmd_verify_table1(
     )
 
 
-def cmd_lshape(subcommand: str, b_max: int = 10_000) -> Report:
+def cmd_lshape(subcommand: str, b_max: int = LSHAPE_B_MAX) -> Report:
     """enumerate | unit-case | exclude over admissible (b, e) parameters.
 
     Only ``enumerate`` reads the bound ``b_max``: the unit case is a
@@ -523,15 +525,10 @@ def cmd_decagon(subcommand: str) -> Report:
     """verify | exclude-r | differential for the decagon degeneration."""
     params: dict[str, Any] = {"geometry_constants": dict(stablefiber.DECAGON_GEOMETRY)}
     if subcommand == "verify":
-        accepted, expected = stablefiber.decagon_admissible_assignments()
+        passing, accepted, expected = stablefiber.decagon_admissible_assignments()
         ok = accepted == expected
         records = [
-            {
-                "check": "fifth_power_node_conditions",
-                "passing_tenth_root_exponents": sorted(
-                    {j for pair in accepted for j in pair}
-                ),
-            },
+            {"check": "fifth_power_node_conditions", "passing_tenth_root_exponents": sorted(passing)},
             {
                 "check": "solution_class",
                 "accepted_assignments": sorted(accepted),
@@ -628,7 +625,7 @@ def _build_parser(shown: list[str]) -> argparse.ArgumentParser:
 
     p = sub.add_parser("lshape", help="admissible L-shaped parameters and exclusion")
     p.add_argument("mode", choices=("enumerate", "unit-case", "exclude"))
-    p.add_argument("--b-max", type=int, default=10_000)
+    p.add_argument("--b-max", type=int, default=LSHAPE_B_MAX)
     common(p)
     p.set_defaults(run=lambda a: cmd_lshape(a.mode, a.b_max))
 
@@ -666,11 +663,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(error, file=sys.stderr, flush=True)
         except OSError:
             # stderr is closed or full, so the exit code alone reports the
-            # error.  Point stderr at devnull so that the flush at
-            # interpreter shutdown does not fail and change that code.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stderr.fileno())
-            os.close(devnull)
+            # error.  The flush at interpreter shutdown must not fail and
+            # change that code.
+            _to_devnull(sys.stderr)
     return code
 
 
@@ -731,18 +726,23 @@ def _write_stdout(text: str, what: str, end: str = "\n") -> tuple[int, Optional[
     try:
         print(text, end=end, flush=True)
     except (OSError, MemoryError) as exc:
-        # Point stdout at devnull so that the flush at interpreter shutdown
-        # does not raise a second time.  A reader that went away (a closed
-        # pipe) needs no message.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # The flush at interpreter shutdown must not raise a second time.
+        # A reader that went away (a closed pipe) needs no message.
+        _to_devnull(sys.stdout)
         if isinstance(exc, MemoryError):
             raise
         if isinstance(exc, BrokenPipeError):
             return EXIT_USAGE, None
         return EXIT_USAGE, f"error: cannot write {what} to stdout: {exc.strerror or exc}"
     return EXIT_OK, None
+
+
+def _to_devnull(stream: TextIO) -> None:
+    """Point ``stream``'s file descriptor at devnull, so that writes to it,
+    the flush at interpreter shutdown among them, succeed and are dropped."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _check_output_path(path: str) -> None:

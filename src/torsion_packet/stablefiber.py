@@ -51,40 +51,36 @@ Point = Union[CyclotomicElem, Fraction, _AtInfinity]
 class NodalConfig:
     """A projective line with identified point pairs and marked points.
 
-    ``nodes`` lists the identified pairs; ``marked`` labels distinguished
-    points (zeros of the limit differential, Weierstrass limits, ...);
-    ``zero_orders`` maps marked labels to required vanishing orders of
-    the limit differential; ``involution`` optionally names a symmetry
-    ("negation" for z -> -z, "inversion" for z -> 1/z) that must map the
-    configuration to itself.  Instances are immutable.
+    ``nodes`` lists the identified pairs.  Their points carry the unknown
+    residues, so none may be INFINITY: a node at infinity is refused when
+    the configuration is built.  ``marked`` lists the distinguished points
+    as (label, point, order): a zero of the limit differential with its
+    prescribed vanishing order, or order 0 for a point that carries no
+    condition, such as a Weierstrass limit.  ``involution`` optionally
+    names a symmetry ("negation" for z -> -z, "inversion" for z -> 1/z)
+    that must map the configuration to itself.  Instances are immutable.
     """
 
-    __slots__ = ("nodes", "marked", "zero_orders", "involution")
+    __slots__ = ("nodes", "marked", "involution")
 
     def __init__(
         self,
         nodes: Iterable[tuple[Point, Point]],
-        marked: Iterable[tuple[str, Point]],
-        zero_orders: Mapping[str, int],
+        marked: Iterable[tuple[str, Point, int]],
         involution: Optional[str],
     ):
         object.__setattr__(self, "nodes", tuple((p, q) for p, q in nodes))
-        object.__setattr__(self, "marked", tuple((str(l), p) for l, p in marked))
-        object.__setattr__(self, "zero_orders", tuple(sorted((str(l), int(k)) for l, k in zero_orders.items())))
+        object.__setattr__(self, "marked", tuple((str(l), p, int(k)) for l, p, k in marked))
         object.__setattr__(self, "involution", involution)
         self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("NodalConfig is immutable")
 
-    # -- derived views ----------------------------------------------------
-
     @property
     def poles(self) -> tuple[Point, ...]:
+        """The node points, in the order of the unknown residues."""
         return tuple(p for node in self.nodes for p in node)
-
-    def all_points(self) -> list[Point]:
-        return list(self.poles) + [p for _, p in self.marked]
 
     # -- validation --------------------------------------------------------
 
@@ -93,15 +89,15 @@ class NodalConfig:
             raise ValueError("a nodal configuration needs at least one node")
         if self.involution not in (None, "negation", "inversion"):
             raise ValueError(f"unknown involution {self.involution!r}")
-        labels = [l for l, _ in self.marked]
+        labels = [l for l, _, _ in self.marked]
         if len(set(labels)) != len(labels):
             raise ValueError("marked labels must be distinct")
-        unknown = [l for l, _ in self.zero_orders if l not in labels]
-        if unknown:
-            raise ValueError(f"zero orders given for unmarked labels {unknown}")
-        if any(k < 1 for _, k in self.zero_orders):
-            raise ValueError("vanishing orders must be positive")
-        pts = self.all_points()
+        if any(k < 0 for _, _, k in self.marked):
+            raise ValueError("vanishing orders must be nonnegative")
+        poles = self.poles
+        if any(p is INFINITY for p in poles):
+            raise ValueError("nodes at infinity are not supported")
+        pts = [*poles, *(p for _, p, _ in self.marked)]
         for p in pts:
             if not (p is INFINITY or isinstance(p, (CyclotomicElem, Fraction))):
                 raise TypeError(f"configuration point {p!r} is not a CyclotomicElem, Fraction or INFINITY")
@@ -126,7 +122,7 @@ class NodalConfig:
             p, q = pair
             if not any(self._maps(p, a) and self._maps(q, b) for node in self.nodes for a, b in (node, node[::-1])):
                 raise ValueError(f"involution does not preserve the node pair {pair!r}")
-        marked_pts = [p for _, p in self.marked]
+        marked_pts = [p for _, p, _ in self.marked]
         for p in marked_pts:
             if not any(self._maps(p, q) for q in marked_pts):
                 raise ValueError(f"involution does not preserve the marked point {p!r}")
@@ -135,7 +131,8 @@ class NodalConfig:
 def config_to_json_dict(
     config: NodalConfig, names: Optional[Mapping[Point, str]] = None
 ) -> dict[str, Any]:
-    """Report record of the node pairs, marked points and zero orders.
+    """Report record of the node pairs, marked points and the vanishing
+    orders above 0, by label.
 
     Points are left as they are, for the report encoder.  ``names``
     displays the points it maps by name instead of by value, as for a
@@ -144,8 +141,8 @@ def config_to_json_dict(
     name = (names or {}).get
     return {
         "nodes": [[name(p, p), name(q, q)] for p, q in config.nodes],
-        "marked": [{"label": l, "point": name(p, p)} for l, p in config.marked],
-        "zero_orders": {l: k for l, k in config.zero_orders},
+        "marked": [{"label": l, "point": name(p, p)} for l, p, _ in config.marked],
+        "zero_orders": {l: k for l, _, k in config.marked if k},
         "involution": config.involution,
     }
 
@@ -181,14 +178,6 @@ def _rank(rows: list[list], ncols: int) -> int:
     return rank
 
 
-def _unknowns(config: NodalConfig) -> tuple[Point, ...]:
-    """The node points, in the order of the unknown residues."""
-    poles = config.poles
-    if any(p is INFINITY for p in poles):
-        raise ValueError("nodes at infinity are not supported")
-    return poles
-
-
 # The residue convention that _residue_rows encodes, as both limit
 # differential reports state it.
 RESIDUE_CONVENTION = "opposite residues at the two branches of each node (sum zero)"
@@ -212,11 +201,10 @@ def _zero_order_rows(config: NodalConfig, poles: Sequence[Point]) -> list[list]:
     pt, sum(c_i/(pt - p_i)^j) = 0 multiplied by D^j, D = prod(pt - p_i).
     The points are pairwise distinct, so D is nonzero and the scaled row has
     the same solutions; its entries prod_{q != p_i}(pt - q)^j divide nothing."""
-    orders = dict(config.zero_orders)
     return [
         [p**j if pt is INFINITY else math.prod(pt - q for q in poles if q != p) ** j for p in poles]
-        for label, pt in config.marked
-        for j in range(1, orders.get(label, 0) + 1)
+        for _, pt, k in config.marked
+        for j in range(1, k + 1)
     ]
 
 
@@ -229,7 +217,7 @@ def differential_space(config: NodalConfig) -> int:
     order, with infinity handled in the coordinate w = 1/z).  The dimension
     is the number of unknowns less the rank of the rows.
     """
-    poles = _unknowns(config)
+    poles = config.poles
     return len(poles) - _rank(_residue_rows(config, poles) + _zero_order_rows(config, poles), len(poles))
 
 
@@ -244,12 +232,12 @@ def _satisfies(rows_of, residues: Sequence, config: NodalConfig, poles: Sequence
 
 def verify_residue_constraints(residues: Sequence[Point], config: NodalConfig) -> bool:
     """Exact check of total residue zero and node matching Res(p) + Res(q) = 0."""
-    return _satisfies(_residue_rows, residues, config, _unknowns(config))
+    return _satisfies(_residue_rows, residues, config, config.poles)
 
 
 def verify_zero_orders(residues: Sequence[Point], config: NodalConfig) -> bool:
     """Exact check of the prescribed vanishing orders at the marked points."""
-    return _satisfies(_zero_order_rows, residues, config, _unknowns(config))
+    return _satisfies(_zero_order_rows, residues, config, config.poles)
 
 
 # --------------------------------------------------------------------------
@@ -266,8 +254,7 @@ def stratum2_config(x: Point, y: Point) -> NodalConfig:
     degeneration of an L-shaped surface at node coordinates x and y."""
     return NodalConfig(
         nodes=_stratum2_nodes(x, y),
-        marked=(("omega_zero", INFINITY),),
-        zero_orders={"omega_zero": 2},
+        marked=(("omega_zero", INFINITY, 2),),
         involution="negation",
     )
 
@@ -425,12 +412,11 @@ def decagon_config() -> NodalConfig:
     return NodalConfig(
         nodes=((z(10, 2), z(10, -2)), (z(10, 4), z(10, -4))),
         marked=(
-            ("omega_zero_0", zero),
-            ("omega_zero_inf", INFINITY),
-            ("weierstrass_-1", zero - 1),
-            ("weierstrass_+1", zero + 1),
+            ("omega_zero_0", zero, 1),
+            ("omega_zero_inf", INFINITY, 1),
+            ("weierstrass_-1", zero - 1, 0),
+            ("weierstrass_+1", zero + 1, 0),
         ),
-        zero_orders={"omega_zero_0": 1, "omega_zero_inf": 1},
         involution="inversion",
     )
 
@@ -537,9 +523,10 @@ def decagon_node_condition(j: int) -> bool:
     return p**5 == q**5 and (p + 1) ** 5 == (q + 1) ** 5
 
 
-def decagon_admissible_assignments() -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
-    """(accepted, expected) ordered assignments (j_x, j_y) of tenth-root
-    exponents for the two nodes.
+def decagon_admissible_assignments() -> tuple[set[int], set[tuple[int, int]], set[tuple[int, int]]]:
+    """(passing, accepted, expected): the tenth-root exponents j whose node
+    pair passes ``decagon_node_condition``, and two sets of ordered
+    assignments (j_x, j_y) of exponents to the two nodes.
 
     Accepted means: both node pairs satisfy the fifth-power conditions
     and the pairs are disjoint.  Expected is the symmetry class of
@@ -549,7 +536,7 @@ def decagon_admissible_assignments() -> tuple[set[tuple[int, int]], set[tuple[in
     accepted = {(jx, jy) for jx in passing for jy in passing if jy not in (jx, 10 - jx)}
     expected = {(a, b) for a in (2, 8) for b in (4, 6)}
     expected |= {(b, a) for a, b in expected}
-    return accepted, expected
+    return passing, accepted, expected
 
 
 def _sin_ratio(u: int, k: int) -> CyclotomicElem:

@@ -6,10 +6,13 @@ here, from the public API.  The stratum-2 limit differential at a point is
 here too: the package checks its closed form in integers only.  So is the
 reduced row echelon kernel basis: the package computes only the rank of
 its condition rows, and the basis is the oracle for the closed forms it
-certifies as generators.
+certifies as generators.  So is the reset of the package's caches, for
+the tests that need them empty.
 """
 
+import functools
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -189,3 +192,13 @@ def rref_basis(config: stablefiber.NodalConfig) -> list[tuple]:
     rows = stablefiber._residue_rows(config, poles) + stablefiber._zero_order_rows(config, poles)
     zero = poles[0] - poles[0]
     return [tuple(vec) for vec in kernel_basis(rows, len(poles), zero, zero + 1)]
+
+
+def clear_caches() -> None:
+    """Clear every ``functools.lru_cache`` in the loaded modules of the
+    package; a module not yet loaded has filled none."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "torsion_packet":
+            for value in vars(module).values():
+                if isinstance(value, functools._lru_cache_wrapper):
+                    value.cache_clear()

@@ -1,7 +1,6 @@
 """Tests for the command-line front end and report formats."""
 
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -39,7 +38,7 @@ from torsion_packet.cli import (
 )
 from torsion_packet.exactnum import CyclotomicElem, QuadraticElem
 
-from exact_helpers import embed, stabilizer
+from exact_helpers import clear_caches, embed, stabilizer
 
 
 def run_cli(args, capsys):
@@ -474,8 +473,12 @@ _FORGED_CHECKS = [
      _matching_the_octagon,
      lambda report: any(rec.get("status", "").startswith("matched") for rec in report["records"])),
     ("decagon-verify-solution-class", ["decagon", "verify"], stablefiber,
-     "decagon_admissible_assignments", lambda found: (found[0] | {(0, 0)}, found[1]),
+     "decagon_admissible_assignments", lambda found: (found[0], found[1] | {(0, 0)}, found[2]),
      _failed("solution_class")),
+    ("decagon-verify-node-condition", ["decagon", "verify"], stablefiber, "decagon_node_condition",
+     lambda passes: not passes,
+     lambda report: _failed("solution_class")(report)
+     and report["records"][0]["passing_tenth_root_exponents"] == [1, 3, 7, 9]),
     ("decagon-R_x", ["decagon", "exclude-r"], stablefiber, "decagon_r_sets", _with_value(0, -2),
      _failed("R_x", "only_minus_one_or_nonnegative")),
     ("decagon-R_y", ["decagon", "exclude-r"], stablefiber, "decagon_r_sets", _with_value(1, 1),
@@ -528,22 +531,20 @@ def test_twice_the_decagon_closed_form_is_not_its_generator(monkeypatch, capsys)
     }
 
 
+def test_decagon_verify_prints_the_exponents_the_node_condition_passes(monkeypatch):
+    # With one passing exponent no assignment is accepted, so the passing
+    # set cannot be read back from the accepted pairs.
+    monkeypatch.setattr(stablefiber, "decagon_node_condition", lambda j: j == 2)
+    report = cmd_decagon("verify")
+    assert report.verdict == "refuted"
+    assert report.records[0]["passing_tenth_root_exponents"] == [2]
+    assert report.records[1]["accepted_assignments"] == []
+
+
 def test_caches_fill_the_same_under_concurrent_first_use():
     # Every lru_cache holds a pure function's value, so threads that fill
     # them at once get the serial results.
     import threading
-
-    from torsion_packet import tanratio
-    from torsion_packet.exactnum import cyclotomic, signs
-
-    caches = (
-        cyclotomic._conductor,
-        cyclotomic._trace_row,
-        signs._pi_ball,
-        tanratio._tan_row,
-        tanratio._lagrange_power,
-        tanratio._kernel_exponent_divides,
-    )
 
     def run():
         return (
@@ -554,8 +555,7 @@ def test_caches_fill_the_same_under_concurrent_first_use():
         )
 
     serial = run()
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches()
     start = threading.Barrier(4)
     results = []
 
@@ -740,10 +740,7 @@ def test_no_command_takes_a_general_inverse(argv, monkeypatch, capsys):
         raise AssertionError(f"general inverse of {self!r}")
 
     monkeypatch.setattr(CyclotomicElem, "inverse", refuse)
-    for module in [m for name, m in sys.modules.items() if name.startswith("torsion_packet")]:
-        for value in vars(module).values():
-            if isinstance(value, functools._lru_cache_wrapper):
-                value.cache_clear()
+    clear_caches()
     assert report(argv) == usual
 
 

@@ -22,6 +22,7 @@ import pytest
 
 import torsion_packet
 from torsion_packet import cli
+from exact_helpers import clear_caches
 
 # Exempt by rule: the debugging display, and the guard of an immutable type.
 EXEMPT = frozenset({"__repr__", "__setattr__"})
@@ -38,6 +39,7 @@ ALLOWED = {
     "exactnum.quadratic.QuadraticElem.__hash__": "value semantics of an immutable number",
     "exactnum.cyclotomic.MinPoly.__eq__": "value semantics of an immutable polynomial",
     "cli.entry": "exits the interpreter, so only the subprocess tests in test_cli.py run it",
+    "cli._to_devnull": "runs only when writing to stdout or stderr fails, as in the subprocess tests in test_cli.py",
 }
 
 
@@ -82,13 +84,6 @@ def defined_functions():
     return found
 
 
-def _lru_caches():
-    for module in _package_modules():
-        for value in vars(module).values():
-            if isinstance(value, functools._lru_cache_wrapper):
-                yield value
-
-
 def test_every_function_is_reached_by_a_command(capsys, tmp_path):
     shipped = resources.files("torsion_packet").joinpath("data/table1.json")
     runs = [
@@ -108,8 +103,7 @@ def test_every_function_is_reached_by_a_command(capsys, tmp_path):
         ["lshape", "--help"],
     ]
     # A cached body runs only on its first call, so start from empty caches.
-    for cache in _lru_caches():
-        cache.cache_clear()
+    clear_caches()
     reached = set()
 
     def profile(frame, event, arg):

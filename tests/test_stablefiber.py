@@ -64,8 +64,7 @@ def test_config_rejects_zero_order_at_pole():
     with pytest.raises(ValueError, match="pairwise distinct"):
         NodalConfig(
             nodes=((x, -x), (y, -y)),
-            marked=(("bad", x),),
-            zero_orders={"bad": 1},
+            marked=(("bad", x, 1),),
             involution=None,
         )
 
@@ -75,16 +74,26 @@ def test_config_involution_closure_enforced():
     with pytest.raises(ValueError, match="involution"):
         NodalConfig(
             nodes=((x, -x), (y, -y)),
-            marked=(("p", F(1)),),  # image -1 is not in the configuration
-            zero_orders={},
+            marked=(("p", F(1), 0),),  # image -1 is not in the configuration
             involution="negation",
         )
 
 
-def test_config_rejects_unknown_zero_labels():
-    x, y = F(2), F(3)
-    with pytest.raises(ValueError, match="unmarked"):
-        NodalConfig(nodes=((x, -x), (y, -y)), marked=(), zero_orders={"ghost": 1}, involution=None)
+def test_config_rejects_a_node_at_infinity_when_built():
+    # The unknowns are the residues at finite node points, so the
+    # configuration itself is refused, before any rank or check runs.
+    with pytest.raises(ValueError, match="nodes at infinity"):
+        NodalConfig(nodes=((F(0), INFINITY), (F(2), F(3))), marked=(), involution=None)
+
+
+def test_config_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="nonnegative"):
+        NodalConfig(nodes=((F(2), F(-2)),), marked=(("z", INFINITY, -1),), involution=None)
+
+
+def test_config_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        NodalConfig(nodes=((F(2), F(-2)),), marked=(("z", F(0), 1), ("z", INFINITY, 0)), involution=None)
 
 
 # --------------------------------------------------------------------------
@@ -319,8 +328,7 @@ def test_over_constrained_space_is_trivial():
     x, y = _grid_points()[0]
     cfg = NodalConfig(
         nodes=((x, -x), (y, -y)),
-        marked=(("z", INFINITY),),
-        zero_orders={"z": 3},
+        marked=(("z", INFINITY, 3),),
         involution="negation",
     )
     assert differential_space(cfg) == 0
@@ -360,7 +368,7 @@ def test_finite_point_rows_are_the_moment_rows_times_a_power_of_d():
     # D = prod(pt - p_i): the same condition, with no entry divided.
     pt = F(1, 2)
     cfg = NodalConfig(
-        nodes=((F(2), F(-2)), (F(3), F(-3))), marked=(("z", pt),), zero_orders={"z": 2}, involution=None
+        nodes=((F(2), F(-2)), (F(3), F(-3))), marked=(("z", pt, 2),), involution=None
     )
     d = math.prod(pt - p for p in cfg.poles)
     rows = stablefiber._zero_order_rows(cfg, cfg.poles)
@@ -584,7 +592,8 @@ def test_decagon_node_conditions_per_root():
 
 
 def test_decagon_verify_pins_the_solution_class():
-    accepted, expected = decagon_admissible_assignments()
+    passing, accepted, expected = decagon_admissible_assignments()
+    assert passing == {2, 4, 6, 8}
     assert accepted == expected
     assert (2, 4) in accepted  # x = zeta_5, y = zeta_5^2
     assert (8, 6) in accepted  # inverted pair, same class
